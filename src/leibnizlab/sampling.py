@@ -1,8 +1,9 @@
 """Seeded samplers shared by the property suites and the counterexample search.
 
 Determinism contract: every sampler is a pure function of the generator
-state, and generators are derived as ``np.random.default_rng((seed, *stream))``
-so per-trial streams are independent of execution order or worker count.
+state, and generators are derived as ``np.random.default_rng((seed, *stream))``,
+so each trial's draws depend only on the seed and the trial's stream id, not
+on the order in which trials run.
 """
 
 from __future__ import annotations

@@ -44,13 +44,6 @@ def dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def parse_exponent(value) -> float:
-    """Read an exponent that may be serialized as a number or as 'inf'."""
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
-
-
 def write_jsonl(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:

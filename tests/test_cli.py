@@ -140,6 +140,27 @@ def test_search_bad_config_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("config", [
+    # n * mass_floor = 2 > 1 leaves no room for a measure: negative "weights"
+    {"target": "chain_rule", "n": 10, "mass_floor": 0.2, "p_grid": [1], "trials": 200,
+     "refine_steps": 5, "seed": 0, "monotone": False},
+    {"target": "leibniz", "n": 10, "mass_floor": 0.2, "p_grid": [1], "trials": 200,
+     "refine_steps": 5, "seed": 0},
+    {"target": "chain_rule", "mass_floor": -0.1},
+    {"target": "chain_rule", "p_grid": []},
+    {"target": "chain_rule", "seed": 1.5},
+    {"target": "chain_rule", "refine_top": -1},
+])
+def test_search_invalid_config_exit_2(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("search", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert "bad search config" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_search_seed_override_changes_result(tmp_path, capsys):
     config = {"target": "chain_rule", "n": 3, "p_grid": [1], "trials": 100,
               "refine_steps": 0, "seed": 1}

@@ -36,6 +36,36 @@ def test_config_validation():
     assert cfg.p_grid == (1.0, math.inf)
 
 
+@pytest.mark.parametrize("n, floor", [(10, 0.2), (4, 0.25), (3, -0.1), (3, 0.0), (3, math.nan)])
+def test_config_rejects_mass_floor_outside_open_interval(n, floor):
+    # n * floor >= 1 forces negative "weights"; a floor <= 0 admits them
+    for target in ("chain_rule", "leibniz"):
+        with pytest.raises(ValueError, match="mass_floor"):
+            SearchConfig(target=target, n=n, mass_floor=floor)
+    assert SearchConfig(target="chain_rule", n=4, mass_floor=0.2499).mass_floor == 0.2499
+
+
+def test_config_rejects_empty_p_grid():
+    with pytest.raises(ValueError, match="p_grid"):
+        SearchConfig(target="chain_rule", p_grid=())
+    with pytest.raises(ValueError, match="p_grid"):
+        SearchConfig.from_dict({"target": "chain_rule", "p_grid": []})
+
+
+@pytest.mark.parametrize("key", ["seed", "n", "trials", "refine_steps", "refine_top"])
+@pytest.mark.parametrize("value", [1.5, 3.0, True, "3"])
+def test_config_rejects_non_integer_counts(key, value):
+    with pytest.raises(ValueError, match=key):
+        SearchConfig.from_dict({"target": "chain_rule", key: value})
+
+
+@pytest.mark.parametrize("key", ["refine_steps", "refine_top"])
+def test_config_rejects_negative_refinement_budget(key):
+    with pytest.raises(ValueError, match=key):
+        SearchConfig.from_dict({"target": "chain_rule", key: -1})
+    assert getattr(SearchConfig.from_dict({"target": "chain_rule", key: 0}), key) == 0
+
+
 def test_random_instance_deterministic():
     cfg = SearchConfig(target="chain_rule", n=4, trials=10, seed=99)
     a = random_instance(cfg, 3)
