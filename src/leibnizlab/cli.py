@@ -40,7 +40,7 @@ from .search import (
 from .serialize import dumps, write_jsonl
 from .suites import SUITES
 from .verify import check_strong_leibniz
-from .core import ProbVector
+from .core import ProbVector, check_exponent
 
 SUITE_CHOICES = tuple(SUITES) + ("all",)
 
@@ -91,20 +91,45 @@ def _write_manifest(manifest: RunManifest, out_dir: str) -> str:
     return path
 
 
-def cmd_verify(args) -> int:
-    seed = _resolve_seed(args.seed)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    started = time.perf_counter()
-    outcomes = []
-    for name in names:
+def _suite_kwargs(args, seed: int) -> dict[str, dict]:
+    """Keyword arguments for each selected suite; ValueError names a malformed flag."""
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if args.tol is not None and not math.isfinite(args.tol):
+        raise ValueError(f"--tol must be finite, got {args.tol}")
+    p = None
+    if args.p is not None:
+        try:
+            p = check_exponent(float(args.p))
+        except ValueError as exc:
+            raise ValueError(f"--p: {exc}") from None
+    runs = {}
+    for name in (SUITES if args.suite == "all" else [args.suite]):
         kwargs = {"trials": args.trials, "seed": seed}
         if args.n is not None:
+            smallest = 1 if name == "majorization" else 2
+            if args.n < smallest:
+                raise ValueError(f"--n must be at least {smallest} for suite {name}, got {args.n}")
             kwargs["n_max"] = args.n
         if args.tol is not None:
             kwargs["tol"] = args.tol
-        if name == "strong-leibniz" and args.p is not None:
-            kwargs["p"] = math.inf if args.p == "inf" else float(args.p)
-        outcomes.append(SUITES[name](**kwargs))
+        if name == "strong-leibniz" and p is not None:
+            kwargs["p"] = p
+        runs[name] = kwargs
+    return runs
+
+
+def cmd_verify(args) -> int:
+    try:
+        seed = _resolve_seed(args.seed)
+        runs = _suite_kwargs(args, seed)
+    except ValueError as exc:
+        print(f"error: bad verify flags: {exc}", file=sys.stderr)
+        return 2
+    started = time.perf_counter()
+    outcomes = [SUITES[name](**kwargs) for name, kwargs in runs.items()]
     ok = all(o.ok for o in outcomes)
 
     if args.out:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import INEQUALITY_TOL, DimensionMismatchError, as_vector
+from .core import INEQUALITY_TOL, DimensionMismatchError, as_vector, weak_majorizes
 
 #: Largest dimension for which extreme-point candidates are enumerated.
 ENUMERATION_CAP = 12
@@ -172,9 +172,7 @@ def ky_fan_dominates(y, x, norms: Sequence[NormEvaluator] = (), tol: float = INE
     yv = as_vector(y)
     if xv.size != yv.size:
         raise DimensionMismatchError(f"lengths differ: {xv.size} vs {yv.size}")
-    xs = np.cumsum(np.sort(np.abs(xv))[::-1])
-    ys = np.cumsum(np.sort(np.abs(yv))[::-1])
-    dominates = bool(np.all(xs <= ys + tol))
+    dominates = weak_majorizes(np.abs(yv), np.abs(xv), tol)
     if dominates:
         for norm in norms:
             nx, ny = float(norm(xv)), float(norm(yv))

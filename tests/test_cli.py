@@ -58,6 +58,42 @@ def test_verify_suite_failure_exit_1(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ("--suite", "strong-leibniz", "--p", "abc"),
+    ("--suite", "strong-leibniz", "--p", "0.5"),
+    ("--suite", "strong-leibniz", "--p", "nan"),
+    ("--suite", "leibniz", "--n", "1"),
+    ("--suite", "all", "--n", "1"),
+    ("--suite", "leibniz", "--tol", "nan"),
+    ("--suite", "leibniz", "--tol", "inf"),
+    ("--suite", "leibniz", "--trials", "-3"),
+    ("--suite", "all", "--trials", "0"),
+    ("--suite", "leibniz", "--seed", "-1"),
+], ids=["p-abc", "p-half", "p-nan", "n-1", "all-n-1", "tol-nan", "tol-inf",
+        "trials-negative", "all-trials-0", "seed-negative"])
+def test_verify_malformed_flags_exit_2(capsys, flags):
+    # refused before any suite runs: nothing on stdout, one line on stderr
+    code = run_cli("verify", *flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad verify flags: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_majorization_accepts_n_1(capsys):
+    # majorization draws n from [1, n_max], so --n 1 is a valid size there
+    code = run_cli("verify", "--suite", "majorization", "--trials", "5", "--n", "1")
+    assert code == 0
+    assert "suite majorization" in capsys.readouterr().out
+
+
+def test_verify_p_inf_accepted(capsys):
+    code = run_cli("verify", "--suite", "strong-leibniz", "--trials", "5", "--p", "inf")
+    assert code == 0
+    assert "strong-leibniz" in capsys.readouterr().out
+
+
 def test_examples_json_reports(capsys):
     code = run_cli("examples", "--json")
     records = json.loads(capsys.readouterr().out)
@@ -233,6 +269,12 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert run_cli("verify", "--suite", "decomposition", "--trials", "20",
                    "--seed", "31", "--json") == 0
     assert env_out == capsys.readouterr().out
+
+
+def test_env_seed_malformed_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("LEIBNIZ_LAB_SEED", "abc")
+    assert run_cli("verify", "--suite", "decomposition", "--trials", "5") == 2
+    assert capsys.readouterr().err.startswith("error: bad verify flags: ")
 
 
 def test_console_module_invocation():
