@@ -31,16 +31,15 @@ from .knorms import ENUMERATION_CAP, dual_norm_bruteforce, dual_weighted_k_norm,
 from .operators import PiecewiseLinearFn, deflated_theta, divided_difference_matrix, theta_matrix
 from .search import (
     RECIPROCAL_REFERENCE,
-    RECIPROCAL_WITNESS_ADJUSTED,
     SearchConfig,
     VSHAPE_REFERENCE,
+    reciprocal_witness_report,
     reproduce_known_counterexamples,
     search as run_search,
 )
 from .serialize import dumps, write_jsonl
-from .suites import SUITES
-from .verify import check_strong_leibniz
-from .core import ProbVector, check_exponent
+from .suites import N_MAX_BOUNDS, SUITES
+from .core import check_exponent
 
 SUITE_CHOICES = tuple(SUITES) + ("all",)
 
@@ -109,9 +108,9 @@ def _suite_kwargs(args, seed: int) -> dict[str, dict]:
     for name in (SUITES if args.suite == "all" else [args.suite]):
         kwargs = {"trials": args.trials, "seed": seed}
         if args.n is not None:
-            smallest = 1 if name == "majorization" else 2
-            if args.n < smallest:
-                raise ValueError(f"--n must be at least {smallest} for suite {name}, got {args.n}")
+            smallest, largest = N_MAX_BOUNDS[name]
+            if not smallest <= args.n <= largest:
+                raise ValueError(f"--n must lie in [{smallest}, {largest}] for suite {name}, got {args.n}")
             kwargs["n_max"] = args.n
         if args.tol is not None:
             kwargs["tol"] = args.tol
@@ -181,10 +180,7 @@ def cmd_examples(args) -> int:
     cmp_inverse = _reference_match(rep_inverse, RECIPROCAL_REFERENCE, args.tol)
     cmp_vshape = _reference_match(rep_vshape, VSHAPE_REFERENCE, args.tol)
 
-    adjusted = check_strong_leibniz(
-        ProbVector(np.asarray(RECIPROCAL_WITNESS_ADJUSTED["mu"])),
-        np.asarray(RECIPROCAL_WITNESS_ADJUSTED["f"]), 1.0)
-    adjusted.name = "strong_leibniz_reciprocal_witness_adjusted"
+    adjusted = reciprocal_witness_report(adjusted=True)
     cmp_adjusted = _reference_match(adjusted, RECIPROCAL_REFERENCE, args.tol)
 
     entries = [(rep_inverse, cmp_inverse), (rep_vshape, cmp_vshape), (adjusted, cmp_adjusted)]

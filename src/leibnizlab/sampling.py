@@ -21,6 +21,9 @@ EXPONENT_GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0, math.inf)
 #: Default minimal atom mass for sampled measures.
 MASS_FLOOR = 1e-3
 
+#: Largest n that ``sample_prob_vector`` accepts at MASS_FLOOR (it refuses n * floor >= 1).
+MAX_ATOMS = max(n for n in range(1, int(1.0 / MASS_FLOOR) + 2) if not n * MASS_FLOOR >= 1.0)
+
 #: (p, q) pairs from the grid admitting a valid r (1/p + 1/q <= 1).
 _VALID_PQ = tuple(
     (p, q)

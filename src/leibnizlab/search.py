@@ -616,12 +616,17 @@ def vshape_function() -> PiecewiseLinearFn:
     return PiecewiseLinearFn(np.asarray(d["breakpoints"]), np.asarray(d["slopes"]), d["anchor"])
 
 
+def reciprocal_witness_report(tol: float = 1e-9, adjusted: bool = False) -> VerificationReport:
+    """The inverse bound at p = 1 on the reciprocal witness (or its adjusted neighbour)."""
+    witness = RECIPROCAL_WITNESS_ADJUSTED if adjusted else RECIPROCAL_WITNESS
+    rep = check_strong_leibniz(ProbVector(np.asarray(witness["mu"])), np.asarray(witness["f"]), 1.0, tol)
+    rep.name = "strong_leibniz_reciprocal_witness" + ("_adjusted" if adjusted else "")
+    return rep
+
+
 def reproduce_known_counterexamples(tol: float = 1e-9) -> list[VerificationReport]:
     """Run the two fixed witnesses; both reports FAIL their inequality at p = 1."""
-    rep1 = check_strong_leibniz(
-        ProbVector(np.asarray(RECIPROCAL_WITNESS["mu"])),
-        np.asarray(RECIPROCAL_WITNESS["f"]), 1.0, tol)
-    rep1.name = "strong_leibniz_reciprocal_witness"
+    rep1 = reciprocal_witness_report(tol)
     rep2 = check_chain_rule(
         ProbVector(np.asarray(VSHAPE_WITNESS["mu"])),
         np.asarray(VSHAPE_WITNESS["f"]), vshape_function(), 1.0, tol)

@@ -5,18 +5,25 @@ Each suite draws seeded random instances and returns the full report list;
 ``theorem_backed`` must never fail; the strong-Leibniz sweep is evidence
 gathering (the inequality is known to fail below p = 2 and is conjectured,
 not proved, for p >= 2), so its failures are informational.
+
+Loop contract: each suite has one stream id; trial t draws n from
+[smallest, n_max] (``N_MAX_BOUNDS``) first, then the rest of its instance, all
+from ``rng_for(seed, stream, t)``.  Reports come in trial order, each tagged
+with its trial index as ``seed`` (the majorization sign patterns and the
+strong-Leibniz fixed witness follow the trials untagged).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import verify
-from .core import IDENTITY_TOL, INEQUALITY_TOL, ProbVector
+from .core import IDENTITY_TOL, INEQUALITY_TOL
 from .knorms import k_norm_evaluator, lp_evaluator
 from .operators import (
     centering_identity_check,
@@ -27,8 +34,10 @@ from .operators import (
     monotone_laplacian,
 )
 from .reports import VerificationReport
-from .search import RECIPROCAL_WITNESS
+from .search import reciprocal_witness_report
 from .sampling import (
+    EXPONENT_GRID,
+    MAX_ATOMS,
     rng_for,
     sample_distinct_points,
     sample_holder_triple_pair,
@@ -44,6 +53,14 @@ NORM_FAMILY = tuple(
     [("l1", lp_evaluator(1.0)), ("l1.5", lp_evaluator(1.5)), ("l2", lp_evaluator(2.0)),
      ("l3", lp_evaluator(3.0)), ("linf", lp_evaluator(np.inf))]
 )
+
+#: Smallest and largest ``n_max`` of each suite; those that sample a measure stop
+#: at MAX_ATOMS.  ``SUITES`` takes its names and their order from here.
+N_MAX_BOUNDS = {
+    "leibniz": (2, MAX_ATOMS), "decomposition": (2, math.inf), "majorization": (1, math.inf),
+    "laplacian": (2, math.inf), "chain-rule": (2, MAX_ATOMS), "markov": (2, MAX_ATOMS),
+    "square": (2, MAX_ATOMS), "identities": (2, math.inf), "strong-leibniz": (2, MAX_ATOMS),
+}
 
 
 @dataclass
@@ -87,34 +104,42 @@ def _norm_pool(rng: np.random.Generator, n: int):
     return name, ev
 
 
+def _trials(name: str, stream: int, trials: int, n_max: int, seed: int):
+    """Yield (t, rng, n) per trial: the trial's own stream, n drawn from it first."""
+    low = N_MAX_BOUNDS[name][0]
+    for t in range(trials):
+        rng = rng_for(seed, stream, t)
+        yield t, rng, int(rng.integers(low, n_max + 1))
+
+
+def _run(name: str, stream: int, trial, trials: int, n_max: int, seed: int,
+         theorem_backed: bool = True) -> SuiteOutcome:
+    """The shared loop: ``trial(rng, n, t)`` draws the rest and returns its reports."""
+    start = time.perf_counter()
+    reports = []
+    for t, rng, n in _trials(name, stream, trials, n_max, seed):
+        for rep in trial(rng, n, t):
+            rep.seed = t
+            reports.append(rep)
+    return SuiteOutcome(name, reports, theorem_backed, time.perf_counter() - start)
+
+
 def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                   tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Product-rule inequality on random measures, vectors, and triple pairs."""
-    start = time.perf_counter()
-    reports = []
-    for t in range(trials):
-        rng = rng_for(seed, 0, t)
-        n = int(rng.integers(2, n_max + 1))
+    def trial(rng, n, t):
         mu = sample_prob_vector(rng, n)
         f, g = sample_vector(rng, n), sample_vector(rng, n)
         t1, t2 = sample_holder_triple_pair(rng)
-        rep = verify.check_leibniz(mu, f, g, t1, t2, tol)
-        rep.seed = t
-        reports.append(rep)
-    return SuiteOutcome("leibniz", reports, elapsed=time.perf_counter() - start)
+        return [verify.check_leibniz(mu, f, g, t1, t2, tol)]
+    return _run("leibniz", 0, trial, trials, n_max, seed)
 
 
 def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
                         tol: float = IDENTITY_TOL) -> SuiteOutcome:
-    start = time.perf_counter()
-    reports = []
-    for t in range(trials):
-        rng = rng_for(seed, 1, t)
-        n = int(rng.integers(2, n_max + 1))
-        rep = verify.check_decomposition(sample_vector(rng, n), sample_vector(rng, n), tol)
-        rep.seed = t
-        reports.append(rep)
-    return SuiteOutcome("decomposition", reports, elapsed=time.perf_counter() - start)
+    def trial(rng, n, t):
+        return [verify.check_decomposition(sample_vector(rng, n), sample_vector(rng, n), tol)]
+    return _run("decomposition", 1, trial, trials, n_max, seed)
 
 
 #: Matrix entries per evaluation block of the majorization suite.  A block of
@@ -167,19 +192,15 @@ def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
                        tol: float = IDENTITY_TOL, exhaustive_n: int = 4) -> SuiteOutcome:
     """|deflated_theta(x) y| <_w |x|down * |y|down, random plus exhaustive signs.
 
-    Trial t still draws n, x and y from its own stream ``rng_for(seed, 2, t)``.
-    The trials are then grouped by n and evaluated as stacked blocks of at
-    most ``MAJORIZATION_BLOCK`` matrix entries, as are the sign patterns (every
-    (x, y) in {-1, 0, 1}^n x {-1, 0, 1}^n for n <= exhaustive_n).  Reports
-    keep their order (trials first, then patterns) and match the scalar
-    computation bit for bit.
+    Trial t draws n, x and y from stream 2; the trials are then grouped by n and
+    evaluated as stacked blocks of at most ``MAJORIZATION_BLOCK`` matrix entries,
+    as are the sign patterns (every (x, y) in {-1, 0, 1}^n x {-1, 0, 1}^n for
+    n <= exhaustive_n).  Reports keep their order (trials first, then patterns)
+    and match the scalar computation bit for bit.
     """
     start = time.perf_counter()
-    drawn = []
-    for t in range(trials):
-        rng = rng_for(seed, 2, t)
-        n = int(rng.integers(1, n_max + 1))
-        drawn.append((n, rng.normal(size=n), rng.normal(size=n)))
+    drawn = [(n, rng.normal(size=n), rng.normal(size=n))
+             for _, rng, n in _trials("majorization", 2, trials, n_max, seed)]
     reports: list = [None] * trials
     for n in sorted({d[0] for d in drawn}):
         ts = [t for t, d in enumerate(drawn) if d[0] == n]
@@ -206,115 +227,74 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
     of random monotone functions (the chain-rule corollary uses Lip(phi) on
     the right-hand side, which dominates the off-diagonal maximum).
     """
-    start = time.perf_counter()
-    reports = []
-    for t in range(trials):
-        rng = rng_for(seed, 3, t)
-        n = int(rng.integers(2, n_max + 1))
+    def trial(rng, n, t):
         norm_name, norm = _norm_pool(rng, n)
         x = sample_mean_zero(rng, n)
-        if t % 2 == 0:
-            L = sample_laplacian(rng, n)
-            rep = laplacian_norm_bound_check(L, x, norm, tol)
-            rep.instance["norm"] = norm_name
-            rep.seed = t
-            reports.append(rep)
-        else:
+        if t % 2:
             pts = sample_distinct_points(rng, n)
             phi = sample_piecewise_linear(rng, 4, monotone=True)
             L = monotone_laplacian(pts, phi)
-            rep = laplacian_norm_bound_check(L, x, norm, tol)
-            rep.instance["norm"] = norm_name
-            rep.seed = t
-            reports.append(rep)
+        else:
+            L = sample_laplacian(rng, n)
+        rep = laplacian_norm_bound_check(L, x, norm, tol)
+        rep.instance["norm"] = norm_name
+        reports = [rep]
+        if t % 2:
             # corollary form: n * Lip(phi) dominates n * max off-diagonal
-            cor = VerificationReport.from_values(
-                "monotone_divided_difference_bound",
-                rep.lhs, n * phi.lipschitz * float(norm(x)), tol,
-                {"n": n, "lipschitz": phi.lipschitz, "norm": norm_name,
-                 "x": [float(v) for v in x], "points": [float(v) for v in pts],
-                 "phi": phi.to_dict()},
-                seed=t)
-            reports.append(cor)
-
+            reports.append(VerificationReport.from_values(
+                "monotone_divided_difference_bound", rep.lhs, n * phi.lipschitz * float(norm(x)), tol,
+                {"n": n, "lipschitz": phi.lipschitz, "norm": norm_name, "x": [float(v) for v in x],
+                 "points": [float(v) for v in pts], "phi": phi.to_dict()}))
         col, row = lhat_row_col_bounds(L)
-        cap = n * max_offdiagonal(L)
         reports.append(VerificationReport.from_values(
-            "hat_matrix_operator_bounds", max(col, row), cap, 1e-10,
-            {"n": n, "col": col, "row": row}, seed=t))
-    return SuiteOutcome("laplacian", reports, elapsed=time.perf_counter() - start)
+            "hat_matrix_operator_bounds", max(col, row), n * max_offdiagonal(L), 1e-10,
+            {"n": n, "col": col, "row": row}))
+        return reports
+    return _run("laplacian", 3, trial, trials, n_max, seed)
 
 
 def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                      tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Monotone Lipschitz composition bound on random measures and exponents."""
-    start = time.perf_counter()
-    from .sampling import EXPONENT_GRID
-    reports = []
-    for t in range(trials):
-        rng = rng_for(seed, 4, t)
-        n = int(rng.integers(2, n_max + 1))
+    def trial(rng, n, t):
         mu = sample_prob_vector(rng, n)
         f = sample_vector(rng, n)
         phi = sample_piecewise_linear(rng, 6, monotone=True)
         p = EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))]
-        rep = verify.check_chain_rule(mu, f, phi, p, tol)
-        rep.seed = t
-        reports.append(rep)
-    return SuiteOutcome("chain-rule", reports, elapsed=time.perf_counter() - start)
+        return [verify.check_chain_rule(mu, f, phi, p, tol)]
+    return _run("chain-rule", 4, trial, trials, n_max, seed)
 
 
 def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Variance contraction under arbitrary (non-monotone) Lipschitz maps."""
-    start = time.perf_counter()
-    reports = []
-    for t in range(trials):
-        rng = rng_for(seed, 5, t)
-        n = int(rng.integers(2, n_max + 1))
+    def trial(rng, n, t):
         mu = sample_prob_vector(rng, n)
         f = sample_vector(rng, n)
         phi = sample_piecewise_linear(rng, 6, monotone=False)
-        rep = verify.check_markov_variance(mu, f, phi, tol)
-        rep.seed = t
-        reports.append(rep)
-    return SuiteOutcome("markov", reports, elapsed=time.perf_counter() - start)
+        return [verify.check_markov_variance(mu, f, phi, tol)]
+    return _run("markov", 5, trial, trials, n_max, seed)
 
 
 def suite_square(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
-    start = time.perf_counter()
-    from .sampling import EXPONENT_GRID
-    reports = []
-    for t in range(trials):
-        rng = rng_for(seed, 6, t)
-        n = int(rng.integers(2, n_max + 1))
+    def trial(rng, n, t):
         mu = sample_prob_vector(rng, n)
         f = sample_vector(rng, n)
         p = EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))]
-        rep = verify.check_square_bound(mu, f, p, tol)
-        rep.seed = t
-        reports.append(rep)
-    return SuiteOutcome("square", reports, elapsed=time.perf_counter() - start)
+        return [verify.check_square_bound(mu, f, p, tol)]
+    return _run("square", 6, trial, trials, n_max, seed)
 
 
 def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
                      tol: float = IDENTITY_TOL) -> SuiteOutcome:
     """Centering identity and the derivation dictionary on random instances."""
-    start = time.perf_counter()
-    reports = []
-    for t in range(trials):
-        rng = rng_for(seed, 7, t)
-        n = int(rng.integers(2, n_max + 1))
+    def trial(rng, n, t):
         pts = sample_distinct_points(rng, n)
         phi = sample_piecewise_linear(rng, 6, monotone=bool(rng.random() < 0.5))
-        rep = centering_identity_check(pts, phi, tol)
-        rep.seed = t
-        reports.append(rep)
-        rep2 = derivation_checks(sample_vector(rng, n), sample_vector(rng, n), tol)
-        rep2.seed = t
-        reports.append(rep2)
-    return SuiteOutcome("identities", reports, elapsed=time.perf_counter() - start)
+        return [centering_identity_check(pts, phi, tol),
+                derivation_checks(sample_vector(rng, n), sample_vector(rng, n), tol)]
+    return _run("identities", 7, trial, trials, n_max, seed)
 
 
 def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
@@ -325,40 +305,20 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     expected); for p >= 2 no violation is expected, but a hit would be
     reported prominently rather than asserted away.
     """
-    start = time.perf_counter()
-    reports = []
-    witness = verify.check_strong_leibniz(
-        ProbVector(np.asarray(RECIPROCAL_WITNESS["mu"])), np.asarray(RECIPROCAL_WITNESS["f"]), 1.0, tol)
-    witness.instance["expected_failure"] = True
-    witness.name = "strong_leibniz_reciprocal_witness"
-    reports.append(witness)
-    for t in range(trials):
-        rng = rng_for(seed, 8, t)
-        n = int(rng.integers(2, n_max + 1))
+    def trial(rng, n, t):
         mu = sample_prob_vector(rng, n)
         mag = rng.uniform(0.05, 1.0, n)
         f = mag * np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        rep = verify.check_strong_leibniz(mu, f, p, tol)
-        rep.seed = t
-        reports.append(rep)
-    outcome = SuiteOutcome("strong-leibniz", reports, theorem_backed=False,
-                           elapsed=time.perf_counter() - start)
-    hits = [r for r in outcome.reports
-            if not r.passed and not r.instance.get("expected_failure", False)]
+        return [verify.check_strong_leibniz(mu, f, p, tol)]
+    outcome = _run("strong-leibniz", 8, trial, trials, n_max, seed, theorem_backed=False)
+    witness = reciprocal_witness_report(tol)
+    witness.instance["expected_failure"] = True
+    outcome.reports.insert(0, witness)
+    hits = len(outcome.failures)
     if hits and p >= 2.0:
-        outcome.notes.append(
-            f"UNEXPECTED: {len(hits)} violations at p={p} (conjectured safe region)")
+        outcome.notes.append(f"UNEXPECTED: {hits} violations at p={p} (conjectured safe region)")
     return outcome
 
 
-SUITES = {
-    "leibniz": suite_leibniz,
-    "decomposition": suite_decomposition,
-    "majorization": suite_majorization,
-    "laplacian": suite_laplacian,
-    "chain-rule": suite_chain_rule,
-    "markov": suite_markov,
-    "square": suite_square,
-    "identities": suite_identities,
-    "strong-leibniz": suite_strong_leibniz,
-}
+#: Suite name -> ``suite_<name>`` function.
+SUITES = {name: globals()["suite_" + name.replace("-", "_")] for name in N_MAX_BOUNDS}

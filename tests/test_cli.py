@@ -69,8 +69,10 @@ def test_verify_suite_failure_exit_1(capsys):
     ("--suite", "leibniz", "--trials", "-3"),
     ("--suite", "all", "--trials", "0"),
     ("--suite", "leibniz", "--seed", "-1"),
+    ("--suite", "square", "--n", "5000"),
+    ("--suite", "all", "--n", "1000"),
 ], ids=["p-abc", "p-half", "p-nan", "n-1", "all-n-1", "tol-nan", "tol-inf",
-        "trials-negative", "all-trials-0", "seed-negative"])
+        "trials-negative", "all-trials-0", "seed-negative", "square-n-5000", "all-n-1000"])
 def test_verify_malformed_flags_exit_2(capsys, flags):
     # refused before any suite runs: nothing on stdout, one line on stderr
     code = run_cli("verify", *flags)
@@ -86,6 +88,14 @@ def test_verify_majorization_accepts_n_1(capsys):
     code = run_cli("verify", "--suite", "majorization", "--trials", "5", "--n", "1")
     assert code == 0
     assert "suite majorization" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite, n", [("leibniz", "999"), ("majorization", "1000")])
+def test_verify_accepts_largest_sizes(capsys, suite, n):
+    # 999 atoms still fit above the 1e-3 mass floor; majorization samples no measure
+    code = run_cli("verify", "--suite", suite, "--n", n, "--trials", "2")
+    assert code == 0
+    assert f"suite {suite}" in capsys.readouterr().out
 
 
 def test_verify_p_inf_accepted(capsys):

@@ -1,4 +1,4 @@
-"""Golden report files of ``verify --suite all``: pinned bytes and reruns."""
+"""Golden outputs: ``verify --suite all`` report files and ``examples --json`` stdout."""
 
 import hashlib
 
@@ -22,6 +22,10 @@ GOLDEN_SHA256 = {
     "suite_strong-leibniz.jsonl": "df748d77422fec035baa40b94f23bcf3d36989a53645181e98a337f263ed94cd",
 }
 
+# sha256 of the stdout of ``examples --json``, recorded before the three
+# reciprocal-witness reports were built by one shared helper.
+EXAMPLES_JSON_SHA256 = "2afaf327853b49e784412780f0e232c3e32fecdf8fcedcf92aacdded7ac2cd58"
+
 
 def _suite_files(out_dir):
     assert main([*ARGV, "--out", str(out_dir)]) == 0
@@ -40,3 +44,9 @@ def test_verify_all_reports_identical_across_reruns(tmp_path, capsys):
     capsys.readouterr()
     assert sorted(first) == sorted(GOLDEN_SHA256)
     assert first == second
+
+
+def test_examples_json_stdout_matches_golden_hash(capsys):
+    main(["examples", "--json"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXAMPLES_JSON_SHA256

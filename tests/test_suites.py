@@ -1,4 +1,5 @@
-"""Block-evaluated majorization suite against the one-instance computation."""
+"""Property suites: the block majorization suite against the one-instance
+computation, the suites' size limits, and the strong-Leibniz open-region note."""
 
 import itertools
 
@@ -9,7 +10,7 @@ import leibnizlab.suites as suites
 from leibnizlab.core import IDENTITY_TOL, weak_majorizes
 from leibnizlab.operators import deflated_theta
 from leibnizlab.reports import VerificationReport
-from leibnizlab.sampling import rng_for
+from leibnizlab.sampling import MAX_ATOMS, rng_for, sample_prob_vector
 
 
 def _scalar_report(x, y, tol, seed=None):
@@ -77,3 +78,28 @@ def test_block_size_does_not_change_reports(monkeypatch):
         runs.append(_fields(suites.suite_majorization(trials=120, n_max=8, seed=3,
                                                       exhaustive_n=4).reports))
     assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+def test_measure_suites_stop_where_the_mass_floor_does():
+    rng = rng_for(0, 0)
+    assert len(sample_prob_vector(rng, MAX_ATOMS).weights) == MAX_ATOMS
+    with pytest.raises(ValueError):
+        sample_prob_vector(rng, MAX_ATOMS + 1)
+    assert {name for name, (_, hi) in suites.N_MAX_BOUNDS.items() if hi == MAX_ATOMS} == {
+        "leibniz", "chain-rule", "markov", "square", "strong-leibniz"}
+
+
+def test_strong_leibniz_open_region_note():
+    # a negative tolerance forces failures; the note counts them without the
+    # fixed p = 1 witness, and the evidence suite stays ok
+    outcome = suites.suite_strong_leibniz(trials=200, seed=0, p=2.0, tol=-0.01)
+    failed = [r for r in outcome.reports if not r.passed]
+    witness = outcome.reports[0]
+    assert witness.instance["expected_failure"] and not witness.passed
+    assert len(outcome.failures) == len(failed) - 1 > 0
+    assert outcome.notes == [
+        f"UNEXPECTED: {len(outcome.failures)} violations at p=2.0 (conjectured safe region)"]
+    assert outcome.ok
+
+    control = suites.suite_strong_leibniz(trials=200, seed=0, p=1.0, tol=-0.01)
+    assert control.failures and control.notes == [] and control.ok
