@@ -219,8 +219,6 @@ def cmd_search(args) -> int:
         if args.seed is not None:
             raw["seed"] = int(args.seed)
         raw.setdefault("seed", _resolve_seed(None))
-        if "p_grid" in raw:
-            raw["p_grid"] = [math.inf if p == "inf" else float(p) for p in raw["p_grid"]]
         config = SearchConfig.from_dict(raw)
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: bad search config: {exc}", file=sys.stderr)

@@ -3,7 +3,12 @@
 Determinism contract: every sampler is a pure function of the generator
 state, and generators are derived as ``np.random.default_rng((seed, *stream))``,
 so each trial's draws depend only on the seed and the trial's stream id, not
-on the order in which trials run.
+on the order in which trials run.  The suites and the search derive their
+per-trial generators a block of trials at a time (``kernels.streams``), equal
+to ``default_rng((seed, *stream, t))`` bit for bit; where a numpy seeds
+differently, ``kernels.streams`` falls back to calling ``default_rng``.  The
+five suites that sample a measure draw the same values as the samplers here
+into arrays.
 """
 
 from __future__ import annotations

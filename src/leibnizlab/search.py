@@ -3,19 +3,35 @@
 The search maximizes the violation ``lhs - rhs`` of a target inequality over
 instances (measure, vector(s), piecewise-linear function).  A positive best
 violation is a counterexample witness; for targets that are theorems the
-search is a negative control and must come back empty.  Results at exponents
-p >= 2 for the non-monotone chain rule and the inverse bound are evidence
-about an open region, never a proof: output is labeled "no violation found
-(budget N)" rather than as a theorem.
+search is a negative control and must come back empty.
 
-Trials are sampled and scored in blocks of ``BLOCK`` rows: one numpy kernel
-per target maps a block and an exponent to the violations of all its rows,
-with the same floating-point operations, in the same order, as the scalar
-formula applied to each row alone.  Refinement scores all neighbours of an
-instance as one block.
+Where the non-monotone chain rule and the inverse bound stand: both fail at
+p = 1 (the fixed witnesses below) and both hold at p = 2 and p = inf, so a
+violation at p = 2 or inf is a bug in the kernel, not a discovery.  The open
+exponents are (1, 2) and (2, inf); there a search result is evidence, never
+a proof, and is labeled "no violation found (budget N)".  With X' an
+independent copy of X = f, and L = Lip(phi), or L = ||f^-1||_inf^2 for
+phi(x) = 1/x, because |1/a - 1/b| <= ||f^-1||_inf^2 |a - b| for values a, b
+of f:
 
-Determinism: trial t draws from its own ``default_rng((seed, t))``; refinement
-is rng-free hill climbing; aggregation takes the maximal violation with ties
+* p = 2: Var Y = E(Y - Y')^2 / 2, so Var phi(f) <= L^2 E(X - X')^2 / 2 =
+  L^2 Var f.  (For the chain rule this is ``verify.check_markov_variance``;
+  for the inverse bound it is the commutative case of Rieffel's theorem
+  that standard deviation is strongly Leibniz, New York J. Math. 20, 2014.)
+* p = inf: |phi(x_i) - E phi(f)| <= L E|x_i - X|.  The right side is convex
+  in x_i, so over the range of f it is largest at min f or max f, where it
+  equals L |x_i - Ef| <= L ||f - Ef||_inf.
+
+Trials are sampled and scored in blocks of ``BLOCK`` rows: the kernel of the
+target (``kernels``) maps a block and an exponent to both sides of all its
+rows, with the same floating-point operations, in the same order, as the
+checker in ``verify`` applied to each row alone.  Refinement scores all
+neighbours of an instance as one block.
+
+Determinism: trial t draws from its own ``default_rng((seed, t))``, derived a
+block at a time by ``kernels.streams`` and equal to it bit for bit (or built
+by ``default_rng`` itself, where a numpy seeds differently); refinement is
+rng-free hill climbing; aggregation takes the maximal violation with ties
 broken by the lower trial index.  Results therefore depend on the seed and
 the budget only, not on the block size.
 """
@@ -28,7 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .core import HolderTriple, ProbVector, check_exponent
+from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, streams
 from .operators import PiecewiseLinearFn
 from .reports import VerificationReport
 from .verify import (
@@ -43,9 +61,6 @@ TARGETS = ("chain_rule", "strong_leibniz", "leibniz", "square_bound")
 
 #: Hill-climbing step sizes, one epoch each.
 STEP_EPOCHS = (0.1, 0.01, 0.001)
-
-#: Trials sampled and scored together; results do not depend on it.
-BLOCK = 1024
 
 _SPLIT_CHOICES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -89,9 +104,17 @@ class SearchConfig:
                 or not 0.0 < floor < 1.0 / self.n):
             raise ValueError(f"mass_floor must lie in (0, 1/n) = (0, {1.0 / self.n:.6g}), got {floor!r}")
         object.__setattr__(self, "mass_floor", float(floor))
-        object.__setattr__(self, "p_grid", tuple(check_exponent(p) for p in self.p_grid))
+        grid = self.p_grid
+        if not isinstance(grid, (list, tuple)):
+            raise ValueError(f"p_grid must be a list of exponents, got {grid!r}")
+        for p in grid:
+            if isinstance(p, bool) or not (isinstance(p, numbers.Real) or p == "inf"):
+                raise ValueError(f'p_grid entries must be numbers or "inf", got {p!r}')
+        object.__setattr__(self, "p_grid", tuple(check_exponent(math.inf if p == "inf" else p) for p in grid))
         if not self.p_grid:
             raise ValueError("p_grid must hold at least one exponent")
+        if not isinstance(self.monotone, bool):
+            raise ValueError(f"monotone must be true or false, got {self.monotone!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchConfig":
@@ -99,10 +122,7 @@ class SearchConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kw = dict(d)
-        if "p_grid" in kw:
-            kw["p_grid"] = tuple(float(p) for p in kw["p_grid"])
-        return cls(**kw)
+        return cls(**d)
 
     def to_dict(self) -> dict:
         return {
@@ -168,56 +188,21 @@ class SearchResult:
         return f"no violation found (budget {self.config.trials} trials x {len(self.config.p_grid)} exponents)"
 
 
-class _Block:
-    """Instances stored as the rows of arrays.
+class _Block(Block):
+    """A block of search instances: ``kernels.Block`` plus each row's two
+    leibniz split fractions, (B,) arrays."""
 
-    ``mu``, ``f`` and ``g`` have shape (B, n).  phi (chain rule only) is kept
-    as breakpoints (B, M) padded with +inf, slopes (B, M + 1) padded with 0
-    and anchors (B,); its knot values and Lipschitz constants are derived
-    here exactly as ``PiecewiseLinearFn`` derives them.  The split fractions
-    of the leibniz triples are (B,) arrays.  A plain class, because creating
-    a dataclass adds about 2 ms to the start-up of every command.
-    """
-
-    FIELDS = ("mu", "f", "split1", "split2", "g", "bp", "slopes", "anchor")
+    FIELDS = Block.FIELDS + ("split1", "split2")
 
     def __init__(self, mu, f, split1, split2, g=None, bp=None, slopes=None, anchor=None):
-        self.mu, self.f, self.split1, self.split2 = mu, f, split1, split2
-        self.g, self.bp, self.slopes, self.anchor = g, bp, slopes, anchor
-        if bp is None:
-            return
-        self.knots = np.empty_like(bp)
-        self.knots[:, 0] = anchor
-        if bp.shape[1] > 1:
-            # the padding only reaches knots past each row's last breakpoint
-            with np.errstate(invalid="ignore"):
-                steps = slopes[:, 1:-1] * np.diff(bp, axis=1)
-            self.knots[:, 1:] = anchor[:, None] + np.cumsum(steps, axis=1)
-        self.lipschitz = np.abs(slopes).max(axis=1)
-
-    def arrays(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    def __len__(self) -> int:
-        return self.mu.shape[0]
-
-    def rows(self, idx) -> "_Block":
-        return _Block(**{name: None if a is None else a[idx] for name, a in self.arrays().items()})
+        super().__init__(mu, f, g, bp, slopes, anchor)
+        self.split1, self.split2 = split1, split2
 
     @classmethod
     def of(cls, inst: Instance) -> "_Block":
         """The one-row block of an instance."""
-        phi = inst.phi
-        return cls(
-            mu=np.asarray(inst.mu, dtype=float)[None, :],
-            f=np.asarray(inst.f, dtype=float)[None, :],
-            split1=np.array([inst.split1], dtype=float),
-            split2=np.array([inst.split2], dtype=float),
-            g=None if inst.g is None else np.asarray(inst.g, dtype=float)[None, :],
-            bp=None if phi is None else phi.breakpoints[None, :],
-            slopes=None if phi is None else phi.slopes[None, :],
-            anchor=None if phi is None else np.array([phi.anchor]),
-        )
+        return cls.one(inst.mu, inst.f, inst.g, inst.phi, split1=np.array([inst.split1], dtype=float),
+                       split2=np.array([inst.split2], dtype=float))
 
     def instance(self, i: int) -> Instance:
         phi = None
@@ -247,7 +232,8 @@ def _floored_simplex(raw: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _sample(config: SearchConfig, start: int, stop: int) -> _Block:
-    """Trials ``start .. stop - 1``, trial t drawn from ``default_rng((seed, t))``.
+    """Trials ``start .. stop - 1``, trial t drawn from ``default_rng((seed, t))``
+    (through ``kernels.streams``).
 
     The draws, in order: the measure (``dirichlet(ones(n))``), then f (for
     strong leibniz magnitudes in [0.05, 1) and signs), g, phi's breakpoint
@@ -268,8 +254,7 @@ def _sample(config: SearchConfig, start: int, stop: int) -> _Block:
     counts = np.empty(size, dtype=np.intp)
     knot_u = np.zeros((size, 2 * mmax + 2)) if chain else None
     split_idx = np.empty((size, 2), dtype=np.intp) if leibniz else None
-    for i, t in enumerate(range(start, stop)):
-        rng = np.random.default_rng((config.seed, t))
+    for i, rng in enumerate(streams((config.seed,), start, stop)):
         rng.standard_exponential(out=expo[i])
         if strong:
             mag[i] = rng.uniform(0.05, 1.0, n)
@@ -282,8 +267,7 @@ def _sample(config: SearchConfig, start: int, stop: int) -> _Block:
             split_idx[i, 0] = rng.integers(len(_SPLIT_CHOICES))
             split_idx[i, 1] = rng.integers(len(_SPLIT_CHOICES))
 
-    raw = expo * (1.0 / np.cumsum(expo, axis=1)[:, -1])[:, None]
-    mu = _floored_simplex(raw, config.mass_floor)
+    mu = _floored_simplex(dirichlet_rows(expo), config.mass_floor)
     if strong:
         f = mag * np.where(unif < 0.5, -1.0, 1.0)
     else:
@@ -295,127 +279,45 @@ def _sample(config: SearchConfig, start: int, stop: int) -> _Block:
         block.update(g=-1.0 + 2.0 * unif[:, n:], split1=choices[split_idx[:, 0]],
                      split2=choices[split_idx[:, 1]])
     if chain:
-        block.update(_sample_phi(knot_u, counts, config.monotone))
+        block.update(sample_phi(knot_u, counts, config.monotone))
     return _Block(**block)
 
 
-def _sample_phi(knot_u: np.ndarray, counts: np.ndarray, monotone: bool) -> dict:
-    """Padded phi arrays from each row's ``2m + 2`` uniforms: m breakpoints,
-    m + 1 slopes and the anchor, mapped to [-1, 1)."""
-    size, mmax = knot_u.shape[0], (knot_u.shape[1] - 2) // 2
-    cols = np.arange(mmax + 1)
-    m = counts[:, None]
-    bp = np.sort(np.where(cols[:mmax] < m, -1.0 + 2.0 * knot_u[:, :mmax], np.inf), axis=1)
-    with np.errstate(invalid="ignore"):
-        close = np.diff(bp, axis=1) < 1e-6
-    for i in np.flatnonzero(close.any(axis=1)):
-        row = bp[i]
-        for j in range(1, counts[i]):
-            if row[j] - row[j - 1] < 1e-6:
-                row[j] = row[j - 1] + 1e-6
-    live = cols <= m
-    slopes = np.where(live, -1.0 + 2.0 * np.take_along_axis(knot_u, m + cols, axis=1), 0.0)
-    if monotone:
-        slopes = np.abs(slopes)
-    peak = np.abs(slopes).max(axis=1)
-    flat = peak < 1e-12
-    slopes[flat] = live[flat].astype(float)
-    peak[flat] = 1.0
-    anchor = -1.0 + 2.0 * knot_u[np.arange(size), 2 * counts + 1]
-    return dict(bp=bp, slopes=slopes / peak[:, None], anchor=anchor)
+# -- violations of a block at one exponent ------------------------------------
 
-
-# -- the kernel: violations of a block at one exponent ------------------------
-
-def _rowdot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise dot products.  matmul on stacked rows calls the same BLAS dot
-    as ``np.dot`` on each pair; a reduction by ``sum`` would round differently."""
-    return (w[:, None, :] @ x[:, :, None])[:, 0, 0]
-
-
-def _center(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return x - _rowdot(mu, x)[:, None]
-
-
-def _pypow(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e in Python floats.  numpy's vectorised power may round
-    differently from the C library's pow, which the checkers use."""
-    return np.array([v ** e for v in x.tolist()])
-
-
-def _lp(x: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise ``core.lp_norm``: max |x| factored out; 0 for a zero row."""
-    a = np.abs(x)
-    m = a.max(axis=1)
-    if math.isinf(p):
-        return m
-    ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
-    return m * _pypow(_rowdot(w, ratios ** p), 1.0 / p)
-
-
-def _split_lp(x: np.ndarray, w: np.ndarray, p: float, split: np.ndarray, side: str) -> np.ndarray:
-    """Row-wise norms at exponent ``HolderTriple.split(p, s).<side>`` for each row's s."""
-    out = np.empty(x.shape[0])
-    for s in np.unique(split):
+def _split_exponents(split: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the (p, q) of ``HolderTriple.split(p, s)`` for the row's split s."""
+    pe, qe = np.empty(split.shape), np.empty(split.shape)
+    for s in set(split.tolist()):
         rows = split == s
-        out[rows] = _lp(x[rows], w[rows], getattr(HolderTriple.split(p, float(s)), side))
-    return out
-
-
-def _phi(b: _Block, x: np.ndarray) -> np.ndarray:
-    """phi of each row applied to the same row of x, as ``PiecewiseLinearFn.__call__``."""
-    idx = np.count_nonzero(b.bp[:, None, :] <= x[:, :, None], axis=2)
-    left = np.maximum(idx - 1, 0)
-    base = np.take_along_axis(b.knots, left, axis=1)
-    ref = np.take_along_axis(b.bp, left, axis=1)
-    return base + np.take_along_axis(b.slopes, idx, axis=1) * (x - ref)
-
-
-def _chain_rule(b: _Block, p: float) -> np.ndarray:
-    lhs = _lp(_center(_phi(b, b.f), b.mu), b.mu, p)
-    rhs = b.lipschitz * _lp(_center(b.f, b.mu), b.mu, p)
-    return lhs - rhs
-
-
-def _strong_leibniz(b: _Block, p: float) -> np.ndarray:
-    inv = 1.0 / b.f
-    lhs = _lp(_center(inv, b.mu), b.mu, p)
-    rhs = _pypow(np.abs(inv).max(axis=1), 2) * _lp(_center(b.f, b.mu), b.mu, p)
-    singular = np.abs(b.f).min(axis=1) < INVERTIBILITY_FLOOR
-    return np.where(singular, -np.inf, lhs - rhs)
-
-
-def _square_bound(b: _Block, p: float) -> np.ndarray:
-    lhs = _lp(_center(b.f * b.f, b.mu), b.mu, p)
-    rhs = 2.0 * np.abs(b.f).max(axis=1) * _lp(_center(b.f, b.mu), b.mu, p)
-    return lhs - rhs
-
-
-def _leibniz(b: _Block, p: float) -> np.ndarray:
-    mu, f, g = b.mu, b.f, b.g
-    lhs = _lp(_center(f * g, mu), mu, p)
-    rhs = (_split_lp(f, mu, p, b.split1, "p") * _split_lp(_center(g, mu), mu, p, b.split1, "q")
-           + _split_lp(g, mu, p, b.split2, "p") * _split_lp(_center(f, mu), mu, p, b.split2, "q"))
-    return lhs - rhs
+        triple = HolderTriple.split(p, s)
+        pe[rows], qe[rows] = triple.p, triple.q
+    return pe, qe
 
 
 _KERNELS = {
-    "chain_rule": _chain_rule,
-    "strong_leibniz": _strong_leibniz,
-    "square_bound": _square_bound,
-    "leibniz": _leibniz,
+    "chain_rule": kernels.chain_rule,
+    "strong_leibniz": kernels.strong_leibniz,
+    "square_bound": kernels.square_bound,
 }
 
 
 def _violations(b: _Block, target: str, p: float) -> np.ndarray:
     """lhs - rhs of the target inequality for every row of the block."""
+    if target == "leibniz":
+        lhs, term_f, term_g = kernels.leibniz(b, p, *_split_exponents(b.split1, p),
+                                              *_split_exponents(b.split2, p))
+        return lhs - (term_f + term_g)
     try:
         kernel = _KERNELS[target]
     except KeyError:
         raise ValueError(f"unknown target {target!r}") from None
     # a singular f (strong leibniz) makes inf / inf; its row reads -inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        return kernel(b, p)
+        lhs, rhs = kernel(b, p)
+    if target == "strong_leibniz":
+        return np.where(np.abs(b.f).min(axis=1) < INVERTIBILITY_FLOOR, -np.inf, lhs - rhs)
+    return lhs - rhs
 
 
 def random_instance(config: SearchConfig, trial_seed: int) -> Instance:

@@ -3,14 +3,22 @@
 Each suite draws seeded random instances and returns the full report list;
 ``SuiteOutcome`` summarizes failures and the worst slack.  Suites tagged
 ``theorem_backed`` must never fail; the strong-Leibniz sweep is evidence
-gathering (the inequality is known to fail below p = 2 and is conjectured,
-not proved, for p >= 2), so its failures are informational.
+gathering, so its failures are informational.  The inverse bound it checks
+fails at p = 1 (its fixed witness) and holds at p = 2 and p = inf (short
+proofs in the ``search`` module docstring); the open exponents are (1, 2)
+and (2, inf).
 
 Loop contract: each suite has one stream id; trial t draws n from
 [smallest, n_max] (``N_MAX_BOUNDS``) first, then the rest of its instance, all
-from ``rng_for(seed, stream, t)``.  Reports come in trial order, each tagged
-with its trial index as ``seed`` (the majorization sign patterns and the
-strong-Leibniz fixed witness follow the trials untagged).
+from the generator ``default_rng((seed, stream, t))``.  ``kernels.streams``
+derives these generators a block of trials at a time and equals
+``default_rng`` bit for bit; where a numpy seeds differently it builds each
+one with ``default_rng`` instead.  The five suites that sample a measure take
+their draws into arrays and evaluate a block of trials at a time, grouped by
+n, through the kernels of ``kernels``; their reports equal checking each
+trial alone.  Reports come in trial order, each tagged with its trial index
+as ``seed`` (the majorization sign patterns and the strong-Leibniz fixed
+witness follow the trials untagged).
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import verify
-from .core import IDENTITY_TOL, INEQUALITY_TOL
+from .core import IDENTITY_TOL, INEQUALITY_TOL, check_exponent
+from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, streams
 from .knorms import k_norm_evaluator, lp_evaluator
 from .operators import (
     centering_identity_check,
@@ -37,16 +46,17 @@ from .reports import VerificationReport
 from .search import reciprocal_witness_report
 from .sampling import (
     EXPONENT_GRID,
+    MASS_FLOOR,
     MAX_ATOMS,
-    rng_for,
     sample_distinct_points,
     sample_holder_triple_pair,
     sample_laplacian,
     sample_mean_zero,
     sample_piecewise_linear,
-    sample_prob_vector,
     sample_vector,
 )
+
+_GRID = np.array(EXPONENT_GRID)
 
 #: Symmetric norms used wherever a statement quantifies over all of them.
 NORM_FAMILY = tuple(
@@ -105,10 +115,13 @@ def _norm_pool(rng: np.random.Generator, n: int):
 
 
 def _trials(name: str, stream: int, trials: int, n_max: int, seed: int):
-    """Yield (t, rng, n) per trial: the trial's own stream, n drawn from it first."""
+    """Yield (t, rng, n) per trial: the trial's own stream, n drawn from it first.
+
+    ``rng`` is reused from trial to trial (``kernels.streams``): draw from it
+    before taking the next trial.
+    """
     low = N_MAX_BOUNDS[name][0]
-    for t in range(trials):
-        rng = rng_for(seed, stream, t)
+    for t, rng in enumerate(streams((seed, stream), 0, trials)):
         yield t, rng, int(rng.integers(low, n_max + 1))
 
 
@@ -124,15 +137,72 @@ def _run(name: str, stream: int, trial, trials: int, n_max: int, seed: int,
     return SuiteOutcome(name, reports, theorem_backed, time.perf_counter() - start)
 
 
+def _run_blocks(name: str, stream: int, draw, evaluate, trials: int, n_max: int, seed: int,
+                theorem_backed: bool = True) -> SuiteOutcome:
+    """The loop of the suites that sample a measure.
+
+    ``draw(rng, n)`` returns trial t's draws as a tuple, in the order it
+    makes them.  Every BLOCK trials, the drawn trials are grouped by n and
+    ``evaluate(n, columns)`` (``columns`` holds one list per tuple position)
+    returns one report per trial of the group, in order.
+    """
+    start = time.perf_counter()
+    reports, drawn, groups = [], [], {}
+    for t, rng, n in _trials(name, stream, trials, n_max, seed):
+        groups.setdefault(n, []).append(len(drawn))
+        drawn.append(draw(rng, n))
+        if len(drawn) == BLOCK or t == trials - 1:
+            first, out = len(reports), [None] * len(drawn)
+            for n, rows in groups.items():
+                columns = [list(c) for c in zip(*(drawn[i] for i in rows))]
+                for i, rep in zip(rows, evaluate(n, columns)):
+                    rep.seed = first + i
+                    out[i] = rep
+            reports += out
+            drawn, groups = [], {}
+    return SuiteOutcome(name, reports, theorem_backed, time.perf_counter() - start)
+
+
+def _measure(n: int, expo: list) -> np.ndarray:
+    """``sample_prob_vector`` rows from each row's n standard exponentials."""
+    if n * MASS_FLOOR >= 1.0:
+        raise ValueError(f"mass floor {MASS_FLOOR} infeasible for {n} atoms")
+    return MASS_FLOOR + (1.0 - n * MASS_FLOOR) * dirichlet_rows(np.array(expo))
+
+
+def _uniform(rows: list) -> np.ndarray:
+    """``uniform(-1, 1)`` rows from their ``random()`` draws."""
+    return -1.0 + 2.0 * np.array(rows)
+
+
+def _phi_draws(rng, max_breakpoints: int, signed: bool = False) -> tuple[int, np.ndarray]:
+    """The draws of ``sample_piecewise_linear``: the breakpoint count m, then
+    m + m + 1 + 1 uniforms (one more, the sign, before the anchor if ``signed``)."""
+    m = int(rng.integers(1, max_breakpoints + 1))
+    return m, rng.random(2 * m + 2 + signed)
+
+
+def _phi_fields(knot_u: list, counts: list, monotone: bool, signed: bool = False) -> dict:
+    """``sample_piecewise_linear`` rows from each row's uniforms (``kernels.sample_phi``)."""
+    padded = np.zeros((len(knot_u), max(map(len, knot_u))))
+    for row, u in zip(padded, knot_u):
+        row[:len(u)] = u
+    return sample_phi(padded, np.array(counts), monotone, signed)
+
+
 def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                   tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Product-rule inequality on random measures, vectors, and triple pairs."""
-    def trial(rng, n, t):
-        mu = sample_prob_vector(rng, n)
-        f, g = sample_vector(rng, n), sample_vector(rng, n)
+    def draw(rng, n):
+        expo, f, g = rng.standard_exponential(n), rng.random(n), rng.random(n)
         t1, t2 = sample_holder_triple_pair(rng)
-        return [verify.check_leibniz(mu, f, g, t1, t2, tol)]
-    return _run("leibniz", 0, trial, trials, n_max, seed)
+        return expo, f, g, (t1.r, t1.p, t1.q, t2.p, t2.q)
+
+    def evaluate(n, columns):
+        expo, f, g, exponents = columns
+        block = Block(_measure(n, expo), _uniform(f), _uniform(g))
+        return verify.leibniz_reports(block, np.array(exponents).T, tol)
+    return _run_blocks("leibniz", 0, draw, evaluate, trials, n_max, seed)
 
 
 def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
@@ -256,34 +326,39 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
 def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                      tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Monotone Lipschitz composition bound on random measures and exponents."""
-    def trial(rng, n, t):
-        mu = sample_prob_vector(rng, n)
-        f = sample_vector(rng, n)
-        phi = sample_piecewise_linear(rng, 6, monotone=True)
-        p = EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))]
-        return [verify.check_chain_rule(mu, f, phi, p, tol)]
-    return _run("chain-rule", 4, trial, trials, n_max, seed)
+    def draw(rng, n):
+        return (rng.standard_exponential(n), rng.random(n), *_phi_draws(rng, 6, signed=True),
+                int(rng.integers(len(EXPONENT_GRID))))
+
+    def evaluate(n, columns):
+        expo, f, counts, knot_u, k = columns
+        block = Block(_measure(n, expo), _uniform(f), **_phi_fields(knot_u, counts, True, signed=True))
+        return verify.chain_rule_reports(block, _GRID[k], tol)
+    return _run_blocks("chain-rule", 4, draw, evaluate, trials, n_max, seed)
 
 
 def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Variance contraction under arbitrary (non-monotone) Lipschitz maps."""
-    def trial(rng, n, t):
-        mu = sample_prob_vector(rng, n)
-        f = sample_vector(rng, n)
-        phi = sample_piecewise_linear(rng, 6, monotone=False)
-        return [verify.check_markov_variance(mu, f, phi, tol)]
-    return _run("markov", 5, trial, trials, n_max, seed)
+    def draw(rng, n):
+        return rng.standard_exponential(n), rng.random(n), *_phi_draws(rng, 6)
+
+    def evaluate(n, columns):
+        expo, f, counts, knot_u = columns
+        block = Block(_measure(n, expo), _uniform(f), **_phi_fields(knot_u, counts, False))
+        return verify.markov_reports(block, tol)
+    return _run_blocks("markov", 5, draw, evaluate, trials, n_max, seed)
 
 
 def suite_square(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
-    def trial(rng, n, t):
-        mu = sample_prob_vector(rng, n)
-        f = sample_vector(rng, n)
-        p = EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))]
-        return [verify.check_square_bound(mu, f, p, tol)]
-    return _run("square", 6, trial, trials, n_max, seed)
+    def draw(rng, n):
+        return rng.standard_exponential(n), rng.random(n), int(rng.integers(len(EXPONENT_GRID)))
+
+    def evaluate(n, columns):
+        expo, f, k = columns
+        return verify.square_bound_reports(Block(_measure(n, expo), _uniform(f)), _GRID[k], tol)
+    return _run_blocks("square", 6, draw, evaluate, trials, n_max, seed)
 
 
 def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
@@ -301,16 +376,20 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
                          p: float = 2.0, tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Evidence sweep for the inverse bound at a fixed exponent.
 
-    Known to fail for p < 2 (a fixed failing witness is included, marked
-    expected); for p >= 2 no violation is expected, but a hit would be
-    reported prominently rather than asserted away.
+    It fails at p = 1 (a fixed failing witness is included, marked expected)
+    and holds at p = 2 and p = inf; for p >= 2 no violation is expected, but
+    a hit would be reported prominently rather than asserted away.
     """
-    def trial(rng, n, t):
-        mu = sample_prob_vector(rng, n)
-        mag = rng.uniform(0.05, 1.0, n)
-        f = mag * np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        return [verify.check_strong_leibniz(mu, f, p, tol)]
-    outcome = _run("strong-leibniz", 8, trial, trials, n_max, seed, theorem_backed=False)
+    p = check_exponent(p)
+
+    def draw(rng, n):
+        return rng.standard_exponential(n), rng.uniform(0.05, 1.0, n), rng.random(n)
+
+    def evaluate(n, columns):
+        expo, mag, sign_u = columns
+        f = np.array(mag) * np.where(np.array(sign_u) < 0.5, -1.0, 1.0)
+        return verify.strong_leibniz_reports(Block(_measure(n, expo), f), np.full(len(f), p), tol)
+    outcome = _run_blocks("strong-leibniz", 8, draw, evaluate, trials, n_max, seed, theorem_backed=False)
     witness = reciprocal_witness_report(tol)
     witness.instance["expected_failure"] = True
     outcome.reports.insert(0, witness)

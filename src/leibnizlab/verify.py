@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import kernels
 from .core import (
     IDENTITY_TOL,
     INEQUALITY_TOL,
@@ -29,11 +30,9 @@ from .core import (
     as_vector,
     center,
     check_exponent,
-    expectation,
     lp_norm,
-    sup_norm,
-    variance,
 )
+from .kernels import Block
 from .operators import PiecewiseLinearFn, theta_matrix
 from .reports import VerificationReport
 
@@ -128,6 +127,71 @@ def check_holder_theta(x, y, triple: HolderTriple, tol: float = INEQUALITY_TOL) 
     return VerificationReport.from_values("holder_theta_bound", lhs, rhs, tol, instance)
 
 
+def _on_measure(x, mu: ProbVector) -> np.ndarray:
+    xv = as_vector(x)
+    if xv.size != mu.n:
+        raise DimensionMismatchError(f"vector has {xv.size} entries, measure has {mu.n} atoms")
+    return xv
+
+
+def _tags(exponents: np.ndarray) -> list:
+    return [_exp_tag(p) for p in exponents.tolist()]
+
+
+def _phi_echo(b: Block) -> list[tuple[dict, float, bool]]:
+    """Per row: ``phi.to_dict()``, ``phi.lipschitz`` and ``phi.is_monotone``."""
+    counts = np.count_nonzero(np.isfinite(b.bp), axis=1).tolist()
+    monotone = (np.all(b.slopes >= 0.0, axis=1) | np.all(b.slopes <= 0.0, axis=1)).tolist()
+    return [({"breakpoints": bp[:m], "slopes": slopes[:m + 1], "anchor": anchor}, lip, mono)
+            for bp, slopes, anchor, lip, mono, m in zip(b.bp.tolist(), b.slopes.tolist(), b.anchor.tolist(),
+                                                        b.lipschitz.tolist(), monotone, counts)]
+
+
+# -- one report per row of a block; the checkers below are their one-row case --
+
+def leibniz_reports(b: Block, exponents, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
+    """``exponents`` is (r, p1, q1, p2, q2), each with one entry per row."""
+    lhs, term_f, term_g = kernels.leibniz(b, *exponents)
+    return [VerificationReport.from_values("leibniz_inequality", left, tf + tg, tol, {
+                "mu": mu, "f": f, "g": g,
+                "exponents": {"r": r, "p1": p1, "q1": q1, "p2": p2, "q2": q2},
+                "rhs_terms": [tf, tg]})
+            for left, tf, tg, mu, f, g, (r, p1, q1, p2, q2)
+            in zip(lhs.tolist(), term_f.tolist(), term_g.tolist(), b.mu.tolist(), b.f.tolist(),
+                   b.g.tolist(), zip(*map(_tags, exponents)))]
+
+
+def chain_rule_reports(b: Block, p: np.ndarray, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
+    lhs, rhs = kernels.chain_rule(b, p)
+    return [VerificationReport.from_values("chain_rule", left, right, tol, {
+                "mu": mu, "f": f, "phi": phi, "exponents": {"p": e}, "lipschitz": lip, "monotone": mono})
+            for left, right, mu, f, (phi, lip, mono), e
+            in zip(lhs.tolist(), rhs.tolist(), b.mu.tolist(), b.f.tolist(), _phi_echo(b), _tags(p))]
+
+
+def markov_reports(b: Block, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
+    lhs, rhs = kernels.markov_variance(b)
+    return [VerificationReport.from_values("markov_variance", left, right, tol, {
+                "mu": mu, "f": f, "phi": phi, "lipschitz": lip, "monotone": mono})
+            for left, right, mu, f, (phi, lip, mono)
+            in zip(lhs.tolist(), rhs.tolist(), b.mu.tolist(), b.f.tolist(), _phi_echo(b))]
+
+
+def _p_reports(name: str, kernel, b: Block, p: np.ndarray, tol: float) -> list[VerificationReport]:
+    lhs, rhs = kernel(b, p)
+    return [VerificationReport.from_values(name, left, right, tol, {"mu": mu, "f": f, "exponents": {"p": e}})
+            for left, right, mu, f, e in zip(lhs.tolist(), rhs.tolist(), b.mu.tolist(), b.f.tolist(), _tags(p))]
+
+
+def strong_leibniz_reports(b: Block, p: np.ndarray, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
+    """Every row's f must be invertible."""
+    return _p_reports("strong_leibniz", kernels.strong_leibniz, b, p, tol)
+
+
+def square_bound_reports(b: Block, p: np.ndarray, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
+    return _p_reports("square_function_bound", kernels.square_bound, b, p, tol)
+
+
 def check_leibniz(
     mu: ProbVector,
     f,
@@ -143,21 +207,9 @@ def check_leibniz(
     gv = as_vector(g)
     if fv.size != gv.size:
         raise DimensionMismatchError(f"lengths differ: {fv.size} vs {gv.size}")
-    lhs = lp_norm(fv * gv - expectation(fv * gv, mu), mu, t1.r)
-    term_f = lp_norm(fv, mu, t1.p) * lp_norm(center(gv, mu), mu, t1.q)
-    term_g = lp_norm(gv, mu, t2.p) * lp_norm(center(fv, mu), mu, t2.q)
-    instance = {
-        "mu": mu.to_list(),
-        "f": _echo_vec(fv),
-        "g": _echo_vec(gv),
-        "exponents": {
-            "r": _exp_tag(t1.r),
-            "p1": _exp_tag(t1.p), "q1": _exp_tag(t1.q),
-            "p2": _exp_tag(t2.p), "q2": _exp_tag(t2.q),
-        },
-        "rhs_terms": [term_f, term_g],
-    }
-    return VerificationReport.from_values("leibniz_inequality", lhs, term_f + term_g, tol, instance)
+    _on_measure(fv, mu)
+    exponents = [np.array([e]) for e in (t1.r, t1.p, t1.q, t2.p, t2.q)]
+    return leibniz_reports(Block.one(mu.weights, fv, gv), exponents, tol)[0]
 
 
 def check_chain_rule(
@@ -172,33 +224,18 @@ def check_chain_rule(
     Monotonicity of phi is recorded in the instance but not required; probing
     non-monotone phi is exactly how counterexamples are found.
     """
-    fv = as_vector(f)
+    fv = _on_measure(f, mu)
     p = check_exponent(p)
-    values = np.asarray(phi(fv), dtype=float)
-    lhs = lp_norm(center(values, mu), mu, p)
-    rhs = phi.lipschitz * lp_norm(center(fv, mu), mu, p)
-    instance = {
-        "mu": mu.to_list(),
-        "f": _echo_vec(fv),
-        "phi": phi.to_dict(),
-        "exponents": {"p": _exp_tag(p)},
-        "lipschitz": phi.lipschitz,
-        "monotone": phi.is_monotone,
-    }
-    return VerificationReport.from_values("chain_rule", lhs, rhs, tol, instance)
+    return chain_rule_reports(Block.one(mu.weights, fv, phi=phi), np.array([p]), tol)[0]
 
 
 def check_strong_leibniz(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||f^-1 - E f^-1||_p <= ||f^-1||_inf^2 ||f - Ef||_p for invertible f."""
-    fv = as_vector(f)
+    fv = _on_measure(f, mu)
     p = check_exponent(p)
     if float(np.min(np.abs(fv))) < INVERTIBILITY_FLOOR:
         raise ValueError(f"f is not invertible: some |f_i| < {INVERTIBILITY_FLOOR}")
-    inv = 1.0 / fv
-    lhs = lp_norm(center(inv, mu), mu, p)
-    rhs = sup_norm(inv) ** 2 * lp_norm(center(fv, mu), mu, p)
-    instance = {"mu": mu.to_list(), "f": _echo_vec(fv), "exponents": {"p": _exp_tag(p)}}
-    return VerificationReport.from_values("strong_leibniz", lhs, rhs, tol, instance)
+    return strong_leibniz_reports(Block.one(mu.weights, fv), np.array([p]), tol)[0]
 
 
 def check_markov_variance(
@@ -208,24 +245,15 @@ def check_markov_variance(
     tol: float = INEQUALITY_TOL,
 ) -> VerificationReport:
     """Var(phi(f)) <= Lip(phi)^2 Var(f); holds for every Lipschitz phi."""
-    fv = as_vector(f)
-    values = np.asarray(phi(fv), dtype=float)
-    lhs = variance(values, mu)
-    rhs = phi.lipschitz**2 * variance(fv, mu)
-    instance = {"mu": mu.to_list(), "f": _echo_vec(fv), "phi": phi.to_dict(),
-                "lipschitz": phi.lipschitz, "monotone": phi.is_monotone}
-    return VerificationReport.from_values("markov_variance", lhs, rhs, tol, instance)
+    fv = _on_measure(f, mu)
+    return markov_reports(Block.one(mu.weights, fv, phi=phi), tol)[0]
 
 
 def check_square_bound(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||f^2 - E f^2||_p <= 2 ||f||_inf ||f - Ef||_p."""
-    fv = as_vector(f)
+    fv = _on_measure(f, mu)
     p = check_exponent(p)
-    sq = fv * fv
-    lhs = lp_norm(center(sq, mu), mu, p)
-    rhs = 2.0 * sup_norm(fv) * lp_norm(center(fv, mu), mu, p)
-    instance = {"mu": mu.to_list(), "f": _echo_vec(fv), "exponents": {"p": _exp_tag(p)}}
-    return VerificationReport.from_values("square_function_bound", lhs, rhs, tol, instance)
+    return square_bound_reports(Block.one(mu.weights, fv), np.array([p]), tol)[0]
 
 
 def replicate(x, mu: RationalProbVector) -> np.ndarray:

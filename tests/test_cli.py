@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +198,10 @@ def test_search_bad_config_exit_2(tmp_path, capsys):
     {"target": "chain_rule", "p_grid": []},
     {"target": "chain_rule", "seed": 1.5},
     {"target": "chain_rule", "refine_top": -1},
+    # a string is not a list of exponents (it used to run at p in {1, 2})
+    {"target": "chain_rule", "p_grid": "12"},
+    {"target": "chain_rule", "p_grid": [True]},
+    {"target": "chain_rule", "monotone": "false"},
 ])
 def test_search_invalid_config_exit_2(tmp_path, capsys, config):
     cfg_path = tmp_path / "cfg.json"
@@ -203,6 +209,7 @@ def test_search_invalid_config_exit_2(tmp_path, capsys, config):
     assert run_cli("search", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
     captured = capsys.readouterr()
     assert "bad search config" in captured.err
+    assert captured.err.startswith("error: bad search config: ")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
@@ -288,8 +295,11 @@ def test_env_seed_malformed_exit_2(capsys, monkeypatch):
 
 
 def test_console_module_invocation():
+    # the child imports the package from this checkout's src/, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "leibnizlab", "dualnorm", "--x", "3,1", "--w", "2,1", "--k", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "formula=1.5" in proc.stdout

@@ -1,6 +1,9 @@
-"""Golden outputs: ``verify --suite all`` report files and ``examples --json`` stdout."""
+"""Golden outputs: ``verify`` report files, ``search --out`` files and ``examples --json`` stdout."""
 
 import hashlib
+import json
+
+import pytest
 
 from leibnizlab.cli import main
 
@@ -50,3 +53,59 @@ def test_examples_json_stdout_matches_golden_hash(capsys):
     main(["examples", "--json"])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXAMPLES_JSON_SHA256
+
+
+# sha256 of the files of ``search --config CFG --out DIR --history-csv``,
+# recorded before the search drew its trials through the block seeder and
+# before its kernels moved to ``kernels.py``.  The chain-rule search crosses
+# two 1024-trial blocks.
+SEARCH_SHA256 = {
+    "chain_rule": (
+        {"target": "chain_rule", "n": 4, "p_grid": [2, 3, "inf"], "trials": 2100,
+         "refine_steps": 3, "seed": 12, "monotone": False},
+        {"search_result.json": "58d207b52f726c2f447df173647e5dbb3bcf24065697a7a28c9d63ea0c4bee77",
+         "per_p.csv": "a247fa262229bac136e7539c9053425c3c6915c76e563568bac08e592f653ce0",
+         "history.csv": "af8162a4c55790119759ac78633c576d3e7b083f29e45c6036dbe5d583ab419a"},
+    ),
+    "leibniz": (
+        {"target": "leibniz", "n": 3, "p_grid": [1, 1.5], "trials": 1500,
+         "refine_steps": 3, "seed": 5},
+        {"search_result.json": "fe8a3c72e998c24e3f4132f4172a946846048927231cd6860a044860a4c1d912",
+         "per_p.csv": "a0c9255ffe362e69faff65c03d23f6d51b9c26dec362a5522f8392857a852b95",
+         "history.csv": "7ac55b1f5e8a4172da70f61590720aa9aba7477f0847965a2a94d3ace129f097"},
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(SEARCH_SHA256))
+def test_search_files_match_golden_hashes(tmp_path, capsys, target):
+    config, golden = SEARCH_SHA256[target]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["search", "--config", str(cfg_path), "--out", str(out), "--history-csv"]) == 0
+    capsys.readouterr()
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in golden} == golden
+
+
+# sha256 of ``verify --suite NAME --trials 1100 --n 12 --seed 11 --out DIR`` for
+# the five suites that sample a measure, recorded when they still ran the scalar
+# checkers one trial at a time.  1100 trials cross a 1024-trial block and n
+# reaches 12.
+MEASURE_SUITES_SHA256 = {
+    "chain-rule": "b158620f7cc9891ac0e35d401667c046051fe04ad0dde230e67e6e638323b443",
+    "leibniz": "2e59322c26a01fbcfe6a8f26cdd984ff05f2114aa9e86935142b37159a1e1738",
+    "markov": "10f132e9350ab21929432a93baa1fc5826137da58f94f710bd9508ca023c4ca0",
+    "square": "196eb5a17a92aa304d7cf5374d43e8c95464dc3f1e3f96697a941b0c09fb6728",
+    "strong-leibniz": "5fda4931367d1aabb307eaf0fbc0770b461e702e6845ae6c1c80e7a2e726f816",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(MEASURE_SUITES_SHA256))
+def test_measure_suite_reports_match_golden_hashes(tmp_path, capsys, suite):
+    out = tmp_path / "run"
+    assert main(["verify", "--suite", suite, "--trials", "1100", "--n", "12", "--seed", "11",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = (out / f"suite_{suite}.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == MEASURE_SUITES_SHA256[suite]

@@ -1,6 +1,7 @@
 """Counterexample search: determinism, feasibility, refinement, controls."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from leibnizlab.search import (
     Instance,
     SearchConfig,
     random_instance,
+    reciprocal_witness_report,
     refine,
     replay,
     reproduce_known_counterexamples,
@@ -57,6 +59,18 @@ def test_config_rejects_empty_p_grid():
 def test_config_rejects_non_integer_counts(key, value):
     with pytest.raises(ValueError, match=key):
         SearchConfig.from_dict({"target": "chain_rule", key: value})
+
+
+@pytest.mark.parametrize("key, value", [("p_grid", "12"), ("p_grid", [True]), ("p_grid", ["1.5"]),
+                                        ("p_grid", 2.0), ("monotone", "false"), ("monotone", 0)])
+def test_config_rejects_malformed_grid_and_monotone(key, value):
+    with pytest.raises(ValueError, match=key):
+        SearchConfig.from_dict({"target": "chain_rule", key: value})
+
+
+def test_config_reads_inf_in_p_grid():
+    cfg = SearchConfig.from_dict({"target": "chain_rule", "p_grid": [1, 2.5, "inf"], "monotone": True})
+    assert cfg.p_grid == (1.0, 2.5, math.inf) and cfg.monotone is True
 
 
 @pytest.mark.parametrize("key", ["refine_steps", "refine_top"])
@@ -189,6 +203,26 @@ def test_reproduce_known_counterexamples():
     assert rep_vshape.lhs == pytest.approx(0.26, abs=1e-3)
     assert rep_vshape.rhs == pytest.approx(0.244, abs=1e-3)
     assert rep_vshape.instance["lipschitz"] == 1.0
+
+
+def test_reciprocal_witness_exact_fractions():
+    # criterion 1's stated rationals; the witness's floats are their nearest doubles
+    mu = (Fraction(1, 36), Fraction(3, 4), Fraction(2, 9))
+    f = (Fraction(-3, 10), Fraction(7, 25), Fraction(19, 50))
+    assert [float(v) for v in mu] == list(RECIPROCAL_WITNESS["mu"])
+    assert [float(v) for v in f] == list(RECIPROCAL_WITNESS["f"])
+
+    def spread(x):  # E|x - Ex| at p = 1
+        mean = sum(m * v for m, v in zip(mu, x))
+        return sum(m * abs(v - mean) for m, v in zip(mu, x))
+
+    inv = [1 / v for v in f]
+    lhs = spread(inv)
+    rhs = max(abs(v) for v in inv) ** 2 * spread(f)
+    assert (lhs, rhs) == (Fraction(5755, 9576), Fraction(4225, 7938))
+    rep = reciprocal_witness_report()
+    assert abs(rep.lhs - float(lhs)) <= 1e-15 * float(lhs)
+    assert abs(rep.rhs - float(rhs)) <= 1e-15 * float(rhs)
 
 
 def test_vshape_function_has_exact_unit_lipschitz():

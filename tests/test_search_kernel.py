@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from leibnizlab import kernels
 from leibnizlab.operators import PiecewiseLinearFn
 from leibnizlab.search import (
     TARGETS,
@@ -75,7 +76,7 @@ def test_sampled_breakpoints_keep_a_minimal_gap():
     # four breakpoints within 1e-6 of each other (rare in random draws):
     # each is pushed 1e-6 past its predecessor, in sorted order
     u = np.array([[0.5, 0.5 + 2e-7, 0.2, 0.5 - 1e-7, 0.3, 0.1, 0.2, 0.3, 0.4, 0.5]])
-    phi = search_mod._sample_phi(u, np.array([4]), False)
+    phi = kernels.sample_phi(u, np.array([4]), False)
     ref = np.sort(-1.0 + 2.0 * u[0, :4])
     for i in range(1, 4):
         if ref[i] - ref[i - 1] < 1e-6:

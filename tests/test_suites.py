@@ -1,16 +1,37 @@
-"""Property suites: the block majorization suite against the one-instance
-computation, the suites' size limits, and the strong-Leibniz open-region note."""
+"""Property suites: the block suites against the one-instance computation,
+the suites' size limits, and the strong-Leibniz open-region note."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import leibnizlab.kernels as kernels
 import leibnizlab.suites as suites
-from leibnizlab.core import IDENTITY_TOL, weak_majorizes
+from leibnizlab import verify
+from leibnizlab.core import (
+    IDENTITY_TOL,
+    INEQUALITY_TOL,
+    center,
+    expectation,
+    lp_norm,
+    sup_norm,
+    variance,
+    weak_majorizes,
+)
 from leibnizlab.operators import deflated_theta
 from leibnizlab.reports import VerificationReport
-from leibnizlab.sampling import MAX_ATOMS, rng_for, sample_prob_vector
+from leibnizlab.sampling import (
+    EXPONENT_GRID,
+    MAX_ATOMS,
+    rng_for,
+    sample_holder_triple_pair,
+    sample_piecewise_linear,
+    sample_prob_vector,
+    sample_vector,
+)
+from leibnizlab.search import reciprocal_witness_report
 
 
 def _scalar_report(x, y, tol, seed=None):
@@ -103,3 +124,146 @@ def test_strong_leibniz_open_region_note():
 
     control = suites.suite_strong_leibniz(trials=200, seed=0, p=1.0, tol=-0.01)
     assert control.failures and control.notes == [] and control.ok
+
+
+# -- the five suites that sample a measure, against a scalar reference -----------
+#
+# The checkers' formulas as they were written one instance at a time, with
+# ``core``'s scalar norms, before the suites and checkers moved to the block
+# kernels; and each suite's trial loop, one ``rng_for`` generator and one
+# checker call per trial.
+
+def _tag(p):
+    return "inf" if math.isinf(p) else float(p)
+
+
+def _floats(x):
+    return [float(v) for v in x]
+
+
+def _scalar_leibniz(mu, f, g, t1, t2, tol):
+    lhs = lp_norm(f * g - expectation(f * g, mu), mu, t1.r)
+    term_f = lp_norm(f, mu, t1.p) * lp_norm(center(g, mu), mu, t1.q)
+    term_g = lp_norm(g, mu, t2.p) * lp_norm(center(f, mu), mu, t2.q)
+    return VerificationReport.from_values("leibniz_inequality", lhs, term_f + term_g, tol, {
+        "mu": mu.to_list(), "f": _floats(f), "g": _floats(g),
+        "exponents": {"r": _tag(t1.r), "p1": _tag(t1.p), "q1": _tag(t1.q),
+                      "p2": _tag(t2.p), "q2": _tag(t2.q)},
+        "rhs_terms": [term_f, term_g]})
+
+
+def _scalar_chain_rule(mu, f, phi, p, tol):
+    lhs = lp_norm(center(np.asarray(phi(f), dtype=float), mu), mu, p)
+    rhs = phi.lipschitz * lp_norm(center(f, mu), mu, p)
+    return VerificationReport.from_values("chain_rule", lhs, rhs, tol, {
+        "mu": mu.to_list(), "f": _floats(f), "phi": phi.to_dict(), "exponents": {"p": _tag(p)},
+        "lipschitz": phi.lipschitz, "monotone": phi.is_monotone})
+
+
+def _scalar_markov(mu, f, phi, tol):
+    lhs = variance(np.asarray(phi(f), dtype=float), mu)
+    rhs = phi.lipschitz ** 2 * variance(f, mu)
+    return VerificationReport.from_values("markov_variance", lhs, rhs, tol, {
+        "mu": mu.to_list(), "f": _floats(f), "phi": phi.to_dict(),
+        "lipschitz": phi.lipschitz, "monotone": phi.is_monotone})
+
+
+def _scalar_strong_leibniz(mu, f, p, tol):
+    inv = 1.0 / f
+    lhs = lp_norm(center(inv, mu), mu, p)
+    rhs = sup_norm(inv) ** 2 * lp_norm(center(f, mu), mu, p)
+    return VerificationReport.from_values("strong_leibniz", lhs, rhs, tol, {
+        "mu": mu.to_list(), "f": _floats(f), "exponents": {"p": _tag(p)}})
+
+
+def _scalar_square(mu, f, p, tol):
+    lhs = lp_norm(center(f * f, mu), mu, p)
+    rhs = 2.0 * sup_norm(f) * lp_norm(center(f, mu), mu, p)
+    return VerificationReport.from_values("square_function_bound", lhs, rhs, tol, {
+        "mu": mu.to_list(), "f": _floats(f), "exponents": {"p": _tag(p)}})
+
+
+def _scalar_trial(name, rng, n, tol, p):
+    mu = sample_prob_vector(rng, n)
+    if name == "strong-leibniz":
+        mag = rng.uniform(0.05, 1.0, n)
+        return _scalar_strong_leibniz(mu, mag * np.where(rng.random(n) < 0.5, -1.0, 1.0), p, tol)
+    f = sample_vector(rng, n)
+    if name == "leibniz":
+        g = sample_vector(rng, n)
+        return _scalar_leibniz(mu, f, g, *sample_holder_triple_pair(rng), tol)
+    if name == "markov":
+        return _scalar_markov(mu, f, sample_piecewise_linear(rng, 6, monotone=False), tol)
+    if name == "chain-rule":
+        phi = sample_piecewise_linear(rng, 6, monotone=True)
+        return _scalar_chain_rule(mu, f, phi, EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))], tol)
+    return _scalar_square(mu, f, EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))], tol)
+
+
+STREAMS = {"leibniz": 0, "chain-rule": 4, "markov": 5, "square": 6, "strong-leibniz": 8}
+
+
+def _scalar_measure_suite(name, trials, n_max, seed, tol, p=2.0):
+    reports = []
+    for t in range(trials):
+        rng = rng_for(seed, STREAMS[name], t)
+        rep = _scalar_trial(name, rng, int(rng.integers(2, n_max + 1)), tol, p)
+        rep.seed = t
+        reports.append(rep)
+    if name == "strong-leibniz":
+        witness = reciprocal_witness_report(tol)
+        witness.instance["expected_failure"] = True
+        reports.insert(0, witness)
+    return reports
+
+
+def _run_suite(name, trials, n_max, seed, tol, p=2.0):
+    kwargs = {"p": p} if name == "strong-leibniz" else {}
+    return suites.SUITES[name](trials=trials, n_max=n_max, seed=seed, tol=tol, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+@pytest.mark.parametrize("n_max, seed, tol", [(2, 0, INEQUALITY_TOL), (8, 5, INEQUALITY_TOL),
+                                              (12, 11, -1e-3)])
+def test_measure_suite_matches_scalar_reference(name, n_max, seed, tol):
+    outcome = _run_suite(name, 130, n_max, seed, tol)
+    reference = _scalar_measure_suite(name, 130, n_max, seed, tol)
+    assert _fields(outcome.reports) == _fields(reference)
+    assert {len(r.instance["f"]) for r in reference if r.seed is not None} == set(range(2, n_max + 1))
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_measure_suite_matches_scalar_reference_across_blocks(monkeypatch, name):
+    # blocks of 50 seeded and evaluated trials: 130 trials cross two boundaries
+    monkeypatch.setattr(kernels, "BLOCK", 50)
+    monkeypatch.setattr(suites, "BLOCK", 50)
+    outcome = _run_suite(name, 130, 8, 3, INEQUALITY_TOL, p=1.0)
+    assert _fields(outcome.reports) == _fields(_scalar_measure_suite(name, 130, 8, 3, INEQUALITY_TOL, p=1.0))
+
+
+def test_checkers_match_scalar_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(2, 10))
+        mu = sample_prob_vector(rng, n)
+        f, g = sample_vector(rng, n), sample_vector(rng, n)
+        t1, t2 = sample_holder_triple_pair(rng)
+        phi = sample_piecewise_linear(rng, 6, monotone=bool(rng.random() < 0.5))
+        p = EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))]
+        inv_f = np.where(np.abs(f) < 0.05, 0.5, f)
+        pairs = [
+            (verify.check_leibniz(mu, f, g, t1, t2), _scalar_leibniz(mu, f, g, t1, t2, INEQUALITY_TOL)),
+            (verify.check_chain_rule(mu, f, phi, p), _scalar_chain_rule(mu, f, phi, p, INEQUALITY_TOL)),
+            (verify.check_markov_variance(mu, f, phi), _scalar_markov(mu, f, phi, INEQUALITY_TOL)),
+            (verify.check_strong_leibniz(mu, inv_f, p), _scalar_strong_leibniz(mu, inv_f, p, INEQUALITY_TOL)),
+            (verify.check_square_bound(mu, f, p), _scalar_square(mu, f, p, INEQUALITY_TOL)),
+        ]
+        for got, want in pairs:
+            assert _bits(got.to_dict()) == _bits(want.to_dict())
+
+
+def test_fallback_streams_give_the_same_reports(monkeypatch):
+    seeded = [_fields(_run_suite(name, 60, 8, 4, INEQUALITY_TOL).reports) for name in sorted(STREAMS)]
+    monkeypatch.setattr(kernels, "_seeding_matches", lambda: False)
+    fallback = [_fields(_run_suite(name, 60, 8, 4, INEQUALITY_TOL).reports) for name in sorted(STREAMS)]
+    assert fallback == seeded
