@@ -216,6 +216,8 @@ def cmd_search(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"the config must be a JSON object, got {raw!r}")
         if args.seed is not None:
             raw["seed"] = int(args.seed)
         raw.setdefault("seed", _resolve_seed(None))

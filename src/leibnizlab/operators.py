@@ -109,6 +109,8 @@ class PiecewiseLinearFn:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PiecewiseLinearFn":
+        if not isinstance(d, dict) or not {"breakpoints", "slopes"} <= d.keys():
+            raise ValueError(f"phi must be an object with breakpoints and slopes, got {d!r}")
         return cls(np.asarray(d["breakpoints"], dtype=float),
                    np.asarray(d["slopes"], dtype=float),
                    float(d.get("anchor", 0.0)))

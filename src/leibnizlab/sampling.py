@@ -42,16 +42,16 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((int(seed),) + tuple(int(s) for s in stream))
 
 
-def sample_prob_vector(rng: np.random.Generator, n: int, floor: float = MASS_FLOOR) -> ProbVector:
-    """Dirichlet draw pushed away from the boundary: min weight >= floor."""
-    if n * floor >= 1.0:
-        raise ValueError(f"mass floor {floor} infeasible for {n} atoms")
+def sample_prob_vector(rng: np.random.Generator, n: int) -> ProbVector:
+    """Dirichlet draw pushed away from the boundary: min weight >= MASS_FLOOR."""
+    if n * MASS_FLOOR >= 1.0:
+        raise ValueError(f"mass floor {MASS_FLOOR} infeasible for {n} atoms")
     d = rng.dirichlet(np.ones(n))
-    return ProbVector(floor + (1.0 - n * floor) * d)
+    return ProbVector(MASS_FLOOR + (1.0 - n * MASS_FLOOR) * d)
 
 
-def sample_vector(rng: np.random.Generator, n: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    return rng.uniform(lo, hi, n)
+def sample_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, n)
 
 
 def sample_mean_zero(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -59,12 +59,12 @@ def sample_mean_zero(rng: np.random.Generator, n: int) -> np.ndarray:
     return v - v.mean()
 
 
-def sample_distinct_points(rng: np.random.Generator, n: int, min_gap: float = 1e-3) -> np.ndarray:
-    """n points in [-1, 1] with pairwise gaps at least min_gap (unsorted)."""
+def sample_distinct_points(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n points in [-1, 1] with pairwise gaps at least 1e-3 (unsorted)."""
     base = np.sort(rng.uniform(-1.0, 1.0, n))
     for i in range(1, n):
-        if base[i] - base[i - 1] < min_gap:
-            base[i] = base[i - 1] + min_gap
+        if base[i] - base[i - 1] < 1e-3:
+            base[i] = base[i - 1] + 1e-3
     return rng.permutation(base)
 
 
@@ -72,11 +72,10 @@ def sample_piecewise_linear(
     rng: np.random.Generator,
     max_breakpoints: int,
     monotone: bool = False,
-    span: tuple[float, float] = (-1.0, 1.0),
 ) -> PiecewiseLinearFn:
-    """Random piecewise-linear function, Lipschitz constant normalized to 1."""
+    """Random piecewise-linear function on [-1, 1], Lipschitz constant normalized to 1."""
     m = int(rng.integers(1, max_breakpoints + 1))
-    bp = np.sort(rng.uniform(span[0], span[1], m))
+    bp = np.sort(rng.uniform(-1.0, 1.0, m))
     for i in range(1, m):
         if bp[i] - bp[i - 1] < 1e-6:
             bp[i] = bp[i - 1] + 1e-6

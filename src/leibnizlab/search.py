@@ -113,6 +113,8 @@ class SearchConfig:
         object.__setattr__(self, "p_grid", tuple(check_exponent(math.inf if p == "inf" else p) for p in grid))
         if not self.p_grid:
             raise ValueError("p_grid must hold at least one exponent")
+        if len(set(self.p_grid)) != len(self.p_grid):
+            raise ValueError(f"p_grid repeats an exponent: {list(grid)!r}")
         if not isinstance(self.monotone, bool):
             raise ValueError(f"monotone must be true or false, got {self.monotone!r}")
 

@@ -8,17 +8,22 @@ fails at p = 1 (its fixed witness) and holds at p = 2 and p = inf (short
 proofs in the ``search`` module docstring); the open exponents are (1, 2)
 and (2, inf).
 
-Loop contract: each suite has one stream id; trial t draws n from
-[smallest, n_max] (``N_MAX_BOUNDS``) first, then the rest of its instance, all
-from the generator ``default_rng((seed, stream, t))``.  ``kernels.streams``
+Loop contract: every suite runs through ``_run``, the one trial loop.  Each
+suite has one stream id; trial t draws n from [smallest, n_max]
+(``N_MAX_BOUNDS``) first, then the rest of its instance (``draw``), all from
+the generator ``default_rng((seed, stream, t))``.  ``kernels.streams``
 derives these generators a block of trials at a time and equals
 ``default_rng`` bit for bit; where a numpy seeds differently it builds each
-one with ``default_rng`` instead.  The five suites that sample a measure take
-their draws into arrays and evaluate a block of trials at a time, grouped by
-n, through the kernels of ``kernels``; their reports equal checking each
-trial alone.  Reports come in trial order, each tagged with its trial index
-as ``seed`` (the majorization sign patterns and the strong-Leibniz fixed
-witness follow the trials untagged).
+one with ``default_rng`` instead.  The loop holds the draws of up to
+``BLOCK`` trials, groups them by n and hands each group to the suite's
+``evaluate``: the five suites that sample a measure and majorization
+evaluate a group as stacked arrays (``kernels`` and ``_majorization_block``),
+the other three check it row by row with their one-instance checkers; every
+report equals checking its trial alone.  The laplacian suite draws an n x n
+matrix per trial, so its blocks hold at most max(1, MAJORIZATION_BLOCK //
+n_max**2) trials.  Reports come in trial order, each tagged with its trial
+index as ``seed`` (the majorization sign patterns and the strong-Leibniz
+fixed witness follow the trials untagged).
 """
 
 from __future__ import annotations
@@ -114,52 +119,36 @@ def _norm_pool(rng: np.random.Generator, n: int):
     return name, ev
 
 
-def _trials(name: str, stream: int, trials: int, n_max: int, seed: int):
-    """Yield (t, rng, n) per trial: the trial's own stream, n drawn from it first.
+def _run(name: str, stream: int, draw, evaluate, trials: int, n_max: int, seed: int,
+         theorem_backed: bool = True, block: int = 0) -> SuiteOutcome:
+    """The trial loop of every suite.
 
-    ``rng`` is reused from trial to trial (``kernels.streams``): draw from it
-    before taking the next trial.
-    """
-    low = N_MAX_BOUNDS[name][0]
-    for t, rng in enumerate(streams((seed, stream), 0, trials)):
-        yield t, rng, int(rng.integers(low, n_max + 1))
-
-
-def _run(name: str, stream: int, trial, trials: int, n_max: int, seed: int,
-         theorem_backed: bool = True) -> SuiteOutcome:
-    """The shared loop: ``trial(rng, n, t)`` draws the rest and returns its reports."""
-    start = time.perf_counter()
-    reports = []
-    for t, rng, n in _trials(name, stream, trials, n_max, seed):
-        for rep in trial(rng, n, t):
-            rep.seed = t
-            reports.append(rep)
-    return SuiteOutcome(name, reports, theorem_backed, time.perf_counter() - start)
-
-
-def _run_blocks(name: str, stream: int, draw, evaluate, trials: int, n_max: int, seed: int,
-                theorem_backed: bool = True) -> SuiteOutcome:
-    """The loop of the suites that sample a measure.
-
-    ``draw(rng, n)`` returns trial t's draws as a tuple, in the order it
-    makes them.  Every BLOCK trials, the drawn trials are grouped by n and
+    Trial t takes the generator ``default_rng((seed, stream, t))`` and draws
+    n from it first; ``draw(rng, n, t)`` then returns the trial's other draws
+    as a tuple, in the order it makes them.  After every ``block`` trials
+    (BLOCK if 0) and after the last, the held trials are grouped by n and
     ``evaluate(n, columns)`` (``columns`` holds one list per tuple position)
-    returns one report per trial of the group, in order.
+    returns one sequence of reports per trial of the group, in order.  The
+    reports come out in trial order, each tagged with its trial index as
+    ``seed``.  ``elapsed`` covers the loop.
     """
     start = time.perf_counter()
-    reports, drawn, groups = [], [], {}
-    for t, rng, n in _trials(name, stream, trials, n_max, seed):
-        groups.setdefault(n, []).append(len(drawn))
-        drawn.append(draw(rng, n))
-        if len(drawn) == BLOCK or t == trials - 1:
-            first, out = len(reports), [None] * len(drawn)
-            for n, rows in groups.items():
-                columns = [list(c) for c in zip(*(drawn[i] for i in rows))]
-                for i, rep in zip(rows, evaluate(n, columns)):
-                    rep.seed = first + i
-                    out[i] = rep
-            reports += out
-            drawn, groups = [], {}
+    low, size = N_MAX_BOUNDS[name][0], block or BLOCK
+    reports, held = [], {}
+    # kernels.streams reuses one generator: draw from it before the next trial
+    for t, rng in enumerate(streams((seed, stream), 0, trials)):
+        n = int(rng.integers(low, n_max + 1))
+        held.setdefault(n, []).append((t, draw(rng, n, t)))
+        if (t + 1) % size == 0 or t == trials - 1:
+            evaluated = {}
+            for n, rows in held.items():
+                ts, drawn = zip(*rows)
+                evaluated.update(zip(ts, evaluate(n, [list(c) for c in zip(*drawn)])))
+            for i in sorted(evaluated):
+                for rep in evaluated[i]:
+                    rep.seed = i
+                    reports.append(rep)
+            held = {}
     return SuiteOutcome(name, reports, theorem_backed, time.perf_counter() - start)
 
 
@@ -182,18 +171,10 @@ def _phi_draws(rng, max_breakpoints: int, signed: bool = False) -> tuple[int, np
     return m, rng.random(2 * m + 2 + signed)
 
 
-def _phi_fields(knot_u: list, counts: list, monotone: bool, signed: bool = False) -> dict:
-    """``sample_piecewise_linear`` rows from each row's uniforms (``kernels.sample_phi``)."""
-    padded = np.zeros((len(knot_u), max(map(len, knot_u))))
-    for row, u in zip(padded, knot_u):
-        row[:len(u)] = u
-    return sample_phi(padded, np.array(counts), monotone, signed)
-
-
 def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                   tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Product-rule inequality on random measures, vectors, and triple pairs."""
-    def draw(rng, n):
+    def draw(rng, n, t):
         expo, f, g = rng.standard_exponential(n), rng.random(n), rng.random(n)
         t1, t2 = sample_holder_triple_pair(rng)
         return expo, f, g, (t1.r, t1.p, t1.q, t2.p, t2.q)
@@ -201,15 +182,18 @@ def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
     def evaluate(n, columns):
         expo, f, g, exponents = columns
         block = Block(_measure(n, expo), _uniform(f), _uniform(g))
-        return verify.leibniz_reports(block, np.array(exponents).T, tol)
-    return _run_blocks("leibniz", 0, draw, evaluate, trials, n_max, seed)
+        return zip(verify.leibniz_reports(block, np.array(exponents).T, tol))
+    return _run("leibniz", 0, draw, evaluate, trials, n_max, seed)
 
 
 def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
                         tol: float = IDENTITY_TOL) -> SuiteOutcome:
-    def trial(rng, n, t):
-        return [verify.check_decomposition(sample_vector(rng, n), sample_vector(rng, n), tol)]
-    return _run("decomposition", 1, trial, trials, n_max, seed)
+    def draw(rng, n, t):
+        return sample_vector(rng, n), sample_vector(rng, n)
+
+    def evaluate(n, columns):
+        return [[verify.check_decomposition(f, g, tol)] for f, g in zip(*columns)]
+    return _run("decomposition", 1, draw, evaluate, trials, n_max, seed)
 
 
 #: Matrix entries per evaluation block of the majorization suite.  A block of
@@ -220,11 +204,7 @@ def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
 MAJORIZATION_BLOCK = 243 * 16
 
 
-def _majorization_rows(n: int) -> int:
-    return max(1, MAJORIZATION_BLOCK // (n * n))
-
-
-def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float, seeds) -> list[VerificationReport]:
+def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float) -> list[VerificationReport]:
     """One majorization report per row of X, Y (shape (B, n)), in row order.
 
     Each row repeats the per-instance operations of ``deflated_theta(x) @ y``
@@ -244,17 +224,16 @@ def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float, seeds) -> list
     rhs = np.cumsum(bound, axis=1)
     passed = np.all(lhs <= rhs + tol, axis=1).tolist()
     worst = np.max(lhs - rhs, axis=1).tolist()
-    return [VerificationReport("deflated_theta_majorization", w, 0.0, -w, ok, tol,
-                               {"x": x, "y": y}, s)
-            for w, ok, x, y, s in zip(worst, passed, X.tolist(), Y.tolist(), seeds)]
+    return [VerificationReport("deflated_theta_majorization", w, 0.0, -w, ok, tol, {"x": x, "y": y})
+            for w, ok, x, y in zip(worst, passed, X.tolist(), Y.tolist())]
 
 
-def _majorization_reports(X: np.ndarray, Y: np.ndarray, tol: float, seeds) -> list[VerificationReport]:
-    rows = _majorization_rows(X.shape[1])
+def _majorization_reports(X: np.ndarray, Y: np.ndarray, tol: float) -> list[VerificationReport]:
+    """``_majorization_block`` over blocks of at most MAJORIZATION_BLOCK matrix entries."""
+    rows = max(1, MAJORIZATION_BLOCK // X.shape[1] ** 2)
     reports = []
     for start in range(0, len(X), rows):
-        stop = start + rows
-        reports += _majorization_block(X[start:stop], Y[start:stop], tol, seeds[start:stop])
+        reports += _majorization_block(X[start:start + rows], Y[start:start + rows], tol)
     return reports
 
 
@@ -262,31 +241,29 @@ def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
                        tol: float = IDENTITY_TOL, exhaustive_n: int = 4) -> SuiteOutcome:
     """|deflated_theta(x) y| <_w |x|down * |y|down, random plus exhaustive signs.
 
-    Trial t draws n, x and y from stream 2; the trials are then grouped by n and
-    evaluated as stacked blocks of at most ``MAJORIZATION_BLOCK`` matrix entries,
-    as are the sign patterns (every (x, y) in {-1, 0, 1}^n x {-1, 0, 1}^n for
-    n <= exhaustive_n).  Reports keep their order (trials first, then patterns)
-    and match the scalar computation bit for bit.
+    Trial t draws n, x and y from stream 2; each group of trials with the same
+    n is evaluated as stacked blocks of at most ``MAJORIZATION_BLOCK`` matrix
+    entries, as are the sign patterns (all of {-1, 0, 1}^n x {-1, 0, 1}^n for
+    n <= exhaustive_n, a few x at a time).  Reports keep their order (trials
+    first, then patterns) and match the scalar computation bit for bit.
     """
     start = time.perf_counter()
-    drawn = [(n, rng.normal(size=n), rng.normal(size=n))
-             for _, rng, n in _trials("majorization", 2, trials, n_max, seed)]
-    reports: list = [None] * trials
-    for n in sorted({d[0] for d in drawn}):
-        ts = [t for t, d in enumerate(drawn) if d[0] == n]
-        X = np.array([drawn[t][1] for t in ts])
-        Y = np.array([drawn[t][2] for t in ts])
-        for t, rep in zip(ts, _majorization_reports(X, Y, tol, ts)):
-            reports[t] = rep
+
+    def draw(rng, n, t):
+        return rng.normal(size=n), rng.normal(size=n)
+
+    def evaluate(n, columns):
+        return zip(_majorization_reports(np.array(columns[0]), np.array(columns[1]), tol))
+    outcome = _run("majorization", 2, draw, evaluate, trials, n_max, seed)
     for n in range(1, exhaustive_n + 1):
         patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
         m = len(patterns)
-        step = max(1, _majorization_rows(n) // m)
+        step = max(1, MAJORIZATION_BLOCK // (n * n * m))  # x-patterns per block
         for i in range(0, m, step):
-            xs = patterns[i:i + step]
-            reports += _majorization_reports(np.repeat(xs, m, axis=0), np.tile(patterns, (len(xs), 1)),
-                                             tol, [None] * (len(xs) * m))
-    return SuiteOutcome("majorization", reports, elapsed=time.perf_counter() - start)
+            outcome.reports += _majorization_reports(np.repeat(patterns[i:i + step], m, axis=0),
+                                                     np.tile(patterns, (min(step, m - i), 1)), tol)
+    outcome.elapsed = time.perf_counter() - start
+    return outcome
 
 
 def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
@@ -297,79 +274,85 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
     of random monotone functions (the chain-rule corollary uses Lip(phi) on
     the right-hand side, which dominates the off-diagonal maximum).
     """
-    def trial(rng, n, t):
+    def draw(rng, n, t):
         norm_name, norm = _norm_pool(rng, n)
         x = sample_mean_zero(rng, n)
         if t % 2:
             pts = sample_distinct_points(rng, n)
             phi = sample_piecewise_linear(rng, 4, monotone=True)
-            L = monotone_laplacian(pts, phi)
-        else:
-            L = sample_laplacian(rng, n)
-        rep = laplacian_norm_bound_check(L, x, norm, tol)
-        rep.instance["norm"] = norm_name
-        reports = [rep]
-        if t % 2:
-            # corollary form: n * Lip(phi) dominates n * max off-diagonal
+            return norm_name, norm, x, monotone_laplacian(pts, phi), pts, phi
+        return norm_name, norm, x, sample_laplacian(rng, n), None, None
+
+    def evaluate(n, columns):
+        for norm_name, norm, x, L, pts, phi in zip(*columns):
+            rep = laplacian_norm_bound_check(L, x, norm, tol)
+            rep.instance["norm"] = norm_name
+            reports = [rep]
+            if phi is not None:
+                # corollary form: n * Lip(phi) dominates n * max off-diagonal
+                reports.append(VerificationReport.from_values(
+                    "monotone_divided_difference_bound", rep.lhs, n * phi.lipschitz * float(norm(x)), tol,
+                    {"n": n, "lipschitz": phi.lipschitz, "norm": norm_name, "x": [float(v) for v in x],
+                     "points": [float(v) for v in pts], "phi": phi.to_dict()}))
+            col, row = lhat_row_col_bounds(L)
             reports.append(VerificationReport.from_values(
-                "monotone_divided_difference_bound", rep.lhs, n * phi.lipschitz * float(norm(x)), tol,
-                {"n": n, "lipschitz": phi.lipschitz, "norm": norm_name, "x": [float(v) for v in x],
-                 "points": [float(v) for v in pts], "phi": phi.to_dict()}))
-        col, row = lhat_row_col_bounds(L)
-        reports.append(VerificationReport.from_values(
-            "hat_matrix_operator_bounds", max(col, row), n * max_offdiagonal(L), 1e-10,
-            {"n": n, "col": col, "row": row}))
-        return reports
-    return _run("laplacian", 3, trial, trials, n_max, seed)
+                "hat_matrix_operator_bounds", max(col, row), n * max_offdiagonal(L), 1e-10,
+                {"n": n, "col": col, "row": row}))
+            yield reports
+    return _run("laplacian", 3, draw, evaluate, trials, n_max, seed,
+                block=max(1, MAJORIZATION_BLOCK // n_max ** 2))
 
 
 def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                      tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Monotone Lipschitz composition bound on random measures and exponents."""
-    def draw(rng, n):
+    def draw(rng, n, t):
         return (rng.standard_exponential(n), rng.random(n), *_phi_draws(rng, 6, signed=True),
                 int(rng.integers(len(EXPONENT_GRID))))
 
     def evaluate(n, columns):
         expo, f, counts, knot_u, k = columns
-        block = Block(_measure(n, expo), _uniform(f), **_phi_fields(knot_u, counts, True, signed=True))
-        return verify.chain_rule_reports(block, _GRID[k], tol)
-    return _run_blocks("chain-rule", 4, draw, evaluate, trials, n_max, seed)
+        block = Block(_measure(n, expo), _uniform(f), **sample_phi(knot_u, np.array(counts), True, signed=True))
+        return zip(verify.chain_rule_reports(block, _GRID[k], tol))
+    return _run("chain-rule", 4, draw, evaluate, trials, n_max, seed)
 
 
 def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Variance contraction under arbitrary (non-monotone) Lipschitz maps."""
-    def draw(rng, n):
+    def draw(rng, n, t):
         return rng.standard_exponential(n), rng.random(n), *_phi_draws(rng, 6)
 
     def evaluate(n, columns):
         expo, f, counts, knot_u = columns
-        block = Block(_measure(n, expo), _uniform(f), **_phi_fields(knot_u, counts, False))
-        return verify.markov_reports(block, tol)
-    return _run_blocks("markov", 5, draw, evaluate, trials, n_max, seed)
+        block = Block(_measure(n, expo), _uniform(f), **sample_phi(knot_u, np.array(counts), False))
+        return zip(verify.markov_reports(block, tol))
+    return _run("markov", 5, draw, evaluate, trials, n_max, seed)
 
 
 def suite_square(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
-    def draw(rng, n):
+    def draw(rng, n, t):
         return rng.standard_exponential(n), rng.random(n), int(rng.integers(len(EXPONENT_GRID)))
 
     def evaluate(n, columns):
         expo, f, k = columns
-        return verify.square_bound_reports(Block(_measure(n, expo), _uniform(f)), _GRID[k], tol)
-    return _run_blocks("square", 6, draw, evaluate, trials, n_max, seed)
+        return zip(verify.square_bound_reports(Block(_measure(n, expo), _uniform(f)), _GRID[k], tol))
+    return _run("square", 6, draw, evaluate, trials, n_max, seed)
 
 
 def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
                      tol: float = IDENTITY_TOL) -> SuiteOutcome:
     """Centering identity and the derivation dictionary on random instances."""
-    def trial(rng, n, t):
+    def draw(rng, n, t):
         pts = sample_distinct_points(rng, n)
         phi = sample_piecewise_linear(rng, 6, monotone=bool(rng.random() < 0.5))
-        return [centering_identity_check(pts, phi, tol),
-                derivation_checks(sample_vector(rng, n), sample_vector(rng, n), tol)]
-    return _run("identities", 7, trial, trials, n_max, seed)
+        return pts, phi, sample_vector(rng, n), sample_vector(rng, n)
+
+    def evaluate(n, columns):
+        return [[centering_identity_check(pts, phi, tol), derivation_checks(f, g, tol)]
+                for pts, phi, f, g in zip(*columns)]
+    return _run("identities", 7, draw, evaluate, trials, n_max, seed)
 
 
 def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
@@ -382,14 +365,14 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     """
     p = check_exponent(p)
 
-    def draw(rng, n):
+    def draw(rng, n, t):
         return rng.standard_exponential(n), rng.uniform(0.05, 1.0, n), rng.random(n)
 
     def evaluate(n, columns):
         expo, mag, sign_u = columns
         f = np.array(mag) * np.where(np.array(sign_u) < 0.5, -1.0, 1.0)
-        return verify.strong_leibniz_reports(Block(_measure(n, expo), f), np.full(len(f), p), tol)
-    outcome = _run_blocks("strong-leibniz", 8, draw, evaluate, trials, n_max, seed, theorem_backed=False)
+        return zip(verify.strong_leibniz_reports(Block(_measure(n, expo), f), np.full(len(f), p), tol))
+    outcome = _run("strong-leibniz", 8, draw, evaluate, trials, n_max, seed, theorem_backed=False)
     witness = reciprocal_witness_report(tol)
     witness.instance["expected_failure"] = True
     outcome.reports.insert(0, witness)

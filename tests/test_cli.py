@@ -202,6 +202,9 @@ def test_search_bad_config_exit_2(tmp_path, capsys):
     {"target": "chain_rule", "p_grid": "12"},
     {"target": "chain_rule", "p_grid": [True]},
     {"target": "chain_rule", "monotone": "false"},
+    # valid JSON that is not an object
+    [1, 2],
+    "x",
 ])
 def test_search_invalid_config_exit_2(tmp_path, capsys, config):
     cfg_path = tmp_path / "cfg.json"
@@ -276,6 +279,14 @@ def test_inspect_divided_difference(capsys):
 def test_inspect_degenerate_exit_2(capsys):
     assert run_cli("inspect", "--x", "1,1", "--matrix", "divided") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("phi", ['{"breakpoints": [0]}', "[1, 2]"])
+def test_inspect_malformed_phi_exit_2(capsys, phi):
+    assert run_cli("inspect", "--x", "1,2", "--matrix", "divided", "--phi", phi) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: phi ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):

@@ -88,16 +88,22 @@ def test_search_files_match_golden_hashes(tmp_path, capsys, target):
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in golden} == golden
 
 
-# sha256 of ``verify --suite NAME --trials 1100 --n 12 --seed 11 --out DIR`` for
-# the five suites that sample a measure, recorded when they still ran the scalar
-# checkers one trial at a time.  1100 trials cross a 1024-trial block and n
-# reaches 12.
+# sha256 of ``verify --suite NAME --trials 1100 --n 12 --seed 11 --out DIR``.
+# The five suites that sample a measure were recorded when they still ran the
+# scalar checkers one trial at a time; the other four when decomposition,
+# laplacian and identities ran their own per-trial loop and majorization drew
+# every trial before evaluating any.  1100 trials cross a 1024-trial block and
+# n reaches 12.
 MEASURE_SUITES_SHA256 = {
     "chain-rule": "b158620f7cc9891ac0e35d401667c046051fe04ad0dde230e67e6e638323b443",
     "leibniz": "2e59322c26a01fbcfe6a8f26cdd984ff05f2114aa9e86935142b37159a1e1738",
     "markov": "10f132e9350ab21929432a93baa1fc5826137da58f94f710bd9508ca023c4ca0",
     "square": "196eb5a17a92aa304d7cf5374d43e8c95464dc3f1e3f96697a941b0c09fb6728",
     "strong-leibniz": "5fda4931367d1aabb307eaf0fbc0770b461e702e6845ae6c1c80e7a2e726f816",
+    "majorization": "7ca24614aaf484ff5ad8e76f9a532f2188141f53cf9c21de9bf8fc6aa3175f4d",
+    "decomposition": "46f63f45d2af353de216ed9792188bf58ac2124cc0576b5c3330447edfa32ee8",
+    "laplacian": "b800bd65c302ab9be74f1414bacb30c3258801c1888ff363422b1ec2a3871c42",
+    "identities": "661f2e52d06d0d8977579d84a2270807b2aae2d41d4a446b97e490c366dbe78d",
 }
 
 

@@ -62,7 +62,8 @@ def test_config_rejects_non_integer_counts(key, value):
 
 
 @pytest.mark.parametrize("key, value", [("p_grid", "12"), ("p_grid", [True]), ("p_grid", ["1.5"]),
-                                        ("p_grid", 2.0), ("monotone", "false"), ("monotone", 0)])
+                                        ("p_grid", 2.0), ("p_grid", [1, 1]), ("p_grid", [1, "inf", "inf"]),
+                                        ("p_grid", [2, 2.0]), ("monotone", "false"), ("monotone", 0)])
 def test_config_rejects_malformed_grid_and_monotone(key, value):
     with pytest.raises(ValueError, match=key):
         SearchConfig.from_dict({"target": "chain_rule", key: value})

@@ -2,24 +2,21 @@
 the suites' size limits, and the strong-Leibniz open-region note."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
+from scalar_reference import (
+    scalar_chain_rule,
+    scalar_leibniz,
+    scalar_markov,
+    scalar_square,
+    scalar_strong_leibniz,
+)
 
 import leibnizlab.kernels as kernels
 import leibnizlab.suites as suites
 from leibnizlab import verify
-from leibnizlab.core import (
-    IDENTITY_TOL,
-    INEQUALITY_TOL,
-    center,
-    expectation,
-    lp_norm,
-    sup_norm,
-    variance,
-    weak_majorizes,
-)
+from leibnizlab.core import IDENTITY_TOL, INEQUALITY_TOL, weak_majorizes
 from leibnizlab.operators import deflated_theta
 from leibnizlab.reports import VerificationReport
 from leibnizlab.sampling import (
@@ -101,6 +98,19 @@ def test_block_size_does_not_change_reports(monkeypatch):
     assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
+@pytest.mark.parametrize("name", ["decomposition", "laplacian", "identities"])
+def test_scalar_suites_do_not_depend_on_the_block(monkeypatch, name):
+    # blocks of 1, 7 and BLOCK trials; laplacian's blocks hold
+    # MAJORIZATION_BLOCK // n_max**2 trials, here the same number
+    runs = []
+    for size in (1, 7, suites.BLOCK):
+        monkeypatch.setattr(suites, "BLOCK", size)
+        monkeypatch.setattr(suites, "MAJORIZATION_BLOCK", size * 8 ** 2)
+        runs.append(_fields(suites.SUITES[name](trials=60, n_max=8, seed=3).reports))
+    assert runs[0] == runs[1] == runs[2]
+    assert {r.seed for r in suites.SUITES[name](trials=60, n_max=8, seed=3).reports} == set(range(60))
+
+
 def test_measure_suites_stop_where_the_mass_floor_does():
     rng = rng_for(0, 0)
     assert len(sample_prob_vector(rng, MAX_ATOMS).weights) == MAX_ATOMS
@@ -128,76 +138,25 @@ def test_strong_leibniz_open_region_note():
 
 # -- the five suites that sample a measure, against a scalar reference -----------
 #
-# The checkers' formulas as they were written one instance at a time, with
-# ``core``'s scalar norms, before the suites and checkers moved to the block
-# kernels; and each suite's trial loop, one ``rng_for`` generator and one
+# The scalar formulas of ``scalar_reference``, and each suite's trial loop as
+# it was written one trial at a time: one ``rng_for`` generator and one
 # checker call per trial.
-
-def _tag(p):
-    return "inf" if math.isinf(p) else float(p)
-
-
-def _floats(x):
-    return [float(v) for v in x]
-
-
-def _scalar_leibniz(mu, f, g, t1, t2, tol):
-    lhs = lp_norm(f * g - expectation(f * g, mu), mu, t1.r)
-    term_f = lp_norm(f, mu, t1.p) * lp_norm(center(g, mu), mu, t1.q)
-    term_g = lp_norm(g, mu, t2.p) * lp_norm(center(f, mu), mu, t2.q)
-    return VerificationReport.from_values("leibniz_inequality", lhs, term_f + term_g, tol, {
-        "mu": mu.to_list(), "f": _floats(f), "g": _floats(g),
-        "exponents": {"r": _tag(t1.r), "p1": _tag(t1.p), "q1": _tag(t1.q),
-                      "p2": _tag(t2.p), "q2": _tag(t2.q)},
-        "rhs_terms": [term_f, term_g]})
-
-
-def _scalar_chain_rule(mu, f, phi, p, tol):
-    lhs = lp_norm(center(np.asarray(phi(f), dtype=float), mu), mu, p)
-    rhs = phi.lipschitz * lp_norm(center(f, mu), mu, p)
-    return VerificationReport.from_values("chain_rule", lhs, rhs, tol, {
-        "mu": mu.to_list(), "f": _floats(f), "phi": phi.to_dict(), "exponents": {"p": _tag(p)},
-        "lipschitz": phi.lipschitz, "monotone": phi.is_monotone})
-
-
-def _scalar_markov(mu, f, phi, tol):
-    lhs = variance(np.asarray(phi(f), dtype=float), mu)
-    rhs = phi.lipschitz ** 2 * variance(f, mu)
-    return VerificationReport.from_values("markov_variance", lhs, rhs, tol, {
-        "mu": mu.to_list(), "f": _floats(f), "phi": phi.to_dict(),
-        "lipschitz": phi.lipschitz, "monotone": phi.is_monotone})
-
-
-def _scalar_strong_leibniz(mu, f, p, tol):
-    inv = 1.0 / f
-    lhs = lp_norm(center(inv, mu), mu, p)
-    rhs = sup_norm(inv) ** 2 * lp_norm(center(f, mu), mu, p)
-    return VerificationReport.from_values("strong_leibniz", lhs, rhs, tol, {
-        "mu": mu.to_list(), "f": _floats(f), "exponents": {"p": _tag(p)}})
-
-
-def _scalar_square(mu, f, p, tol):
-    lhs = lp_norm(center(f * f, mu), mu, p)
-    rhs = 2.0 * sup_norm(f) * lp_norm(center(f, mu), mu, p)
-    return VerificationReport.from_values("square_function_bound", lhs, rhs, tol, {
-        "mu": mu.to_list(), "f": _floats(f), "exponents": {"p": _tag(p)}})
-
 
 def _scalar_trial(name, rng, n, tol, p):
     mu = sample_prob_vector(rng, n)
     if name == "strong-leibniz":
         mag = rng.uniform(0.05, 1.0, n)
-        return _scalar_strong_leibniz(mu, mag * np.where(rng.random(n) < 0.5, -1.0, 1.0), p, tol)
+        return scalar_strong_leibniz(mu, mag * np.where(rng.random(n) < 0.5, -1.0, 1.0), p, tol)
     f = sample_vector(rng, n)
     if name == "leibniz":
         g = sample_vector(rng, n)
-        return _scalar_leibniz(mu, f, g, *sample_holder_triple_pair(rng), tol)
+        return scalar_leibniz(mu, f, g, *sample_holder_triple_pair(rng), tol)
     if name == "markov":
-        return _scalar_markov(mu, f, sample_piecewise_linear(rng, 6, monotone=False), tol)
+        return scalar_markov(mu, f, sample_piecewise_linear(rng, 6, monotone=False), tol)
     if name == "chain-rule":
         phi = sample_piecewise_linear(rng, 6, monotone=True)
-        return _scalar_chain_rule(mu, f, phi, EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))], tol)
-    return _scalar_square(mu, f, EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))], tol)
+        return scalar_chain_rule(mu, f, phi, EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))], tol)
+    return scalar_square(mu, f, EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))], tol)
 
 
 STREAMS = {"leibniz": 0, "chain-rule": 4, "markov": 5, "square": 6, "strong-leibniz": 8}
@@ -252,11 +211,11 @@ def test_checkers_match_scalar_reference():
         p = EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))]
         inv_f = np.where(np.abs(f) < 0.05, 0.5, f)
         pairs = [
-            (verify.check_leibniz(mu, f, g, t1, t2), _scalar_leibniz(mu, f, g, t1, t2, INEQUALITY_TOL)),
-            (verify.check_chain_rule(mu, f, phi, p), _scalar_chain_rule(mu, f, phi, p, INEQUALITY_TOL)),
-            (verify.check_markov_variance(mu, f, phi), _scalar_markov(mu, f, phi, INEQUALITY_TOL)),
-            (verify.check_strong_leibniz(mu, inv_f, p), _scalar_strong_leibniz(mu, inv_f, p, INEQUALITY_TOL)),
-            (verify.check_square_bound(mu, f, p), _scalar_square(mu, f, p, INEQUALITY_TOL)),
+            (verify.check_leibniz(mu, f, g, t1, t2), scalar_leibniz(mu, f, g, t1, t2, INEQUALITY_TOL)),
+            (verify.check_chain_rule(mu, f, phi, p), scalar_chain_rule(mu, f, phi, p, INEQUALITY_TOL)),
+            (verify.check_markov_variance(mu, f, phi), scalar_markov(mu, f, phi, INEQUALITY_TOL)),
+            (verify.check_strong_leibniz(mu, inv_f, p), scalar_strong_leibniz(mu, inv_f, p, INEQUALITY_TOL)),
+            (verify.check_square_bound(mu, f, p), scalar_square(mu, f, p, INEQUALITY_TOL)),
         ]
         for got, want in pairs:
             assert _bits(got.to_dict()) == _bits(want.to_dict())
