@@ -36,8 +36,7 @@ print("  slopes:", np.round(res.witness["phi"]["slopes"], 4))
 print(f"  violation {res.best_violation:.6f}, replay {-rep.slack:.6f}")
 
 # refinement alone turns the fixed v-shape witness into a stronger one
-inst = Instance(mu=np.asarray(VSHAPE_WITNESS["mu"]), f=np.asarray(VSHAPE_WITNESS["f"]),
-                phi=vshape_function())
+inst = Instance.one(VSHAPE_WITNESS["mu"], VSHAPE_WITNESS["f"], phi=vshape_function())
 v0 = violation(inst, "chain_rule", 1.0)
 tuned = refine(inst, "chain_rule", 15, 1.0)
 print(f"\nrefining the fixed v-shape witness: {v0:.6f} -> "

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,16 +53,6 @@ class RunManifest:
     wall_time_s: float = 0.0
     outputs: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "outputs": self.outputs,
-        }
-
 
 def _resolve_seed(value) -> int:
     if value is not None:
@@ -76,7 +66,10 @@ def _parse_vector(text: str) -> np.ndarray:
         data = json.loads(text)
     except json.JSONDecodeError:
         data = [float(tok) for tok in text.replace(",", " ").split()]
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except TypeError:  # a JSON object
+        arr = np.empty(0)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a flat numeric list, got {text!r}")
     return arr
@@ -85,7 +78,7 @@ def _parse_vector(text: str) -> np.ndarray:
 def _write_manifest(manifest: RunManifest, out_dir: str) -> str:
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(manifest.to_dict()))
+        fh.write(dumps(asdict(manifest)))
         fh.write("\n")
     return path
 
@@ -176,6 +169,9 @@ def _reference_match(report, reference, tol: float | None) -> dict:
 
 
 def cmd_examples(args) -> int:
+    if args.tol is not None and not math.isfinite(args.tol):
+        print(f"error: bad examples flags: --tol must be finite, got {args.tol}", file=sys.stderr)
+        return 2
     rep_inverse, rep_vshape = reproduce_known_counterexamples()
     cmp_inverse = _reference_match(rep_inverse, RECIPROCAL_REFERENCE, args.tol)
     cmp_vshape = _reference_match(rep_vshape, VSHAPE_REFERENCE, args.tol)

@@ -111,9 +111,12 @@ class PiecewiseLinearFn:
     def from_dict(cls, d: dict) -> "PiecewiseLinearFn":
         if not isinstance(d, dict) or not {"breakpoints", "slopes"} <= d.keys():
             raise ValueError(f"phi must be an object with breakpoints and slopes, got {d!r}")
-        return cls(np.asarray(d["breakpoints"], dtype=float),
-                   np.asarray(d["slopes"], dtype=float),
-                   float(d.get("anchor", 0.0)))
+        try:
+            return cls(np.asarray(d["breakpoints"], dtype=float),
+                       np.asarray(d["slopes"], dtype=float),
+                       float(d.get("anchor", 0.0)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"phi {d!r} is malformed: {exc}") from None
 
 
 def theta_matrix(x) -> np.ndarray:

@@ -22,11 +22,15 @@ of f:
   in x_i, so over the range of f it is largest at min f or max f, where it
   equals L |x_i - Ef| <= L ||f - Ef||_inf.
 
-Trials are sampled and scored in blocks of ``BLOCK`` rows: the kernel of the
-target (``kernels``) maps a block and an exponent to both sides of all its
-rows, with the same floating-point operations, in the same order, as the
-checker in ``verify`` applied to each row alone.  Refinement scores all
-neighbours of an instance as one block.
+An ``Instance`` holds search instances as the rows of arrays; one row is one
+instance, and the one-instance functions (``violation``, ``refine``,
+``replay``, the witness codec) take one-row Instances.  Trials are sampled and
+scored in blocks of ``BLOCK`` rows: the kernel of the target (``kernels``)
+maps a block and an exponent to both sides of all its rows, with the same
+floating-point operations, in the same order, as the checker in ``verify``
+applied to each row alone.  The search takes a row out of a block with
+``Instance.row``.  Refinement scores all neighbours of an instance as one
+block.
 
 Determinism: trial t draws from its own ``default_rng((seed, t))``, derived a
 block at a time by ``kernels.streams`` and equal to it bit for bit (or built
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -120,59 +124,13 @@ class SearchConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "n": self.n,
-            "p_grid": ["inf" if math.isinf(p) else p for p in self.p_grid],
-            "trials": self.trials,
-            "refine_steps": self.refine_steps,
-            "seed": self.seed,
-            "max_breakpoints": self.max_breakpoints,
-            "monotone": self.monotone,
-            "mass_floor": self.mass_floor,
-            "refine_top": self.refine_top,
-        }
-
-
-@dataclass(frozen=True)
-class Instance:
-    """One sampled point of the search space (exponent-independent)."""
-
-    mu: np.ndarray
-    f: np.ndarray
-    g: np.ndarray | None = None
-    phi: PiecewiseLinearFn | None = None
-    split1: float = 0.5
-    split2: float = 0.5
-
-    def to_dict(self) -> dict:
-        d = {"mu": [float(v) for v in self.mu], "f": [float(v) for v in self.f]}
-        if self.g is not None:
-            d["g"] = [float(v) for v in self.g]
-        if self.phi is not None:
-            d["phi"] = self.phi.to_dict()
-        if self.g is not None:
-            d["split1"] = self.split1
-            d["split2"] = self.split2
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Instance":
-        return cls(
-            mu=np.asarray(d["mu"], dtype=float),
-            f=np.asarray(d["f"], dtype=float),
-            g=np.asarray(d["g"], dtype=float) if "g" in d else None,
-            phi=PiecewiseLinearFn.from_dict(d["phi"]) if "phi" in d else None,
-            split1=float(d.get("split1", 0.5)),
-            split2=float(d.get("split2", 0.5)),
-        )
+        return {**asdict(self), "p_grid": ["inf" if math.isinf(p) else p for p in self.p_grid]}
 
 
 @dataclass
@@ -190,35 +148,49 @@ class SearchResult:
         return f"no violation found (budget {self.config.trials} trials x {len(self.config.p_grid)} exponents)"
 
 
-class _Block(Block):
-    """A block of search instances: ``kernels.Block`` plus each row's two
-    leibniz split fractions, (B,) arrays."""
+class Instance(Block):
+    """Search instances as the rows of arrays; one row is one instance.
+
+    ``kernels.Block`` plus each row's two leibniz split fractions, (B,)
+    arrays that read 0.5 when not given.  ``Instance.one(mu, f, g=None,
+    phi=None)`` builds a single instance.
+    """
 
     FIELDS = Block.FIELDS + ("split1", "split2")
 
-    def __init__(self, mu, f, split1, split2, g=None, bp=None, slopes=None, anchor=None):
+    def __init__(self, mu, f, g=None, bp=None, slopes=None, anchor=None, split1=None, split2=None):
         super().__init__(mu, f, g, bp, slopes, anchor)
-        self.split1, self.split2 = split1, split2
+        self.split1 = np.full(len(self), 0.5) if split1 is None else split1
+        self.split2 = np.full(len(self), 0.5) if split2 is None else split2
 
-    @classmethod
-    def of(cls, inst: Instance) -> "_Block":
-        """The one-row block of an instance."""
-        return cls.one(inst.mu, inst.f, inst.g, inst.phi, split1=np.array([inst.split1], dtype=float),
-                       split2=np.array([inst.split2], dtype=float))
-
-    def instance(self, i: int) -> Instance:
-        phi = None
+    def row(self, i: int) -> "Instance":
+        """Row i alone, its phi trimmed of the +inf padding: refinement moves
+        every breakpoint column."""
+        arrays = {name: None if a is None else a[[i]] for name, a in self.arrays().items()}
         if self.bp is not None:
             m = int(np.count_nonzero(np.isfinite(self.bp[i])))
-            phi = PiecewiseLinearFn(self.bp[i, :m], self.slopes[i, :m + 1], float(self.anchor[i]))
-        return Instance(
-            mu=self.mu[i].copy(),
-            f=self.f[i].copy(),
-            g=None if self.g is None else self.g[i].copy(),
-            phi=phi,
-            split1=float(self.split1[i]),
-            split2=float(self.split2[i]),
-        )
+            arrays["bp"], arrays["slopes"] = arrays["bp"][:, :m], arrays["slopes"][:, :m + 1]
+        return type(self)(**arrays)
+
+    def to_dict(self) -> dict:
+        """The witness form of a one-row instance."""
+        d = {"mu": self.mu[0].tolist(), "f": self.f[0].tolist()}
+        if self.g is not None:
+            d["g"] = self.g[0].tolist()
+        if self.bp is not None:
+            d["phi"] = {"breakpoints": self.bp[0].tolist(), "slopes": self.slopes[0].tolist(),
+                        "anchor": float(self.anchor[0])}
+        if self.g is not None:
+            d["split1"], d["split2"] = float(self.split1[0]), float(self.split2[0])
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Instance":
+        """The one-row instance of a witness; phi is validated by ``PiecewiseLinearFn``."""
+        return cls.one(d["mu"], d["f"], d.get("g"),
+                       PiecewiseLinearFn.from_dict(d["phi"]) if "phi" in d else None,
+                       split1=np.array([d.get("split1", 0.5)], dtype=float),
+                       split2=np.array([d.get("split2", 0.5)], dtype=float))
 
 
 def _floored_simplex(raw: np.ndarray, floor: float) -> np.ndarray:
@@ -233,7 +205,7 @@ def _floored_simplex(raw: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
-def _sample(config: SearchConfig, start: int, stop: int) -> _Block:
+def _sample(config: SearchConfig, start: int, stop: int) -> Instance:
     """Trials ``start .. stop - 1``, trial t drawn from ``default_rng((seed, t))``
     (through ``kernels.streams``).
 
@@ -274,15 +246,14 @@ def _sample(config: SearchConfig, start: int, stop: int) -> _Block:
         f = mag * np.where(unif < 0.5, -1.0, 1.0)
     else:
         f = -1.0 + 2.0 * unif[:, :n]
-    half = np.full(size, 0.5)
-    block = dict(mu=mu, f=f, split1=half, split2=half)
+    block = dict(mu=mu, f=f)
     if leibniz:
         choices = np.asarray(_SPLIT_CHOICES)
         block.update(g=-1.0 + 2.0 * unif[:, n:], split1=choices[split_idx[:, 0]],
                      split2=choices[split_idx[:, 1]])
     if chain:
         block.update(sample_phi(knot_u, counts, config.monotone))
-    return _Block(**block)
+    return Instance(**block)
 
 
 # -- violations of a block at one exponent ------------------------------------
@@ -304,7 +275,7 @@ _KERNELS = {
 }
 
 
-def _violations(b: _Block, target: str, p: float) -> np.ndarray:
+def _violations(b: Instance, target: str, p: float) -> np.ndarray:
     """lhs - rhs of the target inequality for every row of the block."""
     if target == "leibniz":
         lhs, term_f, term_g = kernels.leibniz(b, p, *_split_exponents(b.split1, p),
@@ -325,33 +296,35 @@ def _violations(b: _Block, target: str, p: float) -> np.ndarray:
 def random_instance(config: SearchConfig, trial_seed: int) -> Instance:
     """Deterministic function of (config.seed, trial_seed)."""
     t = int(trial_seed)
-    return _sample(config, t, t + 1).instance(0)
+    return _sample(config, t, t + 1).row(0)
 
 
 def violation(inst: Instance, target: str, p: float) -> float:
-    """lhs - rhs of the target inequality; positive means counterexample."""
-    return float(_violations(_Block.of(inst), target, p)[0])
+    """lhs - rhs of the target inequality at a one-row instance; positive
+    means counterexample."""
+    return float(_violations(inst, target, p)[0])
 
 
 def replay(inst: Instance, target: str, p: float) -> VerificationReport:
-    """Re-evaluate a witness through the full checkers (slow path)."""
-    mu = ProbVector(inst.mu)
+    """Re-evaluate a one-row instance through the full checkers (slow path)."""
+    mu, f = ProbVector(inst.mu[0]), inst.f[0]
     if target == "chain_rule":
-        return check_chain_rule(mu, inst.f, inst.phi, p)
+        phi = PiecewiseLinearFn(inst.bp[0], inst.slopes[0], inst.anchor[0])
+        return check_chain_rule(mu, f, phi, p)
     if target == "strong_leibniz":
-        return check_strong_leibniz(mu, inst.f, p)
+        return check_strong_leibniz(mu, f, p)
     if target == "square_bound":
-        return check_square_bound(mu, inst.f, p)
+        return check_square_bound(mu, f, p)
     if target == "leibniz":
-        return check_leibniz(mu, inst.f, inst.g,
-                             HolderTriple.split(p, inst.split1),
-                             HolderTriple.split(p, inst.split2))
+        return check_leibniz(mu, f, inst.g[0],
+                             HolderTriple.split(p, float(inst.split1[0])),
+                             HolderTriple.split(p, float(inst.split2[0])))
     raise ValueError(f"unknown target {target!r}")
 
 
 # -- refinement ---------------------------------------------------------------
 
-def _neighbours(b: _Block, target: str, step: float, monotone: bool, floor: float) -> _Block:
+def _neighbours(b: Instance, target: str, step: float, monotone: bool, floor: float) -> Instance:
     """Feasible single-coordinate perturbations of the one instance in ``b``
     (phi unpadded), in a fixed order: mu, f, g, then phi's slopes,
     breakpoints and anchor, each coordinate moved by +step, then by -step.
@@ -394,48 +367,40 @@ def _neighbours(b: _Block, target: str, step: float, monotone: bool, floor: floa
         keep[o:] = ~np.any(np.diff(bp[o:], axis=1) <= 1e-9, axis=1) & (peak >= 1e-12)
         with np.errstate(invalid="ignore", divide="ignore"):
             slopes[o:] /= peak[:, None]
-    return _Block(**{name: None if a is None else a[keep] for name, a in out.items()})
-
-
-def _refine(b: _Block, target: str, steps: int, p: float, monotone: bool,
-            floor: float) -> _Block | None:
-    """Hill climbing from the one instance in ``b``; None if no move improved it.
-
-    A sweep scores all neighbours of its starting point and moves to the
-    first one of maximal violation, if that beats the current one.  This is
-    the sequential sweep that takes every strict improvement in turn, because
-    that sweep's neighbours are fixed when it starts.
-    """
-    best, best_v, moved = b, _violations(b, target, p)[0], False
-    for step in STEP_EPOCHS:
-        for _ in range(steps):
-            cands = _neighbours(best, target, step, monotone, floor)
-            v = _violations(cands, target, p)
-            k = int(np.argmax(v))
-            if not v[k] > best_v:
-                break
-            best, best_v, moved = cands.rows([k]), v[k], True
-    return best if moved else None
+    return Instance(**{name: None if a is None else a[keep] for name, a in out.items()})
 
 
 def refine(inst: Instance, target: str, steps: int, p: float,
            monotone: bool = False, mass_floor: float = 1e-3) -> Instance:
-    """Greedy coordinate hill climbing on the violation; never worsens the input.
+    """Greedy coordinate hill climbing on the violation of a one-row instance
+    (phi unpadded); never worsens the input.
 
-    Runs ``steps`` full sweeps at each step size in STEP_EPOCHS.  The feasible
-    region (simplex with mass floor, coordinate boxes, breakpoint ordering,
-    unit Lipschitz constant) is maintained by construction.  Returns ``inst``
-    itself when no move improves it.
+    Runs up to ``steps`` sweeps at each step size in STEP_EPOCHS.  A sweep
+    scores all neighbours of its starting point and moves to the first one of
+    maximal violation, if that beats the current one.  This is the sequential
+    sweep that takes every strict improvement in turn, because that sweep's
+    neighbours are fixed when it starts.  The feasible region (simplex with
+    mass floor, coordinate boxes, breakpoint ordering, unit Lipschitz
+    constant) is maintained by construction.  Returns ``inst`` itself when no
+    move improves it.
     """
-    best = _refine(_Block.of(inst), target, steps, p, monotone, mass_floor)
-    return inst if best is None else best.instance(0)
+    best, best_v = inst, _violations(inst, target, p)[0]
+    for step in STEP_EPOCHS:
+        for _ in range(steps):
+            cands = _neighbours(best, target, step, monotone, mass_floor)
+            v = _violations(cands, target, p)
+            k = int(np.argmax(v))
+            if not v[k] > best_v:
+                break
+            best, best_v = cands.rows([k]), v[k]
+    return best
 
 
 def search(config: SearchConfig) -> SearchResult:
     """Best violation over trials x exponents, with refinement of the leaders."""
     grid, top = config.p_grid, config.refine_top
     per_p_best: dict[float, tuple[float, int, Instance]] = {}
-    leaders: dict[float, list[tuple[float, int, _Block]]] = {p: [] for p in grid}
+    leaders: dict[float, list[tuple[float, int, Instance]]] = {p: [] for p in grid}
     history: list[float] = []
     running = -math.inf
     for start in range(0, config.trials, BLOCK):
@@ -446,9 +411,9 @@ def search(config: SearchConfig) -> SearchResult:
             k = int(np.argmax(v))
             cur = per_p_best.get(p)
             if cur is None or v[k] > cur[0]:
-                per_p_best[p] = (float(v[k]), start + k, block.instance(k))
+                per_p_best[p] = (float(v[k]), start + k, block.row(k))
             # leaders: the ``top`` best by (-violation, trial)
-            pool = leaders[p] + [(float(v[i]), start + int(i), block.rows([i]))
+            pool = leaders[p] + [(float(v[i]), start + int(i), block.row(i))
                                  for i in np.argsort(-v, kind="stable")[:top]]
             pool.sort(key=lambda item: (-item[0], item[1]))
             leaders[p] = pool[:top]
@@ -459,21 +424,16 @@ def search(config: SearchConfig) -> SearchResult:
     if config.refine_steps > 0:
         for p in grid:
             for v0, t, row in leaders[p]:
-                tuned = refine(row.instance(0), config.target, config.refine_steps, p,
+                tuned = refine(row, config.target, config.refine_steps, p,
                                config.monotone, config.mass_floor)
                 v = violation(tuned, config.target, p)
                 if v > per_p_best[p][0]:
                     per_p_best[p] = (v, t, tuned)
 
-    best_p = None
-    best = (-math.inf, -1, None)
-    for p in grid:
-        v, t, inst = per_p_best[p]
-        if v > best[0] or (v == best[0] and t < best[1]):
-            best = (v, t, inst)
-            best_p = p
-    witness_inst: Instance = best[2]
-    witness = witness_inst.to_dict()
+    # the largest violation, ties to the lower trial, then to the earlier exponent
+    best_p = min(grid, key=lambda p: (-per_p_best[p][0], per_p_best[p][1]))
+    best = per_p_best[best_p]
+    witness = best[2].to_dict()
     witness["p"] = "inf" if math.isinf(best_p) else float(best_p)
     witness["target"] = config.target
     witness["trial"] = best[1]
@@ -516,8 +476,7 @@ VSHAPE_REFERENCE = {"lhs": 0.26, "rhs": 0.244, "tol": 1e-3}
 
 
 def vshape_function() -> PiecewiseLinearFn:
-    d = VSHAPE_WITNESS["phi"]
-    return PiecewiseLinearFn(np.asarray(d["breakpoints"]), np.asarray(d["slopes"]), d["anchor"])
+    return PiecewiseLinearFn.from_dict(VSHAPE_WITNESS["phi"])
 
 
 def reciprocal_witness_report(tol: float = 1e-9, adjusted: bool = False) -> VerificationReport:

@@ -137,6 +137,17 @@ def test_examples_tight_tolerance_forces_mismatch(capsys):
     assert not (adj["reference"]["lhs_match"] and adj["reference"]["rhs_match"])
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_examples_non_finite_tolerance_exit_2(capsys, tol):
+    # nan would read every reference as a mismatch, inf every one as a match
+    code = run_cli("examples", "--tol", tol)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad examples flags: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_search_finds_p1_violation_and_is_reproducible(tmp_path, capsys):
     config = {"target": "chain_rule", "n": 3, "p_grid": [1], "trials": 400,
               "refine_steps": 5, "seed": 3}
@@ -258,6 +269,17 @@ def test_dualnorm_malformed_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("inspect", "--x", '{"a": 1}'),
+    ("dualnorm", "--x", '{"a": 1}', "--w", "1", "--k", "1"),
+], ids=["inspect", "dualnorm"])
+def test_vector_flag_json_object_exit_2(capsys, argv):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_inspect_theta(capsys):
     assert run_cli("inspect", "--x", "1,1", "--matrix", "theta") == 0
     rec = json.loads(capsys.readouterr().out)
@@ -281,7 +303,9 @@ def test_inspect_degenerate_exit_2(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("phi", ['{"breakpoints": [0]}', "[1, 2]"])
+@pytest.mark.parametrize("phi", ['{"breakpoints": [0]}', "[1, 2]",
+                                 '{"breakpoints": [0], "slopes": [1, 1], "anchor": null}',
+                                 '{"breakpoints": {"a": 1}, "slopes": [1, 1]}'])
 def test_inspect_malformed_phi_exit_2(capsys, phi):
     assert run_cli("inspect", "--x", "1,2", "--matrix", "divided", "--phi", phi) == 2
     captured = capsys.readouterr()

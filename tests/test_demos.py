@@ -1,0 +1,19 @@
+"""The demos that call the search and the checkers run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["04_chain_rule_and_counterexamples.py", "05_counterexample_search.py"])
+def test_demo_runs(demo):
+    # the child imports the package from this checkout's src/, installed or not
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,7 @@ import pytest
 from leibnizlab.core import ProbVector
 from leibnizlab.search import (
     RECIPROCAL_WITNESS,
+    TARGETS,
     VSHAPE_WITNESS,
     Instance,
     SearchConfig,
@@ -87,8 +88,8 @@ def test_random_instance_deterministic():
     b = random_instance(cfg, 3)
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.f, b.f)
-    assert np.array_equal(a.phi.breakpoints, b.phi.breakpoints)
-    assert np.array_equal(a.phi.slopes, b.phi.slopes)
+    assert np.array_equal(a.bp, b.bp)
+    assert np.array_equal(a.slopes, b.slopes)
     c = random_instance(cfg, 4)
     assert not np.array_equal(a.mu, c.mu)
 
@@ -97,10 +98,11 @@ def test_random_instance_feasibility():
     cfg = SearchConfig(target="chain_rule", n=5, trials=10, seed=1)
     for t in range(200):
         inst = random_instance(cfg, t)
-        ProbVector(inst.mu)  # valid measure
+        ProbVector(inst.mu[0])  # valid measure
         assert float(inst.mu.min()) >= cfg.mass_floor - 1e-15
         assert np.all(np.abs(inst.f) <= 1.0)
-        assert inst.phi.lipschitz == pytest.approx(1.0)
+        assert inst.lipschitz[0] == pytest.approx(1.0)
+        assert np.all(np.isfinite(inst.bp))  # no +inf padding
     cfg = SearchConfig(target="strong_leibniz", n=3, trials=10, seed=1)
     for t in range(200):
         inst = random_instance(cfg, t)
@@ -124,9 +126,7 @@ def test_refine_never_decreases_violation():
 
 
 def test_refine_from_vshape_witness_exceeds_published_gap():
-    inst = Instance(mu=np.asarray(VSHAPE_WITNESS["mu"]),
-                    f=np.asarray(VSHAPE_WITNESS["f"]),
-                    phi=vshape_function())
+    inst = Instance.one(VSHAPE_WITNESS["mu"], VSHAPE_WITNESS["f"], phi=vshape_function())
     assert violation(inst, "chain_rule", 1.0) == pytest.approx(0.26 - 11 / 45, abs=1e-12)
     tuned = refine(inst, "chain_rule", 10, 1.0)
     assert violation(tuned, "chain_rule", 1.0) >= 0.016
@@ -160,6 +160,19 @@ def test_search_strong_leibniz_p1_reaches_published_gap():
     assert res.best_violation >= 0.036
     inst = Instance.from_dict(res.witness)
     rep = replay(inst, "strong_leibniz", 1.0)
+    assert rep.violation == pytest.approx(res.best_violation, abs=1e-9)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_search_witness_codec_and_replay(target):
+    # the witness form round-trips (g and the splits for leibniz, phi for the
+    # chain rule) and replays through the checkers to the reported violation
+    cfg = SearchConfig(target=target, n=4, p_grid=(1.0, 2.0), trials=300, refine_steps=2, seed=5)
+    res = search(cfg)
+    inst = Instance.from_dict(res.witness)
+    keys = {"mu", "f", "g", "phi", "split1", "split2"}
+    assert inst.to_dict() == {k: v for k, v in res.witness.items() if k in keys}
+    rep = replay(inst, target, res.best_p)
     assert rep.violation == pytest.approx(res.best_violation, abs=1e-9)
 
 

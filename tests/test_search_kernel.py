@@ -63,14 +63,14 @@ def test_block_sampler_matches_scalar_draws(target, monotone):
     block = search_mod._sample(cfg, 40, 100)
     for i, t in enumerate(range(40, 100)):
         ref = scalar_instance(cfg, t)
-        for inst in (block.instance(i), random_instance(cfg, t)):
-            assert np.array_equal(inst.mu, ref["mu"])
-            assert np.array_equal(inst.f, ref["f"])
+        for inst in (block.row(i).to_dict(), random_instance(cfg, t).to_dict()):
+            assert np.array_equal(inst["mu"], ref["mu"])
+            assert np.array_equal(inst["f"], ref["f"])
             if target == "leibniz":
-                assert np.array_equal(inst.g, ref["g"])
-                assert (inst.split1, inst.split2) == (ref["split1"], ref["split2"])
+                assert np.array_equal(inst["g"], ref["g"])
+                assert (inst["split1"], inst["split2"]) == (ref["split1"], ref["split2"])
             if target == "chain_rule":
-                assert inst.phi.to_dict() == ref["phi"].to_dict()
+                assert inst["phi"] == ref["phi"].to_dict()
 
 
 def test_sampled_breakpoints_keep_a_minimal_gap():
@@ -88,15 +88,16 @@ def test_sampled_breakpoints_keep_a_minimal_gap():
 
 def scalar_report(inst, target: str, p: float):
     """The target's report from the scalar formulas, which do not use ``kernels``."""
-    mu = ProbVector(inst.mu)
+    d = inst.to_dict()
+    mu, f = ProbVector(np.asarray(d["mu"])), np.asarray(d["f"])
     if target == "chain_rule":
-        return scalar_chain_rule(mu, inst.f, inst.phi, p, INEQUALITY_TOL)
+        return scalar_chain_rule(mu, f, PiecewiseLinearFn.from_dict(d["phi"]), p, INEQUALITY_TOL)
     if target == "strong_leibniz":
-        return scalar_strong_leibniz(mu, inst.f, p, INEQUALITY_TOL)
+        return scalar_strong_leibniz(mu, f, p, INEQUALITY_TOL)
     if target == "square_bound":
-        return scalar_square(mu, inst.f, p, INEQUALITY_TOL)
-    return scalar_leibniz(mu, inst.f, inst.g, HolderTriple.split(p, inst.split1),
-                          HolderTriple.split(p, inst.split2), INEQUALITY_TOL)
+        return scalar_square(mu, f, p, INEQUALITY_TOL)
+    return scalar_leibniz(mu, f, np.asarray(d["g"]), HolderTriple.split(p, d["split1"]),
+                          HolderTriple.split(p, d["split2"]), INEQUALITY_TOL)
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -105,7 +106,7 @@ def test_kernel_matches_checkers(target):
     for n in (3, 4, 6):
         cfg = SearchConfig(target=target, n=n, seed=1000 + n)
         block = search_mod._sample(cfg, 0, 200)
-        instances = [block.instance(i) for i in range(len(block))]
+        instances = [block.row(i) for i in range(len(block))]
         for p in EXPONENTS:
             batch = search_mod._violations(block, target, p)
             assert batch.shape == (200,)
@@ -123,8 +124,7 @@ def test_kernel_marks_singular_f_for_strong_leibniz():
     f[1, 2] = 0.0
     f[2, 0] = 1e-13
     with np.errstate(all="raise"):
-        v = search_mod._violations(search_mod._Block(block.mu, f, block.split1, block.split2),
-                                   "strong_leibniz", 2.0)
+        v = search_mod._violations(search_mod.Instance(block.mu, f), "strong_leibniz", 2.0)
     assert v[1] == v[2] == -math.inf
     assert np.all(np.isfinite(v[[0, 3]]))
 
