@@ -62,24 +62,36 @@ def _resolve_seed(value) -> int:
 
 
 def _parse_vector(text: str) -> np.ndarray:
+    """A flat, non-empty list of numbers, as JSON (a lone number is a
+    one-element list) or separated by commas or spaces."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
         data = [float(tok) for tok in text.replace(",", " ").split()]
-    try:
-        arr = np.asarray(data, dtype=float)
-    except TypeError:  # a JSON object
-        arr = np.empty(0)
-    if arr.ndim != 1 or arr.size == 0:
+    if not isinstance(data, list):
+        data = [data]
+    if not data or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data):
         raise ValueError(f"expected a flat numeric list, got {text!r}")
-    return arr
+    return np.asarray(data, dtype=float)
 
 
-def _write_manifest(manifest: RunManifest, out_dir: str) -> str:
-    path = os.path.join(out_dir, "manifest.json")
+def _prepare_out(out: str | None) -> bool:
+    """Create the --out directory, if one is asked for; False, after one
+    ``error:`` line, when it cannot be made."""
+    if out:
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            print(f"error: bad --out directory: {exc}", file=sys.stderr)
+            return False
+    return True
+
+
+def _write(out_dir: str, name: str, text: str) -> str:
+    """Write one output file into ``out_dir``; its path."""
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(asdict(manifest)))
-        fh.write("\n")
+        fh.write(text)
     return path
 
 
@@ -120,12 +132,13 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: bad verify flags: {exc}", file=sys.stderr)
         return 2
+    if not _prepare_out(args.out):
+        return 2
     started = time.perf_counter()
     outcomes = [SUITES[name](**kwargs) for name, kwargs in runs.items()]
     ok = all(o.ok for o in outcomes)
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         outputs = []
         for o in outcomes:
             path = os.path.join(args.out, f"suite_{o.name}.jsonl")
@@ -139,7 +152,7 @@ def cmd_verify(args) -> int:
             wall_time_s=time.perf_counter() - started,
             outputs=outputs,
         )
-        _write_manifest(manifest, args.out)
+        _write(args.out, "manifest.json", dumps(asdict(manifest)) + "\n")
 
     if args.json:
         payload = [
@@ -172,6 +185,8 @@ def cmd_examples(args) -> int:
     if args.tol is not None and not math.isfinite(args.tol):
         print(f"error: bad examples flags: --tol must be finite, got {args.tol}", file=sys.stderr)
         return 2
+    if not _prepare_out(args.out):
+        return 2
     rep_inverse, rep_vshape = reproduce_known_counterexamples()
     cmp_inverse = _reference_match(rep_inverse, RECIPROCAL_REFERENCE, args.tol)
     cmp_vshape = _reference_match(rep_vshape, VSHAPE_REFERENCE, args.tol)
@@ -188,9 +203,7 @@ def cmd_examples(args) -> int:
         records.append(rec)
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "examples.jsonl")
-        write_jsonl(path, records)
+        write_jsonl(os.path.join(args.out, "examples.jsonl"), records)
 
     if args.json:
         print(dumps(records))
@@ -221,6 +234,8 @@ def cmd_search(args) -> int:
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: bad search config: {exc}", file=sys.stderr)
         return 2
+    if not _prepare_out(args.out):
+        return 2
 
     started = time.perf_counter()
     result = run_search(config)
@@ -234,30 +249,16 @@ def cmd_search(args) -> int:
     }
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        outputs = []
-        result_path = os.path.join(args.out, "search_result.json")
-        with open(result_path, "w", encoding="utf-8") as fh:
-            fh.write(dumps(payload))
-            fh.write("\n")
-        outputs.append(result_path)
-        per_p_path = os.path.join(args.out, "per_p.csv")
-        with open(per_p_path, "w", encoding="utf-8") as fh:
-            fh.write("p,best_violation\n")
-            for p, v in result.per_p.items():
-                fh.write(f"{'inf' if math.isinf(p) else repr(p)},{v:.17g}\n")
-        outputs.append(per_p_path)
+        per_p = "".join(f"{p},{v:.17g}\n" for p, v in payload["per_p"].items())
+        outputs = [_write(args.out, "search_result.json", dumps(payload) + "\n"),
+                   _write(args.out, "per_p.csv", "p,best_violation\n" + per_p)]
         if args.history_csv:
-            hist_path = os.path.join(args.out, "history.csv")
-            with open(hist_path, "w", encoding="utf-8") as fh:
-                fh.write("trial,best_violation\n")
-                for i, v in enumerate(result.history):
-                    fh.write(f"{i},{v:.17g}\n")
-            outputs.append(hist_path)
+            history = "".join(f"{i},{v:.17g}\n" for i, v in enumerate(result.history))
+            outputs.append(_write(args.out, "history.csv", "trial,best_violation\n" + history))
         manifest = RunManifest(
             command="search", config=config.to_dict(), seed=config.seed,
             wall_time_s=time.perf_counter() - started, outputs=outputs)
-        _write_manifest(manifest, args.out)
+        _write(args.out, "manifest.json", dumps(asdict(manifest)) + "\n")
 
     if args.json:
         print(dumps(payload))

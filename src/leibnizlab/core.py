@@ -91,7 +91,17 @@ def _weights(mu) -> np.ndarray:
     return np.asarray(mu, dtype=float)
 
 
-def _paired(x, mu) -> tuple[np.ndarray, np.ndarray]:
+def as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two vectors of equal length, each read by ``as_vector``."""
+    xv = as_vector(x)
+    yv = as_vector(y)
+    if xv.size != yv.size:
+        raise DimensionMismatchError(f"lengths differ: {xv.size} vs {yv.size}")
+    return xv, yv
+
+
+def paired(x, mu) -> tuple[np.ndarray, np.ndarray]:
+    """x read by ``as_vector`` and the weights of mu, one entry per atom."""
     xv = as_vector(x)
     w = _weights(mu)
     if xv.size != w.size:
@@ -101,19 +111,19 @@ def _paired(x, mu) -> tuple[np.ndarray, np.ndarray]:
 
 def expectation(x, mu) -> float:
     """E_mu(x) = sum_i mu_i x_i."""
-    xv, w = _paired(x, mu)
+    xv, w = paired(x, mu)
     return float(np.dot(w, xv))
 
 
 def center(x, mu) -> np.ndarray:
     """x - E_mu(x) * 1; the result has expectation 0 under mu."""
-    xv, w = _paired(x, mu)
+    xv, w = paired(x, mu)
     return xv - float(np.dot(w, xv))
 
 
 def variance(x, mu) -> float:
     """Var_mu(x) = E_mu(|x - E_mu x|^2)."""
-    xv, w = _paired(x, mu)
+    xv, w = paired(x, mu)
     d = xv - float(np.dot(w, xv))
     return float(np.dot(w, d * d))
 
@@ -148,7 +158,7 @@ def lp_norm(x, mu, p: float) -> float:
     The finite-p branch factors out ``max |x_i|`` so large exponents neither
     overflow nor underflow.
     """
-    xv, w = _paired(x, mu)
+    xv, w = paired(x, mu)
     p = check_exponent(p)
     scale = float(np.max(np.abs(xv)))
     if scale == 0.0 or math.isinf(p):
@@ -174,10 +184,7 @@ def weak_majorizes(y, x, tol: float = INEQUALITY_TOL) -> bool:
     Both arguments are read through their non-increasing rearrangements;
     callers interested in the absolute-value relation pass abs(x), abs(y).
     """
-    xv = as_vector(x)
-    yv = as_vector(y)
-    if xv.size != yv.size:
-        raise DimensionMismatchError(f"lengths differ: {xv.size} vs {yv.size}")
+    xv, yv = as_pair(x, y)
     xs = np.cumsum(np.sort(xv)[::-1])
     ys = np.cumsum(np.sort(yv)[::-1])
     return bool(np.all(xs <= ys + tol))

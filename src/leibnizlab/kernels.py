@@ -180,21 +180,17 @@ def dirichlet_rows(expo: np.ndarray) -> np.ndarray:
     return expo * (1.0 / np.cumsum(expo, axis=1)[:, -1])[:, None]
 
 
-def sample_phi(knot_u, counts: np.ndarray, monotone: bool, signed: bool = False) -> dict:
+def sample_phi(knot_u: np.ndarray, counts: np.ndarray, monotone: bool, signed: bool = False) -> dict:
     """Padded phi arrays from each row's uniforms, as ``sampling.sample_piecewise_linear``.
 
-    ``knot_u`` is a 2-D array, or a list of rows of any lengths (the suites'
-    draws), which are padded with zeros.  A row with m breakpoints reads its
-    first 2m + 2 uniforms (2m + 3 if ``signed``): m breakpoints, m + 1
-    slopes, the sign of a monotone phi if ``signed`` (otherwise it
-    increases), and the anchor, all but the sign mapped to [-1, 1).  Slopes
-    are normalised to unit Lipschitz constant.
+    ``knot_u`` is a 2-D array of width 2 mmax + 2 (2 mmax + 3 if ``signed``),
+    where mmax is the largest breakpoint count; a row with m breakpoints
+    reads its first 2m + 2 uniforms (2m + 3 if ``signed``): m breakpoints,
+    m + 1 slopes, the sign of a monotone phi if ``signed`` (otherwise it
+    increases), and the anchor, all but the sign mapped to [-1, 1).  The
+    rest of the row is ignored.  Slopes are normalised to unit Lipschitz
+    constant; the returned ``bp`` has mmax columns, padded with +inf.
     """
-    if not isinstance(knot_u, np.ndarray):
-        lengths = np.fromiter(map(len, knot_u), int, len(knot_u))
-        padded = np.zeros((len(knot_u), lengths.max()))
-        padded[np.arange(padded.shape[1]) < lengths[:, None]] = np.concatenate(knot_u)
-        knot_u = padded
     size, mmax = knot_u.shape[0], (knot_u.shape[1] - 2 - signed) // 2
     cols = np.arange(mmax + 1)
     m = counts[:, None]

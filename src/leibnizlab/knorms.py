@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import INEQUALITY_TOL, DimensionMismatchError, as_vector, weak_majorizes
+from .core import INEQUALITY_TOL, DimensionMismatchError, as_pair, as_vector, weak_majorizes
 
 #: Largest dimension for which extreme-point candidates are enumerated.
 ENUMERATION_CAP = 12
@@ -64,10 +64,7 @@ def k_norm(x, k: int) -> float:
 
 def weighted_k_norm(x, w, k: int) -> float:
     """sum_{i<=k} w_i |x|^down_i for the validated weight vector w."""
-    xv = as_vector(x)
-    wv = check_weight_vector(w)
-    if xv.size != wv.size:
-        raise DimensionMismatchError(f"lengths differ: {xv.size} vs {wv.size}")
+    xv, wv = as_pair(x, check_weight_vector(w))
     k = _check_k(k, xv.size)
     a = np.sort(np.abs(xv))[::-1]
     return float(np.dot(wv[:k], a[:k]))
@@ -75,10 +72,7 @@ def weighted_k_norm(x, w, k: int) -> float:
 
 def dual_weighted_k_norm(x, w, k: int) -> float:
     """Closed-form dual of the weighted vector k-norm."""
-    xv = as_vector(x)
-    wv = check_weight_vector(w)
-    if xv.size != wv.size:
-        raise DimensionMismatchError(f"lengths differ: {xv.size} vs {wv.size}")
+    xv, wv = as_pair(x, check_weight_vector(w))
     n = xv.size
     k = _check_k(k, n)
     a = np.sort(np.abs(xv))[::-1]
@@ -168,10 +162,7 @@ def ky_fan_dominates(y, x, norms: Sequence[NormEvaluator] = (), tol: float = INE
     ``norm(x) <= norm(y) + tol``; a violation means the evaluator is not a
     symmetric norm and raises KyFanDominanceError.
     """
-    xv = as_vector(x)
-    yv = as_vector(y)
-    if xv.size != yv.size:
-        raise DimensionMismatchError(f"lengths differ: {xv.size} vs {yv.size}")
+    xv, yv = as_pair(x, y)
     dominates = weak_majorizes(np.abs(yv), np.abs(xv), tol)
     if dominates:
         for norm in norms:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IDENTITY_TOL, INEQUALITY_TOL, STRUCT_TOL, DimensionMismatchError, as_vector
+from .core import IDENTITY_TOL, INEQUALITY_TOL, STRUCT_TOL, DimensionMismatchError, as_pair, as_vector
 from .reports import VerificationReport
 
 
@@ -297,10 +297,7 @@ def derivation_checks(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
       3. d*((df) g) = -Theta_g f   (right module action)
       4. d*(f dg)   = -(L(fg) - g Lf + f Lg) / 2
     """
-    fv = as_vector(f)
-    gv = as_vector(g)
-    if fv.size != gv.size:
-        raise DimensionMismatchError(f"lengths differ: {fv.size} vs {gv.size}")
+    fv, gv = as_pair(f, g)
     n = fv.size
     L = uniform_laplacian(n)
     df = pairwise_difference(fv)

@@ -29,8 +29,9 @@ scored in blocks of ``BLOCK`` rows: the kernel of the target (``kernels``)
 maps a block and an exponent to both sides of all its rows, with the same
 floating-point operations, in the same order, as the checker in ``verify``
 applied to each row alone.  The search takes a row out of a block with
-``Instance.row``.  Refinement scores all neighbours of an instance as one
-block.
+``Instance.row``.  Each exponent keeps one leader table, its best trials
+in order (``search``); refinement scores all neighbours of an instance as
+one block and returns the tuned instance with its violation.
 
 Determinism: trial t draws from its own ``default_rng((seed, t))``, derived a
 block at a time by ``kernels.streams`` and equal to it bit for bit (or built
@@ -371,9 +372,10 @@ def _neighbours(b: Instance, target: str, step: float, monotone: bool, floor: fl
 
 
 def refine(inst: Instance, target: str, steps: int, p: float,
-           monotone: bool = False, mass_floor: float = 1e-3) -> Instance:
+           monotone: bool = False, mass_floor: float = 1e-3) -> tuple[Instance, float]:
     """Greedy coordinate hill climbing on the violation of a one-row instance
-    (phi unpadded); never worsens the input.
+    (phi unpadded); never worsens the input.  Returns the tuned instance and
+    its violation, the value ``violation`` gives for it.
 
     Runs up to ``steps`` sweeps at each step size in STEP_EPOCHS.  A sweep
     scores all neighbours of its starting point and moves to the first one of
@@ -382,7 +384,7 @@ def refine(inst: Instance, target: str, steps: int, p: float,
     neighbours are fixed when it starts.  The feasible region (simplex with
     mass floor, coordinate boxes, breakpoint ordering, unit Lipschitz
     constant) is maintained by construction.  Returns ``inst`` itself when no
-    move improves it.
+    move improves it; the input is scored once on entry.
     """
     best, best_v = inst, _violations(inst, target, p)[0]
     for step in STEP_EPOCHS:
@@ -393,40 +395,35 @@ def refine(inst: Instance, target: str, steps: int, p: float,
             if not v[k] > best_v:
                 break
             best, best_v = cands.rows([k]), v[k]
-    return best
+    return best, float(best_v)
 
 
 def search(config: SearchConfig) -> SearchResult:
-    """Best violation over trials x exponents, with refinement of the leaders."""
-    grid, top = config.p_grid, config.refine_top
-    per_p_best: dict[float, tuple[float, int, Instance]] = {}
-    leaders: dict[float, list[tuple[float, int, Instance]]] = {p: [] for p in grid}
-    history: list[float] = []
-    running = -math.inf
+    """Best violation over trials x exponents, with refinement of the leaders.
+
+    Each exponent keeps one leader table, its ``max(refine_top, 1)`` best
+    ``(violation, trial, row)`` by (-violation, trial); the head is its best trial.
+    """
+    grid, size = config.p_grid, max(config.refine_top, 1)
+    tables: dict[float, list[tuple[float, int, Instance]]] = {p: [] for p in grid}
+    row_max = []
     for start in range(0, config.trials, BLOCK):
         block = _sample(config, start, min(start + BLOCK, config.trials))
         scores = np.empty((len(block), len(grid)))
         for j, p in enumerate(grid):
             v = scores[:, j] = _violations(block, config.target, p)
-            k = int(np.argmax(v))
-            cur = per_p_best.get(p)
-            if cur is None or v[k] > cur[0]:
-                per_p_best[p] = (float(v[k]), start + k, block.row(k))
-            # leaders: the ``top`` best by (-violation, trial)
-            pool = leaders[p] + [(float(v[i]), start + int(i), block.row(i))
-                                 for i in np.argsort(-v, kind="stable")[:top]]
+            pool = tables[p] + [(float(v[i]), start + int(i), block.row(i))
+                                for i in np.argsort(-v, kind="stable")[:size]]
             pool.sort(key=lambda item: (-item[0], item[1]))
-            leaders[p] = pool[:top]
-        best_so_far = np.maximum.accumulate(np.concatenate(([running], scores.max(axis=1))))
-        history.extend(best_so_far[1:].tolist())
-        running = float(best_so_far[-1])
+            tables[p] = pool[:size]
+        row_max.append(scores.max(axis=1))
 
+    per_p_best = {p: tables[p][0] for p in grid}
     if config.refine_steps > 0:
         for p in grid:
-            for v0, t, row in leaders[p]:
-                tuned = refine(row, config.target, config.refine_steps, p,
-                               config.monotone, config.mass_floor)
-                v = violation(tuned, config.target, p)
+            for _, t, row in tables[p][:config.refine_top]:
+                tuned, v = refine(row, config.target, config.refine_steps, p,
+                                  config.monotone, config.mass_floor)
                 if v > per_p_best[p][0]:
                     per_p_best[p] = (v, t, tuned)
 
@@ -444,7 +441,7 @@ def search(config: SearchConfig) -> SearchResult:
         best_p=float(best_p),
         witness=witness,
         per_p={p: float(per_p_best[p][0]) for p in grid},
-        history=history,
+        history=np.maximum.accumulate(np.concatenate(row_max)).tolist(),
     )
 
 

@@ -166,9 +166,12 @@ def _uniform(rows: list) -> np.ndarray:
 
 def _phi_draws(rng, max_breakpoints: int, signed: bool = False) -> tuple[int, np.ndarray]:
     """The draws of ``sample_piecewise_linear``: the breakpoint count m, then
-    m + m + 1 + 1 uniforms (one more, the sign, before the anchor if ``signed``)."""
+    m + m + 1 + 1 uniforms (one more, the sign, before the anchor if ``signed``),
+    at the head of a zero row of width 2 * max_breakpoints + 2 (+ 1 if ``signed``)."""
     m = int(rng.integers(1, max_breakpoints + 1))
-    return m, rng.random(2 * m + 2 + signed)
+    row = np.zeros(2 * max_breakpoints + 2 + signed)
+    rng.random(out=row[:2 * m + 2 + signed])
+    return m, row
 
 
 def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
@@ -312,7 +315,8 @@ def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
 
     def evaluate(n, columns):
         expo, f, counts, knot_u, k = columns
-        block = Block(_measure(n, expo), _uniform(f), **sample_phi(knot_u, np.array(counts), True, signed=True))
+        phi = sample_phi(np.array(knot_u), np.array(counts), True, signed=True)
+        block = Block(_measure(n, expo), _uniform(f), **phi)
         return zip(verify.chain_rule_reports(block, _GRID[k], tol))
     return _run("chain-rule", 4, draw, evaluate, trials, n_max, seed)
 
@@ -325,7 +329,7 @@ def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
 
     def evaluate(n, columns):
         expo, f, counts, knot_u = columns
-        block = Block(_measure(n, expo), _uniform(f), **sample_phi(knot_u, np.array(counts), False))
+        block = Block(_measure(n, expo), _uniform(f), **sample_phi(np.array(knot_u), np.array(counts), False))
         return zip(verify.markov_reports(block, tol))
     return _run("markov", 5, draw, evaluate, trials, n_max, seed)
 

@@ -24,13 +24,13 @@ from . import kernels
 from .core import (
     IDENTITY_TOL,
     INEQUALITY_TOL,
-    DimensionMismatchError,
     HolderTriple,
     ProbVector,
-    as_vector,
+    as_pair,
     center,
     check_exponent,
     lp_norm,
+    paired,
 )
 from .kernels import Block
 from .operators import PiecewiseLinearFn, theta_matrix
@@ -45,10 +45,6 @@ INVERTIBILITY_FLOOR = 1e-6
 
 def _exp_tag(p: float):
     return "inf" if math.isinf(p) else float(p)
-
-
-def _echo_vec(x) -> list[float]:
-    return [float(v) for v in np.asarray(x, dtype=float)]
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,7 @@ def check_decomposition(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
     Also checks the uncentered form -Theta_f g - Theta_g f; reports the larger
     of the two maximal deviations.
     """
-    fv = as_vector(f)
-    gv = as_vector(g)
-    if fv.size != gv.size:
-        raise DimensionMismatchError(f"lengths differ: {fv.size} vs {gv.size}")
+    fv, gv = as_pair(f, g)
     n = fv.size
     uniform = np.full(n, 1.0 / n)
     lhs = fv * gv - float(np.dot(uniform, fv * gv))
@@ -105,33 +98,23 @@ def check_decomposition(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
     )
     return VerificationReport.from_values(
         "centered_product_decomposition", deviation, 0.0, tol,
-        {"f": _echo_vec(fv), "g": _echo_vec(gv)},
+        {"f": fv.tolist(), "g": gv.tolist()},
     )
 
 
 def check_holder_theta(x, y, triple: HolderTriple, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||Theta_x (y - Ey)||_r <= ||x||_p ||y - Ey||_q under the uniform measure."""
-    xv = as_vector(x)
-    yv = as_vector(y)
-    if xv.size != yv.size:
-        raise DimensionMismatchError(f"lengths differ: {xv.size} vs {yv.size}")
+    xv, yv = as_pair(x, y)
     mu = ProbVector.uniform(xv.size)
     yc = center(yv, mu)
     lhs = lp_norm(theta_matrix(xv) @ yc, mu, triple.r)
     rhs = lp_norm(xv, mu, triple.p) * lp_norm(yc, mu, triple.q)
     instance = {
-        "x": _echo_vec(xv),
-        "y": _echo_vec(yv),
+        "x": xv.tolist(),
+        "y": yv.tolist(),
         "exponents": {"r": _exp_tag(triple.r), "p": _exp_tag(triple.p), "q": _exp_tag(triple.q)},
     }
     return VerificationReport.from_values("holder_theta_bound", lhs, rhs, tol, instance)
-
-
-def _on_measure(x, mu: ProbVector) -> np.ndarray:
-    xv = as_vector(x)
-    if xv.size != mu.n:
-        raise DimensionMismatchError(f"vector has {xv.size} entries, measure has {mu.n} atoms")
-    return xv
 
 
 def _tags(exponents: np.ndarray) -> list:
@@ -203,13 +186,10 @@ def check_leibniz(
     """||fg - E(fg)||_r <= ||f||_p1 ||g - Eg||_q1 + ||g||_p2 ||f - Ef||_q2."""
     if t1.r != t2.r:
         raise ValueError(f"the two triples must share r, got {t1.r} and {t2.r}")
-    fv = as_vector(f)
-    gv = as_vector(g)
-    if fv.size != gv.size:
-        raise DimensionMismatchError(f"lengths differ: {fv.size} vs {gv.size}")
-    _on_measure(fv, mu)
+    fv, gv = as_pair(f, g)
+    _, w = paired(fv, mu)
     exponents = [np.array([e]) for e in (t1.r, t1.p, t1.q, t2.p, t2.q)]
-    return leibniz_reports(Block.one(mu.weights, fv, gv), exponents, tol)[0]
+    return leibniz_reports(Block.one(w, fv, gv), exponents, tol)[0]
 
 
 def check_chain_rule(
@@ -224,18 +204,18 @@ def check_chain_rule(
     Monotonicity of phi is recorded in the instance but not required; probing
     non-monotone phi is exactly how counterexamples are found.
     """
-    fv = _on_measure(f, mu)
+    fv, w = paired(f, mu)
     p = check_exponent(p)
-    return chain_rule_reports(Block.one(mu.weights, fv, phi=phi), np.array([p]), tol)[0]
+    return chain_rule_reports(Block.one(w, fv, phi=phi), np.array([p]), tol)[0]
 
 
 def check_strong_leibniz(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||f^-1 - E f^-1||_p <= ||f^-1||_inf^2 ||f - Ef||_p for invertible f."""
-    fv = _on_measure(f, mu)
+    fv, w = paired(f, mu)
     p = check_exponent(p)
     if float(np.min(np.abs(fv))) < INVERTIBILITY_FLOOR:
         raise ValueError(f"f is not invertible: some |f_i| < {INVERTIBILITY_FLOOR}")
-    return strong_leibniz_reports(Block.one(mu.weights, fv), np.array([p]), tol)[0]
+    return strong_leibniz_reports(Block.one(w, fv), np.array([p]), tol)[0]
 
 
 def check_markov_variance(
@@ -245,15 +225,15 @@ def check_markov_variance(
     tol: float = INEQUALITY_TOL,
 ) -> VerificationReport:
     """Var(phi(f)) <= Lip(phi)^2 Var(f); holds for every Lipschitz phi."""
-    fv = _on_measure(f, mu)
-    return markov_reports(Block.one(mu.weights, fv, phi=phi), tol)[0]
+    fv, w = paired(f, mu)
+    return markov_reports(Block.one(w, fv, phi=phi), tol)[0]
 
 
 def check_square_bound(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||f^2 - E f^2||_p <= 2 ||f||_inf ||f - Ef||_p."""
-    fv = _on_measure(f, mu)
+    fv, w = paired(f, mu)
     p = check_exponent(p)
-    return square_bound_reports(Block.one(mu.weights, fv), np.array([p]), tol)[0]
+    return square_bound_reports(Block.one(w, fv), np.array([p]), tol)[0]
 
 
 def replicate(x, mu: RationalProbVector) -> np.ndarray:
@@ -262,9 +242,7 @@ def replicate(x, mu: RationalProbVector) -> np.ndarray:
     Preserves weighted norms and centered products exactly: the i-th weight
     r_i/m contributes the same mass as r_i uniform atoms of mass 1/m.
     """
-    xv = as_vector(x)
-    if xv.size != mu.n:
-        raise DimensionMismatchError(f"vector has {xv.size} entries, measure has {mu.n} atoms")
+    xv, _ = paired(x, mu.weights())
     return np.repeat(xv, mu.numerators)
 
 

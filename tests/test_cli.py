@@ -280,6 +280,45 @@ def test_vector_flag_json_object_exit_2(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("x", ["[true, false]", '["1", "2"]', "true", '"1"', "[[1, 2]]", "[]", ""],
+                         ids=["bools", "strings", "bool", "string", "nested", "empty-json", "empty"])
+def test_vector_flag_non_numeric_exit_2(capsys, x):
+    assert run_cli("inspect", "--x", x) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("x", ["1", "1,", "[1]", "1.0"])
+def test_vector_flag_lone_number_is_one_element_list(capsys, x):
+    assert run_cli("inspect", "--x", x) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["n"] == 1 and rec["entries"] == [0.0]
+
+
+def test_dualnorm_lone_numbers(capsys):
+    assert run_cli("dualnorm", "--x", "3", "--w", "2", "--k", "1", "--json") == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["x"] == [3.0] and rec["w"] == [2.0]
+    assert rec["formula"] == 1.5 and rec["oracle"] == 1.5
+
+
+@pytest.mark.parametrize("command", ["verify", "examples", "search"])
+def test_out_naming_a_file_exit_2(tmp_path, capsys, command):
+    # the output directory is prepared before any work runs
+    taken = tmp_path / "afile"
+    taken.write_text("kept\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"target": "chain_rule", "trials": 10, "refine_steps": 1}))
+    argv = {"verify": ["verify", "--suite", "square", "--trials", "2"], "examples": ["examples"],
+            "search": ["search", "--config", str(cfg_path)]}[command]
+    assert run_cli(*argv, "--out", str(taken)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert taken.read_text() == "kept\n"
+
+
 def test_inspect_theta(capsys):
     assert run_cli("inspect", "--x", "1,1", "--matrix", "theta") == 0
     rec = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 """Counterexample search: determinism, feasibility, refinement, controls."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -112,8 +113,9 @@ def test_random_instance_feasibility():
 def test_refine_zero_steps_is_identity():
     cfg = SearchConfig(target="chain_rule", n=3, trials=1, seed=5)
     inst = random_instance(cfg, 0)
-    out = refine(inst, "chain_rule", 0, 1.0)
+    out, v = refine(inst, "chain_rule", 0, 1.0)
     assert out is inst
+    assert v == violation(inst, "chain_rule", 1.0)
 
 
 def test_refine_never_decreases_violation():
@@ -121,15 +123,26 @@ def test_refine_never_decreases_violation():
     for t in range(10):
         inst = random_instance(cfg, t)
         v0 = violation(inst, "chain_rule", 1.0)
-        out = refine(inst, "chain_rule", 2, 1.0)
+        out, v = refine(inst, "chain_rule", 2, 1.0)
+        assert v == violation(out, "chain_rule", 1.0)
         assert violation(out, "chain_rule", 1.0) >= v0
 
 
 def test_refine_from_vshape_witness_exceeds_published_gap():
     inst = Instance.one(VSHAPE_WITNESS["mu"], VSHAPE_WITNESS["f"], phi=vshape_function())
     assert violation(inst, "chain_rule", 1.0) == pytest.approx(0.26 - 11 / 45, abs=1e-12)
-    tuned = refine(inst, "chain_rule", 10, 1.0)
+    tuned, v = refine(inst, "chain_rule", 10, 1.0)
+    assert v == violation(tuned, "chain_rule", 1.0)
     assert violation(tuned, "chain_rule", 1.0) >= 0.016
+
+
+def test_search_refine_top_zero_is_no_refinement():
+    # refine_top 0 keeps only each leader table's head, and refines nothing
+    cfg = SearchConfig(target="chain_rule", n=3, p_grid=(1.0, 2.0), trials=1500,
+                       refine_steps=5, refine_top=0, seed=9)
+    a, b = search(cfg), search(dataclasses.replace(cfg, refine_steps=0))
+    assert (a.best_violation, a.best_p, a.witness, a.per_p, a.history) == \
+        (b.best_violation, b.best_p, b.witness, b.per_p, b.history)
 
 
 def test_search_deterministic():
