@@ -72,7 +72,10 @@ def _parse_vector(text: str) -> np.ndarray:
         data = [data]
     if not data or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data):
         raise ValueError(f"expected a flat numeric list, got {text!r}")
-    return np.asarray(data, dtype=float)
+    try:
+        return np.asarray(data, dtype=float)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError("a number is too large for a float") from None
 
 
 def _prepare_out(out: str | None) -> bool:

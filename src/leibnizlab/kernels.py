@@ -6,8 +6,17 @@ and its exponents (one float, or one per row), to the arrays of the two sides
 of one statement.  It repeats, row by row, the floating-point operations of
 evaluating one instance alone, in the same order, so a row's values do not
 depend on the other rows of its block: the suites, the search and the
-one-instance checkers in ``verify`` all call these kernels, and each
-inequality is written here once.
+one-instance checkers in ``verify`` and ``operators`` all call these
+kernels, and each inequality is written here once.
+
+The statements about n x n matrices (the centered-product decomposition, the
+centering and derivation identities, the Laplacian norm bound) take their
+rows as plain (B, n) arrays and build one (B, n, n) matrix per row:
+Theta (``theta``), divided differences, random Laplacians.  An identity's
+kernel returns each row's largest deviation.  Stacked matmul, reductions
+over the same axis and elementwise operations reproduce the one-matrix
+computation bit for bit, and ``validate_laplacians`` makes the Laplacian
+checks on every matrix of a block at once.
 
 ``streams`` yields the generator of each trial t, equal bit for bit to
 ``np.random.default_rng((*prefix, t))``.  It computes numpy's ``SeedSequence``
@@ -24,6 +33,8 @@ import math
 
 import numpy as np
 
+from .core import STRUCT_TOL
+
 #: Trials seeded, sampled and scored together; no result depends on it.
 BLOCK = 1024
 
@@ -31,7 +42,9 @@ BLOCK = 1024
 class Block:
     """Instances stored as the rows of arrays.
 
-    ``mu``, ``f`` and ``g`` have shape (B, n).  phi (chain rule and markov) is
+    ``mu``, ``f`` and ``g`` have shape (B, n); ``mu`` is None where a
+    statement has no measure (divided differences keep their points in
+    ``f``).  phi (chain rule, markov and divided differences) is
     kept as breakpoints (B, M) padded with +inf, slopes (B, M + 1) padded
     with 0 and anchors (B,); its knot values and Lipschitz constants are
     derived here exactly as ``PiecewiseLinearFn`` derives them.  A plain
@@ -72,7 +85,7 @@ class Block:
         return {name: getattr(self, name) for name in self.FIELDS}
 
     def __len__(self) -> int:
-        return self.mu.shape[0]
+        return self.f.shape[0]
 
     def rows(self, idx) -> "Block":
         return type(self)(**{name: None if a is None else a[idx] for name, a in self.arrays().items()})
@@ -172,6 +185,210 @@ def square_bound(b: Block, p):
     return lhs, rhs
 
 
+# -- stacked n x n matrices: (B, n, n), one matrix per row -------------------------
+
+class DegenerateInputError(ValueError):
+    """Sample points too close for a stable divided-difference matrix."""
+
+
+#: Relative gap below which divided differences are refused.
+MIN_RELATIVE_GAP = 1e-9
+
+
+def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each M @ v.  Stacked matmul calls the same BLAS gemv as one matrix times
+    one vector; a single gemm over all rows would round differently."""
+    return np.matmul(M, v[:, :, None])[:, :, 0]
+
+
+def _zero_sum_diagonal(T: np.ndarray) -> np.ndarray:
+    """Set each diagonal to minus its off-diagonal row sum, in place."""
+    d = np.arange(T.shape[1])
+    T[:, d, d] = 0.0
+    T[:, d, d] = -T.sum(axis=2)
+    return T
+
+
+def theta(x: np.ndarray) -> np.ndarray:
+    """``operators.theta_matrix`` of each row: off-diagonal (x_i + x_j) / (2n), zero row sums."""
+    return _zero_sum_diagonal((x[:, :, None] + x[:, None, :]) / (2.0 * x.shape[1]))
+
+
+def divided_differences(x: np.ndarray, phi) -> np.ndarray:
+    """Divided differences (phi(x_i) - phi(x_j)) / (x_i - x_j) of each row, zero row sums.
+
+    ``phi`` maps the (B, n) points to their values; it is called after every
+    row has passed the gap check: a row whose minimal gap is below
+    MIN_RELATIVE_GAP * (1 + max |x_i|) raises DegenerateInputError.
+    """
+    n = x.shape[1]
+    d = np.arange(n)
+    threshold = MIN_RELATIVE_GAP * (1.0 + np.abs(x).max(axis=1))
+    diff = x[:, :, None] - x[:, None, :]
+    if n > 1:
+        gaps = np.abs(diff)
+        gaps[:, d, d] = np.inf
+        least = gaps.min(axis=(1, 2))
+        bad = np.flatnonzero(least < threshold)
+        if bad.size:
+            i = bad[0]
+            raise DegenerateInputError(
+                f"sample points too close (min gap {least[i]:.3e} < {threshold[i]:.3e})")
+    values = phi(x)
+    diff[:, d, d] = 1.0
+    return _zero_sum_diagonal((values[:, :, None] - values[:, None, :]) / diff)
+
+
+def _offdiagonal(M: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of each matrix, row-major: (B, n (n - 1))."""
+    return M[:, ~np.eye(M.shape[1], dtype=bool)]
+
+
+def monotone_laplacians(T: np.ndarray) -> np.ndarray:
+    """Divided-difference matrices of monotone phi, each negated in place where
+    phi decreases, so every one is a Laplacian; ValueError where phi is not monotone."""
+    if T.shape[1] > 1:
+        off = _offdiagonal(T)
+        flip = off.min(axis=1) < -STRUCT_TOL
+        if np.any(flip & (off.max(axis=1) > STRUCT_TOL)):
+            raise ValueError("phi is not monotone: off-diagonal entries change sign")
+        T[flip] = -T[flip]
+    return T
+
+
+def max_offdiagonal(L: np.ndarray) -> np.ndarray:
+    """max_{i != j} L_ij of each matrix (0 for 1 x 1 matrices)."""
+    if L.shape[1] == 1:
+        return np.zeros(L.shape[0])
+    return _offdiagonal(L).max(axis=1)
+
+
+def validate_laplacians(L: np.ndarray, tol: float = STRUCT_TOL, psd_tol: float = 1e-9) -> None:
+    """Check the Laplacian contract of each matrix: symmetric, zero row and
+    column sums, off-diagonal >= 0, -L positive semi-definite (its smallest
+    eigenvalue, and for n <= 3 also its leading principal minors).
+
+    Raises ValueError with ``operators.validate_laplacian``'s message for the
+    first of these checks that some matrix fails.
+    """
+    n = L.shape[1]
+    if np.any(np.abs(L - L.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0) > tol):
+        raise ValueError("matrix is not symmetric")
+    if np.any(np.abs(L.sum(axis=2)).max(axis=1, initial=0.0) > tol):
+        raise ValueError("row sums are not zero")
+    if np.any(np.abs(L.sum(axis=1)).max(axis=1, initial=0.0) > tol):
+        raise ValueError("column sums are not zero")
+    if n > 1 and np.any(_offdiagonal(L).min(axis=1) < -tol):
+        raise ValueError("off-diagonal entries must be non-negative")
+    neg = -L
+    if n > 1 and np.any(np.linalg.eigvalsh(neg)[:, 0] < -psd_tol):
+        raise ValueError("-L is not positive semi-definite")
+    if n <= 3:
+        for m in range(1, n + 1):
+            if np.any(np.linalg.det(neg[:, :m, :m]) < -psd_tol):
+                raise ValueError(f"leading principal minor {m} of -L is negative")
+
+
+def _norm(x: np.ndarray, name: str) -> np.ndarray:
+    a = np.abs(x)
+    if name[0] == "k":  # knorms.k_norm: the k largest of |x|
+        return np.sort(a, axis=1)[:, ::-1][:, :int(name[1:])].sum(axis=1)
+    p = float(name[1:])  # knorms.lp_evaluator: max |x| factored out
+    m = a.max(axis=1, initial=0.0)
+    if math.isinf(p):
+        return m
+    ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
+    return m * pypow((ratios ** p).sum(axis=1), 1.0 / p)
+
+
+def norms(x: np.ndarray, names) -> np.ndarray:
+    """The symmetric norm of each row named in ``names``: "l<p>" (p a number or
+    "inf") as ``knorms.lp_evaluator(p)``, "k<k>" as ``knorms.k_norm(., k)``.
+    Rows are taken together by name, so each group uses one exponent or one k."""
+    out = np.empty(x.shape[0])
+    names = np.asarray(names)
+    for name in set(names.tolist()):
+        rows = names == name
+        out[rows] = _norm(x[rows], name)
+    return out
+
+
+# -- kernels on stacked matrices ---------------------------------------------------
+
+def decomposition(f: np.ndarray, g: np.ndarray):
+    """fg - E(fg) against -Theta_f (g - Eg) - Theta_g (f - Ef) and against
+    -Theta_f g - Theta_g f, uniform measure; the largest deviation from each."""
+    uniform = np.full(f.shape, 1.0 / f.shape[1])
+    fg = f * g
+    lhs = fg - rowdot(uniform, fg)[:, None]
+    neg_tf, tg = -theta(f), theta(g)
+    centered = (matvec(neg_tf, g - rowdot(uniform, g)[:, None])
+                - matvec(tg, f - rowdot(uniform, f)[:, None]))
+    plain = matvec(neg_tf, g) - matvec(tg, f)
+    return (np.abs(lhs - centered).max(axis=1, initial=0.0),
+            np.abs(lhs - plain).max(axis=1, initial=0.0))
+
+
+def centering_identity(x: np.ndarray, phi) -> np.ndarray:
+    """-(1/n) T (x - mean x) against phi(x) - mean phi(x), where T holds the
+    divided differences of ``phi`` (as ``divided_differences`` takes it) at
+    each row of points x; the largest deviation of each row."""
+    n = x.shape[1]
+    left = -matvec(divided_differences(x, phi), x - x.mean(axis=1)[:, None]) / n
+    values = phi(x)
+    return np.abs(left - (values - values.mean(axis=1)[:, None])).max(axis=1, initial=0.0)
+
+
+def uniform_laplacian(n: int) -> np.ndarray:
+    """L = (1/n) ones - identity, so that -Lf = f - mean(f)."""
+    return np.full((n, n), 1.0 / n) - np.eye(n)
+
+
+def derivation(f: np.ndarray) -> np.ndarray:
+    """The derivation of each row: (f_i - f_j) / sqrt(2)."""
+    return (f[:, :, None] - f[:, None, :]) / math.sqrt(2.0)
+
+
+def derivation_adjoint(A: np.ndarray) -> np.ndarray:
+    """The derivation's adjoint for uniform inner products: (row sums - column sums) / (sqrt(2) n)."""
+    return (A.sum(axis=2) - A.sum(axis=1)) / (math.sqrt(2.0) * A.shape[1])
+
+
+def derivation_identities(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
+    """The largest deviation of each row from each identity of the derivation
+    dictionary (``operators.derivation_checks``), in its order."""
+    L = uniform_laplacian(f.shape[1])
+    df, dg = derivation(f), derivation(g)
+    left = derivation_adjoint(f[:, :, None] * dg)
+    Lf = matvec(L, f)
+    deviations = (
+        derivation_adjoint(df) - matvec(-L, f),
+        left - (-matvec(theta(f), g)),
+        derivation_adjoint(df * g[:, None, :]) - (-matvec(theta(g), f)),
+        left + 0.5 * (matvec(L, f * g) - g * Lf + f * matvec(L, g)),
+    )
+    return [np.abs(d).max(axis=1) for d in deviations]
+
+
+def laplacian_norm_bound(L: np.ndarray, x: np.ndarray, norm):
+    """||Lx|| against n (max off-diagonal of L) ||x|| for mean-zero rows x;
+    ``norm`` maps (B, n) rows to their (B,) symmetric norms.  Returns lhs,
+    rhs, the max off-diagonal entries and ||x||."""
+    top, size = max_offdiagonal(L), norm(x)
+    return norm(matvec(L, x)), x.shape[1] * top * size, top, size
+
+
+def hat_bounds(L: np.ndarray):
+    """(max column abs sum, max row abs sum) of each L - x_inf 1^T, where
+    x_inf(i) = max_{j != i} L_ij; both bounded by n (max off-diagonal of L)."""
+    B, n, _ = L.shape
+    if n == 1:
+        return np.zeros(B), np.zeros(B)
+    x_inf = (L + np.diag(np.full(n, -np.inf))).max(axis=2)
+    hat = np.abs(L - x_inf[:, :, None])
+    return hat.sum(axis=1).max(axis=1), hat.sum(axis=2).max(axis=1)
+
+
 # -- block sampling ------------------------------------------------------------
 
 def dirichlet_rows(expo: np.ndarray) -> np.ndarray:
@@ -215,6 +432,13 @@ def sample_phi(knot_u: np.ndarray, counts: np.ndarray, monotone: bool, signed: b
     peak[flat] = 1.0
     anchor = -1.0 + 2.0 * knot_u[rows, 2 * counts + 1 + signed]
     return dict(bp=bp, slopes=slopes / peak[:, None], anchor=anchor)
+
+
+def sample_laplacian(u: np.ndarray) -> np.ndarray:
+    """Random Laplacians from each row's n x n uniforms on [0, 1): the strict
+    upper triangle, mirrored, with the diagonal forced to zero row sums."""
+    W = np.triu(u, 1)
+    return _zero_sum_diagonal(W + W.swapaxes(1, 2))
 
 
 # -- block seeding -------------------------------------------------------------

@@ -15,25 +15,22 @@ Three families of symmetric matrices with vanishing row and column sums:
 The derivation d with (df)_ij = (f_i - f_j)/sqrt(2) ties the first family to
 the uniform Laplacian via -L = d* d; ``derivation_checks`` verifies the whole
 dictionary numerically.
+
+Each matrix and checker here is the one-instance case of a stacked kernel in
+``kernels``, evaluated on a one-row block; the ``*_reports`` builders give
+one report per row of a block, for the suites and the checkers alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .core import IDENTITY_TOL, INEQUALITY_TOL, STRUCT_TOL, DimensionMismatchError, as_pair, as_vector
+from .kernels import MIN_RELATIVE_GAP, Block, DegenerateInputError, uniform_laplacian
 from .reports import VerificationReport
-
-
-class DegenerateInputError(ValueError):
-    """Sample points too close for a stable divided-difference matrix."""
-
-
-#: Relative gap below which divided differences are refused.
-MIN_RELATIVE_GAP = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +116,23 @@ class PiecewiseLinearFn:
             raise ValueError(f"phi {d!r} is malformed: {exc}") from None
 
 
+def phi_echo(b: Block) -> list[tuple[dict, float, bool]]:
+    """Per row: ``phi.to_dict()``, ``phi.lipschitz`` and ``phi.is_monotone``."""
+    counts = np.count_nonzero(np.isfinite(b.bp), axis=1).tolist()
+    monotone = (np.all(b.slopes >= 0.0, axis=1) | np.all(b.slopes <= 0.0, axis=1)).tolist()
+    return [({"breakpoints": bp[:m], "slopes": slopes[:m + 1], "anchor": anchor}, lip, mono)
+            for bp, slopes, anchor, lip, mono, m in zip(b.bp.tolist(), b.slopes.tolist(), b.anchor.tolist(),
+                                                        b.lipschitz.tolist(), monotone, counts)]
+
+
+def _on_rows(fn):
+    """A function of one vector as a function of a one-row block: (1, n) -> (1, ...)."""
+    return lambda rows: np.asarray(fn(rows[0]), dtype=float)[None]
+
+
 def theta_matrix(x) -> np.ndarray:
     """Symmetric zero-sum matrix with off-diagonal (x_i + x_j) / (2n)."""
-    xv = as_vector(x)
-    n = xv.size
-    T = (xv[:, None] + xv[None, :]) / (2.0 * n)
-    np.fill_diagonal(T, 0.0)
-    np.fill_diagonal(T, -T.sum(axis=1))
-    return T
+    return kernels.theta(as_vector(x)[None, :])[0]
 
 
 def deflated_theta(x) -> np.ndarray:
@@ -144,56 +150,17 @@ def divided_difference_matrix(x, phi) -> np.ndarray:
     raised (no silent regularization).  If phi is monotone increasing the
     result is a Laplacian.
     """
-    xv = as_vector(x)
-    n = xv.size
-    threshold = MIN_RELATIVE_GAP * (1.0 + float(np.max(np.abs(xv))))
-    if n > 1:
-        gaps = np.abs(xv[:, None] - xv[None, :]) + np.diag(np.full(n, np.inf))
-        if float(gaps.min()) < threshold:
-            raise DegenerateInputError(
-                f"sample points too close (min gap {gaps.min():.3e} < {threshold:.3e})"
-            )
-    values = np.asarray(phi(xv), dtype=float)
-    diff_x = xv[:, None] - xv[None, :]
-    np.fill_diagonal(diff_x, 1.0)
-    T = (values[:, None] - values[None, :]) / diff_x
-    np.fill_diagonal(T, 0.0)
-    np.fill_diagonal(T, -T.sum(axis=1))
-    return T
+    return kernels.divided_differences(as_vector(x)[None, :], _on_rows(phi))[0]
 
 
 def monotone_laplacian(x, phi) -> np.ndarray:
     """Divided-difference matrix of a monotone phi, sign-normalized to a Laplacian."""
-    T = divided_difference_matrix(x, phi)
-    off = T[~np.eye(T.shape[0], dtype=bool)]
-    if off.size and float(off.min()) < -STRUCT_TOL:
-        if float(off.max()) > STRUCT_TOL:
-            raise ValueError("phi is not monotone: off-diagonal entries change sign")
-        return -T
-    return T
+    return kernels.monotone_laplacians(divided_difference_matrix(x, phi)[None])[0]
 
 
 def max_offdiagonal(L) -> float:
     """max_{i != j} L_ij (0 for the 1x1 matrix)."""
-    M = np.asarray(L, dtype=float)
-    n = M.shape[0]
-    if n == 1:
-        return 0.0
-    off = M[~np.eye(n, dtype=bool)]
-    return float(off.max())
-
-
-def validate_zero_sum_symmetric(M, tol: float = STRUCT_TOL) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if float(np.max(np.abs(M - M.T), initial=0.0)) > tol:
-        raise ValueError("matrix is not symmetric")
-    if float(np.max(np.abs(M.sum(axis=1)), initial=0.0)) > tol:
-        raise ValueError("row sums are not zero")
-    if float(np.max(np.abs(M.sum(axis=0)), initial=0.0)) > tol:
-        raise ValueError("column sums are not zero")
-    return M
+    return float(kernels.max_offdiagonal(np.asarray(L, dtype=float)[None])[0])
 
 
 def validate_laplacian(L, tol: float = STRUCT_TOL, psd_tol: float = 1e-9) -> np.ndarray:
@@ -202,50 +169,58 @@ def validate_laplacian(L, tol: float = STRUCT_TOL, psd_tol: float = 1e-9) -> np.
     The PSD certificate is the smallest eigenvalue of -L; for n <= 3 the
     leading principal minors of -L are cross-checked as a second certificate.
     """
-    M = validate_zero_sum_symmetric(L, tol)
-    n = M.shape[0]
-    off = M[~np.eye(n, dtype=bool)]
-    if off.size and float(off.min()) < -tol:
-        raise ValueError("off-diagonal entries must be non-negative")
-    neg = -M
-    if n > 1 and float(np.linalg.eigvalsh(neg)[0]) < -psd_tol:
-        raise ValueError("-L is not positive semi-definite")
-    if n <= 3:
-        for m in range(1, n + 1):
-            if float(np.linalg.det(neg[:m, :m])) < -psd_tol:
-                raise ValueError(f"leading principal minor {m} of -L is negative")
+    M = np.asarray(L, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    kernels.validate_laplacians(M[None], tol, psd_tol)
     return M
+
+
+# -- one report per row of a block; the checkers below are their one-row case --
+
+def centering_reports(x: np.ndarray, phi, echoes: list, tol: float = IDENTITY_TOL) -> list[VerificationReport]:
+    """Centering identity of each row of points x (B, n); ``phi`` maps the rows
+    to their values, and ``echoes`` holds each row's ``phi.to_dict()`` (or None)."""
+    deviation = kernels.centering_identity(x, phi)
+    return [VerificationReport.from_values("centering_identity", dev, 0.0, tol,
+                                           {"x": xs} if echo is None else {"x": xs, "phi": echo})
+            for dev, xs, echo in zip(deviation.tolist(), x.tolist(), echoes)]
+
+
+def derivation_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) -> list[VerificationReport]:
+    names = ("laplacian_factorization", "left_product", "right_product", "symmetric_form")
+    rows = zip(*(d.tolist() for d in kernels.derivation_identities(f, g)))
+    return [VerificationReport.from_values("derivation_identities", max(devs), 0.0, tol,
+                                           {"f": fs, "g": gs, "deviations": dict(zip(names, devs))})
+            for devs, fs, gs in zip(rows, f.tolist(), g.tolist())]
+
+
+def laplacian_bound_reports(L: np.ndarray, x: np.ndarray, norm, tol: float = INEQUALITY_TOL):
+    """The laplacian_norm_bound report of each row of validated Laplacians L
+    (B, n, n) and mean-zero x (B, n); ``norm`` maps rows to their norms.
+    Returns the reports and each row's ||x||."""
+    n = L.shape[1]
+    if x.shape[1] != n:
+        raise DimensionMismatchError(f"matrix is {n}x{n}, vector has {x.shape[1]} entries")
+    if np.any(np.abs(x.sum(axis=1)) > 1e-10):
+        raise ValueError("x must have zero coordinate sum (center it first)")
+    lhs, rhs, top, size = kernels.laplacian_norm_bound(L, x, norm)
+    return [VerificationReport.from_values("laplacian_norm_bound", left, right, tol,
+                                           {"n": n, "max_offdiag": m, "x": xs})
+            for left, right, m, xs in zip(lhs.tolist(), rhs.tolist(), top.tolist(), x.tolist())], size
 
 
 def centering_identity_check(x, phi, tol: float = IDENTITY_TOL) -> VerificationReport:
     """Verify -(1/n) Theta[x; phi] (x - mean(x) 1) = phi(x) - mean(phi(x)) 1."""
-    xv = as_vector(x)
-    n = xv.size
-    T = divided_difference_matrix(xv, phi)
-    centered = xv - float(xv.mean())
-    left = -(T @ centered) / n
-    values = np.asarray(phi(xv), dtype=float)
-    right = values - float(values.mean())
-    deviation = float(np.max(np.abs(left - right), initial=0.0))
-    instance = {"x": [float(v) for v in xv]}
-    if isinstance(phi, PiecewiseLinearFn):
-        instance["phi"] = phi.to_dict()
-    return VerificationReport.from_values("centering_identity", deviation, 0.0, tol, instance)
+    echo = phi.to_dict() if isinstance(phi, PiecewiseLinearFn) else None
+    return centering_reports(as_vector(x)[None, :], _on_rows(phi), [echo], tol)[0]
 
 
 def laplacian_norm_bound_check(L, x, norm, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """Check ||Lx|| <= n (max off-diag) ||x|| for a mean-zero x and symmetric norm."""
     M = validate_laplacian(L)
-    xv = as_vector(x)
-    n = M.shape[0]
-    if xv.size != n:
-        raise DimensionMismatchError(f"matrix is {n}x{n}, vector has {xv.size} entries")
-    if abs(float(xv.sum())) > 1e-10:
-        raise ValueError("x must have zero coordinate sum (center it first)")
-    lhs = float(norm(M @ xv))
-    rhs = n * max_offdiagonal(M) * float(norm(xv))
-    instance = {"n": n, "max_offdiag": max_offdiagonal(M), "x": [float(v) for v in xv]}
-    return VerificationReport.from_values("laplacian_norm_bound", lhs, rhs, tol, instance)
+    reports, _ = laplacian_bound_reports(M[None], as_vector(x)[None, :], _on_rows(norm), tol)
+    return reports[0]
 
 
 def lhat_row_col_bounds(L) -> tuple[float, float]:
@@ -254,22 +229,13 @@ def lhat_row_col_bounds(L) -> tuple[float, float]:
     Here x_inf(i) = max_{j != i} L_ij; both returned operator norms are
     bounded by n * max off-diagonal entry of L.
     """
-    M = validate_laplacian(L)
-    n = M.shape[0]
-    if n == 1:
-        return 0.0, 0.0
-    off = M + np.diag(np.full(n, -np.inf))
-    x_inf = off.max(axis=1)
-    Lhat = M - np.outer(x_inf, np.ones(n))
-    col = float(np.max(np.abs(Lhat).sum(axis=0)))
-    row = float(np.max(np.abs(Lhat).sum(axis=1)))
-    return col, row
+    col, row = kernels.hat_bounds(validate_laplacian(L)[None])
+    return float(col[0]), float(row[0])
 
 
 def pairwise_difference(f) -> np.ndarray:
     """The derivation: matrix with entries (f_i - f_j) / sqrt(2)."""
-    fv = as_vector(f)
-    return (fv[:, None] - fv[None, :]) / math.sqrt(2.0)
+    return kernels.derivation(as_vector(f)[None, :])[0]
 
 
 def derivation_adjoint(A) -> np.ndarray:
@@ -278,14 +244,7 @@ def derivation_adjoint(A) -> np.ndarray:
     For <u, v> = (1/n) sum u_i v_i and <A, B> = (1/n^2) sum A_ij B_ij the
     adjoint evaluates to (row sums - column sums) / (sqrt(2) n).
     """
-    M = np.asarray(A, dtype=float)
-    n = M.shape[0]
-    return (M.sum(axis=1) - M.sum(axis=0)) / (math.sqrt(2.0) * n)
-
-
-def uniform_laplacian(n: int) -> np.ndarray:
-    """L = (1/n) ones - identity, so that -Lf = f - mean(f)."""
-    return np.full((n, n), 1.0 / n) - np.eye(n)
+    return kernels.derivation_adjoint(np.asarray(A, dtype=float)[None])[0]
 
 
 def derivation_checks(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
@@ -298,20 +257,4 @@ def derivation_checks(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
       4. d*(f dg)   = -(L(fg) - g Lf + f Lg) / 2
     """
     fv, gv = as_pair(f, g)
-    n = fv.size
-    L = uniform_laplacian(n)
-    df = pairwise_difference(fv)
-    dg = pairwise_difference(gv)
-
-    dev = {
-        "laplacian_factorization": float(np.max(np.abs(derivation_adjoint(df) - (-L @ fv)))),
-        "left_product": float(np.max(np.abs(
-            derivation_adjoint(fv[:, None] * dg) - (-(theta_matrix(fv) @ gv))))),
-        "right_product": float(np.max(np.abs(
-            derivation_adjoint(df * gv[None, :]) - (-(theta_matrix(gv) @ fv))))),
-        "symmetric_form": float(np.max(np.abs(
-            derivation_adjoint(fv[:, None] * dg)
-            + 0.5 * (L @ (fv * gv) - gv * (L @ fv) + fv * (L @ gv))))),
-    }
-    instance = {"f": [float(v) for v in fv], "g": [float(v) for v in gv], "deviations": dev}
-    return VerificationReport.from_values("derivation_identities", max(dev.values()), 0.0, tol, instance)
+    return derivation_reports(fv[None, :], gv[None, :], tol)[0]

@@ -54,11 +54,6 @@ def sample_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, n)
 
 
-def sample_mean_zero(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.uniform(-1.0, 1.0, n)
-    return v - v.mean()
-
-
 def sample_distinct_points(rng: np.random.Generator, n: int) -> np.ndarray:
     """n points in [-1, 1] with pairwise gaps at least 1e-3 (unsorted)."""
     base = np.sort(rng.uniform(-1.0, 1.0, n))
@@ -103,12 +98,3 @@ def sample_holder_triple_pair(rng: np.random.Generator) -> tuple[HolderTriple, H
     uq = u - reciprocal_exponent(p2)
     q2 = math.inf if uq <= 1e-15 else 1.0 / uq
     return t1, HolderTriple(t1.r, p2, q2)
-
-
-def sample_laplacian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random Laplacian: symmetric non-negative off-diagonal, forced diagonal."""
-    W = rng.uniform(0.0, 1.0, (n, n))
-    W = np.triu(W, 1)
-    L = W + W.T
-    np.fill_diagonal(L, -L.sum(axis=1))
-    return L

@@ -16,65 +16,51 @@ derives these generators a block of trials at a time and equals
 ``default_rng`` bit for bit; where a numpy seeds differently it builds each
 one with ``default_rng`` instead.  The loop holds the draws of up to
 ``BLOCK`` trials, groups them by n and hands each group to the suite's
-``evaluate``: the five suites that sample a measure and majorization
-evaluate a group as stacked arrays (``kernels`` and ``_majorization_block``),
-the other three check it row by row with their one-instance checkers; every
-report equals checking its trial alone.  The laplacian suite draws an n x n
-matrix per trial, so its blocks hold at most max(1, MAJORIZATION_BLOCK //
-n_max**2) trials.  Reports come in trial order, each tagged with its trial
-index as ``seed`` (the majorization sign patterns and the strong-Leibniz
-fixed witness follow the trials untagged).
+``evaluate``, which evaluates it as stacked arrays through the ``kernels``
+and the report builders of ``verify`` and ``operators``; no suite calls a
+one-instance checker, and every report equals checking its trial alone.
+The four suites that build n x n matrices (decomposition, majorization,
+laplacian, identities) evaluate a group in slices of at most
+``MAJORIZATION_BLOCK`` matrix entries, and the laplacian suite, which draws
+an n x n matrix per trial, holds max(1, ``LAPLACIAN_HELD`` // n_max**2)
+trials at most.
+Reports come in trial order, each tagged with its trial index as ``seed``
+(the majorization sign patterns and the strong-Leibniz fixed witness follow
+the trials untagged).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import verify
+from . import kernels, operators, verify
 from .core import IDENTITY_TOL, INEQUALITY_TOL, check_exponent
 from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, streams
-from .knorms import k_norm_evaluator, lp_evaluator
-from .operators import (
-    centering_identity_check,
-    derivation_checks,
-    laplacian_norm_bound_check,
-    lhat_row_col_bounds,
-    max_offdiagonal,
-    monotone_laplacian,
-)
 from .reports import VerificationReport
 from .search import reciprocal_witness_report
-from .sampling import (
-    EXPONENT_GRID,
-    MASS_FLOOR,
-    MAX_ATOMS,
-    sample_distinct_points,
-    sample_holder_triple_pair,
-    sample_laplacian,
-    sample_mean_zero,
-    sample_piecewise_linear,
-    sample_vector,
-)
+from .sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, sample_distinct_points, sample_holder_triple_pair
 
 _GRID = np.array(EXPONENT_GRID)
 
-#: Symmetric norms used wherever a statement quantifies over all of them.
-NORM_FAMILY = tuple(
-    [("l1", lp_evaluator(1.0)), ("l1.5", lp_evaluator(1.5)), ("l2", lp_evaluator(2.0)),
-     ("l3", lp_evaluator(3.0)), ("linf", lp_evaluator(np.inf))]
-)
+#: Symmetric norms used wherever a statement quantifies over all of them, by
+#: their ``kernels.norms`` names: the l_p norms for p in 1, 1.5, 2, 3 and inf.
+NORM_FAMILY = ("l1", "l1.5", "l2", "l3", "linf")
+
+#: Largest ``n_max`` of the suites that build n x n matrices: one such matrix
+#: of floats then takes 8 MB.
+MATRIX_N_MAX = 1000
 
 #: Smallest and largest ``n_max`` of each suite; those that sample a measure stop
 #: at MAX_ATOMS.  ``SUITES`` takes its names and their order from here.
 N_MAX_BOUNDS = {
-    "leibniz": (2, MAX_ATOMS), "decomposition": (2, math.inf), "majorization": (1, math.inf),
-    "laplacian": (2, math.inf), "chain-rule": (2, MAX_ATOMS), "markov": (2, MAX_ATOMS),
-    "square": (2, MAX_ATOMS), "identities": (2, math.inf), "strong-leibniz": (2, MAX_ATOMS),
+    "leibniz": (2, MAX_ATOMS), "decomposition": (2, MATRIX_N_MAX), "majorization": (1, MATRIX_N_MAX),
+    "laplacian": (2, MATRIX_N_MAX), "chain-rule": (2, MAX_ATOMS), "markov": (2, MAX_ATOMS),
+    "square": (2, MAX_ATOMS), "identities": (2, MATRIX_N_MAX), "strong-leibniz": (2, MAX_ATOMS),
 }
 
 
@@ -111,12 +97,25 @@ class SuiteOutcome:
                 f"{self.elapsed:.2f}s")
 
 
-def _norm_pool(rng: np.random.Generator, n: int):
-    name, ev = NORM_FAMILY[rng.integers(len(NORM_FAMILY))]
+def _norm_pool(rng: np.random.Generator, n: int) -> str:
+    """A symmetric norm's name: one of NORM_FAMILY, or with probability 0.4 the k-norm of a random k."""
+    name = NORM_FAMILY[rng.integers(len(NORM_FAMILY))]
     if rng.random() < 0.4:
-        k = int(rng.integers(1, n + 1))
-        return f"k{k}", k_norm_evaluator(k)
-    return name, ev
+        return f"k{int(rng.integers(1, n + 1))}"
+    return name
+
+
+#: Matrix entries per evaluation block of the suites that build n x n
+#: matrices (decomposition, majorization, laplacian, identities).  A block of
+#: n-dimensional instances has max(1, MAJORIZATION_BLOCK // n**2) rows, which
+#: bounds its stacked (rows, n, n) arrays at any n; at n = 4 that is 243 rows,
+#: three x-patterns of the exhaustive sweep.  Blocks of 729 rows ran no
+#: faster and raised the peak RSS of ``verify --suite all`` by about 0.5 MB.
+MAJORIZATION_BLOCK = 243 * 16
+
+#: Drawn matrix entries the laplacian suite holds before it evaluates them
+#: (0.5 MB): BLOCK trials up to n_max = 8, fewer above.
+LAPLACIAN_HELD = 64 * BLOCK
 
 
 def _run(name: str, stream: int, draw, evaluate, trials: int, n_max: int, seed: int,
@@ -152,6 +151,16 @@ def _run(name: str, stream: int, draw, evaluate, trials: int, n_max: int, seed: 
     return SuiteOutcome(name, reports, theorem_backed, time.perf_counter() - start)
 
 
+def _square_blocks(rows, n: int, columns) -> list:
+    """``rows(*columns)`` on slices of the columns that hold at most
+    MAJORIZATION_BLOCK n x n matrix entries each; the results joined."""
+    size = max(1, MAJORIZATION_BLOCK // n ** 2)
+    out = []
+    for start in range(0, len(columns[0]), size):
+        out += rows(*(c[start:start + size] for c in columns))
+    return out
+
+
 def _measure(n: int, expo: list) -> np.ndarray:
     """``sample_prob_vector`` rows from each row's n standard exponentials."""
     if n * MASS_FLOOR >= 1.0:
@@ -174,6 +183,20 @@ def _phi_draws(rng, max_breakpoints: int, signed: bool = False) -> tuple[int, np
     return m, row
 
 
+def _phi_rows(monotone: list, counts: list, knot_u: list) -> dict:
+    """``sample_phi`` of rows drawn by ``_phi_draws(rng, m, signed=monotone)``,
+    with ``monotone`` set row by row: the rows of each kind are taken together."""
+    out = {}
+    for flag in (False, True):
+        idx = [i for i, mono in enumerate(monotone) if mono == flag]
+        if idx:
+            part = sample_phi(np.array([knot_u[i] for i in idx]), np.array([counts[i] for i in idx]),
+                              flag, signed=flag)
+            for key, a in part.items():
+                out.setdefault(key, np.empty((len(counts), *a.shape[1:])))[idx] = a
+    return out
+
+
 def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                   tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Product-rule inequality on random measures, vectors, and triple pairs."""
@@ -192,19 +215,11 @@ def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
 def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
                         tol: float = IDENTITY_TOL) -> SuiteOutcome:
     def draw(rng, n, t):
-        return sample_vector(rng, n), sample_vector(rng, n)
+        return rng.random(n), rng.random(n)
 
-    def evaluate(n, columns):
-        return [[verify.check_decomposition(f, g, tol)] for f, g in zip(*columns)]
-    return _run("decomposition", 1, draw, evaluate, trials, n_max, seed)
-
-
-#: Matrix entries per evaluation block of the majorization suite.  A block of
-#: n-dimensional instances has max(1, MAJORIZATION_BLOCK // n**2) rows, which
-#: bounds its stacked (rows, n, n) arrays at any n; at n = 4 that is 243 rows,
-#: three x-patterns of the exhaustive sweep.  Blocks of 729 rows ran no
-#: faster and raised the peak RSS of ``verify --suite all`` by about 0.5 MB.
-MAJORIZATION_BLOCK = 243 * 16
+    def rows(f, g):
+        return zip(verify.decomposition_reports(_uniform(f), _uniform(g), tol))
+    return _run("decomposition", 1, draw, functools.partial(_square_blocks, rows), trials, n_max, seed)
 
 
 def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float) -> list[VerificationReport]:
@@ -214,12 +229,7 @@ def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float) -> list[Verifi
     and ``weak_majorizes`` on stacked arrays, so every report matches the
     one-instance computation bit for bit.
     """
-    n = X.shape[1]
-    theta = (X[:, :, None] + X[:, None, :]) / (2.0 * n)
-    diag = np.arange(n)
-    theta[:, diag, diag] = 0.0
-    theta[:, diag, diag] = -theta.sum(axis=2)
-    image = np.abs(np.matmul(theta - X[:, None, :] / n, Y[:, :, None])[:, :, 0])
+    image = np.abs(kernels.matvec(kernels.theta(X) - X[:, None, :] / X.shape[1], Y))
     # bound is already non-increasing (a product of two non-increasing
     # non-negative rows), so its partial sums need no second sort
     bound = np.sort(np.abs(X), axis=1)[:, ::-1] * np.sort(np.abs(Y), axis=1)[:, ::-1]
@@ -233,11 +243,7 @@ def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float) -> list[Verifi
 
 def _majorization_reports(X: np.ndarray, Y: np.ndarray, tol: float) -> list[VerificationReport]:
     """``_majorization_block`` over blocks of at most MAJORIZATION_BLOCK matrix entries."""
-    rows = max(1, MAJORIZATION_BLOCK // X.shape[1] ** 2)
-    reports = []
-    for start in range(0, len(X), rows):
-        reports += _majorization_block(X[start:start + rows], Y[start:start + rows], tol)
-    return reports
+    return _square_blocks(lambda x, y: _majorization_block(x, y, tol), X.shape[1], [X, Y])
 
 
 def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
@@ -255,9 +261,9 @@ def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
     def draw(rng, n, t):
         return rng.normal(size=n), rng.normal(size=n)
 
-    def evaluate(n, columns):
-        return zip(_majorization_reports(np.array(columns[0]), np.array(columns[1]), tol))
-    outcome = _run("majorization", 2, draw, evaluate, trials, n_max, seed)
+    def rows(x, y):
+        return zip(_majorization_block(np.array(x), np.array(y), tol))
+    outcome = _run("majorization", 2, draw, functools.partial(_square_blocks, rows), trials, n_max, seed)
     for n in range(1, exhaustive_n + 1):
         patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
         m = len(patterns)
@@ -278,32 +284,50 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
     the right-hand side, which dominates the off-diagonal maximum).
     """
     def draw(rng, n, t):
-        norm_name, norm = _norm_pool(rng, n)
-        x = sample_mean_zero(rng, n)
+        name, x = _norm_pool(rng, n), rng.random(n)
         if t % 2:
-            pts = sample_distinct_points(rng, n)
-            phi = sample_piecewise_linear(rng, 4, monotone=True)
-            return norm_name, norm, x, monotone_laplacian(pts, phi), pts, phi
-        return norm_name, norm, x, sample_laplacian(rng, n), None, None
+            return name, x, sample_distinct_points(rng, n), *_phi_draws(rng, 4, signed=True), None
+        return name, x, None, None, None, rng.random((n, n))
 
-    def evaluate(n, columns):
-        for norm_name, norm, x, L, pts, phi in zip(*columns):
-            rep = laplacian_norm_bound_check(L, x, norm, tol)
-            rep.instance["norm"] = norm_name
+    def rows(names, x, points, counts, knot_u, weights):
+        n = len(x[0])
+        monotone = [i for i, pts in enumerate(points) if pts is not None]
+        drawn = [i for i, pts in enumerate(points) if pts is None]
+        L, echoes = np.empty((len(names), n, n)), {}
+        if drawn:
+            L[drawn] = kernels.sample_laplacian(np.array([weights[i] for i in drawn]))
+        if monotone:
+            b = Block(None, np.array([points[i] for i in monotone]),
+                      **sample_phi(np.array([knot_u[i] for i in monotone]),
+                                   np.array([counts[i] for i in monotone]), True, signed=True))
+            L[monotone] = kernels.monotone_laplacians(
+                kernels.divided_differences(b.f, functools.partial(kernels.phi, b)))
+            echoes = dict(zip(monotone, zip(operators.phi_echo(b), b.f.tolist())))
+        kernels.validate_laplacians(L)
+        x = _uniform(x)
+        x -= x.mean(axis=1)[:, None]  # the bound holds for mean-zero x
+        bound, size = operators.laplacian_bound_reports(
+            L, x, functools.partial(kernels.norms, names=names), tol)
+        col, row = kernels.hat_bounds(L)
+        out = []
+        for i, (rep, name, norm_x, c, r) in enumerate(zip(bound, names, size.tolist(), col.tolist(),
+                                                          row.tolist())):
+            rep.instance["norm"] = name
             reports = [rep]
-            if phi is not None:
+            if i in echoes:
                 # corollary form: n * Lip(phi) dominates n * max off-diagonal
+                (phi, lip, _), pts = echoes[i]
                 reports.append(VerificationReport.from_values(
-                    "monotone_divided_difference_bound", rep.lhs, n * phi.lipschitz * float(norm(x)), tol,
-                    {"n": n, "lipschitz": phi.lipschitz, "norm": norm_name, "x": [float(v) for v in x],
-                     "points": [float(v) for v in pts], "phi": phi.to_dict()}))
-            col, row = lhat_row_col_bounds(L)
+                    "monotone_divided_difference_bound", rep.lhs, n * lip * norm_x, tol,
+                    {"n": n, "lipschitz": lip, "norm": name, "x": list(rep.instance["x"]),
+                     "points": pts, "phi": phi}))
             reports.append(VerificationReport.from_values(
-                "hat_matrix_operator_bounds", max(col, row), n * max_offdiagonal(L), 1e-10,
-                {"n": n, "col": col, "row": row}))
-            yield reports
-    return _run("laplacian", 3, draw, evaluate, trials, n_max, seed,
-                block=max(1, MAJORIZATION_BLOCK // n_max ** 2))
+                "hat_matrix_operator_bounds", max(c, r), n * rep.instance["max_offdiag"], 1e-10,
+                {"n": n, "col": c, "row": r}))
+            out.append(reports)
+        return out
+    return _run("laplacian", 3, draw, functools.partial(_square_blocks, rows), trials, n_max, seed,
+                block=max(1, min(BLOCK, LAPLACIAN_HELD // n_max ** 2)))
 
 
 def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
@@ -349,14 +373,15 @@ def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
                      tol: float = IDENTITY_TOL) -> SuiteOutcome:
     """Centering identity and the derivation dictionary on random instances."""
     def draw(rng, n, t):
-        pts = sample_distinct_points(rng, n)
-        phi = sample_piecewise_linear(rng, 6, monotone=bool(rng.random() < 0.5))
-        return pts, phi, sample_vector(rng, n), sample_vector(rng, n)
+        points, monotone = sample_distinct_points(rng, n), bool(rng.random() < 0.5)
+        return points, monotone, *_phi_draws(rng, 6, signed=monotone), rng.random(n), rng.random(n)
 
-    def evaluate(n, columns):
-        return [[centering_identity_check(pts, phi, tol), derivation_checks(f, g, tol)]
-                for pts, phi, f, g in zip(*columns)]
-    return _run("identities", 7, draw, evaluate, trials, n_max, seed)
+    def rows(points, monotone, counts, knot_u, f, g):
+        b = Block(None, np.array(points), **_phi_rows(monotone, counts, knot_u))
+        echoes = [phi for phi, _, _ in operators.phi_echo(b)]
+        return zip(operators.centering_reports(b.f, functools.partial(kernels.phi, b), echoes, tol),
+                   operators.derivation_reports(_uniform(f), _uniform(g), tol))
+    return _run("identities", 7, draw, functools.partial(_square_blocks, rows), trials, n_max, seed)
 
 
 def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,

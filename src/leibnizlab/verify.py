@@ -33,7 +33,7 @@ from .core import (
     paired,
 )
 from .kernels import Block
-from .operators import PiecewiseLinearFn, theta_matrix
+from .operators import PiecewiseLinearFn, phi_echo, theta_matrix
 from .reports import VerificationReport
 
 #: Largest admissible common denominator for replication.
@@ -79,29 +79,6 @@ class RationalProbVector:
         return ProbVector(self.weights())
 
 
-def check_decomposition(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
-    """fg - E(fg) = -Theta_f (g - Eg) - Theta_g (f - Ef) under the uniform measure.
-
-    Also checks the uncentered form -Theta_f g - Theta_g f; reports the larger
-    of the two maximal deviations.
-    """
-    fv, gv = as_pair(f, g)
-    n = fv.size
-    uniform = np.full(n, 1.0 / n)
-    lhs = fv * gv - float(np.dot(uniform, fv * gv))
-    Tf, Tg = theta_matrix(fv), theta_matrix(gv)
-    centered = -Tf @ (gv - float(np.dot(uniform, gv))) - Tg @ (fv - float(np.dot(uniform, fv)))
-    plain = -Tf @ gv - Tg @ fv
-    deviation = max(
-        float(np.max(np.abs(lhs - centered), initial=0.0)),
-        float(np.max(np.abs(lhs - plain), initial=0.0)),
-    )
-    return VerificationReport.from_values(
-        "centered_product_decomposition", deviation, 0.0, tol,
-        {"f": fv.tolist(), "g": gv.tolist()},
-    )
-
-
 def check_holder_theta(x, y, triple: HolderTriple, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||Theta_x (y - Ey)||_r <= ||x||_p ||y - Ey||_q under the uniform measure."""
     xv, yv = as_pair(x, y)
@@ -121,16 +98,14 @@ def _tags(exponents: np.ndarray) -> list:
     return [_exp_tag(p) for p in exponents.tolist()]
 
 
-def _phi_echo(b: Block) -> list[tuple[dict, float, bool]]:
-    """Per row: ``phi.to_dict()``, ``phi.lipschitz`` and ``phi.is_monotone``."""
-    counts = np.count_nonzero(np.isfinite(b.bp), axis=1).tolist()
-    monotone = (np.all(b.slopes >= 0.0, axis=1) | np.all(b.slopes <= 0.0, axis=1)).tolist()
-    return [({"breakpoints": bp[:m], "slopes": slopes[:m + 1], "anchor": anchor}, lip, mono)
-            for bp, slopes, anchor, lip, mono, m in zip(b.bp.tolist(), b.slopes.tolist(), b.anchor.tolist(),
-                                                        b.lipschitz.tolist(), monotone, counts)]
-
-
 # -- one report per row of a block; the checkers below are their one-row case --
+
+def decomposition_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) -> list[VerificationReport]:
+    centered, plain = kernels.decomposition(f, g)
+    return [VerificationReport.from_values("centered_product_decomposition", max(c, p), 0.0, tol,
+                                           {"f": fs, "g": gs})
+            for c, p, fs, gs in zip(centered.tolist(), plain.tolist(), f.tolist(), g.tolist())]
+
 
 def leibniz_reports(b: Block, exponents, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
     """``exponents`` is (r, p1, q1, p2, q2), each with one entry per row."""
@@ -149,7 +124,7 @@ def chain_rule_reports(b: Block, p: np.ndarray, tol: float = INEQUALITY_TOL) -> 
     return [VerificationReport.from_values("chain_rule", left, right, tol, {
                 "mu": mu, "f": f, "phi": phi, "exponents": {"p": e}, "lipschitz": lip, "monotone": mono})
             for left, right, mu, f, (phi, lip, mono), e
-            in zip(lhs.tolist(), rhs.tolist(), b.mu.tolist(), b.f.tolist(), _phi_echo(b), _tags(p))]
+            in zip(lhs.tolist(), rhs.tolist(), b.mu.tolist(), b.f.tolist(), phi_echo(b), _tags(p))]
 
 
 def markov_reports(b: Block, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
@@ -157,7 +132,7 @@ def markov_reports(b: Block, tol: float = INEQUALITY_TOL) -> list[VerificationRe
     return [VerificationReport.from_values("markov_variance", left, right, tol, {
                 "mu": mu, "f": f, "phi": phi, "lipschitz": lip, "monotone": mono})
             for left, right, mu, f, (phi, lip, mono)
-            in zip(lhs.tolist(), rhs.tolist(), b.mu.tolist(), b.f.tolist(), _phi_echo(b))]
+            in zip(lhs.tolist(), rhs.tolist(), b.mu.tolist(), b.f.tolist(), phi_echo(b))]
 
 
 def _p_reports(name: str, kernel, b: Block, p: np.ndarray, tol: float) -> list[VerificationReport]:
@@ -173,6 +148,16 @@ def strong_leibniz_reports(b: Block, p: np.ndarray, tol: float = INEQUALITY_TOL)
 
 def square_bound_reports(b: Block, p: np.ndarray, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
     return _p_reports("square_function_bound", kernels.square_bound, b, p, tol)
+
+
+def check_decomposition(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
+    """fg - E(fg) = -Theta_f (g - Eg) - Theta_g (f - Ef) under the uniform measure.
+
+    Also checks the uncentered form -Theta_f g - Theta_g f; reports the larger
+    of the two maximal deviations.
+    """
+    fv, gv = as_pair(f, g)
+    return decomposition_reports(fv[None, :], gv[None, :], tol)[0]
 
 
 def check_leibniz(

@@ -1,8 +1,13 @@
-"""Scalar references for the five measure statements, independent of ``kernels``.
+"""Scalar references, independent of ``kernels``, for the statements the
+suites, the search and the checkers evaluate as stacked blocks.
 
-Each builds the report of one instance with ``core``'s scalar norms, as the
-checkers computed it before the suites, the search and the checkers moved to
-the block kernels of ``leibnizlab.kernels``.
+Each builds the report(s) of one instance, as the checkers and suites
+computed them before they moved to the block kernels of ``leibnizlab.kernels``:
+the five measure statements with ``core``'s scalar norms, and the
+centered-product decomposition, the laplacian suite's three report kinds and
+the identities suite's two with one n x n matrix at a time (the matrix
+constructions, the Laplacian validator and the two samplers the laplacian
+suite drew with are copied here).
 """
 
 import math
@@ -10,6 +15,7 @@ import math
 import numpy as np
 
 from leibnizlab.core import center, expectation, lp_norm, sup_norm, variance
+from leibnizlab.operators import DegenerateInputError, PiecewiseLinearFn
 from leibnizlab.reports import VerificationReport
 
 
@@ -61,3 +67,170 @@ def scalar_square(mu, f, p, tol):
     rhs = 2.0 * sup_norm(f) * lp_norm(center(f, mu), mu, p)
     return VerificationReport.from_values("square_function_bound", lhs, rhs, tol, {
         "mu": mu.to_list(), "f": _floats(f), "exponents": {"p": _tag(p)}})
+
+
+# -- n x n matrices, one instance at a time ------------------------------------------
+
+def sample_mean_zero(rng, n):
+    v = rng.uniform(-1.0, 1.0, n)
+    return v - v.mean()
+
+
+def sample_laplacian(rng, n):
+    W = rng.uniform(0.0, 1.0, (n, n))
+    W = np.triu(W, 1)
+    L = W + W.T
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return L
+
+
+def theta_matrix(x):
+    n = x.size
+    T = (x[:, None] + x[None, :]) / (2.0 * n)
+    np.fill_diagonal(T, 0.0)
+    np.fill_diagonal(T, -T.sum(axis=1))
+    return T
+
+
+def divided_difference_matrix(x, phi):
+    n = x.size
+    threshold = 1e-9 * (1.0 + float(np.max(np.abs(x))))
+    if n > 1:
+        gaps = np.abs(x[:, None] - x[None, :]) + np.diag(np.full(n, np.inf))
+        if float(gaps.min()) < threshold:
+            raise DegenerateInputError(
+                f"sample points too close (min gap {gaps.min():.3e} < {threshold:.3e})")
+    values = np.asarray(phi(x), dtype=float)
+    diff_x = x[:, None] - x[None, :]
+    np.fill_diagonal(diff_x, 1.0)
+    T = (values[:, None] - values[None, :]) / diff_x
+    np.fill_diagonal(T, 0.0)
+    np.fill_diagonal(T, -T.sum(axis=1))
+    return T
+
+
+def monotone_laplacian(x, phi):
+    T = divided_difference_matrix(x, phi)
+    off = T[~np.eye(T.shape[0], dtype=bool)]
+    if off.size and float(off.min()) < -1e-12:
+        if float(off.max()) > 1e-12:
+            raise ValueError("phi is not monotone: off-diagonal entries change sign")
+        return -T
+    return T
+
+
+def validate_laplacian(M, tol=1e-12, psd_tol=1e-9):
+    if float(np.max(np.abs(M - M.T), initial=0.0)) > tol:
+        raise ValueError("matrix is not symmetric")
+    if float(np.max(np.abs(M.sum(axis=1)), initial=0.0)) > tol:
+        raise ValueError("row sums are not zero")
+    if float(np.max(np.abs(M.sum(axis=0)), initial=0.0)) > tol:
+        raise ValueError("column sums are not zero")
+    n = M.shape[0]
+    off = M[~np.eye(n, dtype=bool)]
+    if off.size and float(off.min()) < -tol:
+        raise ValueError("off-diagonal entries must be non-negative")
+    neg = -M
+    if n > 1 and float(np.linalg.eigvalsh(neg)[0]) < -psd_tol:
+        raise ValueError("-L is not positive semi-definite")
+    if n <= 3:
+        for m in range(1, n + 1):
+            if float(np.linalg.det(neg[:m, :m])) < -psd_tol:
+                raise ValueError(f"leading principal minor {m} of -L is negative")
+    return M
+
+
+def max_offdiagonal(M):
+    n = M.shape[0]
+    if n == 1:
+        return 0.0
+    return float(M[~np.eye(n, dtype=bool)].max())
+
+
+def hat_bounds(L):
+    M = validate_laplacian(L)
+    n = M.shape[0]
+    if n == 1:
+        return 0.0, 0.0
+    off = M + np.diag(np.full(n, -np.inf))
+    x_inf = off.max(axis=1)
+    Lhat = M - np.outer(x_inf, np.ones(n))
+    return float(np.max(np.abs(Lhat).sum(axis=0))), float(np.max(np.abs(Lhat).sum(axis=1)))
+
+
+def scalar_decomposition(f, g, tol):
+    n = f.size
+    uniform = np.full(n, 1.0 / n)
+    lhs = f * g - float(np.dot(uniform, f * g))
+    Tf, Tg = theta_matrix(f), theta_matrix(g)
+    centered = -Tf @ (g - float(np.dot(uniform, g))) - Tg @ (f - float(np.dot(uniform, f)))
+    plain = -Tf @ g - Tg @ f
+    deviation = max(float(np.max(np.abs(lhs - centered), initial=0.0)),
+                    float(np.max(np.abs(lhs - plain), initial=0.0)))
+    return VerificationReport.from_values("centered_product_decomposition", deviation, 0.0, tol,
+                                          {"f": _floats(f), "g": _floats(g)})
+
+
+def scalar_laplacian_bound(L, x, norm, tol):
+    M = validate_laplacian(L)
+    n = M.shape[0]
+    lhs = float(norm(M @ x))
+    rhs = n * max_offdiagonal(M) * float(norm(x))
+    return VerificationReport.from_values("laplacian_norm_bound", lhs, rhs, tol, {
+        "n": n, "max_offdiag": max_offdiagonal(M), "x": _floats(x)})
+
+
+def scalar_laplacian(L, x, norm_name, norm, points, phi, tol):
+    """The laplacian suite's reports of one trial: the norm bound, for a
+    divided-difference matrix its Lip(phi) corollary, and the hat-matrix bounds."""
+    n = L.shape[0]
+    rep = scalar_laplacian_bound(L, x, norm, tol)
+    rep.instance["norm"] = norm_name
+    reports = [rep]
+    if phi is not None:
+        reports.append(VerificationReport.from_values(
+            "monotone_divided_difference_bound", rep.lhs, n * phi.lipschitz * float(norm(x)), tol,
+            {"n": n, "lipschitz": phi.lipschitz, "norm": norm_name, "x": _floats(x),
+             "points": _floats(points), "phi": phi.to_dict()}))
+    col, row = hat_bounds(L)
+    reports.append(VerificationReport.from_values(
+        "hat_matrix_operator_bounds", max(col, row), n * max_offdiagonal(L), 1e-10,
+        {"n": n, "col": col, "row": row}))
+    return reports
+
+
+def scalar_centering(x, phi, tol):
+    n = x.size
+    T = divided_difference_matrix(x, phi)
+    left = -(T @ (x - float(x.mean()))) / n
+    values = np.asarray(phi(x), dtype=float)
+    deviation = float(np.max(np.abs(left - (values - float(values.mean()))), initial=0.0))
+    instance = {"x": _floats(x)}
+    if isinstance(phi, PiecewiseLinearFn):
+        instance["phi"] = phi.to_dict()
+    return VerificationReport.from_values("centering_identity", deviation, 0.0, tol, instance)
+
+
+def scalar_derivation(f, g, tol):
+    n = f.size
+    L = np.full((n, n), 1.0 / n) - np.eye(n)
+    df = (f[:, None] - f[None, :]) / math.sqrt(2.0)
+    dg = (g[:, None] - g[None, :]) / math.sqrt(2.0)
+
+    def adjoint(A):
+        return (A.sum(axis=1) - A.sum(axis=0)) / (math.sqrt(2.0) * n)
+
+    dev = {
+        "laplacian_factorization": float(np.max(np.abs(adjoint(df) - (-L @ f)))),
+        "left_product": float(np.max(np.abs(adjoint(f[:, None] * dg) - (-(theta_matrix(f) @ g))))),
+        "right_product": float(np.max(np.abs(adjoint(df * g[None, :]) - (-(theta_matrix(g) @ f))))),
+        "symmetric_form": float(np.max(np.abs(
+            adjoint(f[:, None] * dg) + 0.5 * (L @ (f * g) - g * (L @ f) + f * (L @ g))))),
+    }
+    return VerificationReport.from_values("derivation_identities", max(dev.values()), 0.0, tol,
+                                          {"f": _floats(f), "g": _floats(g), "deviations": dev})
+
+
+def scalar_identities(points, phi, f, g, tol):
+    """The identities suite's two reports of one trial."""
+    return [scalar_centering(points, phi, tol), scalar_derivation(f, g, tol)]

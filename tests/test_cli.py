@@ -73,8 +73,13 @@ def test_verify_suite_failure_exit_1(capsys):
     ("--suite", "leibniz", "--seed", "-1"),
     ("--suite", "square", "--n", "5000"),
     ("--suite", "all", "--n", "1000"),
+    ("--suite", "decomposition", "--n", "1001"),
+    ("--suite", "majorization", "--n", "1001"),
+    ("--suite", "laplacian", "--n", "1001"),
+    ("--suite", "identities", "--n", "1001"),
 ], ids=["p-abc", "p-half", "p-nan", "n-1", "all-n-1", "tol-nan", "tol-inf",
-        "trials-negative", "all-trials-0", "seed-negative", "square-n-5000", "all-n-1000"])
+        "trials-negative", "all-trials-0", "seed-negative", "square-n-5000", "all-n-1000",
+        "decomposition-n-1001", "majorization-n-1001", "laplacian-n-1001", "identities-n-1001"])
 def test_verify_malformed_flags_exit_2(capsys, flags):
     # refused before any suite runs: nothing on stdout, one line on stderr
     code = run_cli("verify", *flags)
@@ -286,6 +291,18 @@ def test_vector_flag_non_numeric_exit_2(capsys, x):
     assert run_cli("inspect", "--x", x) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("inspect", "--x", "[1" + "0" * 400 + "]"),
+    ("dualnorm", "--x", "1", "--w", "1" + "0" * 400, "--k", "1"),
+], ids=["inspect-x", "dualnorm-w"])
+def test_vector_flag_integer_beyond_float_exit_2(capsys, argv):
+    # json reads the integer exactly; it has no float, so the flag is refused
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: a number is too large for a float\n"
     assert captured.out == ""
 
 

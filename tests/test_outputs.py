@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
 from leibnizlab.cli import main
+from leibnizlab.suites import SUITES
 
 ARGV = ("verify", "--suite", "all", "--trials", "40", "--seed", "7")
 
@@ -47,6 +49,20 @@ def test_verify_all_reports_identical_across_reruns(tmp_path, capsys):
     capsys.readouterr()
     assert sorted(first) == sorted(GOLDEN_SHA256)
     assert first == second
+
+
+def test_verify_manifest_identical_across_reruns(tmp_path, capsys):
+    # the manifest may differ only in its wall time and in where its outputs were written
+    manifests = []
+    for run in ("first", "second"):
+        _suite_files(tmp_path / run)
+        manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+        del manifest["wall_time_s"]
+        manifest["outputs"] = [os.path.basename(path) for path in manifest["outputs"]]
+        manifests.append(manifest)
+    capsys.readouterr()
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["outputs"] == [f"suite_{name}.jsonl" for name in SUITES]
 
 
 def test_examples_json_stdout_matches_golden_hash(capsys):

@@ -1,12 +1,20 @@
 """Property suites: the block suites against the one-instance computation,
 the suites' size limits, and the strong-Leibniz open-region note."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 from scalar_reference import (
     scalar_chain_rule,
+    scalar_centering,
+    scalar_decomposition,
+    scalar_derivation,
+    scalar_identities,
+    scalar_laplacian,
+    scalar_laplacian_bound,
     scalar_leibniz,
     scalar_markov,
     scalar_square,
@@ -14,15 +22,18 @@ from scalar_reference import (
 )
 
 import leibnizlab.kernels as kernels
+import leibnizlab.operators as operators
 import leibnizlab.suites as suites
 from leibnizlab import verify
 from leibnizlab.core import IDENTITY_TOL, INEQUALITY_TOL, weak_majorizes
-from leibnizlab.operators import deflated_theta
+from leibnizlab.knorms import k_norm_evaluator, lp_evaluator
+from leibnizlab.operators import DegenerateInputError, PiecewiseLinearFn, deflated_theta
 from leibnizlab.reports import VerificationReport
 from leibnizlab.sampling import (
     EXPONENT_GRID,
     MAX_ATOMS,
     rng_for,
+    sample_distinct_points,
     sample_holder_triple_pair,
     sample_piecewise_linear,
     sample_prob_vector,
@@ -100,8 +111,8 @@ def test_block_size_does_not_change_reports(monkeypatch):
 
 @pytest.mark.parametrize("name", ["decomposition", "laplacian", "identities"])
 def test_scalar_suites_do_not_depend_on_the_block(monkeypatch, name):
-    # blocks of 1, 7 and BLOCK trials; laplacian's blocks hold
-    # MAJORIZATION_BLOCK // n_max**2 trials, here the same number
+    # blocks of 1, 7 and BLOCK trials (laplacian's too, below n_max**2 *
+    # BLOCK <= LAPLACIAN_HELD), evaluated in slices of as many rows at n_max
     runs = []
     for size in (1, 7, suites.BLOCK):
         monkeypatch.setattr(suites, "BLOCK", size)
@@ -226,3 +237,143 @@ def test_fallback_streams_give_the_same_reports(monkeypatch):
     monkeypatch.setattr(kernels, "_seeding_matches", lambda: False)
     fallback = [_fields(_run_suite(name, 60, 8, 4, INEQUALITY_TOL).reports) for name in sorted(STREAMS)]
     assert fallback == seeded
+
+
+# -- the three suites that build n x n matrices, against a scalar reference ------
+#
+# The scalar formulas of ``scalar_reference``, and each suite's trial loop as
+# it was written one trial at a time, with the laplacian suite's norm pool
+# as evaluators.
+
+MATRIX_STREAMS = {"decomposition": 1, "laplacian": 3, "identities": 7}
+DEFAULT_TOL = {"decomposition": IDENTITY_TOL, "laplacian": INEQUALITY_TOL, "identities": IDENTITY_TOL}
+NORM_POOL = (("l1", lp_evaluator(1.0)), ("l1.5", lp_evaluator(1.5)), ("l2", lp_evaluator(2.0)),
+             ("l3", lp_evaluator(3.0)), ("linf", lp_evaluator(np.inf)))
+
+
+def _scalar_norm(rng, n):
+    name, norm = NORM_POOL[rng.integers(len(NORM_POOL))]
+    if rng.random() < 0.4:
+        k = int(rng.integers(1, n + 1))
+        return f"k{k}", k_norm_evaluator(k)
+    return name, norm
+
+
+def _scalar_matrix_trial(name, rng, n, t, tol):
+    if name == "decomposition":
+        return [scalar_decomposition(sample_vector(rng, n), sample_vector(rng, n), tol)]
+    if name == "identities":
+        points = sample_distinct_points(rng, n)
+        phi = sample_piecewise_linear(rng, 6, monotone=bool(rng.random() < 0.5))
+        return scalar_identities(points, phi, sample_vector(rng, n), sample_vector(rng, n), tol)
+    norm_name, norm = _scalar_norm(rng, n)
+    x = ref.sample_mean_zero(rng, n)
+    if t % 2:
+        points = sample_distinct_points(rng, n)
+        phi = sample_piecewise_linear(rng, 4, monotone=True)
+        return scalar_laplacian(ref.monotone_laplacian(points, phi), x, norm_name, norm, points, phi, tol)
+    return scalar_laplacian(ref.sample_laplacian(rng, n), x, norm_name, norm, None, None, tol)
+
+
+def _scalar_matrix_suite(name, trials, n_max, seed, tol):
+    reports = []
+    for t in range(trials):
+        rng = rng_for(seed, MATRIX_STREAMS[name], t)
+        for rep in _scalar_matrix_trial(name, rng, int(rng.integers(2, n_max + 1)), t, tol):
+            rep.seed = t
+            reports.append(rep)
+    return reports
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_STREAMS))
+@pytest.mark.parametrize("n_max, seed, tol", [(2, 0, None), (8, 5, None), (12, 11, -1e-3)])
+def test_matrix_suite_matches_scalar_reference(name, n_max, seed, tol):
+    tol = DEFAULT_TOL[name] if tol is None else tol
+    outcome = suites.SUITES[name](trials=130, n_max=n_max, seed=seed, tol=tol)
+    reference = _scalar_matrix_suite(name, 130, n_max, seed, tol)
+    assert _fields(outcome.reports) == _fields(reference)
+    assert {len(r.instance.get("f", r.instance.get("x", []))) for r in reference} - {0} == set(
+        range(2, n_max + 1))
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_STREAMS))
+def test_matrix_suite_matches_scalar_reference_across_blocks(monkeypatch, name):
+    # blocks of 50 seeded and held trials: 130 trials cross two boundaries
+    monkeypatch.setattr(kernels, "BLOCK", 50)
+    monkeypatch.setattr(suites, "BLOCK", 50)
+    outcome = suites.SUITES[name](trials=130, n_max=8, seed=3)
+    assert _fields(outcome.reports) == _fields(_scalar_matrix_suite(name, 130, 8, 3, DEFAULT_TOL[name]))
+
+
+def test_matrix_checkers_match_scalar_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        f, g = sample_vector(rng, n), sample_vector(rng, n)
+        points = sample_distinct_points(rng, n)
+        phi = sample_piecewise_linear(rng, 6, monotone=bool(rng.random() < 0.5))
+        ramp = sample_piecewise_linear(rng, 4, monotone=True)
+        L = ref.sample_laplacian(rng, n) if rng.random() < 0.5 else ref.monotone_laplacian(points, ramp)
+        x = ref.sample_mean_zero(rng, n)
+        _, norm = _scalar_norm(rng, n)
+        pairs = [
+            (verify.check_decomposition(f, g), scalar_decomposition(f, g, IDENTITY_TOL)),
+            (operators.centering_identity_check(points, phi), scalar_centering(points, phi, IDENTITY_TOL)),
+            (operators.derivation_checks(f, g), scalar_derivation(f, g, IDENTITY_TOL)),
+            (operators.laplacian_norm_bound_check(L, x, norm), scalar_laplacian_bound(L, x, norm, INEQUALITY_TOL)),
+        ]
+        for got, want in pairs:
+            assert _bits(got.to_dict()) == _bits(want.to_dict())
+        assert _bits(list(operators.lhat_row_col_bounds(L))) == _bits(list(ref.hat_bounds(L)))
+        for got, want in [(operators.theta_matrix(f), ref.theta_matrix(f)),
+                          (operators.divided_difference_matrix(points, phi),
+                           ref.divided_difference_matrix(points, phi)),
+                          (operators.monotone_laplacian(points, ramp), ref.monotone_laplacian(points, ramp))]:
+            assert got.tobytes() == want.tobytes()
+
+
+def _laplacians(count, n, seed=5):
+    rng = np.random.default_rng(seed)
+    return np.array([ref.sample_laplacian(rng, n) for _ in range(count)])
+
+
+@pytest.mark.parametrize("row, fault", [(0, "asymmetric"), (4, "row-sum"), (5, "negative")])
+def test_laplacian_block_refuses_as_the_one_matrix_validator(row, fault):
+    block = _laplacians(6, 3)
+    bad = block[row].copy()
+    if fault == "asymmetric":
+        bad[0, 1] += 0.1
+    elif fault == "row-sum":
+        bad[1, 1] += 0.1
+    else:
+        bad[:] = [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    block[row] = bad
+    with pytest.raises(ValueError) as want:
+        ref.validate_laplacian(bad)
+    with pytest.raises(ValueError) as got:
+        kernels.validate_laplacians(block)
+    assert str(got.value) == str(want.value)
+    kernels.validate_laplacians(np.delete(block, row, axis=0))  # the other rows pass
+
+
+def test_monotone_laplacians_refuse_a_non_monotone_row():
+    points = np.array([[-0.5, 0.0, 0.5], [-0.7, 0.1, 0.9], [0.2, 0.4, 0.6]])
+    vshape = PiecewiseLinearFn(np.array([0.0]), np.array([-1.0, 1.0]), 0.0)
+    with pytest.raises(ValueError) as want:
+        ref.monotone_laplacian(points[1], vshape)
+    T = kernels.divided_differences(points, lambda x: np.where(np.arange(3)[:, None] == 1, np.abs(x), x))
+    with pytest.raises(ValueError) as got:
+        kernels.monotone_laplacians(T)
+    assert str(got.value) == str(want.value)
+
+
+def test_divided_differences_refuse_close_points_in_any_row():
+    points = np.array([[0.1, 0.5, -0.3], [0.2, 0.2 + 1e-12, 0.9], [0.0, 0.4, 0.8]])
+    identity = PiecewiseLinearFn.identity()
+    block = kernels.Block(None, points, bp=np.zeros((3, 1)), slopes=np.ones((3, 2)), anchor=np.zeros(3))
+    with pytest.raises(DegenerateInputError) as want:
+        ref.divided_difference_matrix(points[1], identity)
+    with pytest.raises(DegenerateInputError) as got:
+        kernels.divided_differences(points, functools.partial(kernels.phi, block))
+    assert str(got.value) == str(want.value)
+    assert kernels.divided_differences(points[[0, 2]], lambda x: x).shape == (2, 3, 3)
