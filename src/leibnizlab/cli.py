@@ -39,7 +39,7 @@ from .search import (
 )
 from .serialize import dumps, write_jsonl
 from .suites import N_MAX_BOUNDS, SUITES
-from .core import check_exponent
+from .core import check_exponent, exponent_tag
 
 SUITE_CHOICES = tuple(SUITES) + ("all",)
 
@@ -245,7 +245,7 @@ def cmd_search(args) -> int:
     payload = {
         "config": config.to_dict(),
         "best_violation": result.best_violation,
-        "best_p": "inf" if math.isinf(result.best_p) else result.best_p,
+        "best_p": exponent_tag(result.best_p),
         "per_p": {("inf" if math.isinf(p) else repr(p)): v for p, v in result.per_p.items()},
         "witness": result.witness,
         "verdict": result.verdict(),

@@ -142,6 +142,11 @@ def reciprocal_exponent(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
+def exponent_tag(p: float):
+    """An exponent as reports and witnesses write it: "inf", else the float."""
+    return "inf" if math.isinf(p) else float(p)
+
+
 def conjugate_exponent(p: float) -> float:
     """The dual exponent p* with 1/p + 1/p* = 1."""
     p = check_exponent(p)

@@ -263,29 +263,37 @@ def max_offdiagonal(L: np.ndarray) -> np.ndarray:
     return _offdiagonal(L).max(axis=1)
 
 
-def validate_laplacians(L: np.ndarray, tol: float = STRUCT_TOL, psd_tol: float = 1e-9) -> None:
+#: Most negative eigenvalue (and leading minor) of -L that ``validate_laplacians`` accepts.
+PSD_TOL = 1e-9
+
+
+def validate_laplacians(L: np.ndarray) -> None:
     """Check the Laplacian contract of each matrix: symmetric, zero row and
     column sums, off-diagonal >= 0, -L positive semi-definite (its smallest
     eigenvalue, and for n <= 3 also its leading principal minors).
 
-    Raises ValueError with ``operators.validate_laplacian``'s message for the
-    first of these checks that some matrix fails.
+    Symmetry and signs are checked to STRUCT_TOL.  A sum of n entries rounds
+    by up to about n eps max |L_ij|, so each matrix's sums are checked to
+    max(STRUCT_TOL, n eps max |L_ij|), and PSD to PSD_TOL.  Raises
+    ValueError with ``operators.validate_laplacian``'s message for the first
+    of these checks that some matrix fails.
     """
     n = L.shape[1]
-    if np.any(np.abs(L - L.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0) > tol):
+    if np.any(np.abs(L - L.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0) > STRUCT_TOL):
         raise ValueError("matrix is not symmetric")
-    if np.any(np.abs(L.sum(axis=2)).max(axis=1, initial=0.0) > tol):
+    sum_tol = np.maximum(STRUCT_TOL, n * np.finfo(float).eps * np.abs(L).max(axis=(1, 2), initial=0.0))
+    if np.any(np.abs(L.sum(axis=2)).max(axis=1, initial=0.0) > sum_tol):
         raise ValueError("row sums are not zero")
-    if np.any(np.abs(L.sum(axis=1)).max(axis=1, initial=0.0) > tol):
+    if np.any(np.abs(L.sum(axis=1)).max(axis=1, initial=0.0) > sum_tol):
         raise ValueError("column sums are not zero")
-    if n > 1 and np.any(_offdiagonal(L).min(axis=1) < -tol):
+    if n > 1 and np.any(_offdiagonal(L).min(axis=1) < -STRUCT_TOL):
         raise ValueError("off-diagonal entries must be non-negative")
     neg = -L
-    if n > 1 and np.any(np.linalg.eigvalsh(neg)[:, 0] < -psd_tol):
+    if n > 1 and np.any(np.linalg.eigvalsh(neg)[:, 0] < -PSD_TOL):
         raise ValueError("-L is not positive semi-definite")
     if n <= 3:
         for m in range(1, n + 1):
-            if np.any(np.linalg.det(neg[:, :m, :m]) < -psd_tol):
+            if np.any(np.linalg.det(neg[:, :m, :m]) < -PSD_TOL):
                 raise ValueError(f"leading principal minor {m} of -L is negative")
 
 
@@ -350,7 +358,9 @@ def derivation(f: np.ndarray) -> np.ndarray:
 
 
 def derivation_adjoint(A: np.ndarray) -> np.ndarray:
-    """The derivation's adjoint for uniform inner products: (row sums - column sums) / (sqrt(2) n)."""
+    """The derivation's adjoint of each n x n matrix for the uniform inner
+    products <u, v> = (1/n) sum u_i v_i on vectors and <A, B> = (1/n^2) sum
+    A_ij B_ij on matrices: (row sums - column sums) / (sqrt(2) n)."""
     return (A.sum(axis=2) - A.sum(axis=1)) / (math.sqrt(2.0) * A.shape[1])
 
 
@@ -398,7 +408,8 @@ def dirichlet_rows(expo: np.ndarray) -> np.ndarray:
 
 
 def sample_phi(knot_u: np.ndarray, counts: np.ndarray, monotone: bool, signed: bool = False) -> dict:
-    """Padded phi arrays from each row's uniforms, as ``sampling.sample_piecewise_linear``.
+    """Padded phi arrays from each row's uniforms, as the scalar reference
+    sampler ``sample_piecewise_linear`` (``tests/scalar_reference.py``) builds phi.
 
     ``knot_u`` is a 2-D array of width 2 mmax + 2 (2 mmax + 3 if ``signed``),
     where mmax is the largest breakpoint count; a row with m breakpoints

@@ -14,7 +14,8 @@ Three families of symmetric matrices with vanishing row and column sums:
 
 The derivation d with (df)_ij = (f_i - f_j)/sqrt(2) ties the first family to
 the uniform Laplacian via -L = d* d; ``derivation_checks`` verifies the whole
-dictionary numerically.
+dictionary numerically.  The derivation and its adjoint are
+``kernels.derivation`` and ``kernels.derivation_adjoint``.
 
 Each matrix and checker here is the one-instance case of a stacked kernel in
 ``kernels``, evaluated on a one-row block; the ``*_reports`` builders give
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import IDENTITY_TOL, INEQUALITY_TOL, STRUCT_TOL, DimensionMismatchError, as_pair, as_vector
+from .core import IDENTITY_TOL, INEQUALITY_TOL, DimensionMismatchError, as_pair, as_vector
 from .kernels import MIN_RELATIVE_GAP, Block, DegenerateInputError, uniform_laplacian
 from .reports import VerificationReport
 
@@ -163,16 +164,17 @@ def max_offdiagonal(L) -> float:
     return float(kernels.max_offdiagonal(np.asarray(L, dtype=float)[None])[0])
 
 
-def validate_laplacian(L, tol: float = STRUCT_TOL, psd_tol: float = 1e-9) -> np.ndarray:
+def validate_laplacian(L) -> np.ndarray:
     """Check the Laplacian contract: symmetric, zero sums, off-diag >= 0, -L PSD.
 
     The PSD certificate is the smallest eigenvalue of -L; for n <= 3 the
     leading principal minors of -L are cross-checked as a second certificate.
+    The tolerances are those of ``kernels.validate_laplacians``.
     """
     M = np.asarray(L, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    kernels.validate_laplacians(M[None], tol, psd_tol)
+    kernels.validate_laplacians(M[None])
     return M
 
 
@@ -231,20 +233,6 @@ def lhat_row_col_bounds(L) -> tuple[float, float]:
     """
     col, row = kernels.hat_bounds(validate_laplacian(L)[None])
     return float(col[0]), float(row[0])
-
-
-def pairwise_difference(f) -> np.ndarray:
-    """The derivation: matrix with entries (f_i - f_j) / sqrt(2)."""
-    return kernels.derivation(as_vector(f)[None, :])[0]
-
-
-def derivation_adjoint(A) -> np.ndarray:
-    """Adjoint of the derivation w.r.t. uniform inner products on vectors/matrices.
-
-    For <u, v> = (1/n) sum u_i v_i and <A, B> = (1/n^2) sum A_ij B_ij the
-    adjoint evaluates to (row sums - column sums) / (sqrt(2) n).
-    """
-    return kernels.derivation_adjoint(np.asarray(A, dtype=float)[None])[0]
 
 
 def derivation_checks(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:

@@ -25,13 +25,13 @@ of f:
 An ``Instance`` holds search instances as the rows of arrays; one row is one
 instance, and the one-instance functions (``violation``, ``refine``,
 ``replay``, the witness codec) take one-row Instances.  Trials are sampled and
-scored in blocks of ``BLOCK`` rows: the kernel of the target (``kernels``)
-maps a block and an exponent to both sides of all its rows, with the same
-floating-point operations, in the same order, as the checker in ``verify``
-applied to each row alone.  The search takes a row out of a block with
-``Instance.row``.  Each exponent keeps one leader table, its best trials
-in order (``search``); refinement scores all neighbours of an instance as
-one block and returns the tuned instance with its violation.
+scored in blocks of ``BLOCK`` rows: the target's statement in
+``verify.STATEMENTS`` maps a block and an exponent to both sides of all its
+rows, with the same floating-point operations, in the same order, as the
+checker in ``verify`` applied to each row alone.  The search takes a row out
+of a block with ``Instance.row``.  Each exponent keeps one leader table, its
+best trials in order (``search``); refinement scores all neighbours of an
+instance as one block and returns the tuned instance with its violation.
 
 Determinism: trial t draws from its own ``default_rng((seed, t))``, derived a
 block at a time by ``kernels.streams`` and equal to it bit for bit (or built
@@ -49,13 +49,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import kernels
-from .core import HolderTriple, ProbVector, check_exponent
+from .core import HolderTriple, ProbVector, check_exponent, exponent_tag
 from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, streams
 from .operators import PiecewiseLinearFn
 from .reports import VerificationReport
 from .verify import (
     INVERTIBILITY_FLOOR,
+    STATEMENTS,
     check_chain_rule,
     check_leibniz,
     check_square_bound,
@@ -131,7 +131,7 @@ class SearchConfig:
         return cls(**d)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "p_grid": ["inf" if math.isinf(p) else p for p in self.p_grid]}
+        return {**asdict(self), "p_grid": [exponent_tag(p) for p in self.p_grid]}
 
 
 @dataclass
@@ -269,26 +269,16 @@ def _split_exponents(split: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarra
     return pe, qe
 
 
-_KERNELS = {
-    "chain_rule": kernels.chain_rule,
-    "strong_leibniz": kernels.strong_leibniz,
-    "square_bound": kernels.square_bound,
-}
-
-
 def _violations(b: Instance, target: str, p: float) -> np.ndarray:
-    """lhs - rhs of the target inequality for every row of the block."""
+    """lhs - rhs of the target inequality at p (for leibniz, r = p split by each row's fractions)."""
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}")
+    exponents = (p,)
     if target == "leibniz":
-        lhs, term_f, term_g = kernels.leibniz(b, p, *_split_exponents(b.split1, p),
-                                              *_split_exponents(b.split2, p))
-        return lhs - (term_f + term_g)
-    try:
-        kernel = _KERNELS[target]
-    except KeyError:
-        raise ValueError(f"unknown target {target!r}") from None
+        exponents += (*_split_exponents(b.split1, p), *_split_exponents(b.split2, p))
     # a singular f (strong leibniz) makes inf / inf; its row reads -inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        lhs, rhs = kernel(b, p)
+        lhs, rhs, _ = STATEMENTS[target].sides(b, exponents)
     if target == "strong_leibniz":
         return np.where(np.abs(b.f).min(axis=1) < INVERTIBILITY_FLOOR, -np.inf, lhs - rhs)
     return lhs - rhs
@@ -431,7 +421,7 @@ def search(config: SearchConfig) -> SearchResult:
     best_p = min(grid, key=lambda p: (-per_p_best[p][0], per_p_best[p][1]))
     best = per_p_best[best_p]
     witness = best[2].to_dict()
-    witness["p"] = "inf" if math.isinf(best_p) else float(best_p)
+    witness["p"] = exponent_tag(best_p)
     witness["target"] = config.target
     witness["trial"] = best[1]
     witness["violation"] = best[0]

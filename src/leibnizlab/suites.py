@@ -43,6 +43,7 @@ from .core import IDENTITY_TOL, INEQUALITY_TOL, check_exponent
 from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, streams
 from .reports import VerificationReport
 from .search import reciprocal_witness_report
+from .verify import STATEMENTS
 from .sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, sample_distinct_points, sample_holder_triple_pair
 
 _GRID = np.array(EXPONENT_GRID)
@@ -113,6 +114,9 @@ def _norm_pool(rng: np.random.Generator, n: int) -> str:
 #: faster and raised the peak RSS of ``verify --suite all`` by about 0.5 MB.
 MAJORIZATION_BLOCK = 243 * 16
 
+#: Largest n whose sign patterns the majorization suite checks exhaustively.
+EXHAUSTIVE_N = 4
+
 #: Drawn matrix entries the laplacian suite holds before it evaluates them
 #: (0.5 MB): BLOCK trials up to n_max = 8, fewer above.
 LAPLACIAN_HELD = 64 * BLOCK
@@ -162,7 +166,7 @@ def _square_blocks(rows, n: int, columns) -> list:
 
 
 def _measure(n: int, expo: list) -> np.ndarray:
-    """``sample_prob_vector`` rows from each row's n standard exponentials."""
+    """``dirichlet(ones(n))`` measures with every weight >= MASS_FLOOR, from each row's n exponentials."""
     if n * MASS_FLOOR >= 1.0:
         raise ValueError(f"mass floor {MASS_FLOOR} infeasible for {n} atoms")
     return MASS_FLOOR + (1.0 - n * MASS_FLOOR) * dirichlet_rows(np.array(expo))
@@ -174,7 +178,7 @@ def _uniform(rows: list) -> np.ndarray:
 
 
 def _phi_draws(rng, max_breakpoints: int, signed: bool = False) -> tuple[int, np.ndarray]:
-    """The draws of ``sample_piecewise_linear``: the breakpoint count m, then
+    """The draws of a random phi (``sample_phi``): the breakpoint count m, then
     m + m + 1 + 1 uniforms (one more, the sign, before the anchor if ``signed``),
     at the head of a zero row of width 2 * max_breakpoints + 2 (+ 1 if ``signed``)."""
     m = int(rng.integers(1, max_breakpoints + 1))
@@ -208,7 +212,7 @@ def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
     def evaluate(n, columns):
         expo, f, g, exponents = columns
         block = Block(_measure(n, expo), _uniform(f), _uniform(g))
-        return zip(verify.leibniz_reports(block, np.array(exponents).T, tol))
+        return zip(STATEMENTS["leibniz"].reports(block, np.array(exponents).T, tol))
     return _run("leibniz", 0, draw, evaluate, trials, n_max, seed)
 
 
@@ -241,19 +245,14 @@ def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float) -> list[Verifi
             for w, ok, x, y in zip(worst, passed, X.tolist(), Y.tolist())]
 
 
-def _majorization_reports(X: np.ndarray, Y: np.ndarray, tol: float) -> list[VerificationReport]:
-    """``_majorization_block`` over blocks of at most MAJORIZATION_BLOCK matrix entries."""
-    return _square_blocks(lambda x, y: _majorization_block(x, y, tol), X.shape[1], [X, Y])
-
-
 def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
-                       tol: float = IDENTITY_TOL, exhaustive_n: int = 4) -> SuiteOutcome:
+                       tol: float = IDENTITY_TOL) -> SuiteOutcome:
     """|deflated_theta(x) y| <_w |x|down * |y|down, random plus exhaustive signs.
 
     Trial t draws n, x and y from stream 2; each group of trials with the same
     n is evaluated as stacked blocks of at most ``MAJORIZATION_BLOCK`` matrix
     entries, as are the sign patterns (all of {-1, 0, 1}^n x {-1, 0, 1}^n for
-    n <= exhaustive_n, a few x at a time).  Reports keep their order (trials
+    n <= EXHAUSTIVE_N, a few x at a time).  Reports keep their order (trials
     first, then patterns) and match the scalar computation bit for bit.
     """
     start = time.perf_counter()
@@ -264,13 +263,13 @@ def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
     def rows(x, y):
         return zip(_majorization_block(np.array(x), np.array(y), tol))
     outcome = _run("majorization", 2, draw, functools.partial(_square_blocks, rows), trials, n_max, seed)
-    for n in range(1, exhaustive_n + 1):
+    for n in range(1, EXHAUSTIVE_N + 1):
         patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
         m = len(patterns)
         step = max(1, MAJORIZATION_BLOCK // (n * n * m))  # x-patterns per block
         for i in range(0, m, step):
-            outcome.reports += _majorization_reports(np.repeat(patterns[i:i + step], m, axis=0),
-                                                     np.tile(patterns, (min(step, m - i), 1)), tol)
+            outcome.reports += _majorization_block(np.repeat(patterns[i:i + step], m, axis=0),
+                                                   np.tile(patterns, (min(step, m - i), 1)), tol)
     outcome.elapsed = time.perf_counter() - start
     return outcome
 
@@ -341,7 +340,7 @@ def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
         expo, f, counts, knot_u, k = columns
         phi = sample_phi(np.array(knot_u), np.array(counts), True, signed=True)
         block = Block(_measure(n, expo), _uniform(f), **phi)
-        return zip(verify.chain_rule_reports(block, _GRID[k], tol))
+        return zip(STATEMENTS["chain_rule"].reports(block, (_GRID[k],), tol))
     return _run("chain-rule", 4, draw, evaluate, trials, n_max, seed)
 
 
@@ -354,7 +353,7 @@ def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
     def evaluate(n, columns):
         expo, f, counts, knot_u = columns
         block = Block(_measure(n, expo), _uniform(f), **sample_phi(np.array(knot_u), np.array(counts), False))
-        return zip(verify.markov_reports(block, tol))
+        return zip(STATEMENTS["markov_variance"].reports(block, (), tol))
     return _run("markov", 5, draw, evaluate, trials, n_max, seed)
 
 
@@ -365,7 +364,7 @@ def suite_square(trials: int = 10_000, n_max: int = 8, seed: int = 0,
 
     def evaluate(n, columns):
         expo, f, k = columns
-        return zip(verify.square_bound_reports(Block(_measure(n, expo), _uniform(f)), _GRID[k], tol))
+        return zip(STATEMENTS["square_bound"].reports(Block(_measure(n, expo), _uniform(f)), (_GRID[k],), tol))
     return _run("square", 6, draw, evaluate, trials, n_max, seed)
 
 
@@ -400,7 +399,7 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     def evaluate(n, columns):
         expo, mag, sign_u = columns
         f = np.array(mag) * np.where(np.array(sign_u) < 0.5, -1.0, 1.0)
-        return zip(verify.strong_leibniz_reports(Block(_measure(n, expo), f), np.full(len(f), p), tol))
+        return zip(STATEMENTS["strong_leibniz"].reports(Block(_measure(n, expo), f), (p,), tol))
     outcome = _run("strong-leibniz", 8, draw, evaluate, trials, n_max, seed, theorem_backed=False)
     witness = reciprocal_witness_report(tol)
     witness.instance["expected_failure"] = True

@@ -29,6 +29,7 @@ from .core import (
     as_pair,
     center,
     check_exponent,
+    exponent_tag,
     lp_norm,
     paired,
 )
@@ -41,10 +42,6 @@ REPLICATION_CAP = 100_000
 
 #: Smallest |f_i| accepted as invertible.
 INVERTIBILITY_FLOOR = 1e-6
-
-
-def _exp_tag(p: float):
-    return "inf" if math.isinf(p) else float(p)
 
 
 @dataclass(frozen=True)
@@ -89,65 +86,67 @@ def check_holder_theta(x, y, triple: HolderTriple, tol: float = INEQUALITY_TOL) 
     instance = {
         "x": xv.tolist(),
         "y": yv.tolist(),
-        "exponents": {"r": _exp_tag(triple.r), "p": _exp_tag(triple.p), "q": _exp_tag(triple.q)},
+        "exponents": {"r": exponent_tag(triple.r), "p": exponent_tag(triple.p), "q": exponent_tag(triple.q)},
     }
     return VerificationReport.from_values("holder_theta_bound", lhs, rhs, tol, instance)
 
 
-def _tags(exponents: np.ndarray) -> list:
-    return [_exp_tag(p) for p in exponents.tolist()]
-
-
 # -- one report per row of a block; the checkers below are their one-row case --
+
+class Statement:
+    """One inequality on a measure, written once for the checkers, the suites
+    and the search.
+
+    ``kernel(block, *exponents)`` returns each row's left-hand side, then the
+    terms whose sum is its right-hand side (two for the product rule, one
+    otherwise).  ``exponents`` names the exponents the kernel takes, in
+    order, and ``phi`` says whether instances carry a piecewise-linear
+    function.  A plain class, as ``kernels.Block`` is.
+    """
+
+    def __init__(self, name: str, kernel, exponents: tuple = (), phi: bool = False):
+        self.name, self.kernel, self.exponents, self.phi = name, kernel, exponents, phi
+
+    def sides(self, b: Block, exponents=()) -> tuple:
+        """Each row's lhs, rhs and the terms of rhs.  ``exponents`` holds, per
+        name in ``self.exponents``, one float or an array of one per row."""
+        lhs, *terms = self.kernel(b, *exponents)
+        return lhs, sum(terms[1:], terms[0]), terms
+
+    def reports(self, b: Block, exponents=(), tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
+        """One report per row of ``b``, with the row's instance echoed in full."""
+        lhs, rhs, terms = self.sides(b, exponents)
+        columns = {"mu": b.mu.tolist(), "f": b.f.tolist()}
+        if b.g is not None:
+            columns["g"] = b.g.tolist()
+        if self.phi:
+            columns["phi"], lipschitz, monotone = zip(*phi_echo(b))
+        if self.exponents:
+            tags = zip(*([exponent_tag(e) for e in np.broadcast_to(x, len(b)).tolist()] for x in exponents))
+            columns["exponents"] = [dict(zip(self.exponents, row)) for row in tags]
+        if len(terms) > 1:
+            columns["rhs_terms"] = [list(row) for row in zip(*(t.tolist() for t in terms))]
+        if self.phi:
+            columns["lipschitz"], columns["monotone"] = lipschitz, monotone
+        return [VerificationReport.from_values(self.name, left, right, tol, dict(zip(columns, row)))
+                for left, right, row in zip(lhs.tolist(), rhs.tolist(), zip(*columns.values()))]
+
+
+#: The five statements on a measure, by the name of their checker, ``check_<name>``.
+STATEMENTS = {
+    "leibniz": Statement("leibniz_inequality", kernels.leibniz, ("r", "p1", "q1", "p2", "q2")),
+    "chain_rule": Statement("chain_rule", kernels.chain_rule, ("p",), phi=True),
+    "markov_variance": Statement("markov_variance", kernels.markov_variance, phi=True),
+    "strong_leibniz": Statement("strong_leibniz", kernels.strong_leibniz, ("p",)),
+    "square_bound": Statement("square_function_bound", kernels.square_bound, ("p",)),
+}
+
 
 def decomposition_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) -> list[VerificationReport]:
     centered, plain = kernels.decomposition(f, g)
     return [VerificationReport.from_values("centered_product_decomposition", max(c, p), 0.0, tol,
                                            {"f": fs, "g": gs})
             for c, p, fs, gs in zip(centered.tolist(), plain.tolist(), f.tolist(), g.tolist())]
-
-
-def leibniz_reports(b: Block, exponents, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
-    """``exponents`` is (r, p1, q1, p2, q2), each with one entry per row."""
-    lhs, term_f, term_g = kernels.leibniz(b, *exponents)
-    return [VerificationReport.from_values("leibniz_inequality", left, tf + tg, tol, {
-                "mu": mu, "f": f, "g": g,
-                "exponents": {"r": r, "p1": p1, "q1": q1, "p2": p2, "q2": q2},
-                "rhs_terms": [tf, tg]})
-            for left, tf, tg, mu, f, g, (r, p1, q1, p2, q2)
-            in zip(lhs.tolist(), term_f.tolist(), term_g.tolist(), b.mu.tolist(), b.f.tolist(),
-                   b.g.tolist(), zip(*map(_tags, exponents)))]
-
-
-def chain_rule_reports(b: Block, p: np.ndarray, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
-    lhs, rhs = kernels.chain_rule(b, p)
-    return [VerificationReport.from_values("chain_rule", left, right, tol, {
-                "mu": mu, "f": f, "phi": phi, "exponents": {"p": e}, "lipschitz": lip, "monotone": mono})
-            for left, right, mu, f, (phi, lip, mono), e
-            in zip(lhs.tolist(), rhs.tolist(), b.mu.tolist(), b.f.tolist(), phi_echo(b), _tags(p))]
-
-
-def markov_reports(b: Block, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
-    lhs, rhs = kernels.markov_variance(b)
-    return [VerificationReport.from_values("markov_variance", left, right, tol, {
-                "mu": mu, "f": f, "phi": phi, "lipschitz": lip, "monotone": mono})
-            for left, right, mu, f, (phi, lip, mono)
-            in zip(lhs.tolist(), rhs.tolist(), b.mu.tolist(), b.f.tolist(), phi_echo(b))]
-
-
-def _p_reports(name: str, kernel, b: Block, p: np.ndarray, tol: float) -> list[VerificationReport]:
-    lhs, rhs = kernel(b, p)
-    return [VerificationReport.from_values(name, left, right, tol, {"mu": mu, "f": f, "exponents": {"p": e}})
-            for left, right, mu, f, e in zip(lhs.tolist(), rhs.tolist(), b.mu.tolist(), b.f.tolist(), _tags(p))]
-
-
-def strong_leibniz_reports(b: Block, p: np.ndarray, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
-    """Every row's f must be invertible."""
-    return _p_reports("strong_leibniz", kernels.strong_leibniz, b, p, tol)
-
-
-def square_bound_reports(b: Block, p: np.ndarray, tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
-    return _p_reports("square_function_bound", kernels.square_bound, b, p, tol)
 
 
 def check_decomposition(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
@@ -173,8 +172,7 @@ def check_leibniz(
         raise ValueError(f"the two triples must share r, got {t1.r} and {t2.r}")
     fv, gv = as_pair(f, g)
     _, w = paired(fv, mu)
-    exponents = [np.array([e]) for e in (t1.r, t1.p, t1.q, t2.p, t2.q)]
-    return leibniz_reports(Block.one(w, fv, gv), exponents, tol)[0]
+    return STATEMENTS["leibniz"].reports(Block.one(w, fv, gv), (t1.r, t1.p, t1.q, t2.p, t2.q), tol)[0]
 
 
 def check_chain_rule(
@@ -191,7 +189,7 @@ def check_chain_rule(
     """
     fv, w = paired(f, mu)
     p = check_exponent(p)
-    return chain_rule_reports(Block.one(w, fv, phi=phi), np.array([p]), tol)[0]
+    return STATEMENTS["chain_rule"].reports(Block.one(w, fv, phi=phi), (p,), tol)[0]
 
 
 def check_strong_leibniz(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TOL) -> VerificationReport:
@@ -200,7 +198,7 @@ def check_strong_leibniz(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TO
     p = check_exponent(p)
     if float(np.min(np.abs(fv))) < INVERTIBILITY_FLOOR:
         raise ValueError(f"f is not invertible: some |f_i| < {INVERTIBILITY_FLOOR}")
-    return strong_leibniz_reports(Block.one(w, fv), np.array([p]), tol)[0]
+    return STATEMENTS["strong_leibniz"].reports(Block.one(w, fv), (p,), tol)[0]
 
 
 def check_markov_variance(
@@ -211,14 +209,14 @@ def check_markov_variance(
 ) -> VerificationReport:
     """Var(phi(f)) <= Lip(phi)^2 Var(f); holds for every Lipschitz phi."""
     fv, w = paired(f, mu)
-    return markov_reports(Block.one(w, fv, phi=phi), tol)[0]
+    return STATEMENTS["markov_variance"].reports(Block.one(w, fv, phi=phi), (), tol)[0]
 
 
 def check_square_bound(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||f^2 - E f^2||_p <= 2 ||f||_inf ||f - Ef||_p."""
     fv, w = paired(f, mu)
     p = check_exponent(p)
-    return square_bound_reports(Block.one(w, fv), np.array([p]), tol)[0]
+    return STATEMENTS["square_bound"].reports(Block.one(w, fv), (p,), tol)[0]
 
 
 def replicate(x, mu: RationalProbVector) -> np.ndarray:

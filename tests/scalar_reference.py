@@ -7,16 +7,56 @@ the five measure statements with ``core``'s scalar norms, and the
 centered-product decomposition, the laplacian suite's three report kinds and
 the identities suite's two with one n x n matrix at a time (the matrix
 constructions, the Laplacian validator and the two samplers the laplacian
-suite drew with are copied here).
+suite drew with are copied here).  The samplers below draw one instance at a
+time, as the suites did before they drew into arrays.
 """
 
 import math
 
 import numpy as np
 
-from leibnizlab.core import center, expectation, lp_norm, sup_norm, variance
+from leibnizlab.core import ProbVector, center, expectation, lp_norm, sup_norm, variance
 from leibnizlab.operators import DegenerateInputError, PiecewiseLinearFn
 from leibnizlab.reports import VerificationReport
+from leibnizlab.sampling import MASS_FLOOR
+
+
+# -- samplers, one instance at a time ------------------------------------------------
+
+def rng_for(seed, *stream):
+    return np.random.default_rng((int(seed),) + tuple(int(s) for s in stream))
+
+
+def sample_prob_vector(rng, n):
+    """Dirichlet draw pushed away from the boundary: min weight >= MASS_FLOOR."""
+    if n * MASS_FLOOR >= 1.0:
+        raise ValueError(f"mass floor {MASS_FLOOR} infeasible for {n} atoms")
+    d = rng.dirichlet(np.ones(n))
+    return ProbVector(MASS_FLOOR + (1.0 - n * MASS_FLOOR) * d)
+
+
+def sample_vector(rng, n):
+    return rng.uniform(-1.0, 1.0, n)
+
+
+def sample_piecewise_linear(rng, max_breakpoints, monotone=False):
+    """Random piecewise-linear function on [-1, 1], Lipschitz constant normalized to 1."""
+    m = int(rng.integers(1, max_breakpoints + 1))
+    bp = np.sort(rng.uniform(-1.0, 1.0, m))
+    for i in range(1, m):
+        if bp[i] - bp[i - 1] < 1e-6:
+            bp[i] = bp[i - 1] + 1e-6
+    slopes = rng.uniform(-1.0, 1.0, m + 1)
+    if monotone:
+        slopes = np.abs(slopes) * (1.0 if rng.random() < 0.5 else -1.0)
+    peak = float(np.max(np.abs(slopes)))
+    if peak < 1e-12:
+        slopes = np.ones(m + 1)
+        peak = 1.0
+    return PiecewiseLinearFn(bp, slopes / peak, float(rng.uniform(-1.0, 1.0)))
+
+
+# -- the five measure statements ------------------------------------------------------
 
 
 def _tag(p):
@@ -120,13 +160,15 @@ def monotone_laplacian(x, phi):
 
 
 def validate_laplacian(M, tol=1e-12, psd_tol=1e-9):
+    n = M.shape[0]
+    # a sum of n entries rounds by up to about n eps max |M_ij|
+    sum_tol = max(tol, n * np.finfo(float).eps * float(np.max(np.abs(M), initial=0.0)))
     if float(np.max(np.abs(M - M.T), initial=0.0)) > tol:
         raise ValueError("matrix is not symmetric")
-    if float(np.max(np.abs(M.sum(axis=1)), initial=0.0)) > tol:
+    if float(np.max(np.abs(M.sum(axis=1)), initial=0.0)) > sum_tol:
         raise ValueError("row sums are not zero")
-    if float(np.max(np.abs(M.sum(axis=0)), initial=0.0)) > tol:
+    if float(np.max(np.abs(M.sum(axis=0)), initial=0.0)) > sum_tol:
         raise ValueError("column sums are not zero")
-    n = M.shape[0]
     off = M[~np.eye(n, dtype=bool)]
     if off.size and float(off.min()) < -tol:
         raise ValueError("off-diagonal entries must be non-negative")

@@ -102,8 +102,7 @@ def test_criterion_04_decomposition_identity():
 
 def test_criterion_05_deflated_theta_majorization():
     with criterion(5, "deflated-theta majorization, random + exhaustive", 60.0):
-        outcome = suite_majorization(trials=1000, n_max=8, seed=202, tol=1e-10,
-                                     exhaustive_n=4)
+        outcome = suite_majorization(trials=1000, n_max=8, seed=202, tol=1e-10)
         _no_failures(outcome)
         # exhaustive sign patterns are part of the suite; spot-check directly
         for n in (2, 3):

@@ -105,6 +105,14 @@ def test_verify_accepts_largest_sizes(capsys, suite, n):
     assert f"suite {suite}" in capsys.readouterr().out
 
 
+def test_verify_laplacian_at_n_1000(capsys):
+    # a 1000 x 1000 Laplacian's row sums round far above 1e-12; the validator
+    # scales its tolerance with n and the matrix, so no trial is refused
+    code = run_cli("verify", "--suite", "laplacian", "--trials", "12", "--n", "1000", "--seed", "1")
+    assert code == 0
+    assert "suite laplacian" in capsys.readouterr().out
+
+
 def test_verify_p_inf_accepted(capsys):
     code = run_cli("verify", "--suite", "strong-leibniz", "--trials", "5", "--p", "inf")
     assert code == 0

@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 import scalar_reference as ref
 from scalar_reference import (
+    rng_for,
+    sample_piecewise_linear,
+    sample_prob_vector,
+    sample_vector,
     scalar_chain_rule,
     scalar_centering,
     scalar_decomposition,
@@ -29,16 +33,7 @@ from leibnizlab.core import IDENTITY_TOL, INEQUALITY_TOL, weak_majorizes
 from leibnizlab.knorms import k_norm_evaluator, lp_evaluator
 from leibnizlab.operators import DegenerateInputError, PiecewiseLinearFn, deflated_theta
 from leibnizlab.reports import VerificationReport
-from leibnizlab.sampling import (
-    EXPONENT_GRID,
-    MAX_ATOMS,
-    rng_for,
-    sample_distinct_points,
-    sample_holder_triple_pair,
-    sample_piecewise_linear,
-    sample_prob_vector,
-    sample_vector,
-)
+from leibnizlab.sampling import EXPONENT_GRID, MAX_ATOMS, sample_distinct_points, sample_holder_triple_pair
 from leibnizlab.search import reciprocal_witness_report
 
 
@@ -89,7 +84,7 @@ def _fields(reports):
 
 @pytest.mark.parametrize("tol", [IDENTITY_TOL, -0.25])
 def test_block_suite_matches_scalar_reference(tol):
-    outcome = suites.suite_majorization(trials=400, n_max=8, seed=11, tol=tol, exhaustive_n=4)
+    outcome = suites.suite_majorization(trials=400, n_max=8, seed=11, tol=tol)
     reference = _scalar_suite(400, 8, 11, tol, 4)
     assert {len(r.instance["x"]) for r in reference[:400]} == set(range(1, 9))
     assert len(outcome.reports) == 400 + sum(9 ** n for n in range(1, 5))
@@ -104,8 +99,7 @@ def test_block_size_does_not_change_reports(monkeypatch):
     # row above), 7 rows at n = 4, and the default
     for size in (1, 7, 7 * 16, suites.MAJORIZATION_BLOCK):
         monkeypatch.setattr(suites, "MAJORIZATION_BLOCK", size)
-        runs.append(_fields(suites.suite_majorization(trials=120, n_max=8, seed=3,
-                                                      exhaustive_n=4).reports))
+        runs.append(_fields(suites.suite_majorization(trials=120, n_max=8, seed=3).reports))
     assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
@@ -127,6 +121,9 @@ def test_measure_suites_stop_where_the_mass_floor_does():
     assert len(sample_prob_vector(rng, MAX_ATOMS).weights) == MAX_ATOMS
     with pytest.raises(ValueError):
         sample_prob_vector(rng, MAX_ATOMS + 1)
+    assert suites._measure(MAX_ATOMS, [np.ones(MAX_ATOMS)]).shape == (1, MAX_ATOMS)
+    with pytest.raises(ValueError):
+        suites._measure(MAX_ATOMS + 1, [np.ones(MAX_ATOMS + 1)])
     assert {name for name, (_, hi) in suites.N_MAX_BOUNDS.items() if hi == MAX_ATOMS} == {
         "leibniz", "chain-rule", "markov", "square", "strong-leibniz"}
 

@@ -1,0 +1,41 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) still installs on the package.
+
+The tracer finds the modules it wraps as ``leibnizlab.<module>`` in
+``sys.modules`` and two methods by class and attribute name
+(``PiecewiseLinearFn.__post_init__``, ``VerificationReport.to_dict``).  A
+module, class or method renamed or deleted in ``src/`` would break the
+benchmark's traced runs; this test runs one the way ``perfbench/child.py``
+does.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import leibnizlab.cli as cli  # imported before the tracer, as perfbench/child.py does
+from leibnizlab import reports, suites
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_verify_all_and_uninstalls(capsys, tmp_path):
+    tracing = _load_tracing()
+    originals = (dict(suites.SUITES), reports.VerificationReport.__dict__["to_dict"])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["verify", "--suite", "all", "--trials", "20", "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert "[PASS] suite leibniz" in capsys.readouterr().out
+    called = {tracer.names[i] for i in tracer.name}
+    assert {f"suites.suite_{name.replace('-', '_')}" for name in suites.SUITES} <= called
+    assert {"cli.cmd_verify", "verify.check_strong_leibniz", "reports.to_dict", "serialize.write_jsonl"} <= called
+    assert (dict(suites.SUITES), reports.VerificationReport.__dict__["to_dict"]) == originals

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scalar_reference import rng_for, sample_prob_vector
 
 from leibnizlab.core import HolderTriple, ProbVector, expectation, lp_norm
 from leibnizlab.operators import PiecewiseLinearFn
-from leibnizlab.sampling import rng_for, sample_holder_triple_pair, sample_prob_vector
+from leibnizlab.sampling import sample_holder_triple_pair
 from leibnizlab.verify import (
     RationalProbVector,
     check_chain_rule,
