@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
         outputs = []
         for o in outcomes:
             path = os.path.join(args.out, f"suite_{o.name}.jsonl")
-            write_jsonl(path, (r.to_dict() for r in o.reports))
+            write_jsonl(path, o.lines())
             outputs.append(path)
         manifest = RunManifest(
             command="verify",
@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
     if args.json:
         payload = [
             {"suite": o.name, "ok": o.ok, "theorem_backed": o.theorem_backed,
-             "checks": o.trials, "failures": len(o.failures),
+             "checks": o.trials, "failures": o.failed,
              "worst_slack": o.worst_slack, "notes": o.notes}
             for o in outcomes
         ]

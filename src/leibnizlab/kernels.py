@@ -99,6 +99,12 @@ def rowdot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (w[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
+def row_max(*columns: np.ndarray) -> np.ndarray:
+    """Python's ``max`` of the columns, row by row: the first of the largest,
+    so it keeps the -0.0 or nan that ``max`` keeps."""
+    return functools.reduce(lambda first, col: np.where(col > first, col, first), columns)
+
+
 def center(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Row-wise ``core.center``."""
     return x - rowdot(mu, x)[:, None]

@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .core import IDENTITY_TOL, INEQUALITY_TOL, DimensionMismatchError, as_pair, as_vector
 from .kernels import MIN_RELATIVE_GAP, Block, DegenerateInputError, uniform_laplacian
-from .reports import VerificationReport
+from .reports import ReportBlock, VerificationReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +117,11 @@ class PiecewiseLinearFn:
             raise ValueError(f"phi {d!r} is malformed: {exc}") from None
 
 
-def phi_echo(b: Block) -> list[tuple[dict, float, bool]]:
-    """Per row: ``phi.to_dict()``, ``phi.lipschitz`` and ``phi.is_monotone``."""
-    counts = np.count_nonzero(np.isfinite(b.bp), axis=1).tolist()
-    monotone = (np.all(b.slopes >= 0.0, axis=1) | np.all(b.slopes <= 0.0, axis=1)).tolist()
-    return [({"breakpoints": bp[:m], "slopes": slopes[:m + 1], "anchor": anchor}, lip, mono)
-            for bp, slopes, anchor, lip, mono, m in zip(b.bp.tolist(), b.slopes.tolist(), b.anchor.tolist(),
-                                                        b.lipschitz.tolist(), monotone, counts)]
+def phi_echo(b: Block) -> tuple[dict, np.ndarray]:
+    """The columns of each row's ``phi.to_dict()`` (``reports.ReportBlock``), and whether it is monotone."""
+    counts = np.isfinite(b.bp).sum(axis=1)
+    monotone = (b.slopes >= 0.0).all(axis=1) | (b.slopes <= 0.0).all(axis=1)
+    return {"breakpoints": (b.bp, counts), "slopes": (b.slopes, counts + 1), "anchor": b.anchor}, monotone
 
 
 def _on_rows(fn):
@@ -180,49 +178,45 @@ def validate_laplacian(L) -> np.ndarray:
 
 # -- one report per row of a block; the checkers below are their one-row case --
 
-def centering_reports(x: np.ndarray, phi, echoes: list, tol: float = IDENTITY_TOL) -> list[VerificationReport]:
+def centering_reports(x: np.ndarray, phi, echo: dict | None, tol: float = IDENTITY_TOL) -> ReportBlock:
     """Centering identity of each row of points x (B, n); ``phi`` maps the rows
-    to their values, and ``echoes`` holds each row's ``phi.to_dict()`` (or None)."""
-    deviation = kernels.centering_identity(x, phi)
-    return [VerificationReport.from_values("centering_identity", dev, 0.0, tol,
-                                           {"x": xs} if echo is None else {"x": xs, "phi": echo})
-            for dev, xs, echo in zip(deviation.tolist(), x.tolist(), echoes)]
+    to their values, and ``echo`` is the column of their ``phi.to_dict()``
+    (``phi_echo``, or one shared dict), or None."""
+    instance = {"x": x} if echo is None else {"x": x, "phi": echo}
+    return ReportBlock.from_values("centering_identity", kernels.centering_identity(x, phi), 0.0, tol, instance)
 
 
-def derivation_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) -> list[VerificationReport]:
+def derivation_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) -> ReportBlock:
     names = ("laplacian_factorization", "left_product", "right_product", "symmetric_form")
-    rows = zip(*(d.tolist() for d in kernels.derivation_identities(f, g)))
-    return [VerificationReport.from_values("derivation_identities", max(devs), 0.0, tol,
-                                           {"f": fs, "g": gs, "deviations": dict(zip(names, devs))})
-            for devs, fs, gs in zip(rows, f.tolist(), g.tolist())]
+    devs = kernels.derivation_identities(f, g)
+    return ReportBlock.from_values("derivation_identities", kernels.row_max(*devs), 0.0, tol,
+                                   {"f": f, "g": g, "deviations": dict(zip(names, devs))})
 
 
 def laplacian_bound_reports(L: np.ndarray, x: np.ndarray, norm, tol: float = INEQUALITY_TOL):
-    """The laplacian_norm_bound report of each row of validated Laplacians L
-    (B, n, n) and mean-zero x (B, n); ``norm`` maps rows to their norms.
-    Returns the reports and each row's ||x||."""
+    """The laplacian_norm_bound reports of the rows of validated Laplacians L
+    (B, n, n) and mean-zero x (B, n), as one block; ``norm`` maps rows to
+    their norms.  Returns the block and each row's ||x||."""
     n = L.shape[1]
     if x.shape[1] != n:
         raise DimensionMismatchError(f"matrix is {n}x{n}, vector has {x.shape[1]} entries")
     if np.any(np.abs(x.sum(axis=1)) > 1e-10):
         raise ValueError("x must have zero coordinate sum (center it first)")
     lhs, rhs, top, size = kernels.laplacian_norm_bound(L, x, norm)
-    return [VerificationReport.from_values("laplacian_norm_bound", left, right, tol,
-                                           {"n": n, "max_offdiag": m, "x": xs})
-            for left, right, m, xs in zip(lhs.tolist(), rhs.tolist(), top.tolist(), x.tolist())], size
+    return ReportBlock.from_values("laplacian_norm_bound", lhs, rhs, tol, {"n": n, "max_offdiag": top, "x": x}), size
 
 
 def centering_identity_check(x, phi, tol: float = IDENTITY_TOL) -> VerificationReport:
     """Verify -(1/n) Theta[x; phi] (x - mean(x) 1) = phi(x) - mean(phi(x)) 1."""
     echo = phi.to_dict() if isinstance(phi, PiecewiseLinearFn) else None
-    return centering_reports(as_vector(x)[None, :], _on_rows(phi), [echo], tol)[0]
+    return centering_reports(as_vector(x)[None, :], _on_rows(phi), echo, tol).reports()[0]
 
 
 def laplacian_norm_bound_check(L, x, norm, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """Check ||Lx|| <= n (max off-diag) ||x|| for a mean-zero x and symmetric norm."""
     M = validate_laplacian(L)
     reports, _ = laplacian_bound_reports(M[None], as_vector(x)[None, :], _on_rows(norm), tol)
-    return reports[0]
+    return reports.reports()[0]
 
 
 def lhat_row_col_bounds(L) -> tuple[float, float]:
@@ -245,4 +239,4 @@ def derivation_checks(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
       4. d*(f dg)   = -(L(fg) - g Lf + f Lg) / 2
     """
     fv, gv = as_pair(f, g)
-    return derivation_reports(fv[None, :], gv[None, :], tol)[0]
+    return derivation_reports(fv[None, :], gv[None, :], tol).reports()[0]

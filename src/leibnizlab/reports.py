@@ -1,8 +1,12 @@
-"""Structured pass/fail reports for inequality and identity checks."""
+"""Structured pass/fail reports for inequality and identity checks, one at a
+time (``VerificationReport``) or as the columns of a block (``ReportBlock``)."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
+from .serialize import block_lines, block_rows, dumps
 
 
 @dataclass
@@ -68,3 +72,30 @@ class VerificationReport:
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f"[{verdict}] {self.name}: lhs={self.lhs:.12g} rhs={self.rhs:.12g} slack={self.slack:.3g}"
+
+
+class ReportBlock:
+    """The reports of one statement on the rows of a block, as columns keyed
+    as in ``VerificationReport.to_dict`` (the column format is in
+    ``serialize.block_lines``).  A plain class, as ``kernels.Block`` is."""
+
+    def __init__(self, name, lhs, rhs, slack, passed, tolerance, instance: dict, seed=None):
+        self.columns = {"name": name, "lhs": lhs, "rhs": rhs, "slack": slack, "pass": passed,
+                        "tolerance": tolerance, "instance": instance, "seed": seed}
+
+    @classmethod
+    def from_values(cls, name, lhs, rhs, tolerance, instance: dict, seed=None) -> "ReportBlock":
+        """``VerificationReport.from_values`` row by row: slack = rhs - lhs, passing iff slack >= -tolerance."""
+        slack = rhs - lhs
+        return cls(name, lhs, rhs, slack, slack >= -tolerance, float(tolerance), instance, seed)
+
+    def __len__(self) -> int:
+        return len(self.columns["lhs"])
+
+    def reports(self) -> list[VerificationReport]:
+        return [VerificationReport(*row) for row in block_rows(self.columns, len(self))]
+
+    def lines(self) -> list[str]:
+        """Each row's JSON line: ``dumps(report.to_dict())``, byte for byte."""
+        built = functools.cache(self.reports)
+        return block_lines(self.columns, len(self), lambda i: dumps(built()[i].to_dict()))

@@ -5,9 +5,9 @@ derive the generator of trial t as ``default_rng((seed, stream, t))``, a
 block of trials at a time (``kernels.streams``), so each trial's draws depend
 only on the seed, the suite's stream id and t.  Measures, vectors and
 piecewise-linear functions are drawn into arrays by the suites and the
-search themselves (``suites._measure``, ``kernels.sample_phi``); the scalar
-samplers that drew them one instance at a time are the references in
-``tests/scalar_reference.py``.
+search themselves (``suites._measure``, ``kernels.sample_phi``), and distinct
+points by ``distinct_points``; the scalar samplers that drew them one instance
+at a time are the references in ``tests/scalar_reference.py``.
 """
 
 from __future__ import annotations
@@ -36,13 +36,15 @@ _VALID_PQ = tuple(
 )
 
 
-def sample_distinct_points(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n points in [-1, 1] with pairwise gaps at least 1e-3 (unsorted)."""
-    base = np.sort(rng.uniform(-1.0, 1.0, n))
-    for i in range(1, n):
-        if base[i] - base[i - 1] < 1e-3:
-            base[i] = base[i - 1] + 1e-3
-    return rng.permutation(base)
+def distinct_points(u: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Rows of n points in [-1, 1], pairwise gaps at least 1e-3 (unsorted), from each
+    row's draws ``rng.uniform(-1, 1, n)`` and ``rng.permutation(n)``: row by row the
+    scalar ``sample_distinct_points`` (``tests/scalar_reference.py``), gaps fixed a column at a time."""
+    base = np.sort(u, axis=1)
+    for i in range(1, base.shape[1]):
+        close = base[:, i] - base[:, i - 1] < 1e-3
+        base[close, i] = base[close, i - 1] + 1e-3
+    return np.take_along_axis(base, perm, axis=1)
 
 
 def sample_holder_triple_pair(rng: np.random.Generator) -> tuple[HolderTriple, HolderTriple]:

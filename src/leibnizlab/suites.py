@@ -1,32 +1,24 @@
 """Randomized property suites, one per verified statement.
 
-Each suite draws seeded random instances and returns the full report list;
-``SuiteOutcome`` summarizes failures and the worst slack.  Suites tagged
-``theorem_backed`` must never fail; the strong-Leibniz sweep is evidence
-gathering, so its failures are informational.  The inverse bound it checks
-fails at p = 1 (its fixed witness) and holds at p = 2 and p = inf (short
-proofs in the ``search`` module docstring); the open exponents are (1, 2)
-and (2, inf).
+Each suite draws seeded random instances and returns a ``SuiteOutcome``:
+its reports as blocks of columns (``reports.ReportBlock``), with the count
+of failures and the worst slack.  Suites tagged ``theorem_backed`` must
+never fail; the strong-Leibniz sweep is evidence gathering, so its failures
+are informational.  The inverse bound it checks fails at p = 1 (its fixed
+witness) and holds at p = 2 and p = inf (short proofs in the ``search``
+module docstring); the open exponents are (1, 2) and (2, inf).
 
-Loop contract: every suite runs through ``_run``, the one trial loop.  Each
-suite has one stream id; trial t draws n from [smallest, n_max]
-(``N_MAX_BOUNDS``) first, then the rest of its instance (``draw``), all from
-the generator ``default_rng((seed, stream, t))``.  ``kernels.streams``
-derives these generators a block of trials at a time and equals
-``default_rng`` bit for bit; where a numpy seeds differently it builds each
-one with ``default_rng`` instead.  The loop holds the draws of up to
-``BLOCK`` trials, groups them by n and hands each group to the suite's
-``evaluate``, which evaluates it as stacked arrays through the ``kernels``
-and the report builders of ``verify`` and ``operators``; no suite calls a
-one-instance checker, and every report equals checking its trial alone.
-The four suites that build n x n matrices (decomposition, majorization,
-laplacian, identities) evaluate a group in slices of at most
-``MAJORIZATION_BLOCK`` matrix entries, and the laplacian suite, which draws
-an n x n matrix per trial, holds max(1, ``LAPLACIAN_HELD`` // n_max**2)
-trials at most.
-Reports come in trial order, each tagged with its trial index as ``seed``
-(the majorization sign patterns and the strong-Leibniz fixed witness follow
-the trials untagged).
+Loop contract: every suite runs through ``_run``, the one trial loop, with
+one stream id.  ``kernels.streams`` derives the trials' generators
+``default_rng((seed, stream, t))`` a block of trials at a time, bit for bit
+(where a numpy seeds differently it builds each one with ``default_rng``).
+Each group of trials with the same n is evaluated as stacked arrays through
+the ``kernels`` and the report builders of ``verify`` and ``operators``; no
+suite calls a one-instance checker, and every report equals checking its
+trial alone.  The laplacian suite, which draws an n x n matrix per trial,
+holds max(1, ``LAPLACIAN_HELD`` // n_max**2) trials at most.  The
+strong-Leibniz fixed witness comes first and the majorization sign patterns
+last, with no trial index as ``seed``.
 """
 
 from __future__ import annotations
@@ -41,10 +33,10 @@ import numpy as np
 from . import kernels, operators, verify
 from .core import IDENTITY_TOL, INEQUALITY_TOL, check_exponent
 from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, streams
-from .reports import VerificationReport
+from .reports import ReportBlock, VerificationReport
 from .search import reciprocal_witness_report
 from .verify import STATEMENTS
-from .sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, sample_distinct_points, sample_holder_triple_pair
+from .sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points, sample_holder_triple_pair
 
 _GRID = np.array(EXPONENT_GRID)
 
@@ -67,34 +59,60 @@ N_MAX_BOUNDS = {
 
 @dataclass
 class SuiteOutcome:
+    """A suite's reports as a (``ReportBlock``, row) pair each, in ``rows``.  The
+    counts and ``lines`` come from the columns; ``reports`` are built when
+    first read.  Both are kept once read, so ``rows`` is complete by then."""
+
     name: str
-    reports: list[VerificationReport]
+    rows: list
     theorem_backed: bool = True
     elapsed: float = 0.0
     notes: list[str] = field(default_factory=list)
 
+    def _each(self, build):
+        """Each report's entry in ``build(block)``, in report order, building each block's once."""
+        built = {}
+        for b, i in self.rows:
+            if b not in built:
+                built[b] = build(b)
+            yield built[b][i]
+
+    @functools.cached_property
+    def reports(self) -> list[VerificationReport]:
+        return list(self._each(ReportBlock.reports))
+
+    def lines(self):
+        """Each report's JSON line, in report order, formatted a block at a time."""
+        return self._each(ReportBlock.lines)
+
     @property
     def trials(self) -> int:
-        return len(self.reports)
+        return len(self.rows)
 
     @property
     def failures(self) -> list[VerificationReport]:
         return [r for r in self.reports
-                if not r.passed and not r.instance.get("expected_failure", False)]
+                if not r.passed and not r.instance.get("expected_failure", False)] if self.failed else []
 
-    @property
+    @functools.cached_property
+    def failed(self) -> int:
+        """The number of failures, from the columns."""
+        return sum(self._each(lambda b: (~b.columns["pass"] & ~np.asarray(
+            b.columns["instance"].get("expected_failure", False))).tolist()))
+
+    @functools.cached_property
     def worst_slack(self) -> float:
-        return min((r.slack for r in self.reports), default=0.0)
+        return min(self._each(lambda b: b.columns["slack"].tolist()), default=0.0)
 
     @property
     def ok(self) -> bool:
-        return not self.theorem_backed or not self.failures
+        return not self.theorem_backed or not self.failed
 
     def summary(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
         kind = "theorem" if self.theorem_backed else "evidence"
         return (f"[{verdict}] suite {self.name} ({kind}): {self.trials} checks, "
-                f"{len(self.failures)} failures, worst slack {self.worst_slack:.3g}, "
+                f"{self.failed} failures, worst slack {self.worst_slack:.3g}, "
                 f"{self.elapsed:.2f}s")
 
 
@@ -123,46 +141,42 @@ LAPLACIAN_HELD = 64 * BLOCK
 
 
 def _run(name: str, stream: int, draw, evaluate, trials: int, n_max: int, seed: int,
-         theorem_backed: bool = True, block: int = 0) -> SuiteOutcome:
+         theorem_backed: bool = True, block: int = 0, square: bool = False) -> SuiteOutcome:
     """The trial loop of every suite.
 
     Trial t takes the generator ``default_rng((seed, stream, t))`` and draws
-    n from it first; ``draw(rng, n, t)`` then returns the trial's other draws
-    as a tuple, in the order it makes them.  After every ``block`` trials
-    (BLOCK if 0) and after the last, the held trials are grouped by n and
-    ``evaluate(n, columns)`` (``columns`` holds one list per tuple position)
-    returns one sequence of reports per trial of the group, in order.  The
-    reports come out in trial order, each tagged with its trial index as
-    ``seed``.  ``elapsed`` covers the loop.
+    n from [smallest, n_max] (``N_MAX_BOUNDS``) first; ``draw(rng, n, t)``
+    then returns its other draws as a tuple, in the order it makes them.
+    After every ``block`` trials (BLOCK if 0) and after the last, the held
+    trials are grouped by n, each group sliced to at most MAJORIZATION_BLOCK
+    n x n matrix entries if ``square``, and ``evaluate(n, columns)``
+    (one list per tuple position) returns report blocks.  A block's ``seed``
+    holds each row's index in ``columns`` (None: row i is index i), and is
+    replaced by the row's trial index.  Reports come in trial order, a
+    trial's in the order of its blocks.  ``elapsed`` covers the loop.
     """
     start = time.perf_counter()
     low, size = N_MAX_BOUNDS[name][0], block or BLOCK
-    reports, held = [], {}
+    blocks, held = [], {}
     # kernels.streams reuses one generator: draw from it before the next trial
     for t, rng in enumerate(streams((seed, stream), 0, trials)):
         n = int(rng.integers(low, n_max + 1))
         held.setdefault(n, []).append((t, draw(rng, n, t)))
         if (t + 1) % size == 0 or t == trials - 1:
-            evaluated = {}
             for n, rows in held.items():
-                ts, drawn = zip(*rows)
-                evaluated.update(zip(ts, evaluate(n, [list(c) for c in zip(*drawn)])))
-            for i in sorted(evaluated):
-                for rep in evaluated[i]:
-                    rep.seed = i
-                    reports.append(rep)
+                step = max(1, MAJORIZATION_BLOCK // n ** 2) if square else len(rows)
+                for lo in range(0, len(rows), step):
+                    ts, drawn = zip(*rows[lo:lo + step])
+                    for rank, b in enumerate(evaluate(n, [list(c) for c in zip(*drawn)])):
+                        at = b.columns["seed"]
+                        b.columns["seed"] = np.array(ts)[slice(None) if at is None else at]
+                        blocks.append((rank, b))
             held = {}
-    return SuiteOutcome(name, reports, theorem_backed, time.perf_counter() - start)
-
-
-def _square_blocks(rows, n: int, columns) -> list:
-    """``rows(*columns)`` on slices of the columns that hold at most
-    MAJORIZATION_BLOCK n x n matrix entries each; the results joined."""
-    size = max(1, MAJORIZATION_BLOCK // n ** 2)
-    out = []
-    for start in range(0, len(columns[0]), size):
-        out += rows(*(c[start:start + size] for c in columns))
-    return out
+    keys = [np.concatenate([b.columns["seed"] for _, b in blocks] or [[]]),
+            np.concatenate([np.full(len(b), rank) for rank, b in blocks] or [[]])]
+    rows = [(b, i) for _, b in blocks for i in range(len(b))]
+    return SuiteOutcome(name, [rows[k] for k in np.lexsort(keys[::-1]).tolist()], theorem_backed,
+                        time.perf_counter() - start)
 
 
 def _measure(n: int, expo: list) -> np.ndarray:
@@ -212,7 +226,7 @@ def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
     def evaluate(n, columns):
         expo, f, g, exponents = columns
         block = Block(_measure(n, expo), _uniform(f), _uniform(g))
-        return zip(STATEMENTS["leibniz"].reports(block, np.array(exponents).T, tol))
+        return [STATEMENTS["leibniz"].reports(block, np.array(exponents).T, tol)]
     return _run("leibniz", 0, draw, evaluate, trials, n_max, seed)
 
 
@@ -221,13 +235,13 @@ def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
     def draw(rng, n, t):
         return rng.random(n), rng.random(n)
 
-    def rows(f, g):
-        return zip(verify.decomposition_reports(_uniform(f), _uniform(g), tol))
-    return _run("decomposition", 1, draw, functools.partial(_square_blocks, rows), trials, n_max, seed)
+    def evaluate(n, columns):
+        return [verify.decomposition_reports(_uniform(columns[0]), _uniform(columns[1]), tol)]
+    return _run("decomposition", 1, draw, evaluate, trials, n_max, seed, square=True)
 
 
-def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float) -> list[VerificationReport]:
-    """One majorization report per row of X, Y (shape (B, n)), in row order.
+def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float) -> ReportBlock:
+    """The majorization reports of the rows of X, Y (shape (B, n)), as one block.
 
     Each row repeats the per-instance operations of ``deflated_theta(x) @ y``
     and ``weak_majorizes`` on stacked arrays, so every report matches the
@@ -239,10 +253,9 @@ def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float) -> list[Verifi
     bound = np.sort(np.abs(X), axis=1)[:, ::-1] * np.sort(np.abs(Y), axis=1)[:, ::-1]
     lhs = np.cumsum(np.sort(image, axis=1)[:, ::-1], axis=1)
     rhs = np.cumsum(bound, axis=1)
-    passed = np.all(lhs <= rhs + tol, axis=1).tolist()
-    worst = np.max(lhs - rhs, axis=1).tolist()
-    return [VerificationReport("deflated_theta_majorization", w, 0.0, -w, ok, tol, {"x": x, "y": y})
-            for w, ok, x, y in zip(worst, passed, X.tolist(), Y.tolist())]
+    worst = np.max(lhs - rhs, axis=1)
+    return ReportBlock("deflated_theta_majorization", worst, 0.0, -worst, np.all(lhs <= rhs + tol, axis=1), tol,
+                       {"x": X, "y": Y})
 
 
 def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
@@ -260,16 +273,17 @@ def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
     def draw(rng, n, t):
         return rng.normal(size=n), rng.normal(size=n)
 
-    def rows(x, y):
-        return zip(_majorization_block(np.array(x), np.array(y), tol))
-    outcome = _run("majorization", 2, draw, functools.partial(_square_blocks, rows), trials, n_max, seed)
+    def evaluate(n, columns):
+        return [_majorization_block(np.array(columns[0]), np.array(columns[1]), tol)]
+    outcome = _run("majorization", 2, draw, evaluate, trials, n_max, seed, square=True)
     for n in range(1, EXHAUSTIVE_N + 1):
         patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
         m = len(patterns)
         step = max(1, MAJORIZATION_BLOCK // (n * n * m))  # x-patterns per block
         for i in range(0, m, step):
-            outcome.reports += _majorization_block(np.repeat(patterns[i:i + step], m, axis=0),
-                                                   np.tile(patterns, (min(step, m - i), 1)), tol)
+            b = _majorization_block(np.repeat(patterns[i:i + step], m, axis=0),
+                                    np.tile(patterns, (min(step, m - i), 1)), tol)
+            outcome.rows += [(b, j) for j in range(len(b))]
     outcome.elapsed = time.perf_counter() - start
     return outcome
 
@@ -285,48 +299,44 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
     def draw(rng, n, t):
         name, x = _norm_pool(rng, n), rng.random(n)
         if t % 2:
-            return name, x, sample_distinct_points(rng, n), *_phi_draws(rng, 4, signed=True), None
-        return name, x, None, None, None, rng.random((n, n))
+            return name, x, rng.uniform(-1.0, 1.0, n), rng.permutation(n), *_phi_draws(rng, 4, signed=True), None
+        return name, x, None, None, None, None, rng.random((n, n))
 
-    def rows(names, x, points, counts, knot_u, weights):
-        n = len(x[0])
-        monotone = [i for i, pts in enumerate(points) if pts is not None]
-        drawn = [i for i, pts in enumerate(points) if pts is None]
-        L, echoes = np.empty((len(names), n, n)), {}
+    def evaluate(n, columns):
+        names, x, u, perm, counts, knot_u, weights = columns
+        monotone = [i for i, pts in enumerate(u) if pts is not None]
+        drawn = [i for i, pts in enumerate(u) if pts is None]
+        L = np.empty((len(names), n, n))
         if drawn:
             L[drawn] = kernels.sample_laplacian(np.array([weights[i] for i in drawn]))
         if monotone:
-            b = Block(None, np.array([points[i] for i in monotone]),
-                      **sample_phi(np.array([knot_u[i] for i in monotone]),
-                                   np.array([counts[i] for i in monotone]), True, signed=True))
+            def pick(col):
+                return np.array([col[i] for i in monotone])
+            b = Block(None, distinct_points(pick(u), pick(perm)),
+                      **sample_phi(pick(knot_u), pick(counts), True, signed=True))
             L[monotone] = kernels.monotone_laplacians(
                 kernels.divided_differences(b.f, functools.partial(kernels.phi, b)))
-            echoes = dict(zip(monotone, zip(operators.phi_echo(b), b.f.tolist())))
         kernels.validate_laplacians(L)
         x = _uniform(x)
         x -= x.mean(axis=1)[:, None]  # the bound holds for mean-zero x
         bound, size = operators.laplacian_bound_reports(
             L, x, functools.partial(kernels.norms, names=names), tol)
+        bound.columns["instance"]["norm"] = np.array(names)
+        blocks = [bound]
+        if monotone:
+            # corollary form: n * Lip(phi) dominates n * max off-diagonal
+            blocks.append(ReportBlock.from_values(
+                "monotone_divided_difference_bound", bound.columns["lhs"][monotone],
+                n * b.lipschitz * size[monotone], tol,
+                {"n": n, "lipschitz": b.lipschitz, "norm": np.array(names)[monotone], "x": x[monotone],
+                 "points": b.f, "phi": operators.phi_echo(b)[0]}, seed=np.array(monotone)))
         col, row = kernels.hat_bounds(L)
-        out = []
-        for i, (rep, name, norm_x, c, r) in enumerate(zip(bound, names, size.tolist(), col.tolist(),
-                                                          row.tolist())):
-            rep.instance["norm"] = name
-            reports = [rep]
-            if i in echoes:
-                # corollary form: n * Lip(phi) dominates n * max off-diagonal
-                (phi, lip, _), pts = echoes[i]
-                reports.append(VerificationReport.from_values(
-                    "monotone_divided_difference_bound", rep.lhs, n * lip * norm_x, tol,
-                    {"n": n, "lipschitz": lip, "norm": name, "x": list(rep.instance["x"]),
-                     "points": pts, "phi": phi}))
-            reports.append(VerificationReport.from_values(
-                "hat_matrix_operator_bounds", max(c, r), n * rep.instance["max_offdiag"], 1e-10,
-                {"n": n, "col": c, "row": r}))
-            out.append(reports)
-        return out
-    return _run("laplacian", 3, draw, functools.partial(_square_blocks, rows), trials, n_max, seed,
-                block=max(1, min(BLOCK, LAPLACIAN_HELD // n_max ** 2)))
+        blocks.append(ReportBlock.from_values("hat_matrix_operator_bounds", kernels.row_max(col, row),
+                                              n * bound.columns["instance"]["max_offdiag"], 1e-10,
+                                              {"n": n, "col": col, "row": row}))
+        return blocks
+    return _run("laplacian", 3, draw, evaluate, trials, n_max, seed,
+                block=max(1, min(BLOCK, LAPLACIAN_HELD // n_max ** 2)), square=True)
 
 
 def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
@@ -340,7 +350,7 @@ def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
         expo, f, counts, knot_u, k = columns
         phi = sample_phi(np.array(knot_u), np.array(counts), True, signed=True)
         block = Block(_measure(n, expo), _uniform(f), **phi)
-        return zip(STATEMENTS["chain_rule"].reports(block, (_GRID[k],), tol))
+        return [STATEMENTS["chain_rule"].reports(block, (_GRID[k],), tol)]
     return _run("chain-rule", 4, draw, evaluate, trials, n_max, seed)
 
 
@@ -353,7 +363,7 @@ def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
     def evaluate(n, columns):
         expo, f, counts, knot_u = columns
         block = Block(_measure(n, expo), _uniform(f), **sample_phi(np.array(knot_u), np.array(counts), False))
-        return zip(STATEMENTS["markov_variance"].reports(block, (), tol))
+        return [STATEMENTS["markov_variance"].reports(block, (), tol)]
     return _run("markov", 5, draw, evaluate, trials, n_max, seed)
 
 
@@ -364,7 +374,7 @@ def suite_square(trials: int = 10_000, n_max: int = 8, seed: int = 0,
 
     def evaluate(n, columns):
         expo, f, k = columns
-        return zip(STATEMENTS["square_bound"].reports(Block(_measure(n, expo), _uniform(f)), (_GRID[k],), tol))
+        return [STATEMENTS["square_bound"].reports(Block(_measure(n, expo), _uniform(f)), (_GRID[k],), tol)]
     return _run("square", 6, draw, evaluate, trials, n_max, seed)
 
 
@@ -372,15 +382,15 @@ def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
                      tol: float = IDENTITY_TOL) -> SuiteOutcome:
     """Centering identity and the derivation dictionary on random instances."""
     def draw(rng, n, t):
-        points, monotone = sample_distinct_points(rng, n), bool(rng.random() < 0.5)
-        return points, monotone, *_phi_draws(rng, 6, signed=monotone), rng.random(n), rng.random(n)
+        u, perm, monotone = rng.uniform(-1.0, 1.0, n), rng.permutation(n), bool(rng.random() < 0.5)
+        return u, perm, monotone, *_phi_draws(rng, 6, signed=monotone), rng.random(n), rng.random(n)
 
-    def rows(points, monotone, counts, knot_u, f, g):
-        b = Block(None, np.array(points), **_phi_rows(monotone, counts, knot_u))
-        echoes = [phi for phi, _, _ in operators.phi_echo(b)]
-        return zip(operators.centering_reports(b.f, functools.partial(kernels.phi, b), echoes, tol),
-                   operators.derivation_reports(_uniform(f), _uniform(g), tol))
-    return _run("identities", 7, draw, functools.partial(_square_blocks, rows), trials, n_max, seed)
+    def evaluate(n, columns):
+        u, perm, monotone, counts, knot_u, f, g = columns
+        b = Block(None, distinct_points(np.array(u), np.array(perm)), **_phi_rows(monotone, counts, knot_u))
+        return [operators.centering_reports(b.f, functools.partial(kernels.phi, b), operators.phi_echo(b)[0], tol),
+                operators.derivation_reports(_uniform(f), _uniform(g), tol)]
+    return _run("identities", 7, draw, evaluate, trials, n_max, seed, square=True)
 
 
 def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
@@ -399,12 +409,13 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     def evaluate(n, columns):
         expo, mag, sign_u = columns
         f = np.array(mag) * np.where(np.array(sign_u) < 0.5, -1.0, 1.0)
-        return zip(STATEMENTS["strong_leibniz"].reports(Block(_measure(n, expo), f), (p,), tol))
+        return [STATEMENTS["strong_leibniz"].reports(Block(_measure(n, expo), f), (p,), tol)]
     outcome = _run("strong-leibniz", 8, draw, evaluate, trials, n_max, seed, theorem_backed=False)
     witness = reciprocal_witness_report(tol)
     witness.instance["expected_failure"] = True
-    outcome.reports.insert(0, witness)
-    hits = len(outcome.failures)
+    sides = (np.array([v]) for v in (witness.lhs, witness.rhs, witness.slack, witness.passed))
+    outcome.rows.insert(0, (ReportBlock(witness.name, *sides, witness.tolerance, witness.instance), 0))
+    hits = outcome.failed
     if hits and p >= 2.0:
         outcome.notes.append(f"UNEXPECTED: {hits} violations at p={p} (conjectured safe region)")
     return outcome

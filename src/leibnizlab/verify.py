@@ -35,7 +35,7 @@ from .core import (
 )
 from .kernels import Block
 from .operators import PiecewiseLinearFn, phi_echo, theta_matrix
-from .reports import VerificationReport
+from .reports import ReportBlock, VerificationReport
 
 #: Largest admissible common denominator for replication.
 REPLICATION_CAP = 100_000
@@ -113,23 +113,22 @@ class Statement:
         lhs, *terms = self.kernel(b, *exponents)
         return lhs, sum(terms[1:], terms[0]), terms
 
-    def reports(self, b: Block, exponents=(), tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
-        """One report per row of ``b``, with the row's instance echoed in full."""
+    def reports(self, b: Block, exponents=(), tol: float = INEQUALITY_TOL) -> ReportBlock:
+        """The reports of the rows of ``b`` as one block, each row's instance echoed in full."""
         lhs, rhs, terms = self.sides(b, exponents)
-        columns = {"mu": b.mu.tolist(), "f": b.f.tolist()}
+        instance = {"mu": b.mu, "f": b.f}
         if b.g is not None:
-            columns["g"] = b.g.tolist()
+            instance["g"] = b.g
         if self.phi:
-            columns["phi"], lipschitz, monotone = zip(*phi_echo(b))
+            instance["phi"], monotone = phi_echo(b)
         if self.exponents:
-            tags = zip(*([exponent_tag(e) for e in np.broadcast_to(x, len(b)).tolist()] for x in exponents))
-            columns["exponents"] = [dict(zip(self.exponents, row)) for row in tags]
+            instance["exponents"] = {name: np.array(list(map(exponent_tag, np.full(len(b), x).tolist())), dtype=object)
+                                     for name, x in zip(self.exponents, exponents)}
         if len(terms) > 1:
-            columns["rhs_terms"] = [list(row) for row in zip(*(t.tolist() for t in terms))]
+            instance["rhs_terms"] = np.stack(terms, axis=1)
         if self.phi:
-            columns["lipschitz"], columns["monotone"] = lipschitz, monotone
-        return [VerificationReport.from_values(self.name, left, right, tol, dict(zip(columns, row)))
-                for left, right, row in zip(lhs.tolist(), rhs.tolist(), zip(*columns.values()))]
+            instance["lipschitz"], instance["monotone"] = b.lipschitz, monotone
+        return ReportBlock.from_values(self.name, lhs, rhs, tol, instance)
 
 
 #: The five statements on a measure, by the name of their checker, ``check_<name>``.
@@ -142,11 +141,9 @@ STATEMENTS = {
 }
 
 
-def decomposition_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) -> list[VerificationReport]:
-    centered, plain = kernels.decomposition(f, g)
-    return [VerificationReport.from_values("centered_product_decomposition", max(c, p), 0.0, tol,
-                                           {"f": fs, "g": gs})
-            for c, p, fs, gs in zip(centered.tolist(), plain.tolist(), f.tolist(), g.tolist())]
+def decomposition_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) -> ReportBlock:
+    return ReportBlock.from_values("centered_product_decomposition", kernels.row_max(*kernels.decomposition(f, g)),
+                                   0.0, tol, {"f": f, "g": g})
 
 
 def check_decomposition(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
@@ -156,7 +153,7 @@ def check_decomposition(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
     of the two maximal deviations.
     """
     fv, gv = as_pair(f, g)
-    return decomposition_reports(fv[None, :], gv[None, :], tol)[0]
+    return decomposition_reports(fv[None, :], gv[None, :], tol).reports()[0]
 
 
 def check_leibniz(
@@ -172,7 +169,7 @@ def check_leibniz(
         raise ValueError(f"the two triples must share r, got {t1.r} and {t2.r}")
     fv, gv = as_pair(f, g)
     _, w = paired(fv, mu)
-    return STATEMENTS["leibniz"].reports(Block.one(w, fv, gv), (t1.r, t1.p, t1.q, t2.p, t2.q), tol)[0]
+    return STATEMENTS["leibniz"].reports(Block.one(w, fv, gv), (t1.r, t1.p, t1.q, t2.p, t2.q), tol).reports()[0]
 
 
 def check_chain_rule(
@@ -189,7 +186,7 @@ def check_chain_rule(
     """
     fv, w = paired(f, mu)
     p = check_exponent(p)
-    return STATEMENTS["chain_rule"].reports(Block.one(w, fv, phi=phi), (p,), tol)[0]
+    return STATEMENTS["chain_rule"].reports(Block.one(w, fv, phi=phi), (p,), tol).reports()[0]
 
 
 def check_strong_leibniz(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TOL) -> VerificationReport:
@@ -198,7 +195,7 @@ def check_strong_leibniz(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TO
     p = check_exponent(p)
     if float(np.min(np.abs(fv))) < INVERTIBILITY_FLOOR:
         raise ValueError(f"f is not invertible: some |f_i| < {INVERTIBILITY_FLOOR}")
-    return STATEMENTS["strong_leibniz"].reports(Block.one(w, fv), (p,), tol)[0]
+    return STATEMENTS["strong_leibniz"].reports(Block.one(w, fv), (p,), tol).reports()[0]
 
 
 def check_markov_variance(
@@ -209,14 +206,14 @@ def check_markov_variance(
 ) -> VerificationReport:
     """Var(phi(f)) <= Lip(phi)^2 Var(f); holds for every Lipschitz phi."""
     fv, w = paired(f, mu)
-    return STATEMENTS["markov_variance"].reports(Block.one(w, fv, phi=phi), (), tol)[0]
+    return STATEMENTS["markov_variance"].reports(Block.one(w, fv, phi=phi), (), tol).reports()[0]
 
 
 def check_square_bound(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||f^2 - E f^2||_p <= 2 ||f||_inf ||f - Ef||_p."""
     fv, w = paired(f, mu)
     p = check_exponent(p)
-    return STATEMENTS["square_bound"].reports(Block.one(w, fv), (p,), tol)[0]
+    return STATEMENTS["square_bound"].reports(Block.one(w, fv), (p,), tol).reports()[0]
 
 
 def replicate(x, mu: RationalProbVector) -> np.ndarray:

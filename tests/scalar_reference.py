@@ -59,6 +59,15 @@ def sample_piecewise_linear(rng, max_breakpoints, monotone=False):
 # -- the five measure statements ------------------------------------------------------
 
 
+def sample_distinct_points(rng, n):
+    """n points in [-1, 1] with pairwise gaps at least 1e-3 (unsorted)."""
+    base = np.sort(rng.uniform(-1.0, 1.0, n))
+    for i in range(1, n):
+        if base[i] - base[i - 1] < 1e-3:
+            base[i] = base[i - 1] + 1e-3
+    return rng.permutation(base)
+
+
 def _tag(p):
     return "inf" if math.isinf(p) else float(p)
 

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from leibnizlab.cli import main
+from leibnizlab.serialize import dumps
+from leibnizlab.suites import SUITES
 
 
 def run_cli(*argv):
@@ -20,6 +22,21 @@ def test_verify_decomposition_suite(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "suite decomposition" in out and "0 failures" in out
+
+
+def test_verify_lines_are_the_reference_encoding(capsys, tmp_path):
+    # every line is dumps of its own parse, and of the lazily built report's to_dict();
+    # -0.0 is written "-0", which json reads as the integer 0 unless told otherwise
+    def parse(line):
+        return json.loads(line, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+
+    out = tmp_path / "reports"
+    assert run_cli("verify", "--suite", "all", "--trials", "60", "--n", "12", "--seed", "3", "--out", str(out)) == 0
+    capsys.readouterr()
+    for name, suite in SUITES.items():
+        lines = (out / f"suite_{name}.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines and all(line == dumps(parse(line)) for line in lines)
+        assert lines == [dumps(r.to_dict()) for r in suite(trials=60, n_max=12, seed=3).reports]
 
 
 def test_verify_all_json(capsys, tmp_path):

@@ -131,3 +131,28 @@ def test_measure_suite_reports_match_golden_hashes(tmp_path, capsys, suite):
     capsys.readouterr()
     data = (out / f"suite_{suite}.jsonl").read_bytes()
     assert hashlib.sha256(data).hexdigest() == MEASURE_SUITES_SHA256[suite]
+
+
+# sha256 of each suite_*.jsonl written by ``verify --suite all --trials 500
+# --seed 7 --out DIR``, the benchmark's ``verify_all`` command, recorded while
+# every report line was still encoded by ``dumps(report.to_dict())``, before
+# lines were formatted from block columns.
+BENCH_SHA256 = {
+    "suite_chain-rule.jsonl": "f431e038066b0e896e0bd33ef4987447ecce4da9a61357d77734f4d88f4c1a09",
+    "suite_decomposition.jsonl": "8f1138df9ed339d5fda2d8b4edda5657d6db08e880a01ad03c2cea6714237c40",
+    "suite_identities.jsonl": "e344897320085aeefa8b6519825024daccef8aa758cf72f9b74abe8a4c50527f",
+    "suite_laplacian.jsonl": "712243bbed80aab49765774988afd81061b899f8dace622960f6a768500d6b4f",
+    "suite_leibniz.jsonl": "85b050dc08572110deecf2a958c254ce8bb76e65043cf8b55155f31cb0db3faa",
+    "suite_majorization.jsonl": "a99434f30836c4340729d4657608d26f155fbbd5dd3e4b7dbad8250b0d29dc39",
+    "suite_markov.jsonl": "efa481c31dead960166de768afd911e2958afad9e0ec2b6ffaaba9cd3a3d0ec2",
+    "suite_square.jsonl": "c6572f828b3441ed7d03eddc05767b53116f2f3b8e56fa1afe547920aba73987",
+    "suite_strong-leibniz.jsonl": "09bfdf620535c6485cb88f70493e4456b98bbbd2ce29487a314d8a2858d90b27",
+}
+
+
+def test_benchmark_verify_all_reports_match_golden_hashes(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["verify", "--suite", "all", "--trials", "500", "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.glob("suite_*.jsonl"))} == BENCH_SHA256

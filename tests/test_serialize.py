@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from leibnizlab.serialize import dumps, format_float
+from leibnizlab.core import exponent_tag
+from leibnizlab.reports import ReportBlock
+from leibnizlab.serialize import block_lines, dumps, format_float
 
 
 def _reference_dumps(obj) -> str:
@@ -91,3 +93,43 @@ def test_random_float_lists_match_reference():
         assert dumps(values) == _reference_dumps(values)
         record = {"lhs": values[0] if values else 0.0, "instance": {"x": values}, "seed": 3}
         assert dumps(record) == _reference_dumps(record)
+
+
+def test_block_lines_match_dumps_of_each_report():
+    # one row per special float in lhs; the other columns put more of them in other rows
+    lhs = np.array([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 2.0, 0.1])
+    rows = len(lhs)
+    x = np.tile([0.5, -0.0, 3.0], (rows, 1))
+    x[6, 1] = math.inf  # row 6 falls back through x
+    ragged = np.full((rows, 4), math.inf)  # the padding past each length is not written
+    ragged[:, :2] = [[1.0, -2.5]] * rows
+    ragged[7, 0] = math.nan  # row 7 falls back through a list entry
+    instance = {
+        "n": 3, "x": x, "tag": np.array([exponent_tag(math.inf if i % 2 else 1.5) for i in range(rows)], dtype=object),
+        "norm": np.array(["l1", 'q"uote', "k%3", "linf"] * 2), "flag": lhs > 0,
+        "nested": {"ragged": (ragged, np.arange(rows) % 3), "scale": np.arange(rows) * 0.25},
+        "points": [1e308, 5e-324, -0.0], "expected_failure": True,
+    }
+    block = ReportBlock("edge%d", lhs, 0.0, 0.0 - lhs, np.zeros(rows, dtype=bool), 1e-9, instance,
+                        seed=np.arange(rows) + 2 ** 53 + 1)
+    reports = block.reports()
+    fell_back = []
+
+    def fallback(i):
+        fell_back.append(i)
+        return dumps(reports[i].to_dict())
+    lines = block_lines(block.columns, rows, fallback)
+    assert lines == [dumps(r.to_dict()) for r in reports] == block.lines()
+    assert fell_back == [0, 1, 2, 6, 7]
+    assert reports[3].seed == 2 ** 53 + 4 and '"seed": 9007199254740996' in lines[3]
+    assert reports[3].instance["nested"]["ragged"] == []
+    assert reports[4].instance["nested"]["ragged"] == [1.0]
+
+
+@pytest.mark.parametrize("tolerance, shared", [(math.inf, [1.0]), (1e-9, [0.5, math.nan]), (1e-9, {"k": -math.inf})])
+def test_block_lines_fall_back_on_a_non_finite_shared_value(tolerance, shared):
+    lhs = np.array([0.25, -0.0, 7.0])
+    block = ReportBlock("shared", lhs, 0.0, 0.0 - lhs, lhs < 1, tolerance, {"v": shared, "x": lhs[:, None]})
+    fell_back = []
+    lines = block_lines(block.columns, 3, lambda i: fell_back.append(i) or dumps(block.reports()[i].to_dict()))
+    assert lines == [dumps(r.to_dict()) for r in block.reports()] and fell_back == [0, 1, 2]

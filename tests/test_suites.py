@@ -9,6 +9,7 @@ import pytest
 import scalar_reference as ref
 from scalar_reference import (
     rng_for,
+    sample_distinct_points,
     sample_piecewise_linear,
     sample_prob_vector,
     sample_vector,
@@ -33,7 +34,7 @@ from leibnizlab.core import IDENTITY_TOL, INEQUALITY_TOL, weak_majorizes
 from leibnizlab.knorms import k_norm_evaluator, lp_evaluator
 from leibnizlab.operators import DegenerateInputError, PiecewiseLinearFn, deflated_theta
 from leibnizlab.reports import VerificationReport
-from leibnizlab.sampling import EXPONENT_GRID, MAX_ATOMS, sample_distinct_points, sample_holder_triple_pair
+from leibnizlab.sampling import EXPONENT_GRID, MAX_ATOMS, sample_holder_triple_pair
 from leibnizlab.search import reciprocal_witness_report
 
 

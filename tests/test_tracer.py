@@ -37,5 +37,6 @@ def test_tracer_records_verify_all_and_uninstalls(capsys, tmp_path):
     assert "[PASS] suite leibniz" in capsys.readouterr().out
     called = {tracer.names[i] for i in tracer.name}
     assert {f"suites.suite_{name.replace('-', '_')}" for name in suites.SUITES} <= called
-    assert {"cli.cmd_verify", "verify.check_strong_leibniz", "reports.to_dict", "serialize.write_jsonl"} <= called
+    # suite report lines are formatted from block columns, never through to_dict
+    assert {"cli.cmd_verify", "verify.check_strong_leibniz", "serialize.block_lines", "serialize.write_jsonl"} <= called
     assert (dict(suites.SUITES), reports.VerificationReport.__dict__["to_dict"]) == originals
