@@ -22,16 +22,15 @@ of f:
   in x_i, so over the range of f it is largest at min f or max f, where it
   equals L |x_i - Ef| <= L ||f - Ef||_inf.
 
-An ``Instance`` holds search instances as the rows of arrays; one row is one
-instance, and the one-instance functions (``violation``, ``refine``,
-``replay``, the witness codec) take one-row Instances.  Trials are sampled and
-scored in blocks of ``BLOCK`` rows: the target's statement in
-``verify.STATEMENTS`` maps a block and an exponent to both sides of all its
-rows, with the same floating-point operations, in the same order, as the
-checker in ``verify`` applied to each row alone.  The search takes a row out
-of a block with ``Instance.row``.  Each exponent keeps one leader table, its
-best trials in order (``search``); refinement scores all neighbours of an
-instance as one block and returns the tuned instance with its violation.
+An ``Instance`` holds search instances as the rows of arrays, one row per
+instance; ``violation``, ``refine``, ``replay`` and the witness codec take
+one-row Instances.  Trials are sampled and scored in blocks of ``BLOCK`` rows
+through the target's statement in ``verify.STATEMENTS``, with the
+floating-point operations of the checker in ``verify`` on each row alone, so
+no row depends on the others or on phi's +inf padding.  Each exponent keeps a
+table of its best trials and their rows (``search``).  Then all leaders climb
+in lockstep, one block of neighbours per pass, each with its own epoch and
+sweep count, so each takes the path ``refine`` takes for it alone.
 
 Determinism: trial t draws from its own ``default_rng((seed, t))``, derived a
 block at a time by ``kernels.streams`` and equal to it bit for bit (or built
@@ -43,6 +42,7 @@ the budget only, not on the block size.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
@@ -165,8 +165,7 @@ class Instance(Block):
         self.split2 = np.full(len(self), 0.5) if split2 is None else split2
 
     def row(self, i: int) -> "Instance":
-        """Row i alone, its phi trimmed of the +inf padding: refinement moves
-        every breakpoint column."""
+        """Row i alone, its phi trimmed of the +inf padding, as witnesses and ``refine`` take it."""
         arrays = {name: None if a is None else a[[i]] for name, a in self.arrays().items()}
         if self.bp is not None:
             m = int(np.count_nonzero(np.isfinite(self.bp[i])))
@@ -259,18 +258,21 @@ def _sample(config: SearchConfig, start: int, stop: int) -> Instance:
 
 # -- violations of a block at one exponent ------------------------------------
 
-def _split_exponents(split: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the (p, q) of ``HolderTriple.split(p, s)`` for the row's split s."""
+def _split_exponents(split: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the (p, q) of ``HolderTriple.split(p, s)`` for the row's
+    exponent p (one float, or one per row) and split s."""
     pe, qe = np.empty(split.shape), np.empty(split.shape)
-    for s in set(split.tolist()):
-        rows = split == s
-        triple = HolderTriple.split(p, s)
+    p = np.broadcast_to(p, split.shape)
+    for key in set(zip(p.tolist(), split.tolist())):
+        rows = (p == key[0]) & (split == key[1])
+        triple = HolderTriple.split(*key)
         pe[rows], qe[rows] = triple.p, triple.q
     return pe, qe
 
 
-def _violations(b: Instance, target: str, p: float) -> np.ndarray:
-    """lhs - rhs of the target inequality at p (for leibniz, r = p split by each row's fractions)."""
+def _violations(b: Instance, target: str, p) -> np.ndarray:
+    """lhs - rhs of the target inequality at p, one float or one per row (for
+    leibniz, r = p split by each row's fractions)."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
     exponents = (p,)
@@ -315,50 +317,109 @@ def replay(inst: Instance, target: str, p: float) -> VerificationReport:
 
 # -- refinement ---------------------------------------------------------------
 
-def _neighbours(b: Instance, target: str, step: float, monotone: bool, floor: float) -> Instance:
-    """Feasible single-coordinate perturbations of the one instance in ``b``
-    (phi unpadded), in a fixed order: mu, f, g, then phi's slopes,
-    breakpoints and anchor, each coordinate moved by +step, then by -step.
+_MU, _F, _G, _SLOPES, _BP, _ANCHOR = range(6)
 
-    A new phi is renormalised to unit Lipschitz constant; one with
-    breakpoints closer than 1e-9 or flat slopes is infeasible.
+
+@functools.cache
+def _layout(n: int, width: int, pair: bool, phi: bool):
+    """The moves of an instance (n atoms, g if ``pair``, phi padded to
+    ``width`` breakpoints) in order: kind, column and sign of each, and
+    ``live[m]``, the moves that exist when phi has m breakpoints."""
+    sizes = {_MU: n, _F: n, _G: n * pair, **({_SLOPES: width + 1, _BP: width, _ANCHOR: 1} if phi else {})}
+    kind = np.repeat(list(sizes), [2 * k for k in sizes.values()])
+    col = np.concatenate([np.repeat(np.arange(k), 2) for k in sizes.values()])
+    m = np.arange(width + 1)[:, None]
+    live = ~((kind == _SLOPES) & (col > m) | (kind == _BP) & (col >= m))
+    return kind, col, np.tile([1.0, -1.0], len(kind) // 2), live
+
+
+def _neighbours(b: dict, active: np.ndarray, counts: np.ndarray, steps: np.ndarray, target: str,
+                monotone: bool, floor: float):
+    """The feasible single-coordinate perturbations of the ``active`` rows of
+    the arrays ``b`` (phi padded with +inf; ``counts`` breakpoints and step
+    size ``steps`` per active row) as one block, each kind of move in one run
+    of rows; also each neighbour's index into ``active``, its move in ``_layout``
+    order (mu, f, g, then phi's slopes, breakpoints and anchor, each moved by
+    +step, then by -step) and the number of moves per row.  A new phi is
+    renormalised to unit Lipschitz constant; one with breakpoints closer than
+    1e-9 or flat slopes is infeasible.
     """
-    n = b.mu.shape[1]
-    m = 0 if b.bp is None else b.bp.shape[1]
-    vectors = ("f",) if b.g is None else ("f", "g")
-    total = 2 * n * (1 + len(vectors)) + (0 if b.bp is None else 4 * m + 4)
-    out = {name: None if a is None else np.repeat(a, total, axis=0) for name, a in b.arrays().items()}
-    keep = np.ones(total, dtype=bool)
+    kinds, cols, signs, live = _layout(b["mu"].shape[1], 0 if b["bp"] is None else b["bp"].shape[1],
+                                       b["g"] is not None, b["bp"] is not None)
+    move, owner = np.divmod(np.arange(len(kinds) * len(active)), len(active))
+    exists = live[counts[owner], move]
+    owner, move = owner[exists], move[exists]
+    col, delta = cols[move], signs[move] * steps[owner]
+    bounds = np.searchsorted(kinds[move], np.arange(_ANCHOR + 2)).tolist()
+    source = active[owner]
+    out = {name: None if a is None else a[source] for name, a in b.items()}
+    keep = np.ones(len(owner), dtype=bool)
 
-    def moves(o, k):  # rows from offset o, coordinates 0..k-1, deltas +step/-step
-        return o + np.arange(2 * k), np.repeat(np.arange(k), 2), np.tile([step, -step], k)
+    def at(code):  # the rows of one kind of move, their moved entries and deltas
+        rows = slice(bounds[code], bounds[code + 1])
+        return rows, (np.arange(rows.start, rows.stop), col[rows]), delta[rows]
 
-    r, c, d = moves(0, n)
-    out["mu"][r, c] += d
-    out["mu"][r] = _floored_simplex(out["mu"][r], floor)
-    o = 2 * n
-    for name in vectors:
-        r, c, d = moves(o, n)
-        out[name][r, c] = np.clip(out[name][r, c] + d, -1.0, 1.0)
-        if name == "f" and target == "strong_leibniz":
-            keep[r] = np.abs(out["f"][r, c]) >= INVERTIBILITY_FLOOR
-        o += 2 * n
-    if b.bp is not None:  # rows o.. change phi
+    rows, cell, d = at(_MU)
+    out["mu"][cell] += d
+    out["mu"][rows] = _floored_simplex(out["mu"][rows], floor)
+    for code, name in ((_F, "f"), (_G, "g")):
+        rows, cell, d = at(code)
+        if out[name] is not None:
+            out[name][cell] = np.clip(out[name][cell] + d, -1.0, 1.0)
+    if target == "strong_leibniz":
+        rows, cell, _ = at(_F)
+        keep[rows] = np.abs(out["f"][cell]) >= INVERTIBILITY_FLOOR
+    if b["bp"] is not None:
         slopes, bp = out["slopes"], out["bp"]
-        r, c, d = moves(o, m + 1)
-        slopes[r, c] += d
-        if monotone:
-            bound = (0.0, None) if b.slopes[0].sum() >= 0 else (None, 0.0)
-            slopes[r] = np.clip(slopes[r], *bound)
-        r, c, d = moves(o + 2 * (m + 1), m)
-        bp[r, c] = np.clip(bp[r, c] + d, -1.0, 1.0)
-        bp[r] = np.sort(bp[r], axis=1)
-        out["anchor"][-2:] += [step, -step]
-        peak = np.abs(slopes[o:]).max(axis=1)
-        keep[o:] = ~np.any(np.diff(bp[o:], axis=1) <= 1e-9, axis=1) & (peak >= 1e-12)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            slopes[o:] /= peak[:, None]
-    return Instance(**{name: None if a is None else a[keep] for name, a in out.items()})
+        rows, cell, d = at(_SLOPES)
+        slopes[cell] += d
+        if monotone:  # each row keeps the sign of its own slopes
+            rising = (b["slopes"][source[rows]].sum(axis=1) >= 0)[:, None]
+            slopes[rows] = np.where(rising, np.clip(slopes[rows], 0.0, None), np.clip(slopes[rows], None, 0.0))
+        rows, cell, d = at(_BP)
+        bp[cell] = np.clip(bp[cell] + d, -1.0, 1.0)
+        bp[rows] = np.sort(bp[rows], axis=1)
+        rows, _, d = at(_ANCHOR)
+        out["anchor"][rows] += d
+        rows = slice(bounds[_SLOPES], None)
+        peak = np.abs(slopes[rows]).max(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):  # inf - inf in the padding
+            keep[rows] = ~np.any(np.diff(bp[rows], axis=1) <= 1e-9, axis=1) & (peak >= 1e-12)
+            slopes[rows] /= peak[:, None]
+    cands = Instance(**{name: None if a is None else a[keep] for name, a in out.items()})
+    return cands, owner[keep], move[keep], len(kinds)
+
+
+def _climb(b: Instance, target: str, steps: int, p: np.ndarray, values,
+           monotone: bool, floor: float) -> tuple[Instance, np.ndarray]:
+    """``refine`` of every row of ``b`` together (phi padded with +inf), row i
+    at exponent ``p[i]`` from its violation ``values[i]``; each pass scores one
+    block, the neighbours of every row still climbing.  Returns the tuned
+    rows and their violations."""
+    state = {name: None if a is None else a.copy() for name, a in b.arrays().items()}
+    best = np.array(values, dtype=float)
+    counts = np.zeros(len(b), dtype=np.intp) if b.bp is None else np.isfinite(b.bp).sum(axis=1)
+    epoch, sweep = np.zeros((2, len(b)), dtype=np.intp)
+    active = np.arange(len(b) if steps > 0 else 0)
+    while active.size:
+        cands, owner, move, width = _neighbours(state, active, counts[active],
+                                                np.take(STEP_EPOCHS, epoch[active]), target, monotone, floor)
+        scores, index = np.full((active.size, width), -np.inf), np.empty((active.size, width), dtype=np.intp)
+        scores[owner, move] = _violations(cands, target, p[active][owner])
+        index[owner, move] = np.arange(len(owner))
+        k = np.argmax(scores, axis=1)  # each row's first maximum (a nan, if any)
+        top = scores[np.arange(active.size), k]
+        up = top > best[active]
+        moved, chosen = active[up], index[up, k[up]]
+        for name, a in cands.arrays().items():
+            if a is not None:
+                state[name][moved] = a[chosen]
+        best[moved] = top[up]
+        # a row's epoch ends at a sweep that does not improve it, or at its last sweep
+        sweep[active] = np.where(up & (sweep[active] + 1 < steps), sweep[active] + 1, 0)
+        epoch[active] += sweep[active] == 0
+        active = active[epoch[active] < len(STEP_EPOCHS)]
+    return Instance(**state), best
 
 
 def refine(inst: Instance, target: str, steps: int, p: float,
@@ -367,72 +428,74 @@ def refine(inst: Instance, target: str, steps: int, p: float,
     (phi unpadded); never worsens the input.  Returns the tuned instance and
     its violation, the value ``violation`` gives for it.
 
-    Runs up to ``steps`` sweeps at each step size in STEP_EPOCHS.  A sweep
-    scores all neighbours of its starting point and moves to the first one of
-    maximal violation, if that beats the current one.  This is the sequential
-    sweep that takes every strict improvement in turn, because that sweep's
-    neighbours are fixed when it starts.  The feasible region (simplex with
-    mass floor, coordinate boxes, breakpoint ordering, unit Lipschitz
-    constant) is maintained by construction.  Returns ``inst`` itself when no
-    move improves it; the input is scored once on entry.
+    Up to ``steps`` sweeps at each step size in STEP_EPOCHS (the epochs).  A
+    sweep scores all neighbours of its starting point and moves to the first
+    one of maximal violation if that beats the current one, else ends the
+    epoch.  The feasible region (simplex with mass floor, coordinate boxes,
+    breakpoint ordering, unit Lipschitz constant) is kept by construction.
+    ``search`` runs this climb on all its leaders in lockstep, each with its
+    own epoch and sweep count, so each takes the path it takes here.  The
+    input is scored once on entry, and returned itself if no move improves it.
     """
-    best, best_v = inst, _violations(inst, target, p)[0]
-    for step in STEP_EPOCHS:
-        for _ in range(steps):
-            cands = _neighbours(best, target, step, monotone, mass_floor)
-            v = _violations(cands, target, p)
-            k = int(np.argmax(v))
-            if not v[k] > best_v:
-                break
-            best, best_v = cands.rows([k]), v[k]
-    return best, float(best_v)
+    start = _violations(inst, target, p)
+    tuned, v = _climb(inst, target, steps, np.full(1, p), start, monotone, mass_floor)
+    return (tuned if v[0] > start[0] else inst), float(v[0])
+
+
+def _take(arrays: dict, idx) -> dict:
+    """Rows ``idx`` of each of the arrays (an ``Instance``'s fields)."""
+    return {name: None if a is None else a[idx] for name, a in arrays.items()}
+
+
+def _concat(parts: list[dict]) -> dict:
+    """The rows of each part's arrays in order (phi padded to one width)."""
+    return {name: None if a is None else np.concatenate([part[name] for part in parts])
+            for name, a in parts[0].items()}
 
 
 def search(config: SearchConfig) -> SearchResult:
     """Best violation over trials x exponents, with refinement of the leaders.
 
     Each exponent keeps one leader table, its ``max(refine_top, 1)`` best
-    ``(violation, trial, row)`` by (-violation, trial); the head is its best trial.
+    ``(violation, trial)`` by (-violation, trial), and the arrays of their
+    rows (phi padded); the head is its best trial.  The first ``refine_top``
+    leaders of every exponent climb together (``_climb``).
     """
     grid, size = config.p_grid, max(config.refine_top, 1)
-    tables: dict[float, list[tuple[float, int, Instance]]] = {p: [] for p in grid}
+    tables: dict[float, list[tuple[float, int]]] = {p: [] for p in grid}
+    leaders: dict[float, dict] = {}
     row_max = []
     for start in range(0, config.trials, BLOCK):
         block = _sample(config, start, min(start + BLOCK, config.trials))
         scores = np.empty((len(block), len(grid)))
         for j, p in enumerate(grid):
             v = scores[:, j] = _violations(block, config.target, p)
-            pool = tables[p] + [(float(v[i]), start + int(i), block.row(i))
-                                for i in np.argsort(-v, kind="stable")[:size]]
-            pool.sort(key=lambda item: (-item[0], item[1]))
-            tables[p] = pool[:size]
+            top = np.argsort(-v, kind="stable")[:size]
+            pool = tables[p] + list(zip(v[top].tolist(), (start + top).tolist()))
+            order = sorted(range(len(pool)), key=lambda i: (-pool[i][0], pool[i][1]))[:size]
+            tables[p] = [pool[i] for i in order]
+            rows = _take(block.arrays(), top)
+            leaders[p] = _take(_concat([leaders[p], rows]) if p in leaders else rows, order)
         row_max.append(scores.max(axis=1))
 
-    per_p_best = {p: tables[p][0] for p in grid}
-    if config.refine_steps > 0:
-        for p in grid:
-            for _, t, row in tables[p][:config.refine_top]:
-                tuned, v = refine(row, config.target, config.refine_steps, p,
-                                  config.monotone, config.mass_floor)
-                if v > per_p_best[p][0]:
-                    per_p_best[p] = (v, t, tuned)
+    refined = [(p, v, t) for p in grid for v, t in tables[p][:config.refine_top]]
+    tuned, values = _climb(Instance(**_concat([_take(leaders[p], slice(config.refine_top)) for p in grid])),
+                           config.target, config.refine_steps, np.array([p for p, _, _ in refined]),
+                           [v for _, v, _ in refined], config.monotone, config.mass_floor)
+    # each exponent's best (violation, trial, arrays, row); a tuned leader replaces it only if larger
+    per_p_best = {p: (*tables[p][0], leaders[p], 0) for p in grid}
+    for i, (p, _, t) in enumerate(refined):
+        if values[i] > per_p_best[p][0]:
+            per_p_best[p] = (float(values[i]), t, tuned.arrays(), i)
 
     # the largest violation, ties to the lower trial, then to the earlier exponent
     best_p = min(grid, key=lambda p: (-per_p_best[p][0], per_p_best[p][1]))
-    best = per_p_best[best_p]
-    witness = best[2].to_dict()
-    witness["p"] = exponent_tag(best_p)
-    witness["target"] = config.target
-    witness["trial"] = best[1]
-    witness["violation"] = best[0]
-    return SearchResult(
-        config=config,
-        best_violation=float(best[0]),
-        best_p=float(best_p),
-        witness=witness,
-        per_p={p: float(per_p_best[p][0]) for p in grid},
-        history=np.maximum.accumulate(np.concatenate(row_max)).tolist(),
-    )
+    v, t, arrays, i = per_p_best[best_p]
+    witness = {**Instance(**arrays).row(i).to_dict(), "p": exponent_tag(best_p), "target": config.target,
+               "trial": t, "violation": v}
+    return SearchResult(config=config, best_violation=float(v), best_p=float(best_p), witness=witness,
+                        per_p={p: float(per_p_best[p][0]) for p in grid},
+                        history=np.maximum.accumulate(np.concatenate(row_max)).tolist())
 
 
 # -- fixed counterexample witnesses ------------------------------------------

@@ -93,15 +93,80 @@ SEARCH_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("target", sorted(SEARCH_SHA256))
-def test_search_files_match_golden_hashes(tmp_path, capsys, target):
-    config, golden = SEARCH_SHA256[target]
+# sha256 of the same files for the two searches of the benchmark's
+# ``open_sweep`` workload at seed 7, and for searches that refine 60 leaders
+# per exponent for up to 20 sweeps per step size, recorded while each leader
+# was still refined alone.
+_SWEEP = {"target": "chain_rule", "n": 4, "p_grid": [2, 3, "inf"], "trials": 5000,
+          "refine_steps": 10, "seed": 7, "monotone": False}
+_TOP60 = {"n": 3, "p_grid": [1, 1.5, "inf"], "trials": 1000, "refine_steps": 20,
+          "refine_top": 60, "seed": 3}
+REFINED_SEARCH_SHA256 = {
+    "open_sweep": (
+        _SWEEP,
+        {"search_result.json": "555ecfb8975c0fc0a97bb895a379312e5f67f840816dfd13ba1c7a76ed747843",
+         "per_p.csv": "a769712f49cd559bd6f4e1769ef90d18a555aa5c8e196c26a226d6c70160278f",
+         "history.csv": "a50ae94eac6dfb7bd7c6bec1b6dd44ceba4c949ad85ed14d49a07ff18c218d00"},
+    ),
+    "open_sweep_control": (
+        dict(_SWEEP, p_grid=[1]),
+        {"search_result.json": "3b3d3f92d12dcd0055f964087f406bdcc1488d6f26517830262f1678dd76c70a",
+         "per_p.csv": "b76f61cb84db79cc3216c03bb0e8b5049de3237e2166559b3f4431e80b7af0cb",
+         "history.csv": "b282b82b6ef5b106ac5437c1ea2f32e1fd71a9ff38753b531ead6717f4b50fc5"},
+    ),
+    "chain_rule_top60": (
+        dict(_TOP60, target="chain_rule"),
+        {"search_result.json": "3628a445939a4fa1f5acd82c581e8fe440c800a44a3ccd1a5fc8c2853050770e",
+         "per_p.csv": "d727a4e3ee7c862d45a03957a5f03b88de25313faea4cbc769a7642af22442c8",
+         "history.csv": "6ff7092b93f38b91fe01c1c17335a55ab635b0a5deccb3523f6d7ccb98e8bf82"},
+    ),
+    "chain_rule_monotone_top60": (
+        dict(_TOP60, target="chain_rule", monotone=True),
+        {"search_result.json": "a579bea47ab9e7514ff0d5961b82784526d5b7754d1e6294cc849bbdf059aca6",
+         "per_p.csv": "047dd2048ac5cf5a2d8aa6d4ece4c46a3e3a60d47a1941d7a18618d4538c3b3f",
+         "history.csv": "e01190d438acf684044a666edb1b9108b9b19b9bd504768e63edc6a8682c4317"},
+    ),
+    "strong_leibniz_top60": (
+        dict(_TOP60, target="strong_leibniz"),
+        {"search_result.json": "43d94b6309e6dcd78ecfa7634f4725f35e6b2b884d65504e8b153ba114af628a",
+         "per_p.csv": "def2b3b199480c53574c2c26015653fed2fff70165cd80ad3f6222873c6c1584",
+         "history.csv": "66487b4202a53eefa15d322c6787eefd931486bce9928cb3cf93c73c14b7cb7f"},
+    ),
+    "leibniz_top60": (
+        dict(_TOP60, target="leibniz"),
+        {"search_result.json": "87b6ce0b6e7d048eebe58d2c2f74949268bf188089205c90afab146f072256ed",
+         "per_p.csv": "386da18d85c04a430f44f9a34706dccfaa28d868c5a6f668d75442c198d25fab",
+         "history.csv": "dac65423e53cec3bfbc9582cdbaeddca7ce2fcdedf6cbe6cd39fc55e27395310"},
+    ),
+    "square_bound_top60": (
+        dict(_TOP60, target="square_bound"),
+        {"search_result.json": "2a6b1003e0d4b4bfd894b141abcc751df8c6d4a5ac36d66f94e78c6de1caf8fd",
+         "per_p.csv": "b06ae28f40f337fdd61474139d22d6dc6bfc7b2ab47042fde5fcb54ff150981a",
+         "history.csv": "990b87c77f71740f2b151cd4f8d5e238237ae666ebbd2977686451d69b672519"},
+    ),
+}
+
+
+def _search_file_hashes(tmp_path, config, names) -> dict:
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "run"
     assert main(["search", "--config", str(cfg_path), "--out", str(out), "--history-csv"]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+@pytest.mark.parametrize("target", sorted(SEARCH_SHA256))
+def test_search_files_match_golden_hashes(tmp_path, capsys, target):
+    config, golden = SEARCH_SHA256[target]
+    assert _search_file_hashes(tmp_path, config, golden) == golden
     capsys.readouterr()
-    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in golden} == golden
+
+
+@pytest.mark.parametrize("name", sorted(REFINED_SEARCH_SHA256))
+def test_refined_search_files_match_golden_hashes(tmp_path, capsys, name):
+    config, golden = REFINED_SEARCH_SHA256[name]
+    assert _search_file_hashes(tmp_path, config, golden) == golden
+    capsys.readouterr()
 
 
 # sha256 of ``verify --suite NAME --trials 1100 --n 12 --seed 11 --out DIR``.

@@ -14,6 +14,7 @@ from leibnizlab.search import (
     TARGETS,
     SearchConfig,
     random_instance,
+    refine,
     search,
     violation,
 )
@@ -131,16 +132,51 @@ def test_kernel_marks_singular_f_for_strong_leibniz():
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_search_does_not_depend_on_block_size(monkeypatch, target):
-    cfg = SearchConfig(target=target, n=3, p_grid=(1.0, 2.0, math.inf), trials=40,
-                       refine_steps=2, refine_top=3, seed=8)
-    results = []
-    for size in (1, 7, search_mod.BLOCK):
-        monkeypatch.setattr(search_mod, "BLOCK", size)
-        results.append(search(cfg))
-    for res in results[1:]:
-        assert res.witness == results[0].witness
-        assert res.per_p == results[0].per_p
-        assert res.history == results[0].history
+    for top in (3, 10):
+        cfg = SearchConfig(target=target, n=3, p_grid=(1.0, 2.0, math.inf), trials=40,
+                           refine_steps=2, refine_top=top, seed=8)
+        results = []
+        for size in (1, 7, search_mod.BLOCK):
+            monkeypatch.setattr(search_mod, "BLOCK", size)
+            results.append(search(cfg))
+        for res in results[1:]:
+            assert res.witness == results[0].witness
+            assert res.per_p == results[0].per_p
+            assert res.history == results[0].history
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("monotone", [False, True])
+def test_leaders_climb_together_as_alone(target, monotone):
+    # leaders with 1 to 8 breakpoints (phi padded to 8), mixed exponents and
+    # mixed leibniz splits climb as one block; each ends, bit for bit, where
+    # refine takes it alone with its phi unpadded
+    cfg = SearchConfig(target=target, n=3, seed=31, monotone=monotone, max_breakpoints=8)
+    block = search_mod._sample(cfg, 0, 64)
+    if target == "chain_rule":
+        assert set(np.isfinite(block.bp).sum(axis=1).tolist()) == set(range(1, 9))
+        # every other phi decreasing: a monotone climb keeps each row's own sign
+        slopes = block.slopes * np.resize([1.0, -1.0], len(block))[:, None]
+        block = search_mod.Instance(**{**block.arrays(), "slopes": slopes})
+    if target == "leibniz":
+        assert len(set(zip(block.split1.tolist(), block.split2.tolist()))) >= 10
+    p = np.resize([1.0, 1.5, 2.0, math.inf], len(block))
+    start = search_mod._violations(block, target, p)
+    tuned, values = search_mod._climb(block, target, 4, p, start, monotone, cfg.mass_floor)
+    assert len(tuned) == len(block)
+    for i in range(len(block)):
+        alone, v = refine(block.row(i), target, 4, float(p[i]), monotone, cfg.mass_floor)
+        assert same_bits(v, values[i])
+        together = tuned.row(i)
+        for name, a in alone.arrays().items():
+            assert (a is None and getattr(together, name) is None) or same_bits(a, getattr(together, name))
+    # most leaders move, so the climbs are not trivially equal
+    assert np.count_nonzero(values > start) > len(block) // 2
 
 
 #: Winners of small searches, recorded before the batched kernel; a change of
