@@ -87,9 +87,6 @@ class Block:
     def __len__(self) -> int:
         return self.f.shape[0]
 
-    def rows(self, idx) -> "Block":
-        return type(self)(**{name: None if a is None else a[idx] for name, a in self.arrays().items()})
-
 
 # -- row helpers ---------------------------------------------------------------
 
@@ -116,11 +113,12 @@ def pypow(x: np.ndarray, e: float) -> np.ndarray:
     return np.array([v ** e for v in x.tolist()])
 
 
-def lp(x: np.ndarray, w: np.ndarray, p) -> np.ndarray:
+def lp(x: np.ndarray, w: np.ndarray | None, p) -> np.ndarray:
     """Row-wise ``core.lp_norm``: max |x| factored out; 0 for a zero row.
 
-    ``p`` is one exponent, or an array of one per row; rows are then taken
-    together by exponent.
+    ``w`` holds each row's weights, or is None for the counting measure (a
+    plain sum).  ``p`` is one exponent, or an array of one per row; rows are
+    then taken together by exponent.
     """
     if np.ndim(p):
         exponents = set(p.tolist())
@@ -128,15 +126,15 @@ def lp(x: np.ndarray, w: np.ndarray, p) -> np.ndarray:
             out = np.empty(x.shape[0])
             for e in exponents:
                 rows = p == e
-                out[rows] = lp(x[rows], w[rows], e)
+                out[rows] = lp(x[rows], None if w is None else w[rows], e)
             return out
         (p,) = exponents
     a = np.abs(x)
-    m = a.max(axis=1)
+    m = a.max(axis=1, initial=0.0)
     if math.isinf(p):
         return m
     ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
-    return m * pypow(rowdot(w, ratios ** p), 1.0 / p)
+    return m * pypow((ratios ** p).sum(axis=1) if w is None else rowdot(w, ratios ** p), 1.0 / p)
 
 
 def phi(b: Block, x: np.ndarray) -> np.ndarray:
@@ -304,15 +302,9 @@ def validate_laplacians(L: np.ndarray) -> None:
 
 
 def _norm(x: np.ndarray, name: str) -> np.ndarray:
-    a = np.abs(x)
     if name[0] == "k":  # knorms.k_norm: the k largest of |x|
-        return np.sort(a, axis=1)[:, ::-1][:, :int(name[1:])].sum(axis=1)
-    p = float(name[1:])  # knorms.lp_evaluator: max |x| factored out
-    m = a.max(axis=1, initial=0.0)
-    if math.isinf(p):
-        return m
-    ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
-    return m * pypow((ratios ** p).sum(axis=1), 1.0 / p)
+        return np.sort(np.abs(x), axis=1)[:, ::-1][:, :int(name[1:])].sum(axis=1)
+    return lp(x, None, float(name[1:]))  # knorms.lp_evaluator
 
 
 def norms(x: np.ndarray, names) -> np.ndarray:

@@ -56,19 +56,22 @@ class PiecewiseLinearFn:
             raise ValueError(f"need {bp.size + 1} slopes for {bp.size} breakpoints, got {sl.size}")
         if bp.size > 1 and np.any(np.diff(bp) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
+        anchor = float(self.anchor)
+        if not np.isfinite(anchor):
+            raise ValueError(f"anchor must be finite, got {anchor!r}")
         bp = bp.copy()
         sl = sl.copy()
         bp.setflags(write=False)
         sl.setflags(write=False)
         # values at the interior knots, anchored at the first breakpoint
         knots = np.empty(bp.size)
-        knots[0] = float(self.anchor)
+        knots[0] = anchor
         if bp.size > 1:
             knots[1:] = knots[0] + np.cumsum(sl[1:-1] * np.diff(bp))
         knots.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "slopes", sl)
-        object.__setattr__(self, "anchor", float(self.anchor))
+        object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "_knot_values", knots)
 
     def __call__(self, x) -> np.ndarray:

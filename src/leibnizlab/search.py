@@ -28,9 +28,10 @@ one-row Instances.  Trials are sampled and scored in blocks of ``BLOCK`` rows
 through the target's statement in ``verify.STATEMENTS``, with the
 floating-point operations of the checker in ``verify`` on each row alone, so
 no row depends on the others or on phi's +inf padding.  Each exponent keeps a
-table of its best trials and their rows (``search``).  Then all leaders climb
-in lockstep, one block of neighbours per pass, each with its own epoch and
-sweep count, so each takes the path ``refine`` takes for it alone.
+table of its best trials, as trial indices (``search``).  After the last
+block the leaders are re-drawn from their trials, and all climb in lockstep,
+one block of neighbours per pass, each with its own epoch and sweep count, so
+each takes the path ``refine`` takes for it alone.
 
 Determinism: trial t draws from its own ``default_rng((seed, t))``, derived a
 block at a time by ``kernels.streams`` and equal to it bit for bit (or built
@@ -205,9 +206,10 @@ def _floored_simplex(raw: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
-def _sample(config: SearchConfig, start: int, stop: int) -> Instance:
-    """Trials ``start .. stop - 1``, trial t drawn from ``default_rng((seed, t))``
-    (through ``kernels.streams``).
+def _sample(config: SearchConfig, trials) -> Instance:
+    """The rows of ``trials``, trial t drawn from ``default_rng((seed, t))``:
+    a ``range`` through ``kernels.streams``, any other list of trials (which
+    may repeat one) through ``default_rng`` itself, which equals it bit for bit.
 
     The draws, in order: the measure (``dirichlet(ones(n))``), then f (for
     strong leibniz magnitudes in [0.05, 1) and signs), g, phi's breakpoint
@@ -218,7 +220,7 @@ def _sample(config: SearchConfig, start: int, stop: int) -> Instance:
     ``dirichlet(ones(n))`` normalises ``n`` standard exponentials by their
     sequential sum.
     """
-    n, target, size = config.n, config.target, stop - start
+    n, target, size = config.n, config.target, len(trials)
     chain, leibniz = target == "chain_rule", target == "leibniz"
     strong = target == "strong_leibniz"
     mmax = config.max_breakpoints
@@ -228,7 +230,9 @@ def _sample(config: SearchConfig, start: int, stop: int) -> Instance:
     counts = np.empty(size, dtype=np.intp)
     knot_u = np.zeros((size, 2 * mmax + 2)) if chain else None
     split_idx = np.empty((size, 2), dtype=np.intp) if leibniz else None
-    for i, rng in enumerate(streams((config.seed,), start, stop)):
+    rngs = (streams((config.seed,), trials.start, trials.stop) if isinstance(trials, range)
+            else (np.random.default_rng((config.seed, t)) for t in trials))
+    for i, rng in enumerate(rngs):
         rng.standard_exponential(out=expo[i])
         if strong:
             mag[i] = rng.uniform(0.05, 1.0, n)
@@ -288,8 +292,7 @@ def _violations(b: Instance, target: str, p) -> np.ndarray:
 
 def random_instance(config: SearchConfig, trial_seed: int) -> Instance:
     """Deterministic function of (config.seed, trial_seed)."""
-    t = int(trial_seed)
-    return _sample(config, t, t + 1).row(0)
+    return _sample(config, [int(trial_seed)]).row(0)
 
 
 def violation(inst: Instance, target: str, p: float) -> float:
@@ -442,56 +445,43 @@ def refine(inst: Instance, target: str, steps: int, p: float,
     return (tuned if v[0] > start[0] else inst), float(v[0])
 
 
-def _take(arrays: dict, idx) -> dict:
-    """Rows ``idx`` of each of the arrays (an ``Instance``'s fields)."""
-    return {name: None if a is None else a[idx] for name, a in arrays.items()}
-
-
-def _concat(parts: list[dict]) -> dict:
-    """The rows of each part's arrays in order (phi padded to one width)."""
-    return {name: None if a is None else np.concatenate([part[name] for part in parts])
-            for name, a in parts[0].items()}
-
-
 def search(config: SearchConfig) -> SearchResult:
     """Best violation over trials x exponents, with refinement of the leaders.
 
     Each exponent keeps one leader table, its ``max(refine_top, 1)`` best
-    ``(violation, trial)`` by (-violation, trial), and the arrays of their
-    rows (phi padded); the head is its best trial.  The first ``refine_top``
-    leaders of every exponent climb together (``_climb``).
+    ``(violation, trial)`` by (-violation, trial); the head is its best
+    trial.  After the last block the leaders of every exponent are re-drawn
+    from their trials and climb together (``_climb``, 0 steps when
+    ``refine_top`` is 0); the witness is read from the climbed rows.
     """
     grid, size = config.p_grid, max(config.refine_top, 1)
     tables: dict[float, list[tuple[float, int]]] = {p: [] for p in grid}
-    leaders: dict[float, dict] = {}
     row_max = []
     for start in range(0, config.trials, BLOCK):
-        block = _sample(config, start, min(start + BLOCK, config.trials))
+        block = _sample(config, range(start, min(start + BLOCK, config.trials)))
         scores = np.empty((len(block), len(grid)))
         for j, p in enumerate(grid):
             v = scores[:, j] = _violations(block, config.target, p)
             top = np.argsort(-v, kind="stable")[:size]
             pool = tables[p] + list(zip(v[top].tolist(), (start + top).tolist()))
-            order = sorted(range(len(pool)), key=lambda i: (-pool[i][0], pool[i][1]))[:size]
-            tables[p] = [pool[i] for i in order]
-            rows = _take(block.arrays(), top)
-            leaders[p] = _take(_concat([leaders[p], rows]) if p in leaders else rows, order)
+            tables[p] = sorted(pool, key=lambda e: (-e[0], e[1]))[:size]
         row_max.append(scores.max(axis=1))
 
-    refined = [(p, v, t) for p in grid for v, t in tables[p][:config.refine_top]]
-    tuned, values = _climb(Instance(**_concat([_take(leaders[p], slice(config.refine_top)) for p in grid])),
-                           config.target, config.refine_steps, np.array([p for p, _, _ in refined]),
-                           [v for _, v, _ in refined], config.monotone, config.mass_floor)
-    # each exponent's best (violation, trial, arrays, row); a tuned leader replaces it only if larger
-    per_p_best = {p: (*tables[p][0], leaders[p], 0) for p in grid}
-    for i, (p, _, t) in enumerate(refined):
-        if values[i] > per_p_best[p][0]:
-            per_p_best[p] = (float(values[i]), t, tuned.arrays(), i)
+    leaders = [(p, v, t) for p in grid for v, t in tables[p]]
+    tuned, values = _climb(_sample(config, [t for _, _, t in leaders]), config.target,
+                           config.refine_steps if config.refine_top else 0, np.array([p for p, _, _ in leaders]),
+                           [v for _, v, _ in leaders], config.monotone, config.mass_floor)
+    # each exponent's best (violation, trial, leader); a tuned leader replaces its head only if larger
+    per_p_best = {}
+    for i, (p, v, t) in enumerate(leaders):
+        head = per_p_best.setdefault(p, (v, t, i))
+        if values[i] > head[0]:
+            per_p_best[p] = (float(values[i]), t, i)
 
     # the largest violation, ties to the lower trial, then to the earlier exponent
     best_p = min(grid, key=lambda p: (-per_p_best[p][0], per_p_best[p][1]))
-    v, t, arrays, i = per_p_best[best_p]
-    witness = {**Instance(**arrays).row(i).to_dict(), "p": exponent_tag(best_p), "target": config.target,
+    v, t, i = per_p_best[best_p]
+    witness = {**tuned.row(i).to_dict(), "p": exponent_tag(best_p), "target": config.target,
                "trial": t, "violation": v}
     return SearchResult(config=config, best_violation=float(v), best_p=float(best_p), witness=witness,
                         per_p={p: float(per_p_best[p][0]) for p in grid},

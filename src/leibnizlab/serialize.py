@@ -5,8 +5,7 @@ report files instead pin the representation to '%.17g' so output bytes are
 identical across Python versions, and infinities (legal exponent values) are
 emitted as the string "inf" to stay inside strict JSON.
 
-``dumps`` encodes any value, by the exact type of each part (a list of
-finite floats through one template per length); it is the reference.  Suite
+``dumps`` encodes any value, each part on its own; it is the reference.  Suite
 report lines are formatted a block at a time from columns
 (``block_lines``): one cached '%' template per shape of line (its keys, the
 values every row shares, such as name and tolerance, as literal text, and
@@ -37,33 +36,13 @@ def _encode_str(s: str) -> str:
     return f'"{out}"'
 
 
-# Keyed by the key string itself: a bool or int key is encoded through
-# str(key) and never looked up here (True and 1 hash equal).
+# Keyed by the key string; a bool or int key is looked up as str(key).
 _encode_key = lru_cache(maxsize=1024)(_encode_str)
 
 
-@lru_cache(maxsize=64)
-def _float_list_template(length: int) -> str:
-    return "[" + ", ".join(["%.17g"] * length) + "]"
-
-
-_FLOATS_ONLY = {float}
-
-
-def _encode_sequence(seq) -> str:
-    if {*map(type, seq)} == _FLOATS_ONLY and math.isfinite(sum(seq)):
-        return _float_list_template(len(seq)) % tuple(seq)
-    return "[" + ", ".join([_encode(v) for v in seq]) + "]"
-
-
-def _encode_dict(obj: dict) -> str:
-    items = [f"{_encode_key(k) if type(k) is str else _encode(str(k))}: {_encode(v)}"
-             for k, v in obj.items()]
-    return "{" + ", ".join(items) + "}"
-
-
-def _encode_other(obj) -> str:
-    """The per-value rules, for any type without an exact-type encoder."""
+def dumps(obj) -> str:
+    """``obj`` as one line of JSON, by the rules in the module docstring:
+    each value encoded on its own, nested values recursively."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -75,33 +54,12 @@ def _encode_other(obj) -> str:
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, np.ndarray):
-        return _encode(obj.tolist())
+        return dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        return _encode_sequence(obj)
+        return "[" + ", ".join([dumps(v) for v in obj]) + "]"
     if isinstance(obj, dict):
-        return _encode_dict(obj)
+        return "{" + ", ".join([f"{_encode_key(str(k))}: {dumps(v)}" for k, v in obj.items()]) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-_BY_TYPE = {
-    type(None): lambda obj: "null",
-    bool: lambda obj: "true" if obj else "false",
-    int: str,
-    float: format_float,
-    str: _encode_str,
-    list: _encode_sequence,
-    tuple: _encode_sequence,
-    dict: _encode_dict,
-}
-
-
-def _encode(obj) -> str:
-    return _BY_TYPE.get(type(obj), _encode_other)(obj)
-
-
-def dumps(obj) -> str:
-    """``obj`` as one line of JSON, by the rules in the module docstring."""
-    return _encode(obj)
 
 
 def _finite(value) -> bool:
@@ -124,7 +82,7 @@ def _flatten(obj: dict, parts: list, slots: list, finite: np.ndarray) -> None:
             continue
         if not isinstance(col, (tuple, np.ndarray)):
             finite &= _finite(col)
-            parts.append(_encode(col).replace("%", "%%"))
+            parts.append(dumps(col).replace("%", "%%"))
             continue
         values, width = col if isinstance(col, tuple) else (col, col.shape[1] if col.ndim == 2 else 1)
         kind = values.dtype.kind
@@ -136,7 +94,7 @@ def _flatten(obj: dict, parts: list, slots: list, finite: np.ndarray) -> None:
             if kind == "b":
                 values = np.where(values, "true", "false")
             elif kind in "UO":
-                values = np.array([_encode_key(v) if type(v) is str else _encode(v) for v in values.tolist()])
+                values = np.array([_encode_key(v) if type(v) is str else dumps(v) for v in values.tolist()])
             values = values[:, None]
         else:
             parts.append(len(slots))

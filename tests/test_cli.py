@@ -386,7 +386,10 @@ def test_inspect_degenerate_exit_2(capsys):
 
 @pytest.mark.parametrize("phi", ['{"breakpoints": [0]}', "[1, 2]",
                                  '{"breakpoints": [0], "slopes": [1, 1], "anchor": null}',
-                                 '{"breakpoints": {"a": 1}, "slopes": [1, 1]}'])
+                                 '{"breakpoints": {"a": 1}, "slopes": [1, 1]}',
+                                 # a non-finite anchor would make every divided difference nan
+                                 '{"breakpoints": [0], "slopes": [1, 1], "anchor": 1e999}',
+                                 '{"breakpoints": [0], "slopes": [1, 1], "anchor": NaN}'])
 def test_inspect_malformed_phi_exit_2(capsys, phi):
     assert run_cli("inspect", "--x", "1,2", "--matrix", "divided", "--phi", phi) == 2
     captured = capsys.readouterr()

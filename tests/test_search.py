@@ -176,6 +176,15 @@ def test_search_strong_leibniz_p1_reaches_published_gap():
     assert rep.violation == pytest.approx(res.best_violation, abs=1e-9)
 
 
+@pytest.mark.parametrize("anchor", [math.inf, -math.inf, math.nan])
+def test_witness_with_non_finite_anchor_is_refused(anchor):
+    # such a witness would replay to a false verdict on lhs = nan
+    phi = {"breakpoints": [0.0], "slopes": [1.0, 1.0], "anchor": anchor}
+    witness = {"mu": [0.5, 0.5], "f": [0.0, 1.0], "phi": phi}
+    with pytest.raises(ValueError, match="anchor must be finite"):
+        Instance.from_dict(witness)
+
+
 @pytest.mark.parametrize("target", TARGETS)
 def test_search_witness_codec_and_replay(target):
     # the witness form round-trips (g and the splits for leibniz, phi for the

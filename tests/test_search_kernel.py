@@ -61,7 +61,7 @@ def scalar_instance(config: SearchConfig, t: int) -> dict:
 @pytest.mark.parametrize("monotone", [False, True])
 def test_block_sampler_matches_scalar_draws(target, monotone):
     cfg = SearchConfig(target=target, n=5, seed=123, monotone=monotone, max_breakpoints=8)
-    block = search_mod._sample(cfg, 40, 100)
+    block = search_mod._sample(cfg, range(40, 100))
     for i, t in enumerate(range(40, 100)):
         ref = scalar_instance(cfg, t)
         for inst in (block.row(i).to_dict(), random_instance(cfg, t).to_dict()):
@@ -72,6 +72,24 @@ def test_block_sampler_matches_scalar_draws(target, monotone):
                 assert (inst["split1"], inst["split2"]) == (ref["split1"], ref["split2"])
             if target == "chain_rule":
                 assert inst["phi"] == ref["phi"].to_dict()
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("monotone", [False, True])
+def test_sampled_trial_list_matches_range(target, monotone):
+    # leaders are re-drawn from a list of trials, each through default_rng
+    # itself: the rows equal those of the same trials drawn as a range, bit
+    # for bit, also for a repeated trial (one trial can lead two exponents)
+    # and on both sides of 2**32, where streams adds a 32-bit word
+    cfg = SearchConfig(target=target, n=4, seed=77, monotone=monotone, max_breakpoints=8)
+    for trials, picks in ((range(0, 50), [5, 5, 0, 49, 17]),
+                          (range(2 ** 32 - 3, 2 ** 32 + 3), [4, 4, 0, 5, 2, 3])):
+        block = search_mod._sample(cfg, trials)
+        listed = search_mod._sample(cfg, [trials[i] for i in picks])
+        assert len(listed) == len(picks)
+        for name, a in block.arrays().items():
+            b = getattr(listed, name)
+            assert (a is None and b is None) or same_bits(a[picks], b)
 
 
 def test_sampled_breakpoints_keep_a_minimal_gap():
@@ -106,7 +124,7 @@ def test_kernel_matches_checkers(target):
     # each row of the batch against the scalar formula of its instance
     for n in (3, 4, 6):
         cfg = SearchConfig(target=target, n=n, seed=1000 + n)
-        block = search_mod._sample(cfg, 0, 200)
+        block = search_mod._sample(cfg, range(0, 200))
         instances = [block.row(i) for i in range(len(block))]
         for p in EXPONENTS:
             batch = search_mod._violations(block, target, p)
@@ -120,7 +138,7 @@ def test_kernel_matches_checkers(target):
 
 def test_kernel_marks_singular_f_for_strong_leibniz():
     cfg = SearchConfig(target="strong_leibniz", n=3, seed=2)
-    block = search_mod._sample(cfg, 0, 4)
+    block = search_mod._sample(cfg, range(0, 4))
     f = block.f.copy()
     f[1, 2] = 0.0
     f[2, 0] = 1e-13
@@ -157,7 +175,7 @@ def test_leaders_climb_together_as_alone(target, monotone):
     # mixed leibniz splits climb as one block; each ends, bit for bit, where
     # refine takes it alone with its phi unpadded
     cfg = SearchConfig(target=target, n=3, seed=31, monotone=monotone, max_breakpoints=8)
-    block = search_mod._sample(cfg, 0, 64)
+    block = search_mod._sample(cfg, range(0, 64))
     if target == "chain_rule":
         assert set(np.isfinite(block.bp).sum(axis=1).tolist()) == set(range(1, 9))
         # every other phi decreasing: a monotone climb keeps each row's own sign
