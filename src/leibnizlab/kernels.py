@@ -18,12 +18,12 @@ over the same axis and elementwise operations reproduce the one-matrix
 computation bit for bit, and ``validate_laplacians`` makes the Laplacian
 checks on every matrix of a block at once.
 
-``streams`` yields the generator of each trial t, equal bit for bit to
-``np.random.default_rng((*prefix, t))``.  It computes numpy's ``SeedSequence``
-hash and PCG64 seeding for a whole block of trials in numpy, then replays each
-trial on one reused ``Generator`` by setting its state.  The first call in a
-process checks this against ``default_rng``; if they ever differ (a numpy
-that seeds differently), every stream is built by ``default_rng`` instead.
+Per-trial random streams equal ``np.random.default_rng((*prefix, t))`` bit
+for bit: ``streams`` (the suites) sets one ``Generator`` to each trial's
+state, and ``trial_draws`` (the search) computes draws from each trial's raw
+PCG64 words (O'Neill, 2014), exponentials by the fast path of numpy's
+ziggurat (Marsaglia and Tsang, 2000).  The first use in a process checks
+both against ``default_rng``, which draws every trial if they differ.
 """
 
 from __future__ import annotations
@@ -459,6 +459,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
 _M128 = (1 << 128) - 1
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_LOW, _S32 = np.uint64(_M32), np.uint64(32)
+_MULT128 = np.array([[_PCG_MULT >> 64], [_PCG_MULT & (1 << 64) - 1]], dtype=np.uint64)
 
 
 def _words(v: int) -> list[int]:
@@ -472,29 +474,44 @@ def _words(v: int) -> list[int]:
     return out
 
 
-def _pcg64_states(prefix: tuple, start: int, stop: int) -> list[tuple[int, int]]:
-    """(state, inc) of ``default_rng((*prefix, t)).bit_generator`` for t in
-    [start, stop), where every t has the same number of 32-bit words."""
-    t = np.arange(start, stop, dtype=np.uint64)
-    entropy = [np.full(len(t), w, dtype=np.uint32) for v in prefix for w in _words(v)]
-    entropy += [((t >> np.uint64(32 * k)) & np.uint64(_M32)).astype(np.uint32)
-                for k in range(len(_words(stop - 1)))]
-    const = _INIT_A
+# 128-bit integers as (high, low) pairs of uint64 arrays, which wrap mod 2**64
+def _add128(a, b):
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
 
-    def hashmix(x):
-        nonlocal const
-        x = x ^ np.uint32(const)
-        const = const * _MULT_A & _M32
-        x = x * np.uint32(const)
-        return x ^ (x >> np.uint32(16))
+
+def _mul128(a, b):
+    """a * b: the 128-bit product of the low words in 32-bit halves, plus the cross terms."""
+    (ah, al), (bh, bl) = a, b
+    a1, a0, b1, b0 = al >> _S32, al & _LOW, bl >> _S32, bl & _LOW
+    c, d = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _S32) + (c & _LOW) + (d & _LOW)
+    return a1 * b1 + (c >> _S32) + (d >> _S32) + (mid >> _S32) + ah * bl + al * bh, al * bl
+
+
+def _pcg64_states(prefix: tuple, t: np.ndarray) -> np.ndarray:
+    """(state_hi, state_lo, inc_hi, inc_lo) of each ``default_rng((*prefix, t))``, t uint64: (4, B)."""
+    wide = t > _LOW
+    entropy = [np.full(len(t), w, dtype=np.uint32) for v in prefix for w in _words(v)]
+    entropy += [(t & _LOW).astype(np.uint32)] + [(t >> _S32).astype(np.uint32)] * bool(wide.any())
+
+    def hasher(const, mult):
+        def hashmix(x):
+            nonlocal const
+            x = x ^ np.uint32(const)
+            const = const * mult & _M32
+            x = x * np.uint32(const)
+            return x ^ (x >> np.uint32(16))
+        return hashmix
 
     def mix(x, y):
         z = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
         return z ^ (z >> np.uint32(16))
 
-    # mix_entropy: hash the first four words into the pool, mix every pool
-    # word into every other, then mix in the remaining words
-    zero = np.zeros(len(t), dtype=np.uint32)
+    # mix_entropy: hash the first four words into the pool (a missing word
+    # hashes as zero), mix every pool word into every other, then mix in the
+    # remaining words; t's high word, the last, exists where t >= 2**32
+    hashmix, zero = hasher(_INIT_A, _MULT_A), np.zeros(len(t), dtype=np.uint32)
     pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
     for src in range(4):
         for dst in range(4):
@@ -502,35 +519,38 @@ def _pcg64_states(prefix: tuple, start: int, stop: int) -> list[tuple[int, int]]
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
     for src in range(4, len(entropy)):
         for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+            mixed = mix(pool[dst], hashmix(entropy[src]))
+            pool[dst] = np.where(wide, mixed, pool[dst]) if src == len(entropy) - 1 and wide.any() else mixed
     # generate_state(4, uint64): eight words cycling over the pool
-    const, words = _INIT_B, []
-    for i in range(8):
-        x = pool[i % 4] ^ np.uint32(const)
-        const = const * _MULT_B & _M32
-        x = x * np.uint32(const)
-        words.append((x ^ (x >> np.uint32(16))).astype(np.uint64))
-    seeds = [words[k] | (words[k + 1] << np.uint64(32)) for k in range(0, 8, 2)]
-    out = []
+    words = [x.astype(np.uint64) for x in map(hasher(_INIT_B, _MULT_B), pool + pool)]
+    s_hi, s_lo, i_hi, i_lo = (words[k] | (words[k + 1] << _S32) for k in range(0, 8, 2))
     # pcg64_set_seed: inc = 2 * seq + 1; state = (inc + seed) * MULT + inc, mod 2^128
-    for s_hi, s_lo, i_hi, i_lo in zip(*(s.tolist() for s in seeds)):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        out.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
-    return out
+    inc = ((i_hi << np.uint64(1)) | (i_lo >> np.uint64(63)), (i_lo << np.uint64(1)) | np.uint64(1))
+    return np.stack([*_add128(_mul128(_add128(inc, (s_hi, s_lo)), _MULT128), inc), *inc])
 
 
-def _state(state: int, inc: int) -> dict:
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+def _state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
+    return {"bit_generator": "PCG64", "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
             "has_uint32": 0, "uinteger": 0}
 
 
 @functools.cache
 def _seeding_matches() -> bool:
-    """Whether ``_pcg64_states`` reproduces ``default_rng`` in this process."""
-    cases = (((0,), 0), ((7, 3), 2 ** 32 - 1), ((2 ** 40 + 3, 8), 2 ** 32), ((2 ** 32 - 1, 0), 5))
-    return all(_state(*_pcg64_states(prefix, t, t + 1)[0])
-               == np.random.default_rng((*prefix, t)).bit_generator.state
-               for prefix, t in cases)
+    """Whether ``_pcg64_states``, ``trial_words`` and the draws from words
+    reproduce ``default_rng`` in this process (exponentials on rows where all are certain)."""
+    t = [0, 1, 2, 3, 2 ** 32 - 1, 2 ** 32]
+    for prefix in ((7,), (2 ** 40 + 3, 8)):  # t's high word among the first four entropy words, then past them
+        words, seeded = trial_words(prefix, np.array(t, dtype=np.uint64), 8)
+        expo, sure = _exponentials(words)
+
+        def ref(draw):  # each trial's draw from its own default_rng
+            return [draw(np.random.default_rng((*prefix, v))) for v in t]
+        if not (sure.any() and [_state(*x) for x in seeded.T.tolist()] == ref(lambda g: g.bit_generator.state)
+                and np.array_equal(words, ref(lambda g: g.bit_generator.random_raw(8)))
+                and np.array_equal(_random(words), ref(lambda g: g.random(8)))
+                and np.array_equal(expo[sure], np.array(ref(lambda g: g.standard_exponential(8)))[sure])):
+            return False
+    return True
 
 
 def streams(prefix: tuple, start: int, stop: int):
@@ -544,15 +564,79 @@ def streams(prefix: tuple, start: int, stop: int):
         for t in range(start, stop):
             yield np.random.default_rng((*prefix, t))
         return
-    for v in (*prefix, start):
-        _words(v)  # refuses negative entropy, as SeedSequence does
+    _words(start)  # refuses negative entropy, as SeedSequence does (and _pcg64_states for the prefix)
     gen = np.random.default_rng(0)
-    bitgen = gen.bit_generator
-    lo = start
-    while lo < stop:
-        # a block ends early where t gains a 32-bit word
-        hi = min(stop, lo + BLOCK, 1 << (32 * len(_words(lo))))
-        for state, inc in _pcg64_states(prefix, lo, hi):
-            bitgen.state = _state(state, inc)
+    for lo in range(start, stop, BLOCK):
+        for seeded in _pcg64_states(prefix, np.arange(lo, min(stop, lo + BLOCK), dtype=np.uint64)).T.tolist():
+            gen.bit_generator.state = _state(*seeded)
             yield gen
-        lo = hi
+
+
+def trial_words(prefix: tuple, t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``random_raw(k)`` of ``default_rng((*prefix, t)).bit_generator`` for each t (uint64), and the seeded states."""
+    seeded = _pcg64_states(prefix, t)
+    state, words = seeded[:2], np.empty((len(t), k), dtype=np.uint64)
+    for j in range(k):
+        # PCG64 steps, then outputs XSL-RR of the new state: hi ^ lo rotated right by hi >> 58
+        hi, lo = state = _add128(_mul128(state, _MULT128), seeded[2:])
+        rot, x = hi >> np.uint64(58), hi ^ lo
+        words[:, j] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return words, seeded
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat table, probed on first use: we[idx], the exponential
+    of the word with ri = 1 at idx, and bounds under which ri surely takes the
+    fast path ri < ke[idx].  For idx >= 2, ke[idx] is int(2**53 we[idx-1] / we[idx])
+    to within -1..+3, less a guard band; idx 0 (tail) and 1 (ke = 0) get 0."""
+    gen, inverse, we = np.random.default_rng(0), pow(_PCG_MULT, -1, 1 << 128), np.empty(256)
+    for idx in range(256):
+        # with inc = 1 the next state is (0, word), whose output is the word itself
+        gen.bit_generator.state = _state(0, ((1 << 11 | idx << 3) - 1) * inverse & _M128, 0, 1)
+        we[idx] = gen.standard_exponential()
+    below = np.floor(2.0 ** 53 * we[1:-1] / we[2:]) - 2 ** 10  # the estimates, less the guard band
+    return we, np.concatenate([[0.0, 0.0], below]).astype(np.uint64)
+
+
+def _exponentials(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``standard_exponential`` of each word of (B, k) by the ziggurat's fast path
+    (ri = word >> 11 times we[(word >> 3) & 0xFF]), and the rows where it is certain."""
+    we, below = _ziggurat()
+    ri, idx = words >> np.uint64(11), ((words >> np.uint64(3)) & np.uint64(0xFF)).astype(np.intp)
+    return ri * we[idx], (ri < below[idx]).all(axis=1)
+
+
+def _random(words: np.ndarray) -> np.ndarray:  # random() of each word
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def trial_draws(prefix: tuple, trials, n: int, head: int, span: int, count: int, tail: int):
+    """``standard_exponential(n)``, ``random(head)``, ``integers(0, span, count)``
+    and ``random(tail)`` of ``default_rng((*prefix, t))`` for each t of ``trials``
+    (ints in [0, 2**64)), computed from its words; integers by Lemire's method
+    on the low, then high, half of one word.  A row that may leave the
+    ziggurat's fast path or where Lemire rejects is slow: a ``Generator`` set to
+    its state draws its exponentials and integers, ``random_raw`` its words.
+    If the first-use check fails, ``default_rng`` itself draws every row."""
+    _words(min(trials, default=0))  # refuses negative entropy, as SeedSequence does
+    at, after = n + head, n + head + (span > 1)  # the word whose halves the integers read, the next
+    words, seeded = trial_words(prefix, np.asarray(trials, dtype=np.uint64), after + tail)
+    expo, fast = _exponentials(words[:, :n])
+    ints = np.zeros((len(words), count), dtype=np.intp)
+    for h in range(count if span > 1 else 0):
+        m = ((words[:, at] >> np.uint64(32 * h)) & _LOW) * np.uint64(span)
+        ints[:, h] = m >> _S32
+        fast &= (m & _LOW) >= np.uint64(2 ** 32 % span)
+    exact = _seeding_matches()
+    gen, slow = np.random.default_rng(0), np.flatnonzero(~fast) if exact else np.arange(len(words))
+    for i, state in zip(slow.tolist(), seeded[:, slow].T.tolist()):
+        if exact:
+            gen.bit_generator.state = _state(*state)
+        else:
+            gen = np.random.default_rng((*prefix, trials[i]))
+        gen.standard_exponential(out=expo[i])
+        words[i, n:at] = gen.bit_generator.random_raw(head)
+        ints[i] = [gen.integers(span) for _ in range(count)]
+        words[i, after:] = gen.bit_generator.random_raw(tail)
+    return expo, _random(words[:, n:at]), ints, _random(words[:, after:])

@@ -33,12 +33,12 @@ block the leaders are re-drawn from their trials, and all climb in lockstep,
 one block of neighbours per pass, each with its own epoch and sweep count, so
 each takes the path ``refine`` takes for it alone.
 
-Determinism: trial t draws from its own ``default_rng((seed, t))``, derived a
-block at a time by ``kernels.streams`` and equal to it bit for bit (or built
-by ``default_rng`` itself, where a numpy seeds differently); refinement is
-rng-free hill climbing; aggregation takes the maximal violation with ties
-broken by the lower trial index.  Results therefore depend on the seed and
-the budget only, not on the block size.
+Determinism: trial t draws as from its own ``default_rng((seed, t))``, bit
+for bit: ``kernels.trial_draws`` computes a block's draws from each trial's
+raw PCG64 words, and draws the rare row the words cannot on a Generator;
+refinement is rng-free hill climbing; aggregation takes the maximal
+violation with ties broken by the lower trial index.  Results therefore
+depend on the seed and the budget only, not on the block size.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import HolderTriple, ProbVector, check_exponent, exponent_tag
-from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, streams
+from .core import HolderTriple, ProbVector, as_vector, check_exponent, exponent_tag
+from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, trial_draws
 from .operators import PiecewiseLinearFn
 from .reports import VerificationReport
 from .verify import (
@@ -187,8 +187,8 @@ class Instance(Block):
 
     @classmethod
     def from_dict(cls, d: dict) -> "Instance":
-        """The one-row instance of a witness; phi is validated by ``PiecewiseLinearFn``."""
-        return cls.one(d["mu"], d["f"], d.get("g"),
+        """The one-row instance of a witness, validated as ``replay`` requires it (ValueError)."""
+        return cls.one(ProbVector(d["mu"]).weights, as_vector(d["f"]), as_vector(d["g"]) if "g" in d else None,
                        PiecewiseLinearFn.from_dict(d["phi"]) if "phi" in d else None,
                        split1=np.array([d.get("split1", 0.5)], dtype=float),
                        split2=np.array([d.get("split2", 0.5)], dtype=float))
@@ -207,56 +207,30 @@ def _floored_simplex(raw: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _sample(config: SearchConfig, trials) -> Instance:
-    """The rows of ``trials``, trial t drawn from ``default_rng((seed, t))``:
-    a ``range`` through ``kernels.streams``, any other list of trials (which
-    may repeat one) through ``default_rng`` itself, which equals it bit for bit.
-
-    The draws, in order: the measure (``dirichlet(ones(n))``), then f (for
-    strong leibniz magnitudes in [0.05, 1) and signs), g, phi's breakpoint
-    count, breakpoints, slopes and anchor, and the two leibniz splits.  Only
-    the draws are made per trial; the arithmetic on them is done per block.
-    Draws are taken as raw uniforms and exponentials where that gives the
-    same values: ``uniform(-1, 1)`` is ``-1 + 2 * random()`` exactly, and
-    ``dirichlet(ones(n))`` normalises ``n`` standard exponentials by their
-    sequential sum.
+    """The rows of ``trials`` (a range, or a list that may repeat a trial),
+    trial t drawn as from ``default_rng((seed, t))`` (``kernels.trial_draws``):
+    the measure (``dirichlet(ones(n))``: n exponentials over their sequential
+    sum), then f (for strong leibniz magnitudes ``uniform(0.05, 1)``, that is
+    ``0.05 + (1 - 0.05) * random()``, and signs), g, phi's breakpoint count,
+    breakpoints, slopes and anchor (the first 2 m + 2 of 2 max_breakpoints + 2
+    uniforms), and the two leibniz splits.
     """
-    n, target, size = config.n, config.target, len(trials)
-    chain, leibniz = target == "chain_rule", target == "leibniz"
-    strong = target == "strong_leibniz"
-    mmax = config.max_breakpoints
-    expo = np.empty((size, n))
-    unif = np.empty((size, 2 * n if leibniz else n))
-    mag = np.empty((size, n)) if strong else None
-    counts = np.empty(size, dtype=np.intp)
-    knot_u = np.zeros((size, 2 * mmax + 2)) if chain else None
-    split_idx = np.empty((size, 2), dtype=np.intp) if leibniz else None
-    rngs = (streams((config.seed,), trials.start, trials.stop) if isinstance(trials, range)
-            else (np.random.default_rng((config.seed, t)) for t in trials))
-    for i, rng in enumerate(rngs):
-        rng.standard_exponential(out=expo[i])
-        if strong:
-            mag[i] = rng.uniform(0.05, 1.0, n)
-        rng.random(out=unif[i])
-        if chain:
-            m = int(rng.integers(1, mmax + 1))
-            counts[i] = m
-            rng.random(out=knot_u[i, :2 * m + 2])  # breakpoints, slopes, anchor
-        if leibniz:
-            split_idx[i, 0] = rng.integers(len(_SPLIT_CHOICES))
-            split_idx[i, 1] = rng.integers(len(_SPLIT_CHOICES))
-
+    n, target, mmax = config.n, config.target, config.max_breakpoints
+    chain, leibniz, strong = target == "chain_rule", target == "leibniz", target == "strong_leibniz"
+    span, count = (mmax, 1) if chain else (len(_SPLIT_CHOICES), 2) if leibniz else (1, 0)
+    expo, unif, ints, knot_u = trial_draws((config.seed,), trials, n, 2 * n if leibniz or strong else n,
+                                           span, count, 2 * mmax + 2 if chain else 0)
     mu = _floored_simplex(dirichlet_rows(expo), config.mass_floor)
     if strong:
-        f = mag * np.where(unif < 0.5, -1.0, 1.0)
+        f = (0.05 + (1.0 - 0.05) * unif[:, :n]) * np.where(unif[:, n:] < 0.5, -1.0, 1.0)
     else:
         f = -1.0 + 2.0 * unif[:, :n]
     block = dict(mu=mu, f=f)
     if leibniz:
         choices = np.asarray(_SPLIT_CHOICES)
-        block.update(g=-1.0 + 2.0 * unif[:, n:], split1=choices[split_idx[:, 0]],
-                     split2=choices[split_idx[:, 1]])
+        block.update(g=-1.0 + 2.0 * unif[:, n:], split1=choices[ints[:, 0]], split2=choices[ints[:, 1]])
     if chain:
-        block.update(sample_phi(knot_u, counts, config.monotone))
+        block.update(sample_phi(knot_u, 1 + ints[:, 0], config.monotone))
     return Instance(**block)
 
 

@@ -1,4 +1,6 @@
-"""Block seeding: ``kernels.streams`` against ``default_rng``, and its fallback."""
+"""Block seeding: ``kernels.streams`` and ``kernels.trial_words`` against
+``default_rng``, the ziggurat table and Lemire rejection of ``trial_draws``,
+and their fallbacks."""
 
 import math
 import subprocess
@@ -42,22 +44,104 @@ def test_streams_refuse_negative_entropy():
 
 
 def test_seeding_is_checked_on_first_use_not_at_import():
+    # importing leibnizlab and building the CLI parser checks no seeding
+    # and probes no ziggurat table
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import leibnizlab, leibnizlab.kernels as k; "
-            "a = k._seeding_matches.cache_info().currsize; next(k.streams((1,), 0, 1)); "
-            "print(a, k._seeding_matches.cache_info().currsize)")
+            "import leibnizlab.cli as cli; cli.build_parser(); "
+            "lazy = (k._seeding_matches, k._ziggurat); "
+            "a = [f.cache_info().currsize for f in lazy]; next(k.streams((1,), 0, 1)); "
+            "print(*a, k._seeding_matches.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "1"]
+    assert proc.stdout.split() == ["0", "0", "1"]
 
 
 def test_fallback_builds_each_stream_with_default_rng(monkeypatch):
     cfg = SearchConfig(target="chain_rule", n=4, p_grid=(1.0, 3.0, math.inf), trials=1100,
                        refine_steps=2, seed=21)
     seeded = search(cfg)
+    trials = [*range(0, 300), 2 ** 32 - 1, 2 ** 32, 7, 7]
+    drawn = kernels.trial_draws((21,), trials, 4, 4, 4, 1, 10)
     assert len({id(rng) for rng in list(kernels.streams((5, 1), 0, 3))}) == 1
     monkeypatch.setattr(kernels, "_seeding_matches", lambda: False)
     assert len({id(rng) for rng in list(kernels.streams((5, 1), 0, 3))}) == 3
+    # every row of trial_draws drawn by default_rng: the same rows
+    for a, b in zip(kernels.trial_draws((21,), trials, 4, 4, 4, 1, 10), drawn):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     fallback = search(cfg)
     assert (fallback.witness, fallback.per_p, fallback.history) == (
         seeded.witness, seeded.per_p, seeded.history)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_words_match_random_raw(seed):
+    # one-word and two-word trial indices in one array, in any order and
+    # repeated; with the prefix (seed, 8), t's high word is the fifth or
+    # sixth entropy word, mixed in only where t >= 2**32
+    t = [5, 2 ** 32 + 1, 0, 2 ** 32 - 1, 5, 2 ** 32, 2 ** 40 + 7, *range(100, 160)]
+    for prefix in ((seed,), (seed, 8)):
+        words, _ = kernels.trial_words(prefix, np.array(t, dtype=np.uint64), 21)
+        ref = [np.random.default_rng((*prefix, v)).bit_generator.random_raw(21) for v in t]
+        assert np.array_equal(words, np.array(ref))
+
+
+def _before(word: int) -> dict:
+    """The PCG64 state, with inc 1, whose next output is ``word``: the step
+    leads to the state (0, word), whose output is the word itself."""
+    state = (word - 1) * pow(kernels._PCG_MULT, -1, 2 ** 128) % 2 ** 128
+    return kernels._state(state >> 64, state & (2 ** 64 - 1), 0, 1)
+
+
+def test_ziggurat_estimates_lie_within_the_guard_band():
+    # numpy's ke[idx], found by binary search on ri: the least ri whose
+    # exponential reads more than its own word (2**53 where none does)
+    gen = np.random.default_rng(0)
+    we, below = kernels._ziggurat()
+    for idx in range(256):
+        lo, hi = 0, 2 ** 53
+        while lo < hi:
+            mid = (lo + hi) // 2
+            word = mid << 11 | idx << 3
+            gen.bit_generator.state = _before(word)
+            gen.standard_exponential()
+            if gen.bit_generator.state["state"]["state"] == word:
+                lo = mid + 1
+            else:
+                hi = mid
+        if idx < 2:
+            assert below[idx] == 0  # always slow; ke[1] is 0
+            assert idx == 0 or lo == 0
+        else:
+            assert abs(lo - (int(below[idx]) + 2 ** 10)) <= 3  # the guard band is 2**10
+            assert int(below[idx]) < lo
+        # ri = 1 draws we[idx] (for idx 1 through the slow path's first test)
+        gen.bit_generator.state = _before(1 << 11 | idx << 3)
+        assert gen.standard_exponential() == we[idx]
+
+
+def test_lemire_rejection_goes_to_the_generator(monkeypatch):
+    # a row whose integer word has low half 0, which Lemire rejects for span
+    # 5: numpy takes the first integer from the high half and the second
+    # from the next word, so trial_draws must draw that row on the Generator
+    n, head, span, count, tail = 3, 2, 5, 2, 3
+    kernels._seeding_matches()  # cached before the patch below
+    a, c = 1, 0
+    for _ in range(n + head + 1):
+        a, c = a * kernels._PCG_MULT % 2 ** 128, (c * kernels._PCG_MULT + 1) % 2 ** 128
+    gen = np.random.default_rng(0)
+    for high in range(2 ** 32 - 1, 0, -1):
+        # the state after n + head + 1 steps is (0, word): its output is the word
+        state = ((high << 32) - c) * pow(a, -1, 2 ** 128) % 2 ** 128
+        gen.bit_generator.state = kernels._state(state >> 64, state & (2 ** 64 - 1), 0, 1)
+        if kernels._exponentials(gen.bit_generator.random_raw((1, n)))[1][0]:
+            break  # the exponentials read one word each, so the integers read that word
+    seeded = np.array([[state >> 64], [state & (2 ** 64 - 1)], [0], [1]], dtype=np.uint64)
+    monkeypatch.setattr(kernels, "_pcg64_states", lambda prefix, t: np.repeat(seeded, len(t), axis=1))
+    got = kernels.trial_draws((0,), [0, 1], n, head, span, count, tail)
+    gen.bit_generator.state = kernels._state(state >> 64, state & (2 ** 64 - 1), 0, 1)
+    ref = (gen.standard_exponential(n), gen.random(head), [gen.integers(span) for _ in range(count)],
+           gen.random(tail))
+    assert got[2][0, 0] == (high * span) >> 32 == 4
+    for rows, want in zip(got, ref):
+        assert np.array_equal(rows[0], want) and np.array_equal(rows[1], want)

@@ -185,6 +185,15 @@ def test_witness_with_non_finite_anchor_is_refused(anchor):
         Instance.from_dict(witness)
 
 
+@pytest.mark.parametrize("witness, message", [
+    ({"mu": [0.7, 0.7], "f": [1.0, 0.0]}, "weights sum to"),  # violation() read -0.7 on it
+    ({"mu": [0.5, 0.5], "f": [math.inf, 0.0]}, "must be finite"),  # violation() read nan on it
+])
+def test_witness_with_invalid_measure_or_vector_is_refused(witness, message):
+    with pytest.raises(ValueError, match=message):
+        Instance.from_dict(witness)
+
+
 @pytest.mark.parametrize("target", TARGETS)
 def test_search_witness_codec_and_replay(target):
     # the witness form round-trips (g and the splits for leibniz, phi for the

@@ -57,6 +57,16 @@ def scalar_instance(config: SearchConfig, t: int) -> dict:
     return out
 
 
+def assert_same_draws(inst: dict, ref: dict, target: str):
+    assert np.array_equal(inst["mu"], ref["mu"])
+    assert np.array_equal(inst["f"], ref["f"])
+    if target == "leibniz":
+        assert np.array_equal(inst["g"], ref["g"])
+        assert (inst["split1"], inst["split2"]) == (ref["split1"], ref["split2"])
+    if target == "chain_rule":
+        assert inst["phi"] == ref["phi"].to_dict()
+
+
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("monotone", [False, True])
 def test_block_sampler_matches_scalar_draws(target, monotone):
@@ -65,22 +75,35 @@ def test_block_sampler_matches_scalar_draws(target, monotone):
     for i, t in enumerate(range(40, 100)):
         ref = scalar_instance(cfg, t)
         for inst in (block.row(i).to_dict(), random_instance(cfg, t).to_dict()):
-            assert np.array_equal(inst["mu"], ref["mu"])
-            assert np.array_equal(inst["f"], ref["f"])
-            if target == "leibniz":
-                assert np.array_equal(inst["g"], ref["g"])
-                assert (inst["split1"], inst["split2"]) == (ref["split1"], ref["split2"])
-            if target == "chain_rule":
-                assert inst["phi"] == ref["phi"].to_dict()
+            assert_same_draws(inst, ref, target)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("monotone", [False, True])
+@pytest.mark.parametrize("seed, trials", [(123, range(0, 2048)),
+                                          (2 ** 40 + 3, range(2 ** 32 - 1024, 2 ** 32 + 1024))])
+def test_word_path_matches_scalar_draws(target, monotone, seed, trials):
+    # 2048 trials hold rows that leave the word path for the Generator (an
+    # exponential off the ziggurat's certain fast path), among them rows
+    # whose first exponential has idx 0 or 1, which are always slow
+    cfg = SearchConfig(target=target, n=5, seed=seed, monotone=monotone, max_breakpoints=8)
+    words, _ = kernels.trial_words((seed,), np.array(trials, dtype=np.uint64), cfg.n)
+    fast = kernels._exponentials(words)[1]
+    first_idx = ((words[:, 0] >> np.uint64(3)) & np.uint64(0xFF)).tolist()
+    assert 0.02 < np.mean(~fast) < 0.5
+    assert {0, 1} <= {first_idx[i] for i in np.flatnonzero(~fast)}
+    block = search_mod._sample(cfg, trials)
+    for i, t in enumerate(trials):
+        assert_same_draws(block.row(i).to_dict(), scalar_instance(cfg, t), target)
 
 
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("monotone", [False, True])
 def test_sampled_trial_list_matches_range(target, monotone):
-    # leaders are re-drawn from a list of trials, each through default_rng
-    # itself: the rows equal those of the same trials drawn as a range, bit
-    # for bit, also for a repeated trial (one trial can lead two exponents)
-    # and on both sides of 2**32, where streams adds a 32-bit word
+    # leaders are re-drawn from a list of trials: the rows equal those of the
+    # same trials drawn as a range, bit for bit, also for a repeated trial
+    # (one trial can lead two exponents) and on both sides of 2**32, where
+    # the seed entropy gains a 32-bit word
     cfg = SearchConfig(target=target, n=4, seed=77, monotone=monotone, max_breakpoints=8)
     for trials, picks in ((range(0, 50), [5, 5, 0, 49, 17]),
                           (range(2 ** 32 - 3, 2 ** 32 + 3), [4, 4, 0, 5, 2, 3])):

@@ -1,4 +1,6 @@
-"""One-pass ``dumps`` against the per-value recursive encoder it replaced."""
+"""``dumps`` and ``format_float`` against a per-value recursive reference
+encoder kept in this file, and the block writer ``block_lines`` against
+``dumps`` of each report."""
 
 import math
 import random
@@ -12,7 +14,7 @@ from leibnizlab.serialize import block_lines, dumps, format_float
 
 
 def _reference_dumps(obj) -> str:
-    """Every value encoded on its own, recursively (the encoder before the fast paths)."""
+    """Every value encoded on its own, recursively: the rules ``dumps`` must keep."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
