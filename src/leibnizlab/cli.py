@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,16 +41,6 @@ from .suites import N_MAX_BOUNDS, SUITES
 from .core import check_exponent, exponent_tag
 
 SUITE_CHOICES = tuple(SUITES) + ("all",)
-
-
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seed: int
-    version: str = __version__
-    wall_time_s: float = 0.0
-    outputs: list[str] = field(default_factory=list)
 
 
 def _resolve_seed(value) -> int:
@@ -96,6 +85,13 @@ def _write(out_dir: str, name: str, text: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path
+
+
+def _write_manifest(out_dir: str, command: str, config: dict, seed: int, started: float, outputs: list) -> None:
+    """Write ``manifest.json``; its ``wall_time_s`` is the time since ``started``."""
+    manifest = {"command": command, "config": config, "seed": seed, "version": __version__,
+                "wall_time_s": time.perf_counter() - started, "outputs": outputs}
+    _write(out_dir, "manifest.json", dumps(manifest) + "\n")
 
 
 def _suite_kwargs(args, seed: int) -> dict[str, dict]:
@@ -147,15 +143,8 @@ def cmd_verify(args) -> int:
             path = os.path.join(args.out, f"suite_{o.name}.jsonl")
             write_jsonl(path, o.lines())
             outputs.append(path)
-        manifest = RunManifest(
-            command="verify",
-            config={"suite": args.suite, "trials": args.trials, "n": args.n,
-                    "tol": args.tol, "p": args.p},
-            seed=seed,
-            wall_time_s=time.perf_counter() - started,
-            outputs=outputs,
-        )
-        _write(args.out, "manifest.json", dumps(asdict(manifest)) + "\n")
+        _write_manifest(args.out, "verify", {"suite": args.suite, "trials": args.trials, "n": args.n,
+                                             "tol": args.tol, "p": args.p}, seed, started, outputs)
 
     if args.json:
         payload = [
@@ -258,10 +247,7 @@ def cmd_search(args) -> int:
         if args.history_csv:
             history = "".join(f"{i},{v:.17g}\n" for i, v in enumerate(result.history))
             outputs.append(_write(args.out, "history.csv", "trial,best_violation\n" + history))
-        manifest = RunManifest(
-            command="search", config=config.to_dict(), seed=config.seed,
-            wall_time_s=time.perf_counter() - started, outputs=outputs)
-        _write(args.out, "manifest.json", dumps(asdict(manifest)) + "\n")
+        _write_manifest(args.out, "search", config.to_dict(), config.seed, started, outputs)
 
     if args.json:
         print(dumps(payload))

@@ -24,10 +24,10 @@ of f:
 
 An ``Instance`` holds search instances as the rows of arrays, one row per
 instance; ``violation``, ``refine``, ``replay`` and the witness codec take
-one-row Instances.  Trials are sampled and scored in blocks of ``BLOCK`` rows
-through the target's statement in ``verify.STATEMENTS``, with the
-floating-point operations of the checker in ``verify`` on each row alone, so
-no row depends on the others or on phi's +inf padding.  Each exponent keeps a
+one-row Instances.  All act through the target's statement in
+``verify.STATEMENTS``: its kernel scores blocks of ``BLOCK`` rows, each row
+as the checker scores it alone, whatever phi's +inf padding; a row outside
+its domain scores -inf; ``replay`` returns its report.  Each exponent keeps a
 table of its best trials, as trial indices (``search``).  After the last
 block the leaders are re-drawn from their trials, and all climb in lockstep,
 one block of neighbours per pass, each with its own epoch and sweep count, so
@@ -50,18 +50,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import HolderTriple, ProbVector, as_vector, check_exponent, exponent_tag
+from .core import HolderTriple, ProbVector, as_pair, check_exponent, exponent_tag, paired
 from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, trial_draws
 from .operators import PiecewiseLinearFn
 from .reports import VerificationReport
-from .verify import (
-    INVERTIBILITY_FLOOR,
-    STATEMENTS,
-    check_chain_rule,
-    check_leibniz,
-    check_square_bound,
-    check_strong_leibniz,
-)
+from .sampling import MASS_FLOOR
+from .verify import STATEMENTS, check_chain_rule, check_strong_leibniz
 
 TARGETS = ("chain_rule", "strong_leibniz", "leibniz", "square_bound")
 
@@ -83,7 +77,7 @@ class SearchConfig:
     seed: int = 0
     max_breakpoints: int = 4
     monotone: bool = False
-    mass_floor: float = 1e-3
+    mass_floor: float = MASS_FLOOR
     refine_top: int = 5
 
     def __post_init__(self):
@@ -188,10 +182,12 @@ class Instance(Block):
     @classmethod
     def from_dict(cls, d: dict) -> "Instance":
         """The one-row instance of a witness, validated as ``replay`` requires it (ValueError)."""
-        return cls.one(ProbVector(d["mu"]).weights, as_vector(d["f"]), as_vector(d["g"]) if "g" in d else None,
-                       PiecewiseLinearFn.from_dict(d["phi"]) if "phi" in d else None,
-                       split1=np.array([d.get("split1", 0.5)], dtype=float),
-                       split2=np.array([d.get("split2", 0.5)], dtype=float))
+        f, mu = paired(d["f"], ProbVector(d["mu"]))
+        splits = {name: np.array([d.get(name, 0.5)], dtype=float) for name in ("split1", "split2")}
+        if not all(0.0 <= s[0] <= 1.0 for s in splits.values()):
+            raise ValueError(f"split fraction must lie in [0, 1], got {[float(s[0]) for s in splits.values()]}")
+        return cls.one(mu, f, as_pair(f, d["g"])[1] if "g" in d else None,
+                       PiecewiseLinearFn.from_dict(d["phi"]) if "phi" in d else None, **splits)
 
 
 def _floored_simplex(raw: np.ndarray, floor: float) -> np.ndarray:
@@ -236,32 +232,32 @@ def _sample(config: SearchConfig, trials) -> Instance:
 
 # -- violations of a block at one exponent ------------------------------------
 
-def _split_exponents(split: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the (p, q) of ``HolderTriple.split(p, s)`` for the row's
-    exponent p (one float, or one per row) and split s."""
-    pe, qe = np.empty(split.shape), np.empty(split.shape)
-    p = np.broadcast_to(p, split.shape)
-    for key in set(zip(p.tolist(), split.tolist())):
-        rows = (p == key[0]) & (split == key[1])
-        triple = HolderTriple.split(*key)
-        pe[rows], qe[rows] = triple.p, triple.q
-    return pe, qe
+def _exponents(b: Instance, target: str, p) -> tuple:
+    """The exponents of the target's statement at p, one float or one per row: p,
+    and for leibniz the (p, q) of ``HolderTriple.split(p, s)`` for each row's splits s."""
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}")
+    if target != "leibniz":
+        return (p,)
+    exponents, rows_p = [p], np.broadcast_to(p, b.split1.shape)
+    for split in (b.split1, b.split2):
+        pe, qe = np.empty(split.shape), np.empty(split.shape)
+        for key in set(zip(rows_p.tolist(), split.tolist())):
+            triple, rows = HolderTriple.split(*key), (rows_p == key[0]) & (split == key[1])
+            pe[rows], qe[rows] = triple.p, triple.q
+        exponents += [pe, qe]
+    return tuple(exponents)
 
 
 def _violations(b: Instance, target: str, p) -> np.ndarray:
-    """lhs - rhs of the target inequality at p, one float or one per row (for
-    leibniz, r = p split by each row's fractions)."""
-    if target not in TARGETS:
-        raise ValueError(f"unknown target {target!r}")
-    exponents = (p,)
-    if target == "leibniz":
-        exponents += (*_split_exponents(b.split1, p), *_split_exponents(b.split2, p))
-    # a singular f (strong leibniz) makes inf / inf; its row reads -inf
+    """lhs - rhs of the target inequality at p, one float or one per row; -inf
+    on a row outside the statement's domain."""
+    exponents, statement = _exponents(b, target, p), STATEMENTS[target]
+    # a singular f (strong leibniz) makes inf / inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        lhs, rhs, _ = STATEMENTS[target].sides(b, exponents)
-    if target == "strong_leibniz":
-        return np.where(np.abs(b.f).min(axis=1) < INVERTIBILITY_FLOOR, -np.inf, lhs - rhs)
-    return lhs - rhs
+        lhs, rhs, _ = statement.sides(b, exponents)
+    outside = statement.outside(b.f)
+    return lhs - rhs if outside is None else np.where(outside, -np.inf, lhs - rhs)
 
 
 def random_instance(config: SearchConfig, trial_seed: int) -> Instance:
@@ -276,20 +272,12 @@ def violation(inst: Instance, target: str, p: float) -> float:
 
 
 def replay(inst: Instance, target: str, p: float) -> VerificationReport:
-    """Re-evaluate a one-row instance through the full checkers (slow path)."""
-    mu, f = ProbVector(inst.mu[0]), inst.f[0]
-    if target == "chain_rule":
-        phi = PiecewiseLinearFn(inst.bp[0], inst.slopes[0], inst.anchor[0])
-        return check_chain_rule(mu, f, phi, p)
-    if target == "strong_leibniz":
-        return check_strong_leibniz(mu, f, p)
-    if target == "square_bound":
-        return check_square_bound(mu, f, p)
-    if target == "leibniz":
-        return check_leibniz(mu, f, inst.g[0],
-                             HolderTriple.split(p, float(inst.split1[0])),
-                             HolderTriple.split(p, float(inst.split2[0])))
-    raise ValueError(f"unknown target {target!r}")
+    """The report of a one-row instance, the one the target's ``verify.check_*``
+    gives: its witness form validated as ``Instance.from_dict`` validates it,
+    then reported by the target's statement, which refuses it outside its domain."""
+    one = Instance.from_dict(inst.to_dict())
+    exponents = _exponents(one, target, check_exponent(p))  # ValueError for an unknown target
+    return STATEMENTS[target].reports(one, exponents).reports()[0]
 
 
 # -- refinement ---------------------------------------------------------------
@@ -343,9 +331,9 @@ def _neighbours(b: dict, active: np.ndarray, counts: np.ndarray, steps: np.ndarr
         rows, cell, d = at(code)
         if out[name] is not None:
             out[name][cell] = np.clip(out[name][cell] + d, -1.0, 1.0)
-    if target == "strong_leibniz":
-        rows, cell, _ = at(_F)
-        keep[rows] = np.abs(out["f"][cell]) >= INVERTIBILITY_FLOOR
+    if STATEMENTS[target].invertible:  # a move of f may leave the statement's domain
+        rows, _, _ = at(_F)
+        keep[rows] = ~STATEMENTS[target].outside(out["f"][rows])
     if b["bp"] is not None:
         slopes, bp = out["slopes"], out["bp"]
         rows, cell, d = at(_SLOPES)
@@ -400,7 +388,7 @@ def _climb(b: Instance, target: str, steps: int, p: np.ndarray, values,
 
 
 def refine(inst: Instance, target: str, steps: int, p: float,
-           monotone: bool = False, mass_floor: float = 1e-3) -> tuple[Instance, float]:
+           monotone: bool = False, mass_floor: float = MASS_FLOOR) -> tuple[Instance, float]:
     """Greedy coordinate hill climbing on the violation of a one-row instance
     (phi unpadded); never worsens the input.  Returns the tuned instance and
     its violation, the value ``violation`` gives for it.

@@ -100,21 +100,37 @@ class Statement:
     ``kernel(block, *exponents)`` returns each row's left-hand side, then the
     terms whose sum is its right-hand side (two for the product rule, one
     otherwise).  ``exponents`` names the exponents the kernel takes, in
-    order, and ``phi`` says whether instances carry a piecewise-linear
-    function.  A plain class, as ``kernels.Block`` is.
+    order.  The statement owns its domain: an instance carries phi (a
+    piecewise-linear function) if ``phi`` and g if ``g``, else ``sides``
+    refuses it, and if ``invertible`` no |f_i| falls below
+    INVERTIBILITY_FLOOR (``outside``), else ``reports`` refuses it and the
+    search scores it -inf.  A plain class, as ``kernels.Block`` is.
     """
 
-    def __init__(self, name: str, kernel, exponents: tuple = (), phi: bool = False):
-        self.name, self.kernel, self.exponents, self.phi = name, kernel, exponents, phi
+    def __init__(self, name: str, kernel, exponents=(), phi=False, g=False, invertible=False):
+        self.name, self.kernel, self.exponents = name, kernel, exponents
+        self.phi, self.g, self.invertible = phi, g, invertible
+
+    def outside(self, f: np.ndarray):
+        """Per row of f, whether it lies outside the domain; None if no f can."""
+        return (np.abs(f) < INVERTIBILITY_FLOOR).any(axis=1) if self.invertible else None
 
     def sides(self, b: Block, exponents=()) -> tuple:
         """Each row's lhs, rhs and the terms of rhs.  ``exponents`` holds, per
-        name in ``self.exponents``, one float or an array of one per row."""
+        name in ``self.exponents``, one float or an array of one per row.
+        ValueError if ``b`` lacks a field the statement needs."""
+        for name, needed, value in (("phi", self.phi, b.bp), ("g", self.g, b.g)):
+            if needed and value is None:
+                raise ValueError(f"{self.name} needs {name}, and the instance has none")
         lhs, *terms = self.kernel(b, *exponents)
         return lhs, sum(terms[1:], terms[0]), terms
 
     def reports(self, b: Block, exponents=(), tol: float = INEQUALITY_TOL) -> ReportBlock:
-        """The reports of the rows of ``b`` as one block, each row's instance echoed in full."""
+        """The reports of the rows of ``b`` as one block, each row's instance
+        echoed in full; ValueError if a row lies outside the domain."""
+        outside = self.outside(b.f)
+        if outside is not None and outside.any():
+            raise ValueError(f"f is not invertible: some |f_i| < {INVERTIBILITY_FLOOR}")
         lhs, rhs, terms = self.sides(b, exponents)
         instance = {"mu": b.mu, "f": b.f}
         if b.g is not None:
@@ -133,10 +149,10 @@ class Statement:
 
 #: The five statements on a measure, by the name of their checker, ``check_<name>``.
 STATEMENTS = {
-    "leibniz": Statement("leibniz_inequality", kernels.leibniz, ("r", "p1", "q1", "p2", "q2")),
+    "leibniz": Statement("leibniz_inequality", kernels.leibniz, ("r", "p1", "q1", "p2", "q2"), g=True),
     "chain_rule": Statement("chain_rule", kernels.chain_rule, ("p",), phi=True),
     "markov_variance": Statement("markov_variance", kernels.markov_variance, phi=True),
-    "strong_leibniz": Statement("strong_leibniz", kernels.strong_leibniz, ("p",)),
+    "strong_leibniz": Statement("strong_leibniz", kernels.strong_leibniz, ("p",), invertible=True),
     "square_bound": Statement("square_function_bound", kernels.square_bound, ("p",)),
 }
 
@@ -193,8 +209,6 @@ def check_strong_leibniz(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TO
     """||f^-1 - E f^-1||_p <= ||f^-1||_inf^2 ||f - Ef||_p for invertible f."""
     fv, w = paired(f, mu)
     p = check_exponent(p)
-    if float(np.min(np.abs(fv))) < INVERTIBILITY_FLOOR:
-        raise ValueError(f"f is not invertible: some |f_i| < {INVERTIBILITY_FLOOR}")
     return STATEMENTS["strong_leibniz"].reports(Block.one(w, fv), (p,), tol).reports()[0]
 
 

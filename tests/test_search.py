@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from leibnizlab.core import ProbVector
+from leibnizlab.core import HolderTriple, ProbVector
+from leibnizlab.operators import PiecewiseLinearFn
 from leibnizlab.search import (
     RECIPROCAL_WITNESS,
     TARGETS,
@@ -23,6 +24,8 @@ from leibnizlab.search import (
     violation,
     vshape_function,
 )
+from leibnizlab.serialize import dumps
+from leibnizlab.verify import check_chain_rule, check_leibniz, check_square_bound, check_strong_leibniz
 
 
 def test_config_validation():
@@ -188,6 +191,13 @@ def test_witness_with_non_finite_anchor_is_refused(anchor):
 @pytest.mark.parametrize("witness, message", [
     ({"mu": [0.7, 0.7], "f": [1.0, 0.0]}, "weights sum to"),  # violation() read -0.7 on it
     ({"mu": [0.5, 0.5], "f": [math.inf, 0.0]}, "must be finite"),  # violation() read nan on it
+    # HolderTriple.split refused these only when the witness was scored
+    ({"mu": [0.5, 0.5], "f": [0.0, 1.0], "g": [1.0, 0.5], "split1": 2.0}, "split fraction"),
+    ({"mu": [0.5, 0.5], "f": [0.0, 1.0], "g": [1.0, 0.5], "split2": -0.1}, "split fraction"),
+    ({"mu": [0.5, 0.5], "f": [0.0, 1.0], "g": [1.0, 0.5], "split1": math.nan}, "split fraction"),
+    # numpy's matmul refused these only when the witness was scored
+    ({"mu": [0.5, 0.5], "f": [0.0, 1.0, 0.5]}, "measure has 2 atoms"),
+    ({"mu": [0.5, 0.5], "f": [0.0, 1.0], "g": [1.0]}, "lengths differ"),
 ])
 def test_witness_with_invalid_measure_or_vector_is_refused(witness, message):
     with pytest.raises(ValueError, match=message):
@@ -205,6 +215,64 @@ def test_search_witness_codec_and_replay(target):
     assert inst.to_dict() == {k: v for k, v in res.witness.items() if k in keys}
     rep = replay(inst, target, res.best_p)
     assert rep.violation == pytest.approx(res.best_violation, abs=1e-9)
+
+
+def checker_report(inst, target, p):
+    """The report of the target's ``verify.check_*``, one branch per target."""
+    mu, f = ProbVector(inst.mu[0]), inst.f[0]
+    if target == "chain_rule":
+        return check_chain_rule(mu, f, PiecewiseLinearFn(inst.bp[0], inst.slopes[0], inst.anchor[0]), p)
+    if target == "strong_leibniz":
+        return check_strong_leibniz(mu, f, p)
+    if target == "square_bound":
+        return check_square_bound(mu, f, p)
+    assert target == "leibniz"
+    return check_leibniz(mu, f, inst.g[0], HolderTriple.split(p, float(inst.split1[0])),
+                         HolderTriple.split(p, float(inst.split2[0])))
+
+
+@pytest.mark.parametrize("target, monotone", [(t, False) for t in TARGETS] + [("chain_rule", True)])
+def test_replay_equals_the_checker(target, monotone):
+    # the search's witness (a refined leader), a leader refined here, and raw
+    # trials, each at every exponent of the grid
+    cfg = SearchConfig(target=target, n=4, p_grid=(1.0, 1.5, 2.0, math.inf), trials=300, refine_steps=3,
+                       refine_top=3, seed=21, monotone=monotone)
+    res = search(cfg)
+    leader = random_instance(cfg, res.witness["trial"])
+    witness = Instance.from_dict(res.witness)
+    assert res.witness["violation"] > violation(leader, target, res.best_p)
+    tuned, _ = refine(leader, target, 3, res.best_p, monotone)
+    assert tuned is not leader
+    for inst in [witness, tuned, leader] + [random_instance(cfg, t) for t in range(5)]:
+        for p in cfg.p_grid:
+            assert dumps(replay(inst, target, p).to_dict()) == dumps(checker_report(inst, target, p).to_dict())
+
+
+@pytest.mark.parametrize("target, missing", [("chain_rule", "phi"), ("leibniz", "g")])
+def test_instance_without_a_needed_field_is_refused(target, missing):
+    # each of the three once died with a TypeError deep in the kernel
+    inst = Instance.one([0.25, 0.75], [0.5, -0.5])
+    with pytest.raises(ValueError, match=f"needs {missing}"):
+        violation(inst, target, 1.5)
+    with pytest.raises(ValueError, match=f"needs {missing}"):
+        refine(inst, target, 2, 1.5)
+    with pytest.raises(ValueError, match=f"needs {missing}"):
+        replay(inst, target, 1.5)
+
+
+def test_singular_f_reads_minus_inf_and_is_not_replayed():
+    inst = Instance.one([0.25, 0.75], [0.0, 0.5])
+    assert violation(inst, "strong_leibniz", 2.0) == -math.inf
+    with pytest.raises(ValueError, match=r"f is not invertible: some \|f_i\| < 1e-06"):
+        replay(inst, "strong_leibniz", 2.0)
+
+
+@pytest.mark.parametrize("target", ["markov_variance", "nonsense"])
+def test_unknown_target_is_refused(target):
+    inst = Instance.one([0.25, 0.75], [0.5, -0.5], phi=vshape_function())
+    for call in (violation, replay):
+        with pytest.raises(ValueError, match="unknown target"):
+            call(inst, target, 1.5)
 
 
 def test_search_monotone_negative_control():
