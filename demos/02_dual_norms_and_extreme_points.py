@@ -25,7 +25,7 @@ print("  dual norm (oracle)   :", dual_norm_bruteforce(x, w, 2))
 
 cand = extreme_point_candidates(w, 2)
 print("\ncandidate extreme points of the unit ball (all have norm exactly 1):")
-for pt in cand.points:
+for pt in cand:
     print(f"  {pt}   norm = {weighted_k_norm(pt, w, 2):.12f}")
 
 rng = np.random.default_rng(0)

@@ -30,7 +30,6 @@ from .core import (
 )
 from .knorms import (
     ENUMERATION_CAP,
-    ExtremePointSet,
     KyFanDominanceError,
     dual_norm_bruteforce,
     dual_weighted_k_norm,

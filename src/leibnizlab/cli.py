@@ -104,6 +104,8 @@ def _suite_kwargs(args, seed: int) -> dict[str, dict]:
         raise ValueError(f"--tol must be finite, got {args.tol}")
     p = None
     if args.p is not None:
+        if args.suite not in ("strong-leibniz", "all"):
+            raise ValueError(f"--p applies to the strong-leibniz suite only, got --suite {args.suite}")
         try:
             p = check_exponent(float(args.p))
         except ValueError as exc:

@@ -19,7 +19,6 @@ at n <= 12; beyond that only the closed formula is available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Sequence
 
@@ -83,25 +82,14 @@ def dual_weighted_k_norm(x, w, k: int) -> float:
     return float(max(terms))
 
 
-@dataclass(frozen=True, eq=False)
-class ExtremePointSet:
-    """Candidate extreme points of the unit ball of a weighted k-norm.
-
-    The candidate list is a superset of the true extreme-point set; every
-    candidate has weighted k-norm exactly one, which is all that maximizing a
-    linear functional over the ball requires.
-    """
-
-    points: np.ndarray
-    k: int
-    w: np.ndarray
-
-
-def extreme_point_candidates(w, k: int) -> ExtremePointSet:
-    """Enumerate the signed, scaled indicator candidates for the unit ball.
+def extreme_point_candidates(w, k: int) -> np.ndarray:
+    """The signed, scaled indicator candidates for the unit ball, one per row (m, n).
 
     Supports S range over subsets with |S| in {1, ..., k-1} union {n}; each
     is scaled by 1 / (w_1 + ... + w_min(k,|S|)).  Requires n <= ENUMERATION_CAP.
+    The candidates are a superset of the true extreme-point set; every one
+    has weighted k-norm exactly one, which is all that maximizing a linear
+    functional over the ball requires.
     """
     wv = check_weight_vector(w)
     n = wv.size
@@ -119,16 +107,16 @@ def extreme_point_candidates(w, k: int) -> ExtremePointSet:
                 v = np.zeros(n)
                 v[idx] = np.asarray(signs) * scale
                 points.append(v)
-    return ExtremePointSet(points=np.array(points), k=k, w=wv)
+    return np.array(points)
 
 
 def dual_norm_bruteforce(x, w, k: int) -> float:
     """Oracle for the dual norm: max of <x, y> over the candidate extreme points."""
     xv = as_vector(x)
-    cand = extreme_point_candidates(w, k)
-    if cand.points.shape[1] != xv.size:
+    points = extreme_point_candidates(w, k)
+    if points.shape[1] != xv.size:
         raise DimensionMismatchError("weight vector and x have different lengths")
-    return float(np.max(cand.points @ xv))
+    return float(np.max(points @ xv))
 
 
 def lp_evaluator(p: float) -> NormEvaluator:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .core import IDENTITY_TOL, INEQUALITY_TOL, DimensionMismatchError, as_pair, as_vector
-from .kernels import MIN_RELATIVE_GAP, Block, DegenerateInputError, uniform_laplacian
+from .kernels import Block, DegenerateInputError
 from .reports import ReportBlock, VerificationReport
 
 
@@ -148,9 +148,9 @@ def divided_difference_matrix(x, phi) -> np.ndarray:
     """Symmetric zero-sum matrix of divided differences of phi at the points x.
 
     Requires pairwise distinct sample points: the minimal gap must be at least
-    MIN_RELATIVE_GAP * (1 + max |x_i|), otherwise DegenerateInputError is
-    raised (no silent regularization).  If phi is monotone increasing the
-    result is a Laplacian.
+    ``kernels.MIN_RELATIVE_GAP`` * (1 + max |x_i|), otherwise
+    DegenerateInputError is raised (no silent regularization).  If phi is
+    monotone increasing the result is a Laplacian.
     """
     return kernels.divided_differences(as_vector(x)[None, :], _on_rows(phi))[0]
 

@@ -3,10 +3,9 @@ time (``VerificationReport``) or as the columns of a block (``ReportBlock``)."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
-from .serialize import block_lines, block_rows, dumps
+from .serialize import block_lines, block_rows
 
 
 @dataclass
@@ -96,6 +95,5 @@ class ReportBlock:
         return [VerificationReport(*row) for row in block_rows(self.columns, len(self))]
 
     def lines(self) -> list[str]:
-        """Each row's JSON line: ``dumps(report.to_dict())``, byte for byte."""
-        built = functools.cache(self.reports)
-        return block_lines(self.columns, len(self), lambda i: dumps(built()[i].to_dict()))
+        """Each row's JSON line: ``serialize.dumps(report.to_dict())``, byte for byte."""
+        return block_lines(self.columns, len(self))

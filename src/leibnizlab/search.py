@@ -182,6 +182,8 @@ class Instance(Block):
     @classmethod
     def from_dict(cls, d: dict) -> "Instance":
         """The one-row instance of a witness, validated as ``replay`` requires it (ValueError)."""
+        if not isinstance(d, dict) or not {"mu", "f"} <= d.keys():
+            raise ValueError(f"a witness must be an object with mu and f, got {d!r:.80}")
         f, mu = paired(d["f"], ProbVector(d["mu"]))
         splits = {name: np.array([d.get(name, 0.5)], dtype=float) for name in ("split1", "split2")}
         if not all(0.0 <= s[0] <= 1.0 for s in splits.values()):

@@ -7,11 +7,12 @@ emitted as the string "inf" to stay inside strict JSON.
 
 ``dumps`` encodes any value, each part on its own; it is the reference.  Suite
 report lines are formatted a block at a time from columns
-(``block_lines``): one cached '%' template per shape of line (its keys, the
-values every row shares, such as name and tolerance, as literal text, and
-the length of each list), filled from one ``tolist`` per column.  The one
-exception is a row holding a non-finite float: its line is ``dumps`` of its
-report's ``to_dict()``.  Both give the bytes ``dumps`` gives.
+(``block_lines``): one '%' template for all the rows of a block (its keys,
+and the values every row shares, such as name and tolerance, as literal
+text), filled from one ``tolist`` per column.  A column the numeric
+placeholders cannot hold, a ragged list or a float column with a non-finite
+value, fills one '%s' per row with that row's value as ``dumps`` writes it.
+Every line is the bytes ``dumps`` gives for the row.
 """
 
 from __future__ import annotations
@@ -62,56 +63,39 @@ def dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _finite(value) -> bool:
-    """Whether a JSON value holds no non-finite float."""
-    if isinstance(value, (list, tuple, dict)):
-        return all(map(_finite, value.values() if isinstance(value, dict) else value))
-    return not isinstance(value, float) or math.isfinite(value)
-
-
-def _flatten(obj: dict, parts: list, slots: list, finite: np.ndarray) -> None:
-    """The JSON object of columns ``obj`` as template ``parts`` ('%'-escaped
-    text with scalar placeholders, and the ``slots`` index of each list),
-    and each column as (values (B, k), width: 1, k or each row's length)
-    in ``slots``.  Clears ``finite`` for rows holding a non-finite float."""
+def _flatten(obj: dict, parts: list, slots: list) -> None:
+    """The JSON object of columns ``obj`` as '%'-template text ``parts``, and
+    each per-row column as the (B, k) values of its k placeholders in ``slots``."""
     parts.append("{")
     for j, (key, col) in enumerate(obj.items()):
         parts.append((", " if j else "") + _encode_key(key).replace("%", "%%") + ": ")
         if isinstance(col, dict):
-            _flatten(col, parts, slots, finite)
+            _flatten(col, parts, slots)
             continue
         if not isinstance(col, (tuple, np.ndarray)):
-            finite &= _finite(col)
             parts.append(dumps(col).replace("%", "%%"))
             continue
-        values, width = col if isinstance(col, tuple) else (col, col.shape[1] if col.ndim == 2 else 1)
-        kind = values.dtype.kind
-        if kind == "f":
-            bad = ~np.isfinite(values) if values.ndim == 2 else ~np.isfinite(values)[:, None]
-            finite &= ~(bad & (np.arange(bad.shape[1]) < np.reshape(width, (-1, 1)))).any(axis=1)
-        if values.ndim == 1:
-            parts.append("%.17g" if kind == "f" else "%d" if kind in "iu" else "%s")
-            if kind == "b":
-                values = np.where(values, "true", "false")
-            elif kind in "UO":
-                values = np.array([_encode_key(v) if type(v) is str else dumps(v) for v in values.tolist()])
-            values = values[:, None]
+        if isinstance(col, tuple):
+            values, lengths = col
+            col = np.array([dumps(v[:m]) for v, m in zip(values.tolist(), lengths.tolist())], dtype=object)
+        elif col.dtype.kind == "f" and not np.isfinite(col).all():
+            col = np.array([dumps(v) for v in col.tolist()], dtype=object)
+        elif col.dtype.kind == "b":
+            col = np.where(col, "true", "false")
+        elif col.dtype.kind in "UO":
+            col = np.array([_encode_key(v) if type(v) is str else dumps(v) for v in col.tolist()], dtype=object)
+        if col.ndim == 2:
+            parts.append("[" + ", ".join(["%.17g"] * col.shape[1]) + "]")
         else:
-            parts.append(len(slots))
-        slots.append((values, width))
+            parts.append("%.17g" if col.dtype.kind == "f" else "%d" if col.dtype.kind in "iu" else "%s")
+            col = col.reshape(-1, 1)
+        slots.append(col)
     parts.append("}")
 
 
-@lru_cache(maxsize=1024)
-def _template(parts: tuple) -> str:
-    """The text parts joined, each int part k widened to a list of k floats."""
-    return "".join(p if type(p) is str else "[" + ", ".join(["%.17g"] * p) + "]" for p in parts)
-
-
-def block_lines(columns: dict, rows: int, fallback) -> list[str]:
+def block_lines(columns: dict, rows: int) -> list[str]:
     """The JSON line of each of ``rows`` rows of report columns, by the rule
-    in the module docstring; ``fallback(i)`` gives the line of a row holding
-    a non-finite float.
+    in the module docstring.
 
     ``columns`` is a dict, keyed as the line.  A column is one JSON value
     for every row, or per row: an array (B,) of floats, ints, bools, or
@@ -120,25 +104,12 @@ def block_lines(columns: dict, rows: int, fallback) -> list[str]:
     a pair (float array (B, M), lengths (B,)) whose row i is
     ``values[i, :lengths[i]]``; a dict of columns is a JSON object.
     """
-    parts, slots, finite = [], [], np.ones(rows, dtype=bool)
-    _flatten(columns, parts, slots, finite)
-    lines = [None if ok else fallback(i) for i, ok in enumerate(finite.tolist())]
-    live = np.flatnonzero(finite)
-    ragged = [k for k, (_, width) in enumerate(slots) if type(width) is not int]
-    keys, group = np.unique(np.stack([slots[k][1][live] for k in ragged] + [0 * live], axis=1),
-                            axis=0, return_inverse=True)
-    for g, key in enumerate(keys.tolist()):
-        idx, widths = live[group.reshape(-1) == g], [width for _, width in slots]
-        for k, m in zip(ragged, key):
-            widths[k] = m
-        template = _template(tuple(p if type(p) is str else widths[p] for p in parts))
-        args, c = np.empty((idx.size, sum(widths)), dtype=object), 0
-        for (values, _), w in zip(slots, widths):
-            args[:, c:c + w] = values[idx, :w]
-            c += w
-        for i, row in zip(idx.tolist(), args.tolist()):
-            lines[i] = template % tuple(row)
-    return lines
+    # the empty object column turns every value into a Python object, and
+    # gives a block without a per-row column its rows
+    parts, slots = [], [np.empty((rows, 0), dtype=object)]
+    _flatten(columns, parts, slots)
+    template = "".join(parts)
+    return [template % tuple(row) for row in np.concatenate(slots, axis=1).tolist()]
 
 
 def block_rows(columns: dict, count: int) -> list[tuple]:

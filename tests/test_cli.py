@@ -94,9 +94,11 @@ def test_verify_suite_failure_exit_1(capsys):
     ("--suite", "majorization", "--n", "1001"),
     ("--suite", "laplacian", "--n", "1001"),
     ("--suite", "identities", "--n", "1001"),
+    ("--suite", "leibniz", "--p", "3"),
 ], ids=["p-abc", "p-half", "p-nan", "n-1", "all-n-1", "tol-nan", "tol-inf",
         "trials-negative", "all-trials-0", "seed-negative", "square-n-5000", "all-n-1000",
-        "decomposition-n-1001", "majorization-n-1001", "laplacian-n-1001", "identities-n-1001"])
+        "decomposition-n-1001", "majorization-n-1001", "laplacian-n-1001", "identities-n-1001",
+        "leibniz-p-3"])
 def test_verify_malformed_flags_exit_2(capsys, flags):
     # refused before any suite runs: nothing on stdout, one line on stderr
     code = run_cli("verify", *flags)

@@ -1,0 +1,43 @@
+"""Every name a ``leibnizlab`` module imports at top level is used in its code
+(a docstring does not count), or re-exported by ``leibnizlab/__init__.py``
+as ``from .module import name``.  The package's ``__init__`` is exempt: its
+imports are the public names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import leibnizlab
+
+PACKAGE = Path(leibnizlab.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each name bound by a top-level import (``__future__`` aside), with its statement."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node
+    return names
+
+
+def _reexported() -> set[tuple[str, str]]:
+    """(module, name) for each ``from .module import name`` in ``__init__.py``."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_imports_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    reexported = _reexported()
+    unused = [name for name in _imported(tree)
+              if name not in used and (path.stem, name) not in reexported]
+    assert unused == [], f"{path.name} imports {unused} and never uses them"

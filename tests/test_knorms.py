@@ -102,22 +102,21 @@ def test_candidates_have_unit_norm():
         n = int(rng.integers(1, 6))
         w = np.sort(rng.uniform(0.1, 2.0, n))[::-1]
         k = int(rng.integers(1, n + 1))
-        cand = extreme_point_candidates(w, k)
-        for pt in cand.points:
+        for pt in extreme_point_candidates(w, k):
             assert weighted_k_norm(pt, w, k) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_candidates_k1_only_full_support():
     w = np.array([2.0, 1.5, 1.0])
     cand = extreme_point_candidates(w, 1)
-    assert cand.points.shape == (8, 3)  # 2^n sign patterns, support size n only
-    assert np.all(np.abs(cand.points) == pytest.approx(0.5))  # scaled by 1/w_1
+    assert cand.shape == (8, 3)  # 2^n sign patterns, support size n only
+    assert np.all(np.abs(cand) == pytest.approx(0.5))  # scaled by 1/w_1
 
 
 def test_candidates_constant_weight_contain_known_extremes():
     for n in (3, 4):
         for k in range(2, n):
-            pts = extreme_point_candidates(np.ones(n), k).points
+            pts = extreme_point_candidates(np.ones(n), k)
             known = [np.array(s) / k for s in itertools.product((-1, 1), repeat=n)]
             known += [sgn * e for e in np.eye(n) for sgn in (-1.0, 1.0)]
             for target in known:

@@ -19,9 +19,9 @@ from leibnizlab.operators import (
     max_offdiagonal,
     monotone_laplacian,
     theta_matrix,
-    uniform_laplacian,
     validate_laplacian,
 )
+from leibnizlab.kernels import uniform_laplacian
 
 
 # -- piecewise-linear functions ------------------------------------------------

@@ -198,6 +198,10 @@ def test_witness_with_non_finite_anchor_is_refused(anchor):
     # numpy's matmul refused these only when the witness was scored
     ({"mu": [0.5, 0.5], "f": [0.0, 1.0, 0.5]}, "measure has 2 atoms"),
     ({"mu": [0.5, 0.5], "f": [0.0, 1.0], "g": [1.0]}, "lengths differ"),
+    # KeyError and TypeError escaped on these
+    ({"mu": [1.0]}, "an object with mu and f"),
+    ({"f": [1.0]}, "an object with mu and f"),
+    ([1], "an object with mu and f"),
 ])
 def test_witness_with_invalid_measure_or_vector_is_refused(witness, message):
     with pytest.raises(ValueError, match=message):

@@ -10,7 +10,7 @@ import pytest
 
 from leibnizlab.core import exponent_tag
 from leibnizlab.reports import ReportBlock
-from leibnizlab.serialize import block_lines, dumps, format_float
+from leibnizlab.serialize import block_lines, block_rows, dumps, format_float
 
 
 def _reference_dumps(obj) -> str:
@@ -102,10 +102,10 @@ def test_block_lines_match_dumps_of_each_report():
     lhs = np.array([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 2.0, 0.1])
     rows = len(lhs)
     x = np.tile([0.5, -0.0, 3.0], (rows, 1))
-    x[6, 1] = math.inf  # row 6 falls back through x
+    x[6, 1] = math.inf  # row 6 holds inf in x
     ragged = np.full((rows, 4), math.inf)  # the padding past each length is not written
     ragged[:, :2] = [[1.0, -2.5]] * rows
-    ragged[7, 0] = math.nan  # row 7 falls back through a list entry
+    ragged[7, 0] = math.nan  # row 7 holds nan in a list entry
     instance = {
         "n": 3, "x": x, "tag": np.array([exponent_tag(math.inf if i % 2 else 1.5) for i in range(rows)], dtype=object),
         "norm": np.array(["l1", 'q"uote', "k%3", "linf"] * 2), "flag": lhs > 0,
@@ -115,14 +115,8 @@ def test_block_lines_match_dumps_of_each_report():
     block = ReportBlock("edge%d", lhs, 0.0, 0.0 - lhs, np.zeros(rows, dtype=bool), 1e-9, instance,
                         seed=np.arange(rows) + 2 ** 53 + 1)
     reports = block.reports()
-    fell_back = []
-
-    def fallback(i):
-        fell_back.append(i)
-        return dumps(reports[i].to_dict())
-    lines = block_lines(block.columns, rows, fallback)
+    lines = block_lines(block.columns, rows)
     assert lines == [dumps(r.to_dict()) for r in reports] == block.lines()
-    assert fell_back == [0, 1, 2, 6, 7]
     assert reports[3].seed == 2 ** 53 + 4 and '"seed": 9007199254740996' in lines[3]
     assert reports[3].instance["nested"]["ragged"] == []
     assert reports[4].instance["nested"]["ragged"] == [1.0]
@@ -132,6 +126,19 @@ def test_block_lines_match_dumps_of_each_report():
 def test_block_lines_fall_back_on_a_non_finite_shared_value(tolerance, shared):
     lhs = np.array([0.25, -0.0, 7.0])
     block = ReportBlock("shared", lhs, 0.0, 0.0 - lhs, lhs < 1, tolerance, {"v": shared, "x": lhs[:, None]})
-    fell_back = []
-    lines = block_lines(block.columns, 3, lambda i: fell_back.append(i) or dumps(block.reports()[i].to_dict()))
-    assert lines == [dumps(r.to_dict()) for r in block.reports()] and fell_back == [0, 1, 2]
+    lines = block_lines(block.columns, 3)
+    assert lines == [dumps(r.to_dict()) for r in block.reports()]
+
+
+EDGE_BLOCKS = {
+    "no-rows": ({"lhs": np.zeros(0), "x": np.zeros((0, 2)), "i": {"r": (np.zeros((0, 3)), np.zeros(0, dtype=int))}}, 0),
+    "no-per-row-column": ({"name": "k%d", "v": [math.inf, 1.0], "o": {"t": True, "s": None}}, 3),
+    "nested-non-finite": ({"lhs": np.array([0.5, 2.0, 3.0]), "i": {"scale": np.array([0.25, -math.inf, math.nan])}}, 3),
+}
+
+
+@pytest.mark.parametrize("columns, rows", EDGE_BLOCKS.values(), ids=EDGE_BLOCKS)
+def test_block_lines_of_edge_blocks_match_dumps(columns, rows):
+    lines = block_lines(columns, rows)
+    assert lines == [dumps(dict(zip(columns, row))) for row in block_rows(columns, rows)]
+    assert len(lines) == rows
