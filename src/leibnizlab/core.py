@@ -85,10 +85,8 @@ class ProbVector:
 
 
 def _weights(mu) -> np.ndarray:
-    """Accept a ProbVector or a raw weight array (already validated by caller)."""
-    if isinstance(mu, ProbVector):
-        return mu.weights
-    return np.asarray(mu, dtype=float)
+    """The weights of a ProbVector, or of a raw weight array read through ``ProbVector``."""
+    return (mu if isinstance(mu, ProbVector) else ProbVector(mu)).weights
 
 
 def as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:

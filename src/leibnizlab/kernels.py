@@ -405,19 +405,20 @@ def dirichlet_rows(expo: np.ndarray) -> np.ndarray:
     return expo * (1.0 / np.cumsum(expo, axis=1)[:, -1])[:, None]
 
 
-def sample_phi(knot_u: np.ndarray, counts: np.ndarray, monotone: bool, signed: bool = False) -> dict:
+def sample_phi(knot_u: np.ndarray, counts: np.ndarray, monotone, signed=False) -> dict:
     """Padded phi arrays from each row's uniforms, as the scalar reference
     sampler ``sample_piecewise_linear`` (``tests/scalar_reference.py``) builds phi.
 
-    ``knot_u`` is a 2-D array of width 2 mmax + 2 (2 mmax + 3 if ``signed``),
-    where mmax is the largest breakpoint count; a row with m breakpoints
-    reads its first 2m + 2 uniforms (2m + 3 if ``signed``): m breakpoints,
-    m + 1 slopes, the sign of a monotone phi if ``signed`` (otherwise it
-    increases), and the anchor, all but the sign mapped to [-1, 1).  The
-    rest of the row is ignored.  Slopes are normalised to unit Lipschitz
-    constant; the returned ``bp`` has mmax columns, padded with +inf.
+    ``knot_u`` is a 2-D array of width 2 mmax + 2 or 2 mmax + 3, where mmax
+    is the largest breakpoint count; ``monotone`` and ``signed`` are one bool
+    or one per row.  A row with m breakpoints reads its first 2m + 2 uniforms
+    (2m + 3 if ``signed``): m breakpoints, m + 1 slopes, the sign of a
+    monotone phi if ``signed`` (otherwise it increases), and the anchor, all
+    but the sign mapped to [-1, 1).  The rest of the row is ignored.  Slopes
+    are normalised to unit Lipschitz constant; the returned ``bp`` has mmax
+    columns, padded with +inf.
     """
-    size, mmax = knot_u.shape[0], (knot_u.shape[1] - 2 - signed) // 2
+    size, mmax = knot_u.shape[0], (knot_u.shape[1] - 2) // 2
     cols = np.arange(mmax + 1)
     m = counts[:, None]
     bp = np.sort(np.where(cols[:mmax] < m, -1.0 + 2.0 * knot_u[:, :mmax], np.inf), axis=1)
@@ -431,10 +432,9 @@ def sample_phi(knot_u: np.ndarray, counts: np.ndarray, monotone: bool, signed: b
     live = cols <= m
     slopes = np.where(live, -1.0 + 2.0 * np.take_along_axis(knot_u, m + cols, axis=1), 0.0)
     rows = np.arange(size)
-    if monotone:
-        slopes = np.abs(slopes)
-        if signed:
-            slopes *= np.where(knot_u[rows, 2 * counts + 1] < 0.5, 1.0, -1.0)[:, None]
+    monotone, signed = np.broadcast_to(monotone, size), np.broadcast_to(signed, size)
+    slopes = np.where(monotone[:, None], np.abs(slopes), slopes)
+    slopes *= np.where(monotone & signed & (knot_u[rows, 2 * counts + 1] >= 0.5), -1.0, 1.0)[:, None]
     peak = np.abs(slopes).max(axis=1)
     flat = peak < 1e-12
     slopes[flat] = live[flat].astype(float)

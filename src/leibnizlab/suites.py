@@ -15,8 +15,8 @@ one stream id.  ``kernels.streams`` derives the trials' generators
 Each group of trials with the same n is evaluated as stacked arrays through
 the ``kernels`` and the report builders of ``verify`` and ``operators``; no
 suite calls a one-instance checker, and every report equals checking its
-trial alone.  The laplacian suite, which draws an n x n matrix per trial,
-holds max(1, ``LAPLACIAN_HELD`` // n_max**2) trials at most.  The
+trial alone.  The suites that draw or build an n x n matrix per trial hold
+at most ``MAJORIZATION_BLOCK`` matrix entries per n, or one trial.  The
 strong-Leibniz fixed witness comes first and the majorization sign patterns
 last, with no trial index as ``seed``.
 """
@@ -135,43 +135,41 @@ MAJORIZATION_BLOCK = 243 * 16
 #: Largest n whose sign patterns the majorization suite checks exhaustively.
 EXHAUSTIVE_N = 4
 
-#: Drawn matrix entries the laplacian suite holds before it evaluates them
-#: (0.5 MB): BLOCK trials up to n_max = 8, fewer above.
-LAPLACIAN_HELD = 64 * BLOCK
-
 
 def _run(name: str, stream: int, draw, evaluate, trials: int, n_max: int, seed: int,
-         theorem_backed: bool = True, block: int = 0, square: bool = False) -> SuiteOutcome:
+         theorem_backed: bool = True, square: bool = False) -> SuiteOutcome:
     """The trial loop of every suite.
 
     Trial t takes the generator ``default_rng((seed, stream, t))`` and draws
     n from [smallest, n_max] (``N_MAX_BOUNDS``) first; ``draw(rng, n, t)``
     then returns its other draws as a tuple, in the order it makes them.
-    After every ``block`` trials (BLOCK if 0) and after the last, the held
-    trials are grouped by n, each group sliced to at most MAJORIZATION_BLOCK
-    n x n matrix entries if ``square``, and ``evaluate(n, columns)``
+    Trials are held in groups by n.  Every group is evaluated after every
+    BLOCK trials and after the last, and if ``square`` as soon as it holds
+    max(1, MAJORIZATION_BLOCK // n**2) trials.  ``evaluate(n, columns)``
     (one list per tuple position) returns report blocks.  A block's ``seed``
     holds each row's index in ``columns`` (None: row i is index i), and is
     replaced by the row's trial index.  Reports come in trial order, a
     trial's in the order of its blocks.  ``elapsed`` covers the loop.
     """
     start = time.perf_counter()
-    low, size = N_MAX_BOUNDS[name][0], block or BLOCK
+    low = N_MAX_BOUNDS[name][0]
     blocks, held = [], {}
+
+    def flush(n):
+        ts, drawn = zip(*held.pop(n))
+        for rank, b in enumerate(evaluate(n, [list(c) for c in zip(*drawn)])):
+            at = b.columns["seed"]
+            b.columns["seed"] = np.array(ts)[slice(None) if at is None else at]
+            blocks.append((rank, b))
     # kernels.streams reuses one generator: draw from it before the next trial
     for t, rng in enumerate(streams((seed, stream), 0, trials)):
         n = int(rng.integers(low, n_max + 1))
         held.setdefault(n, []).append((t, draw(rng, n, t)))
-        if (t + 1) % size == 0 or t == trials - 1:
-            for n, rows in held.items():
-                step = max(1, MAJORIZATION_BLOCK // n ** 2) if square else len(rows)
-                for lo in range(0, len(rows), step):
-                    ts, drawn = zip(*rows[lo:lo + step])
-                    for rank, b in enumerate(evaluate(n, [list(c) for c in zip(*drawn)])):
-                        at = b.columns["seed"]
-                        b.columns["seed"] = np.array(ts)[slice(None) if at is None else at]
-                        blocks.append((rank, b))
-            held = {}
+        if square and len(held[n]) >= max(1, MAJORIZATION_BLOCK // n ** 2):
+            flush(n)
+        if (t + 1) % BLOCK == 0 or t == trials - 1:
+            for n in list(held):
+                flush(n)
     keys = [np.concatenate([b.columns["seed"] for _, b in blocks] or [[]]),
             np.concatenate([np.full(len(b), rank) for rank, b in blocks] or [[]])]
     rows = [(b, i) for _, b in blocks for i in range(len(b))]
@@ -194,25 +192,11 @@ def _uniform(rows: list) -> np.ndarray:
 def _phi_draws(rng, max_breakpoints: int, signed: bool = False) -> tuple[int, np.ndarray]:
     """The draws of a random phi (``sample_phi``): the breakpoint count m, then
     m + m + 1 + 1 uniforms (one more, the sign, before the anchor if ``signed``),
-    at the head of a zero row of width 2 * max_breakpoints + 2 (+ 1 if ``signed``)."""
+    at the head of a zero row of width 2 * max_breakpoints + 3, signed or not."""
     m = int(rng.integers(1, max_breakpoints + 1))
-    row = np.zeros(2 * max_breakpoints + 2 + signed)
+    row = np.zeros(2 * max_breakpoints + 3)
     rng.random(out=row[:2 * m + 2 + signed])
     return m, row
-
-
-def _phi_rows(monotone: list, counts: list, knot_u: list) -> dict:
-    """``sample_phi`` of rows drawn by ``_phi_draws(rng, m, signed=monotone)``,
-    with ``monotone`` set row by row: the rows of each kind are taken together."""
-    out = {}
-    for flag in (False, True):
-        idx = [i for i, mono in enumerate(monotone) if mono == flag]
-        if idx:
-            part = sample_phi(np.array([knot_u[i] for i in idx]), np.array([counts[i] for i in idx]),
-                              flag, signed=flag)
-            for key, a in part.items():
-                out.setdefault(key, np.empty((len(counts), *a.shape[1:])))[idx] = a
-    return out
 
 
 def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
@@ -335,8 +319,7 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
                                               n * bound.columns["instance"]["max_offdiag"], 1e-10,
                                               {"n": n, "col": col, "row": row}))
         return blocks
-    return _run("laplacian", 3, draw, evaluate, trials, n_max, seed,
-                block=max(1, min(BLOCK, LAPLACIAN_HELD // n_max ** 2)), square=True)
+    return _run("laplacian", 3, draw, evaluate, trials, n_max, seed, square=True)
 
 
 def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
@@ -387,7 +370,8 @@ def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
 
     def evaluate(n, columns):
         u, perm, monotone, counts, knot_u, f, g = columns
-        b = Block(None, distinct_points(np.array(u), np.array(perm)), **_phi_rows(monotone, counts, knot_u))
+        b = Block(None, distinct_points(np.array(u), np.array(perm)),
+                  **sample_phi(np.array(knot_u), np.array(counts), monotone, signed=monotone))
         return [operators.centering_reports(b.f, functools.partial(kernels.phi, b), operators.phi_echo(b)[0], tol),
                 operators.derivation_reports(_uniform(f), _uniform(g), tol)]
     return _run("identities", 7, draw, evaluate, trials, n_max, seed, square=True)

@@ -1,6 +1,6 @@
 """Block seeding: ``kernels.streams`` and ``kernels.trial_words`` against
 ``default_rng``, the ziggurat table and Lemire rejection of ``trial_draws``,
-and their fallbacks."""
+and their fallbacks; ``kernels.sample_phi`` with its modes set per row."""
 
 import math
 import subprocess
@@ -145,3 +145,24 @@ def test_lemire_rejection_goes_to_the_generator(monkeypatch):
     assert got[2][0, 0] == (high * span) >> 32 == 4
     for rows, want in zip(got, ref):
         assert np.array_equal(rows[0], want) and np.array_equal(rows[1], want)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("mb", range(1, 7))
+def test_sample_phi_modes_per_row_match_scalar_calls(mb, width):
+    # one call with a monotone and a signed flag per row gives each row, bit
+    # for bit, what a call with its flags as scalars gives; rows of width
+    # 2 mb + 2 have no room for the sign of an m = mb row, so they are unsigned
+    modes = [(mono, sign) for mono in (False, True) for sign in (False, True)[:width - 1]]
+    rows = [(m, mono, sign) for m in range(1, mb + 1) for mono, sign in modes]
+    rows.append((mb, True, width == 3))  # its slopes all flat
+    rng = np.random.default_rng(mb)
+    knot_u = rng.random((len(rows), 2 * mb + width))
+    knot_u[-1, mb:2 * mb + 1] = 0.5
+    counts, monotone, signed = (np.array(col) for col in zip(*rows))
+    got = kernels.sample_phi(knot_u, counts, monotone, signed=signed)
+    assert np.all(got["slopes"][-1] == 1.0)
+    for i, (_, mono, sign) in enumerate(rows):
+        alone = kernels.sample_phi(knot_u[i:i + 1], counts[i:i + 1], bool(mono), signed=bool(sign))
+        for key, a in alone.items():
+            assert [v.hex() for v in got[key][i].ravel().tolist()] == [v.hex() for v in a[0].ravel().tolist()]

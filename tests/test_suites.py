@@ -106,8 +106,8 @@ def test_block_size_does_not_change_reports(monkeypatch):
 
 @pytest.mark.parametrize("name", ["decomposition", "laplacian", "identities"])
 def test_scalar_suites_do_not_depend_on_the_block(monkeypatch, name):
-    # blocks of 1, 7 and BLOCK trials (laplacian's too, below n_max**2 *
-    # BLOCK <= LAPLACIAN_HELD), evaluated in slices of as many rows at n_max
+    # windows of 1, 7 and BLOCK trials; a group at n = n_max is also
+    # evaluated as soon as it holds as many trials (MAJORIZATION_BLOCK // n**2)
     runs = []
     for size in (1, 7, suites.BLOCK):
         monkeypatch.setattr(suites, "BLOCK", size)
@@ -115,6 +115,26 @@ def test_scalar_suites_do_not_depend_on_the_block(monkeypatch, name):
         runs.append(_fields(suites.SUITES[name](trials=60, n_max=8, seed=3).reports))
     assert runs[0] == runs[1] == runs[2]
     assert {r.seed for r in suites.SUITES[name](trials=60, n_max=8, seed=3).reports} == set(range(60))
+
+
+def test_square_blocks_hold_at_most_majorization_block_entries(monkeypatch):
+    # every block the matrix suites evaluate has (rows, n) with rows * n**2 <=
+    # MAJORIZATION_BLOCK, or one row (n >= 63); batching still happens below that
+    seen = []
+
+    def spy(real):
+        def call(first, *args, **kwargs):
+            seen.append(first.shape[:2])
+            return real(first, *args, **kwargs)
+        return call
+    for module, name in ((kernels, "validate_laplacians"), (operators, "centering_reports"),
+                         (verify, "decomposition_reports")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    for name in ("laplacian", "identities", "decomposition"):
+        suites.SUITES[name](trials=300, n_max=30, seed=4)
+    suites.suite_laplacian(trials=20, n_max=300, seed=5)
+    assert len(seen) > 3 and max(rows for rows, _ in seen) > 1 and max(n for _, n in seen) >= 63
+    assert all(rows * n ** 2 <= suites.MAJORIZATION_BLOCK or rows == 1 for rows, n in seen)
 
 
 def test_measure_suites_stop_where_the_mass_floor_does():

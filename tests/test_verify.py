@@ -270,6 +270,27 @@ def test_replicate_preserves_norms_and_products():
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+T22 = HolderTriple(2.0, 4.0, 4.0)
+RAW_WEIGHT_CALLS = {
+    "check_leibniz": lambda w: check_leibniz(w, [1.0, 0.0], [0.0, 1.0], T22, T22),
+    "check_chain_rule": lambda w: check_chain_rule(w, [1.0, 0.0], PiecewiseLinearFn.identity(), 2.0),
+    "check_strong_leibniz": lambda w: check_strong_leibniz(w, [1.0, 2.0], 2.0),
+    "check_markov_variance": lambda w: check_markov_variance(w, [1.0, 0.0], PiecewiseLinearFn.identity()),
+    "check_square_bound": lambda w: check_square_bound(w, [1.0, 0.0], 2.0),
+    "lp_norm": lambda w: lp_norm([1.0, 0.0], w, 2.0),
+    "expectation": lambda w: expectation([1.0, 2.0], w),
+}
+
+
+@pytest.mark.parametrize("weights", [[0.7, 0.7], [1.5, -0.5], [0.5, math.nan]], ids=["heavy", "negative", "nan"])
+@pytest.mark.parametrize("name", RAW_WEIGHT_CALLS)
+def test_raw_weight_arrays_are_validated(name, weights):
+    # a raw array is read through ProbVector: a "measure" of mass 1.4, one
+    # with a negative weight and one with a nan weight are all refused
+    with pytest.raises(ValueError):
+        RAW_WEIGHT_CALLS[name](np.array(weights))
+
+
 def test_rational_prob_vector_validation():
     with pytest.raises(ValueError):
         RationalProbVector((0, 3), 3)
