@@ -38,8 +38,11 @@ class DimensionMismatchError(ValueError):
 
 
 def as_vector(x) -> np.ndarray:
-    """Coerce to a 1-D float array and require every entry to be finite."""
-    arr = np.asarray(x, dtype=float)
+    """Coerce to a 1-D float array and require every entry to be finite (ValueError)."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except TypeError as exc:  # a dict or another object that is not a number
+        raise ValueError(f"expected a vector of numbers, got {type(x).__name__}") from exc
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1:

@@ -405,6 +405,15 @@ def dirichlet_rows(expo: np.ndarray) -> np.ndarray:
     return expo * (1.0 / np.cumsum(expo, axis=1)[:, -1])[:, None]
 
 
+def spread(rows: np.ndarray, gap: float) -> np.ndarray:
+    """Sorted rows in place: each entry, left to right, raised to at least ``gap`` above its predecessor."""
+    with np.errstate(invalid="ignore"):  # inf - inf in the padding
+        for j in range(1, rows.shape[1]):
+            close = rows[:, j] - rows[:, j - 1] < gap
+            rows[close, j] = rows[close, j - 1] + gap
+    return rows
+
+
 def sample_phi(knot_u: np.ndarray, counts: np.ndarray, monotone, signed=False) -> dict:
     """Padded phi arrays from each row's uniforms, as the scalar reference
     sampler ``sample_piecewise_linear`` (``tests/scalar_reference.py``) builds phi.
@@ -421,14 +430,7 @@ def sample_phi(knot_u: np.ndarray, counts: np.ndarray, monotone, signed=False) -
     size, mmax = knot_u.shape[0], (knot_u.shape[1] - 2) // 2
     cols = np.arange(mmax + 1)
     m = counts[:, None]
-    bp = np.sort(np.where(cols[:mmax] < m, -1.0 + 2.0 * knot_u[:, :mmax], np.inf), axis=1)
-    with np.errstate(invalid="ignore"):
-        close = np.diff(bp, axis=1) < 1e-6
-    for i in np.flatnonzero(close.any(axis=1)):
-        row = bp[i]
-        for j in range(1, counts[i]):
-            if row[j] - row[j - 1] < 1e-6:
-                row[j] = row[j - 1] + 1e-6
+    bp = spread(np.sort(np.where(cols[:mmax] < m, -1.0 + 2.0 * knot_u[:, :mmax], np.inf), axis=1), 1e-6)
     live = cols <= m
     slopes = np.where(live, -1.0 + 2.0 * np.take_along_axis(knot_u, m + cols, axis=1), 0.0)
     rows = np.arange(size)

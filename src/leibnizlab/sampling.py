@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .core import HolderTriple, reciprocal_exponent
+from .kernels import spread
 
 #: Exponent grid used by randomized suites; includes the endpoint.
 EXPONENT_GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0, math.inf)
@@ -39,12 +40,8 @@ _VALID_PQ = tuple(
 def distinct_points(u: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Rows of n points in [-1, 1], pairwise gaps at least 1e-3 (unsorted), from each
     row's draws ``rng.uniform(-1, 1, n)`` and ``rng.permutation(n)``: row by row the
-    scalar ``sample_distinct_points`` (``tests/scalar_reference.py``), gaps fixed a column at a time."""
-    base = np.sort(u, axis=1)
-    for i in range(1, base.shape[1]):
-        close = base[:, i] - base[:, i - 1] < 1e-3
-        base[close, i] = base[close, i - 1] + 1e-3
-    return np.take_along_axis(base, perm, axis=1)
+    scalar ``sample_distinct_points`` (``tests/scalar_reference.py``), gaps fixed by ``kernels.spread``."""
+    return np.take_along_axis(spread(np.sort(u, axis=1), 1e-3), perm, axis=1)
 
 
 def sample_holder_triple_pair(rng: np.random.Generator) -> tuple[HolderTriple, HolderTriple]:

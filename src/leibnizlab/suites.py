@@ -15,10 +15,10 @@ one stream id.  ``kernels.streams`` derives the trials' generators
 Each group of trials with the same n is evaluated as stacked arrays through
 the ``kernels`` and the report builders of ``verify`` and ``operators``; no
 suite calls a one-instance checker, and every report equals checking its
-trial alone.  The suites that draw or build an n x n matrix per trial hold
-at most ``MAJORIZATION_BLOCK`` matrix entries per n, or one trial.  The
-strong-Leibniz fixed witness comes first and the majorization sign patterns
-last, with no trial index as ``seed``.
+trial alone.  The suites whose n_max stops at ``MATRIX_N_MAX`` draw or build
+an n x n matrix per trial and hold at most ``MAJORIZATION_BLOCK`` matrix
+entries per n, or one trial.  The strong-Leibniz fixed witness comes first
+and the majorization sign patterns last, with no trial index as ``seed``.
 """
 
 from __future__ import annotations
@@ -137,22 +137,22 @@ EXHAUSTIVE_N = 4
 
 
 def _run(name: str, stream: int, draw, evaluate, trials: int, n_max: int, seed: int,
-         theorem_backed: bool = True, square: bool = False) -> SuiteOutcome:
+         theorem_backed: bool = True) -> SuiteOutcome:
     """The trial loop of every suite.
 
     Trial t takes the generator ``default_rng((seed, stream, t))`` and draws
     n from [smallest, n_max] (``N_MAX_BOUNDS``) first; ``draw(rng, n, t)``
     then returns its other draws as a tuple, in the order it makes them.
-    Trials are held in groups by n.  Every group is evaluated after every
-    BLOCK trials and after the last, and if ``square`` as soon as it holds
-    max(1, MAJORIZATION_BLOCK // n**2) trials.  ``evaluate(n, columns)``
-    (one list per tuple position) returns report blocks.  A block's ``seed``
-    holds each row's index in ``columns`` (None: row i is index i), and is
-    replaced by the row's trial index.  Reports come in trial order, a
-    trial's in the order of its blocks.  ``elapsed`` covers the loop.
+    Trials are held in groups by n.  Every group is evaluated after every BLOCK
+    trials and after the last, and in a suite whose n_max stops at MATRIX_N_MAX
+    also once it holds max(1, MAJORIZATION_BLOCK // n**2) trials.
+    ``evaluate(n, columns)`` (one list per tuple position) returns report
+    blocks.  A block's ``seed`` holds each row's index in ``columns`` (None:
+    row i is index i), replaced by the row's trial index.  Reports come in
+    trial order, a trial's in the order of its blocks.  ``elapsed`` covers the loop.
     """
     start = time.perf_counter()
-    low = N_MAX_BOUNDS[name][0]
+    low, square = N_MAX_BOUNDS[name][0], N_MAX_BOUNDS[name][1] == MATRIX_N_MAX
     blocks, held = [], {}
 
     def flush(n):
@@ -221,7 +221,7 @@ def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
 
     def evaluate(n, columns):
         return [verify.decomposition_reports(_uniform(columns[0]), _uniform(columns[1]), tol)]
-    return _run("decomposition", 1, draw, evaluate, trials, n_max, seed, square=True)
+    return _run("decomposition", 1, draw, evaluate, trials, n_max, seed)
 
 
 def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float) -> ReportBlock:
@@ -259,7 +259,7 @@ def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
 
     def evaluate(n, columns):
         return [_majorization_block(np.array(columns[0]), np.array(columns[1]), tol)]
-    outcome = _run("majorization", 2, draw, evaluate, trials, n_max, seed, square=True)
+    outcome = _run("majorization", 2, draw, evaluate, trials, n_max, seed)
     for n in range(1, EXHAUSTIVE_N + 1):
         patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
         m = len(patterns)
@@ -319,7 +319,7 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
                                               n * bound.columns["instance"]["max_offdiag"], 1e-10,
                                               {"n": n, "col": col, "row": row}))
         return blocks
-    return _run("laplacian", 3, draw, evaluate, trials, n_max, seed, square=True)
+    return _run("laplacian", 3, draw, evaluate, trials, n_max, seed)
 
 
 def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
@@ -374,7 +374,7 @@ def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
                   **sample_phi(np.array(knot_u), np.array(counts), monotone, signed=monotone))
         return [operators.centering_reports(b.f, functools.partial(kernels.phi, b), operators.phi_echo(b)[0], tol),
                 operators.derivation_reports(_uniform(f), _uniform(g), tol)]
-    return _run("identities", 7, draw, evaluate, trials, n_max, seed, square=True)
+    return _run("identities", 7, draw, evaluate, trials, n_max, seed)
 
 
 def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,

@@ -1,4 +1,4 @@
-"""Measure, norm, and majorization primitives."""
+"""Measure, norm, and majorization primitives, and their refusal of non-numeric input."""
 
 import math
 
@@ -19,6 +19,9 @@ from leibnizlab.core import (
     weak_majorizes,
 )
 from leibnizlab.knorms import k_norm
+from leibnizlab.operators import PiecewiseLinearFn, theta_matrix
+from leibnizlab.search import Instance
+from leibnizlab.verify import check_square_bound
 
 
 def test_prob_vector_invariants():
@@ -175,3 +178,21 @@ def test_holder_triple_validation():
     assert t.r == pytest.approx(2.0)
     s = HolderTriple.split(2.0, 0.0)
     assert s.p == math.inf and s.q == pytest.approx(2.0)
+
+
+NON_NUMERIC_CALLS = {
+    "instance_from_dict": lambda: Instance.from_dict({"mu": {"a": 1}, "f": [1]}),
+    "prob_vector": lambda: ProbVector({"a": 1}),
+    "check_square_bound": lambda: check_square_bound(ProbVector([0.5, 0.5]), {"a": 1}, 2.0),
+    "k_norm": lambda: k_norm({"a": 1}, 1),
+    "lp_norm_weights": lambda: lp_norm([1.0, 2.0], [{}, {}], 2.0),
+    "piecewise_linear_fn": lambda: PiecewiseLinearFn({"a": 1}, [1.0]),
+    "theta_matrix": lambda: theta_matrix(object()),
+}
+
+
+@pytest.mark.parametrize("name", NON_NUMERIC_CALLS)
+def test_non_numeric_container_raises_value_error(name):
+    # each passes a dict or a bare object through as_vector, which let numpy's TypeError out
+    with pytest.raises(ValueError, match="expected a vector of numbers"):
+        NON_NUMERIC_CALLS[name]()

@@ -1,7 +1,9 @@
 """Every name a ``leibnizlab`` module imports at top level is used in its code
 (a docstring does not count), or re-exported by ``leibnizlab/__init__.py``
 as ``from .module import name``.  The package's ``__init__`` is exempt: its
-imports are the public names."""
+imports are the public names.  Every private top-level name (one leading
+underscore: a function, class or assigned name) is loaded somewhere in the
+package, as a name or an attribute, so a deletion leaves no dead helper."""
 
 import ast
 from pathlib import Path
@@ -41,3 +43,29 @@ def test_module_imports_are_used(path):
     unused = [name for name in _imported(tree)
               if name not in used and (path.stem, name) not in reexported]
     assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The top-level functions, classes and assigned names with one leading underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_private_names_are_loaded():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    dead = [f"{name}: {private}" for name, tree in trees.items()
+            for private in _private_definitions(tree) if private not in loaded]
+    assert dead == [], f"private names defined and never loaded: {dead}"

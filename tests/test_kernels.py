@@ -1,6 +1,8 @@
 """Block seeding: ``kernels.streams`` and ``kernels.trial_words`` against
 ``default_rng``, the ziggurat table and Lemire rejection of ``trial_draws``,
-and their fallbacks; ``kernels.sample_phi`` with its modes set per row."""
+and their fallbacks; ``kernels.sample_phi`` with its modes set per row, and the
+gap rule of ``kernels.spread`` against the sequential rule, alone and through
+its two callers."""
 
 import math
 import subprocess
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import leibnizlab.kernels as kernels
+from leibnizlab.sampling import distinct_points
 from leibnizlab.search import SearchConfig, search
 
 SEEDS = (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3)
@@ -166,3 +169,53 @@ def test_sample_phi_modes_per_row_match_scalar_calls(mb, width):
         alone = kernels.sample_phi(knot_u[i:i + 1], counts[i:i + 1], bool(mono), signed=bool(sign))
         for key, a in alone.items():
             assert [v.hex() for v in got[key][i].ravel().tolist()] == [v.hex() for v in a[0].ravel().tolist()]
+
+
+def _clustered_rows(gap, padded, rows=200, width=8, seed=5):
+    """Sorted rows in [-1, 1) with a cluster of 3-5 values closer than ``gap``
+    and, if ``padded``, in all but the first 20 rows a +inf tail of 1 to
+    width - 1 entries; also each row's count of finite entries."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (rows, width))
+    for row in x:
+        k = int(rng.integers(3, 6))
+        at = int(rng.integers(0, width - k + 1))
+        row[at:at + k] = row[at] + rng.uniform(0.0, gap, k)
+    x.sort(axis=1)
+    live = np.concatenate([np.full(20, width), rng.integers(1, width, rows - 20)]) if padded else np.full(rows, width)
+    x[np.arange(width) >= live[:, None]] = np.inf
+    return x, live
+
+
+def _spread_alone(row, gap):
+    """The gap rule one row at a time, in Python floats."""
+    out = list(row)
+    for j in range(1, len(out)):
+        if out[j] - out[j - 1] < gap:
+            out[j] = out[j - 1] + gap
+    return out
+
+
+def _hex(rows):
+    return [[v.hex() for v in row] for row in np.asarray(rows).tolist()]
+
+
+@pytest.mark.parametrize("caller", ["spread", "sample_phi", "distinct_points"])
+def test_spread_matches_the_sequential_rule(caller):
+    gap = 1e-3 if caller == "distinct_points" else 1e-6
+    x, live = _clustered_rows(gap, padded=caller != "distinct_points")
+    if caller == "spread":
+        got, sorted_rows = kernels.spread(x.copy(), gap), x
+    elif caller == "sample_phi":  # breakpoints -1 + 2u; the rest of each row is its slopes and anchor
+        knot_u = np.random.default_rng(9).random((len(x), 2 * x.shape[1] + 2))
+        knot_u[:, :x.shape[1]] = np.where(np.isfinite(x), (x + 1.0) / 2.0, 0.5)
+        got = kernels.sample_phi(knot_u, live, False)["bp"]
+        sorted_rows = np.sort(np.where(np.isfinite(x), -1.0 + 2.0 * knot_u[:, :x.shape[1]], np.inf), axis=1)
+    else:  # each row's points reversed in, and read out in a random order
+        perm = np.argsort(np.random.default_rng(3).random(x.shape), axis=1)
+        got, sorted_rows = distinct_points(x[:, ::-1].copy(), perm), x
+    want = np.array([_spread_alone(row, gap) for row in sorted_rows.tolist()])
+    assert np.count_nonzero((want != sorted_rows).any(axis=1)) >= 100  # the rule moves at least half the rows
+    if caller == "distinct_points":
+        want = np.take_along_axis(want, perm, axis=1)
+    assert _hex(got) == _hex(want)

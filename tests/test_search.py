@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from leibnizlab.core import HolderTriple, ProbVector
+from leibnizlab.core import HolderTriple, ProbVector, exponent_tag
 from leibnizlab.operators import PiecewiseLinearFn
 from leibnizlab.search import (
     RECIPROCAL_WITNESS,
@@ -140,7 +140,7 @@ def test_refine_from_vshape_witness_exceeds_published_gap():
 
 
 def test_search_refine_top_zero_is_no_refinement():
-    # refine_top 0 keeps only each leader table's head, and refines nothing
+    # refine_top 0 keeps only each exponent's best trial, and refines nothing
     cfg = SearchConfig(target="chain_rule", n=3, p_grid=(1.0, 2.0), trials=1500,
                        refine_steps=5, refine_top=0, seed=9)
     a, b = search(cfg), search(dataclasses.replace(cfg, refine_steps=0))
@@ -299,6 +299,49 @@ def test_search_square_bound_negative_control():
                        trials=1000, refine_steps=2, seed=13)
     res = search(cfg)
     assert res.best_violation <= 1e-9
+
+
+def reference_search(cfg):
+    """``search`` one trial and one leader at a time, from public calls only."""
+    insts = [random_instance(cfg, t) for t in range(cfg.trials)]
+    scores = [[violation(inst, cfg.target, p) for p in cfg.p_grid] for inst in insts]
+    steps = cfg.refine_steps if cfg.refine_top else 0
+    best = []  # each exponent's (climbed value, trial, climbed instance)
+    for j, p in enumerate(cfg.p_grid):
+        leaders = sorted(range(cfg.trials), key=lambda t: (-scores[t][j], t))[:max(cfg.refine_top, 1)]
+        climbed = []
+        for t in leaders:
+            tuned, value = refine(insts[t], cfg.target, steps, p, cfg.monotone, cfg.mass_floor)
+            climbed.append((value, t, tuned))
+        top = max(value for value, _, _ in climbed)
+        best.append(next(c for c in climbed if c[0] == top))
+    j = min(range(len(cfg.p_grid)), key=lambda j: (-best[j][0], best[j][1]))
+    value, trial, tuned = best[j]
+    witness = {**tuned.to_dict(), "p": exponent_tag(cfg.p_grid[j]), "target": cfg.target,
+               "trial": trial, "violation": value}
+    history, running = [], -math.inf
+    for row in scores:
+        running = max(running, *row)
+        history.append(running)
+    return {"per_p": {p: v for p, (v, _, _) in zip(cfg.p_grid, best)}, "best_p": cfg.p_grid[j],
+            "best_violation": value, "witness": witness, "history": history}
+
+
+GRIDS = {"chain_rule": (1, 3, "inf"), "strong_leibniz": (1, "inf"), "leibniz": (1.5, 2, "inf"),
+         "square_bound": (1, 4, "inf")}
+
+
+@pytest.mark.parametrize("refine_top", [0, 1, 5, 60])
+@pytest.mark.parametrize("target", TARGETS)
+def test_search_equals_one_at_a_time_reference(target, refine_top):
+    # leaders by (-violation, trial), each refined alone; an exponent's result
+    # is the first best climbed value, its head's included; 60 > 40 trials
+    cfg = SearchConfig(target=target, n=3, p_grid=GRIDS[target], trials=40, refine_steps=4,
+                       refine_top=refine_top, max_breakpoints=3, seed=23)
+    res = search(cfg)
+    got = {"per_p": res.per_p, "best_p": res.best_p, "best_violation": res.best_violation,
+           "witness": res.witness, "history": res.history}
+    assert got == reference_search(cfg)
 
 
 def test_search_history_is_running_best():
