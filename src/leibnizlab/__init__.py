@@ -13,6 +13,18 @@ variants that are false or open.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# One OpenBLAS thread unless the user chose a count in any of the variables
+# OpenBLAS reads: starting the pool is about 40 % of numpy's import, which
+# every command pays, while only large matrices (--n of several hundred) gain
+# from it.  Too late once numpy is loaded, so a process that imported numpy
+# first keeps its setting.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _THREAD_VARIABLES):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .core import (
     IDENTITY_TOL,
     INEQUALITY_TOL,

@@ -38,7 +38,7 @@ from .search import (
 )
 from .serialize import dumps, write_jsonl
 from .suites import N_MAX_BOUNDS, SUITES
-from .core import check_exponent, exponent_tag
+from .core import as_vector, check_exponent, exponent_tag
 
 SUITE_CHOICES = tuple(SUITES) + ("all",)
 
@@ -51,20 +51,13 @@ def _resolve_seed(value) -> int:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    """A flat, non-empty list of numbers, as JSON (a lone number is a
-    one-element list) or separated by commas or spaces."""
+    """A flat, non-empty list of finite numbers (``as_vector``), as JSON (a
+    lone number is a one-element list) or separated by commas or spaces."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
         data = [float(tok) for tok in text.replace(",", " ").split()]
-    if not isinstance(data, list):
-        data = [data]
-    if not data or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data):
-        raise ValueError(f"expected a flat numeric list, got {text!r}")
-    try:
-        return np.asarray(data, dtype=float)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise ValueError("a number is too large for a float") from None
+    return as_vector(data if isinstance(data, list) else [data])
 
 
 def _prepare_out(out: str | None) -> bool:

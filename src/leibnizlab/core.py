@@ -37,12 +37,36 @@ class DimensionMismatchError(ValueError):
     """Vectors/measures of incompatible lengths were combined."""
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce to a 1-D float array and require every entry to be finite (ValueError)."""
+def _is_number(v) -> bool:
+    """An int (of any size) or a float, Python's or numpy's; not a bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def as_number(x) -> float:
+    """An int or a float as a float (ValueError for anything else)."""
+    if not _is_number(x):
+        raise ValueError(f"expected a number, got {x!r:.80}")
     try:
-        arr = np.asarray(x, dtype=float)
-    except TypeError as exc:  # a dict or another object that is not a number
-        raise ValueError(f"expected a vector of numbers, got {type(x).__name__}") from exc
+        return float(x)
+    except OverflowError:
+        raise ValueError("a number is too large for a float") from None
+
+
+def as_vector(x) -> np.ndarray:
+    """Coerce to a 1-D float array and require every entry to be finite (ValueError).
+
+    Ints (of any size) and floats read as floats.  Strings, bytes, booleans,
+    None and other objects are refused, not parsed: a quoted number in a
+    hand-edited witness is an error, not a number.
+    """
+    arr = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    kind = arr.dtype.kind
+    if not (kind in "fiu" or kind == "O" and all(map(_is_number, arr.flat))):
+        raise ValueError(f"expected a vector of numbers, got {x!r:.80}")
+    try:
+        arr = np.asarray(arr, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("a number is too large for a float") from None
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import IDENTITY_TOL, INEQUALITY_TOL, DimensionMismatchError, as_pair, as_vector
+from .core import IDENTITY_TOL, INEQUALITY_TOL, DimensionMismatchError, as_number, as_pair, as_vector
 from .kernels import Block, DegenerateInputError
 from .reports import ReportBlock, VerificationReport
 
@@ -56,7 +56,7 @@ class PiecewiseLinearFn:
             raise ValueError(f"need {bp.size + 1} slopes for {bp.size} breakpoints, got {sl.size}")
         if bp.size > 1 and np.any(np.diff(bp) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
-        anchor = float(self.anchor)
+        anchor = as_number(self.anchor)
         if not np.isfinite(anchor):
             raise ValueError(f"anchor must be finite, got {anchor!r}")
         bp = bp.copy()
@@ -113,10 +113,8 @@ class PiecewiseLinearFn:
         if not isinstance(d, dict) or not {"breakpoints", "slopes"} <= d.keys():
             raise ValueError(f"phi must be an object with breakpoints and slopes, got {d!r}")
         try:
-            return cls(np.asarray(d["breakpoints"], dtype=float),
-                       np.asarray(d["slopes"], dtype=float),
-                       float(d.get("anchor", 0.0)))
-        except (TypeError, ValueError) as exc:
+            return cls(d["breakpoints"], d["slopes"], d.get("anchor", 0.0))
+        except ValueError as exc:
             raise ValueError(f"phi {d!r} is malformed: {exc}") from None
 
 

@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import HolderTriple, ProbVector, as_pair, check_exponent, exponent_tag, paired
+from .core import HolderTriple, ProbVector, as_number, as_pair, check_exponent, exponent_tag, paired
 from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, trial_draws
 from .operators import PiecewiseLinearFn
 from .reports import VerificationReport
@@ -185,7 +185,7 @@ class Instance(Block):
         if not isinstance(d, dict) or not {"mu", "f"} <= d.keys():
             raise ValueError(f"a witness must be an object with mu and f, got {d!r:.80}")
         f, mu = paired(d["f"], ProbVector(d["mu"]))
-        splits = {name: np.array([d.get(name, 0.5)], dtype=float) for name in ("split1", "split2")}
+        splits = {name: np.array([as_number(d.get(name, 0.5))]) for name in ("split1", "split2")}
         if not all(0.0 <= s[0] <= 1.0 for s in splits.values()):
             raise ValueError(f"split fraction must lie in [0, 1], got {[float(s[0]) for s in splits.values()]}")
         return cls.one(mu, f, as_pair(f, d["g"])[1] if "g" in d else None,

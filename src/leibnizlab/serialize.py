@@ -77,7 +77,8 @@ def _flatten(obj: dict, parts: list, slots: list) -> None:
             continue
         if isinstance(col, tuple):
             values, lengths = col
-            col = np.array([dumps(v[:m]) for v, m in zip(values.tolist(), lengths.tolist())], dtype=object)
+            col = np.array(["[" + ", ".join(map(format_float, v[:m])) + "]"
+                            for v, m in zip(values.tolist(), lengths.tolist())], dtype=object)
         elif col.dtype.kind == "f" and not np.isfinite(col).all():
             col = np.array([dumps(v) for v in col.tolist()], dtype=object)
         elif col.dtype.kind == "b":

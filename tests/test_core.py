@@ -196,3 +196,20 @@ def test_non_numeric_container_raises_value_error(name):
     # each passes a dict or a bare object through as_vector, which let numpy's TypeError out
     with pytest.raises(ValueError, match="expected a vector of numbers"):
         NON_NUMERIC_CALLS[name]()
+
+
+@pytest.mark.parametrize("x", ["1", b"1", True, None, ["0.5", "0.5"], [0.5, None], [True, 1.0],
+                               np.array(["1"]), np.array([True, False])],
+                         ids=["str", "bytes", "bool", "none", "quoted-list", "none-entry", "bool-entry",
+                              "str-array", "bool-array"])
+def test_quoted_numbers_booleans_and_none_are_refused(x):
+    # numpy would parse '1' and read True as 1.0; a vector must hold numbers
+    with pytest.raises(ValueError, match="expected a vector of numbers"):
+        ProbVector(x)
+
+
+def test_ints_of_any_size_read_as_floats():
+    assert ProbVector([1]).weights.tolist() == [1.0]
+    assert lp_norm([10 ** 30, np.int8(2)], [0.5, 0.5], math.inf) == 1e30
+    with pytest.raises(ValueError, match="too large for a float"):
+        sup_norm([10 ** 400])

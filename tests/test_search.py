@@ -208,6 +208,31 @@ def test_witness_with_invalid_measure_or_vector_is_refused(witness, message):
         Instance.from_dict(witness)
 
 
+QUOTED_WITNESS = {"mu": ["0.5", "0.5"], "f": ["0.1", "0.2"],
+                  "phi": {"breakpoints": ["0"], "slopes": [1, "0.5"], "anchor": 0}}
+
+
+@pytest.mark.parametrize("witness", [
+    QUOTED_WITNESS,  # it used to replay as a chain-rule PASS
+    {**QUOTED_WITNESS, "mu": [0.5, 0.5], "f": [0.1, 0.2]},
+    {"mu": [0.5, 0.5], "f": [0.1, 0.2], "phi": {"breakpoints": [0], "slopes": [1, 0.5], "anchor": "0"}},
+    {"mu": [0.5, 0.5], "f": [0.1, 0.2], "phi": {"breakpoints": [0], "slopes": [1, 0.5], "anchor": None}},
+    {"mu": [0.5, 0.5], "f": [0.0, 1.0], "g": [1.0, 0.5], "split1": "0.5"},
+    {"mu": [0.5, 0.5], "f": [0.0, 1.0], "g": [1.0, 0.5], "split2": True},
+    {"mu": [0.5, 0.5], "f": [0.0, 1.0], "g": [True, 0.5]},
+], ids=["quoted", "quoted-phi", "quoted-anchor", "none-anchor", "quoted-split", "bool-split", "bool-g"])
+def test_witness_with_quoted_numbers_is_refused(witness):
+    with pytest.raises(ValueError, match="expected a (vector of )?number"):
+        Instance.from_dict(witness)
+
+
+def test_replay_refuses_quoted_numbers():
+    # an instance holding the quoted witness's mu and f as strings, as a hand-built block would
+    inst = Instance(np.array([QUOTED_WITNESS["mu"]]), np.array([QUOTED_WITNESS["f"]]))
+    with pytest.raises(ValueError, match="expected a vector of numbers"):
+        replay(inst, "square_bound", 2.0)
+
+
 @pytest.mark.parametrize("target", TARGETS)
 def test_search_witness_codec_and_replay(target):
     # the witness form round-trips (g and the splits for leibniz, phi for the

@@ -134,6 +134,11 @@ EDGE_BLOCKS = {
     "no-rows": ({"lhs": np.zeros(0), "x": np.zeros((0, 2)), "i": {"r": (np.zeros((0, 3)), np.zeros(0, dtype=int))}}, 0),
     "no-per-row-column": ({"name": "k%d", "v": [math.inf, 1.0], "o": {"t": True, "s": None}}, 3),
     "nested-non-finite": ({"lhs": np.array([0.5, 2.0, 3.0]), "i": {"scale": np.array([0.25, -math.inf, math.nan])}}, 3),
+    # every live cell finite, the padding past each length not: the padding is never read
+    "ragged-finite": ({"r": (np.array([[-0.0, 5e-324, math.inf], [1e308, 0.1, math.nan], [math.inf] * 3]),
+                             np.array([2, 1, 0]))}, 3),
+    "ragged-non-finite": ({"r": (np.array([[1.5, -math.inf], [math.nan, 0.25], [math.inf, 2.0]]),
+                                 np.array([2, 1, 2]))}, 3),
 }
 
 
