@@ -39,6 +39,7 @@ from .search import (
 from .serialize import dumps, write_jsonl
 from .suites import N_MAX_BOUNDS, SUITES
 from .core import as_vector, check_exponent, exponent_tag
+from .kernels import check_seed
 
 SUITE_CHOICES = tuple(SUITES) + ("all",)
 
@@ -91,8 +92,7 @@ def _suite_kwargs(args, seed: int) -> dict[str, dict]:
     """Keyword arguments for each selected suite; ValueError names a malformed flag."""
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     if args.tol is not None and not math.isfinite(args.tol):
         raise ValueError(f"--tol must be finite, got {args.tol}")
     p = None

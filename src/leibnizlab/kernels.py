@@ -1,5 +1,5 @@
 """Row-wise kernels: both sides of each inequality for a block of instances,
-and the per-trial random streams, seeded a block at a time.
+and the per-trial random streams, read a block at a time.
 
 A ``Block`` holds instances as the rows of arrays.  Each kernel maps a block,
 and its exponents (one float, or one per row), to the arrays of the two sides
@@ -18,18 +18,20 @@ over the same axis and elementwise operations reproduce the one-matrix
 computation bit for bit, and ``validate_laplacians`` makes the Laplacian
 checks on every matrix of a block at once.
 
-Per-trial random streams equal ``np.random.default_rng((*prefix, t))`` bit
-for bit: ``streams`` (the suites) sets one ``Generator`` to each trial's
-state, and ``trial_draws`` (the search) computes draws from each trial's raw
-PCG64 words (O'Neill, 2014), exponentials by the fast path of numpy's
-ziggurat (Marsaglia and Tsang, 2000).  The first use in a process checks
-both against ``default_rng``, which draws every trial if they differ.
+Streams (the v2 rule): the suites (streams 0-8) and the search
+(``SEARCH_STREAM``) each draw from ``Philox(key=(seed, stream))``, numpy's
+counter-based generator (Salmon et al., SC 2011), and trial t reads the W
+words at counter t W / 4, W being the consumer's layout width
+(``trial_words``), so a block is one ``advance`` and one ``random_raw`` and
+a trial alone is a block of one.  Words become uniforms, integers, uniform
+Dirichlet measures and permutations with no rejection and no libm call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -399,12 +401,6 @@ def hat_bounds(L: np.ndarray):
 
 # -- block sampling ------------------------------------------------------------
 
-def dirichlet_rows(expo: np.ndarray) -> np.ndarray:
-    """``dirichlet(ones(n))`` of each row's n standard exponentials: each
-    divided by their sequential sum, as numpy computes it."""
-    return expo * (1.0 / np.cumsum(expo, axis=1)[:, -1])[:, None]
-
-
 def spread(rows: np.ndarray, gap: float) -> np.ndarray:
     """Sorted rows in place: each entry, left to right, raised to at least ``gap`` above its predecessor."""
     with np.errstate(invalid="ignore"):  # inf - inf in the padding
@@ -414,20 +410,21 @@ def spread(rows: np.ndarray, gap: float) -> np.ndarray:
     return rows
 
 
-def sample_phi(knot_u: np.ndarray, counts: np.ndarray, monotone, signed=False) -> dict:
+def sample_phi(u: np.ndarray, monotone, signed=False) -> dict:
     """Padded phi arrays from each row's uniforms, as the scalar reference
-    sampler ``sample_piecewise_linear`` (``tests/scalar_reference.py``) builds phi.
+    ``Trial.phi`` (``tests/scalar_reference.py``) builds phi.
 
-    ``knot_u`` is a 2-D array of width 2 mmax + 2 or 2 mmax + 3, where mmax
-    is the largest breakpoint count; ``monotone`` and ``signed`` are one bool
-    or one per row.  A row with m breakpoints reads its first 2m + 2 uniforms
-    (2m + 3 if ``signed``): m breakpoints, m + 1 slopes, the sign of a
-    monotone phi if ``signed`` (otherwise it increases), and the anchor, all
-    but the sign mapped to [-1, 1).  The rest of the row is ignored.  Slopes
-    are normalised to unit Lipschitz constant; the returned ``bp`` has mmax
-    columns, padded with +inf.
+    ``u`` is a 2-D array of width 2 mmax + 3 or 2 mmax + 4, where mmax is
+    the largest breakpoint count; ``monotone`` and ``signed`` are one bool or
+    one per row.  A row reads its breakpoint count m, 1 + the integer of u[0]
+    in [0, mmax), then 2m + 2 uniforms (2m + 3 if ``signed``): m breakpoints,
+    m + 1 slopes, the sign of a monotone phi if ``signed`` (otherwise it
+    increases), and the anchor, all but the sign mapped to [-1, 1).  The rest
+    of the row is ignored.  Slopes are normalised to unit Lipschitz constant;
+    the returned ``bp`` has mmax columns, padded with +inf.
     """
-    size, mmax = knot_u.shape[0], (knot_u.shape[1] - 2) // 2
+    size, mmax = u.shape[0], (u.shape[1] - 3) // 2
+    counts, knot_u = 1 + integers(u[:, 0], mmax), u[:, 1:]
     cols = np.arange(mmax + 1)
     m = counts[:, None]
     bp = spread(np.sort(np.where(cols[:mmax] < m, -1.0 + 2.0 * knot_u[:, :mmax], np.inf), axis=1), 1e-6)
@@ -445,200 +442,59 @@ def sample_phi(knot_u: np.ndarray, counts: np.ndarray, monotone, signed=False) -
     return dict(bp=bp, slopes=slopes / peak[:, None], anchor=anchor)
 
 
-def sample_laplacian(u: np.ndarray) -> np.ndarray:
-    """Random Laplacians from each row's n x n uniforms on [0, 1): the strict
-    upper triangle, mirrored, with the diagonal forced to zero row sums."""
-    W = np.triu(u, 1)
+def sample_laplacian(u: np.ndarray, n: int) -> np.ndarray:
+    """Random n x n Laplacians from each row's n (n - 1) / 2 uniforms on [0, 1):
+    the strict upper triangle, row by row, mirrored, with the diagonal forced
+    to zero row sums."""
+    W = np.zeros((len(u), n, n))
+    W[:, *np.triu_indices(n, 1)] = u
     return _zero_sum_diagonal(W + W.swapaxes(1, 2))
 
 
-# -- block seeding -------------------------------------------------------------
+# -- per-trial streams ----------------------------------------------------------
 
-# numpy's SeedSequence constants (pool of four 32-bit words) and PCG64's multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_LOW, _S32 = np.uint64(_M32), np.uint64(32)
-_MULT128 = np.array([[_PCG_MULT >> 64], [_PCG_MULT & (1 << 64) - 1]], dtype=np.uint64)
+#: Stream id of the search; the suites take 0-8 (``suites._run``).
+SEARCH_STREAM = 9
 
 
-def _words(v: int) -> list[int]:
-    """A non-negative integer as SeedSequence reads it: 32-bit words, least significant first."""
-    if v < 0:
-        raise ValueError(f"seed entropy must be non-negative, got {v}")
-    out = [v & _M32]
-    while v > _M32:
-        v >>= 32
-        out.append(v & _M32)
-    return out
+def check_seed(seed) -> int:
+    """The seed as a Philox key word: an integer in [0, 2**64), else ValueError."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
-# 128-bit integers as (high, low) pairs of uint64 arrays, which wrap mod 2**64
-def _add128(a, b):
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < b[1]), lo
+def trial_words(seed: int, stream: int, trials, width: int) -> np.ndarray:
+    """The words of each trial of ``trials`` (a range of step 1, or a sequence
+    of trial indices, which may repeat) as rows of W words, where W is
+    ``width`` rounded up to a multiple of 4: trial t reads the W words of
+    ``Philox(key=(seed, stream))`` that start at counter t W / 4."""
+    W = -(-width // 4) * 4
+    if not isinstance(trials, range) or trials.step != 1:  # one trial at a time
+        return np.concatenate([trial_words(seed, stream, range(t, t + 1), width) for t in trials])
+    gen = np.random.Philox(key=np.array([check_seed(seed), stream], dtype=np.uint64))
+    gen.advance(trials.start * W // 4)
+    return gen.random_raw(len(trials) * W).reshape(len(trials), W)
 
 
-def _mul128(a, b):
-    """a * b: the 128-bit product of the low words in 32-bit halves, plus the cross terms."""
-    (ah, al), (bh, bl) = a, b
-    a1, a0, b1, b0 = al >> _S32, al & _LOW, bl >> _S32, bl & _LOW
-    c, d = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> _S32) + (c & _LOW) + (d & _LOW)
-    return a1 * b1 + (c >> _S32) + (d >> _S32) + (mid >> _S32) + ah * bl + al * bh, al * bl
-
-
-def _pcg64_states(prefix: tuple, t: np.ndarray) -> np.ndarray:
-    """(state_hi, state_lo, inc_hi, inc_lo) of each ``default_rng((*prefix, t))``, t uint64: (4, B)."""
-    wide = t > _LOW
-    entropy = [np.full(len(t), w, dtype=np.uint32) for v in prefix for w in _words(v)]
-    entropy += [(t & _LOW).astype(np.uint32)] + [(t >> _S32).astype(np.uint32)] * bool(wide.any())
-
-    def hasher(const, mult):
-        def hashmix(x):
-            nonlocal const
-            x = x ^ np.uint32(const)
-            const = const * mult & _M32
-            x = x * np.uint32(const)
-            return x ^ (x >> np.uint32(16))
-        return hashmix
-
-    def mix(x, y):
-        z = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return z ^ (z >> np.uint32(16))
-
-    # mix_entropy: hash the first four words into the pool (a missing word
-    # hashes as zero), mix every pool word into every other, then mix in the
-    # remaining words; t's high word, the last, exists where t >= 2**32
-    hashmix, zero = hasher(_INIT_A, _MULT_A), np.zeros(len(t), dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, len(entropy)):
-        for dst in range(4):
-            mixed = mix(pool[dst], hashmix(entropy[src]))
-            pool[dst] = np.where(wide, mixed, pool[dst]) if src == len(entropy) - 1 and wide.any() else mixed
-    # generate_state(4, uint64): eight words cycling over the pool
-    words = [x.astype(np.uint64) for x in map(hasher(_INIT_B, _MULT_B), pool + pool)]
-    s_hi, s_lo, i_hi, i_lo = (words[k] | (words[k + 1] << _S32) for k in range(0, 8, 2))
-    # pcg64_set_seed: inc = 2 * seq + 1; state = (inc + seed) * MULT + inc, mod 2^128
-    inc = ((i_hi << np.uint64(1)) | (i_lo >> np.uint64(63)), (i_lo << np.uint64(1)) | np.uint64(1))
-    return np.stack([*_add128(_mul128(_add128(inc, (s_hi, s_lo)), _MULT128), inc), *inc])
-
-
-def _state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
-    return {"bit_generator": "PCG64", "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-            "has_uint32": 0, "uinteger": 0}
-
-
-@functools.cache
-def _seeding_matches() -> bool:
-    """Whether ``_pcg64_states``, ``trial_words`` and the draws from words
-    reproduce ``default_rng`` in this process (exponentials on rows where all are certain)."""
-    t = [0, 1, 2, 3, 2 ** 32 - 1, 2 ** 32]
-    for prefix in ((7,), (2 ** 40 + 3, 8)):  # t's high word among the first four entropy words, then past them
-        words, seeded = trial_words(prefix, np.array(t, dtype=np.uint64), 8)
-        expo, sure = _exponentials(words)
-
-        def ref(draw):  # each trial's draw from its own default_rng
-            return [draw(np.random.default_rng((*prefix, v))) for v in t]
-        if not (sure.any() and [_state(*x) for x in seeded.T.tolist()] == ref(lambda g: g.bit_generator.state)
-                and np.array_equal(words, ref(lambda g: g.bit_generator.random_raw(8)))
-                and np.array_equal(_random(words), ref(lambda g: g.random(8)))
-                and np.array_equal(expo[sure], np.array(ref(lambda g: g.standard_exponential(8)))[sure])):
-            return False
-    return True
-
-
-def streams(prefix: tuple, start: int, stop: int):
-    """Yield the generator of each trial t in [start, stop): ``default_rng((*prefix, t))``.
-
-    The states are computed a block at a time and one ``Generator`` is reused:
-    each yield moves it to the next trial, so draw from it before the next.
-    """
-    prefix = tuple(int(v) for v in prefix)
-    if not _seeding_matches():
-        for t in range(start, stop):
-            yield np.random.default_rng((*prefix, t))
-        return
-    _words(start)  # refuses negative entropy, as SeedSequence does (and _pcg64_states for the prefix)
-    gen = np.random.default_rng(0)
-    for lo in range(start, stop, BLOCK):
-        for seeded in _pcg64_states(prefix, np.arange(lo, min(stop, lo + BLOCK), dtype=np.uint64)).T.tolist():
-            gen.bit_generator.state = _state(*seeded)
-            yield gen
-
-
-def trial_words(prefix: tuple, t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``random_raw(k)`` of ``default_rng((*prefix, t)).bit_generator`` for each t (uint64), and the seeded states."""
-    seeded = _pcg64_states(prefix, t)
-    state, words = seeded[:2], np.empty((len(t), k), dtype=np.uint64)
-    for j in range(k):
-        # PCG64 steps, then outputs XSL-RR of the new state: hi ^ lo rotated right by hi >> 58
-        hi, lo = state = _add128(_mul128(state, _MULT128), seeded[2:])
-        rot, x = hi >> np.uint64(58), hi ^ lo
-        words[:, j] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return words, seeded
-
-
-@functools.cache
-def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ziggurat table, probed on first use: we[idx], the exponential
-    of the word with ri = 1 at idx, and bounds under which ri surely takes the
-    fast path ri < ke[idx].  For idx >= 2, ke[idx] is int(2**53 we[idx-1] / we[idx])
-    to within -1..+3, less a guard band; idx 0 (tail) and 1 (ke = 0) get 0."""
-    gen, inverse, we = np.random.default_rng(0), pow(_PCG_MULT, -1, 1 << 128), np.empty(256)
-    for idx in range(256):
-        # with inc = 1 the next state is (0, word), whose output is the word itself
-        gen.bit_generator.state = _state(0, ((1 << 11 | idx << 3) - 1) * inverse & _M128, 0, 1)
-        we[idx] = gen.standard_exponential()
-    below = np.floor(2.0 ** 53 * we[1:-1] / we[2:]) - 2 ** 10  # the estimates, less the guard band
-    return we, np.concatenate([[0.0, 0.0], below]).astype(np.uint64)
-
-
-def _exponentials(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``standard_exponential`` of each word of (B, k) by the ziggurat's fast path
-    (ri = word >> 11 times we[(word >> 3) & 0xFF]), and the rows where it is certain."""
-    we, below = _ziggurat()
-    ri, idx = words >> np.uint64(11), ((words >> np.uint64(3)) & np.uint64(0xFF)).astype(np.intp)
-    return ri * we[idx], (ri < below[idx]).all(axis=1)
-
-
-def _random(words: np.ndarray) -> np.ndarray:  # random() of each word
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniform on [0, 1) of each word w: (w >> 11) 2**-53."""
     return (words >> np.uint64(11)) * 2.0 ** -53
 
 
-def trial_draws(prefix: tuple, trials, n: int, head: int, span: int, count: int, tail: int):
-    """``standard_exponential(n)``, ``random(head)``, ``integers(0, span, count)``
-    and ``random(tail)`` of ``default_rng((*prefix, t))`` for each t of ``trials``
-    (ints in [0, 2**64)), computed from its words; integers by Lemire's method
-    on the low, then high, half of one word.  A row that may leave the
-    ziggurat's fast path or where Lemire rejects is slow: a ``Generator`` set to
-    its state draws its exponentials and integers, ``random_raw`` its words.
-    If the first-use check fails, ``default_rng`` itself draws every row."""
-    _words(min(trials, default=0))  # refuses negative entropy, as SeedSequence does
-    at, after = n + head, n + head + (span > 1)  # the word whose halves the integers read, the next
-    words, seeded = trial_words(prefix, np.asarray(trials, dtype=np.uint64), after + tail)
-    expo, fast = _exponentials(words[:, :n])
-    ints = np.zeros((len(words), count), dtype=np.intp)
-    for h in range(count if span > 1 else 0):
-        m = ((words[:, at] >> np.uint64(32 * h)) & _LOW) * np.uint64(span)
-        ints[:, h] = m >> _S32
-        fast &= (m & _LOW) >= np.uint64(2 ** 32 % span)
-    exact = _seeding_matches()
-    gen, slow = np.random.default_rng(0), np.flatnonzero(~fast) if exact else np.arange(len(words))
-    for i, state in zip(slow.tolist(), seeded[:, slow].T.tolist()):
-        if exact:
-            gen.bit_generator.state = _state(*state)
-        else:
-            gen = np.random.default_rng((*prefix, trials[i]))
-        gen.standard_exponential(out=expo[i])
-        words[i, n:at] = gen.bit_generator.random_raw(head)
-        ints[i] = [gen.integers(span) for _ in range(count)]
-        words[i, after:] = gen.bit_generator.random_raw(tail)
-    return expo, _random(words[:, n:at]), ints, _random(words[:, after:])
+def integers(u: np.ndarray, span) -> np.ndarray:
+    """The integer ((w >> 32) span) >> 32 in [0, span) of each word w, from its
+    uniform u (floor(u 2**32) is w >> 32); span < 2**31.  No rejection: a
+    value's chance is off 1 / span by less than 2**-32."""
+    return (u * 2.0 ** 32).astype(np.int64) * span >> 32
+
+
+def spacings(u: np.ndarray) -> np.ndarray:
+    """Uniform Dirichlet measures: the n spacings of each row's n - 1 sorted
+    uniforms between 0 and 1, exact (multiples of 2**-53), so each sums to 1."""
+    return np.diff(np.sort(u, axis=1), axis=1, prepend=0.0, append=1.0)
+
+
+def permutations(u: np.ndarray) -> np.ndarray:
+    """The permutation of each row of uniforms: its stable argsort."""
+    return np.argsort(u, axis=1, kind="stable")

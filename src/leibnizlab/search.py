@@ -33,12 +33,12 @@ the leaders are re-drawn from their trials, and all climb in lockstep, one
 block of neighbours per pass, each with its own epoch and sweep count, so
 each takes the path ``refine`` takes for it alone.
 
-Determinism: trial t draws as from its own ``default_rng((seed, t))``, bit
-for bit: ``kernels.trial_draws`` computes a block's draws from each trial's
-raw PCG64 words, and draws the rare row the words cannot on a Generator;
-refinement is rng-free hill climbing; aggregation takes the maximal
-violation with ties broken by the lower trial index.  Results therefore
-depend on the seed and the budget only, not on the block size.
+Determinism: trial t reads its own words of ``Philox(key=(seed,
+SEARCH_STREAM))`` (``kernels.trial_words``, the v2 stream rule), so a block
+of trials and a re-drawn leader read the same words; refinement is rng-free
+hill climbing; aggregation takes the maximal violation with ties broken by
+the lower trial index.  Results therefore depend on the seed and the budget
+only, not on the block size.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import HolderTriple, ProbVector, as_number, as_pair, check_exponent, exponent_tag, paired
-from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, trial_draws
+from .core import INEQUALITY_TOL, HolderTriple, ProbVector, as_number, as_pair, check_exponent, exponent_tag, paired
+from .kernels import (BLOCK, SEARCH_STREAM, Block, center, check_seed, integers, lp, phi, sample_phi, spacings,
+                      trial_words, uniforms)
 from .operators import PiecewiseLinearFn
 from .reports import VerificationReport
 from .sampling import MASS_FLOOR
@@ -94,8 +95,7 @@ class SearchConfig:
             raise ValueError("need at least two atoms")
         if not 1 <= self.max_breakpoints <= 8:
             raise ValueError("breakpoint budget must lie in [1, 8]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_seed(self.seed)
         if self.refine_steps < 0 or self.refine_top < 0:
             raise ValueError("refine_steps and refine_top must be >= 0")
         floor = self.mass_floor
@@ -206,29 +206,31 @@ def _floored_simplex(raw: np.ndarray, floor: float) -> np.ndarray:
 
 def _sample(config: SearchConfig, trials) -> Instance:
     """The rows of ``trials`` (a range, or a list that may repeat a trial),
-    trial t drawn as from ``default_rng((seed, t))`` (``kernels.trial_draws``):
-    the measure (``dirichlet(ones(n))``: n exponentials over their sequential
-    sum), then f (for strong leibniz magnitudes ``uniform(0.05, 1)``, that is
-    ``0.05 + (1 - 0.05) * random()``, and signs), g, phi's breakpoint count,
-    breakpoints, slopes and anchor (the first 2 m + 2 of 2 max_breakpoints + 2
-    uniforms), and the two leibniz splits.
+    trial t read from ``kernels.trial_words`` in this layout: n - 1 uniforms
+    whose spacings (``kernels.spacings``) go onto the floored simplex as the
+    measure, n for f (``uniform(-1, 1)``; for strong leibniz magnitudes
+    ``uniform(0.05, 1)``, 0.05 + (1 - 0.05) u), then n signs (strong leibniz,
+    negative below 0.5), n for g and two splits (leibniz, ``kernels.integers``
+    over _SPLIT_CHOICES) or phi's breakpoint count and 2 max_breakpoints + 2
+    uniforms (chain rule, ``kernels.sample_phi``).
     """
     n, target, mmax = config.n, config.target, config.max_breakpoints
     chain, leibniz, strong = target == "chain_rule", target == "leibniz", target == "strong_leibniz"
-    span, count = (mmax, 1) if chain else (len(_SPLIT_CHOICES), 2) if leibniz else (1, 0)
-    expo, unif, ints, knot_u = trial_draws((config.seed,), trials, n, 2 * n if leibniz or strong else n,
-                                           span, count, 2 * mmax + 2 if chain else 0)
-    mu = _floored_simplex(dirichlet_rows(expo), config.mass_floor)
+    extra = n if strong else n + 2 if leibniz else 2 * mmax + 3 if chain else 0
+    u = uniforms(trial_words(config.seed, SEARCH_STREAM, trials, 2 * n - 1 + extra))
+    mu = _floored_simplex(spacings(u[:, :n - 1]), config.mass_floor)
+    f, rest = u[:, n - 1:2 * n - 1], u[:, 2 * n - 1:]
     if strong:
-        f = (0.05 + (1.0 - 0.05) * unif[:, :n]) * np.where(unif[:, n:] < 0.5, -1.0, 1.0)
+        f = (0.05 + (1.0 - 0.05) * f) * np.where(rest[:, :n] < 0.5, -1.0, 1.0)
     else:
-        f = -1.0 + 2.0 * unif[:, :n]
+        f = -1.0 + 2.0 * f
     block = dict(mu=mu, f=f)
     if leibniz:
         choices = np.asarray(_SPLIT_CHOICES)
-        block.update(g=-1.0 + 2.0 * unif[:, n:], split1=choices[ints[:, 0]], split2=choices[ints[:, 1]])
+        block.update(g=-1.0 + 2.0 * rest[:, :n], split1=choices[integers(rest[:, n], len(choices))],
+                     split2=choices[integers(rest[:, n + 1], len(choices))])
     if chain:
-        block.update(sample_phi(knot_u, 1 + ints[:, 0], config.monotone))
+        block.update(sample_phi(rest[:, :2 * mmax + 3], config.monotone))
     return Instance(**block)
 
 
@@ -409,6 +411,31 @@ def refine(inst: Instance, target: str, steps: int, p: float,
     return (tuned if v[0] > start[0] else inst), float(v[0])
 
 
+def _reach(b: Instance, grid) -> np.ndarray:
+    """The chain-rule violation of each row at each exponent of ``grid``, with
+    phi replaced by the function of phi's sign pattern between consecutive
+    sorted atoms and slopes +-1 (0 where phi is flat there): a vertex of the
+    box of phi's increments, where the convex lhs is largest."""
+    order = np.argsort(b.f, axis=1)
+    x, mu = np.take_along_axis(b.f, order, axis=1), np.take_along_axis(b.mu, order, axis=1)
+    turns = np.sign(np.diff(np.take_along_axis(phi(b, b.f), order, axis=1), axis=1))
+    z = np.concatenate([np.zeros((len(x), 1)), np.cumsum(np.diff(x, axis=1) * turns, axis=1)], axis=1)
+    cz, cx = center(z, mu), center(x, mu)
+    return np.stack([lp(cz, mu, p) - lp(cx, mu, p) for p in grid], axis=1)
+
+
+def _leaders(scores: np.ndarray, reach: np.ndarray, k: int) -> np.ndarray:
+    """The k leaders of an exponent: its best row (the first of the largest
+    score), then the others by reach where it exceeds INEQUALITY_TOL (else
+    0), then by score, both descending, then by trial.  A row where phi is
+    linear with slope +-1 on the range of f scores 0 up to rounding, and no
+    move climbs from it; a row whose phi turns where a turn can violate
+    ranks above it."""
+    best = np.argsort(-scores, kind="stable")[:1]
+    rest = np.lexsort((-scores, -np.where(reach > INEQUALITY_TOL, reach, 0.0)))
+    return np.concatenate([best, rest[rest != best[0]]])[:k]
+
+
 def search(config: SearchConfig) -> SearchResult:
     """Best violation over trials x exponents, with refinement of the leaders.
 
@@ -416,21 +443,24 @@ def search(config: SearchConfig) -> SearchResult:
     matrix, a block at a time: one float per trial and exponent, 2.4 MB at
     100k trials and 3 exponents, less than the returned ``history`` (the
     running maximum of its row maxima).  Each exponent is ranked once, after
-    the last block: its leaders are the first ``max(refine_top, 1)`` rows of
-    a stable argsort of its negated column, so by (-violation, trial).  All
-    leaders are re-drawn and climb together (``_climb``, 0 steps when
+    the last block, into its ``max(refine_top, 1)`` leaders (``_leaders``).
+    All leaders are re-drawn and climb together (``_climb``, 0 steps when
     ``refine_top`` is 0); an exponent's result is its first leader of
     largest climbed violation, the witness read from the climbed row.
     """
     grid, target, k = config.p_grid, config.target, min(max(config.refine_top, 1), config.trials)
     scores = np.empty((config.trials, len(grid)))
+    reach = np.empty_like(scores) if target == "chain_rule" else scores
     for start in range(0, config.trials, BLOCK):
         block = _sample(config, range(start, min(start + BLOCK, config.trials)))
         for j, p in enumerate(grid):
             scores[start:start + len(block), j] = _violations(block, target, p)
+        if reach is not scores:
+            reach[start:start + len(block)] = _reach(block, grid)
 
     # the leaders grouped by exponent, best first
-    leaders, column = np.argsort(-scores, axis=0, kind="stable")[:k].T.ravel(), np.repeat(np.arange(len(grid)), k)
+    leaders = np.concatenate([_leaders(scores[:, j], reach[:, j], k) for j in range(len(grid))])
+    column = np.repeat(np.arange(len(grid)), k)
     tuned, values = _climb(_sample(config, leaders.tolist()), target, config.refine_steps if config.refine_top else 0,
                            np.take(grid, column), scores[leaders, column], config.monotone, config.mass_floor)
     head = np.arange(0, leaders.size, k) + values.reshape(-1, k).argmax(axis=1)  # each exponent's first best

@@ -3,7 +3,9 @@
 The stock json encoder writes floats via repr (shortest round-trip form);
 report files instead pin the representation to '%.17g' so output bytes are
 identical across Python versions, and infinities (legal exponent values) are
-emitted as the string "inf" to stay inside strict JSON.
+emitted as the string "inf" to stay inside strict JSON.  -0.0 is written
+"-0.0" (not the "-0" of '%.17g', which a JSON reader takes for the integer 0),
+so it reads back as a float with its sign.
 
 ``dumps`` encodes any value, each part on its own; it is the reference.  Suite
 report lines are formatted a block at a time from columns
@@ -11,7 +13,8 @@ report lines are formatted a block at a time from columns
 and the values every row shares, such as name and tolerance, as literal
 text), filled from one ``tolist`` per column.  A column the numeric
 placeholders cannot hold, a ragged list or a float column with a non-finite
-value, fills one '%s' per row with that row's value as ``dumps`` writes it.
+value or a -0.0, fills one '%s' per row with that row's value as ``dumps``
+writes it.
 Every line is the bytes ``dumps`` gives for the row.
 """
 
@@ -25,7 +28,7 @@ import numpy as np
 
 def format_float(x: float) -> str:
     if math.isfinite(x):
-        return "%.17g" % x
+        return "%.17g" % x if x or math.copysign(1.0, x) > 0.0 else "-0.0"
     if math.isnan(x):
         return '"nan"'
     return '"inf"' if x > 0 else '"-inf"'
@@ -79,7 +82,7 @@ def _flatten(obj: dict, parts: list, slots: list) -> None:
             values, lengths = col
             col = np.array(["[" + ", ".join(map(format_float, v[:m])) + "]"
                             for v, m in zip(values.tolist(), lengths.tolist())], dtype=object)
-        elif col.dtype.kind == "f" and not np.isfinite(col).all():
+        elif col.dtype.kind == "f" and not (np.isfinite(col).all() and not np.signbit(col[col == 0.0]).any()):
             col = np.array([dumps(v) for v in col.tolist()], dtype=object)
         elif col.dtype.kind == "b":
             col = np.where(col, "true", "false")

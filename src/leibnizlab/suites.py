@@ -9,14 +9,30 @@ witness) and holds at p = 2 and p = inf (short proofs in the ``search``
 module docstring); the open exponents are (1, 2) and (2, inf).
 
 Loop contract: every suite runs through ``_run``, the one trial loop, with
-one stream id.  ``kernels.streams`` derives the trials' generators
-``default_rng((seed, stream, t))`` a block of trials at a time, bit for bit
-(where a numpy seeds differently it builds each one with ``default_rng``).
-Each group of trials with the same n is evaluated as stacked arrays through
-the ``kernels`` and the report builders of ``verify`` and ``operators``; no
+one stream id, 0-8 in ``N_MAX_BOUNDS`` order, and one layout: trial t reads
+its row of ``Philox(key=(seed, stream))`` words (``kernels.trial_words``) as
+uniforms.  Column 0 gives n; then come the suite's segments, each as wide as
+at n = n_max (N), of which a trial with n atoms reads the head:
+
+* leibniz: measure N - 1, f N, g N, exponent pair 2;
+* decomposition and majorization: f (x) N, g (y) N;
+* laplacian: norm 3, x N, then one segment of max(2 N + 12, N (N - 1) / 2)
+  words: an odd trial reads points N, permutation N and phi 12 from it, an
+  even trial the strict upper triangle of its n x n weights, row by row;
+* chain-rule, markov and square: measure N - 1, f N, then phi 16 and an
+  exponent 1, phi 16, or an exponent 1;
+* identities: points N, permutation N, monotone 1, phi 16, f N, g N;
+* strong-leibniz: measure N - 1, magnitudes N, signs N.
+
+A measure is the spacings of n - 1 uniforms (``kernels.spacings``) lifted to
+the mass floor, a vector ``uniform(-1, 1)`` (-1 + 2u), a permutation the
+argsort of n uniforms, an exponent or a choice ``kernels.integers``, and phi
+its breakpoint count, then the uniforms ``kernels.sample_phi`` reads.  Each
+group of trials with the same n is evaluated as stacked arrays through the
+``kernels`` and the report builders of ``verify`` and ``operators``; no
 suite calls a one-instance checker, and every report equals checking its
-trial alone.  The suites whose n_max stops at ``MATRIX_N_MAX`` draw or build
-an n x n matrix per trial and hold at most ``MAJORIZATION_BLOCK`` matrix
+trial alone.  The suites whose n_max stops at ``MATRIX_N_MAX`` build an
+n x n matrix per trial and hold at most ``MAJORIZATION_BLOCK`` matrix
 entries per n, or one trial.  The strong-Leibniz fixed witness comes first
 and the majorization sign patterns last, with no trial index as ``seed``.
 """
@@ -32,7 +48,7 @@ import numpy as np
 
 from . import kernels, operators, verify
 from .core import IDENTITY_TOL, INEQUALITY_TOL, check_exponent
-from .kernels import BLOCK, Block, dirichlet_rows, sample_phi, streams
+from .kernels import BLOCK, Block, integers, sample_phi
 from .reports import ReportBlock, VerificationReport
 from .search import reciprocal_witness_report
 from .verify import STATEMENTS
@@ -116,12 +132,12 @@ class SuiteOutcome:
                 f"{self.elapsed:.2f}s")
 
 
-def _norm_pool(rng: np.random.Generator, n: int) -> str:
-    """A symmetric norm's name: one of NORM_FAMILY, or with probability 0.4 the k-norm of a random k."""
-    name = NORM_FAMILY[rng.integers(len(NORM_FAMILY))]
-    if rng.random() < 0.4:
-        return f"k{int(rng.integers(1, n + 1))}"
-    return name
+def _norm_names(u: np.ndarray, n: int) -> np.ndarray:
+    """A symmetric norm's name per row from its three uniforms: with u[1] < 0.4
+    the k-norm of k = 1 + the integer of u[2] in [0, n), else the NORM_FAMILY
+    name of the integer of u[0]."""
+    family = np.array(NORM_FAMILY)[integers(u[:, 0], len(NORM_FAMILY))]
+    return np.where(u[:, 1] < 0.4, np.char.add("k", (1 + integers(u[:, 2], n)).astype(str)), family)
 
 
 #: Matrix entries per evaluation block of the suites that build n x n
@@ -136,40 +152,47 @@ MAJORIZATION_BLOCK = 243 * 16
 EXHAUSTIVE_N = 4
 
 
-def _run(name: str, stream: int, draw, evaluate, trials: int, n_max: int, seed: int,
+#: Most words (4 MiB) one draw of ``_run`` holds: a suite draws max(1, WORD_BLOCK // W) trials
+#: at once where that is below BLOCK; up to n_max = 100 only the laplacian's quadratic layout.
+WORD_BLOCK = 512 * BLOCK
+
+
+def _offsets(*widths: int) -> tuple[list[int], int]:
+    """The first column of each of consecutive segments of ``widths`` words
+    after column 0 (n), and the layout width."""
+    ends = np.cumsum((1,) + widths).tolist()
+    return ends[:-1], ends[-1]
+
+
+def _run(name: str, stream: int, width: int, evaluate, trials: int, n_max: int, seed: int,
          theorem_backed: bool = True) -> SuiteOutcome:
     """The trial loop of every suite.
 
-    Trial t takes the generator ``default_rng((seed, stream, t))`` and draws
-    n from [smallest, n_max] (``N_MAX_BOUNDS``) first; ``draw(rng, n, t)``
-    then returns its other draws as a tuple, in the order it makes them.
-    Trials are held in groups by n.  Every group is evaluated after every BLOCK
-    trials and after the last, and in a suite whose n_max stops at MATRIX_N_MAX
-    also once it holds max(1, MAJORIZATION_BLOCK // n**2) trials.
-    ``evaluate(n, columns)`` (one list per tuple position) returns report
-    blocks.  A block's ``seed`` holds each row's index in ``columns`` (None:
-    row i is index i), replaced by the row's trial index.  Reports come in
-    trial order, a trial's in the order of its blocks.  ``elapsed`` covers the loop.
+    Trial t reads its ``width`` uniforms (``kernels.trial_words`` of the stream
+    (seed, stream)); n is the integer of column 0 in [smallest, n_max]
+    (``N_MAX_BOUNDS``).  Trials are drawn BLOCK at a time, or as many as fit
+    WORD_BLOCK words, and the rows of a draw with the same n are evaluated
+    together, in a suite whose n_max stops at MATRIX_N_MAX at most
+    max(1, MAJORIZATION_BLOCK // n**2) rows at once.  ``evaluate(n, u, t)``
+    (their uniform rows and trial indices) returns report blocks.  A block's
+    ``seed`` holds each row's index in ``u`` (None: row i is index i),
+    replaced by the row's trial index.  Reports come in trial order, a trial's
+    in the order of its blocks.  ``elapsed`` covers the loop.
     """
     start = time.perf_counter()
     low, square = N_MAX_BOUNDS[name][0], N_MAX_BOUNDS[name][1] == MATRIX_N_MAX
-    blocks, held = [], {}
-
-    def flush(n):
-        ts, drawn = zip(*held.pop(n))
-        for rank, b in enumerate(evaluate(n, [list(c) for c in zip(*drawn)])):
-            at = b.columns["seed"]
-            b.columns["seed"] = np.array(ts)[slice(None) if at is None else at]
-            blocks.append((rank, b))
-    # kernels.streams reuses one generator: draw from it before the next trial
-    for t, rng in enumerate(streams((seed, stream), 0, trials)):
-        n = int(rng.integers(low, n_max + 1))
-        held.setdefault(n, []).append((t, draw(rng, n, t)))
-        if square and len(held[n]) >= max(1, MAJORIZATION_BLOCK // n ** 2):
-            flush(n)
-        if (t + 1) % BLOCK == 0 or t == trials - 1:
-            for n in list(held):
-                flush(n)
+    blocks, step = [], max(1, min(BLOCK, WORD_BLOCK // width))
+    for lo in range(0, trials, step):
+        u = kernels.uniforms(kernels.trial_words(seed, stream, range(lo, min(trials, lo + step)), width))
+        sizes = low + integers(u[:, 0], n_max - low + 1)
+        for n in np.unique(sizes).tolist():
+            rows = np.flatnonzero(sizes == n)
+            size = max(1, MAJORIZATION_BLOCK // n ** 2) if square else len(rows)
+            for part in np.split(rows, range(size, len(rows), size)):
+                for rank, b in enumerate(evaluate(n, u[part], lo + part)):
+                    at = b.columns["seed"]
+                    b.columns["seed"] = lo + part[slice(None) if at is None else at]
+                    blocks.append((rank, b))
     keys = [np.concatenate([b.columns["seed"] for _, b in blocks] or [[]]),
             np.concatenate([np.full(len(b), rank) for rank, b in blocks] or [[]])]
     rows = [(b, i) for _, b in blocks for i in range(len(b))]
@@ -177,51 +200,38 @@ def _run(name: str, stream: int, draw, evaluate, trials: int, n_max: int, seed: 
                         time.perf_counter() - start)
 
 
-def _measure(n: int, expo: list) -> np.ndarray:
-    """``dirichlet(ones(n))`` measures with every weight >= MASS_FLOOR, from each row's n exponentials."""
+def _measure(u: np.ndarray) -> np.ndarray:
+    """Uniform Dirichlet measures lifted to every weight >= MASS_FLOOR, from each row's n - 1 uniforms."""
+    n = u.shape[1] + 1
     if n * MASS_FLOOR >= 1.0:
         raise ValueError(f"mass floor {MASS_FLOOR} infeasible for {n} atoms")
-    return MASS_FLOOR + (1.0 - n * MASS_FLOOR) * dirichlet_rows(np.array(expo))
+    return MASS_FLOOR + (1.0 - n * MASS_FLOOR) * kernels.spacings(u)
 
 
-def _uniform(rows: list) -> np.ndarray:
-    """``uniform(-1, 1)`` rows from their ``random()`` draws."""
-    return -1.0 + 2.0 * np.array(rows)
-
-
-def _phi_draws(rng, max_breakpoints: int, signed: bool = False) -> tuple[int, np.ndarray]:
-    """The draws of a random phi (``sample_phi``): the breakpoint count m, then
-    m + m + 1 + 1 uniforms (one more, the sign, before the anchor if ``signed``),
-    at the head of a zero row of width 2 * max_breakpoints + 3, signed or not."""
-    m = int(rng.integers(1, max_breakpoints + 1))
-    row = np.zeros(2 * max_breakpoints + 3)
-    rng.random(out=row[:2 * m + 2 + signed])
-    return m, row
+def _uniform(u: np.ndarray) -> np.ndarray:
+    """``uniform(-1, 1)`` rows from their uniforms on [0, 1)."""
+    return -1.0 + 2.0 * u
 
 
 def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                   tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Product-rule inequality on random measures, vectors, and triple pairs."""
-    def draw(rng, n, t):
-        expo, f, g = rng.standard_exponential(n), rng.random(n), rng.random(n)
-        t1, t2 = sample_holder_triple_pair(rng)
-        return expo, f, g, (t1.r, t1.p, t1.q, t2.p, t2.q)
+    (mu, f, g, pair), width = _offsets(n_max - 1, n_max, n_max, 2)
 
-    def evaluate(n, columns):
-        expo, f, g, exponents = columns
-        block = Block(_measure(n, expo), _uniform(f), _uniform(g))
-        return [STATEMENTS["leibniz"].reports(block, np.array(exponents).T, tol)]
-    return _run("leibniz", 0, draw, evaluate, trials, n_max, seed)
+    def evaluate(n, u, t):
+        block = Block(_measure(u[:, mu:mu + n - 1]), _uniform(u[:, f:f + n]), _uniform(u[:, g:g + n]))
+        exponents = sample_holder_triple_pair(u[:, pair], u[:, pair + 1]).T
+        return [STATEMENTS["leibniz"].reports(block, exponents, tol)]
+    return _run("leibniz", 0, width, evaluate, trials, n_max, seed)
 
 
 def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
                         tol: float = IDENTITY_TOL) -> SuiteOutcome:
-    def draw(rng, n, t):
-        return rng.random(n), rng.random(n)
+    (f, g), width = _offsets(n_max, n_max)
 
-    def evaluate(n, columns):
-        return [verify.decomposition_reports(_uniform(columns[0]), _uniform(columns[1]), tol)]
-    return _run("decomposition", 1, draw, evaluate, trials, n_max, seed)
+    def evaluate(n, u, t):
+        return [verify.decomposition_reports(_uniform(u[:, f:f + n]), _uniform(u[:, g:g + n]), tol)]
+    return _run("decomposition", 1, width, evaluate, trials, n_max, seed)
 
 
 def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float) -> ReportBlock:
@@ -246,20 +256,21 @@ def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
                        tol: float = IDENTITY_TOL) -> SuiteOutcome:
     """|deflated_theta(x) y| <_w |x|down * |y|down, random plus exhaustive signs.
 
-    Trial t draws n, x and y from stream 2; each group of trials with the same
-    n is evaluated as stacked blocks of at most ``MAJORIZATION_BLOCK`` matrix
-    entries, as are the sign patterns (all of {-1, 0, 1}^n x {-1, 0, 1}^n for
-    n <= EXHAUSTIVE_N, a few x at a time).  Reports keep their order (trials
+    Trial t draws n, x and y from stream 2, x and y ``uniform(-1, 1)``: the
+    statement is homogeneous in x and in y separately, so the scale of the
+    draws does not matter, and the sign patterns below are swept
+    exhaustively.  Each group of trials with the same n is evaluated as
+    stacked blocks of at most ``MAJORIZATION_BLOCK`` matrix entries, as are
+    the sign patterns (all of {-1, 0, 1}^n x {-1, 0, 1}^n for n <=
+    EXHAUSTIVE_N, a few x at a time).  Reports keep their order (trials
     first, then patterns) and match the scalar computation bit for bit.
     """
     start = time.perf_counter()
+    (x, y), width = _offsets(n_max, n_max)
 
-    def draw(rng, n, t):
-        return rng.normal(size=n), rng.normal(size=n)
-
-    def evaluate(n, columns):
-        return [_majorization_block(np.array(columns[0]), np.array(columns[1]), tol)]
-    outcome = _run("majorization", 2, draw, evaluate, trials, n_max, seed)
+    def evaluate(n, u, t):
+        return [_majorization_block(_uniform(u[:, x:x + n]), _uniform(u[:, y:y + n]), tol)]
+    outcome = _run("majorization", 2, width, evaluate, trials, n_max, seed)
     for n in range(1, EXHAUSTIVE_N + 1):
         patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
         m = len(patterns)
@@ -280,101 +291,89 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
     of random monotone functions (the chain-rule corollary uses Lip(phi) on
     the right-hand side, which dominates the off-diagonal maximum).
     """
-    def draw(rng, n, t):
-        name, x = _norm_pool(rng, n), rng.random(n)
-        if t % 2:
-            return name, x, rng.uniform(-1.0, 1.0, n), rng.permutation(n), *_phi_draws(rng, 4, signed=True), None
-        return name, x, None, None, None, None, rng.random((n, n))
+    (norm, x_at, pts), width = _offsets(3, n_max, max(2 * n_max + 12, n_max * (n_max - 1) // 2))
+    perm, phi = pts + n_max, pts + 2 * n_max
 
-    def evaluate(n, columns):
-        names, x, u, perm, counts, knot_u, weights = columns
-        monotone = [i for i, pts in enumerate(u) if pts is not None]
-        drawn = [i for i, pts in enumerate(u) if pts is None]
-        L = np.empty((len(names), n, n))
-        if drawn:
-            L[drawn] = kernels.sample_laplacian(np.array([weights[i] for i in drawn]))
-        if monotone:
-            def pick(col):
-                return np.array([col[i] for i in monotone])
-            b = Block(None, distinct_points(pick(u), pick(perm)),
-                      **sample_phi(pick(knot_u), pick(counts), True, signed=True))
+    def evaluate(n, u, t):
+        names = _norm_names(u[:, norm:norm + 3], n)
+        monotone, drawn = np.flatnonzero(t % 2), np.flatnonzero(t % 2 == 0)
+        L = np.empty((len(u), n, n))
+        if drawn.size:
+            L[drawn] = kernels.sample_laplacian(u[drawn, pts:pts + n * (n - 1) // 2], n)
+        if monotone.size:
+            odd = u[monotone]
+            b = Block(None, distinct_points(_uniform(odd[:, pts:pts + n]), kernels.permutations(odd[:, perm:perm + n])),
+                      **sample_phi(odd[:, phi:phi + 12], True, signed=True))
             L[monotone] = kernels.monotone_laplacians(
                 kernels.divided_differences(b.f, functools.partial(kernels.phi, b)))
         kernels.validate_laplacians(L)
-        x = _uniform(x)
+        x = _uniform(u[:, x_at:x_at + n])
         x -= x.mean(axis=1)[:, None]  # the bound holds for mean-zero x
         bound, size = operators.laplacian_bound_reports(
             L, x, functools.partial(kernels.norms, names=names), tol)
-        bound.columns["instance"]["norm"] = np.array(names)
+        bound.columns["instance"]["norm"] = names
         blocks = [bound]
-        if monotone:
+        if monotone.size:
             # corollary form: n * Lip(phi) dominates n * max off-diagonal
             blocks.append(ReportBlock.from_values(
                 "monotone_divided_difference_bound", bound.columns["lhs"][monotone],
                 n * b.lipschitz * size[monotone], tol,
-                {"n": n, "lipschitz": b.lipschitz, "norm": np.array(names)[monotone], "x": x[monotone],
-                 "points": b.f, "phi": operators.phi_echo(b)[0]}, seed=np.array(monotone)))
+                {"n": n, "lipschitz": b.lipschitz, "norm": names[monotone], "x": x[monotone],
+                 "points": b.f, "phi": operators.phi_echo(b)[0]}, seed=monotone))
         col, row = kernels.hat_bounds(L)
         blocks.append(ReportBlock.from_values("hat_matrix_operator_bounds", kernels.row_max(col, row),
                                               n * bound.columns["instance"]["max_offdiag"], 1e-10,
                                               {"n": n, "col": col, "row": row}))
         return blocks
-    return _run("laplacian", 3, draw, evaluate, trials, n_max, seed)
+    return _run("laplacian", 3, width, evaluate, trials, n_max, seed)
 
 
 def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                      tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Monotone Lipschitz composition bound on random measures and exponents."""
-    def draw(rng, n, t):
-        return (rng.standard_exponential(n), rng.random(n), *_phi_draws(rng, 6, signed=True),
-                int(rng.integers(len(EXPONENT_GRID))))
+    (mu, f, phi, k), width = _offsets(n_max - 1, n_max, 16, 1)
 
-    def evaluate(n, columns):
-        expo, f, counts, knot_u, k = columns
-        phi = sample_phi(np.array(knot_u), np.array(counts), True, signed=True)
-        block = Block(_measure(n, expo), _uniform(f), **phi)
-        return [STATEMENTS["chain_rule"].reports(block, (_GRID[k],), tol)]
-    return _run("chain-rule", 4, draw, evaluate, trials, n_max, seed)
+    def evaluate(n, u, t):
+        phis = sample_phi(u[:, phi:phi + 16], True, signed=True)
+        block = Block(_measure(u[:, mu:mu + n - 1]), _uniform(u[:, f:f + n]), **phis)
+        return [STATEMENTS["chain_rule"].reports(block, (_GRID[integers(u[:, k], len(_GRID))],), tol)]
+    return _run("chain-rule", 4, width, evaluate, trials, n_max, seed)
 
 
 def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Variance contraction under arbitrary (non-monotone) Lipschitz maps."""
-    def draw(rng, n, t):
-        return rng.standard_exponential(n), rng.random(n), *_phi_draws(rng, 6)
+    (mu, f, phi), width = _offsets(n_max - 1, n_max, 16)
 
-    def evaluate(n, columns):
-        expo, f, counts, knot_u = columns
-        block = Block(_measure(n, expo), _uniform(f), **sample_phi(np.array(knot_u), np.array(counts), False))
+    def evaluate(n, u, t):
+        phis = sample_phi(u[:, phi:phi + 16], False)
+        block = Block(_measure(u[:, mu:mu + n - 1]), _uniform(u[:, f:f + n]), **phis)
         return [STATEMENTS["markov_variance"].reports(block, (), tol)]
-    return _run("markov", 5, draw, evaluate, trials, n_max, seed)
+    return _run("markov", 5, width, evaluate, trials, n_max, seed)
 
 
 def suite_square(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
-    def draw(rng, n, t):
-        return rng.standard_exponential(n), rng.random(n), int(rng.integers(len(EXPONENT_GRID)))
+    (mu, f, k), width = _offsets(n_max - 1, n_max, 1)
 
-    def evaluate(n, columns):
-        expo, f, k = columns
-        return [STATEMENTS["square_bound"].reports(Block(_measure(n, expo), _uniform(f)), (_GRID[k],), tol)]
-    return _run("square", 6, draw, evaluate, trials, n_max, seed)
+    def evaluate(n, u, t):
+        block = Block(_measure(u[:, mu:mu + n - 1]), _uniform(u[:, f:f + n]))
+        return [STATEMENTS["square_bound"].reports(block, (_GRID[integers(u[:, k], len(_GRID))],), tol)]
+    return _run("square", 6, width, evaluate, trials, n_max, seed)
 
 
 def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
                      tol: float = IDENTITY_TOL) -> SuiteOutcome:
     """Centering identity and the derivation dictionary on random instances."""
-    def draw(rng, n, t):
-        u, perm, monotone = rng.uniform(-1.0, 1.0, n), rng.permutation(n), bool(rng.random() < 0.5)
-        return u, perm, monotone, *_phi_draws(rng, 6, signed=monotone), rng.random(n), rng.random(n)
+    (pts, perm, coin, phi, f, g), width = _offsets(n_max, n_max, 1, 16, n_max, n_max)
 
-    def evaluate(n, columns):
-        u, perm, monotone, counts, knot_u, f, g = columns
-        b = Block(None, distinct_points(np.array(u), np.array(perm)),
-                  **sample_phi(np.array(knot_u), np.array(counts), monotone, signed=monotone))
+    def evaluate(n, u, t):
+        monotone = u[:, coin] < 0.5
+        b = Block(None, distinct_points(_uniform(u[:, pts:pts + n]), kernels.permutations(u[:, perm:perm + n])),
+                  **sample_phi(u[:, phi:phi + 16], monotone, signed=monotone))
         return [operators.centering_reports(b.f, functools.partial(kernels.phi, b), operators.phi_echo(b)[0], tol),
-                operators.derivation_reports(_uniform(f), _uniform(g), tol)]
-    return _run("identities", 7, draw, evaluate, trials, n_max, seed)
+                operators.derivation_reports(_uniform(u[:, f:f + n]), _uniform(u[:, g:g + n]), tol)]
+    return _run("identities", 7, width, evaluate, trials, n_max, seed)
 
 
 def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
@@ -387,14 +386,13 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     """
     p = check_exponent(p)
 
-    def draw(rng, n, t):
-        return rng.standard_exponential(n), rng.uniform(0.05, 1.0, n), rng.random(n)
+    (mu, mag, sign), width = _offsets(n_max - 1, n_max, n_max)
 
-    def evaluate(n, columns):
-        expo, mag, sign_u = columns
-        f = np.array(mag) * np.where(np.array(sign_u) < 0.5, -1.0, 1.0)
-        return [STATEMENTS["strong_leibniz"].reports(Block(_measure(n, expo), f), (p,), tol)]
-    outcome = _run("strong-leibniz", 8, draw, evaluate, trials, n_max, seed, theorem_backed=False)
+    def evaluate(n, u, t):
+        # magnitudes uniform(0.05, 1), signs from uniforms below 0.5
+        f = (0.05 + (1.0 - 0.05) * u[:, mag:mag + n]) * np.where(u[:, sign:sign + n] < 0.5, -1.0, 1.0)
+        return [STATEMENTS["strong_leibniz"].reports(Block(_measure(u[:, mu:mu + n - 1]), f), (p,), tol)]
+    outcome = _run("strong-leibniz", 8, width, evaluate, trials, n_max, seed, theorem_backed=False)
     witness = reciprocal_witness_report(tol)
     witness.instance["expected_failure"] = True
     sides = (np.array([v]) for v in (witness.lhs, witness.rhs, witness.slack, witness.passed))

@@ -7,25 +7,111 @@ the five measure statements with ``core``'s scalar norms, and the
 centered-product decomposition, the laplacian suite's three report kinds and
 the identities suite's two with one n x n matrix at a time (the matrix
 constructions, the Laplacian validator and the two samplers the laplacian
-suite drew with are copied here).  The samplers below draw one instance at a
-time, as the suites did before they drew into arrays.
+suite drew with are copied here).
+
+``Trial`` reads one trial's words of a stream by the v2 stream rule, with its
+own ``Philox``, and parses the documented layouts in plain Python: the suites
+and the search must draw exactly these values.  The ``sample_*`` functions
+below draw one instance at a time from any numpy generator, for tests of the
+checkers on random instances.
 """
 
 import math
 
 import numpy as np
 
-from leibnizlab.core import ProbVector, center, expectation, lp_norm, sup_norm, variance
+from leibnizlab.core import (
+    HolderTriple, ProbVector, center, expectation, lp_norm, reciprocal_exponent, sup_norm, variance)
 from leibnizlab.operators import DegenerateInputError, PiecewiseLinearFn
 from leibnizlab.reports import VerificationReport
-from leibnizlab.sampling import MASS_FLOOR
+from leibnizlab.sampling import EXPONENT_GRID, MASS_FLOOR
 
 
-# -- samplers, one instance at a time ------------------------------------------------
+# -- one trial of a stream, by the v2 rule -------------------------------------------
 
-def rng_for(seed, *stream):
-    return np.random.default_rng((int(seed),) + tuple(int(s) for s in stream))
+class Trial:
+    """Trial t of the stream (seed, stream) whose layout is ``width`` words:
+    the W words (``width`` rounded up to a multiple of 4) that start at counter
+    t W / 4 of ``Philox(key=(seed, stream))``, as Python ints.  Each reader
+    takes the column ``at`` where its segment starts."""
 
+    def __init__(self, seed, stream, t, width):
+        W = -(-width // 4) * 4
+        gen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+        gen.advance(t * W // 4)
+        self.words = [int(w) for w in gen.random_raw(W)]
+
+    def uniforms(self, at, k):
+        """(w >> 11) 2**-53 of k words."""
+        return [(w >> 11) * 2.0 ** -53 for w in self.words[at:at + k]]
+
+    def integer(self, at, span):
+        """((w >> 32) span) >> 32 of one word: an integer in [0, span)."""
+        return (self.words[at] >> 32) * span >> 32
+
+    def vector(self, at, k):
+        """``uniform(-1, 1)``: -1 + 2 u."""
+        return np.array([-1.0 + 2.0 * u for u in self.uniforms(at, k)])
+
+    def size(self, low, n_max):
+        """n from word 0: low + an integer in [0, n_max - low + 1)."""
+        return low + self.integer(0, n_max - low + 1)
+
+    def measure(self, at, n, floor=MASS_FLOOR):
+        """The spacings of n - 1 sorted uniforms, lifted to the mass floor."""
+        cuts = [0.0] + sorted(self.uniforms(at, n - 1)) + [1.0]
+        return ProbVector(np.array([floor + (1.0 - n * floor) * (b - a) for a, b in zip(cuts, cuts[1:])]))
+
+    def permutation(self, at, n):
+        """The stable argsort of n uniforms."""
+        u = self.uniforms(at, n)
+        return sorted(range(n), key=u.__getitem__)
+
+    def distinct_points(self, at, at_perm, n):
+        """n points in [-1, 1] with pairwise gaps at least 1e-3 (unsorted):
+        n vectors sorted and spread, point i the perm[i]-th of them."""
+        base = sorted(self.vector(at, n).tolist())
+        for i in range(1, n):
+            if base[i] - base[i - 1] < 1e-3:
+                base[i] = base[i - 1] + 1e-3
+        return np.array([base[i] for i in self.permutation(at_perm, n)])
+
+    def phi(self, at, max_breakpoints, monotone, signed):
+        """The breakpoint count m = 1 + an integer in [0, max_breakpoints), then
+        m breakpoints, m + 1 slopes, a sign if ``signed`` and the anchor, all
+        but the sign ``uniform(-1, 1)``; a monotone phi takes |slopes|,
+        negated where ``signed`` and the sign is >= 0.5.  Unit Lipschitz."""
+        m = 1 + self.integer(at, max_breakpoints)
+        u = self.uniforms(at + 1, 2 * m + 3)
+        bp = sorted(-1.0 + 2.0 * v for v in u[:m])
+        for i in range(1, m):
+            if bp[i] - bp[i - 1] < 1e-6:
+                bp[i] = bp[i - 1] + 1e-6
+        slopes = [-1.0 + 2.0 * v for v in u[m:2 * m + 1]]
+        if monotone:
+            sign = -1.0 if signed and u[2 * m + 1] >= 0.5 else 1.0
+            slopes = [abs(v) * sign for v in slopes]
+        peak = max(abs(v) for v in slopes)
+        if peak < 1e-12:
+            slopes, peak = [1.0] * (m + 1), 1.0
+        anchor = -1.0 + 2.0 * u[2 * m + 1 + bool(signed)]
+        return PiecewiseLinearFn(np.array(bp), np.array([v / peak for v in slopes]), anchor)
+
+    def holder_pair(self, at):
+        """Two triples sharing r: (p1, q1) the integer of word ``at`` over the
+        grid pairs with 1/p + 1/q <= 1, p2 that of the next word over the grid
+        exponents p with 1/p <= 1/r, and 1/q2 = 1/r - 1/p2."""
+        pairs = [(p, q) for p in EXPONENT_GRID for q in EXPONENT_GRID
+                 if reciprocal_exponent(p) + reciprocal_exponent(q) <= 1.0 + 1e-15]
+        t1 = HolderTriple.from_pq(*pairs[self.integer(at, len(pairs))])
+        u = reciprocal_exponent(t1.r)
+        options = [p for p in EXPONENT_GRID if reciprocal_exponent(p) <= u + 1e-15]
+        p2 = options[self.integer(at + 1, len(options))]
+        uq = u - reciprocal_exponent(p2)
+        return t1, HolderTriple(t1.r, p2, math.inf if uq <= 1e-15 else 1.0 / uq)
+
+
+# -- samplers, one instance at a time from any generator ------------------------------
 
 def sample_prob_vector(rng, n):
     """Dirichlet draw pushed away from the boundary: min weight >= MASS_FLOOR."""
@@ -126,7 +212,11 @@ def sample_mean_zero(rng, n):
 
 
 def sample_laplacian(rng, n):
-    W = rng.uniform(0.0, 1.0, (n, n))
+    return laplacian_of(rng.uniform(0.0, 1.0, (n, n)))
+
+
+def laplacian_of(W):
+    """The strict upper triangle of the n x n weights W, mirrored, with zero row sums."""
     W = np.triu(W, 1)
     L = W + W.T
     np.fill_diagonal(L, -L.sum(axis=1))

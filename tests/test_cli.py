@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,18 +26,45 @@ def test_verify_decomposition_suite(capsys):
 
 
 def test_verify_lines_are_the_reference_encoding(capsys, tmp_path):
-    # every line is dumps of its own parse, and of the lazily built report's to_dict();
-    # -0.0 is written "-0", which json reads as the integer 0 unless told otherwise
-    def parse(line):
-        return json.loads(line, parse_int=lambda s: -0.0 if s == "-0" else int(s))
-
+    # every line is dumps of its own parse, and of the lazily built report's to_dict()
     out = tmp_path / "reports"
     assert run_cli("verify", "--suite", "all", "--trials", "60", "--n", "12", "--seed", "3", "--out", str(out)) == 0
     capsys.readouterr()
     for name, suite in SUITES.items():
         lines = (out / f"suite_{name}.jsonl").read_text(encoding="utf-8").splitlines()
-        assert lines and all(line == dumps(parse(line)) for line in lines)
+        assert lines and all(line == dumps(json.loads(line)) for line in lines)
         assert lines == [dumps(r.to_dict()) for r in suite(trials=60, n_max=12, seed=3).reports]
+
+
+def test_verify_slack_reads_back_with_its_sign(capsys, tmp_path):
+    # the majorization sign patterns' slack is -0.0 where both sides are 0:
+    # written "-0.0", every slack reads back as its float with its sign (an
+    # integral one, such as 1.0, as the integer '%.17g' writes)
+    out = tmp_path / "reports"
+    assert run_cli("verify", "--suite", "majorization", "--trials", "60", "--n", "12", "--seed", "3",
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    slacks = [json.loads(line)["slack"] for line in (out / "suite_majorization.jsonl").read_text().splitlines()]
+    reports = SUITES["majorization"](trials=60, n_max=12, seed=3).reports
+    assert [(v, math.copysign(1.0, v)) for v in slacks] == [(r.slack, math.copysign(1.0, r.slack)) for r in reports]
+    zeros = [v for v in slacks if v == 0.0]
+    assert zeros and all(type(v) is float and math.copysign(1.0, v) < 0.0 for v in zeros)
+    assert all(type(v) is float for v in slacks if v != int(v))
+
+
+def test_verify_seed_is_one_64_bit_word(capsys, monkeypatch):
+    # the seed is a Philox key word: 2**64 - 1 runs, 2**64 is refused before
+    # any suite runs, from the flag and from LEIBNIZ_LAB_SEED
+    for seed, code in ((2 ** 64 - 1, 0), (2 ** 64, 2)):
+        assert run_cli("verify", "--suite", "decomposition", "--trials", "3", "--seed", str(seed)) == code
+        monkeypatch.setenv("LEIBNIZ_LAB_SEED", str(seed))
+        assert run_cli("verify", "--suite", "decomposition", "--trials", "3") == code
+        monkeypatch.delenv("LEIBNIZ_LAB_SEED")
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err == "error: bad verify flags: seed must be an integer in [0, 2**64), got "\
+                f"{seed}\n" * 2
 
 
 def test_verify_all_json(capsys, tmp_path):
@@ -258,6 +286,27 @@ def test_search_invalid_config_exit_2(tmp_path, capsys, config):
     assert captured.err.startswith("error: bad search config: ")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_search_seed_is_one_64_bit_word(tmp_path, capsys, monkeypatch):
+    # from the config, the --seed override and LEIBNIZ_LAB_SEED (for a config
+    # without a seed): 2**64 - 1 runs and prints a verdict, 2**64 exits 2
+    config = {"target": "chain_rule", "n": 3, "p_grid": [1], "trials": 20, "refine_steps": 0}
+    cfg_path, bare = tmp_path / "cfg.json", tmp_path / "bare.json"
+    bare.write_text(json.dumps(config))
+    for seed, code in ((2 ** 64 - 1, 0), (2 ** 64, 2)):
+        cfg_path.write_text(json.dumps(dict(config, seed=seed)))
+        assert run_cli("search", "--config", str(cfg_path)) == code
+        assert run_cli("search", "--config", str(bare), "--seed", str(seed)) == code
+        monkeypatch.setenv("LEIBNIZ_LAB_SEED", str(seed))
+        assert run_cli("search", "--config", str(bare)) == code
+        monkeypatch.delenv("LEIBNIZ_LAB_SEED")
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err.count("error: bad search config: seed must be an integer in [0, 2**64)") == 3
+        else:
+            assert captured.out.count("violation found") == 3
 
 
 def test_search_seed_override_changes_result(tmp_path, capsys):

@@ -69,3 +69,14 @@ def test_private_names_are_loaded():
     dead = [f"{name}: {private}" for name, tree in trees.items()
             for private in _private_definitions(tree) if private not in loaded]
     assert dead == [], f"private names defined and never loaded: {dead}"
+
+
+#: What a second way of drawing random numbers would name: the package draws
+#: only through the one stream rule, ``kernels.trial_words``.
+SECOND_STREAM = ("default_rng", "SeedSequence", "PCG64", "bit_generator.state")
+
+
+def test_one_stream_path():
+    found = [f"{path.name}: {word}" for path in sorted(PACKAGE.glob("*.py"))
+             for word in SECOND_STREAM if word in path.read_text(encoding="utf-8")]
+    assert found == [], f"a second stream path: {found}"

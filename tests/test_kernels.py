@@ -1,153 +1,123 @@
-"""Block seeding: ``kernels.streams`` and ``kernels.trial_words`` against
-``default_rng``, the ziggurat table and Lemire rejection of ``trial_draws``,
-and their fallbacks; ``kernels.sample_phi`` with its modes set per row, and the
-gap rule of ``kernels.spread`` against the sequential rule, alone and through
-its two callers."""
+"""The v2 stream rule: ``kernels.trial_words`` against numpy's ``Philox``,
+one-trial replay, the seed's domain and the conversions pinned by their
+bits; ``kernels.sample_phi`` with its modes set per row, and the gap rule of
+``kernels.spread`` against the sequential rule, alone and through its two
+callers."""
 
+import importlib
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from scalar_reference import Trial
 
 import leibnizlab.kernels as kernels
+import leibnizlab.suites as suites
 from leibnizlab.sampling import distinct_points
-from leibnizlab.search import SearchConfig, search
+from leibnizlab.search import SearchConfig, random_instance
+
+search_mod = importlib.import_module("leibnizlab.search")
 
 SEEDS = (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_streams_match_default_rng(seed):
-    # the suites' (seed, stream, t) for streams 0-8, and the search's (seed, t)
-    for prefix in [(seed, stream) for stream in range(9)] + [(seed,)]:
-        got = [rng.bit_generator.state for rng in kernels.streams(prefix, 0, 3000)]
-        assert got == [np.random.default_rng((*prefix, t)).bit_generator.state for t in range(3000)]
+def _philox(seed, stream, t, W):
+    """Trial t's W words as the rule states it, with a generator of its own."""
+    gen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    gen.advance(t * W // 4)
+    return gen.random_raw(W)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_streams_cross_the_32_bit_boundary_of_t(seed):
-    # t = 2^32 - 1 is the last one-word trial index; the block ends there
-    for prefix in ((seed, 8), (seed,)):
-        ts = range(2 ** 32 - 3, 2 ** 32 + 2)
-        rngs = kernels.streams(prefix, ts.start, ts.stop)
-        for t, rng in zip(ts, rngs):
-            ref = np.random.default_rng((*prefix, t))
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert np.array_equal(rng.random(4), ref.random(4))
-            assert rng.integers(0, 10, 3).tolist() == ref.integers(0, 10, 3).tolist()
-
-
-def test_streams_refuse_negative_entropy():
-    for prefix, start in (((-1, 0), 0), ((3,), -2)):
-        with pytest.raises(ValueError):
-            next(kernels.streams(prefix, start, start + 1))
-
-
-def test_seeding_is_checked_on_first_use_not_at_import():
-    # importing leibnizlab and building the CLI parser checks no seeding
-    # and probes no ziggurat table
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import leibnizlab, leibnizlab.kernels as k; "
-            "import leibnizlab.cli as cli; cli.build_parser(); "
-            "lazy = (k._seeding_matches, k._ziggurat); "
-            "a = [f.cache_info().currsize for f in lazy]; next(k.streams((1,), 0, 1)); "
-            "print(*a, k._seeding_matches.cache_info().currsize)")
-    proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "1"]
-
-
-def test_fallback_builds_each_stream_with_default_rng(monkeypatch):
-    cfg = SearchConfig(target="chain_rule", n=4, p_grid=(1.0, 3.0, math.inf), trials=1100,
-                       refine_steps=2, seed=21)
-    seeded = search(cfg)
-    trials = [*range(0, 300), 2 ** 32 - 1, 2 ** 32, 7, 7]
-    drawn = kernels.trial_draws((21,), trials, 4, 4, 4, 1, 10)
-    assert len({id(rng) for rng in list(kernels.streams((5, 1), 0, 3))}) == 1
-    monkeypatch.setattr(kernels, "_seeding_matches", lambda: False)
-    assert len({id(rng) for rng in list(kernels.streams((5, 1), 0, 3))}) == 3
-    # every row of trial_draws drawn by default_rng: the same rows
-    for a, b in zip(kernels.trial_draws((21,), trials, 4, 4, 4, 1, 10), drawn):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    fallback = search(cfg)
-    assert (fallback.witness, fallback.per_p, fallback.history) == (
-        seeded.witness, seeded.per_p, seeded.history)
+def test_streams_match_philox(seed):
+    # the suites' streams 0-8 and the search's 9, each read as a range of
+    # trials; a width is padded to a multiple of 4
+    for stream in range(10):
+        for width, W in ((5, 8), (8, 8), (1, 4)):
+            ref = np.array([_philox(seed, stream, t, W) for t in range(40)])
+            assert np.array_equal(kernels.trial_words(seed, stream, range(0, 40), width), ref)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_trial_words_match_random_raw(seed):
-    # one-word and two-word trial indices in one array, in any order and
-    # repeated; with the prefix (seed, 8), t's high word is the fifth or
-    # sixth entropy word, mixed in only where t >= 2**32
-    t = [5, 2 ** 32 + 1, 0, 2 ** 32 - 1, 5, 2 ** 32, 2 ** 40 + 7, *range(100, 160)]
-    for prefix in ((seed,), (seed, 8)):
-        words, _ = kernels.trial_words(prefix, np.array(t, dtype=np.uint64), 21)
-        ref = [np.random.default_rng((*prefix, v)).bit_generator.random_raw(21) for v in t]
-        assert np.array_equal(words, np.array(ref))
+    # trials as a list in any order and repeated, on both sides of t = 2**32
+    picks = [5, 2 ** 32 + 1, 0, 2 ** 32 - 1, 5, 2 ** 32, 2 ** 40 + 7, *range(100, 110)]
+    for stream in (0, 8, kernels.SEARCH_STREAM):
+        for width, W in ((21, 24), (8, 8)):
+            ref = np.array([_philox(seed, stream, t, W) for t in picks])
+            assert np.array_equal(kernels.trial_words(seed, stream, picks, width), ref)
 
 
-def _before(word: int) -> dict:
-    """The PCG64 state, with inc 1, whose next output is ``word``: the step
-    leads to the state (0, word), whose output is the word itself."""
-    state = (word - 1) * pow(kernels._PCG_MULT, -1, 2 ** 128) % 2 ** 128
-    return kernels._state(state >> 64, state & (2 ** 64 - 1), 0, 1)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_streams_cross_the_32_bit_boundary_of_t(seed):
+    # one block across t = 2**32, and each of its rows read alone
+    for stream in (8, kernels.SEARCH_STREAM):
+        ts = range(2 ** 32 - 3, 2 ** 32 + 2)
+        block = kernels.trial_words(seed, stream, ts, 20)
+        for row, t in zip(block, ts):
+            assert np.array_equal(row, _philox(seed, stream, t, 20))
+            assert np.array_equal(row, kernels.trial_words(seed, stream, [t], 20)[0])
 
 
-def test_ziggurat_estimates_lie_within_the_guard_band():
-    # numpy's ke[idx], found by binary search on ri: the least ri whose
-    # exponential reads more than its own word (2**53 where none does)
-    gen = np.random.default_rng(0)
-    we, below = kernels._ziggurat()
-    for idx in range(256):
-        lo, hi = 0, 2 ** 53
-        while lo < hi:
-            mid = (lo + hi) // 2
-            word = mid << 11 | idx << 3
-            gen.bit_generator.state = _before(word)
-            gen.standard_exponential()
-            if gen.bit_generator.state["state"]["state"] == word:
-                lo = mid + 1
-            else:
-                hi = mid
-        if idx < 2:
-            assert below[idx] == 0  # always slow; ke[1] is 0
-            assert idx == 0 or lo == 0
-        else:
-            assert abs(lo - (int(below[idx]) + 2 ** 10)) <= 3  # the guard band is 2**10
-            assert int(below[idx]) < lo
-        # ri = 1 draws we[idx] (for idx 1 through the slow path's first test)
-        gen.bit_generator.state = _before(1 << 11 | idx << 3)
-        assert gen.standard_exponential() == we[idx]
+@pytest.mark.parametrize("t", [0, 5, 1023, 1024, 2 ** 40])
+def test_one_trial_replays_its_row(t):
+    # a trial read alone is its row of any block that holds it: the words,
+    # a search instance, and the plain-Python reader of the reference
+    ts = range(max(0, t - 3), t + 3)
+    block = kernels.trial_words(11, 4, ts, 30)
+    assert np.array_equal(kernels.trial_words(11, 4, range(t, t + 1), 30)[0], block[t - ts.start])
+    assert Trial(11, 4, t, 30).words == block[t - ts.start].tolist()
+    cfg = SearchConfig(target="chain_rule", n=4, seed=11)
+    rows = search_mod._sample(cfg, ts)
+    alone = random_instance(cfg, t).to_dict()
+    assert alone == rows.row(t - ts.start).to_dict()
 
 
-def test_lemire_rejection_goes_to_the_generator(monkeypatch):
-    # a row whose integer word has low half 0, which Lemire rejects for span
-    # 5: numpy takes the first integer from the high half and the second
-    # from the next word, so trial_draws must draw that row on the Generator
-    n, head, span, count, tail = 3, 2, 5, 2, 3
-    kernels._seeding_matches()  # cached before the patch below
-    a, c = 1, 0
-    for _ in range(n + head + 1):
-        a, c = a * kernels._PCG_MULT % 2 ** 128, (c * kernels._PCG_MULT + 1) % 2 ** 128
-    gen = np.random.default_rng(0)
-    for high in range(2 ** 32 - 1, 0, -1):
-        # the state after n + head + 1 steps is (0, word): its output is the word
-        state = ((high << 32) - c) * pow(a, -1, 2 ** 128) % 2 ** 128
-        gen.bit_generator.state = kernels._state(state >> 64, state & (2 ** 64 - 1), 0, 1)
-        if kernels._exponentials(gen.bit_generator.random_raw((1, n)))[1][0]:
-            break  # the exponentials read one word each, so the integers read that word
-    seeded = np.array([[state >> 64], [state & (2 ** 64 - 1)], [0], [1]], dtype=np.uint64)
-    monkeypatch.setattr(kernels, "_pcg64_states", lambda prefix, t: np.repeat(seeded, len(t), axis=1))
-    got = kernels.trial_draws((0,), [0, 1], n, head, span, count, tail)
-    gen.bit_generator.state = kernels._state(state >> 64, state & (2 ** 64 - 1), 0, 1)
-    ref = (gen.standard_exponential(n), gen.random(head), [gen.integers(span) for _ in range(count)],
-           gen.random(tail))
-    assert got[2][0, 0] == (high * span) >> 32 == 4
-    for rows, want in zip(got, ref):
-        assert np.array_equal(rows[0], want) and np.array_equal(rows[1], want)
+def test_streams_refuse_negative_entropy():
+    # the seed is one Philox key word: an integer in [0, 2**64)
+    assert kernels.check_seed(2 ** 64 - 1) == 2 ** 64 - 1
+    assert kernels.trial_words(2 ** 64 - 1, 0, range(0, 1), 4).shape == (1, 4)
+    for bad in (-1, 2 ** 64, 1.0, True, "3"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            kernels.check_seed(bad)
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            kernels.trial_words(bad, 0, range(0, 1), 4)
+        with pytest.raises(ValueError):
+            suites.suite_decomposition(trials=2, seed=bad)
+        with pytest.raises(ValueError):
+            SearchConfig(target="chain_rule", seed=bad)
+    assert suites.suite_decomposition(trials=2, seed=2 ** 64 - 1).trials == 2
+
+
+def test_conversions_are_pinned_by_their_bits():
+    # trial 0 of the stream (7, 0): its first words pin numpy's Philox, then
+    # the uniform, Dirichlet (spacings), integer and permutation rules
+    words = kernels.trial_words(7, 0, range(0, 1), 8)
+    assert words[0, :4].tolist() == [16086915834549238692, 5448529601018347655,
+                                     7749434361382612120, 7478167007443709522]
+    u = kernels.uniforms(words)
+    assert [v.hex() for v in u[0, :4].tolist()] == [
+        "0x1.be80697053d3fp-1", "0x1.2e744337e3990p-2", "0x1.ae2e15f941aaap-2", "0x1.9f1f2516c6e9ap-2"]
+    assert [(w >> 11) * 2.0 ** -53 for w in words[0].tolist()] == u[0].tolist()
+    mu = kernels.spacings(u[:, :3])
+    assert [v.hex() for v in mu[0].tolist()] == [
+        "0x1.2e744337e3990p-2", "0x1.fee74b0578468p-4", "0x1.ced2bce765fd4p-2", "0x1.05fe5a3eb0b04p-3"]
+    assert math.fsum(mu[0].tolist()) == mu[0].sum() == 1.0
+    assert kernels.integers(u[0], 5).tolist() == [4, 1, 2, 2, 0, 3, 1, 3]
+    assert kernels.integers(u[0], 1000).tolist() == [872, 295, 420, 405, 82, 696, 296, 620]
+    for span in (1, 5, 1000, 2 ** 30):
+        assert kernels.integers(u[0], span).tolist() == [(w >> 32) * span >> 32 for w in words[0].tolist()]
+    assert kernels.permutations(u).tolist() == [[4, 1, 6, 3, 2, 7, 5, 0]]
+    # the extremes: word 0 reads 0, the largest word reads just below 1 and span - 1
+    top = kernels.uniforms(np.array([[0, 2 ** 64 - 1]], dtype=np.uint64))
+    assert top.tolist() == [[0.0, 1.0 - 2.0 ** -53]] and kernels.integers(top, 7).tolist() == [[0, 6]]
+
+
+def _phi_uniforms(counts, mmax, knot_u):
+    """``sample_phi``'s input: a first column whose integer over mmax is each
+    count less 1 (the middle of its share of [0, 1)), then the knot uniforms."""
+    return np.column_stack([(np.asarray(counts) - 0.5) / mmax, knot_u])
 
 
 @pytest.mark.parametrize("width", [2, 3])
@@ -163,10 +133,12 @@ def test_sample_phi_modes_per_row_match_scalar_calls(mb, width):
     knot_u = rng.random((len(rows), 2 * mb + width))
     knot_u[-1, mb:2 * mb + 1] = 0.5
     counts, monotone, signed = (np.array(col) for col in zip(*rows))
-    got = kernels.sample_phi(knot_u, counts, monotone, signed=signed)
+    u = _phi_uniforms(counts, mb, knot_u)
+    got = kernels.sample_phi(u, monotone, signed=signed)
     assert np.all(got["slopes"][-1] == 1.0)
+    assert np.isfinite(got["bp"]).sum(axis=1).tolist() == counts.tolist()
     for i, (_, mono, sign) in enumerate(rows):
-        alone = kernels.sample_phi(knot_u[i:i + 1], counts[i:i + 1], bool(mono), signed=bool(sign))
+        alone = kernels.sample_phi(u[i:i + 1], bool(mono), signed=bool(sign))
         for key, a in alone.items():
             assert [v.hex() for v in got[key][i].ravel().tolist()] == [v.hex() for v in a[0].ravel().tolist()]
 
@@ -209,7 +181,7 @@ def test_spread_matches_the_sequential_rule(caller):
     elif caller == "sample_phi":  # breakpoints -1 + 2u; the rest of each row is its slopes and anchor
         knot_u = np.random.default_rng(9).random((len(x), 2 * x.shape[1] + 2))
         knot_u[:, :x.shape[1]] = np.where(np.isfinite(x), (x + 1.0) / 2.0, 0.5)
-        got = kernels.sample_phi(knot_u, live, False)["bp"]
+        got = kernels.sample_phi(_phi_uniforms(live, x.shape[1], knot_u), False)["bp"]
         sorted_rows = np.sort(np.where(np.isfinite(x), -1.0 + 2.0 * knot_u[:, :x.shape[1]], np.inf), axis=1)
     else:  # each row's points reversed in, and read out in a random order
         perm = np.argsort(np.random.default_rng(3).random(x.shape), axis=1)

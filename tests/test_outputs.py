@@ -12,19 +12,19 @@ from leibnizlab.suites import SUITES
 ARGV = ("verify", "--suite", "all", "--trials", "40", "--seed", "7")
 
 # sha256 of each suite_*.jsonl written by ``verify --suite all --trials 40
-# --seed 7 --out DIR``, recorded with the one-instance majorization suite and
-# the recursive report encoder, before either was replaced by its block or
-# one-pass form.  A change to any report byte must be deliberate and show here.
+# --seed 7 --out DIR``.  Every pin in this file was re-recorded when the
+# streams moved to Philox words (the v2 stream rule), and only then; a change
+# to any report byte must be deliberate and show here.
 GOLDEN_SHA256 = {
-    "suite_chain-rule.jsonl": "1bc5217ee7350212b81c04a4e2b35797f048b7b99f40ffec878ad5aa5dd5b068",
-    "suite_decomposition.jsonl": "c2cbdc718ac36ef652002198a266308dddb2a215f889a16e31fa05a737f79430",
-    "suite_identities.jsonl": "845bd33a82673b3ae8cfdcfb89d117034b22fb1a782646d52619264dcf589f9e",
-    "suite_laplacian.jsonl": "0066277ca2643ce8c9524eb3eacb4e3961c63269546cec8586c5efb59a35e61d",
-    "suite_leibniz.jsonl": "71538d9ee7d2dab4679c0142d1e45e157277afcea8019f7c4dcbe2d2f328df69",
-    "suite_majorization.jsonl": "2ce761417bb273dd50632daa4370682b54e0f6549b2abbcdbcf5fa3eef99c5dc",
-    "suite_markov.jsonl": "ae72e2b23eb6963359217dad3f74d4e844639ee394ff58624b28143a06619bc9",
-    "suite_square.jsonl": "4552dd975715b23cb0632da03c4121dabd97a6e5be8c44c6eade3b41ce68d03d",
-    "suite_strong-leibniz.jsonl": "df748d77422fec035baa40b94f23bcf3d36989a53645181e98a337f263ed94cd",
+    "suite_chain-rule.jsonl": "4c95eebfdd314c70d0a10502a479f4f2a9f19f9578390079a7f9be3082dea4ae",
+    "suite_decomposition.jsonl": "9f81341b5e7363e20309b9f37a6e2be19949b76ce71adc2a62a27a35d3120def",
+    "suite_identities.jsonl": "d6db0a951225053137b67556d6e8787bea831124f9b6318f047e6b4eab0f308b",
+    "suite_laplacian.jsonl": "ad771c5ea2a30293f1d52f3076122fefbe20244a1057eee80de147ec7233f815",
+    "suite_leibniz.jsonl": "2d735c12e00595091a1cd0ce0d44751531604d385f813a635049f8cef0e9426a",
+    "suite_majorization.jsonl": "0694467d7e8dd3e8833bde434ac77f1960e2588156942085b42b2b2424d55453",
+    "suite_markov.jsonl": "57ef86faf217a800a37c0d6391959314485d306c2e059aff571d544dc137592f",
+    "suite_square.jsonl": "b571fefab44805fa536426f354bcd029911cc2704039cb5b1feaadab9a866cd1",
+    "suite_strong-leibniz.jsonl": "ec9fea1c17babbb1b8532ee0bf9f694ea38d624eedeb4cb5d827e0bf99f259ab",
 }
 
 # sha256 of the stdout of ``examples --json``, recorded before the three
@@ -71,32 +71,29 @@ def test_examples_json_stdout_matches_golden_hash(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXAMPLES_JSON_SHA256
 
 
-# sha256 of the files of ``search --config CFG --out DIR --history-csv``,
-# recorded before the search drew its trials through the block seeder and
-# before its kernels moved to ``kernels.py``.  The chain-rule search crosses
-# two 1024-trial blocks.
+# sha256 of the files of ``search --config CFG --out DIR --history-csv``.
+# The chain-rule search crosses two 1024-trial blocks.
 SEARCH_SHA256 = {
     "chain_rule": (
         {"target": "chain_rule", "n": 4, "p_grid": [2, 3, "inf"], "trials": 2100,
          "refine_steps": 3, "seed": 12, "monotone": False},
-        {"search_result.json": "58d207b52f726c2f447df173647e5dbb3bcf24065697a7a28c9d63ea0c4bee77",
-         "per_p.csv": "a247fa262229bac136e7539c9053425c3c6915c76e563568bac08e592f653ce0",
-         "history.csv": "af8162a4c55790119759ac78633c576d3e7b083f29e45c6036dbe5d583ab419a"},
+        {"search_result.json": "f05b9b166f8e76f1180e8706924e2790761f628f873a113a2dab6d55cf8a3977",
+         "per_p.csv": "cc51f21e459f73a99f299eddc493f3bfcd5bbf91dae314ef50ee19597f93e075",
+         "history.csv": "86ffcd89e0dff7767b2053bd62f9fc05ff6f3106a20c3e5244f742b7cdd55d4f"},
     ),
     "leibniz": (
         {"target": "leibniz", "n": 3, "p_grid": [1, 1.5], "trials": 1500,
          "refine_steps": 3, "seed": 5},
-        {"search_result.json": "fe8a3c72e998c24e3f4132f4172a946846048927231cd6860a044860a4c1d912",
-         "per_p.csv": "a0c9255ffe362e69faff65c03d23f6d51b9c26dec362a5522f8392857a852b95",
-         "history.csv": "7ac55b1f5e8a4172da70f61590720aa9aba7477f0847965a2a94d3ace129f097"},
+        {"search_result.json": "62a09ecf55b17300eb91013e32ac03069d35ed22020b3e505ff1f7989fe575f5",
+         "per_p.csv": "3c6f7192cb07b5d0f205b436eee4d7bc34e698463243727bbc4537e75bfa12c0",
+         "history.csv": "4789e6784f24cbf1b8d5f9fa5131c4aa765e129ee26292d71e9421d5d750a85f"},
     ),
 }
 
 
 # sha256 of the same files for the two searches of the benchmark's
 # ``open_sweep`` workload at seed 7, and for searches that refine 60 leaders
-# per exponent for up to 20 sweeps per step size, recorded while each leader
-# was still refined alone.
+# per exponent for up to 20 sweeps per step size.
 _SWEEP = {"target": "chain_rule", "n": 4, "p_grid": [2, 3, "inf"], "trials": 5000,
           "refine_steps": 10, "seed": 7, "monotone": False}
 _TOP60 = {"n": 3, "p_grid": [1, 1.5, "inf"], "trials": 1000, "refine_steps": 20,
@@ -104,45 +101,45 @@ _TOP60 = {"n": 3, "p_grid": [1, 1.5, "inf"], "trials": 1000, "refine_steps": 20,
 REFINED_SEARCH_SHA256 = {
     "open_sweep": (
         _SWEEP,
-        {"search_result.json": "555ecfb8975c0fc0a97bb895a379312e5f67f840816dfd13ba1c7a76ed747843",
-         "per_p.csv": "a769712f49cd559bd6f4e1769ef90d18a555aa5c8e196c26a226d6c70160278f",
-         "history.csv": "a50ae94eac6dfb7bd7c6bec1b6dd44ceba4c949ad85ed14d49a07ff18c218d00"},
+        {"search_result.json": "b7720556f401271457a8d54b72e13981df6982f956f897da5e188e84406eb549",
+         "per_p.csv": "a247fa262229bac136e7539c9053425c3c6915c76e563568bac08e592f653ce0",
+         "history.csv": "3ecbea44a18b7f1c9e477a386707202494cb3e95117556befc3fff3f02ac7c1e"},
     ),
     "open_sweep_control": (
         dict(_SWEEP, p_grid=[1]),
-        {"search_result.json": "3b3d3f92d12dcd0055f964087f406bdcc1488d6f26517830262f1678dd76c70a",
-         "per_p.csv": "b76f61cb84db79cc3216c03bb0e8b5049de3237e2166559b3f4431e80b7af0cb",
-         "history.csv": "b282b82b6ef5b106ac5437c1ea2f32e1fd71a9ff38753b531ead6717f4b50fc5"},
+        {"search_result.json": "6b9b79ea53749b3b954d3b816125204916acbd4a0b3096c81413dfb883071ee1",
+         "per_p.csv": "286f63ca6b31608b7ba5c90db7063851af76ea55ebe82f2e0e519087d6f1d6fb",
+         "history.csv": "806261cd43412ff22471abc76592261d20a6bb66f594fb64fdc641ad9549574e"},
     ),
     "chain_rule_top60": (
         dict(_TOP60, target="chain_rule"),
-        {"search_result.json": "3628a445939a4fa1f5acd82c581e8fe440c800a44a3ccd1a5fc8c2853050770e",
-         "per_p.csv": "d727a4e3ee7c862d45a03957a5f03b88de25313faea4cbc769a7642af22442c8",
-         "history.csv": "6ff7092b93f38b91fe01c1c17335a55ab635b0a5deccb3523f6d7ccb98e8bf82"},
+        {"search_result.json": "7dbaea9352b6dc4f231eedab7eb8e42485b612f4e4f3766207e8f30fdf2ea438",
+         "per_p.csv": "6af80f40397318e4f3051abb9643278303ab4c8a18d97273f752e6915d1f0151",
+         "history.csv": "528e0a32335773d684c977e2079bda86b90e9003247968c8515fa073b801951d"},
     ),
     "chain_rule_monotone_top60": (
         dict(_TOP60, target="chain_rule", monotone=True),
-        {"search_result.json": "a579bea47ab9e7514ff0d5961b82784526d5b7754d1e6294cc849bbdf059aca6",
-         "per_p.csv": "047dd2048ac5cf5a2d8aa6d4ece4c46a3e3a60d47a1941d7a18618d4538c3b3f",
-         "history.csv": "e01190d438acf684044a666edb1b9108b9b19b9bd504768e63edc6a8682c4317"},
+        {"search_result.json": "958c9eef3b37798b7f3975f603fa005acd7ad9b49b29bcf34d73e9ea8bfef7b7",
+         "per_p.csv": "3071d8b534f22d189d323d7ef05e63df1bd042e099295569c5c864a34f4c1e2a",
+         "history.csv": "f0384550d90e02afe0af04dcc3e3dbcd447bb620fad978b9a6aef7288f0ce707"},
     ),
     "strong_leibniz_top60": (
         dict(_TOP60, target="strong_leibniz"),
-        {"search_result.json": "43d94b6309e6dcd78ecfa7634f4725f35e6b2b884d65504e8b153ba114af628a",
-         "per_p.csv": "def2b3b199480c53574c2c26015653fed2fff70165cd80ad3f6222873c6c1584",
-         "history.csv": "66487b4202a53eefa15d322c6787eefd931486bce9928cb3cf93c73c14b7cb7f"},
+        {"search_result.json": "06e3ac5ee652d730112f05983996f03e6d6a10e37f57a5d763056e6bf8168ec5",
+         "per_p.csv": "8a905f53ef16bf605c8bedfae756fed1968925d17c42199b50749703db728c3b",
+         "history.csv": "dd37bacfa7706c366d22788bd6eb6fbe0f6e5c2d2ac964e1a8de350910d59e4f"},
     ),
     "leibniz_top60": (
         dict(_TOP60, target="leibniz"),
-        {"search_result.json": "87b6ce0b6e7d048eebe58d2c2f74949268bf188089205c90afab146f072256ed",
-         "per_p.csv": "386da18d85c04a430f44f9a34706dccfaa28d868c5a6f668d75442c198d25fab",
-         "history.csv": "dac65423e53cec3bfbc9582cdbaeddca7ce2fcdedf6cbe6cd39fc55e27395310"},
+        {"search_result.json": "8b52c51cd40409213ad5b95f6382259a01054b26742b14f14db81224bb50e1eb",
+         "per_p.csv": "17d952ffd9118d3a438e2f033f84e441d33155d075513210ebb48c7deeeb471e",
+         "history.csv": "a543cee9256ec757eaa1de73d438ae91d381ca73f8962767d4b62e8fdd1f60a3"},
     ),
     "square_bound_top60": (
         dict(_TOP60, target="square_bound"),
-        {"search_result.json": "2a6b1003e0d4b4bfd894b141abcc751df8c6d4a5ac36d66f94e78c6de1caf8fd",
-         "per_p.csv": "b06ae28f40f337fdd61474139d22d6dc6bfc7b2ab47042fde5fcb54ff150981a",
-         "history.csv": "990b87c77f71740f2b151cd4f8d5e238237ae666ebbd2977686451d69b672519"},
+        {"search_result.json": "16a17e77aa19ee43add43e6ac4d3a1051b64a943455e6877f68f370bd3063a5e",
+         "per_p.csv": "b4871958a62ca1c34b00bce8731d974a7008e8ac3513db989cd71aac6d2872fb",
+         "history.csv": "f2b87ca25c501bbd3813730f1afd9726199e049304c5dac48c29e4979ace519a"},
     ),
 }
 
@@ -170,21 +167,17 @@ def test_refined_search_files_match_golden_hashes(tmp_path, capsys, name):
 
 
 # sha256 of ``verify --suite NAME --trials 1100 --n 12 --seed 11 --out DIR``.
-# The five suites that sample a measure were recorded when they still ran the
-# scalar checkers one trial at a time; the other four when decomposition,
-# laplacian and identities ran their own per-trial loop and majorization drew
-# every trial before evaluating any.  1100 trials cross a 1024-trial block and
-# n reaches 12.
+# 1100 trials cross a 1024-trial block and n reaches 12.
 MEASURE_SUITES_SHA256 = {
-    "chain-rule": "b158620f7cc9891ac0e35d401667c046051fe04ad0dde230e67e6e638323b443",
-    "leibniz": "2e59322c26a01fbcfe6a8f26cdd984ff05f2114aa9e86935142b37159a1e1738",
-    "markov": "10f132e9350ab21929432a93baa1fc5826137da58f94f710bd9508ca023c4ca0",
-    "square": "196eb5a17a92aa304d7cf5374d43e8c95464dc3f1e3f96697a941b0c09fb6728",
-    "strong-leibniz": "5fda4931367d1aabb307eaf0fbc0770b461e702e6845ae6c1c80e7a2e726f816",
-    "majorization": "7ca24614aaf484ff5ad8e76f9a532f2188141f53cf9c21de9bf8fc6aa3175f4d",
-    "decomposition": "46f63f45d2af353de216ed9792188bf58ac2124cc0576b5c3330447edfa32ee8",
-    "laplacian": "b800bd65c302ab9be74f1414bacb30c3258801c1888ff363422b1ec2a3871c42",
-    "identities": "661f2e52d06d0d8977579d84a2270807b2aae2d41d4a446b97e490c366dbe78d",
+    "chain-rule": "9329b015fb8abd392422760184e87a7f02eb3f6b0d5b0b1484cf08d5ab7fc97b",
+    "leibniz": "245cdfdb1dac4973222c70740d5afe3217c4adddb5e92cd59c99bc95e4e87df0",
+    "markov": "acb4544bfcb058a8b9707a0a1d344e1275aa0ff858b674be8e05bf599bfb0ec3",
+    "square": "c72c1f9c207783e578883a70cdf39636cbe022811483c4652f2de46772f85c80",
+    "strong-leibniz": "958f790addc0bf290ab2bbdb6e6bb826aabbd28f53a11b245cee67f735592b74",
+    "majorization": "a63eb5a1c49d795d4c5960dfde718dae36ffd0319459a414614f1f1961a143eb",
+    "decomposition": "93516f4da58518f90411aff66d20a71fca0eca5c368157ddccffe483e808db7d",
+    "laplacian": "a23d1d74b1f5b7868494fc06df358ab6c3e56e0a22d6a859f67686cc0d94d2c4",
+    "identities": "7bf30a7ea03316c95c98705abfc51fd9d63433fa2ca6a5d963f6749e85753a0e",
 }
 
 
@@ -199,19 +192,17 @@ def test_measure_suite_reports_match_golden_hashes(tmp_path, capsys, suite):
 
 
 # sha256 of each suite_*.jsonl written by ``verify --suite all --trials 500
-# --seed 7 --out DIR``, the benchmark's ``verify_all`` command, recorded while
-# every report line was still encoded by ``dumps(report.to_dict())``, before
-# lines were formatted from block columns.
+# --seed 7 --out DIR``, the benchmark's ``verify_all`` command.
 BENCH_SHA256 = {
-    "suite_chain-rule.jsonl": "f431e038066b0e896e0bd33ef4987447ecce4da9a61357d77734f4d88f4c1a09",
-    "suite_decomposition.jsonl": "8f1138df9ed339d5fda2d8b4edda5657d6db08e880a01ad03c2cea6714237c40",
-    "suite_identities.jsonl": "e344897320085aeefa8b6519825024daccef8aa758cf72f9b74abe8a4c50527f",
-    "suite_laplacian.jsonl": "712243bbed80aab49765774988afd81061b899f8dace622960f6a768500d6b4f",
-    "suite_leibniz.jsonl": "85b050dc08572110deecf2a958c254ce8bb76e65043cf8b55155f31cb0db3faa",
-    "suite_majorization.jsonl": "a99434f30836c4340729d4657608d26f155fbbd5dd3e4b7dbad8250b0d29dc39",
-    "suite_markov.jsonl": "efa481c31dead960166de768afd911e2958afad9e0ec2b6ffaaba9cd3a3d0ec2",
-    "suite_square.jsonl": "c6572f828b3441ed7d03eddc05767b53116f2f3b8e56fa1afe547920aba73987",
-    "suite_strong-leibniz.jsonl": "09bfdf620535c6485cb88f70493e4456b98bbbd2ce29487a314d8a2858d90b27",
+    "suite_chain-rule.jsonl": "6f2d1ee8fee762f7980742072ba424d88f77f9b9dd171093da120bb82f846dae",
+    "suite_decomposition.jsonl": "33c715ec9fa9681f08f0dacb99c20a37a1881254d9c271dff2afb23f7b20bcae",
+    "suite_identities.jsonl": "ad87a776026f3e5db8aa1c44ddb6e92ea00511a1a3f2efae634edbf914816671",
+    "suite_laplacian.jsonl": "74ac124b2574d66f86facfb65c1578d7eb642e8c6a8deddf1d862de5749734f8",
+    "suite_leibniz.jsonl": "e6ce506a40cf984394b28559abb6f40aa8f20a2baa755d9d5f31b759ee45cd1a",
+    "suite_majorization.jsonl": "83548d1a95b881eb38f69d81e680cd86b9729dac962787ca697053fcec037d46",
+    "suite_markov.jsonl": "026bee662042dea3cd2c80c188281729084226b520c1d805d6c7692461ceb15d",
+    "suite_square.jsonl": "dca24aef52f0c974a3c5dc203851116d5bad94845acc0d5b880d4e1966421302",
+    "suite_strong-leibniz.jsonl": "57c3b5beed0c5034fd6584a7a689a8843e5c0de3a409d47ab0abf001a51b4462",
 }
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from leibnizlab.core import HolderTriple, ProbVector, exponent_tag
+from leibnizlab.core import HolderTriple, ProbVector, center, exponent_tag, lp_norm
 from leibnizlab.operators import PiecewiseLinearFn
 from leibnizlab.search import (
     RECIPROCAL_WITNESS,
@@ -326,14 +326,34 @@ def test_search_square_bound_negative_control():
     assert res.best_violation <= 1e-9
 
 
+def reference_reach(inst, p):
+    """A chain-rule instance's reach, in scalar steps: its atoms sorted, phi's
+    increments between them replaced by their signs times the gaps, and the
+    violation of that function."""
+    d = inst.to_dict()
+    phi = PiecewiseLinearFn.from_dict(d["phi"])
+    atoms = sorted(zip(d["f"], d["mu"]))
+    x, mu = [a for a, _ in atoms], ProbVector([m for _, m in atoms])
+    z = [0.0]
+    for a, b in zip(x, x[1:]):
+        z.append(z[-1] + (b - a) * float(np.sign(phi(b) - phi(a))))
+    return lp_norm(center(z, mu), mu, p) - lp_norm(center(x, mu), mu, p)
+
+
 def reference_search(cfg):
     """``search`` one trial and one leader at a time, from public calls only."""
     insts = [random_instance(cfg, t) for t in range(cfg.trials)]
     scores = [[violation(inst, cfg.target, p) for p in cfg.p_grid] for inst in insts]
+    reach = scores if cfg.target != "chain_rule" else [
+        [reference_reach(inst, p) for p in cfg.p_grid] for inst in insts]
     steps = cfg.refine_steps if cfg.refine_top else 0
     best = []  # each exponent's (climbed value, trial, climbed instance)
     for j, p in enumerate(cfg.p_grid):
-        leaders = sorted(range(cfg.trials), key=lambda t: (-scores[t][j], t))[:max(cfg.refine_top, 1)]
+        # the best trial, then the others by reach above 1e-9, score and trial
+        first = min(range(cfg.trials), key=lambda t: (-scores[t][j], t))
+        others = sorted(set(range(cfg.trials)) - {first},
+                        key=lambda t: (-reach[t][j] if reach[t][j] > 1e-9 else 0.0, -scores[t][j], t))
+        leaders = [first, *others][:max(cfg.refine_top, 1)]
         climbed = []
         for t in leaders:
             tuned, value = refine(insts[t], cfg.target, steps, p, cfg.monotone, cfg.mass_floor)
@@ -359,11 +379,29 @@ GRIDS = {"chain_rule": (1, 3, "inf"), "strong_leibniz": (1, "inf"), "leibniz": (
 @pytest.mark.parametrize("refine_top", [0, 1, 5, 60])
 @pytest.mark.parametrize("target", TARGETS)
 def test_search_equals_one_at_a_time_reference(target, refine_top):
-    # leaders by (-violation, trial), each refined alone; an exponent's result
-    # is the first best climbed value, its head's included; 60 > 40 trials
+    # leaders: the best trial, then the others by reach and score, each refined
+    # alone; an exponent's result is the first best climbed value, its head's
+    # included; 60 > 40 trials
     cfg = SearchConfig(target=target, n=3, p_grid=GRIDS[target], trials=40, refine_steps=4,
                        refine_top=refine_top, max_breakpoints=3, seed=23)
     res = search(cfg)
+    got = {"per_p": res.per_p, "best_p": res.best_p, "best_violation": res.best_violation,
+           "witness": res.witness, "history": res.history}
+    assert got == reference_search(cfg)
+
+
+def test_chain_rule_leaders_follow_reach():
+    # trial 37 alone has a phi that turns where a turn can violate at p = 1;
+    # it scores below the five best, leads by its reach and climbs to a
+    # violation; the search equals the one-at-a-time reference
+    cfg = SearchConfig(target="chain_rule", n=3, p_grid=(1.0, 2.0), trials=60, refine_steps=2, seed=3)
+    insts = [random_instance(cfg, t) for t in range(cfg.trials)]
+    reach = [reference_reach(inst, 1.0) for inst in insts]
+    scores = [violation(inst, "chain_rule", 1.0) for inst in insts]
+    assert [t for t in range(cfg.trials) if reach[t] > 1e-9] == [37]
+    assert 37 not in sorted(range(cfg.trials), key=lambda t: (-scores[t], t))[:5]
+    res = search(cfg)
+    assert res.witness["trial"] == 37 and res.best_violation > 0.01
     got = {"per_p": res.per_p, "best_p": res.best_p, "best_violation": res.best_violation,
            "witness": res.witness, "history": res.history}
     assert got == reference_search(cfg)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scalar_reference as ref
 from scalar_reference import (
-    rng_for,
+    Trial,
+    laplacian_of,
     sample_distinct_points,
     sample_piecewise_linear,
     sample_prob_vector,
@@ -30,7 +31,7 @@ import leibnizlab.kernels as kernels
 import leibnizlab.operators as operators
 import leibnizlab.suites as suites
 from leibnizlab import verify
-from leibnizlab.core import IDENTITY_TOL, INEQUALITY_TOL, weak_majorizes
+from leibnizlab.core import IDENTITY_TOL, INEQUALITY_TOL, HolderTriple, weak_majorizes
 from leibnizlab.knorms import k_norm_evaluator, lp_evaluator
 from leibnizlab.operators import DegenerateInputError, PiecewiseLinearFn, deflated_theta
 from leibnizlab.reports import VerificationReport
@@ -55,11 +56,9 @@ def _scalar_report(x, y, tol, seed=None):
 def _scalar_suite(trials, n_max, seed, tol, exhaustive_n):
     reports = []
     for t in range(trials):
-        rng = rng_for(seed, 2, t)
-        n = int(rng.integers(1, n_max + 1))
-        x = rng.normal(size=n)
-        y = rng.normal(size=n)
-        reports.append(_scalar_report(x, y, tol, seed=t))
+        trial = Trial(seed, 2, t, 1 + 2 * n_max)  # n, x, y
+        n = trial.size(1, n_max)
+        reports.append(_scalar_report(trial.vector(1, n), trial.vector(1 + n_max, n), tol, seed=t))
     for n in range(1, exhaustive_n + 1):
         patterns = list(itertools.product((-1.0, 0.0, 1.0), repeat=n))
         for xs in patterns:
@@ -104,17 +103,22 @@ def test_block_size_does_not_change_reports(monkeypatch):
     assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
-@pytest.mark.parametrize("name", ["decomposition", "laplacian", "identities"])
+@pytest.mark.parametrize("name", list(suites.SUITES))
 def test_scalar_suites_do_not_depend_on_the_block(monkeypatch, name):
-    # windows of 1, 7 and BLOCK trials; a group at n = n_max is also
+    # draws of 1, 7 and BLOCK trials, and of as many as fit 40 words (one or
+    # two trials of each layout at n_max 8); a group at n = n_max is also
     # evaluated as soon as it holds as many trials (MAJORIZATION_BLOCK // n**2)
     runs = []
-    for size in (1, 7, suites.BLOCK):
+    for size, words in ((1, suites.WORD_BLOCK), (7, suites.WORD_BLOCK), (suites.BLOCK, suites.WORD_BLOCK),
+                        (suites.BLOCK, 40)):
         monkeypatch.setattr(suites, "BLOCK", size)
+        monkeypatch.setattr(suites, "WORD_BLOCK", words)
         monkeypatch.setattr(suites, "MAJORIZATION_BLOCK", size * 8 ** 2)
         runs.append(_fields(suites.SUITES[name](trials=60, n_max=8, seed=3).reports))
-    assert runs[0] == runs[1] == runs[2]
-    assert {r.seed for r in suites.SUITES[name](trials=60, n_max=8, seed=3).reports} == set(range(60))
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+    # only the majorization sign patterns and the strong-leibniz witness have no trial
+    seeds = {r.seed for r in suites.SUITES[name](trials=60, n_max=8, seed=3).reports}
+    assert (seeds - {None} if name in ("majorization", "strong-leibniz") else seeds) == set(range(60))
 
 
 def test_square_blocks_hold_at_most_majorization_block_entries(monkeypatch):
@@ -138,13 +142,13 @@ def test_square_blocks_hold_at_most_majorization_block_entries(monkeypatch):
 
 
 def test_measure_suites_stop_where_the_mass_floor_does():
-    rng = rng_for(0, 0)
+    rng = np.random.default_rng(0)
     assert len(sample_prob_vector(rng, MAX_ATOMS).weights) == MAX_ATOMS
     with pytest.raises(ValueError):
         sample_prob_vector(rng, MAX_ATOMS + 1)
-    assert suites._measure(MAX_ATOMS, [np.ones(MAX_ATOMS)]).shape == (1, MAX_ATOMS)
+    assert suites._measure(rng.random((1, MAX_ATOMS - 1))).shape == (1, MAX_ATOMS)
     with pytest.raises(ValueError):
-        suites._measure(MAX_ATOMS + 1, [np.ones(MAX_ATOMS + 1)])
+        suites._measure(rng.random((1, MAX_ATOMS)))
     assert {name for name, (_, hi) in suites.N_MAX_BOUNDS.items() if hi == MAX_ATOMS} == {
         "leibniz", "chain-rule", "markov", "square", "strong-leibniz"}
 
@@ -168,34 +172,42 @@ def test_strong_leibniz_open_region_note():
 # -- the five suites that sample a measure, against a scalar reference -----------
 #
 # The scalar formulas of ``scalar_reference``, and each suite's trial loop as
-# it was written one trial at a time: one ``rng_for`` generator and one
-# checker call per trial.
+# it was written one trial at a time: one ``Trial`` reader, parsing the
+# suite's documented layout (``suites`` module docstring), and one checker
+# call per trial.
 
-def _scalar_trial(name, rng, n, tol, p):
-    mu = sample_prob_vector(rng, n)
-    if name == "strong-leibniz":
-        mag = rng.uniform(0.05, 1.0, n)
-        return scalar_strong_leibniz(mu, mag * np.where(rng.random(n) < 0.5, -1.0, 1.0), p, tol)
-    f = sample_vector(rng, n)
-    if name == "leibniz":
-        g = sample_vector(rng, n)
-        return scalar_leibniz(mu, f, g, *sample_holder_triple_pair(rng), tol)
-    if name == "markov":
-        return scalar_markov(mu, f, sample_piecewise_linear(rng, 6, monotone=False), tol)
-    if name == "chain-rule":
-        phi = sample_piecewise_linear(rng, 6, monotone=True)
-        return scalar_chain_rule(mu, f, phi, EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))], tol)
-    return scalar_square(mu, f, EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))], tol)
-
-
+#: Stream id and layout width at n_max N of each suite.
 STREAMS = {"leibniz": 0, "chain-rule": 4, "markov": 5, "square": 6, "strong-leibniz": 8}
+WIDTHS = {"leibniz": lambda N: 3 * N + 2, "chain-rule": lambda N: 2 * N + 17, "markov": lambda N: 2 * N + 16,
+          "square": lambda N: 2 * N + 1, "strong-leibniz": lambda N: 3 * N,
+          "decomposition": lambda N: 2 * N + 1, "laplacian": lambda N: 4 + N + max(2 * N + 12, N * (N - 1) // 2),
+          "identities": lambda N: 18 + 4 * N}
+
+
+def _scalar_trial(name, trial, n, N, tol, p):
+    # column 0 holds n, the measure the next N - 1 columns, f (or the
+    # magnitudes) the N after them
+    mu = trial.measure(1, n)
+    if name == "strong-leibniz":
+        mag = [0.05 + (1.0 - 0.05) * u for u in trial.uniforms(N, n)]
+        signs = [-1.0 if u < 0.5 else 1.0 for u in trial.uniforms(2 * N, n)]
+        return scalar_strong_leibniz(mu, np.array(mag) * np.array(signs), p, tol)
+    f = trial.vector(N, n)
+    if name == "leibniz":
+        return scalar_leibniz(mu, f, trial.vector(2 * N, n), *trial.holder_pair(3 * N), tol)
+    if name == "markov":
+        return scalar_markov(mu, f, trial.phi(2 * N, 6, monotone=False, signed=False), tol)
+    if name == "chain-rule":
+        phi = trial.phi(2 * N, 6, monotone=True, signed=True)
+        return scalar_chain_rule(mu, f, phi, EXPONENT_GRID[trial.integer(2 * N + 16, len(EXPONENT_GRID))], tol)
+    return scalar_square(mu, f, EXPONENT_GRID[trial.integer(2 * N, len(EXPONENT_GRID))], tol)
 
 
 def _scalar_measure_suite(name, trials, n_max, seed, tol, p=2.0):
     reports = []
     for t in range(trials):
-        rng = rng_for(seed, STREAMS[name], t)
-        rep = _scalar_trial(name, rng, int(rng.integers(2, n_max + 1)), tol, p)
+        trial = Trial(seed, STREAMS[name], t, WIDTHS[name](n_max))
+        rep = _scalar_trial(name, trial, trial.size(2, n_max), n_max, tol, p)
         rep.seed = t
         reports.append(rep)
     if name == "strong-leibniz":
@@ -222,8 +234,7 @@ def test_measure_suite_matches_scalar_reference(name, n_max, seed, tol):
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_measure_suite_matches_scalar_reference_across_blocks(monkeypatch, name):
-    # blocks of 50 seeded and evaluated trials: 130 trials cross two boundaries
-    monkeypatch.setattr(kernels, "BLOCK", 50)
+    # blocks of 50 drawn and evaluated trials: 130 trials cross two boundaries
     monkeypatch.setattr(suites, "BLOCK", 50)
     outcome = _run_suite(name, 130, 8, 3, INEQUALITY_TOL, p=1.0)
     assert _fields(outcome.reports) == _fields(_scalar_measure_suite(name, 130, 8, 3, INEQUALITY_TOL, p=1.0))
@@ -235,7 +246,8 @@ def test_checkers_match_scalar_reference():
         n = int(rng.integers(2, 10))
         mu = sample_prob_vector(rng, n)
         f, g = sample_vector(rng, n), sample_vector(rng, n)
-        t1, t2 = sample_holder_triple_pair(rng)
+        r, p1, q1, p2, q2 = sample_holder_triple_pair(rng.random(1), rng.random(1))[0].tolist()
+        t1, t2 = HolderTriple(r, p1, q1), HolderTriple(r, p2, q2)
         phi = sample_piecewise_linear(rng, 6, monotone=bool(rng.random() < 0.5))
         p = EXPONENT_GRID[rng.integers(len(EXPONENT_GRID))]
         inv_f = np.where(np.abs(f) < 0.05, 0.5, f)
@@ -250,18 +262,11 @@ def test_checkers_match_scalar_reference():
             assert _bits(got.to_dict()) == _bits(want.to_dict())
 
 
-def test_fallback_streams_give_the_same_reports(monkeypatch):
-    seeded = [_fields(_run_suite(name, 60, 8, 4, INEQUALITY_TOL).reports) for name in sorted(STREAMS)]
-    monkeypatch.setattr(kernels, "_seeding_matches", lambda: False)
-    fallback = [_fields(_run_suite(name, 60, 8, 4, INEQUALITY_TOL).reports) for name in sorted(STREAMS)]
-    assert fallback == seeded
-
-
 # -- the three suites that build n x n matrices, against a scalar reference ------
 #
 # The scalar formulas of ``scalar_reference``, and each suite's trial loop as
 # it was written one trial at a time, with the laplacian suite's norm pool
-# as evaluators.
+# as evaluators; ``Trial`` readers parse the documented layouts.
 
 MATRIX_STREAMS = {"decomposition": 1, "laplacian": 3, "identities": 7}
 DEFAULT_TOL = {"decomposition": IDENTITY_TOL, "laplacian": INEQUALITY_TOL, "identities": IDENTITY_TOL}
@@ -277,27 +282,44 @@ def _scalar_norm(rng, n):
     return name, norm
 
 
-def _scalar_matrix_trial(name, rng, n, t, tol):
-    if name == "decomposition":
-        return [scalar_decomposition(sample_vector(rng, n), sample_vector(rng, n), tol)]
-    if name == "identities":
-        points = sample_distinct_points(rng, n)
-        phi = sample_piecewise_linear(rng, 6, monotone=bool(rng.random() < 0.5))
-        return scalar_identities(points, phi, sample_vector(rng, n), sample_vector(rng, n), tol)
-    norm_name, norm = _scalar_norm(rng, n)
-    x = ref.sample_mean_zero(rng, n)
+def _trial_norm(trial, at, n):
+    """The laplacian suite's norm: with the second uniform < 0.4 the k-norm of
+    k = 1 + the integer of the third word over n, else the pool's entry of the first."""
+    if trial.uniforms(at + 1, 1)[0] < 0.4:
+        k = 1 + trial.integer(at + 2, n)
+        return f"k{k}", k_norm_evaluator(k)
+    return NORM_POOL[trial.integer(at, len(NORM_POOL))]
+
+
+def _scalar_matrix_trial(name, trial, n, N, t, tol):
+    if name == "decomposition":  # f, g
+        return [scalar_decomposition(trial.vector(1, n), trial.vector(1 + N, n), tol)]
+    if name == "identities":  # points, permutation, monotone, phi, f, g
+        points = trial.distinct_points(1, 1 + N, n)
+        monotone = trial.uniforms(1 + 2 * N, 1)[0] < 0.5
+        phi = trial.phi(2 + 2 * N, 6, monotone=monotone, signed=monotone)
+        return scalar_identities(points, phi, trial.vector(18 + 2 * N, n), trial.vector(18 + 3 * N, n), tol)
+    # laplacian: norm, x, then points, permutation and phi (odd t) or the
+    # weights' strict upper triangle, row by row (even t), from one column
+    norm_name, norm = _trial_norm(trial, 1, n)
+    x = trial.vector(4, n)
+    x = x - x.mean()
     if t % 2:
-        points = sample_distinct_points(rng, n)
-        phi = sample_piecewise_linear(rng, 4, monotone=True)
+        points = trial.distinct_points(4 + N, 4 + 2 * N, n)
+        phi = trial.phi(4 + 3 * N, 4, monotone=True, signed=True)
         return scalar_laplacian(ref.monotone_laplacian(points, phi), x, norm_name, norm, points, phi, tol)
-    return scalar_laplacian(ref.sample_laplacian(rng, n), x, norm_name, norm, None, None, tol)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    weights = np.zeros((n, n))
+    for (i, j), w in zip(pairs, trial.uniforms(4 + N, len(pairs))):
+        weights[i, j] = w
+    return scalar_laplacian(laplacian_of(weights), x, norm_name, norm, None, None, tol)
 
 
 def _scalar_matrix_suite(name, trials, n_max, seed, tol):
     reports = []
     for t in range(trials):
-        rng = rng_for(seed, MATRIX_STREAMS[name], t)
-        for rep in _scalar_matrix_trial(name, rng, int(rng.integers(2, n_max + 1)), t, tol):
+        trial = Trial(seed, MATRIX_STREAMS[name], t, WIDTHS[name](n_max))
+        for rep in _scalar_matrix_trial(name, trial, trial.size(2, n_max), n_max, t, tol):
             rep.seed = t
             reports.append(rep)
     return reports
@@ -316,8 +338,7 @@ def test_matrix_suite_matches_scalar_reference(name, n_max, seed, tol):
 
 @pytest.mark.parametrize("name", sorted(MATRIX_STREAMS))
 def test_matrix_suite_matches_scalar_reference_across_blocks(monkeypatch, name):
-    # blocks of 50 seeded and held trials: 130 trials cross two boundaries
-    monkeypatch.setattr(kernels, "BLOCK", 50)
+    # blocks of 50 drawn and held trials: 130 trials cross two boundaries
     monkeypatch.setattr(suites, "BLOCK", 50)
     outcome = suites.SUITES[name](trials=130, n_max=8, seed=3)
     assert _fields(outcome.reports) == _fields(_scalar_matrix_suite(name, 130, 8, 3, DEFAULT_TOL[name]))

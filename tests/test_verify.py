@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scalar_reference import rng_for, sample_prob_vector
+from scalar_reference import sample_prob_vector
 
 from leibnizlab.core import HolderTriple, ProbVector, expectation, lp_norm
 from leibnizlab.operators import PiecewiseLinearFn
@@ -99,10 +99,11 @@ def test_leibniz_requires_matching_r():
 def test_leibniz_random_suite():
     rng = np.random.default_rng(3)
     for t in range(1000):
-        trial = rng_for(12345, 99, t)
+        trial = np.random.default_rng((12345, 99, t))
         n = int(trial.integers(2, 9))
         mu = sample_prob_vector(trial, n)
-        t1, t2 = sample_holder_triple_pair(trial)
+        r, p1, q1, p2, q2 = sample_holder_triple_pair(trial.random(1), trial.random(1))[0].tolist()
+        t1, t2 = HolderTriple(r, p1, q1), HolderTriple(r, p2, q2)
         rep = check_leibniz(mu, trial.uniform(-1, 1, n), trial.uniform(-1, 1, n), t1, t2)
         assert rep.passed, rep.instance
         assert len(rep.instance["rhs_terms"]) == 2
