@@ -129,30 +129,29 @@ def cmd_verify(args) -> int:
     if not _prepare_out(args.out):
         return 2
     started = time.perf_counter()
-    outcomes = [SUITES[name](**kwargs) for name, kwargs in runs.items()]
-    ok = all(o.ok for o in outcomes)
+    # one suite's reports at a time: write its file, keep its summary
+    summaries, outputs = [], []
+    for name, kwargs in runs.items():
+        o = SUITES[name](**kwargs)
+        if args.out:
+            outputs.append(os.path.join(args.out, f"suite_{name}.jsonl"))
+            write_jsonl(outputs[-1], o.lines())
+        summaries.append(({"suite": o.name, "ok": o.ok, "theorem_backed": o.theorem_backed,
+                           "checks": o.trials, "failures": o.failed,
+                           "worst_slack": o.worst_slack, "notes": o.notes}, o.summary()))
+        del o  # before the next suite runs
+    ok = all(fields["ok"] for fields, _ in summaries)
 
     if args.out:
-        outputs = []
-        for o in outcomes:
-            path = os.path.join(args.out, f"suite_{o.name}.jsonl")
-            write_jsonl(path, o.lines())
-            outputs.append(path)
         _write_manifest(args.out, "verify", {"suite": args.suite, "trials": args.trials, "n": args.n,
                                              "tol": args.tol, "p": args.p}, seed, started, outputs)
 
     if args.json:
-        payload = [
-            {"suite": o.name, "ok": o.ok, "theorem_backed": o.theorem_backed,
-             "checks": o.trials, "failures": o.failed,
-             "worst_slack": o.worst_slack, "notes": o.notes}
-            for o in outcomes
-        ]
-        print(dumps(payload))
+        print(dumps([fields for fields, _ in summaries]))
     else:
-        for o in outcomes:
-            print(o.summary())
-            for note in o.notes:
+        for fields, line in summaries:
+            print(line)
+            for note in fields["notes"]:
                 print(f"    {note}")
     return 0 if ok else 1
 

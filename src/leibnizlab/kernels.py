@@ -269,7 +269,8 @@ def max_offdiagonal(L: np.ndarray) -> np.ndarray:
     return _offdiagonal(L).max(axis=1)
 
 
-#: Most negative eigenvalue (and leading minor) of -L that ``validate_laplacians`` accepts.
+#: Most negative eigenvalue (and leading minor) of -L that ``validate_laplacians``
+#: accepts in a matrix of small entries; the bound grows with the matrix's norm.
 PSD_TOL = 1e-9
 
 
@@ -280,26 +281,31 @@ def validate_laplacians(L: np.ndarray) -> None:
 
     Symmetry and signs are checked to STRUCT_TOL.  A sum of n entries rounds
     by up to about n eps max |L_ij|, so each matrix's sums are checked to
-    max(STRUCT_TOL, n eps max |L_ij|), and PSD to PSD_TOL.  Raises
+    max(STRUCT_TOL, n eps max |L_ij|).  The smallest eigenvalue rounds by
+    about eps ||L|| and a leading minor of order m by about eps ||L||**m,
+    ||L|| being at most the largest absolute row sum, so PSD is checked to
+    max(PSD_TOL, n eps ||L||**m), m = 1 for the eigenvalue.  Raises
     ValueError with ``operators.validate_laplacian``'s message for the first
     of these checks that some matrix fails.
     """
     n = L.shape[1]
     if np.any(np.abs(L - L.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0) > STRUCT_TOL):
         raise ValueError("matrix is not symmetric")
-    sum_tol = np.maximum(STRUCT_TOL, n * np.finfo(float).eps * np.abs(L).max(axis=(1, 2), initial=0.0))
+    rounding = n * np.finfo(float).eps
+    sum_tol = np.maximum(STRUCT_TOL, rounding * np.abs(L).max(axis=(1, 2), initial=0.0))
     if np.any(np.abs(L.sum(axis=2)).max(axis=1, initial=0.0) > sum_tol):
         raise ValueError("row sums are not zero")
     if np.any(np.abs(L.sum(axis=1)).max(axis=1, initial=0.0) > sum_tol):
         raise ValueError("column sums are not zero")
     if n > 1 and np.any(_offdiagonal(L).min(axis=1) < -STRUCT_TOL):
         raise ValueError("off-diagonal entries must be non-negative")
+    norm = np.abs(L).sum(axis=2).max(axis=1, initial=0.0)
     neg = -L
-    if n > 1 and np.any(np.linalg.eigvalsh(neg)[:, 0] < -PSD_TOL):
+    if n > 1 and np.any(np.linalg.eigvalsh(neg)[:, 0] < -np.maximum(PSD_TOL, rounding * norm)):
         raise ValueError("-L is not positive semi-definite")
     if n <= 3:
         for m in range(1, n + 1):
-            if np.any(np.linalg.det(neg[:, :m, :m]) < -PSD_TOL):
+            if np.any(np.linalg.det(neg[:, :m, :m]) < -np.maximum(PSD_TOL, rounding * norm ** m)):
                 raise ValueError(f"leading principal minor {m} of -L is negative")
 
 
@@ -478,8 +484,10 @@ def trial_words(seed: int, stream: int, trials, width: int) -> np.ndarray:
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
-    """The uniform on [0, 1) of each word w: (w >> 11) 2**-53."""
-    return (words >> np.uint64(11)) * 2.0 ** -53
+    """The uniform on [0, 1) of each word w: (w >> 11) 2**-53.  Consumes
+    ``words``: they are shifted in place, so a draw holds one array fewer."""
+    words >>= np.uint64(11)
+    return words * 2.0 ** -53
 
 
 def integers(u: np.ndarray, span) -> np.ndarray:

@@ -86,12 +86,14 @@ class SuiteOutcome:
     notes: list[str] = field(default_factory=list)
 
     def _each(self, build):
-        """Each report's entry in ``build(block)``, in report order, building each block's once."""
+        """Each report's entry in ``build(block)``, in report order, building each
+        block's once and dropping it after the block's last row."""
+        last = {b: k for k, (b, _) in enumerate(self.rows)}
         built = {}
-        for b, i in self.rows:
+        for k, (b, i) in enumerate(self.rows):
             if b not in built:
                 built[b] = build(b)
-            yield built[b][i]
+            yield (built.pop(b) if last[b] == k else built[b])[i]
 
     @functools.cached_property
     def reports(self) -> list[VerificationReport]:
@@ -137,7 +139,7 @@ def _norm_names(u: np.ndarray, n: int) -> np.ndarray:
     the k-norm of k = 1 + the integer of u[2] in [0, n), else the NORM_FAMILY
     name of the integer of u[0]."""
     family = np.array(NORM_FAMILY)[integers(u[:, 0], len(NORM_FAMILY))]
-    return np.where(u[:, 1] < 0.4, np.char.add("k", (1 + integers(u[:, 2], n)).astype(str)), family)
+    return np.where(u[:, 1] < 0.4, np.array([f"k{k}" for k in range(1, n + 1)])[integers(u[:, 2], n)], family)
 
 
 #: Matrix entries per evaluation block of the suites that build n x n
@@ -185,7 +187,7 @@ def _run(name: str, stream: int, width: int, evaluate, trials: int, n_max: int, 
     for lo in range(0, trials, step):
         u = kernels.uniforms(kernels.trial_words(seed, stream, range(lo, min(trials, lo + step)), width))
         sizes = low + integers(u[:, 0], n_max - low + 1)
-        for n in np.unique(sizes).tolist():
+        for n in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
             rows = np.flatnonzero(sizes == n)
             size = max(1, MAJORIZATION_BLOCK // n ** 2) if square else len(rows)
             for part in np.split(rows, range(size, len(rows), size)):

@@ -272,11 +272,14 @@ def validate_laplacian(M, tol=1e-12, psd_tol=1e-9):
     if off.size and float(off.min()) < -tol:
         raise ValueError("off-diagonal entries must be non-negative")
     neg = -M
-    if n > 1 and float(np.linalg.eigvalsh(neg)[0]) < -psd_tol:
+    # eigvalsh rounds by about eps ||M||, a minor of order m by eps ||M||**m,
+    # ||M|| at most the largest absolute row sum
+    norm = float(np.max(np.abs(M).sum(axis=1), initial=0.0))
+    if n > 1 and float(np.linalg.eigvalsh(neg)[0]) < -max(psd_tol, n * np.finfo(float).eps * norm):
         raise ValueError("-L is not positive semi-definite")
     if n <= 3:
         for m in range(1, n + 1):
-            if float(np.linalg.det(neg[:m, :m])) < -psd_tol:
+            if float(np.linalg.det(neg[:m, :m])) < -max(psd_tol, n * np.finfo(float).eps * norm ** m):
                 raise ValueError(f"leading principal minor {m} of -L is negative")
     return M
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,24 @@ def test_verify_all_json(capsys, tmp_path):
             assert entry["failures"] == 0
     assert (tmp_path / "reports" / "manifest.json").exists()
     assert (tmp_path / "reports" / "suite_leibniz.jsonl").exists()
+
+
+def test_verify_holds_one_suite_at_a_time(monkeypatch, capsys, tmp_path):
+    # when a suite starts, the one before it has its file written and its outcome freed
+    finished, seen = [], []
+    for name, suite in list(SUITES.items()):
+        def run(*args, _name=name, _suite=suite, **kwargs):
+            if finished:
+                done, outcome = finished[-1]
+                seen.append((done, (tmp_path / f"suite_{done}.jsonl").exists(), outcome() is None))
+            outcome = _suite(*args, **kwargs)
+            finished.append((_name, weakref.ref(outcome)))
+            return outcome
+        monkeypatch.setitem(SUITES, name, run)
+    assert run_cli("verify", "--suite", "all", "--trials", "20", "--seed", "3", "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    assert seen == [(name, True, True) for name in list(SUITES)[:-1]]
+    assert (tmp_path / "manifest.json").exists()
 
 
 def test_verify_strong_leibniz_expected_failure_fixture(capsys):

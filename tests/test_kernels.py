@@ -96,7 +96,7 @@ def test_conversions_are_pinned_by_their_bits():
     words = kernels.trial_words(7, 0, range(0, 1), 8)
     assert words[0, :4].tolist() == [16086915834549238692, 5448529601018347655,
                                      7749434361382612120, 7478167007443709522]
-    u = kernels.uniforms(words)
+    u = kernels.uniforms(words.copy())  # uniforms consumes its words
     assert [v.hex() for v in u[0, :4].tolist()] == [
         "0x1.be80697053d3fp-1", "0x1.2e744337e3990p-2", "0x1.ae2e15f941aaap-2", "0x1.9f1f2516c6e9ap-2"]
     assert [(w >> 11) * 2.0 ** -53 for w in words[0].tolist()] == u[0].tolist()

@@ -67,3 +67,12 @@ def test_parser_set_up_leaves_numpy_random_unimported():
     # numpy.random is imported on first use, so a command's set-up does not pay for it
     code = "import sys, leibnizlab.cli as cli; cli.build_parser(); print('numpy.random' in sys.modules)"
     assert _run(["-c", code]) == "False\n"
+
+
+def test_verify_leaves_numpy_ma_and_char_unimported():
+    # np.unique imports numpy.ma and np.char.add numpy.char; importing them costs every verify
+    code = ("import io, sys, contextlib, leibnizlab.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['verify', '--suite', 'all', '--trials', '20'])\n"
+            "print([m for m in ('numpy.ma', 'numpy.char') if m in sys.modules])")
+    assert _run(["-c", code]) == "[]\n"

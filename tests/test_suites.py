@@ -3,6 +3,7 @@ the suites' size limits, and the strong-Leibniz open-region note."""
 
 import functools
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from leibnizlab import verify
 from leibnizlab.core import IDENTITY_TOL, INEQUALITY_TOL, HolderTriple, weak_majorizes
 from leibnizlab.knorms import k_norm_evaluator, lp_evaluator
 from leibnizlab.operators import DegenerateInputError, PiecewiseLinearFn, deflated_theta
-from leibnizlab.reports import VerificationReport
+from leibnizlab.reports import ReportBlock, VerificationReport
 from leibnizlab.sampling import EXPONENT_GRID, MAX_ATOMS, sample_holder_triple_pair
 from leibnizlab.search import reciprocal_witness_report
 
@@ -91,6 +92,25 @@ def test_block_suite_matches_scalar_reference(tol):
     assert _fields(outcome.reports) == _fields(reference)
     if tol < 0:  # the negative tolerance exercises both verdicts
         assert {r.passed for r in outcome.reports} == {True, False}
+
+
+def test_outcome_drops_each_block_after_its_last_row():
+    # the rows of two blocks interleave, as a draw's blocks of different n do
+    a, b = (ReportBlock.from_values("x", np.zeros(2), np.ones(2), 0.0, {}) for _ in range(2))
+    outcome = suites.SuiteOutcome("x", [(a, 0), (b, 0), (a, 1), (b, 1)])
+    built = {}
+
+    class Entries(list):  # a list a weakref can follow
+        pass
+
+    def build(block):
+        entries = Entries((block, i) for i in range(len(block)))
+        built[block] = weakref.ref(entries)
+        return entries
+    each = outcome._each(build)
+    assert [next(each), next(each)] == [(a, 0), (b, 0)] and built[a]() is not None
+    assert next(each) == (a, 1) and built[a]() is None and built[b]() is not None
+    assert next(each) == (b, 1) and built[b]() is None
 
 
 def test_block_size_does_not_change_reports(monkeypatch):
@@ -393,6 +413,23 @@ def test_laplacian_block_refuses_as_the_one_matrix_validator(row, fault):
         kernels.validate_laplacians(block)
     assert str(got.value) == str(want.value)
     kernels.validate_laplacians(np.delete(block, row, axis=0))  # the other rows pass
+
+
+def test_laplacians_with_large_entries_pass_every_validator():
+    # eigvalsh rounds by about eps ||L||, so an absolute PSD tolerance refuses
+    # about half of these; the bound scales with the matrix
+    rng = np.random.default_rng(0)
+    block = []
+    for _ in range(200):
+        w = np.triu(rng.uniform(0, 1, (6, 6)), 1)
+        w += w.T
+        block.append((w - np.diag(w.sum(axis=1))) * 1e9)
+    block = np.array(block)
+    assert np.count_nonzero(np.linalg.eigvalsh(-block)[:, 0] < -kernels.PSD_TOL) > 50
+    kernels.validate_laplacians(block)
+    for L in block:
+        operators.validate_laplacian(L)
+        ref.validate_laplacian(L)
 
 
 def test_monotone_laplacians_refuse_a_non_monotone_row():
