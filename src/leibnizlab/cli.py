@@ -285,14 +285,17 @@ def cmd_dualnorm(args) -> int:
 def cmd_inspect(args) -> int:
     try:
         x = _parse_vector(args.x)
-        if args.matrix == "theta":
-            M = theta_matrix(x)
-        elif args.matrix == "deflated":
-            M = deflated_theta(x)
-        else:
-            phi = PiecewiseLinearFn.from_dict(json.loads(args.phi)) if args.phi \
-                else PiecewiseLinearFn.identity()
-            M = divided_difference_matrix(x, phi)
+        with np.errstate(all="ignore"):
+            if args.matrix == "theta":
+                M = theta_matrix(x)
+            elif args.matrix == "deflated":
+                M = deflated_theta(x)
+            else:
+                phi = PiecewiseLinearFn.from_dict(json.loads(args.phi)) if args.phi \
+                    else PiecewiseLinearFn.identity()
+                M = divided_difference_matrix(x, phi)
+        if not np.isfinite(M).all():  # inf - inf would read as asymmetric
+            raise ValueError(f"the {args.matrix} matrix overflows: an entry is not finite")
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

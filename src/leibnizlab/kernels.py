@@ -23,8 +23,8 @@ Streams (the v2 rule): the suites (streams 0-8) and the search
 counter-based generator (Salmon et al., SC 2011), and trial t reads the W
 words at counter t W / 4, W being the consumer's layout width
 (``trial_words``), so a block is one ``advance`` and one ``random_raw`` and
-a trial alone is a block of one.  Words become uniforms, integers, uniform
-Dirichlet measures and permutations with no rejection and no libm call.
+a trial alone is a block of one.  Both consumers turn words into numbers with
+the samplers below, with no rejection and no libm call.
 """
 
 from __future__ import annotations
@@ -433,9 +433,9 @@ def sample_phi(u: np.ndarray, monotone, signed=False) -> dict:
     counts, knot_u = 1 + integers(u[:, 0], mmax), u[:, 1:]
     cols = np.arange(mmax + 1)
     m = counts[:, None]
-    bp = spread(np.sort(np.where(cols[:mmax] < m, -1.0 + 2.0 * knot_u[:, :mmax], np.inf), axis=1), 1e-6)
+    bp = spread(np.sort(np.where(cols[:mmax] < m, signed_uniforms(knot_u[:, :mmax]), np.inf), axis=1), 1e-6)
     live = cols <= m
-    slopes = np.where(live, -1.0 + 2.0 * np.take_along_axis(knot_u, m + cols, axis=1), 0.0)
+    slopes = np.where(live, signed_uniforms(np.take_along_axis(knot_u, m + cols, axis=1)), 0.0)
     rows = np.arange(size)
     monotone, signed = np.broadcast_to(monotone, size), np.broadcast_to(signed, size)
     slopes = np.where(monotone[:, None], np.abs(slopes), slopes)
@@ -444,7 +444,7 @@ def sample_phi(u: np.ndarray, monotone, signed=False) -> dict:
     flat = peak < 1e-12
     slopes[flat] = live[flat].astype(float)
     peak[flat] = 1.0
-    anchor = -1.0 + 2.0 * knot_u[rows, 2 * counts + 1 + signed]
+    anchor = signed_uniforms(knot_u[rows, 2 * counts + 1 + signed])
     return dict(bp=bp, slopes=slopes / peak[:, None], anchor=anchor)
 
 
@@ -453,7 +453,8 @@ def sample_laplacian(u: np.ndarray, n: int) -> np.ndarray:
     the strict upper triangle, row by row, mirrored, with the diagonal forced
     to zero row sums."""
     W = np.zeros((len(u), n, n))
-    W[:, *np.triu_indices(n, 1)] = u
+    i, j = np.triu_indices(n, 1)
+    W[:, i, j] = u
     return _zero_sum_diagonal(W + W.swapaxes(1, 2))
 
 
@@ -497,10 +498,23 @@ def integers(u: np.ndarray, span) -> np.ndarray:
     return (u * 2.0 ** 32).astype(np.int64) * span >> 32
 
 
+def signed_uniforms(u: np.ndarray) -> np.ndarray:
+    """``uniform(-1, 1)``: -1 + 2u of each uniform u on [0, 1)."""
+    return -1.0 + 2.0 * u
+
+
 def spacings(u: np.ndarray) -> np.ndarray:
     """Uniform Dirichlet measures: the n spacings of each row's n - 1 sorted
     uniforms between 0 and 1, exact (multiples of 2**-53), so each sums to 1."""
     return np.diff(np.sort(u, axis=1), axis=1, prepend=0.0, append=1.0)
+
+
+def measures(u: np.ndarray, floor: float) -> np.ndarray:
+    """floor + (1 - n floor) ``spacings(u)``, each weight >= floor; ValueError where n floor >= 1."""
+    n = u.shape[1] + 1
+    if n * floor >= 1.0:
+        raise ValueError(f"mass floor {floor} infeasible for {n} atoms")
+    return floor + (1.0 - n * floor) * spacings(u)
 
 
 def permutations(u: np.ndarray) -> np.ndarray:

@@ -1,12 +1,12 @@
-"""Sampling constants of the property suites, and the samplers they share
-that are not in ``kernels``.
+"""Sampling constants, and the samplers not in ``kernels``.
 
 Every sampler is a function of uniforms, which the suites and the search
 read from the words of each trial's stream (``kernels.trial_words``, the v2
 stream rule), so a trial's draws depend only on the seed, the stream id, t
-and the consumer's layout.  Measures and piecewise-linear functions are
-built by ``kernels.spacings`` and ``kernels.sample_phi``, distinct points by
-``distinct_points`` and the leibniz suite's exponents by
+and the consumer's layout.  Both draw measures, ``uniform(-1, 1)`` vectors
+and phi by ``kernels.measures``, ``kernels.signed_uniforms`` and
+``kernels.sample_phi``, and the inverse bound's f by ``invertible``; the
+suites' distinct points and exponents come from ``distinct_points`` and
 ``sample_holder_triple_pair``.  ``tests/scalar_reference.py`` reads one
 trial's words in plain Python and parses the same layouts.
 """
@@ -27,7 +27,7 @@ EXPONENT_GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0, math.inf)
 #: Default minimal atom mass for sampled measures.
 MASS_FLOOR = 1e-3
 
-#: Largest n that a measure with MASS_FLOOR admits (``suites._measure`` refuses n * floor >= 1).
+#: Largest n that a measure with MASS_FLOOR admits (``kernels.measures`` refuses n * floor >= 1).
 MAX_ATOMS = max(n for n in range(1, int(1.0 / MASS_FLOOR) + 2) if not n * MASS_FLOOR >= 1.0)
 
 #: (p, q) pairs from the grid admitting a valid r (1/p + 1/q <= 1).
@@ -37,6 +37,12 @@ _VALID_PQ = tuple(
     for q in EXPONENT_GRID
     if reciprocal_exponent(p) + reciprocal_exponent(q) <= 1.0 + 1e-15
 )
+
+
+def invertible(mag: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The inverse bound's f, bounded away from 0: magnitudes ``uniform(0.05, 1)``
+    from ``mag``, negative where the uniform ``sign`` is below 0.5."""
+    return (0.05 + (1.0 - 0.05) * mag) * np.where(sign < 0.5, -1.0, 1.0)
 
 
 def distinct_points(u: np.ndarray, perm: np.ndarray) -> np.ndarray:

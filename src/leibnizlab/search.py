@@ -51,11 +51,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .core import INEQUALITY_TOL, HolderTriple, ProbVector, as_number, as_pair, check_exponent, exponent_tag, paired
-from .kernels import (BLOCK, SEARCH_STREAM, Block, center, check_seed, integers, lp, phi, sample_phi, spacings,
-                      trial_words, uniforms)
+from .kernels import (BLOCK, SEARCH_STREAM, Block, center, check_seed, integers, lp, measures, phi, sample_phi,
+                      signed_uniforms, trial_words, uniforms)
 from .operators import PiecewiseLinearFn
 from .reports import VerificationReport
-from .sampling import MASS_FLOOR
+from .sampling import MASS_FLOOR, invertible
 from .verify import STATEMENTS, check_chain_rule, check_strong_leibniz
 
 TARGETS = ("chain_rule", "strong_leibniz", "leibniz", "square_bound")
@@ -193,7 +193,7 @@ class Instance(Block):
 
 
 def _floored_simplex(raw: np.ndarray, floor: float) -> np.ndarray:
-    """Project positive raw weights (one row per measure) onto the simplex with a mass floor."""
+    """Project positive raw weights (one row per measure) onto the simplex with a mass floor (refinement)."""
     pos = np.clip(raw, 0.0, None)
     total = pos.sum(axis=1, keepdims=True)
     n = raw.shape[1]
@@ -206,28 +206,23 @@ def _floored_simplex(raw: np.ndarray, floor: float) -> np.ndarray:
 
 def _sample(config: SearchConfig, trials) -> Instance:
     """The rows of ``trials`` (a range, or a list that may repeat a trial),
-    trial t read from ``kernels.trial_words`` in this layout: n - 1 uniforms
-    whose spacings (``kernels.spacings``) go onto the floored simplex as the
-    measure, n for f (``uniform(-1, 1)``; for strong leibniz magnitudes
-    ``uniform(0.05, 1)``, 0.05 + (1 - 0.05) u), then n signs (strong leibniz,
-    negative below 0.5), n for g and two splits (leibniz, ``kernels.integers``
-    over _SPLIT_CHOICES) or phi's breakpoint count and 2 max_breakpoints + 2
-    uniforms (chain rule, ``kernels.sample_phi``).
+    trial t read from ``kernels.trial_words`` with the suites' samplers in this
+    layout: n - 1 uniforms for the measure (``kernels.measures``), n for f
+    (``kernels.signed_uniforms``, or for strong leibniz the magnitudes of
+    ``sampling.invertible`` and then its n signs), n for g and two splits
+    (leibniz, ``kernels.integers`` over _SPLIT_CHOICES) or phi's breakpoint
+    count and 2 max_breakpoints + 2 uniforms (chain rule, ``kernels.sample_phi``).
     """
     n, target, mmax = config.n, config.target, config.max_breakpoints
     chain, leibniz, strong = target == "chain_rule", target == "leibniz", target == "strong_leibniz"
     extra = n if strong else n + 2 if leibniz else 2 * mmax + 3 if chain else 0
     u = uniforms(trial_words(config.seed, SEARCH_STREAM, trials, 2 * n - 1 + extra))
-    mu = _floored_simplex(spacings(u[:, :n - 1]), config.mass_floor)
     f, rest = u[:, n - 1:2 * n - 1], u[:, 2 * n - 1:]
-    if strong:
-        f = (0.05 + (1.0 - 0.05) * f) * np.where(rest[:, :n] < 0.5, -1.0, 1.0)
-    else:
-        f = -1.0 + 2.0 * f
-    block = dict(mu=mu, f=f)
+    block = dict(mu=measures(u[:, :n - 1], config.mass_floor),
+                 f=invertible(f, rest[:, :n]) if strong else signed_uniforms(f))
     if leibniz:
         choices = np.asarray(_SPLIT_CHOICES)
-        block.update(g=-1.0 + 2.0 * rest[:, :n], split1=choices[integers(rest[:, n], len(choices))],
+        block.update(g=signed_uniforms(rest[:, :n]), split1=choices[integers(rest[:, n], len(choices))],
                      split2=choices[integers(rest[:, n + 1], len(choices))])
     if chain:
         block.update(sample_phi(rest[:, :2 * mmax + 3], config.monotone))

@@ -9,10 +9,10 @@ witness) and holds at p = 2 and p = inf (short proofs in the ``search``
 module docstring); the open exponents are (1, 2) and (2, inf).
 
 Loop contract: every suite runs through ``_run``, the one trial loop, with
-one stream id, 0-8 in ``N_MAX_BOUNDS`` order, and one layout: trial t reads
-its row of ``Philox(key=(seed, stream))`` words (``kernels.trial_words``) as
-uniforms.  Column 0 gives n; then come the suite's segments, each as wide as
-at n = n_max (N), of which a trial with n atoms reads the head:
+one stream id, its place (0-8) in ``N_MAX_BOUNDS``, and one layout: trial t
+reads its row of ``Philox(key=(seed, stream))`` words (``kernels.trial_words``)
+as uniforms.  Column 0 gives n; then come the suite's segments, each as wide
+as at n = n_max (N), of which a trial with n atoms reads the head:
 
 * leibniz: measure N - 1, f N, g N, exponent pair 2;
 * decomposition and majorization: f (x) N, g (y) N;
@@ -24,17 +24,17 @@ at n = n_max (N), of which a trial with n atoms reads the head:
 * identities: points N, permutation N, monotone 1, phi 16, f N, g N;
 * strong-leibniz: measure N - 1, magnitudes N, signs N.
 
-A measure is the spacings of n - 1 uniforms (``kernels.spacings``) lifted to
-the mass floor, a vector ``uniform(-1, 1)`` (-1 + 2u), a permutation the
-argsort of n uniforms, an exponent or a choice ``kernels.integers``, and phi
-its breakpoint count, then the uniforms ``kernels.sample_phi`` reads.  Each
-group of trials with the same n is evaluated as stacked arrays through the
-``kernels`` and the report builders of ``verify`` and ``operators``; no
-suite calls a one-instance checker, and every report equals checking its
-trial alone.  The suites whose n_max stops at ``MATRIX_N_MAX`` build an
-n x n matrix per trial and hold at most ``MAJORIZATION_BLOCK`` matrix
-entries per n, or one trial.  The strong-Leibniz fixed witness comes first
-and the majorization sign patterns last, with no trial index as ``seed``.
+As in the search, a measure is ``kernels.measures``, a vector
+``kernels.signed_uniforms``, the strong-Leibniz f ``sampling.invertible``
+and phi ``kernels.sample_phi``; a permutation is the argsort of n uniforms,
+an exponent or a choice ``kernels.integers``.  Each group of trials with the
+same n is evaluated as stacked arrays through the ``kernels`` and the report
+builders of ``verify`` and ``operators``; no suite calls a one-instance
+checker, and every report equals checking its trial alone.  The suites whose
+n_max stops at ``MATRIX_N_MAX`` build an n x n matrix per trial and hold at
+most ``MAJORIZATION_BLOCK`` matrix entries per n, or one trial.  The
+strong-Leibniz fixed witness comes first and the majorization sign patterns
+last, with no trial index as ``seed``.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ import numpy as np
 
 from . import kernels, operators, verify
 from .core import IDENTITY_TOL, INEQUALITY_TOL, check_exponent
-from .kernels import BLOCK, Block, integers, sample_phi
+from .kernels import BLOCK, Block, integers, measures, sample_phi, signed_uniforms
 from .reports import ReportBlock, VerificationReport
 from .search import reciprocal_witness_report
 from .verify import STATEMENTS
-from .sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points, sample_holder_triple_pair
+from .sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points, invertible, sample_holder_triple_pair
 
 _GRID = np.array(EXPONENT_GRID)
 
@@ -64,8 +64,8 @@ NORM_FAMILY = ("l1", "l1.5", "l2", "l3", "linf")
 #: of floats then takes 8 MB.
 MATRIX_N_MAX = 1000
 
-#: Smallest and largest ``n_max`` of each suite; those that sample a measure stop
-#: at MAX_ATOMS.  ``SUITES`` takes its names and their order from here.
+#: Smallest and largest ``n_max`` of each suite; those that sample a measure stop at MAX_ATOMS.
+#: ``SUITES`` takes its names and order from here, and ``_run`` each stream id (the position).
 N_MAX_BOUNDS = {
     "leibniz": (2, MAX_ATOMS), "decomposition": (2, MATRIX_N_MAX), "majorization": (1, MATRIX_N_MAX),
     "laplacian": (2, MATRIX_N_MAX), "chain-rule": (2, MAX_ATOMS), "markov": (2, MAX_ATOMS),
@@ -166,23 +166,26 @@ def _offsets(*widths: int) -> tuple[list[int], int]:
     return ends[:-1], ends[-1]
 
 
-def _run(name: str, stream: int, width: int, evaluate, trials: int, n_max: int, seed: int,
+def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int,
          theorem_backed: bool = True) -> SuiteOutcome:
     """The trial loop of every suite.
 
-    Trial t reads its ``width`` uniforms (``kernels.trial_words`` of the stream
-    (seed, stream)); n is the integer of column 0 in [smallest, n_max]
-    (``N_MAX_BOUNDS``).  Trials are drawn BLOCK at a time, or as many as fit
-    WORD_BLOCK words, and the rows of a draw with the same n are evaluated
-    together, in a suite whose n_max stops at MATRIX_N_MAX at most
-    max(1, MAJORIZATION_BLOCK // n**2) rows at once.  ``evaluate(n, u, t)``
-    (their uniform rows and trial indices) returns report blocks.  A block's
-    ``seed`` holds each row's index in ``u`` (None: row i is index i),
-    replaced by the row's trial index.  Reports come in trial order, a trial's
-    in the order of its blocks.  ``elapsed`` covers the loop.
+    n_max must lie in [smallest, largest] = ``N_MAX_BOUNDS[name]`` (ValueError
+    before any draw).  Trial t reads its ``width`` uniforms (``kernels.trial_words``);
+    n is the integer of column 0 in [smallest, n_max].  Trials are drawn BLOCK at
+    a time, or as many as fit WORD_BLOCK words, and the rows of a draw with the
+    same n are evaluated together, in a suite whose n_max stops at MATRIX_N_MAX
+    at most max(1, MAJORIZATION_BLOCK // n**2) rows at once.  ``evaluate(n, u, t)``
+    (their uniform rows and trial indices) returns report blocks, each holding a
+    trial at most once and its rows' trial indices in ``seed`` (None: t).  Reports
+    come in trial order, a trial's in the order of its blocks (one stable sort).
+    ``elapsed`` covers the loop.
     """
     start = time.perf_counter()
-    low, square = N_MAX_BOUNDS[name][0], N_MAX_BOUNDS[name][1] == MATRIX_N_MAX
+    low, high = N_MAX_BOUNDS[name]
+    if not low <= n_max <= high:
+        raise ValueError(f"n_max must lie in [{low}, {high}] for suite {name}, got {n_max}")
+    stream, square = list(N_MAX_BOUNDS).index(name), high == MATRIX_N_MAX
     blocks, step = [], max(1, min(BLOCK, WORD_BLOCK // width))
     for lo in range(0, trials, step):
         u = kernels.uniforms(kernels.trial_words(seed, stream, range(lo, min(trials, lo + step)), width))
@@ -191,28 +194,13 @@ def _run(name: str, stream: int, width: int, evaluate, trials: int, n_max: int, 
             rows = np.flatnonzero(sizes == n)
             size = max(1, MAJORIZATION_BLOCK // n ** 2) if square else len(rows)
             for part in np.split(rows, range(size, len(rows), size)):
-                for rank, b in enumerate(evaluate(n, u[part], lo + part)):
-                    at = b.columns["seed"]
-                    b.columns["seed"] = lo + part[slice(None) if at is None else at]
-                    blocks.append((rank, b))
-    keys = [np.concatenate([b.columns["seed"] for _, b in blocks] or [[]]),
-            np.concatenate([np.full(len(b), rank) for rank, b in blocks] or [[]])]
-    rows = [(b, i) for _, b in blocks for i in range(len(b))]
-    return SuiteOutcome(name, [rows[k] for k in np.lexsort(keys[::-1]).tolist()], theorem_backed,
-                        time.perf_counter() - start)
-
-
-def _measure(u: np.ndarray) -> np.ndarray:
-    """Uniform Dirichlet measures lifted to every weight >= MASS_FLOOR, from each row's n - 1 uniforms."""
-    n = u.shape[1] + 1
-    if n * MASS_FLOOR >= 1.0:
-        raise ValueError(f"mass floor {MASS_FLOOR} infeasible for {n} atoms")
-    return MASS_FLOOR + (1.0 - n * MASS_FLOOR) * kernels.spacings(u)
-
-
-def _uniform(u: np.ndarray) -> np.ndarray:
-    """``uniform(-1, 1)`` rows from their uniforms on [0, 1)."""
-    return -1.0 + 2.0 * u
+                for b in evaluate(n, u[part], lo + part):
+                    if b.columns["seed"] is None:
+                        b.columns["seed"] = lo + part
+                    blocks.append(b)
+    order = np.argsort(np.concatenate([b.columns["seed"] for b in blocks] or [[]]), kind="stable")
+    rows = [(b, i) for b in blocks for i in range(len(b))]
+    return SuiteOutcome(name, [rows[k] for k in order.tolist()], theorem_backed, time.perf_counter() - start)
 
 
 def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
@@ -221,10 +209,11 @@ def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
     (mu, f, g, pair), width = _offsets(n_max - 1, n_max, n_max, 2)
 
     def evaluate(n, u, t):
-        block = Block(_measure(u[:, mu:mu + n - 1]), _uniform(u[:, f:f + n]), _uniform(u[:, g:g + n]))
+        block = Block(measures(u[:, mu:mu + n - 1], MASS_FLOOR), signed_uniforms(u[:, f:f + n]),
+                      signed_uniforms(u[:, g:g + n]))
         exponents = sample_holder_triple_pair(u[:, pair], u[:, pair + 1]).T
         return [STATEMENTS["leibniz"].reports(block, exponents, tol)]
-    return _run("leibniz", 0, width, evaluate, trials, n_max, seed)
+    return _run("leibniz", width, evaluate, trials, n_max, seed)
 
 
 def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
@@ -232,8 +221,8 @@ def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
     (f, g), width = _offsets(n_max, n_max)
 
     def evaluate(n, u, t):
-        return [verify.decomposition_reports(_uniform(u[:, f:f + n]), _uniform(u[:, g:g + n]), tol)]
-    return _run("decomposition", 1, width, evaluate, trials, n_max, seed)
+        return [verify.decomposition_reports(signed_uniforms(u[:, f:f + n]), signed_uniforms(u[:, g:g + n]), tol)]
+    return _run("decomposition", width, evaluate, trials, n_max, seed)
 
 
 def _majorization_block(X: np.ndarray, Y: np.ndarray, tol: float) -> ReportBlock:
@@ -271,8 +260,8 @@ def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
     (x, y), width = _offsets(n_max, n_max)
 
     def evaluate(n, u, t):
-        return [_majorization_block(_uniform(u[:, x:x + n]), _uniform(u[:, y:y + n]), tol)]
-    outcome = _run("majorization", 2, width, evaluate, trials, n_max, seed)
+        return [_majorization_block(signed_uniforms(u[:, x:x + n]), signed_uniforms(u[:, y:y + n]), tol)]
+    outcome = _run("majorization", width, evaluate, trials, n_max, seed)
     for n in range(1, EXHAUSTIVE_N + 1):
         patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
         m = len(patterns)
@@ -300,34 +289,27 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
         names = _norm_names(u[:, norm:norm + 3], n)
         monotone, drawn = np.flatnonzero(t % 2), np.flatnonzero(t % 2 == 0)
         L = np.empty((len(u), n, n))
-        if drawn.size:
-            L[drawn] = kernels.sample_laplacian(u[drawn, pts:pts + n * (n - 1) // 2], n)
-        if monotone.size:
-            odd = u[monotone]
-            b = Block(None, distinct_points(_uniform(odd[:, pts:pts + n]), kernels.permutations(odd[:, perm:perm + n])),
-                      **sample_phi(odd[:, phi:phi + 12], True, signed=True))
-            L[monotone] = kernels.monotone_laplacians(
-                kernels.divided_differences(b.f, functools.partial(kernels.phi, b)))
+        L[drawn] = kernels.sample_laplacian(u[drawn, pts:pts + n * (n - 1) // 2], n)
+        odd = u[monotone]
+        points = distinct_points(signed_uniforms(odd[:, pts:pts + n]), kernels.permutations(odd[:, perm:perm + n]))
+        b = Block(None, points, **sample_phi(odd[:, phi:phi + 12], True, signed=True))
+        L[monotone] = kernels.monotone_laplacians(kernels.divided_differences(b.f, functools.partial(kernels.phi, b)))
         kernels.validate_laplacians(L)
-        x = _uniform(u[:, x_at:x_at + n])
+        x = signed_uniforms(u[:, x_at:x_at + n])
         x -= x.mean(axis=1)[:, None]  # the bound holds for mean-zero x
         bound, size = operators.laplacian_bound_reports(
             L, x, functools.partial(kernels.norms, names=names), tol)
         bound.columns["instance"]["norm"] = names
-        blocks = [bound]
-        if monotone.size:
-            # corollary form: n * Lip(phi) dominates n * max off-diagonal
-            blocks.append(ReportBlock.from_values(
-                "monotone_divided_difference_bound", bound.columns["lhs"][monotone],
-                n * b.lipschitz * size[monotone], tol,
-                {"n": n, "lipschitz": b.lipschitz, "norm": names[monotone], "x": x[monotone],
-                 "points": b.f, "phi": operators.phi_echo(b)[0]}, seed=monotone))
+        # corollary form: n * Lip(phi) dominates n * max off-diagonal
+        corollary = ReportBlock.from_values(
+            "monotone_divided_difference_bound", bound.columns["lhs"][monotone], n * b.lipschitz * size[monotone],
+            tol, {"n": n, "lipschitz": b.lipschitz, "norm": names[monotone], "x": x[monotone],
+                  "points": b.f, "phi": operators.phi_echo(b)[0]}, seed=t[monotone])
         col, row = kernels.hat_bounds(L)
-        blocks.append(ReportBlock.from_values("hat_matrix_operator_bounds", kernels.row_max(col, row),
-                                              n * bound.columns["instance"]["max_offdiag"], 1e-10,
-                                              {"n": n, "col": col, "row": row}))
-        return blocks
-    return _run("laplacian", 3, width, evaluate, trials, n_max, seed)
+        return [bound, corollary, ReportBlock.from_values("hat_matrix_operator_bounds", kernels.row_max(col, row),
+                                                          n * bound.columns["instance"]["max_offdiag"], 1e-10,
+                                                          {"n": n, "col": col, "row": row})]
+    return _run("laplacian", width, evaluate, trials, n_max, seed)
 
 
 def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
@@ -337,9 +319,9 @@ def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
 
     def evaluate(n, u, t):
         phis = sample_phi(u[:, phi:phi + 16], True, signed=True)
-        block = Block(_measure(u[:, mu:mu + n - 1]), _uniform(u[:, f:f + n]), **phis)
+        block = Block(measures(u[:, mu:mu + n - 1], MASS_FLOOR), signed_uniforms(u[:, f:f + n]), **phis)
         return [STATEMENTS["chain_rule"].reports(block, (_GRID[integers(u[:, k], len(_GRID))],), tol)]
-    return _run("chain-rule", 4, width, evaluate, trials, n_max, seed)
+    return _run("chain-rule", width, evaluate, trials, n_max, seed)
 
 
 def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
@@ -349,9 +331,9 @@ def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
 
     def evaluate(n, u, t):
         phis = sample_phi(u[:, phi:phi + 16], False)
-        block = Block(_measure(u[:, mu:mu + n - 1]), _uniform(u[:, f:f + n]), **phis)
+        block = Block(measures(u[:, mu:mu + n - 1], MASS_FLOOR), signed_uniforms(u[:, f:f + n]), **phis)
         return [STATEMENTS["markov_variance"].reports(block, (), tol)]
-    return _run("markov", 5, width, evaluate, trials, n_max, seed)
+    return _run("markov", width, evaluate, trials, n_max, seed)
 
 
 def suite_square(trials: int = 10_000, n_max: int = 8, seed: int = 0,
@@ -359,9 +341,9 @@ def suite_square(trials: int = 10_000, n_max: int = 8, seed: int = 0,
     (mu, f, k), width = _offsets(n_max - 1, n_max, 1)
 
     def evaluate(n, u, t):
-        block = Block(_measure(u[:, mu:mu + n - 1]), _uniform(u[:, f:f + n]))
+        block = Block(measures(u[:, mu:mu + n - 1], MASS_FLOOR), signed_uniforms(u[:, f:f + n]))
         return [STATEMENTS["square_bound"].reports(block, (_GRID[integers(u[:, k], len(_GRID))],), tol)]
-    return _run("square", 6, width, evaluate, trials, n_max, seed)
+    return _run("square", width, evaluate, trials, n_max, seed)
 
 
 def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
@@ -371,11 +353,11 @@ def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
 
     def evaluate(n, u, t):
         monotone = u[:, coin] < 0.5
-        b = Block(None, distinct_points(_uniform(u[:, pts:pts + n]), kernels.permutations(u[:, perm:perm + n])),
+        b = Block(None, distinct_points(signed_uniforms(u[:, pts:pts + n]), kernels.permutations(u[:, perm:perm + n])),
                   **sample_phi(u[:, phi:phi + 16], monotone, signed=monotone))
         return [operators.centering_reports(b.f, functools.partial(kernels.phi, b), operators.phi_echo(b)[0], tol),
-                operators.derivation_reports(_uniform(u[:, f:f + n]), _uniform(u[:, g:g + n]), tol)]
-    return _run("identities", 7, width, evaluate, trials, n_max, seed)
+                operators.derivation_reports(signed_uniforms(u[:, f:f + n]), signed_uniforms(u[:, g:g + n]), tol)]
+    return _run("identities", width, evaluate, trials, n_max, seed)
 
 
 def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
@@ -391,10 +373,9 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     (mu, mag, sign), width = _offsets(n_max - 1, n_max, n_max)
 
     def evaluate(n, u, t):
-        # magnitudes uniform(0.05, 1), signs from uniforms below 0.5
-        f = (0.05 + (1.0 - 0.05) * u[:, mag:mag + n]) * np.where(u[:, sign:sign + n] < 0.5, -1.0, 1.0)
-        return [STATEMENTS["strong_leibniz"].reports(Block(_measure(u[:, mu:mu + n - 1]), f), (p,), tol)]
-    outcome = _run("strong-leibniz", 8, width, evaluate, trials, n_max, seed, theorem_backed=False)
+        f = invertible(u[:, mag:mag + n], u[:, sign:sign + n])
+        return [STATEMENTS["strong_leibniz"].reports(Block(measures(u[:, mu:mu + n - 1], MASS_FLOOR), f), (p,), tol)]
+    outcome = _run("strong-leibniz", width, evaluate, trials, n_max, seed, theorem_backed=False)
     witness = reciprocal_witness_report(tol)
     witness.instance["expected_failure"] = True
     sides = (np.array([v]) for v in (witness.lhs, witness.rhs, witness.slack, witness.passed))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -492,3 +493,17 @@ def test_console_module_invocation():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "formula=1.5" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("--x", "[1e308,-1e308,1e308]", "--matrix", "deflated"),
+    ("--matrix", "divided", "--x", "1,2", "--phi", '{"breakpoints": [0], "slopes": [1e308, -1e308]}'),
+], ids=["deflated", "divided"])
+def test_inspect_overflow_exit_2(capsys, argv):
+    # inf - inf in M - M.T would report a symmetric matrix as asymmetric
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("inspect", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and caught == []

@@ -80,3 +80,14 @@ def test_one_stream_path():
     found = [f"{path.name}: {word}" for path in sorted(PACKAGE.glob("*.py"))
              for word in SECOND_STREAM if word in path.read_text(encoding="utf-8")]
     assert found == [], f"a second stream path: {found}"
+
+
+def test_no_starred_subscripts():
+    """``a[:, *b]`` is Python 3.11 syntax (PEP 646); ``pyproject.toml`` declares
+    3.10, where importing the module stops with a SyntaxError.  ``ast.parse``
+    with ``feature_version=(3, 10)`` does not flag it, so the tree is walked."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Subscript)
+             and any(isinstance(n, ast.Starred) for n in ast.walk(node.slice))]
+    assert found == [], f"starred subscripts (Python 3.11 syntax): {found}"

@@ -13,7 +13,7 @@ from scalar_reference import Trial
 
 import leibnizlab.kernels as kernels
 import leibnizlab.suites as suites
-from leibnizlab.sampling import distinct_points
+from leibnizlab.sampling import MASS_FLOOR, MAX_ATOMS, distinct_points
 from leibnizlab.search import SearchConfig, random_instance
 
 search_mod = importlib.import_module("leibnizlab.search")
@@ -112,6 +112,18 @@ def test_conversions_are_pinned_by_their_bits():
     # the extremes: word 0 reads 0, the largest word reads just below 1 and span - 1
     top = kernels.uniforms(np.array([[0, 2 ** 64 - 1]], dtype=np.uint64))
     assert top.tolist() == [[0.0, 1.0 - 2.0 ** -53]] and kernels.integers(top, 7).tolist() == [[0, 6]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 100, MAX_ATOMS])
+def test_suites_and_search_share_one_measure_rule(n):
+    # spacings of multiples of 2**-53 add up to exactly 1.0, so the search's
+    # projection divides by 1.0 and gives the suites' floored measures bit for bit
+    u = kernels.uniforms(kernels.trial_words(n, 0, range(50), n - 1))[:, :n - 1]
+    assert kernels.spacings(u).sum(axis=1).tolist() == [1.0] * 50
+    for floor in (MASS_FLOOR, 0.2 / n):
+        drawn = kernels.measures(u, floor)
+        projected = search_mod._floored_simplex(kernels.spacings(u), floor)
+        assert list(map(float.hex, drawn.ravel().tolist())) == list(map(float.hex, projected.ravel().tolist()))
 
 
 def _phi_uniforms(counts, mmax, knot_u):

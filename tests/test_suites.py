@@ -36,7 +36,7 @@ from leibnizlab.core import IDENTITY_TOL, INEQUALITY_TOL, HolderTriple, weak_maj
 from leibnizlab.knorms import k_norm_evaluator, lp_evaluator
 from leibnizlab.operators import DegenerateInputError, PiecewiseLinearFn, deflated_theta
 from leibnizlab.reports import ReportBlock, VerificationReport
-from leibnizlab.sampling import EXPONENT_GRID, MAX_ATOMS, sample_holder_triple_pair
+from leibnizlab.sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, sample_holder_triple_pair
 from leibnizlab.search import reciprocal_witness_report
 
 
@@ -166,11 +166,26 @@ def test_measure_suites_stop_where_the_mass_floor_does():
     assert len(sample_prob_vector(rng, MAX_ATOMS).weights) == MAX_ATOMS
     with pytest.raises(ValueError):
         sample_prob_vector(rng, MAX_ATOMS + 1)
-    assert suites._measure(rng.random((1, MAX_ATOMS - 1))).shape == (1, MAX_ATOMS)
+    assert kernels.measures(rng.random((1, MAX_ATOMS - 1)), MASS_FLOOR).shape == (1, MAX_ATOMS)
     with pytest.raises(ValueError):
-        suites._measure(rng.random((1, MAX_ATOMS)))
+        kernels.measures(rng.random((1, MAX_ATOMS)), MASS_FLOOR)
     assert {name for name, (_, hi) in suites.N_MAX_BOUNDS.items() if hi == MAX_ATOMS} == {
         "leibniz", "chain-rule", "markov", "square", "strong-leibniz"}
+
+
+@pytest.mark.parametrize("call", [
+    functools.partial(suites.suite_leibniz, trials=3, n_max=1),
+    functools.partial(suites.suite_majorization, n_max=0),
+    functools.partial(suites.suite_square, trials=3, n_max=1000),
+], ids=["leibniz-1", "majorization-0", "square-1000"])
+def test_suites_refuse_n_max_outside_their_bounds(monkeypatch, call):
+    # refused before any draw: a too-small n_max would read the wrong columns,
+    # a too-large one would stop part-way at the mass floor
+    def no_draw(*args):
+        raise AssertionError("drew before checking n_max")
+    monkeypatch.setattr(kernels, "trial_words", no_draw)
+    with pytest.raises(ValueError, match="n_max must lie in"):
+        call()
 
 
 def test_strong_leibniz_open_region_note():
