@@ -19,12 +19,17 @@ computation bit for bit, and ``validate_laplacians`` makes the Laplacian
 checks on every matrix of a block at once.
 
 Streams (the v2 rule): the suites (streams 0-8) and the search
-(``SEARCH_STREAM``) each draw from ``Philox(key=(seed, stream))``, numpy's
-counter-based generator (Salmon et al., SC 2011), and trial t reads the W
-words at counter t W / 4, W being the consumer's layout width
-(``trial_words``), so a block is one ``advance`` and one ``random_raw`` and
-a trial alone is a block of one.  Both consumers turn words into numbers with
-the samplers below, with no rejection and no libm call.
+(``SEARCH_STREAM``) each draw from ``Philox(key=(seed, stream))``, the
+counter-based generator Philox4x64-10 (Salmon et al., SC 2011), and trial t
+reads the W words at counter t W / 4, W being the consumer's layout width
+(``trial_words``).  The words are computed here, with numpy integer
+arithmetic on 32-bit halves, bit for bit as numpy's ``Philox`` gives them
+after ``advance(t W / 4)``, which the tests check.  No command imports
+numpy's random module, which spares each about 6 MB of resident memory
+(numpy's generators and, through ``secrets`` and ``hashlib``, OpenSSL).  Access is by
+counter, so any list of trials is one vectorized call and a trial alone is a
+block of one.  Both consumers turn words into numbers with the samplers
+below, with no rejection and no libm call.
 """
 
 from __future__ import annotations
@@ -463,25 +468,93 @@ def sample_laplacian(u: np.ndarray, n: int) -> np.ndarray:
 #: Stream id of the search; the suites take 0-8 (``suites._run``).
 SEARCH_STREAM = 9
 
+#: Philox4x64-10: the multipliers of counter words 0 and 2, the Weyl
+#: increments of the two key words, one per round of the ten.
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_BUMPS = (np.arange(10, dtype=np.uint64)[:, None, None]
+                 * np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64))
+#: 0-d arrays, which a ufunc takes faster than numpy scalars.
+_LOW32, _32 = np.array(0xFFFFFFFF, dtype=np.uint64), np.array(32, dtype=np.uint64)
+_MUL_LOW, _MUL_HIGH = _PHILOX_MUL & _LOW32, _PHILOX_MUL >> _32
+
+#: Philox blocks (4 words each) computed at once: a draw's temporaries stay
+#: near 1 MB, and each chunk pays the ~0.1 ms of the rounds' 170 ufunc calls.
+_PHILOX_CHUNK = 8192
+
+
+def _word(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2 ** 64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
+
 
 def check_seed(seed) -> int:
     """The seed as a Philox key word: an integer in [0, 2**64), else ValueError."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return int(seed)
+    return _word(seed, "seed")
+
+
+def _mulhi(x: np.ndarray) -> np.ndarray:
+    """The high words of the 128-bit products of the (2, m) counter words x
+    with their multipliers, from 32-bit halves (Hacker's Delight, 8-2)."""
+    low, high = x & _LOW32, x >> _32
+    t = _MUL_LOW * low
+    t >>= _32
+    t += _MUL_LOW * high
+    u = t & _LOW32
+    low *= _MUL_HIGH
+    u += low
+    high *= _MUL_HIGH
+    t >>= _32
+    high += t
+    u >>= _32
+    high += u
+    return high
+
+
+def _philox(key: tuple[int, int], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 4 words of Philox4x64-10 under ``key`` (two words) at each counter
+    (lo, hi, 0, 0), lo and hi being uint64 arrays: (len(lo), 4)."""
+    x = np.zeros((2, len(lo)), dtype=np.uint64)  # counter words 0 and 2
+    y = np.zeros_like(x)  # counter words 1 and 3
+    x[0], y[0] = lo, hi
+    for round_key in np.array([[key[0]], [key[1]]], dtype=np.uint64) + _PHILOX_BUMPS:
+        high = _mulhi(x)[::-1]
+        high ^= y
+        high ^= round_key
+        x *= _PHILOX_MUL
+        x, y = high, x[::-1]
+    words = np.empty((len(lo), 4), dtype=np.uint64)
+    words[:, 0::2], words[:, 1::2] = x.T, y.T
+    return words
 
 
 def trial_words(seed: int, stream: int, trials, width: int) -> np.ndarray:
-    """The words of each trial of ``trials`` (a range of step 1, or a sequence
-    of trial indices, which may repeat) as rows of W words, where W is
-    ``width`` rounded up to a multiple of 4: trial t reads the W words of
-    ``Philox(key=(seed, stream))`` that start at counter t W / 4."""
-    W = -(-width // 4) * 4
-    if not isinstance(trials, range) or trials.step != 1:  # one trial at a time
-        return np.concatenate([trial_words(seed, stream, range(t, t + 1), width) for t in trials])
-    gen = np.random.Philox(key=np.array([check_seed(seed), stream], dtype=np.uint64))
-    gen.advance(trials.start * W // 4)
-    return gen.random_raw(len(trials) * W).reshape(len(trials), W)
+    """The words of each trial of ``trials`` (a range, or a sequence of trial
+    indices, which may repeat) as rows of W words, where W is ``width``
+    rounded up to a multiple of 4: trial t reads the W words of
+    ``Philox(key=(seed, stream))`` that start at counter t W / 4.  As numpy
+    counts them after ``advance(t W / 4)``, words 4j to 4j + 3 are the block
+    at the 128-bit counter t W / 4 + 1 + j.  ValueError for a trial index
+    that is not an integer in [0, 2**64)."""
+    if isinstance(trials, range) and trials.step == 1 and trials:
+        for end in trials[0], trials[-1]:
+            _word(end, "trial index")
+        t = np.arange(len(trials), dtype=np.uint64) + np.uint64(trials.start)
+    else:
+        t = np.array([_word(value, "trial index") for value in trials], dtype=np.uint64)
+    blocks = -(-width // 4)
+    key = (check_seed(seed), stream)
+    # t W / 4 as a low and a high word, the high from 32-bit halves of t (blocks < 2**32)
+    low = t * blocks
+    high = ((t >> _32) * blocks + ((t & _LOW32) * blocks >> _32)) >> _32
+    j = np.arange(1, blocks + 1, dtype=np.uint64)
+    out = np.empty((len(t), 4 * blocks), dtype=np.uint64)
+    step = max(1, _PHILOX_CHUNK // blocks)
+    for a in range(0, len(t), step):
+        lo = low[a:a + step, None] + j
+        hi = high[a:a + step, None] + (lo < j)  # the carry out of the low word
+        out[a:a + step] = _philox(key, lo.ravel(), hi.ravel()).reshape(len(lo), -1)
+    return out
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:

@@ -34,10 +34,11 @@ block of neighbours per pass, each with its own epoch and sweep count, so
 each takes the path ``refine`` takes for it alone.
 
 Determinism: trial t reads its own words of ``Philox(key=(seed,
-SEARCH_STREAM))`` (``kernels.trial_words``, the v2 stream rule), so a block
-of trials and a re-drawn leader read the same words; refinement is rng-free
-hill climbing; aggregation takes the maximal violation with ties broken by
-the lower trial index.  Results therefore depend on the seed and the budget
+SEARCH_STREAM))`` (``kernels.trial_words``, the v2 stream rule, computed in
+``kernels`` bit for bit as numpy's ``Philox``), so a block of trials and
+the re-drawn leaders, one call for any list of trials, read the same words;
+refinement is rng-free hill climbing; aggregation takes the maximal
+violation with ties broken by the lower trial index.  Results therefore depend on the seed and the budget
 only, not on the block size.
 """
 

@@ -10,8 +10,9 @@ module docstring); the open exponents are (1, 2) and (2, inf).
 
 Loop contract: every suite runs through ``_run``, the one trial loop, with
 one stream id, its place (0-8) in ``N_MAX_BOUNDS``, and one layout: trial t
-reads its row of ``Philox(key=(seed, stream))`` words (``kernels.trial_words``)
-as uniforms.  Column 0 gives n; then come the suite's segments, each as wide
+reads its row of ``Philox(key=(seed, stream))`` words (``kernels.trial_words``,
+which computes Philox4x64-10 itself, bit for bit as numpy's ``Philox``) as
+uniforms.  Column 0 gives n; then come the suite's segments, each as wide
 as at n = n_max (N), of which a trial with n atoms reads the head:
 
 * leibniz: measure N - 1, f N, g N, exponent pair 2;
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -170,9 +172,10 @@ def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int,
          theorem_backed: bool = True) -> SuiteOutcome:
     """The trial loop of every suite.
 
-    n_max must lie in [smallest, largest] = ``N_MAX_BOUNDS[name]`` (ValueError
-    before any draw).  Trial t reads its ``width`` uniforms (``kernels.trial_words``);
-    n is the integer of column 0 in [smallest, n_max].  Trials are drawn BLOCK at
+    trials and n_max must be integers, trials at least 1 and n_max in
+    [smallest, largest] = ``N_MAX_BOUNDS[name]`` (ValueError before any draw).
+    Trial t reads its ``width`` uniforms (``kernels.trial_words``); n is the
+    integer of column 0 in [smallest, n_max].  Trials are drawn BLOCK at
     a time, or as many as fit WORD_BLOCK words, and the rows of a draw with the
     same n are evaluated together, in a suite whose n_max stops at MATRIX_N_MAX
     at most max(1, MAJORIZATION_BLOCK // n**2) rows at once.  ``evaluate(n, u, t)``
@@ -183,6 +186,11 @@ def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int,
     """
     start = time.perf_counter()
     low, high = N_MAX_BOUNDS[name]
+    for arg, value in (("trials", trials), ("n_max", n_max)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{arg} must be an integer, got {value!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if not low <= n_max <= high:
         raise ValueError(f"n_max must lie in [{low}, {high}] for suite {name}, got {n_max}")
     stream, square = list(N_MAX_BOUNDS).index(name), high == MATRIX_N_MAX

@@ -6,6 +6,7 @@ callers."""
 
 import importlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -88,6 +89,63 @@ def test_streams_refuse_negative_entropy():
         with pytest.raises(ValueError):
             SearchConfig(target="chain_rule", seed=bad)
     assert suites.suite_decomposition(trials=2, seed=2 ** 64 - 1).trials == 2
+
+
+def _numpy_blocks(key0, key1, start, count):
+    """``count`` blocks of numpy's C Philox under the key (key0, key1) after ``advance(start)``."""
+    gen = np.random.Philox(key=np.array([key0, key1], dtype=np.uint64))
+    gen.advance(start)
+    return gen.random_raw(4 * count).reshape(count, 4)
+
+
+def _blocks(key0, key1, start, count):
+    """The same blocks from ``kernels._philox``: counters start + 1 to start + count, 128 bits each."""
+    counters = range(start + 1, start + count + 1)
+    lo = np.array([c % 2 ** 64 for c in counters], dtype=np.uint64)
+    hi = np.array([c >> 64 for c in counters], dtype=np.uint64)
+    return kernels._philox((key0, key1), lo, hi)
+
+
+def test_philox_matches_numpy_on_random_keys_and_counters():
+    # keys up to 2**64 - 1; counters anywhere below 2**65, and often just
+    # below a multiple of 2**64, where the carry reaches the second word
+    rng = random.Random(24)
+    for _ in range(200):
+        key0, key1 = rng.choice([0, 2 ** 64 - 1, rng.getrandbits(64)]), rng.getrandbits(64)
+        count = rng.randint(1, 40)
+        low = rng.choice([rng.getrandbits(64), 2 ** 64 - rng.randint(1, 45)])
+        start = rng.randint(0, 1) * 2 ** 64 + low
+        assert np.array_equal(_blocks(key0, key1, start, count), _numpy_blocks(key0, key1, start, count))
+
+
+def test_philox_counter_wraps_into_its_second_word():
+    # advance(2**64 - 2) then 4 blocks: counters 2**64 - 1, 2**64, 2**64 + 1, 2**64 + 2
+    for key in ((0, 0), (7, 0), (2 ** 64 - 1, kernels.SEARCH_STREAM)):
+        assert np.array_equal(_blocks(*key, 2 ** 64 - 2, 4), _numpy_blocks(*key, 2 ** 64 - 2, 4))
+
+
+def test_trial_list_with_repeats_is_one_call():
+    # repeats, the last trial index and a width of many blocks, so one call
+    # spans several chunks of counters
+    picks = [3, 3, 0, 2 ** 64 - 1, 3, 17, 2 ** 63, 0]
+    for width in (4, 4 * kernels._PHILOX_CHUNK // 3 + 1):
+        words = kernels.trial_words(9, 2, picks, width)
+        assert words.shape == (len(picks), -(-width // 4) * 4)
+        for row, t in zip(words, picks):
+            assert np.array_equal(row, _philox(9, 2, t, words.shape[1]))
+    # a range of trials that spans several chunks is the same as numpy's one draw
+    ts = range(2 ** 64 - 40, 2 ** 64)
+    assert np.array_equal(kernels.trial_words(5, 1, ts, 1000).ravel(),
+                          _numpy_blocks(5, 1, ts.start * 250, 40 * 250).ravel())
+
+
+def test_trial_indices_refused_outside_the_counter_range():
+    # a trial index is an integer in [0, 2**64), as a seed is
+    assert kernels.trial_words(0, 0, range(2 ** 64 - 1, 2 ** 64), 4).shape == (1, 4)
+    assert kernels.trial_words(0, 0, range(5, 5), 4).shape == (0, 4)
+    for bad in ([-1], [2 ** 64], [0, 1.0], [True], ["3"], range(-1, 2), range(2 ** 64 - 1, 2 ** 64 + 1)):
+        with pytest.raises(ValueError, match=r"trial index must be an integer in \[0, 2\*\*64\)"):
+            kernels.trial_words(0, 0, bad, 4)
 
 
 def test_conversions_are_pinned_by_their_bits():

@@ -64,7 +64,7 @@ def test_suite_files_do_not_depend_on_the_thread_count(tmp_path):
 
 
 def test_parser_set_up_leaves_numpy_random_unimported():
-    # numpy.random is imported on first use, so a command's set-up does not pay for it
+    # no command imports numpy.random (``kernels`` computes the words), set-up included
     code = "import sys, leibnizlab.cli as cli; cli.build_parser(); print('numpy.random' in sys.modules)"
     assert _run(["-c", code]) == "False\n"
 
@@ -75,4 +75,17 @@ def test_verify_leaves_numpy_ma_and_char_unimported():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    cli.main(['verify', '--suite', 'all', '--trials', '20'])\n"
             "print([m for m in ('numpy.ma', 'numpy.char') if m in sys.modules])")
+    assert _run(["-c", code]) == "[]\n"
+
+
+def test_drawing_commands_leave_numpy_random_unimported(tmp_path):
+    # the suites and the search draw their words from ``kernels`` alone, so
+    # numpy.random is never loaded, nor ``secrets`` and ``hashlib`` (OpenSSL) with it
+    config = tmp_path / "search.json"
+    config.write_text('{"target": "chain_rule", "n": 4, "p_grid": [2, 3, "inf"], "trials": 50, "monotone": false}')
+    code = ("import io, sys, contextlib, leibnizlab.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', '--suite', 'all', '--trials', '20']) == 0\n"
+            f"    assert cli.main(['search', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print([m for m in ('numpy.random', 'secrets', 'hashlib') if m in sys.modules])")
     assert _run(["-c", code]) == "[]\n"

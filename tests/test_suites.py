@@ -3,6 +3,7 @@ the suites' size limits, and the strong-Leibniz open-region note."""
 
 import functools
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -185,6 +186,24 @@ def test_suites_refuse_n_max_outside_their_bounds(monkeypatch, call):
         raise AssertionError("drew before checking n_max")
     monkeypatch.setattr(kernels, "trial_words", no_draw)
     with pytest.raises(ValueError, match="n_max must lie in"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (functools.partial(suites.suite_square, trials=-5), "trials must be at least 1, got -5"),
+    (functools.partial(suites.suite_square, trials=3, n_max=5.0), "n_max must be an integer, got 5.0"),
+    (functools.partial(suites.suite_square, trials=2.5), "trials must be an integer, got 2.5"),
+    (functools.partial(suites.suite_leibniz, trials=0), "trials must be at least 1, got 0"),
+    (functools.partial(suites.suite_leibniz, trials=True), "trials must be an integer, got True"),
+    (functools.partial(suites.suite_majorization, trials=3, n_max=True), "n_max must be an integer, got True"),
+], ids=["trials-negative", "n_max-float", "trials-float", "trials-0", "trials-bool", "n_max-bool"])
+def test_suites_refuse_trials_and_n_max_of_the_wrong_kind(monkeypatch, call, message):
+    # refused before any draw: no trials would give a verdict on no work, and a
+    # float would stop deep in the samplers with a bare TypeError
+    def no_draw(*args):
+        raise AssertionError("drew before checking trials and n_max")
+    monkeypatch.setattr(kernels, "trial_words", no_draw)
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
 
