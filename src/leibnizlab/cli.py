@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -361,9 +362,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """Each value that starts with "-" and then a digit or "." joined to its
+    option with "=" (``--x -0.5,1`` as ``--x=-0.5,1``): argparse reads such a
+    value as an option unless it is a plain decimal, and no option here
+    starts that way."""
+    out = []
+    for arg in argv:
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
     return args.func(args)
 
 

@@ -2,12 +2,13 @@
 and the per-trial random streams, read a block at a time.
 
 A ``Block`` holds instances as the rows of arrays.  Each kernel maps a block,
-and its exponents (one float, or one per row), to the arrays of the two sides
-of one statement.  It repeats, row by row, the floating-point operations of
-evaluating one instance alone, in the same order, so a row's values do not
-depend on the other rows of its block: the suites, the search and the
-one-instance checkers in ``verify`` and ``operators`` all call these
-kernels, and each inequality is written here once.
+and its exponents (one float, one per row, or a grid of exponents by rows,
+as ``lp`` takes them), to the arrays of the two sides of one statement.  It
+repeats, row by row, the floating-point operations of evaluating one
+instance alone, in the same order, so a row's values do not depend on the
+other rows of its block, nor on the other exponents of a grid: the suites,
+the search and the one-instance checkers in ``verify`` and ``operators`` all
+call these kernels, and each inequality is written here once.
 
 The statements about n x n matrices (the centered-product decomposition, the
 centering and derivation identities, the Laplacian norm bound) take their
@@ -54,7 +55,8 @@ class Block:
     ``f``).  phi (chain rule, markov and divided differences) is
     kept as breakpoints (B, M) padded with +inf, slopes (B, M + 1) padded
     with 0 and anchors (B,); its knot values and Lipschitz constants are
-    derived here exactly as ``PiecewiseLinearFn`` derives them.  A plain
+    derived here exactly as ``PiecewiseLinearFn`` derives them, and its
+    values at f (``phi_f``) once, for all the kernels a block meets.  A plain
     class, because creating a dataclass adds about 2 ms to the start-up of
     every command.
     """
@@ -91,6 +93,12 @@ class Block:
     def arrays(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
 
+    @functools.cached_property
+    def phi_f(self) -> np.ndarray:
+        """phi of each row at its own f, computed once, on first use: the
+        block's arrays are not changed after it is built."""
+        return phi(self, self.f)
+
     def __len__(self) -> int:
         return self.f.shape[0]
 
@@ -124,24 +132,37 @@ def lp(x: np.ndarray, w: np.ndarray | None, p) -> np.ndarray:
     """Row-wise ``core.lp_norm``: max |x| factored out; 0 for a zero row.
 
     ``w`` holds each row's weights, or is None for the counting measure (a
-    plain sum).  ``p`` is one exponent, or an array of one per row; rows are
-    then taken together by exponent.
+    plain sum).  ``p`` broadcasts against the rows: one exponent, an array
+    of one per row, or a grid, (E, 1) for E exponents of every row or (E, B)
+    for one per exponent and row, which gives (E, B) norms.  |x|, the row
+    maxima and the ratios are computed once; each distinct exponent then
+    takes its power, sum and root over the rows that use it.  p = inf is the
+    maximum, and p = 1 takes no power and no root (x ** 1.0 is x).
     """
-    if np.ndim(p):
-        exponents = set(p.tolist())
-        if len(exponents) != 1:
-            out = np.empty(x.shape[0])
-            for e in exponents:
-                rows = p == e
-                out[rows] = lp(x[rows], None if w is None else w[rows], e)
-            return out
-        (p,) = exponents
     a = np.abs(x)
     m = a.max(axis=1, initial=0.0)
-    if math.isinf(p):
-        return m
-    ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
-    return m * pypow((ratios ** p).sum(axis=1) if w is None else rowdot(w, ratios ** p), 1.0 / p)
+    out = np.empty(np.broadcast_shapes(np.shape(p), m.shape))
+    ratios, exponents = None, set(np.ravel(p).tolist())
+    for e in exponents:
+        at = np.equal(p, e)
+        if len(exponents) == 1 or at.shape[-1:] != m.shape:  # every row takes e
+            rows = slice(None)
+        else:
+            rows = at if at.ndim == 1 else at.any(axis=0)
+        if math.isinf(e):
+            norm = m[rows]
+        else:
+            if ratios is None:
+                ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
+            powers = ratios[rows] if e == 1.0 else ratios[rows] ** e
+            total = powers.sum(axis=1) if w is None else rowdot(w[rows], powers)
+            norm = m[rows] * (total if e == 1.0 else pypow(total, 1.0 / e))
+        if not isinstance(rows, slice):
+            full = np.empty(len(m))
+            full[rows] = norm
+            norm = full
+        np.copyto(out, norm, where=at)
+    return out
 
 
 def phi(b: Block, x: np.ndarray) -> np.ndarray:
@@ -171,14 +192,14 @@ def leibniz(b: Block, r, p1, q1, p2, q2):
 
 def chain_rule(b: Block, p):
     """||phi(f) - E phi(f)||_p against Lip(phi) ||f - Ef||_p."""
-    lhs = lp(center(phi(b, b.f), b.mu), b.mu, p)
+    lhs = lp(center(b.phi_f, b.mu), b.mu, p)
     rhs = b.lipschitz * lp(center(b.f, b.mu), b.mu, p)
     return lhs, rhs
 
 
 def markov_variance(b: Block):
     """Var phi(f) against Lip(phi)^2 Var f."""
-    return _variance(phi(b, b.f), b.mu), pypow(b.lipschitz, 2) * _variance(b.f, b.mu)
+    return _variance(b.phi_f, b.mu), pypow(b.lipschitz, 2) * _variance(b.f, b.mu)
 
 
 def strong_leibniz(b: Block, p):

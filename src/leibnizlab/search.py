@@ -28,10 +28,11 @@ one-row Instances.  All act through the target's statement in
 ``verify.STATEMENTS``: its kernel scores blocks of ``BLOCK`` rows, each row
 as the checker scores it alone, whatever phi's +inf padding; a row outside
 its domain scores -inf; ``replay`` returns its report.  ``search`` scores
-every trial at every exponent into one matrix and ranks each exponent once;
-the leaders are re-drawn from their trials, and all climb in lockstep, one
-block of neighbours per pass, each with its own epoch and sweep count, so
-each takes the path ``refine`` takes for it alone.
+every trial at every exponent into one matrix, each block at all exponents
+in one pass, and ranks each exponent once; the leaders are re-drawn from
+their trials, and all climb in lockstep, one block of neighbours per pass,
+each with its own epoch and sweep count, so each takes the path ``refine``
+takes for it alone.
 
 Determinism: trial t reads its own words of ``Philox(key=(seed,
 SEARCH_STREAM))`` (``kernels.trial_words``, the v2 stream rule, computed in
@@ -52,7 +53,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .core import INEQUALITY_TOL, HolderTriple, ProbVector, as_number, as_pair, check_exponent, exponent_tag, paired
-from .kernels import (BLOCK, SEARCH_STREAM, Block, center, check_seed, integers, lp, measures, phi, sample_phi,
+from .kernels import (BLOCK, SEARCH_STREAM, Block, center, check_seed, integers, lp, measures, sample_phi,
                       signed_uniforms, trial_words, uniforms)
 from .operators import PiecewiseLinearFn
 from .reports import VerificationReport
@@ -230,19 +231,21 @@ def _sample(config: SearchConfig, trials) -> Instance:
     return Instance(**block)
 
 
-# -- violations of a block at one exponent ------------------------------------
+# -- violations of a block at its exponents -----------------------------------
 
 def _exponents(b: Instance, target: str, p) -> tuple:
-    """The exponents of the target's statement at p, one float or one per row: p,
-    and for leibniz the (p, q) of ``HolderTriple.split(p, s)`` for each row's splits s."""
+    """The exponents of the target's statement at p, which broadcasts against
+    the rows as ``kernels.lp`` takes it (one float, one per row, or a grid):
+    p, and for leibniz the (p, q) of ``HolderTriple.split(p, s)`` for each
+    row's splits s, in p's broadcast shape."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
     if target != "leibniz":
         return (p,)
-    exponents, rows_p = [p], np.broadcast_to(p, b.split1.shape)
-    for split in (b.split1, b.split2):
+    exponents, (rows_p, *splits) = [p], np.broadcast_arrays(p, b.split1, b.split2)
+    for split in splits:
         pe, qe = np.empty(split.shape), np.empty(split.shape)
-        for key in set(zip(rows_p.tolist(), split.tolist())):
+        for key in set(zip(rows_p.ravel().tolist(), split.ravel().tolist())):
             triple, rows = HolderTriple.split(*key), (rows_p == key[0]) & (split == key[1])
             pe[rows], qe[rows] = triple.p, triple.q
         exponents += [pe, qe]
@@ -250,14 +253,17 @@ def _exponents(b: Instance, target: str, p) -> tuple:
 
 
 def _violations(b: Instance, target: str, p) -> np.ndarray:
-    """lhs - rhs of the target inequality at p, one float or one per row; -inf
-    on a row outside the statement's domain."""
+    """lhs - rhs of the target inequality at p: one float or one per row, which
+    gives one value per row, or a grid of E exponents as an (E, 1) column,
+    which gives the (rows, E) matrix; -inf on a row outside the statement's
+    domain."""
     exponents, statement = _exponents(b, target, p), STATEMENTS[target]
     # a singular f (strong leibniz) makes inf / inf
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs, rhs, _ = statement.sides(b, exponents)
     outside = statement.outside(b.f)
-    return lhs - rhs if outside is None else np.where(outside, -np.inf, lhs - rhs)
+    # the kernels give a grid's values exponents first; .T leaves one per row as it is
+    return (lhs - rhs if outside is None else np.where(outside, -np.inf, lhs - rhs)).T
 
 
 def random_instance(config: SearchConfig, trial_seed: int) -> Instance:
@@ -407,17 +413,19 @@ def refine(inst: Instance, target: str, steps: int, p: float,
     return (tuned if v[0] > start[0] else inst), float(v[0])
 
 
-def _reach(b: Instance, grid) -> np.ndarray:
-    """The chain-rule violation of each row at each exponent of ``grid``, with
-    phi replaced by the function of phi's sign pattern between consecutive
-    sorted atoms and slopes +-1 (0 where phi is flat there): a vertex of the
-    box of phi's increments, where the convex lhs is largest."""
+def _reach(b: Instance, column: np.ndarray) -> np.ndarray:
+    """The chain-rule violation of each row at each exponent of the (E, 1)
+    ``column``, as a (rows, E) matrix, with phi replaced by the function of
+    phi's sign pattern between consecutive sorted atoms and slopes +-1 (0
+    where phi is flat there): a vertex of the box of phi's increments, where
+    the convex lhs is largest.  It reads phi(f) from the block (``phi_f``),
+    so the block's scores and its reach evaluate phi once, and takes both
+    norms at every exponent in one ``kernels.lp`` call each."""
     order = np.argsort(b.f, axis=1)
     x, mu = np.take_along_axis(b.f, order, axis=1), np.take_along_axis(b.mu, order, axis=1)
-    turns = np.sign(np.diff(np.take_along_axis(phi(b, b.f), order, axis=1), axis=1))
+    turns = np.sign(np.diff(np.take_along_axis(b.phi_f, order, axis=1), axis=1))
     z = np.concatenate([np.zeros((len(x), 1)), np.cumsum(np.diff(x, axis=1) * turns, axis=1)], axis=1)
-    cz, cx = center(z, mu), center(x, mu)
-    return np.stack([lp(cz, mu, p) - lp(cx, mu, p) for p in grid], axis=1)
+    return (lp(center(z, mu), mu, column) - lp(center(x, mu), mu, column)).T
 
 
 def _leaders(scores: np.ndarray, reach: np.ndarray, k: int) -> np.ndarray:
@@ -438,21 +446,26 @@ def search(config: SearchConfig) -> SearchResult:
     Every trial is scored at every exponent into one (trials, exponents)
     matrix, a block at a time: one float per trial and exponent, 2.4 MB at
     100k trials and 3 exponents, less than the returned ``history`` (the
-    running maximum of its row maxima).  Each exponent is ranked once, after
-    the last block, into its ``max(refine_top, 1)`` leaders (``_leaders``).
-    All leaders are re-drawn and climb together (``_climb``, 0 steps when
-    ``refine_top`` is 0); an exponent's result is its first leader of
-    largest climbed violation, the witness read from the climbed row.
+    running maximum of its row maxima).  A block is scored at all exponents
+    in one pass (``_violations`` on the grid): phi(f), the centerings, |x|,
+    the row maxima and the ratios once, then per exponent only the power,
+    the sum and the root (``kernels.lp``; none at p = 1), and the chain
+    rule's reach (``_reach``) reuses the block's phi(f).  Each exponent is
+    ranked once, after the last block, into its ``max(refine_top, 1)``
+    leaders (``_leaders``).  All leaders are re-drawn and climb together
+    (``_climb``, 0 steps when ``refine_top`` is 0), each at its own
+    exponent; an exponent's result is its first leader of largest climbed
+    violation, the witness read from the climbed row.
     """
     grid, target, k = config.p_grid, config.target, min(max(config.refine_top, 1), config.trials)
     scores = np.empty((config.trials, len(grid)))
     reach = np.empty_like(scores) if target == "chain_rule" else scores
+    column = np.array(grid)[:, None]
     for start in range(0, config.trials, BLOCK):
         block = _sample(config, range(start, min(start + BLOCK, config.trials)))
-        for j, p in enumerate(grid):
-            scores[start:start + len(block), j] = _violations(block, target, p)
+        scores[start:start + len(block)] = _violations(block, target, column)
         if reach is not scores:
-            reach[start:start + len(block)] = _reach(block, grid)
+            reach[start:start + len(block)] = _reach(block, column)
 
     # the leaders grouped by exponent, best first
     leaders = np.concatenate([_leaders(scores[:, j], reach[:, j], k) for j in range(len(grid))])

@@ -168,12 +168,24 @@ def _offsets(*widths: int) -> tuple[list[int], int]:
     return ends[:-1], ends[-1]
 
 
+def _check(name: str, trials, n_max) -> None:
+    """ValueError unless trials and n_max are integers, trials at least 1 and
+    n_max in [smallest, largest] = ``N_MAX_BOUNDS[name]``.  Every suite calls
+    it first, before its layout's offsets are computed from n_max."""
+    low, high = N_MAX_BOUNDS[name]
+    for arg, value in (("trials", trials), ("n_max", n_max)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{arg} must be an integer, got {value!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not low <= n_max <= high:
+        raise ValueError(f"n_max must lie in [{low}, {high}] for suite {name}, got {n_max}")
+
+
 def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int,
          theorem_backed: bool = True) -> SuiteOutcome:
-    """The trial loop of every suite.
+    """The trial loop of every suite, on trials and n_max that ``_check`` accepts.
 
-    trials and n_max must be integers, trials at least 1 and n_max in
-    [smallest, largest] = ``N_MAX_BOUNDS[name]`` (ValueError before any draw).
     Trial t reads its ``width`` uniforms (``kernels.trial_words``); n is the
     integer of column 0 in [smallest, n_max].  Trials are drawn BLOCK at
     a time, or as many as fit WORD_BLOCK words, and the rows of a draw with the
@@ -186,13 +198,6 @@ def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int,
     """
     start = time.perf_counter()
     low, high = N_MAX_BOUNDS[name]
-    for arg, value in (("trials", trials), ("n_max", n_max)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{arg} must be an integer, got {value!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if not low <= n_max <= high:
-        raise ValueError(f"n_max must lie in [{low}, {high}] for suite {name}, got {n_max}")
     stream, square = list(N_MAX_BOUNDS).index(name), high == MATRIX_N_MAX
     blocks, step = [], max(1, min(BLOCK, WORD_BLOCK // width))
     for lo in range(0, trials, step):
@@ -214,6 +219,7 @@ def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int,
 def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                   tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Product-rule inequality on random measures, vectors, and triple pairs."""
+    _check("leibniz", trials, n_max)
     (mu, f, g, pair), width = _offsets(n_max - 1, n_max, n_max, 2)
 
     def evaluate(n, u, t):
@@ -226,6 +232,7 @@ def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
 
 def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
                         tol: float = IDENTITY_TOL) -> SuiteOutcome:
+    _check("decomposition", trials, n_max)
     (f, g), width = _offsets(n_max, n_max)
 
     def evaluate(n, u, t):
@@ -264,6 +271,7 @@ def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
     EXHAUSTIVE_N, a few x at a time).  Reports keep their order (trials
     first, then patterns) and match the scalar computation bit for bit.
     """
+    _check("majorization", trials, n_max)
     start = time.perf_counter()
     (x, y), width = _offsets(n_max, n_max)
 
@@ -290,6 +298,7 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
     of random monotone functions (the chain-rule corollary uses Lip(phi) on
     the right-hand side, which dominates the off-diagonal maximum).
     """
+    _check("laplacian", trials, n_max)
     (norm, x_at, pts), width = _offsets(3, n_max, max(2 * n_max + 12, n_max * (n_max - 1) // 2))
     perm, phi = pts + n_max, pts + 2 * n_max
 
@@ -323,6 +332,7 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
 def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                      tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Monotone Lipschitz composition bound on random measures and exponents."""
+    _check("chain-rule", trials, n_max)
     (mu, f, phi, k), width = _offsets(n_max - 1, n_max, 16, 1)
 
     def evaluate(n, u, t):
@@ -335,6 +345,7 @@ def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
 def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Variance contraction under arbitrary (non-monotone) Lipschitz maps."""
+    _check("markov", trials, n_max)
     (mu, f, phi), width = _offsets(n_max - 1, n_max, 16)
 
     def evaluate(n, u, t):
@@ -346,6 +357,7 @@ def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
 
 def suite_square(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
+    _check("square", trials, n_max)
     (mu, f, k), width = _offsets(n_max - 1, n_max, 1)
 
     def evaluate(n, u, t):
@@ -357,6 +369,7 @@ def suite_square(trials: int = 10_000, n_max: int = 8, seed: int = 0,
 def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
                      tol: float = IDENTITY_TOL) -> SuiteOutcome:
     """Centering identity and the derivation dictionary on random instances."""
+    _check("identities", trials, n_max)
     (pts, perm, coin, phi, f, g), width = _offsets(n_max, n_max, 1, 16, n_max, n_max)
 
     def evaluate(n, u, t):
@@ -376,6 +389,7 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     and holds at p = 2 and p = inf; for p >= 2 no violation is expected, but
     a hit would be reported prominently rather than asserted away.
     """
+    _check("strong-leibniz", trials, n_max)
     p = check_exponent(p)
 
     (mu, mag, sign), width = _offsets(n_max - 1, n_max, n_max)

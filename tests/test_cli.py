@@ -416,6 +416,33 @@ def test_dualnorm_lone_numbers(capsys):
     assert rec["formula"] == 1.5 and rec["oracle"] == 1.5
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("inspect", "--x", "-0.5,1"), "--x"),
+    (("dualnorm", "--x", "-1,2", "--w", "2,1", "--k", "1", "--json"), "--x"),
+    (("verify", "--suite", "square", "--trials", "2", "--tol", "-1e-9", "--json"), "--tol"),
+], ids=["inspect-x", "dualnorm-x", "verify-tol"])
+def test_values_may_start_with_a_minus_sign(capsys, argv, option):
+    # argparse alone takes "-0.5,1" or "-1e-9" for an option; the value reads as with "="
+    i = argv.index(option)
+    assert run_cli(*argv[:i], f"{option}={argv[i + 1]}", *argv[i + 2:]) == 0
+    joined = capsys.readouterr()
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr() == joined and joined.err == ""
+
+
+@pytest.mark.parametrize("x, message", [
+    ("-abc", "argument --x: expected one argument"),
+    ("-1,abc", "error: could not convert string to float: 'abc'"),
+], ids=["not-a-number", "bad-entry"])
+def test_malformed_values_with_a_minus_sign_exit_2(capsys, x, message):
+    try:
+        code = run_cli("inspect", "--x", x)
+    except SystemExit as exc:  # argparse's own refusal
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and message in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["verify", "examples", "search"])
 def test_out_naming_a_file_exit_2(tmp_path, capsys, command):
     # the output directory is prepared before any work runs

@@ -1,8 +1,9 @@
 """The v2 stream rule: ``kernels.trial_words`` against numpy's ``Philox``,
 one-trial replay, the seed's domain and the conversions pinned by their
-bits; ``kernels.sample_phi`` with its modes set per row, and the gap rule of
+bits; ``kernels.sample_phi`` with its modes set per row, the gap rule of
 ``kernels.spread`` against the sequential rule, alone and through its two
-callers."""
+callers; and ``kernels.lp`` on a grid of exponents against one call per
+exponent, bit for bit."""
 
 import importlib
 import math
@@ -261,3 +262,54 @@ def test_spread_matches_the_sequential_rule(caller):
     if caller == "distinct_points":
         want = np.take_along_axis(want, perm, axis=1)
     assert _hex(got) == _hex(want)
+
+
+# -- kernels.lp: one pass over a grid of exponents ------------------------------
+
+LP_GRID = (1.0, 1.25, 2.0, 3.0, 8.0, math.inf)
+
+
+def _lp_rows():
+    """Random rows, all-zero rows, rows of subnormals and rows that mix them
+    with normal entries, 5 atoms each; and a measure per row."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, (70, 5))
+    x[::7] = 0.0
+    x[1::7] *= 1e-310
+    x[2::7, :2] = [4e-320, -5e-324]
+    return x, rng.dirichlet(np.ones(5), len(x))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["counting", "weights"])
+def test_lp_grid_is_one_call_per_exponent(weighted):
+    x, w = _lp_rows()
+    w = w if weighted else None
+    grid = kernels.lp(x, w, np.array(LP_GRID)[:, None])
+    assert grid.shape == (len(LP_GRID), len(x))
+    assert _hex(grid) == _hex([kernels.lp(x, w, p) for p in LP_GRID])
+    # an exponent per grid cell, or per row: each value as its row alone at its exponent
+    cells = np.random.default_rng(6).choice(LP_GRID, (3, len(x)))
+    alone = [[kernels.lp(x[[i]], None if w is None else w[[i]], e)[0] for i, e in enumerate(row)] for row in cells]
+    assert _hex(kernels.lp(x, w, cells)) == _hex(alone)
+    assert _hex([kernels.lp(x, w, cells[0])]) == _hex(alone[:1])
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["counting", "weights"])
+def test_lp_at_1_is_the_power_and_root_form_without_either(monkeypatch, weighted):
+    # 10**5 rows whose entries span every binade, subnormals and zeros included
+    rng = np.random.default_rng(8)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, (100_000, 4)), rng.integers(-1080, 3, (100_000, 4)))
+    x[::50] = 0.0
+    w = rng.dirichlet(np.ones(4), len(x)) if weighted else None
+    a = np.abs(x)
+    m = a.max(axis=1)
+    ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
+    powers = ratios ** 1.0
+    total = powers.sum(axis=1) if w is None else kernels.rowdot(w, powers)
+    expected = m * kernels.pypow(total, 1.0)
+
+    def no_root(*args):
+        raise AssertionError("p = 1 took a root")
+    monkeypatch.setattr(kernels, "pypow", no_root)
+    got = kernels.lp(x, w, 1.0)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +179,39 @@ def test_search_does_not_depend_on_block_size(monkeypatch, target):
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_grid_scores_are_the_scores_at_each_exponent(target):
+    # a block scored at every exponent in one pass (leibniz with mixed splits,
+    # strong leibniz with singular rows) equals one pass per exponent, bit for bit
+    block = search_mod._sample(SearchConfig(target=target, n=4, seed=12), range(0, 300))
+    if target == "strong_leibniz":
+        block.f[5, 1] = 0.0
+    scores = search_mod._violations(block, target, np.array(EXPONENTS)[:, None])
+    assert scores.shape == (len(block), len(EXPONENTS))
+    for j, p in enumerate(EXPONENTS):
+        assert same_bits(np.ascontiguousarray(scores[:, j]), search_mod._violations(block, target, p))
+
+
+def test_chain_rule_search_evaluates_phi_once_per_block(monkeypatch):
+    # the scores at every exponent and the reach read one phi(f) per sampled block
+    calls, original = [], kernels.phi
+
+    def counted(b, x):
+        calls.append(len(x))
+        return original(b, x)
+    for name, module in list(sys.modules.items()):  # every name bound to kernels.phi
+        if name.startswith("leibnizlab"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    cfg = SearchConfig(target="chain_rule", n=4, p_grid=(1.5, 3.0, math.inf), trials=2 * search_mod.BLOCK + 100,
+                       refine_top=0, seed=5)
+    result = search(cfg)
+    assert calls == [search_mod.BLOCK, search_mod.BLOCK, 100]
+    monkeypatch.undo()
+    assert search(cfg) == result
 
 
 @pytest.mark.parametrize("target", TARGETS)

@@ -207,6 +207,17 @@ def test_suites_refuse_trials_and_n_max_of_the_wrong_kind(monkeypatch, call, mes
         call()
 
 
+@pytest.mark.parametrize("n_max", ["5", None, 5.0, True], ids=["str", "None", "float", "bool"])
+@pytest.mark.parametrize("name", list(suites.SUITES))
+def test_every_suite_refuses_an_n_max_that_is_not_an_integer(monkeypatch, name, n_max):
+    # refused before the suite computes its layout's offsets from n_max
+    def no_layout(*widths):
+        raise AssertionError("computed a layout before checking n_max")
+    monkeypatch.setattr(suites, "_offsets", no_layout)
+    with pytest.raises(ValueError, match=re.escape(f"n_max must be an integer, got {n_max!r}")):
+        suites.SUITES[name](trials=3, n_max=n_max)
+
+
 def test_strong_leibniz_open_region_note():
     # a negative tolerance forces failures; the note counts them without the
     # fixed p = 1 witness, and the evidence suite stays ok
