@@ -19,6 +19,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,14 @@ class DimensionMismatchError(ValueError):
 def _is_number(v) -> bool:
     """An int (of any size) or a float, Python's or numpy's; not a bool."""
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def _integer(value, name: str) -> int:
+    """An integer argument, Python's or numpy's, as an int; ValueError naming
+    it for a bool, a float, a string or anything else."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_number(x) -> float:

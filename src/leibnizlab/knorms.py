@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import INEQUALITY_TOL, DimensionMismatchError, as_pair, as_vector, weak_majorizes
+from .core import INEQUALITY_TOL, DimensionMismatchError, _integer, as_pair, as_vector, weak_majorizes
 
 #: Largest dimension for which extreme-point candidates are enumerated.
 ENUMERATION_CAP = 12
@@ -47,7 +47,7 @@ def check_weight_vector(w) -> np.ndarray:
 
 
 def _check_k(k: int, n: int) -> int:
-    k = int(k)
+    k = _integer(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     return k

@@ -5,8 +5,9 @@ read from the words of each trial's stream (``kernels.trial_words``, the v2
 stream rule), so a trial's draws depend only on the seed, the stream id, t
 and the consumer's layout.  Both draw measures, ``uniform(-1, 1)`` vectors
 and phi by ``kernels.measures``, ``kernels.signed_uniforms`` and
-``kernels.sample_phi``, and the inverse bound's f by ``invertible``; the
-suites' distinct points and exponents come from ``distinct_points`` and
+``kernels.sample_phi``, and the inverse bound's f by ``invertible``, a
+statement's instance through ``verify.Statement.draw``; the suites'
+distinct points and exponents come from ``distinct_points`` and
 ``sample_holder_triple_pair``.  ``tests/scalar_reference.py`` reads one
 trial's words in plain Python and parses the same layouts.
 """

@@ -52,12 +52,11 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import INEQUALITY_TOL, HolderTriple, ProbVector, as_number, as_pair, check_exponent, exponent_tag, paired
-from .kernels import (BLOCK, SEARCH_STREAM, Block, center, check_seed, integers, lp, measures, sample_phi,
-                      signed_uniforms, trial_words, uniforms)
+from .core import INEQUALITY_TOL, ProbVector, _integer, as_number, as_pair, check_exponent, exponent_tag, paired
+from .kernels import BLOCK, SEARCH_STREAM, Block, center, check_seed, integers, lp, trial_words, uniforms
 from .operators import PiecewiseLinearFn
 from .reports import VerificationReport
-from .sampling import MASS_FLOOR, invertible
+from .sampling import MASS_FLOOR
 from .verify import STATEMENTS, check_chain_rule, check_strong_leibniz
 
 TARGETS = ("chain_rule", "strong_leibniz", "leibniz", "square_bound")
@@ -87,10 +86,7 @@ class SearchConfig:
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}; choose from {TARGETS}")
         for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.n < 2:
@@ -208,27 +204,21 @@ def _floored_simplex(raw: np.ndarray, floor: float) -> np.ndarray:
 
 def _sample(config: SearchConfig, trials) -> Instance:
     """The rows of ``trials`` (a range, or a list that may repeat a trial),
-    trial t read from ``kernels.trial_words`` with the suites' samplers in this
-    layout: n - 1 uniforms for the measure (``kernels.measures``), n for f
-    (``kernels.signed_uniforms``, or for strong leibniz the magnitudes of
-    ``sampling.invertible`` and then its n signs), n for g and two splits
-    (leibniz, ``kernels.integers`` over _SPLIT_CHOICES) or phi's breakpoint
-    count and 2 max_breakpoints + 2 uniforms (chain rule, ``kernels.sample_phi``).
+    trial t read from ``kernels.trial_words`` as the target's statement lays
+    out an instance of n atoms at segment width n (``verify.Statement.draw``:
+    the measure, f, g for leibniz and for the chain rule phi from
+    2 max_breakpoints + 3 uniforms, monotone as ``config.monotone`` asks),
+    then for leibniz two splits (``kernels.integers`` over _SPLIT_CHOICES).
     """
-    n, target, mmax = config.n, config.target, config.max_breakpoints
-    chain, leibniz, strong = target == "chain_rule", target == "leibniz", target == "strong_leibniz"
-    extra = n if strong else n + 2 if leibniz else 2 * mmax + 3 if chain else 0
-    u = uniforms(trial_words(config.seed, SEARCH_STREAM, trials, 2 * n - 1 + extra))
-    f, rest = u[:, n - 1:2 * n - 1], u[:, 2 * n - 1:]
-    block = dict(mu=measures(u[:, :n - 1], config.mass_floor),
-                 f=invertible(f, rest[:, :n]) if strong else signed_uniforms(f))
+    n, statement, phi = config.n, STATEMENTS[config.target], 2 * config.max_breakpoints + 3
+    leibniz = config.target == "leibniz"
+    u = uniforms(trial_words(config.seed, SEARCH_STREAM, trials, statement.columns(n, phi) + 2 * leibniz))
+    fields, at = statement.draw(u, n, n, config.mass_floor, phi, config.monotone)
     if leibniz:
         choices = np.asarray(_SPLIT_CHOICES)
-        block.update(g=signed_uniforms(rest[:, :n]), split1=choices[integers(rest[:, n], len(choices))],
-                     split2=choices[integers(rest[:, n + 1], len(choices))])
-    if chain:
-        block.update(sample_phi(rest[:, :2 * mmax + 3], config.monotone))
-    return Instance(**block)
+        fields.update(split1=choices[integers(u[:, at], len(choices))],
+                      split2=choices[integers(u[:, at + 1], len(choices))])
+    return Instance(**fields)
 
 
 # -- violations of a block at its exponents -----------------------------------
@@ -237,19 +227,15 @@ def _exponents(b: Instance, target: str, p) -> tuple:
     """The exponents of the target's statement at p, which broadcasts against
     the rows as ``kernels.lp`` takes it (one float, one per row, or a grid):
     p, and for leibniz the (p, q) of ``HolderTriple.split(p, s)`` for each
-    row's splits s, in p's broadcast shape."""
+    row's splits s, in p's broadcast shape: with u = 1/p (0 at inf), 1/(s u)
+    and 1/((1 - s) u), inf where a part is 0."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
     if target != "leibniz":
         return (p,)
-    exponents, (rows_p, *splits) = [p], np.broadcast_arrays(p, b.split1, b.split2)
-    for split in splits:
-        pe, qe = np.empty(split.shape), np.empty(split.shape)
-        for key in set(zip(rows_p.ravel().tolist(), split.ravel().tolist())):
-            triple, rows = HolderTriple.split(*key), (rows_p == key[0]) & (split == key[1])
-            pe[rows], qe[rows] = triple.p, triple.q
-        exponents += [pe, qe]
-    return tuple(exponents)
+    u, *splits = np.broadcast_arrays(1.0 / np.asarray(p, dtype=float), b.split1, b.split2)
+    with np.errstate(divide="ignore"):
+        return (p, *(1.0 / part for s in splits for part in (s * u, (1.0 - s) * u)))
 
 
 def _violations(b: Instance, target: str, p) -> np.ndarray:

@@ -13,17 +13,20 @@ one stream id, its place (0-8) in ``N_MAX_BOUNDS``, and one layout: trial t
 reads its row of ``Philox(key=(seed, stream))`` words (``kernels.trial_words``,
 which computes Philox4x64-10 itself, bit for bit as numpy's ``Philox``) as
 uniforms.  Column 0 gives n; then come the suite's segments, each as wide
-as at n = n_max (N), of which a trial with n atoms reads the head:
+as at n = n_max (N), of which a trial with n atoms reads the head.  The five
+suites of a statement on a measure (leibniz, chain-rule, markov, square and
+strong-leibniz) share one rule, ``_measure``: the statement's instance at
+width N, as ``verify.Statement.draw`` lays it out (measure N - 1, f N, or for
+strong-leibniz magnitudes N and signs N, then g N for leibniz, phi 16 for
+chain-rule and markov), then the suite's exponent columns: a pair 2 for
+leibniz, one 1 for chain-rule and square, none for markov and strong-leibniz.
+The others lay out their own:
 
-* leibniz: measure N - 1, f N, g N, exponent pair 2;
 * decomposition and majorization: f (x) N, g (y) N;
 * laplacian: norm 3, x N, then one segment of max(2 N + 12, N (N - 1) / 2)
   words: an odd trial reads points N, permutation N and phi 12 from it, an
   even trial the strict upper triangle of its n x n weights, row by row;
-* chain-rule, markov and square: measure N - 1, f N, then phi 16 and an
-  exponent 1, phi 16, or an exponent 1;
-* identities: points N, permutation N, monotone 1, phi 16, f N, g N;
-* strong-leibniz: measure N - 1, magnitudes N, signs N.
+* identities: points N, permutation N, monotone 1, phi 16, f N, g N.
 
 As in the search, a measure is ``kernels.measures``, a vector
 ``kernels.signed_uniforms``, the strong-Leibniz f ``sampling.invertible``
@@ -42,19 +45,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels, operators, verify
-from .core import IDENTITY_TOL, INEQUALITY_TOL, check_exponent
-from .kernels import BLOCK, Block, integers, measures, sample_phi, signed_uniforms
+from .core import IDENTITY_TOL, INEQUALITY_TOL, _integer, check_exponent
+from .kernels import BLOCK, Block, integers, sample_phi, signed_uniforms
 from .reports import ReportBlock, VerificationReport
 from .search import reciprocal_witness_report
 from .verify import STATEMENTS
-from .sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points, invertible, sample_holder_triple_pair
+from .sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points, sample_holder_triple_pair
 
 _GRID = np.array(EXPONENT_GRID)
 
@@ -171,11 +173,10 @@ def _offsets(*widths: int) -> tuple[list[int], int]:
 def _check(name: str, trials, n_max) -> None:
     """ValueError unless trials and n_max are integers, trials at least 1 and
     n_max in [smallest, largest] = ``N_MAX_BOUNDS[name]``.  Every suite calls
-    it first, before its layout's offsets are computed from n_max."""
+    it first, before it lays anything out from n_max."""
     low, high = N_MAX_BOUNDS[name]
-    for arg, value in (("trials", trials), ("n_max", n_max)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{arg} must be an integer, got {value!r}")
+    _integer(trials, "trials")
+    _integer(n_max, "n_max")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not low <= n_max <= high:
@@ -216,18 +217,29 @@ def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int,
     return SuiteOutcome(name, [rows[k] for k in order.tolist()], theorem_backed, time.perf_counter() - start)
 
 
+def _measure(name: str, statement: verify.Statement, trials: int, n_max: int, seed: int, tol: float,
+             exponents: int, pick, phi=(False, False), theorem_backed: bool = True) -> SuiteOutcome:
+    """The trial loop of a suite of a statement on a measure: after n, the
+    statement's instance at width n_max (``verify.Statement.draw``, phi from
+    16 uniforms, monotone and signed as ``phi`` asks), then ``exponents``
+    columns, which ``pick`` turns into the statement's exponents."""
+    def evaluate(n, u, t):
+        fields, at = statement.draw(u, n, n_max, MASS_FLOOR, 16, *phi, at=1)
+        return [statement.reports(Block(**fields), pick(u[:, at:at + exponents]), tol)]
+    return _run(name, 1 + statement.columns(n_max, 16) + exponents, evaluate, trials, n_max, seed, theorem_backed)
+
+
+def _grid_exponent(u: np.ndarray) -> tuple:
+    """The exponent of ``EXPONENT_GRID`` that each row's uniform picks."""
+    return (_GRID[integers(u[:, 0], len(_GRID))],)
+
+
 def suite_leibniz(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                   tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Product-rule inequality on random measures, vectors, and triple pairs."""
     _check("leibniz", trials, n_max)
-    (mu, f, g, pair), width = _offsets(n_max - 1, n_max, n_max, 2)
-
-    def evaluate(n, u, t):
-        block = Block(measures(u[:, mu:mu + n - 1], MASS_FLOOR), signed_uniforms(u[:, f:f + n]),
-                      signed_uniforms(u[:, g:g + n]))
-        exponents = sample_holder_triple_pair(u[:, pair], u[:, pair + 1]).T
-        return [STATEMENTS["leibniz"].reports(block, exponents, tol)]
-    return _run("leibniz", width, evaluate, trials, n_max, seed)
+    return _measure("leibniz", STATEMENTS["leibniz"], trials, n_max, seed, tol, 2,
+                    lambda u: sample_holder_triple_pair(u[:, 0], u[:, 1]).T)
 
 
 def suite_decomposition(trials: int = 1000, n_max: int = 10, seed: int = 0,
@@ -333,37 +345,21 @@ def suite_chain_rule(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                      tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Monotone Lipschitz composition bound on random measures and exponents."""
     _check("chain-rule", trials, n_max)
-    (mu, f, phi, k), width = _offsets(n_max - 1, n_max, 16, 1)
-
-    def evaluate(n, u, t):
-        phis = sample_phi(u[:, phi:phi + 16], True, signed=True)
-        block = Block(measures(u[:, mu:mu + n - 1], MASS_FLOOR), signed_uniforms(u[:, f:f + n]), **phis)
-        return [STATEMENTS["chain_rule"].reports(block, (_GRID[integers(u[:, k], len(_GRID))],), tol)]
-    return _run("chain-rule", width, evaluate, trials, n_max, seed)
+    return _measure("chain-rule", STATEMENTS["chain_rule"], trials, n_max, seed, tol, 1, _grid_exponent,
+                    phi=(True, True))
 
 
 def suite_markov(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     """Variance contraction under arbitrary (non-monotone) Lipschitz maps."""
     _check("markov", trials, n_max)
-    (mu, f, phi), width = _offsets(n_max - 1, n_max, 16)
-
-    def evaluate(n, u, t):
-        phis = sample_phi(u[:, phi:phi + 16], False)
-        block = Block(measures(u[:, mu:mu + n - 1], MASS_FLOOR), signed_uniforms(u[:, f:f + n]), **phis)
-        return [STATEMENTS["markov_variance"].reports(block, (), tol)]
-    return _run("markov", width, evaluate, trials, n_max, seed)
+    return _measure("markov", STATEMENTS["markov_variance"], trials, n_max, seed, tol, 0, lambda u: ())
 
 
 def suite_square(trials: int = 10_000, n_max: int = 8, seed: int = 0,
                  tol: float = INEQUALITY_TOL) -> SuiteOutcome:
     _check("square", trials, n_max)
-    (mu, f, k), width = _offsets(n_max - 1, n_max, 1)
-
-    def evaluate(n, u, t):
-        block = Block(measures(u[:, mu:mu + n - 1], MASS_FLOOR), signed_uniforms(u[:, f:f + n]))
-        return [STATEMENTS["square_bound"].reports(block, (_GRID[integers(u[:, k], len(_GRID))],), tol)]
-    return _run("square", width, evaluate, trials, n_max, seed)
+    return _measure("square", STATEMENTS["square_bound"], trials, n_max, seed, tol, 1, _grid_exponent)
 
 
 def suite_identities(trials: int = 1000, n_max: int = 8, seed: int = 0,
@@ -391,13 +387,8 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     """
     _check("strong-leibniz", trials, n_max)
     p = check_exponent(p)
-
-    (mu, mag, sign), width = _offsets(n_max - 1, n_max, n_max)
-
-    def evaluate(n, u, t):
-        f = invertible(u[:, mag:mag + n], u[:, sign:sign + n])
-        return [STATEMENTS["strong_leibniz"].reports(Block(measures(u[:, mu:mu + n - 1], MASS_FLOOR), f), (p,), tol)]
-    outcome = _run("strong-leibniz", width, evaluate, trials, n_max, seed, theorem_backed=False)
+    outcome = _measure("strong-leibniz", STATEMENTS["strong_leibniz"], trials, n_max, seed, tol, 0, lambda u: (p,),
+                       theorem_backed=False)
     witness = reciprocal_witness_report(tol)
     witness.instance["expected_failure"] = True
     sides = (np.array([v]) for v in (witness.lhs, witness.rhs, witness.slack, witness.passed))

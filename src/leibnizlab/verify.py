@@ -20,19 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
-from .core import (
-    IDENTITY_TOL,
-    INEQUALITY_TOL,
-    HolderTriple,
-    ProbVector,
-    as_pair,
-    center,
-    check_exponent,
-    exponent_tag,
-    lp_norm,
-    paired,
-)
+from . import kernels, sampling
+from .core import (IDENTITY_TOL, INEQUALITY_TOL, HolderTriple, ProbVector, _integer, as_pair, center, check_exponent,
+                   exponent_tag, lp_norm, paired)
 from .kernels import Block
 from .operators import PiecewiseLinearFn, phi_echo, theta_matrix
 from .reports import ReportBlock, VerificationReport
@@ -52,8 +42,8 @@ class RationalProbVector:
     denominator: int
 
     def __post_init__(self):
-        nums = tuple(int(r) for r in self.numerators)
-        m = int(self.denominator)
+        nums = tuple(_integer(r, "each numerator") for r in self.numerators)
+        m = _integer(self.denominator, "denominator")
         if len(nums) < 1:
             raise ValueError("need at least one atom")
         if any(r < 1 for r in nums):
@@ -104,12 +94,40 @@ class Statement:
     piecewise-linear function) if ``phi`` and g if ``g``, else ``sides``
     refuses it, and if ``invertible`` no |f_i| falls below
     INVERTIBILITY_FLOOR (``outside``), else ``reports`` refuses it and the
-    search scores it -inf.  A plain class, as ``kernels.Block`` is.
+    search scores it -inf.  Its instance is laid out here once: ``draw``
+    reads it from rows of uniforms (``columns`` of them) for the suites and
+    the search, ``check`` from the arguments of ``check_<name>``.  A plain
+    class, as ``kernels.Block`` is.
     """
 
     def __init__(self, name: str, kernel, exponents=(), phi=False, g=False, invertible=False):
         self.name, self.kernel, self.exponents = name, kernel, exponents
         self.phi, self.g, self.invertible = phi, g, invertible
+
+    def columns(self, width: int, phi: int = 0) -> int:
+        """The uniforms ``draw`` reads at segment width ``width``, phi taking ``phi``."""
+        return (2 + self.invertible + self.g) * width - 1 + phi * self.phi
+
+    def draw(self, u: np.ndarray, n: int, width: int, floor: float, phi: int = 0, monotone=False, signed=False,
+             at: int = 0) -> tuple[dict, int]:
+        """The ``Block`` fields of n-atom instances laid out in the rows of
+        uniforms ``u`` from column ``at``, and the first column after them:
+        segments ``width`` wide, of which an instance reads the head, for the
+        measure (width - 1, ``kernels.measures`` above ``floor``), f
+        (``kernels.signed_uniforms``, or ``sampling.invertible``'s magnitudes
+        and then signs), g, and phi (``phi`` uniforms, ``kernels.sample_phi``)."""
+        def take(size, head):  # the head of the next segment
+            nonlocal at
+            at += size
+            return u[:, at - size:at - size + head]
+        fields = {"mu": kernels.measures(take(width - 1, n - 1), floor)}
+        f = take(width, n)
+        fields["f"] = sampling.invertible(f, take(width, n)) if self.invertible else kernels.signed_uniforms(f)
+        if self.g:
+            fields["g"] = kernels.signed_uniforms(take(width, n))
+        if self.phi:
+            fields.update(kernels.sample_phi(take(phi, phi), monotone, signed))
+        return fields, at
 
     def outside(self, f: np.ndarray):
         """Per row of f, whether it lies outside the domain; None if no f can."""
@@ -146,6 +164,16 @@ class Statement:
             instance["lipschitz"], instance["monotone"] = b.lipschitz, monotone
         return ReportBlock.from_values(self.name, lhs, rhs, tol, instance)
 
+    def check(self, mu, f, g=None, phi=None, exponents=(), tol: float = INEQUALITY_TOL) -> VerificationReport:
+        """The report of one instance, as ``check_<name>`` reads it: f and g by
+        ``as_pair`` (if the statement has g), f and mu by ``paired``, each
+        exponent by ``check_exponent``; ValueError as ``reports`` refuses it."""
+        if self.g:
+            f, g = as_pair(f, g)
+        fv, w = paired(f, mu)
+        exponents = tuple(map(check_exponent, exponents))
+        return self.reports(Block.one(w, fv, g, phi), exponents, tol).reports()[0]
+
 
 #: The five statements on a measure, by the name of their checker, ``check_<name>``.
 STATEMENTS = {
@@ -172,62 +200,38 @@ def check_decomposition(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
     return decomposition_reports(fv[None, :], gv[None, :], tol).reports()[0]
 
 
-def check_leibniz(
-    mu: ProbVector,
-    f,
-    g,
-    t1: HolderTriple,
-    t2: HolderTriple,
-    tol: float = INEQUALITY_TOL,
-) -> VerificationReport:
+def check_leibniz(mu: ProbVector, f, g, t1: HolderTriple, t2: HolderTriple,
+                  tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||fg - E(fg)||_r <= ||f||_p1 ||g - Eg||_q1 + ||g||_p2 ||f - Ef||_q2."""
     if t1.r != t2.r:
         raise ValueError(f"the two triples must share r, got {t1.r} and {t2.r}")
-    fv, gv = as_pair(f, g)
-    _, w = paired(fv, mu)
-    return STATEMENTS["leibniz"].reports(Block.one(w, fv, gv), (t1.r, t1.p, t1.q, t2.p, t2.q), tol).reports()[0]
+    return STATEMENTS["leibniz"].check(mu, f, g, exponents=(t1.r, t1.p, t1.q, t2.p, t2.q), tol=tol)
 
 
-def check_chain_rule(
-    mu: ProbVector,
-    f,
-    phi: PiecewiseLinearFn,
-    p: float,
-    tol: float = INEQUALITY_TOL,
-) -> VerificationReport:
+def check_chain_rule(mu: ProbVector, f, phi: PiecewiseLinearFn, p: float,
+                     tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||phi(f) - E phi(f)||_p <= Lip(phi) ||f - Ef||_p.
 
     Monotonicity of phi is recorded in the instance but not required; probing
     non-monotone phi is exactly how counterexamples are found.
     """
-    fv, w = paired(f, mu)
-    p = check_exponent(p)
-    return STATEMENTS["chain_rule"].reports(Block.one(w, fv, phi=phi), (p,), tol).reports()[0]
+    return STATEMENTS["chain_rule"].check(mu, f, phi=phi, exponents=(p,), tol=tol)
 
 
 def check_strong_leibniz(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||f^-1 - E f^-1||_p <= ||f^-1||_inf^2 ||f - Ef||_p for invertible f."""
-    fv, w = paired(f, mu)
-    p = check_exponent(p)
-    return STATEMENTS["strong_leibniz"].reports(Block.one(w, fv), (p,), tol).reports()[0]
+    return STATEMENTS["strong_leibniz"].check(mu, f, exponents=(p,), tol=tol)
 
 
-def check_markov_variance(
-    mu: ProbVector,
-    f,
-    phi: PiecewiseLinearFn,
-    tol: float = INEQUALITY_TOL,
-) -> VerificationReport:
+def check_markov_variance(mu: ProbVector, f, phi: PiecewiseLinearFn,
+                          tol: float = INEQUALITY_TOL) -> VerificationReport:
     """Var(phi(f)) <= Lip(phi)^2 Var(f); holds for every Lipschitz phi."""
-    fv, w = paired(f, mu)
-    return STATEMENTS["markov_variance"].reports(Block.one(w, fv, phi=phi), (), tol).reports()[0]
+    return STATEMENTS["markov_variance"].check(mu, f, phi=phi, tol=tol)
 
 
 def check_square_bound(mu: ProbVector, f, p: float, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """||f^2 - E f^2||_p <= 2 ||f||_inf ||f - Ef||_p."""
-    fv, w = paired(f, mu)
-    p = check_exponent(p)
-    return STATEMENTS["square_bound"].reports(Block.one(w, fv), (p,), tol).reports()[0]
+    return STATEMENTS["square_bound"].check(mu, f, exponents=(p,), tol=tol)
 
 
 def replicate(x, mu: RationalProbVector) -> np.ndarray:
@@ -248,7 +252,7 @@ def rationalize(mu: ProbVector, max_denominator: int) -> RationalProbVector:
     denominator, which is deterministic and keeps every per-atom error below
     1/max_denominator (ties broken by atom index).
     """
-    m_cap = int(max_denominator)
+    m_cap = _integer(max_denominator, "max_denominator")
     if m_cap < mu.n:
         raise ValueError(f"max_denominator {m_cap} cannot carry {mu.n} positive atoms")
     if m_cap > REPLICATION_CAP:

@@ -27,6 +27,16 @@ def test_verify_decomposition_suite(capsys):
     assert "suite decomposition" in out and "0 failures" in out
 
 
+def test_verify_prints_a_suite_note(capsys):
+    # a negative tolerance forces inverse-bound failures at p = 2; the
+    # evidence suite still passes and notes them under its summary line
+    code = run_cli("verify", "--suite", "strong-leibniz", "--p", "2", "--tol", "-0.01", "--trials", "200")
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 2
+    assert lines[0].startswith("[PASS] suite strong-leibniz (evidence): 201 checks, 2 failures, worst slack -0.0687")
+    assert lines[1] == "    UNEXPECTED: 2 violations at p=2.0 (conjectured safe region)"
+
+
 def test_verify_lines_are_the_reference_encoding(capsys, tmp_path):
     # every line is dumps of its own parse, and of the lazily built report's to_dict()
     out = tmp_path / "reports"
@@ -217,6 +227,23 @@ def test_examples_tight_tolerance_forces_mismatch(capsys):
     assert not (adj["reference"]["lhs_match"] and adj["reference"]["rhs_match"])
 
 
+def test_examples_text_and_out_hold_the_json_records(capsys, tmp_path):
+    # --out writes the --json records one per line; the text names each
+    # witness, and the reference mismatch with its computed and quoted values
+    assert run_cli("examples", "--json") == 1
+    records = json.loads(capsys.readouterr().out)
+    assert run_cli("examples", "--out", str(tmp_path)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    written = (tmp_path / "examples.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in written] == records
+    assert lines == [
+        "strong_leibniz_reciprocal_witness: violation confirmed; reference mismatch "
+        "(computed lhs=0.600982 rhs=0.532250, reference lhs=0.57783 rhs=0.5417)",
+        "chain_rule_vshape_witness: violation confirmed; matches references",
+        "strong_leibniz_reciprocal_witness_adjusted: violation confirmed; matches references",
+    ]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_examples_non_finite_tolerance_exit_2(capsys, tol):
     # nan would read every reference as a mismatch, inf every one as a match
@@ -363,6 +390,17 @@ def test_dualnorm_zero_vector(capsys):
     assert run_cli("dualnorm", "--x", "0,0,0", "--w", "3,2,1", "--k", "2", "--json") == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["formula"] == 0.0 and rec["oracle"] == 0.0
+
+
+def test_dualnorm_text_output(capsys):
+    # the oracle past ENUMERATION_CAP is skipped, and the constant-weight form
+    # is written only for unit weights
+    assert run_cli("dualnorm", "--x", "3,1", "--w", "2,1", "--k", "2") == 0
+    assert capsys.readouterr().out == "formula=1.5 oracle=1.5 difference=0\n"
+    assert run_cli("dualnorm", "--x", "1,-4,2", "--w", "1,1,1", "--k", "2") == 0
+    assert capsys.readouterr().out == "formula=4 oracle=4 difference=0 max(linf, l1/k)=4\n"
+    assert run_cli("dualnorm", "--x", ",".join(["1"] * 12 + ["-4"]), "--w", ",".join(["1"] * 13), "--k", "2") == 0
+    assert capsys.readouterr().out == "formula=8 max(linf, l1/k)=8\n"
 
 
 def test_dualnorm_malformed_exit_2(capsys):

@@ -84,6 +84,21 @@ def test_one_stream_path():
     assert found == [], f"a second stream path: {found}"
 
 
+#: The samplers of a statement's instance on a measure.  Only
+#: ``verify.Statement.draw`` calls them, so the suites and the search lay out
+#: each instance one way; a call anywhere else would be a second layout.
+INSTANCE_SAMPLERS = ("measures", "invertible")
+
+
+def test_one_instance_layout():
+    calls = {path.name: [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                         if isinstance(node, ast.Call)
+                         and getattr(node.func, "attr", getattr(node.func, "id", None)) in INSTANCE_SAMPLERS]
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(calls.pop("verify.py")) == len(INSTANCE_SAMPLERS)
+    assert [call for found in calls.values() for call in found] == [], "a second layout of an instance"
+
+
 def test_no_starred_subscripts():
     """``a[:, *b]`` is Python 3.11 syntax (PEP 646); ``pyproject.toml`` declares
     3.10, where importing the module stops with a SyntaxError.  ``ast.parse``

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from leibnizlab.core import DimensionMismatchError
 from leibnizlab.knorms import (
     ENUMERATION_CAP,
     KyFanDominanceError,
@@ -223,3 +225,32 @@ def test_ky_fan_flags_fake_norm():
     fake = lambda v: abs(float(np.asarray(v)[-1]))  # not symmetric
     with pytest.raises(KyFanDominanceError):
         ky_fan_dominates([2.0, 0.0], [1.0, 1.0], [fake])
+
+
+#: Each function that takes k, on a three-atom instance.
+K_CALLS = {
+    "k_norm": lambda k: k_norm([3.0, 1.0, 2.0], k),
+    "weighted_k_norm": lambda k: weighted_k_norm([3.0, 1.0, 2.0], [2.0, 1.0, 1.0], k),
+    "dual_weighted_k_norm": lambda k: dual_weighted_k_norm([3.0, 1.0, 2.0], [2.0, 1.0, 1.0], k),
+    "extreme_point_candidates": lambda k: extreme_point_candidates([2.0, 1.0, 1.0], k),
+}
+
+
+@pytest.mark.parametrize("name", list(K_CALLS))
+def test_k_must_be_an_integer(name):
+    # k was read by int(): 2.7 as 2, True as 1 and "2" as 2; numpy integers pass
+    call = K_CALLS[name]
+    for k in (2.7, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+            call(k)
+    assert np.array_equal(call(np.int64(2)), call(2))
+
+
+def test_lp_evaluator_refuses_p_below_1():
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        lp_evaluator(0.5)
+
+
+def test_bruteforce_refuses_lengths_that_differ():
+    with pytest.raises(DimensionMismatchError, match="weight vector and x have different lengths"):
+        dual_norm_bruteforce([1.0, 2.0, 3.0], [2.0, 1.0], 1)

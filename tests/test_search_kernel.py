@@ -194,6 +194,33 @@ def test_grid_scores_are_the_scores_at_each_exponent(target):
         assert same_bits(np.ascontiguousarray(scores[:, j]), search_mod._violations(block, target, p))
 
 
+#: Exponents where 1/p is exact, inexact, near 1, tiny and 0.
+SPLIT_EXPONENTS = (1.0, 1.0000001, 1.25, 1.5, 2.0, 3.0, 7.3, 1e300, math.inf)
+
+
+def test_leibniz_exponents_are_the_holder_splits():
+    # the array arithmetic of _exponents gives HolderTriple.split's (p, q),
+    # float hex for float hex, both as an (E, 1) grid and as one p per row
+    splits = np.array(search_mod._SPLIT_CHOICES)
+    s1, s2 = (a.ravel() for a in np.meshgrid(splits, splits))
+    block = search_mod.Instance(np.full((s1.size, 2), 0.5), np.zeros((s1.size, 2)), split1=s1, split2=s2)
+    r, p1, q1, p2, q2 = search_mod._exponents(block, "leibniz", np.array(SPLIT_EXPONENTS)[:, None])
+    assert r.shape == (len(SPLIT_EXPONENTS), 1) and p1.shape == (len(SPLIT_EXPONENTS), s1.size)
+    for i, p in enumerate(SPLIT_EXPONENTS):
+        for j in range(s1.size):
+            want = [(t.p, t.q) for t in (HolderTriple.split(p, s1[j]), HolderTriple.split(p, s2[j]))]
+            got = [(float(p1[i, j]), float(q1[i, j])), (float(p2[i, j]), float(q2[i, j]))]
+            assert [float.hex(x) for pair in got for x in pair] == [float.hex(x) for pair in want for x in pair]
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, s1.size, 5000)
+    per_row = np.array(SPLIT_EXPONENTS)[rng.integers(0, len(SPLIT_EXPONENTS), 5000)]
+    block = search_mod.Instance(np.full((5000, 2), 0.5), np.zeros((5000, 2)), split1=s1[rows], split2=s2[rows])
+    _, p1, q1, p2, q2 = search_mod._exponents(block, "leibniz", per_row)
+    for k in range(5000):
+        t1, t2 = HolderTriple.split(per_row[k], s1[rows[k]]), HolderTriple.split(per_row[k], s2[rows[k]])
+        assert [x.hex() for x in (p1[k], q1[k], p2[k], q2[k])] == [x.hex() for x in (t1.p, t1.q, t2.p, t2.q)]
+
+
 def test_chain_rule_search_evaluates_phi_once_per_block(monkeypatch):
     # the scores at every exponent and the reach read one phi(f) per sampled block
     calls, original = [], kernels.phi

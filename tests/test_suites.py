@@ -210,10 +210,13 @@ def test_suites_refuse_trials_and_n_max_of_the_wrong_kind(monkeypatch, call, mes
 @pytest.mark.parametrize("n_max", ["5", None, 5.0, True], ids=["str", "None", "float", "bool"])
 @pytest.mark.parametrize("name", list(suites.SUITES))
 def test_every_suite_refuses_an_n_max_that_is_not_an_integer(monkeypatch, name, n_max):
-    # refused before the suite computes its layout's offsets from n_max
-    def no_layout(*widths):
+    # refused before the suite lays anything out from n_max: its own offsets
+    # or its statement's instance (``verify.Statement.columns`` and ``draw``)
+    def no_layout(*args, **kwargs):
         raise AssertionError("computed a layout before checking n_max")
     monkeypatch.setattr(suites, "_offsets", no_layout)
+    monkeypatch.setattr(verify.Statement, "columns", no_layout)
+    monkeypatch.setattr(verify.Statement, "draw", no_layout)
     with pytest.raises(ValueError, match=re.escape(f"n_max must be an integer, got {n_max!r}")):
         suites.SUITES[name](trials=3, n_max=n_max)
 

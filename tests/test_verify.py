@@ -1,6 +1,7 @@
 """Inequality checkers, replication, and rationalization."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -326,6 +327,41 @@ def test_rationalize_error_bound_and_continuity():
         b = check_leibniz(approx.to_prob_vector(), f, g, t1, t1)
         assert abs(a.lhs - b.lhs) <= 10 * n * 1e-4
         assert abs(a.rhs - b.rhs) <= 10 * n * 1e-4
+
+
+def test_rational_prob_vector_takes_integers_only():
+    # (1.5, 1.5) was truncated to (1, 1), then refused for its sum
+    with pytest.raises(ValueError, match=re.escape("each numerator must be an integer, got 1.5")):
+        RationalProbVector((1.5, 1.5), 3)
+    for m in (3.0, True, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"denominator must be an integer, got {m!r}")):
+            RationalProbVector((1, 2), m)
+    got = RationalProbVector((np.int64(1), np.int32(2)), np.int64(3))
+    assert got.numerators == (1, 2) and got.denominator == 3 and type(got.denominator) is int
+
+
+def test_rationalize_takes_an_integer_denominator():
+    # 10.9 was read as 10
+    mu = ProbVector([0.25, 0.75])
+    for cap in (10.9, 10.0, True, "10"):
+        with pytest.raises(ValueError, match=re.escape(f"max_denominator must be an integer, got {cap!r}")):
+            rationalize(mu, cap)
+    assert rationalize(mu, np.int64(10)) == rationalize(mu, 10)
+
+
+def test_rationalize_keeps_every_atom_positive():
+    # an atom that rounds to no mass takes one unit from the largest
+    got = rationalize(ProbVector([0.001, 0.999]), 10)
+    assert (got.numerators, got.denominator) == ((1, 9), 10)
+    got = rationalize(ProbVector([0.004, 0.004, 0.992]), 10)
+    assert (got.numerators, got.denominator) == ((1, 1, 8), 10)
+
+
+def test_report_summary():
+    rep = check_square_bound(ProbVector([0.5, 0.5]), [1.0, -1.0], 2.0)
+    assert rep.summary() == "[PASS] square_function_bound: lhs=0 rhs=2 slack=2"
+    rep = check_strong_leibniz(ProbVector([1 / 36, 3 / 4, 2 / 9]), [-0.3, 0.28, 0.38], 1.0)
+    assert rep.summary() == "[FAIL] strong_leibniz: lhs=0.600981620718 rhs=0.532249937012 slack=-0.0687"
 
 
 def test_rationalize_infeasible_cap():
