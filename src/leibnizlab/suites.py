@@ -77,39 +77,58 @@ N_MAX_BOUNDS = {
 }
 
 
+#: Most report lines ``SuiteOutcome.lines`` joins into one text.  A text of a
+#: whole draw (up to 1024 trials' lines) sits beside the draw's lines while it
+#: is joined and beside its encoded bytes while it is written: at --trials 8000
+#: it raised the peak RSS of ``verify --suite all`` from 39.5 to 41.2 MB.
+LINES_PER_TEXT = 128
+
+
+def _ordered(blocks: list, order, build) -> list:
+    """The entries of ``build(block)`` of ``blocks`` laid end to end, taken in ``order`` (None: as laid)."""
+    entries = build(blocks[0]) if len(blocks) == 1 else [e for b in blocks for e in build(b)]
+    return entries if order is None else [entries[k] for k in order.tolist()]
+
+
+def _column(blocks: list, order, key: str) -> list:
+    """Column ``key`` of ``blocks`` laid end to end, taken in ``order`` (None: as laid)."""
+    col = np.concatenate([b.columns[key] for b in blocks])
+    return (col if order is None else col[order]).tolist()
+
+
 @dataclass
 class SuiteOutcome:
-    """A suite's reports as a (``ReportBlock``, row) pair each, in ``rows``.  The
-    counts and ``lines`` come from the columns; ``reports`` are built when
-    first read.  Both are kept once read, so ``rows`` is complete by then."""
+    """A suite's reports as chunks, one per draw of trials: a (blocks, order)
+    pair each in ``chunks``, the draw's ``ReportBlock`` list and the report
+    order of their rows laid end to end (None: as laid).  The counts come
+    from the columns, and ``lines`` formats one chunk at a time; ``reports``
+    are built when first read and kept."""
 
     name: str
-    rows: list
+    chunks: list
     theorem_backed: bool = True
     elapsed: float = 0.0
     notes: list[str] = field(default_factory=list)
 
-    def _each(self, build):
-        """Each report's entry in ``build(block)``, in report order, building each
-        block's once and dropping it after the block's last row."""
-        last = {b: k for k, (b, _) in enumerate(self.rows)}
-        built = {}
-        for k, (b, i) in enumerate(self.rows):
-            if b not in built:
-                built[b] = build(b)
-            yield (built.pop(b) if last[b] == k else built[b])[i]
+    def _blocks(self):
+        return (b for blocks, _ in self.chunks for b in blocks)
 
     @functools.cached_property
     def reports(self) -> list[VerificationReport]:
-        return list(self._each(ReportBlock.reports))
+        return [r for blocks, order in self.chunks for r in _ordered(blocks, order, ReportBlock.reports)]
 
     def lines(self):
-        """Each report's JSON line, in report order, formatted a block at a time."""
-        return self._each(ReportBlock.lines)
+        """The reports' JSON lines in report order, as texts of at most
+        LINES_PER_TEXT lines; one chunk's lines are held at a time."""
+        for blocks, order in self.chunks:
+            lines = _ordered(blocks, order, ReportBlock.lines)
+            for i in range(0, len(lines), LINES_PER_TEXT):
+                yield "\n".join(lines[i:i + LINES_PER_TEXT])
+            del lines  # before the next chunk's are formatted
 
     @property
     def trials(self) -> int:
-        return len(self.rows)
+        return sum(map(len, self._blocks()))
 
     @property
     def failures(self) -> list[VerificationReport]:
@@ -119,12 +138,15 @@ class SuiteOutcome:
     @functools.cached_property
     def failed(self) -> int:
         """The number of failures, from the columns."""
-        return sum(self._each(lambda b: (~b.columns["pass"] & ~np.asarray(
-            b.columns["instance"].get("expected_failure", False))).tolist()))
+        return sum(int(np.count_nonzero(~b.columns["pass"] & ~np.asarray(
+            b.columns["instance"].get("expected_failure", False)))) for b in self._blocks())
 
     @functools.cached_property
     def worst_slack(self) -> float:
-        return min(self._each(lambda b: b.columns["slack"].tolist()), default=0.0)
+        """``min`` of the reports' slacks in report order (so of -0.0 and 0.0
+        the first), from the columns."""
+        return min(itertools.chain.from_iterable(_column(blocks, order, "slack") for blocks, order in self.chunks),
+                   default=0.0)
 
     @property
     def ok(self) -> bool:
@@ -193,17 +215,18 @@ def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int,
     same n are evaluated together, in a suite whose n_max stops at MATRIX_N_MAX
     at most max(1, MAJORIZATION_BLOCK // n**2) rows at once.  ``evaluate(n, u, t)``
     (their uniform rows and trial indices) returns report blocks, each holding a
-    trial at most once and its rows' trial indices in ``seed`` (None: t).  Reports
-    come in trial order, a trial's in the order of its blocks (one stable sort).
-    ``elapsed`` covers the loop.
+    trial at most once and its rows' trial indices in ``seed`` (None: t).  Each
+    draw is one chunk of the outcome: its reports come in trial order, a trial's
+    in the order of its blocks (one stable sort per draw).  ``elapsed`` covers the loop.
     """
     start = time.perf_counter()
     low, high = N_MAX_BOUNDS[name]
     stream, square = list(N_MAX_BOUNDS).index(name), high == MATRIX_N_MAX
-    blocks, step = [], max(1, min(BLOCK, WORD_BLOCK // width))
+    chunks, step = [], max(1, min(BLOCK, WORD_BLOCK // width))
     for lo in range(0, trials, step):
         u = kernels.uniforms(kernels.trial_words(seed, stream, range(lo, min(trials, lo + step)), width))
         sizes = low + integers(u[:, 0], n_max - low + 1)
+        blocks = []
         for n in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
             rows = np.flatnonzero(sizes == n)
             size = max(1, MAJORIZATION_BLOCK // n ** 2) if square else len(rows)
@@ -212,9 +235,8 @@ def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int,
                     if b.columns["seed"] is None:
                         b.columns["seed"] = lo + part
                     blocks.append(b)
-    order = np.argsort(np.concatenate([b.columns["seed"] for b in blocks] or [[]]), kind="stable")
-    rows = [(b, i) for b in blocks for i in range(len(b))]
-    return SuiteOutcome(name, [rows[k] for k in order.tolist()], theorem_backed, time.perf_counter() - start)
+        chunks.append((blocks, np.argsort(np.concatenate([b.columns["seed"] for b in blocks]), kind="stable")))
+    return SuiteOutcome(name, chunks, theorem_backed, time.perf_counter() - start)
 
 
 def _measure(name: str, statement: verify.Statement, trials: int, n_max: int, seed: int, tol: float,
@@ -297,7 +319,7 @@ def suite_majorization(trials: int = 1000, n_max: int = 8, seed: int = 0,
         for i in range(0, m, step):
             b = _majorization_block(np.repeat(patterns[i:i + step], m, axis=0),
                                     np.tile(patterns, (min(step, m - i), 1)), tol)
-            outcome.rows += [(b, j) for j in range(len(b))]
+            outcome.chunks.append(([b], None))
     outcome.elapsed = time.perf_counter() - start
     return outcome
 
@@ -392,7 +414,7 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     witness = reciprocal_witness_report(tol)
     witness.instance["expected_failure"] = True
     sides = (np.array([v]) for v in (witness.lhs, witness.rhs, witness.slack, witness.passed))
-    outcome.rows.insert(0, (ReportBlock(witness.name, *sides, witness.tolerance, witness.instance), 0))
+    outcome.chunks.insert(0, ([ReportBlock(witness.name, *sides, witness.tolerance, witness.instance)], None))
     hits = outcome.failed
     if hits and p >= 2.0:
         outcome.notes.append(f"UNEXPECTED: {hits} violations at p={p} (conjectured safe region)")

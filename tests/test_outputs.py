@@ -212,3 +212,18 @@ def test_benchmark_verify_all_reports_match_golden_hashes(tmp_path, capsys):
     capsys.readouterr()
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.glob("suite_*.jsonl"))} == BENCH_SHA256
+
+
+def test_out_directories_hold_only_the_listed_files(tmp_path, capsys):
+    # the benchmark's reproduction check hashes every file under --out, less the
+    # manifest's wall_time_s: a new file that holds timings would fail every run of it
+    assert main(["verify", "--suite", "all", "--trials", "3", "--out", str(tmp_path / "verify")]) == 0
+    assert sorted(os.listdir(tmp_path / "verify")) == sorted(["manifest.json", *(f"suite_{n}.jsonl" for n in SUITES)])
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"target": "chain_rule", "n": 3, "p_grid": [1, 2], "trials": 20,
+                                  "refine_steps": 1, "seed": 1}))
+    for flags, extra in (((), []), (("--history-csv",), ["history.csv"])):
+        out = tmp_path / f"search{len(flags)}"
+        assert main(["search", "--config", str(config), "--out", str(out), *flags]) == 0
+        assert sorted(os.listdir(out)) == sorted(["manifest.json", "per_p.csv", "search_result.json", *extra])
+    capsys.readouterr()

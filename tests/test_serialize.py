@@ -2,6 +2,7 @@
 encoder kept in this file, and the block writer ``block_lines`` against
 ``dumps`` of each report."""
 
+import json
 import math
 import random
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from leibnizlab.core import exponent_tag
+from leibnizlab.cli import main
 from leibnizlab.reports import ReportBlock
 from leibnizlab.serialize import block_lines, block_rows, dumps, format_float
 
@@ -24,9 +26,7 @@ def _reference_dumps(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         return _reference_dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -51,6 +51,7 @@ CASES = [
     {"a": {"b": {"c": [1.0, 2.0]}, "d": None}, "e": [{"f": 1}, {"g": [0.5]}]},
     {True: "bool key", 1.5: "float key", None: "none key"},
     "plain", 'quote " inside', "back\\slash", "new\nline", "tab\there", "cr\rhere",
+    "bell\x07", "back\x08space", "feed\x0c", "unit\x1fsep", "\x00", "del\x7f", "non-ascii \u00e9\u2028",
     {'k"ey': "v\\al", "line\nkey": ["t\tab"]},
     10 ** 30, -(10 ** 30), True, False, None,
 ]
@@ -59,6 +60,22 @@ CASES = [
 @pytest.mark.parametrize("obj", CASES, ids=range(len(CASES)))
 def test_dumps_matches_reference(obj):
     assert dumps(obj) == _reference_dumps(obj)
+
+
+@pytest.mark.parametrize("code", range(0x20))
+def test_control_characters_are_escaped_as_json_dumps_does(code):
+    text = f"a{chr(code)}b"
+    assert dumps(text) == json.dumps(text, ensure_ascii=False)
+    assert dumps({text: [text]}) == json.dumps({text: [text]}, ensure_ascii=False)
+    assert json.loads(dumps({text: text})) == {text: text}
+
+
+def test_manifest_of_an_out_directory_with_a_control_character_parses(tmp_path, capsys):
+    out = tmp_path / "o\x1fd"
+    assert main(["verify", "--suite", "decomposition", "--trials", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["outputs"] == [str(out / "suite_decomposition.jsonl")]
 
 
 def test_bool_and_int_keys_in_the_same_run():
@@ -147,3 +164,68 @@ def test_block_lines_of_edge_blocks_match_dumps(columns, rows):
     lines = block_lines(columns, rows)
     assert lines == [dumps(dict(zip(columns, row))) for row in block_rows(columns, rows)]
     assert len(lines) == rows
+
+
+#: Integral floats at the edge of the '%d' rule: below 2**53 '%d' and '%.17g'
+#: write the same digits; 1e17 is '1e+17' under '%.17g'.
+INTEGRAL_EDGES = (2.0 ** 53 - 1, -(2.0 ** 53 - 1), 1e16, -1e16, 1e17, -1e17, 0.0, 1.0, -3.0)
+SPECIALS = (-0.0, math.inf, -math.inf, math.nan)
+
+
+def _fuzz_floats(rng, shape):
+    """Plain or integral floats, with edge values and sometimes -0.0, inf or nan."""
+    if rng.random() < 0.5:
+        values = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-300, 300, shape)
+    else:
+        values = rng.integers(-9, 10, shape).astype(float)
+        edges = rng.random(shape) < 0.3
+        values[edges] = rng.choice(INTEGRAL_EDGES, shape)[edges]
+    if rng.random() < 0.4:
+        special = rng.random(shape) < 0.2
+        values[special] = rng.choice(SPECIALS, shape)[special]
+    return values
+
+
+def _fuzz_ragged(rng, rows):
+    """(values, lengths) with length-0 rows, and -0.0, inf or nan in live cells or in the padding."""
+    width = int(rng.integers(0, 6))
+    values = _fuzz_floats(rng, (rows, width))
+    lengths = rng.integers(0, width + 1, rows)
+    padding = np.arange(width) >= lengths[:, None]
+    values[padding] = rng.choice(SPECIALS + (0.5,), (rows, width))[padding]
+    return values, lengths
+
+
+def _fuzz_column(rng, rows):
+    kind = rng.integers(0, 9)
+    if kind == 0:
+        return _fuzz_ragged(rng, rows)
+    if kind == 1:  # exponents as core.exponent_tag writes them, or objects that compare equal and encode apart
+        if rng.random() < 0.8:
+            return np.array([exponent_tag(p) for p in rng.choice([1.0, 1.25, 2.0, 3.0, math.inf], rows)], dtype=object)
+        pool = [0.0, -0.0, math.nan, "inf"] if rng.random() < 0.5 else [True, 1, 1.0, 10 ** 17, 1e17, "1"]
+        return np.array([pool[i] for i in rng.integers(0, len(pool), rows)] + [None], dtype=object)[:rows]
+    if kind == 2:
+        return rng.choice(["l1", "k3", 'q"%s', "x%d\n", "%%", "é\x1f"], rows)
+    if kind == 3:
+        return rng.random(rows) < 0.5
+    if kind == 4:
+        return rng.integers(-2 ** 62, 2 ** 62, rows)
+    if kind == 5:  # shared by every row
+        return [0.5, -0.0, math.inf] if rng.random() < 0.5 else "tag%d"
+    if kind == 6:
+        return {f"in%{j}": _fuzz_column(rng, rows) for j in range(int(rng.integers(0, 3)))}
+    return _fuzz_floats(rng, (rows,) if kind == 7 else (rows, int(rng.integers(0, 5))))
+
+
+def test_block_lines_fuzz_matches_dumps_of_each_report():
+    rng = np.random.default_rng(27)
+    for _ in range(400):
+        rows = int(rng.integers(0, 9))
+        lhs, rhs = _fuzz_floats(rng, rows), _fuzz_floats(rng, rows)
+        instance = {f"k{j}" + "%" * int(rng.integers(0, 3)) + "s": _fuzz_column(rng, rows)
+                    for j in range(int(rng.integers(0, 6)))}
+        seed = None if rng.random() < 0.3 else rng.integers(0, 2 ** 62, rows)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            block = ReportBlock.from_values("fuzz%d", lhs, rhs, 1e-9, instance, seed=seed)
+        assert block_lines(block.columns, rows) == [dumps(r.to_dict()) for r in block.reports()]

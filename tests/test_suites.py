@@ -39,6 +39,7 @@ from leibnizlab.operators import DegenerateInputError, PiecewiseLinearFn, deflat
 from leibnizlab.reports import ReportBlock, VerificationReport
 from leibnizlab.sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, sample_holder_triple_pair
 from leibnizlab.search import reciprocal_witness_report
+from leibnizlab.serialize import dumps
 
 
 def _scalar_report(x, y, tol, seed=None):
@@ -95,23 +96,62 @@ def test_block_suite_matches_scalar_reference(tol):
         assert {r.passed for r in outcome.reports} == {True, False}
 
 
-def test_outcome_drops_each_block_after_its_last_row():
-    # the rows of two blocks interleave, as a draw's blocks of different n do
-    a, b = (ReportBlock.from_values("x", np.zeros(2), np.ones(2), 0.0, {}) for _ in range(2))
-    outcome = suites.SuiteOutcome("x", [(a, 0), (b, 0), (a, 1), (b, 1)])
-    built = {}
+def test_outcome_holds_one_chunks_lines_at_a_time(monkeypatch):
+    # the rows of a draw's two blocks interleave, as a draw's blocks of different n do
+    def block(seeds):
+        return ReportBlock.from_values("x", np.zeros(len(seeds)), np.ones(len(seeds)), 0.0, {}, seed=np.array(seeds))
+    chunks = [([block([0, 2, 3]), block([1, 4])], np.array([0, 3, 1, 2, 4])), ([block([5, 6])], None),
+              ([block([7]), block([8])], np.array([0, 1]))]
+    outcome = suites.SuiteOutcome("x", chunks)
+    held = []  # (chunk, weak reference) of every line formatted
 
-    class Entries(list):  # a list a weakref can follow
+    class Line(str):  # a line a weakref can follow
         pass
 
-    def build(block):
-        entries = Entries((block, i) for i in range(len(block)))
-        built[block] = weakref.ref(entries)
-        return entries
-    each = outcome._each(build)
-    assert [next(each), next(each)] == [(a, 0), (b, 0)] and built[a]() is not None
-    assert next(each) == (a, 1) and built[a]() is None and built[b]() is not None
-    assert next(each) == (b, 1) and built[b]() is None
+    original = ReportBlock.lines
+
+    def lines(b):
+        k = next(i for i, (blocks, _) in enumerate(chunks) if any(b is c for c in blocks))
+        assert all(ref() is None for j, ref in held if j < k), "an earlier chunk's lines are still held"
+        out = [Line(line) for line in original(b)]
+        held.extend((k, weakref.ref(line)) for line in out)
+        return out
+    monkeypatch.setattr(ReportBlock, "lines", lines)
+    monkeypatch.setattr(suites, "LINES_PER_TEXT", 2)
+    texts = list(outcome.lines())
+    monkeypatch.undo()
+    assert len(held) == 9 and all(ref() is None for _, ref in held)
+    assert [len(t.split("\n")) for t in texts] == [2, 2, 1, 2, 2]
+    assert "\n".join(texts).split("\n") == [dumps(r.to_dict()) for r in outcome.reports]
+    assert [r.seed for r in outcome.reports] == list(range(9))
+
+
+# every suite as verify runs it, and two whose negative tolerance gives both verdicts
+OUTCOME_CASES = [(name, {}) for name in suites.SUITES] + [
+    ("majorization", {"tol": -0.25}), ("strong-leibniz", {"p": 1.0, "tol": -0.25})]
+
+
+@pytest.mark.parametrize("seed", [7, 3])
+@pytest.mark.parametrize("name, kwargs", OUTCOME_CASES,
+                         ids=[name + "".join(f"-{k}={v}" for k, v in kw.items()) for name, kw in OUTCOME_CASES])
+def test_outcome_counts_from_columns_match_the_reports(name, kwargs, seed):
+    outcome = suites.SUITES[name](trials=60, seed=seed, **kwargs)
+    failed, worst, summary = outcome.failed, outcome.worst_slack, outcome.summary()
+    reports = outcome.reports
+    expected = [r for r in reports if not r.passed and not r.instance.get("expected_failure", False)]
+    least = min(r.slack for r in reports)
+    assert (outcome.trials, failed, _bits(worst)) == (len(reports), len(expected), _bits(least))
+    assert _fields(outcome.failures) == _fields(expected)
+    verdict = "PASS" if not outcome.theorem_backed or not expected else "FAIL"
+    kind = "theorem" if outcome.theorem_backed else "evidence"
+    assert summary == (f"[{verdict}] suite {name} ({kind}): {len(reports)} checks, {len(expected)} failures, "
+                       f"worst slack {least:.3g}, {outcome.elapsed:.2f}s")
+    if name == "strong-leibniz":  # the fixed witness fails, and is not counted
+        assert not reports[0].passed and reports[0].instance["expected_failure"] and reports[0].seed is None
+    if name == "majorization":  # the sign patterns come last, with no trial index
+        assert len(reports) == 60 + sum(9 ** n for n in range(1, 5)) and reports[-1].seed is None
+    if kwargs:
+        assert expected and len(expected) < len(reports)
 
 
 def test_block_size_does_not_change_reports(monkeypatch):
