@@ -181,6 +181,13 @@ def exponent_tag(p: float):
     return "inf" if math.isinf(p) else float(p)
 
 
+def exponent_tags(p: np.ndarray) -> np.ndarray:
+    """``exponent_tag`` of each entry of a float array, as an object array."""
+    tags = p.astype(object)
+    tags[np.isinf(p)] = "inf"
+    return tags
+
+
 def conjugate_exponent(p: float) -> float:
     """The dual exponent p* with 1/p + 1/p* = 1."""
     p = check_exponent(p)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from itertools import repeat
 
 import numpy as np
 
@@ -123,9 +124,10 @@ def center(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def pypow(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e in Python floats.  numpy's vectorised power may round
-    differently from the C library's pow, which Python's ``**`` calls."""
-    return np.array([v ** e for v in x.tolist()])
+    """x ** e of each entry of a 1-D array as Python's float ``**`` gives it:
+    the C library's pow, which ``math.pow`` calls too, here mapped over the
+    entries in one pass.  numpy's vectorised power may round differently."""
+    return np.fromiter(map(math.pow, x.tolist(), repeat(e)), float, len(x))
 
 
 def lp(x: np.ndarray, w: np.ndarray | None, p) -> np.ndarray:

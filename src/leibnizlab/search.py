@@ -28,11 +28,12 @@ one-row Instances.  All act through the target's statement in
 ``verify.STATEMENTS``: its kernel scores blocks of ``BLOCK`` rows, each row
 as the checker scores it alone, whatever phi's +inf padding; a row outside
 its domain scores -inf; ``replay`` returns its report.  ``search`` scores
-every trial at every exponent into one matrix, each block at all exponents
-in one pass, and ranks each exponent once; the leaders are re-drawn from
-their trials, and all climb in lockstep, one block of neighbours per pass,
-each with its own epoch and sweep count, so each takes the path ``refine``
-takes for it alone.
+each block at all exponents in one pass and streams the ranking: each block
+meets every exponent's small pool of leaders, so no array grows with the
+trials but the returned history; the leaders are re-drawn from their
+trials, and all climb in lockstep, one block of neighbours per pass, each
+with its own epoch and sweep count, so each takes the path ``refine`` takes
+for it alone.
 
 Determinism: trial t reads its own words of ``Philox(key=(seed,
 SEARCH_STREAM))`` (``kernels.trial_words``, the v2 stream rule, computed in
@@ -276,107 +277,122 @@ def replay(inst: Instance, target: str, p: float) -> VerificationReport:
 
 _MU, _F, _G, _SLOPES, _BP, _ANCHOR = range(6)
 
+#: The field each kind of move acts on, by its code above.
+_KINDS = ("mu", "f", "g", "slopes", "bp", "anchor")
+
 
 @functools.cache
 def _layout(n: int, width: int, pair: bool, phi: bool):
-    """The moves of an instance (n atoms, g if ``pair``, phi padded to
-    ``width`` breakpoints) in order: kind, column and sign of each, and
+    """An instance (n atoms, g if ``pair``, phi padded to ``width``
+    breakpoints) as one flat row of floats, and its moves in order: the
+    column span of each ``Instance`` field in the row (an index for a
+    one-value field); the kind, flat column and sign of each move; and
     ``live[m]``, the moves that exist when phi has m breakpoints."""
-    sizes = {_MU: n, _F: n, _G: n * pair, **({_SLOPES: width + 1, _BP: width, _ANCHOR: 1} if phi else {})}
-    kind = np.repeat(list(sizes), [2 * k for k in sizes.values()])
-    col = np.concatenate([np.repeat(np.arange(k), 2) for k in sizes.values()])
+    sizes = [n, n, n * pair, *((width + 1, width, 1) if phi else (0, 0, 0))]
+    first = np.cumsum([0, *sizes]).tolist()
+    spans = {name: slice(first[k], first[k + 1]) for k, name in enumerate(_KINDS) if sizes[k]}
+    if phi:
+        spans["anchor"] = first[_ANCHOR]
+    spans["split1"], spans["split2"] = first[-1], first[-1] + 1
+    kind = np.repeat(np.arange(len(sizes)), [2 * k for k in sizes])
+    col = np.concatenate([np.repeat(np.arange(k), 2) for k in sizes])
     m = np.arange(width + 1)[:, None]
     live = ~((kind == _SLOPES) & (col > m) | (kind == _BP) & (col >= m))
-    return kind, col, np.tile([1.0, -1.0], len(kind) // 2), live
+    return spans, kind, np.take(first, kind) + col, np.tile([1.0, -1.0], len(kind) // 2), live
 
 
-def _neighbours(b: dict, active: np.ndarray, counts: np.ndarray, steps: np.ndarray, target: str,
-                monotone: bool, floor: float):
+def _fields(flat: np.ndarray, spans: dict) -> Instance:
+    """The Instance of flat rows, each field a contiguous copy, as the
+    kernels take it: ``kernels.rowdot``'s matmul then calls the BLAS dot it
+    calls on the sampled fields."""
+    return Instance(**{name: flat[:, span].copy() for name, span in spans.items()})
+
+
+def _neighbours(state: np.ndarray, active: np.ndarray, counts: np.ndarray, steps: np.ndarray, layout,
+                target: str, monotone: bool, floor: float):
     """The feasible single-coordinate perturbations of the ``active`` rows of
-    the arrays ``b`` (phi padded with +inf; ``counts`` breakpoints and step
-    size ``steps`` per active row) as one block, each kind of move in one run
-    of rows; also each neighbour's index into ``active``, its move in ``_layout``
-    order (mu, f, g, then phi's slopes, breakpoints and anchor, each moved by
-    +step, then by -step) and the number of moves per row.  A new phi is
-    renormalised to unit Lipschitz constant; one with breakpoints closer than
-    1e-9 or flat slopes is infeasible.
+    the flat ``state`` (``_layout``; phi padded with +inf, ``counts``
+    breakpoints and step size ``steps`` per active row) as flat rows, each
+    kind of move in one run of rows; also each neighbour's index into
+    ``active`` and its move in ``_layout`` order (mu, f, g, then phi's
+    slopes, breakpoints and anchor, each moved by +step, then by -step).  A
+    new phi is renormalised to unit Lipschitz constant; one with breakpoints
+    closer than 1e-9 or flat slopes is infeasible.  One gather, one
+    scatter-add of the steps (a moved f, g or breakpoint clipped on the
+    way), each kind's projection on its run, and one compress, skipped when
+    every move is feasible.
     """
-    kinds, cols, signs, live = _layout(b["mu"].shape[1], 0 if b["bp"] is None else b["bp"].shape[1],
-                                       b["g"] is not None, b["bp"] is not None)
+    spans, kinds, cols, signs, live = layout
     move, owner = np.divmod(np.arange(len(kinds) * len(active)), len(active))
     exists = live[counts[owner], move]
     owner, move = owner[exists], move[exists]
-    col, delta = cols[move], signs[move] * steps[owner]
-    bounds = np.searchsorted(kinds[move], np.arange(_ANCHOR + 2)).tolist()
-    source = active[owner]
-    out = {name: None if a is None else a[source] for name, a in b.items()}
+    runs = np.searchsorted(kinds[move], np.arange(_ANCHOR + 2)).tolist()
+    rows, col = np.arange(len(owner)), cols[move]
+    out = state[active[owner]]
     keep = np.ones(len(owner), dtype=bool)
 
-    def at(code):  # the rows of one kind of move, their moved entries and deltas
-        rows = slice(bounds[code], bounds[code + 1])
-        return rows, (np.arange(rows.start, rows.stop), col[rows]), delta[rows]
+    def run(first, last=None):  # the rows of the moves of kinds first to last
+        return slice(runs[first], runs[(first if last is None else last) + 1])
 
-    rows, cell, d = at(_MU)
-    out["mu"][cell] += d
-    out["mu"][rows] = _floored_simplex(out["mu"][rows], floor)
-    for code, name in ((_F, "f"), (_G, "g")):
-        rows, cell, d = at(code)
-        if out[name] is not None:
-            out[name][cell] = np.clip(out[name][cell] + d, -1.0, 1.0)
+    moved = out[rows, col] + signs[move] * steps[owner]
+    for r in run(_F, _G), run(_BP):  # a moved f, g or breakpoint stays in [-1, 1]
+        np.clip(moved[r], -1.0, 1.0, out=moved[r])
+    out[rows, col] = moved
+    mu = spans["mu"]
+    out[run(_MU), mu] = _floored_simplex(out[run(_MU), mu], floor)
     if STATEMENTS[target].invertible:  # a move of f may leave the statement's domain
-        rows, _, _ = at(_F)
-        keep[rows] = ~STATEMENTS[target].outside(out["f"][rows])
-    if b["bp"] is not None:
-        slopes, bp = out["slopes"], out["bp"]
-        rows, cell, d = at(_SLOPES)
-        slopes[cell] += d
+        keep[run(_F)] = ~STATEMENTS[target].outside(out[run(_F), spans["f"]])
+    if "bp" in spans:
+        slopes, bp = spans["slopes"], spans["bp"]
+        r = run(_SLOPES)
         if monotone:  # each row keeps the sign of its own slopes
-            rising = (b["slopes"][source[rows]].sum(axis=1) >= 0)[:, None]
-            slopes[rows] = np.where(rising, np.clip(slopes[rows], 0.0, None), np.clip(slopes[rows], None, 0.0))
-        rows, cell, d = at(_BP)
-        bp[cell] = np.clip(bp[cell] + d, -1.0, 1.0)
-        bp[rows] = np.sort(bp[rows], axis=1)
-        rows, _, d = at(_ANCHOR)
-        out["anchor"][rows] += d
-        rows = slice(bounds[_SLOPES], None)
-        peak = np.abs(slopes[rows]).max(axis=1)
+            rising = (state[active[owner[r]], slopes].sum(axis=1) >= 0)[:, None]
+            out[r, slopes] = np.where(rising, np.clip(out[r, slopes], 0.0, None), np.clip(out[r, slopes], None, 0.0))
+        out[run(_BP), bp] = np.sort(out[run(_BP), bp], axis=1)
+        r = run(_SLOPES, _ANCHOR)
+        peak = np.abs(out[r, slopes]).max(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):  # inf - inf in the padding
-            keep[rows] = ~np.any(np.diff(bp[rows], axis=1) <= 1e-9, axis=1) & (peak >= 1e-12)
-            slopes[rows] /= peak[:, None]
-    cands = Instance(**{name: None if a is None else a[keep] for name, a in out.items()})
-    return cands, owner[keep], move[keep], len(kinds)
+            keep[r] = ~np.any(np.diff(out[r, bp], axis=1) <= 1e-9, axis=1) & (peak >= 1e-12)
+            out[r, slopes] /= peak[:, None]
+    if not keep.all():
+        out, owner, move = out[keep], owner[keep], move[keep]
+    return out, owner, move
 
 
 def _climb(b: Instance, target: str, steps: int, p: np.ndarray, values,
            monotone: bool, floor: float) -> tuple[Instance, np.ndarray]:
     """``refine`` of every row of ``b`` together (phi padded with +inf), row i
     at exponent ``p[i]`` from its violation ``values[i]``; each pass scores one
-    block, the neighbours of every row still climbing.  Returns the tuned
-    rows and their violations."""
-    state = {name: None if a is None else a.copy() for name, a in b.arrays().items()}
+    block, the neighbours of every row still climbing.  Every row's fields
+    are one row of a flat array (``_layout``), so a pass gathers, and its
+    accepted moves write back, in one step each.  Returns the tuned rows and
+    their violations."""
+    layout = _layout(b.mu.shape[1], 0 if b.bp is None else b.bp.shape[1], b.g is not None, b.bp is not None)
+    spans, width = layout[0], len(layout[1])
+    state = np.empty((len(b), spans["split2"] + 1))  # C-contiguous, one row per leader
+    for name, span in spans.items():
+        state[:, span] = getattr(b, name)
     best = np.array(values, dtype=float)
     counts = np.zeros(len(b), dtype=np.intp) if b.bp is None else np.isfinite(b.bp).sum(axis=1)
     epoch, sweep = np.zeros((2, len(b)), dtype=np.intp)
     active = np.arange(len(b) if steps > 0 else 0)
     while active.size:
-        cands, owner, move, width = _neighbours(state, active, counts[active],
-                                                np.take(STEP_EPOCHS, epoch[active]), target, monotone, floor)
+        cands, owner, move = _neighbours(state, active, counts[active], np.take(STEP_EPOCHS, epoch[active]),
+                                         layout, target, monotone, floor)
         scores, index = np.full((active.size, width), -np.inf), np.empty((active.size, width), dtype=np.intp)
-        scores[owner, move] = _violations(cands, target, p[active][owner])
+        scores[owner, move] = _violations(_fields(cands, spans), target, p[active][owner])
         index[owner, move] = np.arange(len(owner))
         k = np.argmax(scores, axis=1)  # each row's first maximum (a nan, if any)
         top = scores[np.arange(active.size), k]
         up = top > best[active]
-        moved, chosen = active[up], index[up, k[up]]
-        for name, a in cands.arrays().items():
-            if a is not None:
-                state[name][moved] = a[chosen]
+        moved = active[up]
+        state[moved] = cands[index[up, k[up]]]
         best[moved] = top[up]
         # a row's epoch ends at a sweep that does not improve it, or at its last sweep
         sweep[active] = np.where(up & (sweep[active] + 1 < steps), sweep[active] + 1, 0)
         epoch[active] += sweep[active] == 0
         active = active[epoch[active] < len(STEP_EPOCHS)]
-    return Instance(**state), best
+    return _fields(state, spans), best
 
 
 def refine(inst: Instance, target: str, steps: int, p: float,
@@ -414,50 +430,103 @@ def _reach(b: Instance, column: np.ndarray) -> np.ndarray:
     return (lp(center(z, mu), mu, column) - lp(center(x, mu), mu, column)).T
 
 
-def _leaders(scores: np.ndarray, reach: np.ndarray, k: int) -> np.ndarray:
-    """The k leaders of an exponent: its best row (the first of the largest
-    score), then the others by reach where it exceeds INEQUALITY_TOL (else
-    0), then by score, both descending, then by trial.  A row where phi is
-    linear with slope +-1 on the range of f scores 0 up to rounding, and no
-    move climbs from it; a row whose phi turns where a turn can violate
-    ranks above it."""
-    best = np.argsort(-scores, kind="stable")[:1]
-    rest = np.lexsort((-scores, -np.where(reach > INEQUALITY_TOL, reach, 0.0)))
-    return np.concatenate([best, rest[rest != best[0]]])[:k]
+def _first(keys: tuple, k: int) -> np.ndarray:
+    """The first k rows of ``np.lexsort(keys[::-1])``: ``keys`` are equal
+    length arrays, primary first, each sorting nan last as numpy's sorts
+    do; ties go to the lower row.  Each key's ``np.partition`` keeps the
+    rows below its k-th value, and only the rows tied at that value meet
+    the next key, so the few rows kept are sorted, not all rows."""
+    rows, kept = np.arange(len(keys[0])), []
+    for key in keys:
+        if len(rows) <= k:
+            break
+        values = key[rows]
+        cut = np.partition(values, k - 1)[k - 1]
+        nan = np.isnan(values) if cut != cut else None  # every number is below a nan cut
+        kept.append(rows[values < cut] if nan is None else rows[~nan])
+        k -= len(kept[-1])
+        rows = rows[values == cut] if nan is None else rows[nan]
+    rows = np.sort(np.concatenate([*kept, rows[:k]]))
+    return rows[np.lexsort([key[rows] for key in reversed(keys)])]
+
+
+class _Ranking:
+    """Each exponent's k leaders, ranked a block of scores at a time: its
+    best row (the first of the largest score; a nan score is never best
+    unless all are nan), then the others by reach where it exceeds
+    INEQUALITY_TOL (else 0), then by score, both descending, then by trial.
+    A row where phi is linear with slope +-1 on the range of f scores 0 up
+    to rounding, and no move climbs from it; a row whose phi turns where a
+    turn can violate ranks above it.
+
+    Each exponent keeps a pool, its best row so far and its first k by
+    reach, and meets each block's rows with it (``_first``), so memory holds
+    a pool per exponent, not a column per exponent; ``history`` is the
+    running maximum of each trial's largest score.
+    """
+
+    def __init__(self, exponents: int, k: int):
+        self.k, self.history = k, []
+        empty = np.empty(0)
+        self.pools = [(empty.astype(np.intp), empty, empty)] * exponents
+
+    def _order(self, scores: np.ndarray, reach: np.ndarray) -> tuple:
+        """The best row, and the first k rows by reach, of a pool's rows: the
+        k - 1 leaders after the best are among the latter."""
+        score_key = -scores
+        return _first((score_key,), 1), _first((-np.where(reach > INEQUALITY_TOL, reach, 0.0), score_key), self.k)
+
+    def add(self, scores: np.ndarray, reach: np.ndarray) -> None:
+        """Meet the next block's (rows, exponents) scores and reach."""
+        trials = np.arange(len(self.history), len(self.history) + len(scores))
+        # the running maximum goes on from the last trial's; -inf leaves the first trial's as it is
+        top = np.maximum.accumulate(np.concatenate([self.history[-1:] or [-np.inf], scores.max(axis=1)]))
+        self.history += top[1:].tolist()
+        for j, (t, s, r) in enumerate(self.pools):
+            t, s, r = np.concatenate([t, trials]), np.concatenate([s, scores[:, j]]), np.concatenate([r, reach[:, j]])
+            keep = np.zeros(len(t), dtype=bool)
+            for rows in self._order(s, r):
+                keep[rows] = True
+            self.pools[j] = t[keep], s[keep], r[keep]
+
+    def leaders(self) -> tuple[np.ndarray, np.ndarray]:
+        """The leaders' trials and scores, grouped by exponent, best first."""
+        chosen = []
+        for t, s, r in self.pools:
+            best, rest = self._order(s, r)
+            order = np.concatenate([best, rest[rest != best[0]]])[:self.k]
+            chosen.append((t[order], s[order]))
+        return tuple(np.concatenate(part) for part in zip(*chosen))
 
 
 def search(config: SearchConfig) -> SearchResult:
     """Best violation over trials x exponents, with refinement of the leaders.
 
-    Every trial is scored at every exponent into one (trials, exponents)
-    matrix, a block at a time: one float per trial and exponent, 2.4 MB at
-    100k trials and 3 exponents, less than the returned ``history`` (the
-    running maximum of its row maxima).  A block is scored at all exponents
-    in one pass (``_violations`` on the grid): phi(f), the centerings, |x|,
-    the row maxima and the ratios once, then per exponent only the power,
-    the sum and the root (``kernels.lp``; none at p = 1), and the chain
-    rule's reach (``_reach``) reuses the block's phi(f).  Each exponent is
-    ranked once, after the last block, into its ``max(refine_top, 1)``
-    leaders (``_leaders``).  All leaders are re-drawn and climb together
+    Trials are sampled and scored a block at a time, and no array grows with
+    the trials: a block is scored at all exponents in one pass (``_violations``
+    on the grid): phi(f), the centerings, |x|, the row maxima and the ratios
+    once, then per exponent only the power, the sum and the root
+    (``kernels.lp``; none at p = 1), and the chain rule's reach (``_reach``)
+    reuses the block's phi(f).  Each block then meets each exponent's pool of
+    ``max(refine_top, 1) + 1`` rows at most (``_Ranking``), and extends the
+    returned ``history``, the running maximum of each trial's largest score,
+    about 32 bytes per trial.  All leaders are re-drawn and climb together
     (``_climb``, 0 steps when ``refine_top`` is 0), each at its own
     exponent; an exponent's result is its first leader of largest climbed
     violation, the witness read from the climbed row.
     """
     grid, target, k = config.p_grid, config.target, min(max(config.refine_top, 1), config.trials)
-    scores = np.empty((config.trials, len(grid)))
-    reach = np.empty_like(scores) if target == "chain_rule" else scores
     column = np.array(grid)[:, None]
+    ranking = _Ranking(len(grid), k)
     for start in range(0, config.trials, BLOCK):
         block = _sample(config, range(start, min(start + BLOCK, config.trials)))
-        scores[start:start + len(block)] = _violations(block, target, column)
-        if reach is not scores:
-            reach[start:start + len(block)] = _reach(block, column)
+        scores = _violations(block, target, column)
+        ranking.add(scores, _reach(block, column) if target == "chain_rule" else scores)
 
-    # the leaders grouped by exponent, best first
-    leaders = np.concatenate([_leaders(scores[:, j], reach[:, j], k) for j in range(len(grid))])
+    leaders, values = ranking.leaders()
     column = np.repeat(np.arange(len(grid)), k)
     tuned, values = _climb(_sample(config, leaders.tolist()), target, config.refine_steps if config.refine_top else 0,
-                           np.take(grid, column), scores[leaders, column], config.monotone, config.mass_floor)
+                           np.take(grid, column), values, config.monotone, config.mass_floor)
     head = np.arange(0, leaders.size, k) + values.reshape(-1, k).argmax(axis=1)  # each exponent's first best
     per_p, trial = values[head].tolist(), leaders[head].tolist()
     # the largest violation, ties to the lower trial, then to the earlier exponent
@@ -465,7 +534,7 @@ def search(config: SearchConfig) -> SearchResult:
     witness = {**tuned.row(int(head[j])).to_dict(), "p": exponent_tag(grid[j]), "target": target,
                "trial": trial[j], "violation": per_p[j]}
     return SearchResult(config=config, best_violation=per_p[j], best_p=float(grid[j]), witness=witness,
-                        per_p=dict(zip(grid, per_p)), history=np.maximum.accumulate(scores.max(axis=1)).tolist())
+                        per_p=dict(zip(grid, per_p)), history=ranking.history)
 
 
 # -- fixed counterexample witnesses ------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels, sampling
 from .core import (IDENTITY_TOL, INEQUALITY_TOL, HolderTriple, ProbVector, _integer, as_pair, center, check_exponent,
-                   exponent_tag, lp_norm, paired)
+                   exponent_tag, exponent_tags, lp_norm, paired)
 from .kernels import Block
 from .operators import PiecewiseLinearFn, phi_echo, theta_matrix
 from .reports import ReportBlock, VerificationReport
@@ -156,7 +156,7 @@ class Statement:
         if self.phi:
             instance["phi"], monotone = phi_echo(b)
         if self.exponents:
-            instance["exponents"] = {name: np.array(list(map(exponent_tag, np.full(len(b), x).tolist())), dtype=object)
+            instance["exponents"] = {name: exponent_tags(np.full(len(b), x, dtype=float))
                                      for name, x in zip(self.exponents, exponents)}
         if len(terms) > 1:
             instance["rhs_terms"] = np.stack(terms, axis=1)

@@ -13,6 +13,8 @@ from leibnizlab.core import (
     conjugate_exponent,
     downward_rearrange,
     expectation,
+    exponent_tag,
+    exponent_tags,
     lp_norm,
     sup_norm,
     variance,
@@ -163,6 +165,14 @@ def test_conjugate_exponent():
     assert conjugate_exponent(math.inf) == 1.0
     assert conjugate_exponent(2.0) == pytest.approx(2.0)
     assert conjugate_exponent(4.0) == pytest.approx(4 / 3)
+
+
+def test_exponent_tags_are_the_tag_of_each_entry():
+    column = np.array([1.0, 1.25, math.inf, 2.0, math.inf, 1e300])
+    tags = exponent_tags(column)
+    want = [exponent_tag(p) for p in column.tolist()]
+    assert tags.dtype == object and tags.tolist() == want
+    assert [type(t) for t in tags] == [type(t) for t in want]
 
 
 def test_holder_triple_validation():

@@ -2,9 +2,10 @@
 one-trial replay, the seed's domain and the conversions pinned by their
 bits; ``kernels.sample_phi`` with its modes set per row, the gap rule of
 ``kernels.spread`` against the sequential rule, alone and through its two
-callers; and ``kernels.lp`` on a grid of exponents against one call per
-exponent, bit for bit."""
+callers; ``kernels.lp`` on a grid of exponents against one call per
+exponent, bit for bit; and ``kernels.pypow`` against Python's ``**``."""
 
+import hashlib
 import importlib
 import math
 import random
@@ -15,7 +16,7 @@ from scalar_reference import Trial
 
 import leibnizlab.kernels as kernels
 import leibnizlab.suites as suites
-from leibnizlab.sampling import MASS_FLOOR, MAX_ATOMS, distinct_points
+from leibnizlab.sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points
 from leibnizlab.search import SearchConfig, random_instance
 
 search_mod = importlib.import_module("leibnizlab.search")
@@ -313,3 +314,51 @@ def test_lp_at_1_is_the_power_and_root_form_without_either(monkeypatch, weighted
     monkeypatch.setattr(kernels, "pypow", no_root)
     got = kernels.lp(x, w, 1.0)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+# -- kernels.pypow: the C library's pow, as Python's float ** calls it -------------
+
+#: sha256 of ``kernels.lp`` on the benchmark sweep's grid (2, 3, inf) over the
+#: rows of ``_sweep_rows``, counting measure then weights, recorded while
+#: ``pypow`` took each root with Python's ``**``.
+LP_SWEEP_SHA256 = ("bafaf70a333481b16916f942721bfa27bdf844cef3e5ef373fd6d9b173001b64",
+                   "e3bf31d37eff2e7575fd88d789131a4f03480a35795fa05b19238f44359a6f6e")
+
+
+def _python_pow(x, e):
+    """[v ** e for v in x], or the exception the first such power raises."""
+    try:
+        return np.array([v ** e for v in x.tolist()])
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("e", [1.0 / p for p in EXPONENT_GRID] + [2], ids=lambda e: f"{e:.4g}")
+def test_pypow_is_python_pow_bit_for_bit(e):
+    # random totals and the edges: zero, the least subnormal, one, near the
+    # largest float (whose square overflows), inf and nan
+    rng = np.random.default_rng(9)
+    edges = np.array([0.0, 5e-324, 1.0, 1e308, math.inf, math.nan])
+    totals = np.concatenate([rng.uniform(0.0, 5.0, 300), np.ldexp(rng.uniform(0.5, 1.0, 50), rng.integers(-1070, 1000, 50))])
+    for x in (np.concatenate([totals, edges]), np.concatenate([totals, np.delete(edges, 3)])):
+        want = _python_pow(x, e)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                kernels.pypow(x, e)
+        else:
+            got = kernels.pypow(x, e)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _sweep_rows():
+    rng = np.random.default_rng(17)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, (2000, 5)), rng.integers(-1080, 3, (2000, 5)))
+    x[::40] = 0.0
+    return x, rng.dirichlet(np.ones(5), len(x))
+
+
+def test_lp_on_the_sweep_grid_keeps_its_pinned_bits():
+    x, w = _sweep_rows()
+    grid = np.array([2.0, 3.0, math.inf])[:, None]
+    got = tuple(hashlib.sha256(kernels.lp(x, weights, grid).tobytes()).hexdigest() for weights in (None, w))
+    assert got == LP_SWEEP_SHA256

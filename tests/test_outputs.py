@@ -98,6 +98,9 @@ _SWEEP = {"target": "chain_rule", "n": 4, "p_grid": [2, 3, "inf"], "trials": 500
           "refine_steps": 10, "seed": 7, "monotone": False}
 _TOP60 = {"n": 3, "p_grid": [1, 1.5, "inf"], "trials": 1000, "refine_steps": 20,
           "refine_top": 60, "seed": 3}
+# 2 500 trials span three 1024-trial blocks, so each exponent's leaders and
+# history are merged across blocks; recorded while the search ranked whole columns
+_CROSS = {"n": 3, "p_grid": [1, 1.5, "inf"], "trials": 2500, "refine_top": 30, "seed": 5}
 REFINED_SEARCH_SHA256 = {
     "open_sweep": (
         _SWEEP,
@@ -140,6 +143,30 @@ REFINED_SEARCH_SHA256 = {
         {"search_result.json": "16a17e77aa19ee43add43e6ac4d3a1051b64a943455e6877f68f370bd3063a5e",
          "per_p.csv": "b4871958a62ca1c34b00bce8731d974a7008e8ac3513db989cd71aac6d2872fb",
          "history.csv": "f2b87ca25c501bbd3813730f1afd9726199e049304c5dac48c29e4979ace519a"},
+    ),
+    "chain_rule_cross_block": (
+        dict(_CROSS, target="chain_rule"),
+        {"search_result.json": "34816e59500b791c991867eb061909c1ee35d3c00ac878a57ecc29cbb1f13cf5",
+         "per_p.csv": "da4374166b4b5186395cc0f9be85b3a9e34c7d9be1a8f0796f011e6955202612",
+         "history.csv": "a369e90889a89af208df3fbaad696c6a6fbfab42e482ebc4dbf915ca4f3932a8"},
+    ),
+    "leibniz_cross_block": (
+        dict(_CROSS, target="leibniz"),
+        {"search_result.json": "14f2d473a8ac2f90f2a086fa63fb0de3278b262f6d288e0de86ba03940101685",
+         "per_p.csv": "fa5884f65d54c63dc024a88feba59b3b82554fe2b6acb7b64c26488bddff9a64",
+         "history.csv": "f140e02874fbe3fdb1ad4177faacea12b91cadd000ff893dd9e3b4217bb5c38b"},
+    ),
+    "square_bound_cross_block": (
+        dict(_CROSS, target="square_bound"),
+        {"search_result.json": "40db899ee4993941711c6f33cb54b81e153610bbfe32cc2f89601faef5eaa8c8",
+         "per_p.csv": "fa5884f65d54c63dc024a88feba59b3b82554fe2b6acb7b64c26488bddff9a64",
+         "history.csv": "a8aa6ca4c5645f7eda53a42e80e93256d016c0838e91c681792ea959c81c2b8d"},
+    ),
+    "strong_leibniz_cross_block": (
+        dict(_CROSS, target="strong_leibniz"),
+        {"search_result.json": "9faa0b6941302dc719a19a368b32d9173b37866e0df83d239a230b5571c30eac",
+         "per_p.csv": "c505d90d9d0443d9c6467d431a72e3db6873ac70bcdef6ef238658e487b96f84",
+         "history.csv": "741f1a30c240e6519def9e9e4ebdc608f8c93545fe2ba8e4371bb23552bc9591"},
     ),
 }
 

@@ -3,6 +3,7 @@
 import importlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,74 @@ def test_leaders_climb_together_as_alone(target, monotone):
             assert (a is None and getattr(together, name) is None) or same_bits(a, getattr(together, name))
     # most leaders move, so the climbs are not trivially equal
     assert np.count_nonzero(values > start) > len(block) // 2
+
+
+def whole_column_leaders(scores, reach, k):
+    """The k leaders of one exponent from its whole columns, as the search
+    ranked them before it streamed: the first of the largest score (a nan
+    last), then the others by reach above INEQUALITY_TOL (else 0), score and
+    trial."""
+    best = np.argsort(-scores, kind="stable")[:1]
+    rest = np.lexsort((-scores, -np.where(reach > INEQUALITY_TOL, reach, 0.0)))
+    return np.concatenate([best, rest[rest != best[0]]])[:k]
+
+
+def ranking_columns(trials):
+    """Scores with few distinct values and -inf and nan rows, an all-nan
+    column and a column of -inf and nan rows that starts with nan; reach
+    mostly at or below INEQUALITY_TOL, with ties above it."""
+    rng = np.random.default_rng(4)
+    scores = rng.choice([-0.5, -0.25, 0.0, 1e-3, 2e-3], (trials, 4))
+    scores[rng.random(trials) < 0.2, 1] = -np.inf
+    scores[rng.random(trials) < 0.2, 1] = np.nan
+    scores[:, 2] = np.nan
+    scores[:, 3] = np.where(rng.random(trials) < 0.3, np.nan, -np.inf)
+    scores[:2, 3] = np.nan  # the best of this column is its first -inf, not trial 0
+    reach = rng.choice([-1.0, 0.0, 5e-10, INEQUALITY_TOL, 2e-9, 0.01, 0.02], (trials, 4))
+    return scores, reach
+
+
+@pytest.mark.parametrize("chain_rule", [True, False], ids=["reach", "scores"])
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_streamed_ranking_equals_whole_columns(block, chain_rule):
+    # the leaders, their scores and the history of a ranking fed a block at a
+    # time equal the whole-column sorts, for k from 1 to past the trials
+    trials = 90
+    columns, reach_columns = ranking_columns(trials)
+    # the first column alone keeps a finite history; any nan makes it nan from there
+    for cols in ([0], [0, 1, 2, 3]):
+        scores = columns[:, cols]
+        reach = reach_columns[:, cols] if chain_rule else scores
+        for k in (1, 2, 5, 31, trials - 1, trials, trials + 5):
+            ranking = search_mod._Ranking(len(cols), k)
+            for start in range(0, trials, block):
+                ranking.add(scores[start:start + block], reach[start:start + block])
+            leaders, values = ranking.leaders()
+            want = np.concatenate([whole_column_leaders(scores[:, j], reach[:, j], k) for j in range(len(cols))])
+            assert leaders.tolist() == want.tolist()
+            assert values.tobytes() == scores[want, np.repeat(np.arange(len(cols)), min(k, trials))].tobytes()
+            history = np.maximum.accumulate(scores.max(axis=1))
+            assert np.array(ranking.history).tobytes() == history.tobytes()
+    # the all-nan column leads with its first trial
+    assert whole_column_leaders(columns[:, 2], columns[:, 2], 1).tolist() == [0]
+
+
+def test_search_memory_grows_with_the_trials_by_its_history_alone():
+    # the traced peak of a 10-exponent chain-rule search grows by the returned
+    # history, a float object and a list slot per trial (about 32 bytes), and
+    # by nothing else: whole (trials, exponents) score and reach matrices
+    # would add 160 bytes per trial
+    grid = (1.0, 1.25, 1.5, 1.75, 1.9, 2.0, 2.5, 3.0, 4.0, math.inf)
+    peaks = []
+    for trials in (2 ** 13, 2 ** 16):
+        cfg = SearchConfig(target="chain_rule", n=4, p_grid=grid, trials=trials, refine_top=0, seed=2)
+        tracemalloc.start()
+        try:
+            search(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (2 ** 16 - 2 ** 13) <= 40
 
 
 #: Winners of small searches, recorded when the streams moved to Philox words
