@@ -23,9 +23,10 @@ Streams (the v2 rule): the suites (streams 0-8) and the search
 (``SEARCH_STREAM``) each draw from ``Philox(key=(seed, stream))``, the
 counter-based generator Philox4x64-10 (Salmon et al., SC 2011), and trial t
 reads the W words at counter t W / 4, W being the consumer's layout width
-(``trial_words``).  The words are computed here, with numpy integer
-arithmetic on 32-bit halves, bit for bit as numpy's ``Philox`` gives them
-after ``advance(t W / 4)``, which the tests check.  No command imports
+(``trial_words``).  The words are computed here in numpy integer
+arithmetic, each of the four counter words one 1-D array and each
+64 x 64 -> 128-bit product taken from 32-bit halves, bit for bit as numpy's
+``Philox`` gives them after ``advance(t W / 4)``, which the tests check.  No command imports
 numpy's random module, which spares each about 6 MB of resident memory
 (numpy's generators and, through ``secrets`` and ``hashlib``, OpenSSL).  Access is by
 counter, so any list of trials is one vectorized call and a trial alone is a
@@ -74,9 +75,9 @@ class Block:
         if bp.shape[1] > 1:
             # the padding only reaches knots past each row's last breakpoint
             with np.errstate(invalid="ignore"):
-                steps = slopes[:, 1:-1] * np.diff(bp, axis=1)
-            self.knots[:, 1:] = anchor[:, None] + np.cumsum(steps, axis=1)
-        self.lipschitz = np.abs(slopes).max(axis=1)
+                steps = slopes[:, 1:-1] * (bp[:, 1:] - bp[:, :-1])
+            self.knots[:, 1:] = anchor[:, None] + row_cumsum(steps)
+        self.lipschitz = row_maxima(np.abs(slopes))
 
     @classmethod
     def one(cls, mu, f, g=None, phi=None, **fields) -> "Block":
@@ -118,6 +119,29 @@ def row_max(*columns: np.ndarray) -> np.ndarray:
     return functools.reduce(lambda first, col: np.where(col > first, col, first), columns)
 
 
+def row_maxima(a: np.ndarray, initial: float = -math.inf) -> np.ndarray:
+    """``a.max(axis=1, initial=initial)`` of a 2-D array, a column at a
+    time: numpy reduces a short row in a loop of its own for each row, about
+    14 times slower at 2048 rows of 4.  The same bits where no entry is
+    -0.0, as in |x| (between 0.0 and -0.0, numpy's max keeps one that
+    depends on the row width)."""
+    out = np.full(len(a), initial, dtype=a.dtype)
+    for column in a.T:
+        np.maximum(out, column, out=out)
+    return out
+
+
+def row_cumsum(a: np.ndarray) -> np.ndarray:
+    """``np.cumsum(a, axis=1)`` of a 2-D array, bit for bit, a column at a
+    time, as ``row_maxima`` reduces."""
+    out = np.empty(a.shape, dtype=a.dtype)
+    if a.shape[1]:
+        out[:, 0] = a[:, 0]
+    for j in range(1, a.shape[1]):
+        np.add(out[:, j - 1], a[:, j], out=out[:, j])
+    return out
+
+
 def center(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Row-wise ``core.center``."""
     return x - rowdot(mu, x)[:, None]
@@ -142,37 +166,46 @@ def lp(x: np.ndarray, w: np.ndarray | None, p) -> np.ndarray:
     maximum, and p = 1 takes no power and no root (x ** 1.0 is x).
     """
     a = np.abs(x)
-    m = a.max(axis=1, initial=0.0)
+    m = row_maxima(a, 0.0)
+    ratios = None
+
+    def norm(e, rows):  # the norms of the rows at e
+        nonlocal ratios
+        if math.isinf(e):
+            return m[rows]
+        if ratios is None:
+            ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
+        powers = ratios[rows] if e == 1.0 else ratios[rows] ** e
+        total = powers.sum(axis=1) if w is None else rowdot(w[rows], powers)
+        return m[rows] * (total if e == 1.0 else pypow(total, 1.0 / e))
+    if np.ndim(p) == 0:  # one exponent for every row
+        return norm(p, slice(None))
     out = np.empty(np.broadcast_shapes(np.shape(p), m.shape))
-    ratios, exponents = None, set(np.ravel(p).tolist())
+    exponents = set(np.ravel(p).tolist())
     for e in exponents:
         at = np.equal(p, e)
         if len(exponents) == 1 or at.shape[-1:] != m.shape:  # every row takes e
-            rows = slice(None)
-        else:
-            rows = at if at.ndim == 1 else at.any(axis=0)
-        if math.isinf(e):
-            norm = m[rows]
-        else:
-            if ratios is None:
-                ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
-            powers = ratios[rows] if e == 1.0 else ratios[rows] ** e
-            total = powers.sum(axis=1) if w is None else rowdot(w[rows], powers)
-            norm = m[rows] * (total if e == 1.0 else pypow(total, 1.0 / e))
-        if not isinstance(rows, slice):
-            full = np.empty(len(m))
-            full[rows] = norm
-            norm = full
-        np.copyto(out, norm, where=at)
+            np.copyto(out, norm(e, slice(None)), where=at)
+        elif at.ndim == 1:  # one exponent per row
+            out[at] = norm(e, at)
+        else:  # a grid of one exponent per cell: the rows that take e somewhere
+            rows, full = at.any(axis=0), np.empty(len(m))
+            full[rows] = norm(e, rows)
+            np.copyto(out, full, where=at)
     return out
 
 
 def phi(b: Block, x: np.ndarray) -> np.ndarray:
     """phi of each row applied to the same row of x, as ``PiecewiseLinearFn.__call__``."""
-    idx = np.count_nonzero(b.bp[:, None, :] <= x[:, :, None], axis=2)
+    bp, slopes = b.bp, b.slopes
+    idx = np.zeros(x.shape, dtype=np.intp)  # the breakpoints at or left of x, a column at a time
+    for j in range(bp.shape[1]):
+        idx += bp[:, j:j + 1] <= x
     left = np.maximum(idx - 1, 0)
-    rows = np.arange(x.shape[0])[:, None]
-    return b.knots[rows, left] + b.slopes[rows, idx] * (x - b.bp[rows, left])
+    # flat indices into the (B, M) knots and breakpoints and the (B, M + 1) slopes
+    left += np.arange(0, bp.size, bp.shape[1])[:, None]
+    idx += np.arange(0, slopes.size, slopes.shape[1])[:, None]
+    return np.take(b.knots, left) + np.take(slopes, idx) * (x - np.take(bp, left))
 
 
 def _variance(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -208,14 +241,14 @@ def strong_leibniz(b: Block, p):
     """||f^-1 - E f^-1||_p against ||f^-1||_inf^2 ||f - Ef||_p; f must be invertible."""
     inv = 1.0 / b.f
     lhs = lp(center(inv, b.mu), b.mu, p)
-    rhs = pypow(np.abs(inv).max(axis=1), 2) * lp(center(b.f, b.mu), b.mu, p)
+    rhs = pypow(row_maxima(np.abs(inv)), 2) * lp(center(b.f, b.mu), b.mu, p)
     return lhs, rhs
 
 
 def square_bound(b: Block, p):
     """||f^2 - E f^2||_p against 2 ||f||_inf ||f - Ef||_p."""
     lhs = lp(center(b.f * b.f, b.mu), b.mu, p)
-    rhs = 2.0 * np.abs(b.f).max(axis=1) * lp(center(b.f, b.mu), b.mu, p)
+    rhs = 2.0 * row_maxima(np.abs(b.f)) * lp(center(b.f, b.mu), b.mu, p)
     return lhs, rhs
 
 
@@ -468,7 +501,7 @@ def sample_phi(u: np.ndarray, monotone, signed=False) -> dict:
     monotone, signed = np.broadcast_to(monotone, size), np.broadcast_to(signed, size)
     slopes = np.where(monotone[:, None], np.abs(slopes), slopes)
     slopes *= np.where(monotone & signed & (knot_u[rows, 2 * counts + 1] >= 0.5), -1.0, 1.0)[:, None]
-    peak = np.abs(slopes).max(axis=1)
+    peak = row_maxima(np.abs(slopes))
     flat = peak < 1e-12
     slopes[flat] = live[flat].astype(float)
     peak[flat] = 1.0
@@ -491,18 +524,21 @@ def sample_laplacian(u: np.ndarray, n: int) -> np.ndarray:
 #: Stream id of the search; the suites take 0-8 (``suites._run``).
 SEARCH_STREAM = 9
 
-#: Philox4x64-10: the multipliers of counter words 0 and 2, the Weyl
-#: increments of the two key words, one per round of the ten.
-_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_BUMPS = (np.arange(10, dtype=np.uint64)[:, None, None]
-                 * np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64))
-#: 0-d arrays, which a ufunc takes faster than numpy scalars.
+#: Philox4x64-10: the multipliers of counter words 0 and 2, each with its
+#: 32-bit halves, as 0-d arrays, which a ufunc takes faster than numpy
+#: scalars; and the Weyl increments of the two key words, a row per round.
 _LOW32, _32 = np.array(0xFFFFFFFF, dtype=np.uint64), np.array(32, dtype=np.uint64)
-_MUL_LOW, _MUL_HIGH = _PHILOX_MUL & _LOW32, _PHILOX_MUL >> _32
+_PHILOX_MUL = tuple(tuple(np.array(v, dtype=np.uint64) for v in (m, m & 0xFFFFFFFF, m >> 32))
+                    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_BUMPS = np.arange(10, dtype=np.uint64)[:, None] * np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                                                                    dtype=np.uint64)
 
-#: Philox blocks (4 words each) computed at once: a draw's temporaries stay
-#: near 1 MB, and each chunk pays the ~0.1 ms of the rounds' 170 ufunc calls.
-_PHILOX_CHUNK = 8192
+#: Philox blocks (4 words each) computed at once, so that a search block
+#: (``search.BLOCK`` trials of up to 8 blocks) is one chunk.  A chunk's four
+#: counter words are four 1-D arrays of 128 kB, and the rounds hold at most
+#: four temporaries more (``_mulhi``); each chunk pays the ~0.1 ms of the
+#: rounds' 323 ufunc calls.
+_PHILOX_CHUNK = 16384
 
 
 def _word(value, name: str) -> int:
@@ -516,17 +552,17 @@ def check_seed(seed) -> int:
     return _word(seed, "seed")
 
 
-def _mulhi(x: np.ndarray) -> np.ndarray:
-    """The high words of the 128-bit products of the (2, m) counter words x
-    with their multipliers, from 32-bit halves (Hacker's Delight, 8-2)."""
+def _mulhi(x: np.ndarray, low_m: np.ndarray, high_m: np.ndarray) -> np.ndarray:
+    """The high words of the 128-bit products of the words x with the
+    multiplier of 32-bit halves low_m and high_m (Hacker's Delight, 8-2)."""
     low, high = x & _LOW32, x >> _32
-    t = _MUL_LOW * low
+    t = low * low_m
     t >>= _32
-    t += _MUL_LOW * high
+    t += high * low_m
     u = t & _LOW32
-    low *= _MUL_HIGH
+    low *= high_m
     u += low
-    high *= _MUL_HIGH
+    high *= high_m
     t >>= _32
     high += t
     u >>= _32
@@ -534,21 +570,25 @@ def _mulhi(x: np.ndarray) -> np.ndarray:
     return high
 
 
-def _philox(key: tuple[int, int], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _philox(key: tuple[int, int], lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The 4 words of Philox4x64-10 under ``key`` (two words) at each counter
-    (lo, hi, 0, 0), lo and hi being uint64 arrays: (len(lo), 4)."""
-    x = np.zeros((2, len(lo)), dtype=np.uint64)  # counter words 0 and 2
-    y = np.zeros_like(x)  # counter words 1 and 3
-    x[0], y[0] = lo, hi
-    for round_key in np.array([[key[0]], [key[1]]], dtype=np.uint64) + _PHILOX_BUMPS:
-        high = _mulhi(x)[::-1]
-        high ^= y
-        high ^= round_key
-        x *= _PHILOX_MUL
-        x, y = high, x[::-1]
-    words = np.empty((len(lo), 4), dtype=np.uint64)
-    words[:, 0::2], words[:, 1::2] = x.T, y.T
-    return words
+    (lo, hi, 0, 0), lo and hi being uint64 arrays: (len(lo), 4), written to
+    ``out`` if given.  Each counter word is one 1-D array, so every product
+    is an array times a 0-d multiplier."""
+    (m0, *halves0), (m2, *halves2) = _PHILOX_MUL
+    keys = [(k[0, ...], k[1, ...]) for k in np.array(key, dtype=np.uint64) + _PHILOX_BUMPS]
+    # round 1: counter words 2 and 3 are 0, so only word 0's product is taken
+    x0, x1, x2, x3 = hi ^ keys[0][0], np.zeros_like(lo), _mulhi(lo, *halves0), lo * m0
+    x2 ^= keys[0][1]
+    for k0, k1 in keys[1:]:  # each new word takes the place of one it no longer needs
+        x1 ^= _mulhi(x2, *halves2)
+        x1 ^= k0
+        x2 *= m2
+        x3 ^= _mulhi(x0, *halves0)
+        x3 ^= k1
+        x0 *= m0
+        x0, x1, x2, x3 = x1, x2, x3, x0
+    return np.stack((x0, x1, x2, x3), axis=1, out=out)
 
 
 def trial_words(seed: int, stream: int, trials, width: int) -> np.ndarray:
@@ -576,15 +616,15 @@ def trial_words(seed: int, stream: int, trials, width: int) -> np.ndarray:
     for a in range(0, len(t), step):
         lo = low[a:a + step, None] + j
         hi = high[a:a + step, None] + (lo < j)  # the carry out of the low word
-        out[a:a + step] = _philox(key, lo.ravel(), hi.ravel()).reshape(len(lo), -1)
+        _philox(key, lo.ravel(), hi.ravel(), out[a:a + step].reshape(-1, 4))
     return out
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
     """The uniform on [0, 1) of each word w: (w >> 11) 2**-53.  Consumes
-    ``words``: they are shifted in place, so a draw holds one array fewer."""
+    ``words``: the uniforms take their place, so a draw holds one array."""
     words >>= np.uint64(11)
-    return words * 2.0 ** -53
+    return np.multiply(words, 2.0 ** -53, out=words.view(np.float64))
 
 
 def integers(u: np.ndarray, span) -> np.ndarray:
@@ -602,7 +642,10 @@ def signed_uniforms(u: np.ndarray) -> np.ndarray:
 def spacings(u: np.ndarray) -> np.ndarray:
     """Uniform Dirichlet measures: the n spacings of each row's n - 1 sorted
     uniforms between 0 and 1, exact (multiples of 2**-53), so each sums to 1."""
-    return np.diff(np.sort(u, axis=1), axis=1, prepend=0.0, append=1.0)
+    edges = np.empty((len(u), u.shape[1] + 2))  # np.diff's prepend and append, without its concatenate
+    edges[:, 0], edges[:, -1] = 0.0, 1.0
+    edges[:, 1:-1] = np.sort(u, axis=1)
+    return edges[:, 1:] - edges[:, :-1]
 
 
 def measures(u: np.ndarray, floor: float) -> np.ndarray:

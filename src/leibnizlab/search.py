@@ -25,15 +25,16 @@ of f:
 An ``Instance`` holds search instances as the rows of arrays, one row per
 instance; ``violation``, ``refine``, ``replay`` and the witness codec take
 one-row Instances.  All act through the target's statement in
-``verify.STATEMENTS``: its kernel scores blocks of ``BLOCK`` rows, each row
-as the checker scores it alone, whatever phi's +inf padding; a row outside
-its domain scores -inf; ``replay`` returns its report.  ``search`` scores
+``verify.STATEMENTS``: its kernel scores blocks of ``BLOCK`` (2048) rows,
+each row as the checker scores it alone, whatever phi's +inf padding; a row
+outside its domain scores -inf; ``replay`` returns its report.  ``search`` scores
 each block at all exponents in one pass and streams the ranking: each block
 meets every exponent's small pool of leaders, so no array grows with the
 trials but the returned history; the leaders are re-drawn from their
 trials, and all climb in lockstep, one block of neighbours per pass, each
 with its own epoch and sweep count, so each takes the path ``refine`` takes
-for it alone.
+for it alone; a pass reuses the tables of moves of the last while the same
+rows climb.
 
 Determinism: trial t reads its own words of ``Philox(key=(seed,
 SEARCH_STREAM))`` (``kernels.trial_words``, the v2 stream rule, computed in
@@ -54,7 +55,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .core import INEQUALITY_TOL, ProbVector, _integer, as_number, as_pair, check_exponent, exponent_tag, paired
-from .kernels import BLOCK, SEARCH_STREAM, Block, center, check_seed, integers, lp, trial_words, uniforms
+from .kernels import (SEARCH_STREAM, Block, center, check_seed, integers, lp, row_cumsum, row_maxima, trial_words,
+                      uniforms)
 from .operators import PiecewiseLinearFn
 from .reports import VerificationReport
 from .sampling import MASS_FLOOR
@@ -66,6 +68,9 @@ TARGETS = ("chain_rule", "strong_leibniz", "leibniz", "square_bound")
 STEP_EPOCHS = (0.1, 0.01, 0.001)
 
 _SPLIT_CHOICES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+#: Trials sampled, scored and ranked together; no result depends on it.
+BLOCK = 2048
 
 _INTEGER_FIELDS = ("n", "trials", "refine_steps", "seed", "max_breakpoints", "refine_top")
 
@@ -193,7 +198,7 @@ class Instance(Block):
 
 def _floored_simplex(raw: np.ndarray, floor: float) -> np.ndarray:
     """Project positive raw weights (one row per measure) onto the simplex with a mass floor (refinement)."""
-    pos = np.clip(raw, 0.0, None)
+    pos = np.maximum(raw, 0.0)
     total = pos.sum(axis=1, keepdims=True)
     n = raw.shape[1]
     body = 1.0 - n * floor
@@ -302,42 +307,46 @@ def _layout(n: int, width: int, pair: bool, phi: bool):
 
 
 def _fields(flat: np.ndarray, spans: dict) -> Instance:
-    """The Instance of flat rows, each field a contiguous copy, as the
-    kernels take it: ``kernels.rowdot``'s matmul then calls the BLAS dot it
-    calls on the sampled fields."""
-    return Instance(**{name: flat[:, span].copy() for name, span in spans.items()})
+    """The Instance of flat rows: mu, f and g contiguous copies, as the
+    kernels take them (``kernels.rowdot``'s matmul then calls the BLAS dot it
+    calls on the sampled fields), phi's arrays and the splits views."""
+    return Instance(**{name: flat[:, span].copy() if name in ("mu", "f", "g") else flat[:, span]
+                       for name, span in spans.items()})
 
 
-def _neighbours(state: np.ndarray, active: np.ndarray, counts: np.ndarray, steps: np.ndarray, layout,
-                target: str, monotone: bool, floor: float):
-    """The feasible single-coordinate perturbations of the ``active`` rows of
-    the flat ``state`` (``_layout``; phi padded with +inf, ``counts``
-    breakpoints and step size ``steps`` per active row) as flat rows, each
-    kind of move in one run of rows; also each neighbour's index into
-    ``active`` and its move in ``_layout`` order (mu, f, g, then phi's
-    slopes, breakpoints and anchor, each moved by +step, then by -step).  A
-    new phi is renormalised to unit Lipschitz constant; one with breakpoints
-    closer than 1e-9 or flat slopes is infeasible.  One gather, one
-    scatter-add of the steps (a moved f, g or breakpoint clipped on the
-    way), each kind's projection on its run, and one compress, skipped when
-    every move is feasible.
+def _moves(layout, counts: np.ndarray) -> tuple:
+    """The neighbours of rows with ``counts`` breakpoints each, in the order
+    ``_neighbours`` makes them: each one's row (an index into ``counts``) and
+    move in ``_layout`` order, the first neighbour of each kind of move (and
+    the end), and each one's flat column."""
+    kinds, cols, live = layout[1], layout[2], layout[4]
+    move, owner = np.nonzero(live[counts].T)  # move by move, each move's rows in order
+    return owner, move, np.searchsorted(kinds[move], np.arange(_ANCHOR + 2)).tolist(), cols[move]
+
+
+def _neighbours(state: np.ndarray, source: np.ndarray, at: np.ndarray, delta: np.ndarray, runs: list,
+                spans: dict, target: str, monotone: bool, floor: float):
+    """The feasible single-coordinate perturbations of rows of the flat
+    ``state`` (``_layout``; phi padded with +inf) as flat rows, each kind of
+    move in one run of rows (``runs``, as ``_moves`` gives them): neighbour
+    i is row ``source[i]`` with ``delta[i]`` added at flat index ``at[i]``
+    of the gathered rows.  A new phi is renormalised to unit Lipschitz
+    constant; one with breakpoints closer than 1e-9 or flat slopes is
+    infeasible.  One gather, one scatter of the moved values (a moved f, g
+    or breakpoint clipped on the way), and each kind's projection on its
+    run.  Returns the feasible rows, and which they are (None if all are).
     """
-    spans, kinds, cols, signs, live = layout
-    move, owner = np.divmod(np.arange(len(kinds) * len(active)), len(active))
-    exists = live[counts[owner], move]
-    owner, move = owner[exists], move[exists]
-    runs = np.searchsorted(kinds[move], np.arange(_ANCHOR + 2)).tolist()
-    rows, col = np.arange(len(owner)), cols[move]
-    out = state[active[owner]]
-    keep = np.ones(len(owner), dtype=bool)
+    out = state[source]
+    keep = np.ones(len(source), dtype=bool)
 
     def run(first, last=None):  # the rows of the moves of kinds first to last
         return slice(runs[first], runs[(first if last is None else last) + 1])
 
-    moved = out[rows, col] + signs[move] * steps[owner]
+    moved = out.take(at)
+    moved += delta
     for r in run(_F, _G), run(_BP):  # a moved f, g or breakpoint stays in [-1, 1]
-        np.clip(moved[r], -1.0, 1.0, out=moved[r])
-    out[rows, col] = moved
+        np.minimum(np.maximum(moved[r], -1.0, out=moved[r]), 1.0, out=moved[r])
+    np.put(out, at, moved)
     mu = spans["mu"]
     out[run(_MU), mu] = _floored_simplex(out[run(_MU), mu], floor)
     if STATEMENTS[target].invertible:  # a move of f may leave the statement's domain
@@ -346,17 +355,16 @@ def _neighbours(state: np.ndarray, active: np.ndarray, counts: np.ndarray, steps
         slopes, bp = spans["slopes"], spans["bp"]
         r = run(_SLOPES)
         if monotone:  # each row keeps the sign of its own slopes
-            rising = (state[active[owner[r]], slopes].sum(axis=1) >= 0)[:, None]
-            out[r, slopes] = np.where(rising, np.clip(out[r, slopes], 0.0, None), np.clip(out[r, slopes], None, 0.0))
+            rising = (state[source[r], slopes].sum(axis=1) >= 0)[:, None]
+            out[r, slopes] = np.where(rising, np.maximum(out[r, slopes], 0.0), np.minimum(out[r, slopes], 0.0))
         out[run(_BP), bp] = np.sort(out[run(_BP), bp], axis=1)
         r = run(_SLOPES, _ANCHOR)
-        peak = np.abs(out[r, slopes]).max(axis=1)
+        peak = row_maxima(np.abs(out[r, slopes]))
+        gaps = out[r, bp]
         with np.errstate(invalid="ignore", divide="ignore"):  # inf - inf in the padding
-            keep[r] = ~np.any(np.diff(out[r, bp], axis=1) <= 1e-9, axis=1) & (peak >= 1e-12)
+            keep[r] = ~np.any(gaps[:, 1:] - gaps[:, :-1] <= 1e-9, axis=1) & (peak >= 1e-12)
             out[r, slopes] /= peak[:, None]
-    if not keep.all():
-        out, owner, move = out[keep], owner[keep], move[keep]
-    return out, owner, move
+    return (out, None) if keep.all() else (out[keep], keep)
 
 
 def _climb(b: Instance, target: str, steps: int, p: np.ndarray, values,
@@ -365,33 +373,50 @@ def _climb(b: Instance, target: str, steps: int, p: np.ndarray, values,
     at exponent ``p[i]`` from its violation ``values[i]``; each pass scores one
     block, the neighbours of every row still climbing.  Every row's fields
     are one row of a flat array (``_layout``), so a pass gathers, and its
-    accepted moves write back, in one step each.  Returns the tuned rows and
-    their violations."""
+    accepted moves write back, in one step each; the neighbours' tables
+    (``_moves``) are built when a row stops climbing, and their steps when
+    a row's epoch ends.  Returns the tuned rows and their violations."""
     layout = _layout(b.mu.shape[1], 0 if b.bp is None else b.bp.shape[1], b.g is not None, b.bp is not None)
-    spans, width = layout[0], len(layout[1])
+    spans, width, signs = layout[0], len(layout[1]), layout[3]
     state = np.empty((len(b), spans["split2"] + 1))  # C-contiguous, one row per leader
     for name, span in spans.items():
         state[:, span] = getattr(b, name)
     best = np.array(values, dtype=float)
     counts = np.zeros(len(b), dtype=np.intp) if b.bp is None else np.isfinite(b.bp).sum(axis=1)
-    epoch, sweep = np.zeros((2, len(b)), dtype=np.intp)
+    shared = float(p[0]) if p.size and (p == p[0]).all() else None  # one exponent: one lp pass per norm
     active = np.arange(len(b) if steps > 0 else 0)
+    epoch, sweep, rebuild = np.zeros(active.size, dtype=np.intp), np.zeros(active.size, dtype=np.intp), True
     while active.size:
-        cands, owner, move = _neighbours(state, active, counts[active], np.take(STEP_EPOCHS, epoch[active]),
-                                         layout, target, monotone, floor)
-        scores, index = np.full((active.size, width), -np.inf), np.empty((active.size, width), dtype=np.intp)
-        scores[owner, move] = _violations(_fields(cands, spans), target, p[active][owner])
-        index[owner, move] = np.arange(len(owner))
-        k = np.argmax(scores, axis=1)  # each row's first maximum (a nan, if any)
-        top = scores[np.arange(active.size), k]
+        if rebuild:  # the rows still climbing have changed
+            owner, move, runs, col = _moves(layout, counts[active])
+            source, slot, base = active[owner], owner * width + move, np.arange(active.size) * width
+            at, sign = np.arange(len(owner)) * state.shape[1] + col, signs[move]
+            exponents = shared if shared is not None else p[source]
+            rebuild, delta = False, None
+        if delta is None:  # an epoch has ended
+            delta = sign * np.take(STEP_EPOCHS, epoch)[owner]
+        cands, keep = _neighbours(state, source, at, delta, runs, spans, target, monotone, floor)
+        where, e = slot, exponents
+        if keep is not None:  # some neighbours are infeasible
+            where = slot[keep]
+            e = e if shared is not None else e[keep]
+        scores, index = np.full((active.size, width), -np.inf), np.empty(active.size * width, dtype=np.intp)
+        np.put(scores, where, _violations(_fields(cands, spans), target, e))
+        index[where] = np.arange(len(where))
+        k = base + np.argmax(scores, axis=1)  # each row's first maximum (a nan, if any), flat
+        top = scores.take(k)
         up = top > best[active]
         moved = active[up]
-        state[moved] = cands[index[up, k[up]]]
+        state[moved] = cands[index[k[up]]]
         best[moved] = top[up]
         # a row's epoch ends at a sweep that does not improve it, or at its last sweep
-        sweep[active] = np.where(up & (sweep[active] + 1 < steps), sweep[active] + 1, 0)
-        epoch[active] += sweep[active] == 0
-        active = active[epoch[active] < len(STEP_EPOCHS)]
+        sweep = np.where(up & (sweep + 1 < steps), sweep + 1, 0)
+        ended = sweep == 0
+        if ended.any():
+            epoch += ended
+            delta, climbing = None, epoch < len(STEP_EPOCHS)
+            if not climbing.all():
+                active, epoch, sweep, rebuild = active[climbing], epoch[climbing], sweep[climbing], True
     return _fields(state, spans), best
 
 
@@ -423,10 +448,12 @@ def _reach(b: Instance, column: np.ndarray) -> np.ndarray:
     the convex lhs is largest.  It reads phi(f) from the block (``phi_f``),
     so the block's scores and its reach evaluate phi once, and takes both
     norms at every exponent in one ``kernels.lp`` call each."""
-    order = np.argsort(b.f, axis=1)
-    x, mu = np.take_along_axis(b.f, order, axis=1), np.take_along_axis(b.mu, order, axis=1)
-    turns = np.sign(np.diff(np.take_along_axis(b.phi_f, order, axis=1), axis=1))
-    z = np.concatenate([np.zeros((len(x), 1)), np.cumsum(np.diff(x, axis=1) * turns, axis=1)], axis=1)
+    order = np.argsort(b.f, axis=1, kind="stable")
+    order += np.arange(0, order.size, order.shape[1])[:, None]  # flat indices
+    x, mu, values = (np.take(a, order) for a in (b.f, b.mu, b.phi_f))
+    turns = np.sign(values[:, 1:] - values[:, :-1])
+    z = np.zeros_like(x)
+    z[:, 1:] = row_cumsum((x[:, 1:] - x[:, :-1]) * turns)
     return (lp(center(z, mu), mu, column) - lp(center(x, mu), mu, column)).T
 
 
@@ -448,6 +475,15 @@ def _first(keys: tuple, k: int) -> np.ndarray:
         rows = rows[values == cut] if nan is None else rows[nan]
     rows = np.sort(np.concatenate([*kept, rows[:k]]))
     return rows[np.lexsort([key[rows] for key in reversed(keys)])]
+
+
+def _scored(config: SearchConfig, trials: range, column: np.ndarray) -> tuple:
+    """The (trials, exponents) scores of a block of trials at the exponents
+    of ``column``, and their reach (``_reach`` for the chain rule, else the
+    scores).  The block is dropped on return, before the next is drawn."""
+    block = _sample(config, trials)
+    scores = _violations(block, config.target, column)
+    return scores, _reach(block, column) if config.target == "chain_rule" else scores
 
 
 class _Ranking:
@@ -480,7 +516,7 @@ class _Ranking:
         """Meet the next block's (rows, exponents) scores and reach."""
         trials = np.arange(len(self.history), len(self.history) + len(scores))
         # the running maximum goes on from the last trial's; -inf leaves the first trial's as it is
-        top = np.maximum.accumulate(np.concatenate([self.history[-1:] or [-np.inf], scores.max(axis=1)]))
+        top = np.maximum.accumulate(np.concatenate([self.history[-1:] or [-np.inf], row_maxima(scores)]))
         self.history += top[1:].tolist()
         for j, (t, s, r) in enumerate(self.pools):
             t, s, r = np.concatenate([t, trials]), np.concatenate([s, scores[:, j]]), np.concatenate([r, reach[:, j]])
@@ -502,7 +538,7 @@ class _Ranking:
 def search(config: SearchConfig) -> SearchResult:
     """Best violation over trials x exponents, with refinement of the leaders.
 
-    Trials are sampled and scored a block at a time, and no array grows with
+    Trials are sampled and scored ``BLOCK`` at a time, and no array grows with
     the trials: a block is scored at all exponents in one pass (``_violations``
     on the grid): phi(f), the centerings, |x|, the row maxima and the ratios
     once, then per exponent only the power, the sum and the root
@@ -519,9 +555,7 @@ def search(config: SearchConfig) -> SearchResult:
     column = np.array(grid)[:, None]
     ranking = _Ranking(len(grid), k)
     for start in range(0, config.trials, BLOCK):
-        block = _sample(config, range(start, min(start + BLOCK, config.trials)))
-        scores = _violations(block, target, column)
-        ranking.add(scores, _reach(block, column) if target == "chain_rule" else scores)
+        ranking.add(*_scored(config, range(start, min(start + BLOCK, config.trials)), column))
 
     leaders, values = ranking.leaders()
     column = np.repeat(np.arange(len(grid)), k)

@@ -3,7 +3,9 @@ one-trial replay, the seed's domain and the conversions pinned by their
 bits; ``kernels.sample_phi`` with its modes set per row, the gap rule of
 ``kernels.spread`` against the sequential rule, alone and through its two
 callers; ``kernels.lp`` on a grid of exponents against one call per
-exponent, bit for bit; and ``kernels.pypow`` against Python's ``**``."""
+exponent, bit for bit; ``kernels.pypow`` against Python's ``**``;
+``kernels.phi`` against ``PiecewiseLinearFn.__call__``, and the row
+reductions a column at a time against numpy's, bit for bit."""
 
 import hashlib
 import importlib
@@ -16,6 +18,7 @@ from scalar_reference import Trial
 
 import leibnizlab.kernels as kernels
 import leibnizlab.suites as suites
+from leibnizlab.operators import PiecewiseLinearFn
 from leibnizlab.sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points
 from leibnizlab.search import SearchConfig, random_instance
 
@@ -362,3 +365,50 @@ def test_lp_on_the_sweep_grid_keeps_its_pinned_bits():
     grid = np.array([2.0, 3.0, math.inf])[:, None]
     got = tuple(hashlib.sha256(kernels.lp(x, weights, grid).tobytes()).hexdigest() for weights in (None, w))
     assert got == LP_SWEEP_SHA256
+
+
+# -- kernels.phi: PiecewiseLinearFn.__call__, row by row ---------------------------
+
+def test_phi_is_piecewise_linear_fn_bit_for_bit():
+    # rows of 1 to 8 breakpoints padded with +inf to 8, each read on its
+    # breakpoints, one ulp either side of each, and beyond both ends: the
+    # interval index counts a breakpoint equal to x, as searchsorted's
+    # side="right" does
+    rng = np.random.default_rng(30)
+    fns = []
+    for m in range(1, 9):
+        for _ in range(5):
+            bp = np.sort(rng.uniform(-1.0, 1.0, m))
+            fns.append(PiecewiseLinearFn(bp, rng.uniform(-1.0, 1.0, m + 1), rng.uniform(-1.0, 1.0)))
+    bp, slopes = np.full((len(fns), 8), np.inf), np.zeros((len(fns), 9))
+    x = np.empty((len(fns), 3 * 8 + 4))
+    for i, fn in enumerate(fns):
+        m, at = len(fn.breakpoints), np.resize(fn.breakpoints, 8)
+        bp[i, :m], slopes[i, :m + 1] = fn.breakpoints, fn.slopes
+        x[i] = np.concatenate([at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
+                               [fn.breakpoints[0] - 1.5, -1e300, fn.breakpoints[-1] + 1.5, 1e300]])
+    block = kernels.Block(None, x, bp=bp, slopes=slopes, anchor=np.array([fn.anchor for fn in fns]))
+    got = kernels.phi(block, x)
+    want = np.array([fn(row) for fn, row in zip(fns, x)])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for row, fn in zip(block.knots, fns):  # the knots up to each row's last breakpoint
+        assert row[:len(fn.breakpoints)].tobytes() == fn._knot_values.tobytes()
+
+
+# -- row reductions a column at a time ------------------------------------------
+
+@pytest.mark.parametrize("width", range(0, 10))
+def test_row_reductions_are_numpys_bit_for_bit(width):
+    # row_maxima and row_cumsum against numpy's reductions along axis 1, on
+    # rows that mix nan, the infinities, zeros, subnormals and huge values,
+    # and on random rows, each contiguous and as a strided view (no -0.0:
+    # which zero numpy's own max keeps varies with the row width)
+    rng = np.random.default_rng(width)
+    a = np.concatenate([rng.choice([np.nan, np.inf, -np.inf, 0.0, 5e-324, -1.5, 2.0, 1e308], (500, width)),
+                        rng.uniform(-1.0, 1.0, (500, width))])
+    for rows in a, np.repeat(a, 2, axis=1)[:, ::2]:
+        if width:
+            assert kernels.row_maxima(rows).tobytes() == rows.max(axis=1).tobytes()
+        assert kernels.row_maxima(rows, 0.0).tobytes() == rows.max(axis=1, initial=0.0).tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert kernels.row_cumsum(rows).tobytes() == np.cumsum(rows, axis=1).tobytes()

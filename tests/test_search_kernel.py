@@ -164,11 +164,14 @@ def test_kernel_marks_singular_f_for_strong_leibniz():
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_search_does_not_depend_on_block_size(monkeypatch, target):
-    for top in (3, 10):
-        cfg = SearchConfig(target=target, n=3, p_grid=(1.0, 2.0, math.inf), trials=40,
+    # 40 trials fit one block at every size but 1 and 7; 2 500 cross blocks
+    # at every size, the search's own among them
+    for trials, top, sizes in ((40, 3, (1, 7, search_mod.BLOCK)), (40, 10, (1, 7, search_mod.BLOCK)),
+                              (2500, 5, (7, 1024, 2048))):
+        cfg = SearchConfig(target=target, n=3, p_grid=(1.0, 2.0, math.inf), trials=trials,
                            refine_steps=2, refine_top=top, seed=8)
         results = []
-        for size in (1, 7, search_mod.BLOCK):
+        for size in sizes:
             monkeypatch.setattr(search_mod, "BLOCK", size)
             results.append(search(cfg))
         for res in results[1:]:
@@ -269,6 +272,37 @@ def test_leaders_climb_together_as_alone(target, monotone):
             assert (a is None and getattr(together, name) is None) or same_bits(a, getattr(together, name))
     # most leaders move, so the climbs are not trivially equal
     assert np.count_nonzero(values > start) > len(block) // 2
+
+
+def per_pass_moves(layout, counts):
+    """The neighbours' tables of rows with ``counts`` breakpoints as each
+    climb pass built them before the climb kept them while its rows stay:
+    owner, move, each kind's first row (and the end), flat column."""
+    kinds, cols, live = layout[1], layout[2], layout[4]
+    move, owner = np.divmod(np.arange(len(kinds) * len(counts)), len(counts))
+    exists = live[counts[owner], move]
+    owner, move = owner[exists], move[exists]
+    runs = np.searchsorted(kinds[move], np.arange(search_mod._ANCHOR + 2)).tolist()
+    return owner, move, runs, cols[move]
+
+
+@pytest.mark.parametrize("n, width, pair, phi", [(3, 8, False, True), (4, 4, False, True), (2, 0, True, False),
+                                                 (5, 0, False, False)])
+def test_move_tables_are_the_per_pass_tables(n, width, pair, phi):
+    # random breakpoint-count patterns, and active sets that shrink as rows
+    # stop climbing, down to one row
+    layout = search_mod._layout(n, width, pair, phi)
+    rng = np.random.default_rng(width + n)
+    for _ in range(20):
+        rows = int(rng.integers(1, 40))
+        counts = rng.integers(1, width + 1, rows) if phi else np.zeros(rows, dtype=np.intp)
+        active = np.arange(rows)
+        while active.size:
+            got, want = search_mod._moves(layout, counts[active]), per_pass_moves(layout, counts[active])
+            assert got[2] == want[2]
+            for a, b in (got[0], want[0]), (got[1], want[1]), (got[3], want[3]):
+                assert np.array_equal(a, b)
+            active = active[rng.random(active.size) < 0.7]
 
 
 def whole_column_leaders(scores, reach, k):
