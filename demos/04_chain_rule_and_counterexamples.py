@@ -28,7 +28,7 @@ from leibnizlab import (
     monotone_laplacian,
 )
 from leibnizlab.knorms import lp_evaluator
-from leibnizlab.search import VSHAPE_WITNESS, reciprocal_witness_report, vshape_function
+from leibnizlab.search import WITNESSES, witness_report
 
 # -- monotone case: the bound holds, via the Laplacian machinery ----------------
 pts = np.array([-0.9, -0.2, 0.4, 1.1])
@@ -46,9 +46,10 @@ rep = check_chain_rule(mu, pts, ramp, 3.0)
 print(f"  chain rule at p=3: slack {rep.slack:.4f} -> {'holds' if rep.passed else 'fails'}")
 
 # -- non-monotone witness: fails at p = 1, survives at p = 2 ---------------------
-mu = ProbVector(np.asarray(VSHAPE_WITNESS["mu"]))
-f = np.asarray(VSHAPE_WITNESS["f"])
-phi = vshape_function()
+vshape = WITNESSES["chain_rule_vshape_witness"]["instance"]
+mu = ProbVector(np.asarray(vshape["mu"]))
+f = np.asarray(vshape["f"])
+phi = PiecewiseLinearFn.from_dict(vshape["phi"])
 print("\nV-shaped witness, Lip(phi) = 1 exactly:")
 for p in (1.0, 2.0):
     rep = check_chain_rule(mu, f, phi, p)
@@ -61,7 +62,8 @@ print("  square-function bound still holds:",
 
 # -- inverse bound witness -------------------------------------------------------
 print("\nreciprocal witness at p = 1:")
-for tag, adjusted in (("as stated ", False), ("adjusted f1", True)):
-    rep = reciprocal_witness_report(adjusted=adjusted)
+for tag, name in (("as stated ", "strong_leibniz_reciprocal_witness"),
+                  ("adjusted f1", "strong_leibniz_reciprocal_witness_adjusted")):
+    rep = witness_report(name)
     print(f"  {tag}: lhs {rep.lhs:.6f} vs rhs {rep.rhs:.6f} -> "
           f"{'holds' if rep.passed else 'FAILS'} (gap {rep.violation:.4f})")

@@ -9,7 +9,8 @@ dualnorm  closed-form dual weighted k-norm vs the brute-force oracle
 inspect   build one of the structural matrices and print it as JSON
 
 Exit codes: 0 success, 1 check failure, 2 malformed flags or config.
-Seeds resolve as: --seed flag, else LEIBNIZ_LAB_SEED env var, else 0.
+Seeds resolve as: --seed flag (search: then the config's seed), else
+LEIBNIZ_LAB_SEED env var, else 0.
 JSON numbers are written with 17 significant digits so re-running a command
 with the same flags reproduces byte-identical output (wall time excluded).
 """
@@ -29,14 +30,7 @@ import numpy as np
 from . import __version__
 from .knorms import ENUMERATION_CAP, dual_norm_bruteforce, dual_weighted_k_norm, k_norm
 from .operators import PiecewiseLinearFn, deflated_theta, divided_difference_matrix, theta_matrix
-from .search import (
-    RECIPROCAL_REFERENCE,
-    SearchConfig,
-    VSHAPE_REFERENCE,
-    reciprocal_witness_report,
-    reproduce_known_counterexamples,
-    search as run_search,
-)
+from .search import WITNESSES, SearchConfig, search as run_search, witness_report
 from .serialize import dumps, write_jsonl
 from .suites import N_MAX_BOUNDS, SUITES
 from .core import as_vector, check_exponent, exponent_tag
@@ -174,19 +168,12 @@ def cmd_examples(args) -> int:
         return 2
     if not _prepare_out(args.out):
         return 2
-    rep_inverse, rep_vshape = reproduce_known_counterexamples()
-    cmp_inverse = _reference_match(rep_inverse, RECIPROCAL_REFERENCE, args.tol)
-    cmp_vshape = _reference_match(rep_vshape, VSHAPE_REFERENCE, args.tol)
-
-    adjusted = reciprocal_witness_report(adjusted=True)
-    cmp_adjusted = _reference_match(adjusted, RECIPROCAL_REFERENCE, args.tol)
-
-    entries = [(rep_inverse, cmp_inverse), (rep_vshape, cmp_vshape), (adjusted, cmp_adjusted)]
     records = []
-    for rep, compare in entries:
+    for name, witness in WITNESSES.items():
+        rep = witness_report(name)
         rec = rep.to_dict()
         rec["violation_confirmed"] = not rep.passed
-        rec["reference"] = compare
+        rec["reference"] = _reference_match(rep, witness["reference"], args.tol)
         records.append(rec)
 
     if args.out:
@@ -214,9 +201,8 @@ def cmd_search(args) -> int:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"the config must be a JSON object, got {raw!r}")
-        if args.seed is not None:
-            raw["seed"] = int(args.seed)
-        raw.setdefault("seed", _resolve_seed(None))
+        if args.seed is not None or "seed" not in raw:
+            raw["seed"] = _resolve_seed(args.seed)
         config = SearchConfig.from_dict(raw)
     except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: bad search config: {exc}", file=sys.stderr)
@@ -258,18 +244,20 @@ def cmd_dualnorm(args) -> int:
         x = _parse_vector(args.x)
         w = _parse_vector(args.w)
         k = int(args.k)
-        formula = dual_weighted_k_norm(x, w, k)
+        with np.errstate(all="ignore"):
+            formula = dual_weighted_k_norm(x, w, k)
+            record = {"x": x.tolist(), "w": w.tolist(), "k": k, "formula": formula}
+            if x.size <= ENUMERATION_CAP:
+                record["oracle"] = dual_norm_bruteforce(x, w, k)
+                record["difference"] = formula - record["oracle"]
+            if np.all(w == w[0]) and w[0] == 1.0:
+                record["constant_weight_form"] = max(k_norm(x, 1), k_norm(x, x.size) / k)
+        for key in ("formula", "oracle", "constant_weight_form"):
+            if not math.isfinite(record.get(key, 0.0)):
+                raise ValueError(f"the {key.replace('_', ' ')} overflows: it is {record[key]}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    record = {"x": x.tolist(), "w": w.tolist(), "k": k, "formula": formula}
-    if x.size <= ENUMERATION_CAP:
-        oracle = dual_norm_bruteforce(x, w, k)
-        record["oracle"] = oracle
-        record["difference"] = formula - oracle
-    if np.all(w == w[0]) and w[0] == 1.0:
-        record["constant_weight_form"] = max(k_norm(x, 1), k_norm(x, x.size) / k)
 
     if args.json:
         print(dumps(record))

@@ -45,7 +45,10 @@ import numpy as np
 
 from .core import STRUCT_TOL
 
-#: Trials seeded, sampled and scored together; no result depends on it.
+#: Trials seeded, sampled and scored together by the suites; no result depends
+#: on it.  The search takes 2048 (``search.BLOCK``); the suites at 2048, with
+#: ``suites.WORD_BLOCK`` kept at 2**19 words, raised the peak ru_maxrss of
+#: ``verify --suite all --trials 8000 --seed 7`` from 37.0 to 38.0 MiB.
 BLOCK = 1024
 
 

@@ -6,13 +6,13 @@ violation is a counterexample witness; for targets that are theorems the
 search is a negative control and must come back empty.
 
 Where the non-monotone chain rule and the inverse bound stand: both fail at
-p = 1 (the fixed witnesses below) and both hold at p = 2 and p = inf, so a
-violation at p = 2 or inf is a bug in the kernel, not a discovery.  The open
-exponents are (1, 2) and (2, inf); there a search result is evidence, never
-a proof, and is labeled "no violation found (budget N)".  With X' an
-independent copy of X = f, and L = Lip(phi), or L = ||f^-1||_inf^2 for
-phi(x) = 1/x, because |1/a - 1/b| <= ||f^-1||_inf^2 |a - b| for values a, b
-of f:
+p = 1 (the fixed witnesses in ``WITNESSES``) and both hold at p = 2 and
+p = inf, so a violation at p = 2 or inf is a bug in the kernel, not a
+discovery.  The open exponents are (1, 2) and (2, inf); there a search
+result is evidence, never a proof, and is labeled "no violation found
+(budget N)".  With X' an independent copy of X = f, and L = Lip(phi), or
+L = ||f^-1||_inf^2 for phi(x) = 1/x, because |1/a - 1/b| <= ||f^-1||_inf^2
+|a - b| for values a, b of f:
 
 * p = 2: Var Y = E(Y - Y')^2 / 2, so Var phi(f) <= L^2 E(X - X')^2 / 2 =
   L^2 Var f.  (For the chain rule this is ``verify.check_markov_variance``;
@@ -60,7 +60,8 @@ from .kernels import (SEARCH_STREAM, Block, center, check_seed, integers, lp, ro
 from .operators import PiecewiseLinearFn
 from .reports import VerificationReport
 from .sampling import MASS_FLOOR
-from .verify import STATEMENTS, check_chain_rule, check_strong_leibniz
+from . import verify
+from .verify import STATEMENTS
 
 TARGETS = ("chain_rule", "strong_leibniz", "leibniz", "square_bound")
 
@@ -69,7 +70,8 @@ STEP_EPOCHS = (0.1, 0.01, 0.001)
 
 _SPLIT_CHOICES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-#: Trials sampled, scored and ranked together; no result depends on it.
+#: Trials sampled, scored and ranked together; no result depends on it.  Twice
+#: the suites' ``kernels.BLOCK``: the search's per-call costs fall with fewer calls.
 BLOCK = 2048
 
 _INTEGER_FIELDS = ("n", "trials", "refine_steps", "seed", "max_breakpoints", "refine_top")
@@ -579,42 +581,48 @@ RECIPROCAL_WITNESS = {
     "f": (-0.3, 0.28, 0.38),
 }
 
-#: Reference figures quoted for the reciprocal witness family, and the
-#: nearby instance (first coordinate -0.36) whose computed norms actually
-#: match them to all printed digits; the instance above gives
-#: lhs = 0.600982, rhs = 0.532250 instead.  Both versions violate the bound.
-RECIPROCAL_REFERENCE = {"lhs": 0.57783, "rhs": 0.5417, "tol": 5e-4}
-RECIPROCAL_WITNESS_ADJUSTED = {
-    "mu": (1.0 / 36.0, 3.0 / 4.0, 2.0 / 9.0),
-    "f": (-0.36, 0.28, 0.38),
-}
-
 #: Non-monotone chain rule fails at p = 1 on this V-shaped two-piece function.
 VSHAPE_WITNESS = {
     "mu": (1.0 / 6.0, 9.0 / 12.0, 1.0 / 12.0),
     "f": (-11.0 / 15.0, 1.0 / 15.0, 13.0 / 15.0),
     "phi": {"breakpoints": [1.0 / 15.0], "slopes": [-1.0, 0.6], "anchor": -0.8},
 }
-VSHAPE_REFERENCE = {"lhs": 0.26, "rhs": 0.244, "tol": 1e-3}
+
+#: The fixed witnesses by report name, in ``examples`` order: each one's target
+#: (checked at p = 1 by ``verify.check_<target>``), instance in witness form and
+#: quoted reference figures (matched within their ``tol``).  The reciprocal
+#: witness as stated gives lhs = 0.600982, rhs = 0.532250; its quoted figures
+#: are its neighbour's (the adjusted entry), to all printed digits.
+WITNESSES = {
+    "strong_leibniz_reciprocal_witness": {"target": "strong_leibniz", "instance": RECIPROCAL_WITNESS,
+                                          "reference": {"lhs": 0.57783, "rhs": 0.5417, "tol": 5e-4}},
+    "chain_rule_vshape_witness": {"target": "chain_rule", "instance": VSHAPE_WITNESS,
+                                  "reference": {"lhs": 0.26, "rhs": 0.244, "tol": 1e-3}},
+    "strong_leibniz_reciprocal_witness_adjusted": {
+        "target": "strong_leibniz", "instance": {**RECIPROCAL_WITNESS, "f": (-0.36, 0.28, 0.38)},
+        "reference": {"lhs": 0.57783, "rhs": 0.5417, "tol": 5e-4}},
+}
 
 
 def vshape_function() -> PiecewiseLinearFn:
     return PiecewiseLinearFn.from_dict(VSHAPE_WITNESS["phi"])
 
 
-def reciprocal_witness_report(tol: float = 1e-9, adjusted: bool = False) -> VerificationReport:
-    """The inverse bound at p = 1 on the reciprocal witness (or its adjusted neighbour)."""
-    witness = RECIPROCAL_WITNESS_ADJUSTED if adjusted else RECIPROCAL_WITNESS
-    rep = check_strong_leibniz(ProbVector(np.asarray(witness["mu"])), np.asarray(witness["f"]), 1.0, tol)
-    rep.name = "strong_leibniz_reciprocal_witness" + ("_adjusted" if adjusted else "")
+def witness_report(name: str, tol: float = INEQUALITY_TOL) -> VerificationReport:
+    """The report of the fixed witness ``name`` at p = 1, as its checker gives it."""
+    witness = WITNESSES[name]
+    inst = witness["instance"]
+    phi = (PiecewiseLinearFn.from_dict(inst["phi"]),) if "phi" in inst else ()
+    rep = getattr(verify, "check_" + witness["target"])(inst["mu"], inst["f"], *phi, 1.0, tol)
+    rep.name = name
     return rep
 
 
-def reproduce_known_counterexamples(tol: float = 1e-9) -> list[VerificationReport]:
-    """Run the two fixed witnesses; both reports FAIL their inequality at p = 1."""
-    rep1 = reciprocal_witness_report(tol)
-    rep2 = check_chain_rule(
-        ProbVector(np.asarray(VSHAPE_WITNESS["mu"])),
-        np.asarray(VSHAPE_WITNESS["f"]), vshape_function(), 1.0, tol)
-    rep2.name = "chain_rule_vshape_witness"
-    return [rep1, rep2]
+def reciprocal_witness_report(tol: float = INEQUALITY_TOL) -> VerificationReport:
+    """The inverse bound at p = 1 on the reciprocal witness."""
+    return witness_report("strong_leibniz_reciprocal_witness", tol)
+
+
+def reproduce_known_counterexamples(tol: float = INEQUALITY_TOL) -> list[VerificationReport]:
+    """Run the two fixed witnesses as stated; both reports FAIL their inequality at p = 1."""
+    return [witness_report(name, tol) for name in ("strong_leibniz_reciprocal_witness", "chain_rule_vshape_witness")]

@@ -54,7 +54,7 @@ from . import kernels, operators, verify
 from .core import IDENTITY_TOL, INEQUALITY_TOL, _integer, check_exponent
 from .kernels import BLOCK, Block, integers, sample_phi, signed_uniforms
 from .reports import ReportBlock, VerificationReport
-from .search import reciprocal_witness_report
+from .search import witness_report
 from .verify import STATEMENTS
 from .sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points, sample_holder_triple_pair
 
@@ -411,10 +411,10 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     p = check_exponent(p)
     outcome = _measure("strong-leibniz", STATEMENTS["strong_leibniz"], trials, n_max, seed, tol, 0, lambda u: (p,),
                        theorem_backed=False)
-    witness = reciprocal_witness_report(tol)
-    witness.instance["expected_failure"] = True
-    sides = (np.array([v]) for v in (witness.lhs, witness.rhs, witness.slack, witness.passed))
-    outcome.chunks.insert(0, ([ReportBlock(witness.name, *sides, witness.tolerance, witness.instance)], None))
+    witness = witness_report("strong_leibniz_reciprocal_witness", tol)
+    block = ReportBlock.from_values(witness.name, np.array([witness.lhs]), np.array([witness.rhs]), tol,
+                                    {**witness.instance, "expected_failure": True})
+    outcome.chunks.insert(0, ([block], None))
     hits = outcome.failed
     if hits and p >= 2.0:
         outcome.notes.append(f"UNEXPECTED: {hits} violations at p={p} (conjectured safe region)")

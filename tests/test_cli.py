@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from leibnizlab.cli import main
+from leibnizlab.search import WITNESSES
 from leibnizlab.serialize import dumps
 from leibnizlab.suites import SUITES
 
@@ -217,6 +218,11 @@ def test_examples_json_reports(capsys):
     assert code == 1
 
 
+def test_examples_lists_the_witness_table_in_order(capsys):
+    run_cli("examples", "--json")
+    assert [r["name"] for r in json.loads(capsys.readouterr().out)] == list(WITNESSES)
+
+
 def test_examples_tight_tolerance_forces_mismatch(capsys):
     # the quoted references are truncated to 4-5 digits, so a 1e-6
     # tolerance cannot match them
@@ -403,6 +409,21 @@ def test_dualnorm_text_output(capsys):
     assert capsys.readouterr().out == "formula=8 max(linf, l1/k)=8\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--x", "1e308,1e308", "--w", "1,1", "--k", "2", "--json"),
+    ("--x", "1e308,1e308", "--w", "2,1", "--k", "1"),
+], ids=["unit-weights", "weighted"])
+def test_dualnorm_overflow_exit_2(capsys, argv):
+    # the true dual norm 1e308 must not print as "inf" beside a finite oracle,
+    # nor with numpy's overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("dualnorm", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the formula overflows: it is inf\n"
+    assert captured.out == ""
+
+
 def test_dualnorm_malformed_exit_2(capsys):
     assert run_cli("dualnorm", "--x", "3,1", "--w", "1,2", "--k", "2") == 2
     assert "error" in capsys.readouterr().err
@@ -547,6 +568,25 @@ def test_env_seed_malformed_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("LEIBNIZ_LAB_SEED", "abc")
     assert run_cli("verify", "--suite", "decomposition", "--trials", "5") == 2
     assert capsys.readouterr().err.startswith("error: bad verify flags: ")
+
+
+def test_search_env_seed_read_only_without_config_or_flag_seed(tmp_path, capsys, monkeypatch):
+    # a malformed LEIBNIZ_LAB_SEED is never read when the config or --seed
+    # gives the seed, as under verify --seed
+    config = {"target": "chain_rule", "n": 3, "p_grid": [1], "trials": 20, "refine_steps": 0}
+    cfg_path, bare = tmp_path / "cfg.json", tmp_path / "bare.json"
+    cfg_path.write_text(json.dumps(dict(config, seed=4)))
+    bare.write_text(json.dumps(config))
+    monkeypatch.setenv("LEIBNIZ_LAB_SEED", "abc")
+    assert run_cli("search", "--config", str(cfg_path), "--json") == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 4
+    for path in (cfg_path, bare):
+        assert run_cli("search", "--config", str(path), "--seed", "5", "--json") == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 5
+    assert run_cli("search", "--config", str(bare)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad search config: invalid literal for int()")
+    assert captured.out == ""
 
 
 def test_console_module_invocation():

@@ -13,6 +13,7 @@ from leibnizlab.search import (
     RECIPROCAL_WITNESS,
     TARGETS,
     VSHAPE_WITNESS,
+    WITNESSES,
     Instance,
     SearchConfig,
     random_instance,
@@ -23,6 +24,7 @@ from leibnizlab.search import (
     search,
     violation,
     vshape_function,
+    witness_report,
 )
 from leibnizlab.serialize import dumps
 from leibnizlab.verify import check_chain_rule, check_leibniz, check_square_bound, check_strong_leibniz
@@ -426,6 +428,35 @@ def test_reproduce_known_counterexamples():
     assert rep_vshape.lhs == pytest.approx(0.26, abs=1e-3)
     assert rep_vshape.rhs == pytest.approx(0.244, abs=1e-3)
     assert rep_vshape.instance["lipschitz"] == 1.0
+
+
+# each target's checker on a witness's instance, as a caller would write it
+CHECKERS = {
+    "chain_rule": lambda mu, f, inst, tol: check_chain_rule(mu, f, PiecewiseLinearFn.from_dict(inst["phi"]), 1.0, tol),
+    "strong_leibniz": lambda mu, f, inst, tol: check_strong_leibniz(mu, f, 1.0, tol),
+}
+
+
+@pytest.mark.parametrize("name", list(WITNESSES))
+def test_witness_report_is_its_checkers_report(name):
+    witness = WITNESSES[name]
+    inst = witness["instance"]
+    for tol in (0.0, 1e-9):
+        expected = CHECKERS[witness["target"]](ProbVector(np.asarray(inst["mu"])), np.asarray(inst["f"]), inst, tol)
+        expected.name = name
+        rep = witness_report(name, tol)
+        assert dumps(rep.to_dict()) == dumps(expected.to_dict())
+        assert not rep.passed  # at tol 0 too: each witness fails its target
+
+
+def test_witness_table_feeds_the_named_reports():
+    assert list(WITNESSES)[:2] == [r.name for r in reproduce_known_counterexamples()]
+    assert dumps(reciprocal_witness_report().to_dict()) == dumps(witness_report(list(WITNESSES)[0]).to_dict())
+    adjusted = witness_report("strong_leibniz_reciprocal_witness_adjusted")
+    assert adjusted.instance["f"] == [-0.36, 0.28, 0.38]
+    reference = WITNESSES[adjusted.name]["reference"]
+    assert abs(adjusted.lhs - reference["lhs"]) <= reference["tol"]
+    assert abs(adjusted.rhs - reference["rhs"]) <= reference["tol"]
 
 
 def test_reciprocal_witness_exact_fractions():
