@@ -18,6 +18,7 @@ with the same flags reproduces byte-identical output (wall time excluded).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -365,6 +366,9 @@ def _attach_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    # the import-time heap lives until exit: keep it out of every collection, and out of the one at exit
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
     return args.func(args)

@@ -53,6 +53,16 @@ def _check_k(k: int, n: int) -> int:
     return k
 
 
+def _weight_sums(wv: np.ndarray, k: int) -> np.ndarray:
+    """w_1 + ... + w_j for j = 1..k, the dual norm's divisors; refused when
+    they overflow, since dividing by inf would give a wrong finite norm."""
+    with np.errstate(over="ignore"):
+        wsum = np.cumsum(wv[:k])
+    if not np.isfinite(wsum[-1]):
+        raise ValueError(f"the weights' partial sums overflow: w_1 + ... + w_{k} is {wsum[-1]}")
+    return wsum
+
+
 def k_norm(x, k: int) -> float:
     """Sum of the k largest absolute entries (k=1: sup norm, k=n: l1 norm)."""
     xv = as_vector(x)
@@ -76,7 +86,7 @@ def dual_weighted_k_norm(x, w, k: int) -> float:
     k = _check_k(k, n)
     a = np.sort(np.abs(xv))[::-1]
     partial = np.cumsum(a)
-    wsum = np.cumsum(wv)
+    wsum = _weight_sums(wv, k)
     terms = [partial[j - 1] / wsum[j - 1] for j in range(1, k)]
     terms.append(partial[n - 1] / wsum[k - 1])
     return float(max(terms))
@@ -96,7 +106,7 @@ def extreme_point_candidates(w, k: int) -> np.ndarray:
     k = _check_k(k, n)
     if n > ENUMERATION_CAP:
         raise ValueError(f"candidate enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
-    wsum = np.cumsum(wv)
+    wsum = _weight_sums(wv, k)
     sizes = sorted(set(range(1, k)) | {n})
     points = []
     for s in sizes:

@@ -14,21 +14,36 @@ does; other characters are written as they are.
 report lines are formatted a block at a time from columns (``block_lines``):
 one '%' template for all the rows of a block (its keys, and the values every
 row shares, such as name and tolerance, as literal text), filled row by row
-from one list per placeholder (the ``tolist`` of a column, of each column of a
-(B, k) one), so every value reaches the line through CPython's '%':
+from one array or list per placeholder (the ``tolist`` of a column, of each
+column of a (B, k) one), so every value reaches the line through CPython's '%':
 
-* a float column fills '%.17g'; one whose values are all integral, below
-  2**53 in size and none -0.0, fills '%d' from int64, which writes the same
-  bytes;
+* a float column whose values are all integral, below 2**53 in size and none
+  -0.0 fills '%d' from int64, which writes the bytes of '%.17g';
 * a float column (B,) with at most half its values distinct (bit for bit)
   fills '%s', each distinct value through ``format_float`` once;
-* any other float column with a non-finite value or a -0.0 fills '%s': its
-  other entries through one '%.17g' call, those through ``format_float``;
-* a ragged column fills '%s' with each row's list, the rows of one length
-  through one template of that many '%.17g', a row whose live cells hold a
-  non-finite value or a -0.0 through ``format_float``;
+* any other float column fills a '%s%d' pair per value, a prefix string and
+  an integer (below); one that holds a non-finite value or a -0.0 fills
+  '%s%s', with that value's ``format_float`` text and "" as its pair;
+* a ragged column fills '%s' with each row's list, written through a
+  template of one '%s%d' pair per entry, or through ``format_float`` when
+  the row's live cells hold a non-finite value or a -0.0;
 * a string or exponent column fills '%s', each distinct value encoded once;
   a bool column fills '%s' with true and false, an int column '%d'.
+
+The pairs hold the digits of '%.17g', computed in int64 (``_digits``) for the
+floats of all the blocks given to one ``lay_out`` call in one numpy pass.
+For |x| in [1e-4, 2**31), '%.17g' writes x in fixed point: its 17 significant
+digits D = round-half-even(|x| * 10**(16 - k)) for k = floor(log10 |x|), the
+fraction's trailing zeros (and then the point) dropped.  The product is
+exact as hi + lo (Dekker's two-product; 10**s is a float for s <= 22); k from
+``np.log10`` is moved by one where hi + lo falls outside [10**16, 10**17).
+There hi >= 2**53 is an even integer, so D = hi + rint(lo) rounds as '%.17g'
+does, ties to even included.  The prefix holds the sign, the integer part,
+the point and the zeros after it ("0.", "-0.000", "12.0"), from a table of the
+prefixes present; the integer holds the other digits, and for an integral
+value its last digit.  Other finite values (0.0, and magnitudes outside that
+range, which '%.17g' may write with an exponent) are '%.17g' split before the
+last digit.
 
 Every line is the bytes ``dumps`` gives for the row.
 """
@@ -36,7 +51,7 @@ Every line is the bytes ``dumps`` gives for the row.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -86,21 +101,110 @@ def dumps(obj) -> str:
 #: A bool column's JSON words, indexed by the bool.
 _BOOLS = np.array(["false", "true"], dtype=object)
 
+#: 10**s for s = 0..22, each exact in a float, with its Veltkamp halves (27 and 26 bits).
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+#: 10**s for s = 0..17, as int64.
+_INT_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**s`` exactly, as a float hi and the float lo of its rounding
+    error (Dekker's two-product, ``a`` split by Veltkamp's)."""
+    b, b_hi, b_lo = _POW10.take(s), _POW10_HI.take(s), _POW10_LO.take(s)
+    hi = a * b
+    c = a * 134217729.0
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _prefix(key: int) -> str:
+    """The prefix text of a ``_digits`` key: sign, integer part, point and the zeros after it."""
+    whole, zeros, integral, negative = key >> 7, key >> 2 & 31, key & 2, key & 1
+    sign = "-" if negative else ""
+    if integral:  # the last digit is the int
+        return sign + str(whole // 10) if whole >= 10 else sign
+    return sign + str(whole) + "." + "0" * zeros
+
+
+#: Most floats ``_digits`` takes through numpy at once, so that the dozen
+#: float-sized arrays it holds stay near 0.5 MB: a whole draw at once (20k-25k
+#: floats) raised the peak RSS of ``verify --suite all --trials 8000`` by 2.6 MB.
+DIGITS_SLICE = 4096
+
+
+def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each float of ``values`` (1-D, finite, none -0.0) as a prefix string
+    and an int64, ``'%s%d' % (prefix, int) == '%.17g' % value``: by the exact
+    integer path of the module docstring where the magnitude is in
+    [1e-4, 2**31) and not 0, else '%.17g' split before its last digit."""
+    prefix, ints = np.empty(len(values), dtype=object), np.empty(len(values), dtype=np.int64)
+    for i in range(0, len(values), DIGITS_SLICE):
+        prefix[i:i + DIGITS_SLICE], ints[i:i + DIGITS_SLICE] = _slice_digits(values[i:i + DIGITS_SLICE])
+    return prefix, ints
+
+
+def _slice_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_digits`` of at most DIGITS_SLICE floats, at least one."""
+    a = np.abs(values)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 2.0 ** 31)))
+    a[slow] = 1.0
+    # s = 16 - k for k = floor(log10 |x|), so that D = |x| * 10**s has 17 digits
+    s = 16 - np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, s)
+    # log10 may be off by one next to a power of ten: move s by one where hi + lo is outside [10**16, 10**17)
+    low, high = (hi < 1e16) | (hi == 1e16) & (lo < 0), (hi > 1e17) | (hi == 1e17) & (lo >= 0)
+    shift = low.view(np.int8) - high.view(np.int8)
+    off = np.flatnonzero(shift)
+    s[off] += shift[off]
+    hi[off], lo[off] = _scaled(a[off], s[off])
+    # hi >= 2**53 is an even integer, so rint(lo) rounds hi + lo half to even; below
+    # 2**31 no float is within half a unit of the 17th digit under a power of ten,
+    # so D never rounds up to 10**17
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # the digits before the point (none for |x| < 1) and the s after it
+    scale = _INT_POW10.take(np.minimum(s, 17))
+    whole = d // scale
+    frac = d - whole * scale
+    zeros = np.maximum(s - 17, 0)  # between the point and the first digit
+    lead = np.flatnonzero((frac < scale // 10) & (frac > 0))
+    zeros[lead] = s[lead] - np.searchsorted(_INT_POW10, frac[lead], side="right")
+    # '%g' drops the fraction's trailing zeros (at most 16), and the point with them
+    integral = frac == 0
+    tenth = frac // 10
+    tail = np.flatnonzero((tenth * 10 == frac) & ~integral)
+    frac[tail] = tenth[tail]
+    for power in _INT_POW10[[8, 4, 2, 1]].tolist():
+        f = frac[tail]
+        q = f // power
+        cut = q * power == f
+        frac[tail[cut]] = q[cut]
+    ends = np.flatnonzero(integral)
+    frac[ends] = whole[ends] % 10
+    key = whole << 7 | zeros << 2 | integral.view(np.int8) << 1 | (values < 0).view(np.int8)
+    keys = np.sort(key)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    prefix = np.array([_prefix(k) for k in keys.tolist()], dtype=object).take(np.searchsorted(keys, key))
+    for i, x in zip(slow.tolist(), values[slow].tolist()):
+        text = "%.17g" % x
+        prefix[i], frac[i] = text[:-1], int(text[-1])
+    return prefix, frac
+
 
 def _special(values: np.ndarray) -> np.ndarray:
     """Where ``values`` holds a non-finite value or a -0.0: what '%.17g' does not write as ``dumps`` does."""
     return ~np.isfinite(values) | (values == 0.0) & np.signbit(values)
 
 
-def _g17(values: list) -> list[str]:
-    """Each float of ``values`` through '%.17g', in one '%' call."""
-    return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n") if values else []
-
-
 def _floats(col: np.ndarray) -> tuple[str, np.ndarray]:
-    """A float column's placeholder and the array whose values fill it."""
+    """A float column's placeholder and the array whose values fill it; the
+    column itself for '%s%d' (all plain) or '%s%s' (some not), whose cells
+    come from ``_digits``."""
     if not col.size:
-        return "%.17g", col
+        return "%s%d", col
     magnitude = np.abs(col)
     top, low = np.maximum.reduce(magnitude, axis=None), np.minimum.reduce(magnitude, axis=None)
     plain = top < math.inf and not (low == 0.0 and np.signbit(col[col == 0.0]).any())
@@ -116,23 +220,7 @@ def _floats(col: np.ndarray) -> tuple[str, np.ndarray]:
             values = bits[np.concatenate(([True], new))]
             text = np.array(list(map(format_float, values.view(col.dtype).tolist())), dtype=object)
             return "%s", text[np.searchsorted(values, col.view(np.int64))]
-    if plain:
-        return "%.17g", col
-    special = _special(col)
-    out = np.empty(col.shape, dtype=object)
-    out[~special] = _g17(col[~special].tolist())
-    out[special] = list(map(format_float, col[special].tolist()))
-    return "%s", out
-
-
-def _ragged(values: np.ndarray, lengths: np.ndarray) -> list[str]:
-    """The JSON list ``values[i, :lengths[i]]`` of each row i."""
-    templates = ["[" + ", ".join(["%.17g"] * m) + "]" for m in range(values.shape[1] + 1)]
-    out = [templates[m] % tuple(v[:m]) for v, m in zip(values.tolist(), lengths.tolist())]
-    special = _special(values) & (np.arange(values.shape[1]) < lengths[:, None])
-    for i in np.flatnonzero(special.any(axis=1)).tolist():
-        out[i] = "[" + ", ".join(map(format_float, values[i, :lengths[i]].tolist())) + "]"
-    return out
+    return "%s%d" if plain else "%s%s", col
 
 
 def _objects(col: np.ndarray) -> list[str]:
@@ -146,18 +234,26 @@ def _objects(col: np.ndarray) -> list[str]:
     return list(map(dumps, values))
 
 
-def _flatten(obj: dict, parts: list, cells: list) -> None:
+def _flatten(obj: dict, parts: list, cells: list, pending: list) -> None:
     """The JSON object of columns ``obj`` as '%'-template text ``parts``, and
-    the values of each per-row placeholder as a list (one per row) in ``cells``."""
+    the values of each per-row placeholder (an array, or a list with one
+    entry per row) in ``cells``.  A column whose cells come from ``_digits``
+    leaves None in them, and in ``pending`` the function that fills them
+    from the digits of its floats, and those floats."""
     parts.append("{")
     for j, (key, col) in enumerate(obj.items()):
         parts.append((", " if j else "") + _encode_key(key).replace("%", "%%") + ": ")
         if isinstance(col, dict):
-            _flatten(col, parts, cells)
+            _flatten(col, parts, cells, pending)
             continue
         if isinstance(col, tuple):
+            values, lengths = col
+            live = np.arange(values.shape[1]) < lengths[:, None]
+            odd = (_special(values) & live).any(axis=1)
+            live[odd] = False
             parts.append("%s")
-            cells.append(_ragged(*col))
+            pending.append((partial(_fill_ragged, cells, len(cells), values, lengths, odd), values[live]))
+            cells.append(None)
             continue
         if not isinstance(col, np.ndarray):
             parts.append(dumps(col).replace("%", "%%"))
@@ -173,16 +269,74 @@ def _flatten(obj: dict, parts: list, cells: list) -> None:
             parts.append("%s")
             cells.append(_objects(col))
             continue
-        if col.ndim == 2:
-            parts.append("[" + ", ".join([slot] * col.shape[1]) + "]")
-            cells.extend(col.T.tolist())
+        if slot in ("%s%d", "%s%s"):  # a prefix and an int per float
+            special = _special(col) if slot == "%s%s" else None
+            fill = partial(_fill_floats, cells, len(cells), col, special)
+            pending.append((fill, col.ravel() if special is None else col[~special]))
+            cells.extend([None] * (2 * col.shape[1] if col.ndim == 2 else 2))
+        elif col.ndim == 2:
+            cells.extend(col.T)
         else:
-            parts.append(slot)
-            cells.append(col.tolist())
+            cells.append(col)
+        parts.append("[" + ", ".join([slot] * col.shape[1]) + "]" if col.ndim == 2 else slot)
     parts.append("}")
 
 
-def block_lines(columns: dict, rows: int) -> list[str]:
+def _fill_floats(cells: list, at: int, col: np.ndarray, special, prefix: np.ndarray, ints: np.ndarray) -> None:
+    """Put the prefix and int cells of float column ``col`` in ``cells[at:]``,
+    a pair per column of a (B, k) one, from the digits of its floats other
+    than the ``special`` ones (None: all of them).  A special float has its
+    ``format_float`` text as the prefix and "" as the int, for '%s%s'."""
+    if special is not None:
+        plain = ~special
+        digits, texts = (prefix, ints), list(map(format_float, col[special].tolist()))
+        prefix, ints = np.empty(col.shape, dtype=object), np.empty(col.shape, dtype=object)
+        prefix[plain], ints[plain] = digits
+        prefix[special], ints[special] = texts, ""
+    prefix, ints = prefix.reshape(col.shape), ints.reshape(col.shape)
+    if col.ndim == 2:
+        cells[at:at + 2 * col.shape[1]] = [c for pair in zip(prefix.T, ints.T) for c in pair]
+    else:
+        cells[at:at + 2] = prefix, ints
+
+
+def _fill_ragged(cells: list, at: int, values: np.ndarray, lengths: np.ndarray, odd: np.ndarray,
+                 prefix: np.ndarray, ints: np.ndarray) -> None:
+    """Put the JSON list ``values[i, :lengths[i]]`` of each row i in
+    ``cells[at]``: from the digits of its live cells, or, on a row ``odd``
+    marks (a live non-finite or -0.0), through ``format_float``."""
+    counts = np.where(odd, 0, lengths)
+    flat = np.empty(2 * len(ints), dtype=object)
+    flat[0::2], flat[1::2] = prefix, ints
+    flat = flat.tolist()
+    templates = ["[" + ", ".join(["%s%d"] * m) + "]" for m in range(values.shape[1] + 1)]
+    ends = np.cumsum(2 * counts).tolist()
+    out = [templates[m] % tuple(flat[end - 2 * m:end]) for m, end in zip(counts.tolist(), ends)]
+    for i in np.flatnonzero(odd).tolist():
+        out[i] = "[" + ", ".join(map(format_float, values[i, :lengths[i]].tolist())) + "]"
+    cells[at] = out
+
+
+def lay_out(blocks: list[dict]) -> list[tuple[str, list]]:
+    """The '%' template of the lines of each block of report columns (see
+    ``block_lines``) and the arrays or lists that fill it, the plain floats of
+    every block formatted in one ``_digits`` call."""
+    layouts, pending = [], []
+    for columns in blocks:
+        parts, cells = [], []
+        _flatten(columns, parts, cells, pending)
+        layouts.append(("".join(parts), cells))
+    if pending:
+        prefix, ints = _digits(np.concatenate([values for _, values in pending], dtype=np.float64))
+        start = 0
+        for fill, values in pending:
+            end = start + len(values)
+            fill(prefix[start:end], ints[start:end])
+            start = end
+    return layouts
+
+
+def block_lines(columns: dict, rows: int, layout: tuple | None = None) -> list[str]:
     """The JSON line of each of ``rows`` rows of report columns, by the rule
     in the module docstring.
 
@@ -192,13 +346,13 @@ def block_lines(columns: dict, rows: int) -> list[str]:
     "inf" or a finite float), a float array (B, k) of lists, or
     a pair (float array (B, M), lengths (B,)) whose row i is
     ``values[i, :lengths[i]]``; a dict of columns is a JSON object.
+    ``layout`` is the entry of ``lay_out`` for these columns, when their
+    floats were formatted with other blocks'.
     """
-    parts, cells = [], []
-    _flatten(columns, parts, cells)
-    template = "".join(parts)
+    template, cells = layout or lay_out([columns])[0]
     if not cells:
         return [template % ()] * rows
-    return [template % row for row in zip(*cells)]
+    return [template % row for row in zip(*[c.tolist() if type(c) is np.ndarray else c for c in cells])]
 
 
 def block_rows(columns: dict, count: int) -> list[tuple]:

@@ -121,6 +121,7 @@ class SuiteOutcome:
         """The reports' JSON lines in report order, as texts of at most
         LINES_PER_TEXT lines; one chunk's lines are held at a time."""
         for blocks, order in self.chunks:
+            ReportBlock.lay_out(blocks)
             lines = _ordered(blocks, order, ReportBlock.lines)
             for i in range(0, len(lines), LINES_PER_TEXT):
                 yield "\n".join(lines[i:i + LINES_PER_TEXT])

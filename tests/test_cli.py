@@ -2,12 +2,10 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
 import weakref
-from pathlib import Path
 
 import pytest
 
@@ -424,6 +422,14 @@ def test_dualnorm_overflow_exit_2(capsys, argv):
     assert captured.out == ""
 
 
+def test_dualnorm_weight_sums_overflow_exit_2(capsys):
+    # w_1 + w_2 overflows: the command printed formula=1e-308 oracle=1e-308 and exited 0
+    assert run_cli("dualnorm", "--x", "1,1,1", "--w", "1e308,1e308,1e308", "--k", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the weights' partial sums overflow: w_1 + ... + w_2 is inf\n"
+    assert captured.out == ""
+
+
 def test_dualnorm_malformed_exit_2(capsys):
     assert run_cli("dualnorm", "--x", "3,1", "--w", "1,2", "--k", "2") == 2
     assert "error" in capsys.readouterr().err
@@ -589,13 +595,11 @@ def test_search_env_seed_read_only_without_config_or_flag_seed(tmp_path, capsys,
     assert captured.out == ""
 
 
-def test_console_module_invocation():
+def test_console_module_invocation(child_env):
     # the child imports the package from this checkout's src/, installed or not
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "leibnizlab", "dualnorm", "--x", "3,1", "--w", "2,1", "--k", "2"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert "formula=1.5" in proc.stdout
 

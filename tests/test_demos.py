@@ -1,6 +1,5 @@
 """Every demo runs to completion, so the demos follow API changes."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
-def test_demo_runs(demo):
+def test_demo_runs(demo, child_env):
     # the child imports the package from this checkout's src/, installed or not
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+                          text=True, env=child_env, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -254,3 +255,20 @@ def test_lp_evaluator_refuses_p_below_1():
 def test_bruteforce_refuses_lengths_that_differ():
     with pytest.raises(DimensionMismatchError, match="weight vector and x have different lengths"):
         dual_norm_bruteforce([1.0, 2.0, 3.0], [2.0, 1.0], 1)
+
+
+@pytest.mark.parametrize("call", [dual_weighted_k_norm, dual_norm_bruteforce, extreme_point_candidates],
+                         ids=["formula", "oracle", "candidates"])
+def test_dual_paths_refuse_weights_whose_partial_sums_overflow(call):
+    # w_1 + w_2 is inf: both paths divided by it and gave 1e-308, not the true 1.5e-308
+    args = ([1.0, 1.0, 1.0], [1e308] * 3, 2) if call is not extreme_point_candidates else ([1e308] * 3, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("the weights' partial sums overflow: w_1 + ... + w_2 is inf")):
+            call(*args)
+
+
+def test_dual_paths_keep_weights_whose_first_k_sums_are_finite():
+    # only w_1 + ... + w_k divide the norms: at k = 1 the same weights are kept
+    x, w = [1.0, 1.0, 1.0], [1e308] * 3
+    assert dual_weighted_k_norm(x, w, 1) == dual_norm_bruteforce(x, w, 1) == 3.0 / 1e308

@@ -12,6 +12,7 @@ import pytest
 from leibnizlab.core import exponent_tag
 from leibnizlab.cli import main
 from leibnizlab.reports import ReportBlock
+from leibnizlab import serialize
 from leibnizlab.serialize import block_lines, block_rows, dumps, format_float
 
 
@@ -229,3 +230,84 @@ def test_block_lines_fuzz_matches_dumps_of_each_report():
         with np.errstate(invalid="ignore"):  # inf - inf
             block = ReportBlock.from_values("fuzz%d", lhs, rhs, 1e-9, instance, seed=seed)
         assert block_lines(block.columns, rows) == [dumps(r.to_dict()) for r in block.reports()]
+
+
+def _assert_digits_match(values):
+    """``_digits`` of ``values`` against '%.17g' of each, and of its negation."""
+    for x in (np.asarray(values, dtype=float), -np.asarray(values, dtype=float)):
+        prefix, ints = serialize._digits(x)
+        got = ["%s%d" % pair for pair in zip(prefix.tolist(), ints.tolist())]
+        assert got == ["%.17g" % v for v in x.tolist()]
+
+
+def test_digits_match_g17_on_random_bit_patterns():
+    rng = np.random.default_rng(32)
+    anywhere = rng.integers(0, 2 ** 64, 60_000, dtype=np.uint64).view(np.float64)
+    # the same with the exponent drawn from the integer path's range, [1e-4, 2**31) and a little past it
+    near = (rng.integers(0, 2 ** 52, 60_000, dtype=np.uint64) | rng.integers(1009, 1056, 60_000, dtype=np.uint64) << 52)
+    values = np.concatenate([anywhere, near.view(np.float64)])
+    values = values[np.isfinite(values) & ~((values == 0.0) & np.signbit(values))]
+    assert len(values) > 100_000 and np.count_nonzero((np.abs(values) >= 1e-4) & (np.abs(values) < 2.0 ** 31)) > 50_000
+    _assert_digits_match(values)
+
+
+def _ulps(x: float, count: int) -> list[float]:
+    """x and the ``count`` floats on each side of it."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(count):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def _dyadics(rng, digits: int) -> list[float]:
+    """Odd multiples of 2**-j in [1e-4, 2**31) with exactly ``digits``
+    significant digits, the last a 5: at 18 digits '%.17g' rounds a tie."""
+    out = []
+    for j in range(1, 64):
+        for e in range(-14, 31):  # n / 2**j in [2**e, 2**(e + 1))
+            for n in rng.integers(2 ** (e + j), 2 ** (e + j + 1), 4).tolist() if 0 < e + j <= 52 else ():
+                if len(str((n | 1) * 5 ** j)) == digits and 1e-4 <= (n | 1) / 2 ** j < 2 ** 31:
+                    out.append((n | 1) / 2 ** j)
+    return out
+
+
+def test_digits_match_g17_at_the_edges():
+    rng = np.random.default_rng(33)
+    edges = [v for x in (1e-4, 1.0, 2.0 ** 31) for v in _ulps(x, 3)]
+    edges += [v for j in range(-5, 18) for v in _ulps(10.0 ** j, 3)]
+    ties, past = _dyadics(rng, 18), _dyadics(rng, 19)  # a tie at the 17th digit; an 18th digit 5 and more after it
+    assert len(ties) > 100 and len(past) > 100
+    integral = [0.0, 1.0, 9.0, 10.0, 120.0, 1e9, 2.0 ** 31 - 1, 2.0 ** 31, 2.0 ** 53, 1e17, 1e22]
+    integral += rng.integers(1, 2 ** 31, 2000).astype(float).tolist()
+    subnormal = [5e-324, 2.2250738585072009e-308, 1e-310] + (rng.random(100) * 2.2250738585072014e-308).tolist()
+    _assert_digits_match(edges + ties + past + integral + subnormal)
+
+
+def test_digits_of_no_values():
+    prefix, ints = serialize._digits(np.zeros(0))
+    assert prefix.shape == ints.shape == (0,)
+
+
+#: Magnitudes either side of the integer path's bounds, and the values it treats apart.
+MIXED = (1e-4, math.nextafter(1e-4, 0.0), 2.0 ** 31, math.nextafter(2.0 ** 31, 0.0), 0.1, 0.5, 12.0, 120.0,
+         1e-5, 3e9, 0.0, 5e-324, -0.0, math.inf, -math.inf, math.nan)
+
+
+def test_block_lines_of_mixed_magnitudes_match_dumps():
+    rng = np.random.default_rng(34)
+    for _ in range(60):
+        rows = int(rng.integers(1, 7))
+
+        def floats(shape):
+            values = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-6, 11, shape)
+            picked = rng.random(shape) < 0.4
+            values[picked] = rng.choice(MIXED, shape)[picked]
+            return values * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+
+        width = int(rng.integers(0, 5))
+        columns = {"lhs": floats(rows), "x": floats((rows, int(rng.integers(0, 4)))),
+                   "r": (floats((rows, width)), rng.integers(0, width + 1, rows)), "tolerance": 1e-9}
+        assert block_lines(columns, rows) == [dumps(dict(zip(columns, row))) for row in block_rows(columns, rows)]

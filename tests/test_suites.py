@@ -31,6 +31,7 @@ from scalar_reference import (
 
 import leibnizlab.kernels as kernels
 import leibnizlab.operators as operators
+import leibnizlab.serialize as serialize
 import leibnizlab.suites as suites
 from leibnizlab import verify
 from leibnizlab.core import IDENTITY_TOL, INEQUALITY_TOL, HolderTriple, weak_majorizes
@@ -124,6 +125,19 @@ def test_outcome_holds_one_chunks_lines_at_a_time(monkeypatch):
     assert [len(t.split("\n")) for t in texts] == [2, 2, 1, 2, 2]
     assert "\n".join(texts).split("\n") == [dumps(r.to_dict()) for r in outcome.reports]
     assert [r.seed for r in outcome.reports] == list(range(9))
+
+
+def test_outcome_formats_each_chunks_floats_in_one_pass(monkeypatch):
+    # laplacian draws one chunk of 21 blocks; strong-leibniz a witness chunk and a draw
+    for name, chunks in (("laplacian", 1), ("strong-leibniz", 2)):
+        outcome = suites.SUITES[name](trials=300, seed=7)
+        calls = []
+        digits = serialize._digits
+        monkeypatch.setattr(serialize, "_digits", lambda values: calls.append(len(values)) or digits(values))
+        lines = "\n".join(outcome.lines()).split("\n")
+        monkeypatch.undo()
+        assert len(outcome.chunks) == len(calls) == chunks and min(calls) > 0
+        assert lines == [dumps(r.to_dict()) for r in outcome.reports]
 
 
 # every suite as verify runs it, and two whose negative tolerance gives both verdicts
