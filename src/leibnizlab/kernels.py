@@ -113,7 +113,7 @@ class Block:
 def rowdot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row-wise dot products.  matmul on stacked rows calls the same BLAS dot
     as ``np.dot`` on each pair; a reduction by ``sum`` would round differently."""
-    return (w[:, None, :] @ x[:, :, None])[:, 0, 0]
+    return (w[..., None, :] @ x[..., None])[..., 0, 0]
 
 
 def row_max(*columns: np.ndarray) -> np.ndarray:
@@ -150,11 +150,12 @@ def center(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return x - rowdot(mu, x)[:, None]
 
 
-def pypow(x: np.ndarray, e: float) -> np.ndarray:
+def pypow(x: np.ndarray, e) -> np.ndarray:
     """x ** e of each entry of a 1-D array as Python's float ``**`` gives it:
     the C library's pow, which ``math.pow`` calls too, here mapped over the
-    entries in one pass.  numpy's vectorised power may round differently."""
-    return np.fromiter(map(math.pow, x.tolist(), repeat(e)), float, len(x))
+    entries in one pass; ``e`` is one exponent or an array of one per entry.
+    numpy's vectorised power may round differently."""
+    return np.fromiter(map(math.pow, x.tolist(), repeat(e) if np.ndim(e) == 0 else e.tolist()), float, len(x))
 
 
 def lp(x: np.ndarray, w: np.ndarray | None, p) -> np.ndarray:
@@ -164,38 +165,41 @@ def lp(x: np.ndarray, w: np.ndarray | None, p) -> np.ndarray:
     plain sum).  ``p`` broadcasts against the rows: one exponent, an array
     of one per row, or a grid, (E, 1) for E exponents of every row or (E, B)
     for one per exponent and row, which gives (E, B) norms.  |x|, the row
-    maxima and the ratios are computed once; each distinct exponent then
-    takes its power, sum and root over the rows that use it.  p = inf is the
-    maximum, and p = 1 takes no power and no root (x ** 1.0 is x).
+    maxima and the ratios are computed once.  One exponent, and each of an
+    (E, 1) column's, takes its power, sum and root over every row.
+    Exponents that vary by row take theirs in one pass: every power in one
+    ``ratios ** p``, every sum in one reduction and every root in one
+    ``pypow`` map.  p = inf is the maximum, p = 1 takes no power and no
+    root (x ** 1.0 is x), and p = 2 squares, as numpy's ``x ** 2.0`` does
+    (its power at an array of exponents may round the square differently).
     """
     a = np.abs(x)
     m = row_maxima(a, 0.0)
-    ratios = None
+    if np.ndim(p) == 0 or np.shape(p)[-1:] != m.shape:  # every row takes each exponent
+        ratios = None
 
-    def norm(e, rows):  # the norms of the rows at e
-        nonlocal ratios
-        if math.isinf(e):
-            return m[rows]
-        if ratios is None:
-            ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
-        powers = ratios[rows] if e == 1.0 else ratios[rows] ** e
-        total = powers.sum(axis=1) if w is None else rowdot(w[rows], powers)
-        return m[rows] * (total if e == 1.0 else pypow(total, 1.0 / e))
-    if np.ndim(p) == 0:  # one exponent for every row
-        return norm(p, slice(None))
-    out = np.empty(np.broadcast_shapes(np.shape(p), m.shape))
-    exponents = set(np.ravel(p).tolist())
-    for e in exponents:
-        at = np.equal(p, e)
-        if len(exponents) == 1 or at.shape[-1:] != m.shape:  # every row takes e
-            np.copyto(out, norm(e, slice(None)), where=at)
-        elif at.ndim == 1:  # one exponent per row
-            out[at] = norm(e, at)
-        else:  # a grid of one exponent per cell: the rows that take e somewhere
-            rows, full = at.any(axis=0), np.empty(len(m))
-            full[rows] = norm(e, rows)
-            np.copyto(out, full, where=at)
-    return out
+        def norm(e):  # the norms of every row at e
+            nonlocal ratios
+            if math.isinf(e):
+                return m
+            if ratios is None:
+                ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
+            powers = ratios if e == 1.0 else ratios ** e
+            total = powers.sum(axis=1) if w is None else rowdot(w, powers)
+            return m * (total if e == 1.0 else pypow(total, 1.0 / e))
+        if np.ndim(p) == 0:
+            return norm(p)
+        return np.array([norm(e) for e in np.ravel(p).tolist()]).reshape(np.broadcast_shapes(np.shape(p), m.shape))
+    p = np.asarray(p, dtype=float)
+    ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
+    e = p[..., None]
+    powers = ratios ** e
+    np.copyto(powers, np.square(ratios), where=e == 2.0)
+    np.copyto(powers, ratios, where=e == 1.0)
+    total = powers.sum(axis=-1) if w is None else rowdot(w, powers)
+    root = (p != 1.0) & (p != math.inf)
+    total[root] = pypow(total[root], 1.0 / p[root])
+    return np.where(p == math.inf, m, m * total)
 
 
 def phi(b: Block, x: np.ndarray) -> np.ndarray:
@@ -382,12 +386,20 @@ def _norm(x: np.ndarray, name: str) -> np.ndarray:
 def norms(x: np.ndarray, names) -> np.ndarray:
     """The symmetric norm of each row named in ``names``: "l<p>" (p a number or
     "inf") as ``knorms.lp_evaluator(p)``, "k<k>" as ``knorms.k_norm(., k)``.
-    Rows are taken together by name, so each group uses one exponent or one k."""
-    out = np.empty(x.shape[0])
-    names = np.asarray(names)
-    for name in set(names.tolist()):
-        rows = names == name
-        out[rows] = _norm(x[rows], name)
+    The l rows take one ``lp`` call at their exponents, and the k rows are
+    taken together by k."""
+    out, names = np.empty(x.shape[0]), np.asarray(names)
+    listed = names.tolist()
+    distinct = set(listed)
+    exponents = {name: float(name[1:]) if name[0] == "l" else math.nan for name in distinct}
+    p = np.fromiter(map(exponents.get, listed), float, len(listed))
+    lrows = p == p  # not nan: an l name
+    if lrows.any():
+        out[lrows] = lp(x[lrows], None, p[lrows])
+    for name in distinct:
+        if name[0] == "k":
+            rows = names == name
+            out[rows] = _norm(x[rows], name)
     return out
 
 

@@ -449,7 +449,10 @@ def _reach(b: Instance, column: np.ndarray) -> np.ndarray:
     where phi is flat there): a vertex of the box of phi's increments, where
     the convex lhs is largest.  It reads phi(f) from the block (``phi_f``),
     so the block's scores and its reach evaluate phi once, and takes both
-    norms at every exponent in one ``kernels.lp`` call each."""
+    norms at every exponent in one ``kernels.lp`` call each.  At p = 2 and
+    p = inf the reach is at most rounding, below INEQUALITY_TOL, since the
+    chain rule holds there for every 1-Lipschitz phi (the module docstring),
+    so ``_scored`` takes it only at the other exponents and ranks by 0 there."""
     order = np.argsort(b.f, axis=1, kind="stable")
     order += np.arange(0, order.size, order.shape[1])[:, None]  # flat indices
     x, mu, values = (np.take(a, order) for a in (b.f, b.mu, b.phi_f))
@@ -481,11 +484,17 @@ def _first(keys: tuple, k: int) -> np.ndarray:
 
 def _scored(config: SearchConfig, trials: range, column: np.ndarray) -> tuple:
     """The (trials, exponents) scores of a block of trials at the exponents
-    of ``column``, and their reach (``_reach`` for the chain rule, else the
-    scores).  The block is dropped on return, before the next is drawn."""
+    of ``column``, and their reach: for the chain rule ``_reach``, and 0 at
+    p = 2 and inf, where it cannot exceed INEQUALITY_TOL; else the scores.
+    The block is dropped on return, before the next is drawn."""
     block = _sample(config, trials)
     scores = _violations(block, config.target, column)
-    return scores, _reach(block, column) if config.target == "chain_rule" else scores
+    if config.target != "chain_rule":
+        return scores, scores
+    reach, open_ = np.zeros_like(scores), (column[:, 0] != 2.0) & (column[:, 0] != math.inf)
+    if open_.any():
+        reach[:, open_] = _reach(block, column[open_])
+    return scores, reach
 
 
 class _Ranking:
@@ -544,14 +553,15 @@ def search(config: SearchConfig) -> SearchResult:
     the trials: a block is scored at all exponents in one pass (``_violations``
     on the grid): phi(f), the centerings, |x|, the row maxima and the ratios
     once, then per exponent only the power, the sum and the root
-    (``kernels.lp``; none at p = 1), and the chain rule's reach (``_reach``)
-    reuses the block's phi(f).  Each block then meets each exponent's pool of
-    ``max(refine_top, 1) + 1`` rows at most (``_Ranking``), and extends the
-    returned ``history``, the running maximum of each trial's largest score,
-    about 32 bytes per trial.  All leaders are re-drawn and climb together
-    (``_climb``, 0 steps when ``refine_top`` is 0), each at its own
-    exponent; an exponent's result is its first leader of largest climbed
-    violation, the witness read from the climbed row.
+    (``kernels.lp``; none at p = 1), and the chain rule's reach (``_reach``,
+    not taken at p = 2 or inf) reuses the block's phi(f).  Each block then
+    meets each exponent's pool of ``max(refine_top, 1) + 1`` rows at most
+    (``_Ranking``), and extends the returned ``history``, the running
+    maximum of each trial's largest score, about 32 bytes per trial.  All
+    leaders are re-drawn and climb together (``_climb``, 0 steps when
+    ``refine_top`` is 0), each at its own exponent; an exponent's result is
+    its first leader of largest climbed violation, the witness read from the
+    climbed row.
     """
     grid, target, k = config.p_grid, config.target, min(max(config.refine_top, 1), config.trials)
     column = np.array(grid)[:, None]

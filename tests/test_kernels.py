@@ -3,9 +3,11 @@ one-trial replay, the seed's domain and the conversions pinned by their
 bits; ``kernels.sample_phi`` with its modes set per row, the gap rule of
 ``kernels.spread`` against the sequential rule, alone and through its two
 callers; ``kernels.lp`` on a grid of exponents against one call per
-exponent, bit for bit; ``kernels.pypow`` against Python's ``**``;
-``kernels.phi`` against ``PiecewiseLinearFn.__call__``, and the row
-reductions a column at a time against numpy's, bit for bit."""
+exponent and at exponents per row against one call per row, bit for bit,
+and ``kernels.norms`` against each row's norm alone; ``kernels.pypow``
+against Python's ``**``; ``kernels.phi`` against
+``PiecewiseLinearFn.__call__``, and the row reductions a column at a time
+against numpy's, bit for bit."""
 
 import hashlib
 import importlib
@@ -19,7 +21,7 @@ from scalar_reference import Trial
 import leibnizlab.kernels as kernels
 import leibnizlab.suites as suites
 from leibnizlab.operators import PiecewiseLinearFn
-from leibnizlab.sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points
+from leibnizlab.sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points, sample_holder_triple_pair
 from leibnizlab.search import SearchConfig, random_instance
 
 search_mod = importlib.import_module("leibnizlab.search")
@@ -298,6 +300,40 @@ def test_lp_grid_is_one_call_per_exponent(weighted):
     assert _hex([kernels.lp(x, w, cells[0])]) == _hex(alone[:1])
 
 
+def _suite_exponents():
+    """Every exponent the suites give a row: the grid, and the Hoelder splits
+    that ``sample_holder_triple_pair`` draws."""
+    u = np.random.default_rng(7).random((2, 4000))
+    return sorted(set(sample_holder_triple_pair(u[0], u[1]).ravel().tolist()) | set(EXPONENT_GRID))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["counting", "weights"])
+def test_lp_per_row_exponents_are_one_call_per_row(weighted):
+    # every row of _lp_rows at every exponent, as one array of per-row
+    # exponents and shuffled into an (E, B) grid; p = 2 must square, as the
+    # one-exponent call does, where numpy's power at an array of exponents
+    # may round the square differently
+    x, w = _lp_rows()
+    exponents = _suite_exponents()
+    assert len(exponents) >= 15 and {1.0, 2.0, math.inf} <= set(exponents)
+    rows, p = np.tile(x, (len(exponents), 1)), np.repeat(exponents, len(x))
+    weights = None if not weighted else np.tile(w, (len(exponents), 1))
+    alone = {(e, i % len(x)): kernels.lp(rows[[i]], None if weights is None else weights[[i]], e)[0]
+             for i, e in enumerate(p.tolist())}
+    assert _hex([kernels.lp(rows, weights, p)]) == _hex([list(alone.values())])
+    cells = np.random.default_rng(11).permutation(p).reshape(len(exponents), len(x))
+    want = [[alone[e, i] for i, e in enumerate(row)] for row in cells.tolist()]
+    assert _hex(kernels.lp(x, w if weighted else None, cells)) == _hex(want)
+
+
+def test_norms_take_each_row_as_its_name_alone():
+    x, _ = _lp_rows()
+    names = np.random.default_rng(12).choice(list(suites.NORM_FAMILY) + ["l1.25", "l8", "k1", "k3", "k5"], len(x))
+    want = [kernels._norm(x[[i]], name)[0] for i, name in enumerate(names.tolist())]
+    assert _hex([kernels.norms(x, names)]) == _hex([want])
+    assert _hex([kernels.norms(x, ["k2"] * len(x))]) == _hex([kernels._norm(x, "k2")])
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["counting", "weights"])
 def test_lp_at_1_is_the_power_and_root_form_without_either(monkeypatch, weighted):
     # 10**5 rows whose entries span every binade, subnormals and zeros included
@@ -349,8 +385,9 @@ def test_pypow_is_python_pow_bit_for_bit(e):
             with pytest.raises(want):
                 kernels.pypow(x, e)
         else:
-            got = kernels.pypow(x, e)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for exponent in e, np.full(len(x), e):  # one exponent, or one per entry
+                got = kernels.pypow(x, exponent)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _sweep_rows():

@@ -245,6 +245,21 @@ def test_chain_rule_search_evaluates_phi_once_per_block(monkeypatch):
     assert search(cfg) == result
 
 
+@pytest.mark.parametrize("seed", [7, 1618])
+def test_chain_rule_reach_is_rounding_at_2_and_inf(seed):
+    # the chain rule holds at p = 2 and inf for every 1-Lipschitz phi, so the
+    # reach there stays below INEQUALITY_TOL and the ranking keys it 0: the
+    # scored block takes it at the other exponents only
+    cfg = SearchConfig(target="chain_rule", n=4, p_grid=(2.0, 3.0, math.inf), trials=10_000, seed=seed)
+    block = search_mod._sample(cfg, range(cfg.trials))
+    assert search_mod._reach(block, np.array([[2.0], [math.inf]])).max() <= 1e-12
+    column, head = np.array(cfg.p_grid)[:, None], search_mod._sample(cfg, range(search_mod.BLOCK))
+    scores, reach = search_mod._scored(cfg, range(search_mod.BLOCK), column)
+    assert scores.tobytes() == search_mod._violations(head, "chain_rule", column).tobytes()
+    assert not reach[:, [0, 2]].any()
+    assert reach[:, 1].tobytes() == search_mod._reach(head, column[1:2])[:, 0].tobytes()
+
+
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("monotone", [False, True])
 def test_leaders_climb_together_as_alone(target, monotone):
