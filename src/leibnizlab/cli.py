@@ -352,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_values(argv: list[str]) -> list[str]:
-    """Each value that starts with "-" and then a digit or "." joined to its
-    option with "=" (``--x -0.5,1`` as ``--x=-0.5,1``): argparse reads such a
-    value as an option unless it is a plain decimal, and no option here
-    starts that way."""
+    """Each value that starts with "-" and then a digit, ".", "inf" or "nan"
+    (as ``float`` reads them, in any case) joined to its option with "="
+    (``--x -0.5,1`` as ``--x=-0.5,1``): argparse reads such a value as an
+    option unless it is a plain decimal, and no option here starts that way."""
     out = []
     for arg in argv:
-        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-[\d.]", arg):
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-([\d.]|inf|nan)", arg, re.IGNORECASE):
             out[-1] += "=" + arg
         else:
             out.append(arg)

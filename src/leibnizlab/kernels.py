@@ -116,12 +116,6 @@ def rowdot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (w[..., None, :] @ x[..., None])[..., 0, 0]
 
 
-def row_max(*columns: np.ndarray) -> np.ndarray:
-    """Python's ``max`` of the columns, row by row: the first of the largest,
-    so it keeps the -0.0 or nan that ``max`` keeps."""
-    return functools.reduce(lambda first, col: np.where(col > first, col, first), columns)
-
-
 def row_maxima(a: np.ndarray, initial: float = -math.inf) -> np.ndarray:
     """``a.max(axis=1, initial=initial)`` of a 2-D array, a column at a
     time: numpy reduces a short row in a loop of its own for each row, about
@@ -166,7 +160,8 @@ def lp(x: np.ndarray, w: np.ndarray | None, p) -> np.ndarray:
     of one per row, or a grid, (E, 1) for E exponents of every row or (E, B)
     for one per exponent and row, which gives (E, B) norms.  |x|, the row
     maxima and the ratios are computed once.  One exponent, and each of an
-    (E, 1) column's, takes its power, sum and root over every row.
+    (E, 1) column's, takes its power, sum and root over every row; an array
+    of one exponent per row whose entries all agree counts as one exponent.
     Exponents that vary by row take theirs in one pass: every power in one
     ``ratios ** p``, every sum in one reduction and every root in one
     ``pypow`` map.  p = inf is the maximum, p = 1 takes no power and no
@@ -175,6 +170,8 @@ def lp(x: np.ndarray, w: np.ndarray | None, p) -> np.ndarray:
     """
     a = np.abs(x)
     m = row_maxima(a, 0.0)
+    if np.shape(p) == m.shape and m.size and (p == p[0]).all():
+        p = float(p[0])
     if np.ndim(p) == 0 or np.shape(p)[-1:] != m.shape:  # every row takes each exponent
         ratios = None
 
@@ -240,8 +237,12 @@ def chain_rule(b: Block, p):
 
 
 def markov_variance(b: Block):
-    """Var phi(f) against Lip(phi)^2 Var f."""
-    return _variance(b.phi_f, b.mu), pypow(b.lipschitz, 2) * _variance(b.f, b.mu)
+    """Var phi(f) against Lip(phi)^2 Var f; ValueError if Lip(phi)^2 overflows."""
+    try:
+        square = pypow(b.lipschitz, 2)
+    except OverflowError:
+        raise ValueError("Lip(phi)^2 overflows the float range") from None
+    return _variance(b.phi_f, b.mu), square * _variance(b.f, b.mu)
 
 
 def strong_leibniz(b: Block, p):
@@ -343,7 +344,7 @@ PSD_TOL = 1e-9
 
 
 def validate_laplacians(L: np.ndarray) -> None:
-    """Check the Laplacian contract of each matrix: symmetric, zero row and
+    """Check the Laplacian contract of each matrix: finite, symmetric, zero row and
     column sums, off-diagonal >= 0, -L positive semi-definite (its smallest
     eigenvalue, and for n <= 3 also its leading principal minors).
 
@@ -356,6 +357,9 @@ def validate_laplacians(L: np.ndarray) -> None:
     ValueError with ``operators.validate_laplacian``'s message for the first
     of these checks that some matrix fails.
     """
+    finite = np.isfinite(L)
+    if not finite.all():  # every check below is a comparison, and nan passes each
+        raise ValueError(f"matrix entries must be finite, got {', '.join(sorted(set(map(str, L[~finite].tolist()))))}")
     n = L.shape[1]
     if np.any(np.abs(L - L.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0) > STRUCT_TOL):
         raise ValueError("matrix is not symmetric")

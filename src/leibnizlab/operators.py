@@ -190,7 +190,7 @@ def centering_reports(x: np.ndarray, phi, echo: dict | None, tol: float = IDENTI
 def derivation_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) -> ReportBlock:
     names = ("laplacian_factorization", "left_product", "right_product", "symmetric_form")
     devs = kernels.derivation_identities(f, g)
-    return ReportBlock.from_values("derivation_identities", kernels.row_max(*devs), 0.0, tol,
+    return ReportBlock.from_values("derivation_identities", np.maximum.reduce(devs), 0.0, tol,
                                    {"f": f, "g": g, "deviations": dict(zip(names, devs))})
 
 

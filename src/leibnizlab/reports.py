@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .serialize import block_lines, block_rows, lay_out
+from .serialize import block_lines, block_rows
 
 
 @dataclass
@@ -81,7 +81,6 @@ class ReportBlock:
     def __init__(self, name, lhs, rhs, slack, passed, tolerance, instance: dict, seed=None):
         self.columns = {"name": name, "lhs": lhs, "rhs": rhs, "slack": slack, "pass": passed,
                         "tolerance": tolerance, "instance": instance, "seed": seed}
-        self.layout = None  # set by ``lay_out`` for the next ``lines``
 
     @classmethod
     def from_values(cls, name, lhs, rhs, tolerance, instance: dict, seed=None) -> "ReportBlock":
@@ -95,14 +94,7 @@ class ReportBlock:
     def reports(self) -> list[VerificationReport]:
         return [VerificationReport(*row) for row in block_rows(self.columns, len(self))]
 
-    @staticmethod
-    def lay_out(blocks: list["ReportBlock"]) -> None:
-        """Lay out the lines of ``blocks`` for each one's next ``lines``, their
-        floats formatted in one pass (``serialize.lay_out``)."""
-        for block, layout in zip(blocks, lay_out([b.columns for b in blocks])):
-            block.layout = layout
-
-    def lines(self) -> list[str]:
-        """Each row's JSON line: ``serialize.dumps(report.to_dict())``, byte for byte."""
-        layout, self.layout = self.layout, None
+    def lines(self, layout=None) -> list[str]:
+        """Each row's JSON line: ``serialize.dumps(report.to_dict())``, byte for byte;
+        ``layout`` is the block's entry of one ``serialize.lay_out`` of several blocks."""
         return block_lines(self.columns, len(self), layout)

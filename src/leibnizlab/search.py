@@ -385,7 +385,6 @@ def _climb(b: Instance, target: str, steps: int, p: np.ndarray, values,
         state[:, span] = getattr(b, name)
     best = np.array(values, dtype=float)
     counts = np.zeros(len(b), dtype=np.intp) if b.bp is None else np.isfinite(b.bp).sum(axis=1)
-    shared = float(p[0]) if p.size and (p == p[0]).all() else None  # one exponent: one lp pass per norm
     active = np.arange(len(b) if steps > 0 else 0)
     epoch, sweep, rebuild = np.zeros(active.size, dtype=np.intp), np.zeros(active.size, dtype=np.intp), True
     while active.size:
@@ -393,15 +392,14 @@ def _climb(b: Instance, target: str, steps: int, p: np.ndarray, values,
             owner, move, runs, col = _moves(layout, counts[active])
             source, slot, base = active[owner], owner * width + move, np.arange(active.size) * width
             at, sign = np.arange(len(owner)) * state.shape[1] + col, signs[move]
-            exponents = shared if shared is not None else p[source]
+            exponents = p[source]
             rebuild, delta = False, None
         if delta is None:  # an epoch has ended
             delta = sign * np.take(STEP_EPOCHS, epoch)[owner]
         cands, keep = _neighbours(state, source, at, delta, runs, spans, target, monotone, floor)
         where, e = slot, exponents
         if keep is not None:  # some neighbours are infeasible
-            where = slot[keep]
-            e = e if shared is not None else e[keep]
+            where, e = slot[keep], exponents[keep]
         scores, index = np.full((active.size, width), -np.inf), np.empty(active.size * width, dtype=np.intp)
         np.put(scores, where, _violations(_fields(cands, spans), target, e))
         index[where] = np.arange(len(where))

@@ -55,6 +55,7 @@ from .core import IDENTITY_TOL, INEQUALITY_TOL, _integer, check_exponent
 from .kernels import BLOCK, Block, integers, sample_phi, signed_uniforms
 from .reports import ReportBlock, VerificationReport
 from .search import witness_report
+from .serialize import lay_out
 from .verify import STATEMENTS
 from .sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points, sample_holder_triple_pair
 
@@ -84,9 +85,11 @@ N_MAX_BOUNDS = {
 LINES_PER_TEXT = 128
 
 
-def _ordered(blocks: list, order, build) -> list:
-    """The entries of ``build(block)`` of ``blocks`` laid end to end, taken in ``order`` (None: as laid)."""
-    entries = build(blocks[0]) if len(blocks) == 1 else [e for b in blocks for e in build(b)]
+def _ordered(blocks: list, order, build, *extra) -> list:
+    """The entries of ``build(block, *values)`` of ``blocks`` laid end to end, taken in ``order`` (None: as
+    laid); each list in ``extra`` gives one value per block."""
+    built = itertools.starmap(build, zip(blocks, *extra))
+    entries = next(built) if len(blocks) == 1 else [e for part in built for e in part]
     return entries if order is None else [entries[k] for k in order.tolist()]
 
 
@@ -121,8 +124,7 @@ class SuiteOutcome:
         """The reports' JSON lines in report order, as texts of at most
         LINES_PER_TEXT lines; one chunk's lines are held at a time."""
         for blocks, order in self.chunks:
-            ReportBlock.lay_out(blocks)
-            lines = _ordered(blocks, order, ReportBlock.lines)
+            lines = _ordered(blocks, order, ReportBlock.lines, lay_out([b.columns for b in blocks]))
             for i in range(0, len(lines), LINES_PER_TEXT):
                 yield "\n".join(lines[i:i + LINES_PER_TEXT])
             del lines  # before the next chunk's are formatted
@@ -358,7 +360,7 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
             tol, {"n": n, "lipschitz": b.lipschitz, "norm": names[monotone], "x": x[monotone],
                   "points": b.f, "phi": operators.phi_echo(b)[0]}, seed=t[monotone])
         col, row = kernels.hat_bounds(L)
-        return [bound, corollary, ReportBlock.from_values("hat_matrix_operator_bounds", kernels.row_max(col, row),
+        return [bound, corollary, ReportBlock.from_values("hat_matrix_operator_bounds", np.maximum(col, row),
                                                           n * bound.columns["instance"]["max_offdiag"], 1e-10,
                                                           {"n": n, "col": col, "row": row})]
     return _run("laplacian", width, evaluate, trials, n_max, seed)

@@ -186,7 +186,7 @@ STATEMENTS = {
 
 
 def decomposition_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) -> ReportBlock:
-    return ReportBlock.from_values("centered_product_decomposition", kernels.row_max(*kernels.decomposition(f, g)),
+    return ReportBlock.from_values("centered_product_decomposition", np.maximum(*kernels.decomposition(f, g)),
                                    0.0, tol, {"f": f, "g": g})
 
 

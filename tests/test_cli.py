@@ -152,10 +152,14 @@ def test_verify_suite_failure_exit_1(capsys):
     ("--suite", "laplacian", "--n", "1001"),
     ("--suite", "identities", "--n", "1001"),
     ("--suite", "leibniz", "--p", "3"),
+    ("--suite", "leibniz", "--tol", "-inf"),
+    ("--suite", "strong-leibniz", "--p", "-inf"),
+    ("--suite", "strong-leibniz", "--p", "-Infinity"),
+    ("--suite", "leibniz", "--tol", "-NaN"),
 ], ids=["p-abc", "p-half", "p-nan", "n-1", "all-n-1", "tol-nan", "tol-inf",
         "trials-negative", "all-trials-0", "seed-negative", "square-n-5000", "all-n-1000",
         "decomposition-n-1001", "majorization-n-1001", "laplacian-n-1001", "identities-n-1001",
-        "leibniz-p-3"])
+        "leibniz-p-3", "tol-minus-inf", "p-minus-inf", "p-minus-infinity", "tol-minus-nan"])
 def test_verify_malformed_flags_exit_2(capsys, flags):
     # refused before any suite runs: nothing on stdout, one line on stderr
     code = run_cli("verify", *flags)
@@ -493,6 +497,19 @@ def test_values_may_start_with_a_minus_sign(capsys, argv, option):
     joined = capsys.readouterr()
     assert run_cli(*argv) == 0
     assert capsys.readouterr() == joined and joined.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("examples", "--tol", "-inf"),
+    ("dualnorm", "--x", "-inf,1", "--w", "1,1", "--k", "1"),
+], ids=["examples-tol", "dualnorm-x"])
+def test_values_spelled_minus_inf_exit_2(capsys, argv):
+    # float() reads "-inf", so the value joins its flag as "-1" does; argparse
+    # alone printed its usage and "expected one argument" over several lines
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("x, message", [

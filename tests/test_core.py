@@ -16,6 +16,8 @@ from leibnizlab.core import (
     exponent_tag,
     exponent_tags,
     lp_norm,
+    as_number,
+    as_vector,
     sup_norm,
     variance,
     weak_majorizes,
@@ -223,3 +225,23 @@ def test_ints_of_any_size_read_as_floats():
     assert lp_norm([10 ** 30, np.int8(2)], [0.5, 0.5], math.inf) == 1e30
     with pytest.raises(ValueError, match="too large for a float"):
         sup_norm([10 ** 400])
+
+
+def test_as_number_refuses_an_int_beyond_the_float_range():
+    with pytest.raises(ValueError, match="^a number is too large for a float$"):
+        as_number(10**400)
+
+
+def test_as_vector_reads_a_lone_number_as_one_entry():
+    got = as_vector(3.0)
+    assert got.shape == (1,) and got.tolist() == [3.0]
+
+
+def test_holder_triple_refuses_a_pair_without_r():
+    with pytest.raises(ValueError, match=r"^1/1\.5 \+ 1/1\.5 exceeds 1; no valid r$"):
+        HolderTriple.from_pq(1.5, 1.5)
+
+
+def test_holder_triple_refuses_a_split_outside_0_1():
+    with pytest.raises(ValueError, match=r"^split fraction must lie in \[0, 1\]$"):
+        HolderTriple.split(2.0, 1.5)

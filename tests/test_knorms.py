@@ -16,6 +16,7 @@ from leibnizlab.knorms import (
     dual_weighted_k_norm,
     extreme_point_candidates,
     k_norm,
+    check_weight_vector,
     ky_fan_dominates,
     lp_evaluator,
     weighted_k_norm,
@@ -272,3 +273,8 @@ def test_dual_paths_keep_weights_whose_first_k_sums_are_finite():
     # only w_1 + ... + w_k divide the norms: at k = 1 the same weights are kept
     x, w = [1.0, 1.0, 1.0], [1e308] * 3
     assert dual_weighted_k_norm(x, w, 1) == dual_norm_bruteforce(x, w, 1) == 3.0 / 1e308
+
+
+def test_weight_vector_refuses_a_zero_weight():
+    with pytest.raises(ValueError, match="^weights must be strictly positive$"):
+        check_weight_vector([1.0, 0.0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from leibnizlab import kernels
+from leibnizlab.core import DimensionMismatchError
 from leibnizlab.knorms import k_norm_evaluator, lp_evaluator
 from leibnizlab.operators import (
     DegenerateInputError,
@@ -153,6 +154,40 @@ def test_validate_laplacian_rejects_bad_matrices():
         validate_laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]]))  # negative off-diagonal
     with pytest.raises(ValueError):
         validate_laplacian(np.array([[0.0, 1.0], [1.0, 1.0]]))  # row sums
+
+
+def test_validate_laplacian_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        validate_laplacian(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("L, named", [
+    ([[math.nan, 0.0], [0.0, 0.0]], "nan"),
+    ([[-math.inf, math.inf], [math.inf, -math.inf]], "-inf, inf"),
+    ([[-1.0, 1.0], [1.0, math.inf]], "inf"),
+], ids=["nan", "inf-pairs", "plus-inf"])
+def test_validate_laplacian_refuses_non_finite_entries(L, named):
+    # each check of the contract is a comparison, and a comparison with nan is
+    # false: these matrices were accepted, and lhat_row_col_bounds gave (nan, nan)
+    with pytest.raises(ValueError, match=f"^matrix entries must be finite, got {named}$"):
+        validate_laplacian(L)
+    with pytest.raises(ValueError, match="must be finite"):
+        lhat_row_col_bounds(L)
+
+
+def test_laplacian_norm_bound_check_refuses_a_vector_of_another_length():
+    with pytest.raises(DimensionMismatchError, match="^matrix is 3x3, vector has 2 entries$"):
+        laplacian_norm_bound_check(uniform_laplacian(3), [1.0, -1.0], lp_evaluator(2.0))
+
+
+def test_derivation_checks_fail_on_a_nan_deviation():
+    # the first identity is finite and the other three overflow to nan: the
+    # largest deviation is nan, and the report fails
+    with np.errstate(all="ignore"):
+        rep = derivation_checks([1, 2, 3], [1e308, -1e308, 1e308])
+    deviations = list(rep.instance["deviations"].values())
+    assert math.isfinite(deviations[0]) and all(map(math.isnan, deviations[1:]))
+    assert math.isnan(rep.lhs) and not rep.passed
 
 
 # -- centering identity -----------------------------------------------------------

@@ -111,10 +111,10 @@ def test_outcome_holds_one_chunks_lines_at_a_time(monkeypatch):
 
     original = ReportBlock.lines
 
-    def lines(b):
+    def lines(b, layout=None):
         k = next(i for i, (blocks, _) in enumerate(chunks) if any(b is c for c in blocks))
         assert all(ref() is None for j, ref in held if j < k), "an earlier chunk's lines are still held"
-        out = [Line(line) for line in original(b)]
+        out = [Line(line) for line in original(b, layout)]
         held.extend((k, weakref.ref(line)) for line in out)
         return out
     monkeypatch.setattr(ReportBlock, "lines", lines)

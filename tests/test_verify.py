@@ -9,7 +9,9 @@ import pytest
 from scalar_reference import sample_prob_vector
 
 from leibnizlab.core import HolderTriple, ProbVector, expectation, lp_norm
-from leibnizlab.operators import PiecewiseLinearFn
+from leibnizlab.knorms import lp_evaluator
+from leibnizlab.operators import (PiecewiseLinearFn, centering_identity_check, derivation_checks,
+                                  laplacian_norm_bound_check)
 from leibnizlab.sampling import sample_holder_triple_pair
 from leibnizlab.verify import (
     RationalProbVector,
@@ -221,6 +223,12 @@ def test_markov_random_lipschitz():
         assert check_markov_variance(mu, f, phi).passed
 
 
+def test_markov_refuses_a_lipschitz_square_beyond_the_float_range():
+    phi = PiecewiseLinearFn([0.0], [1e200, -1e200], 0.0)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^Lip\(phi\)\^2 overflows the float range$"):
+        check_markov_variance(ProbVector([0.5, 0.5]), [0.1, 0.2], phi)
+
+
 # -- square-function bound ---------------------------------------------------------------
 
 def test_square_bound_trivial():
@@ -302,7 +310,21 @@ def test_rational_prob_vector_validation():
         RationalProbVector((1, 200_000), 200_001)
 
 
+def test_rational_prob_vector_refuses_no_atoms():
+    with pytest.raises(ValueError, match="^need at least one atom$"):
+        RationalProbVector((), 0)
+
+
+def test_rational_prob_vector_counts_its_atoms():
+    assert RationalProbVector((1, 2), 3).n == 2
+
+
 # -- rationalization ---------------------------------------------------------------------
+
+def test_rationalize_refuses_a_denominator_above_the_replication_cap():
+    with pytest.raises(ValueError, match="^max_denominator 200000 exceeds replication cap 100000$"):
+        rationalize(ProbVector([0.3, 0.7]), 200_000)
+
 
 def test_rationalize_exact_cases():
     got = rationalize(ProbVector([1 / 3, 2 / 3]), 3)
@@ -367,3 +389,58 @@ def test_report_summary():
 def test_rationalize_infeasible_cap():
     with pytest.raises(ValueError):
         rationalize(ProbVector([0.2, 0.3, 0.5]), 2)
+
+
+# -- no report passes on a nan ----------------------------------------------------------------
+
+#: Magnitudes of the sweep's inputs: each vector, matrix and phi takes its own.
+NAN_SWEEP_SCALES = (1.0, 1e100, 1e200, 1e300, 1e308)
+
+
+def _nan_sweep_calls(rng):
+    """One call of each one-instance checker on finite inputs: entries of
+    either sign and magnitude in [s / 2, s), s drawn from NAN_SWEEP_SCALES,
+    so that sums and differences at the top scale overflow."""
+    n = int(rng.integers(2, 6))
+
+    def draw(*shape):
+        return float(rng.choice(NAN_SWEEP_SCALES)) * rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 1.0, shape)
+    mu = sample_prob_vector(rng, n)
+    f, g, x = draw(n), draw(n), draw(n)
+    phi = PiecewiseLinearFn(np.sort(np.abs(draw(2))) * [-1.0, 1.0], draw(3), draw()[()])
+    p = float(rng.choice([1.0, 1.5, 2.0, 3.0, math.inf]))
+    t1, t2 = HolderTriple.split(p, float(rng.uniform())), HolderTriple.split(p, float(rng.uniform()))
+    w = np.abs(np.triu(draw(n, n), 1))
+    L = w + w.T - np.diag((w + w.T).sum(axis=1))
+    return [
+        lambda: check_leibniz(mu, f, g, t1, t2),
+        lambda: check_chain_rule(mu, f, phi, p),
+        lambda: check_markov_variance(mu, f, phi),
+        lambda: check_strong_leibniz(mu, f, p),
+        lambda: check_square_bound(mu, f, p),
+        lambda: check_decomposition(f, g),
+        lambda: check_holder_theta(f, g, t1),
+        lambda: derivation_checks(f, g),
+        lambda: centering_identity_check(f, phi),
+        lambda: laplacian_norm_bound_check(L, x - x.mean(), lp_evaluator(p)),
+    ]
+
+
+def test_no_report_passes_on_a_nan():
+    # a report whose lhs, rhs or an echoed deviation is nan must fail; an inf
+    # rhs beside a finite lhs may pass, since the true rhs is beyond the float range
+    rng = np.random.default_rng(34)
+    reports = refused = 0
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            for call in _nan_sweep_calls(rng):
+                try:
+                    rep = call()
+                except ValueError:
+                    refused += 1
+                    continue
+                reports += 1
+                values = [rep.lhs, rep.rhs, *rep.instance.get("deviations", {}).values()]
+                assert not (any(map(math.isnan, values)) and rep.passed), rep
+    assert reports > 300 and refused > 0
+
