@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from itertools import repeat
 
 import numpy as np
@@ -343,6 +344,25 @@ def max_offdiagonal(L: np.ndarray) -> np.ndarray:
 PSD_TOL = 1e-9
 
 
+def rounding_tolerance(floor, n: int, scale):
+    """max(floor, n eps scale): a sum of n terms of magnitude up to ``scale``
+    (one per row, or one in all) rounds by up to about n eps scale.  A
+    negative floor asks for a margin, and is kept as it is."""
+    if floor < 0:
+        return floor
+    return np.maximum(floor, n * np.finfo(float).eps * scale)
+
+
+def product_scale(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The largest of max |f|, max |g| and their product in each row: the
+    scale of the terms of an identity in f, g and their products.  An
+    identity's scale is held at the largest float, so that a deviation that
+    overflows is never within its tolerance."""
+    a, b = np.abs(f).max(axis=1, initial=0.0), np.abs(g).max(axis=1, initial=0.0)
+    with np.errstate(over="ignore"):
+        return np.minimum(np.maximum(np.maximum(a, b), a * b), sys.float_info.max)
+
+
 def validate_laplacians(L: np.ndarray) -> None:
     """Check the Laplacian contract of each matrix: finite, symmetric, zero row and
     column sums, off-diagonal >= 0, -L positive semi-definite (its smallest
@@ -363,8 +383,7 @@ def validate_laplacians(L: np.ndarray) -> None:
     n = L.shape[1]
     if np.any(np.abs(L - L.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0) > STRUCT_TOL):
         raise ValueError("matrix is not symmetric")
-    rounding = n * np.finfo(float).eps
-    sum_tol = np.maximum(STRUCT_TOL, rounding * np.abs(L).max(axis=(1, 2), initial=0.0))
+    sum_tol = rounding_tolerance(STRUCT_TOL, n, np.abs(L).max(axis=(1, 2), initial=0.0))
     if np.any(np.abs(L.sum(axis=2)).max(axis=1, initial=0.0) > sum_tol):
         raise ValueError("row sums are not zero")
     if np.any(np.abs(L.sum(axis=1)).max(axis=1, initial=0.0) > sum_tol):
@@ -373,11 +392,11 @@ def validate_laplacians(L: np.ndarray) -> None:
         raise ValueError("off-diagonal entries must be non-negative")
     norm = np.abs(L).sum(axis=2).max(axis=1, initial=0.0)
     neg = -L
-    if n > 1 and np.any(np.linalg.eigvalsh(neg)[:, 0] < -np.maximum(PSD_TOL, rounding * norm)):
+    if n > 1 and np.any(np.linalg.eigvalsh(neg)[:, 0] < -rounding_tolerance(PSD_TOL, n, norm)):
         raise ValueError("-L is not positive semi-definite")
     if n <= 3:
         for m in range(1, n + 1):
-            if np.any(np.linalg.det(neg[:, :m, :m]) < -np.maximum(PSD_TOL, rounding * norm ** m)):
+            if np.any(np.linalg.det(neg[:, :m, :m]) < -rounding_tolerance(PSD_TOL, n, norm ** m)):
                 raise ValueError(f"leading principal minor {m} of -L is negative")
 
 
@@ -426,11 +445,16 @@ def decomposition(f: np.ndarray, g: np.ndarray):
 def centering_identity(x: np.ndarray, phi) -> np.ndarray:
     """-(1/n) T (x - mean x) against phi(x) - mean phi(x), where T holds the
     divided differences of ``phi`` (as ``divided_differences`` takes it) at
-    each row of points x; the largest deviation of each row."""
+    each row of points x; the largest deviation of each row, and its scale
+    (``rounding_tolerance``): the larger of max |T| max |x| and max |phi(x)|."""
     n = x.shape[1]
-    left = -matvec(divided_differences(x, phi), x - x.mean(axis=1)[:, None]) / n
+    T = divided_differences(x, phi)
+    left = -matvec(T, x - x.mean(axis=1)[:, None]) / n
     values = phi(x)
-    return np.abs(left - (values - values.mean(axis=1)[:, None])).max(axis=1, initial=0.0)
+    with np.errstate(over="ignore"):  # held at the largest float, as in ``product_scale``
+        scale = np.minimum(np.maximum(np.abs(T).max(axis=(1, 2), initial=0.0) * np.abs(x).max(axis=1, initial=0.0),
+                                      np.abs(values).max(axis=1, initial=0.0)), sys.float_info.max)
+    return np.abs(left - (values - values.mean(axis=1)[:, None])).max(axis=1, initial=0.0), scale
 
 
 def uniform_laplacian(n: int) -> np.ndarray:

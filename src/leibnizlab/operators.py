@@ -182,26 +182,35 @@ def validate_laplacian(L) -> np.ndarray:
 def centering_reports(x: np.ndarray, phi, echo: dict | None, tol: float = IDENTITY_TOL) -> ReportBlock:
     """Centering identity of each row of points x (B, n); ``phi`` maps the rows
     to their values, and ``echo`` is the column of their ``phi.to_dict()``
-    (``phi_echo``, or one shared dict), or None."""
+    (``phi_echo``, or one shared dict), or None.  Each row's deviation is
+    judged by ``kernels.rounding_tolerance`` at the scale that
+    ``kernels.centering_identity`` gives, and its report echoes that tolerance."""
     instance = {"x": x} if echo is None else {"x": x, "phi": echo}
-    return ReportBlock.from_values("centering_identity", kernels.centering_identity(x, phi), 0.0, tol, instance)
+    deviation, scale = kernels.centering_identity(x, phi)
+    return ReportBlock.from_values("centering_identity", deviation, 0.0,
+                                   kernels.rounding_tolerance(tol, x.shape[1], scale), instance)
 
 
 def derivation_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) -> ReportBlock:
+    """The derivation dictionary on each row of f, g (B, n), each deviation
+    judged by ``kernels.rounding_tolerance`` at ``kernels.product_scale(f, g)``."""
     names = ("laplacian_factorization", "left_product", "right_product", "symmetric_form")
     devs = kernels.derivation_identities(f, g)
-    return ReportBlock.from_values("derivation_identities", np.maximum.reduce(devs), 0.0, tol,
+    tolerance = kernels.rounding_tolerance(tol, f.shape[1], kernels.product_scale(f, g))
+    return ReportBlock.from_values("derivation_identities", np.maximum.reduce(devs), 0.0, tolerance,
                                    {"f": f, "g": g, "deviations": dict(zip(names, devs))})
 
 
 def laplacian_bound_reports(L: np.ndarray, x: np.ndarray, norm, tol: float = INEQUALITY_TOL):
     """The laplacian_norm_bound reports of the rows of validated Laplacians L
     (B, n, n) and mean-zero x (B, n), as one block; ``norm`` maps rows to
-    their norms.  Returns the block and each row's ||x||."""
+    their norms.  A row whose |sum x| exceeds ``kernels.rounding_tolerance``
+    (1e-10 at scale sum |x|, the bound on the rounding of a float sum) is
+    refused.  Returns the block and each row's ||x||."""
     n = L.shape[1]
     if x.shape[1] != n:
         raise DimensionMismatchError(f"matrix is {n}x{n}, vector has {x.shape[1]} entries")
-    if np.any(np.abs(x.sum(axis=1)) > 1e-10):
+    if np.any(np.abs(x.sum(axis=1)) > kernels.rounding_tolerance(1e-10, n, np.abs(x).sum(axis=1))):
         raise ValueError("x must have zero coordinate sum (center it first)")
     lhs, rhs, top, size = kernels.laplacian_norm_bound(L, x, norm)
     return ReportBlock.from_values("laplacian_norm_bound", lhs, rhs, tol, {"n": n, "max_offdiag": top, "x": x}), size

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .serialize import block_lines, block_rows
 
 
@@ -86,7 +88,8 @@ class ReportBlock:
     def from_values(cls, name, lhs, rhs, tolerance, instance: dict, seed=None) -> "ReportBlock":
         """``VerificationReport.from_values`` row by row: slack = rhs - lhs, passing iff slack >= -tolerance."""
         slack = rhs - lhs
-        return cls(name, lhs, rhs, slack, slack >= -tolerance, float(tolerance), instance, seed)
+        tolerance = tolerance if type(tolerance) is np.ndarray else float(tolerance)
+        return cls(name, lhs, rhs, slack, slack >= -tolerance, tolerance, instance, seed)
 
     def __len__(self) -> int:
         return len(self.columns["lhs"])

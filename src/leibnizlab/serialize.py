@@ -19,14 +19,14 @@ column of a (B, k) one), so every value reaches the line through CPython's '%':
 
 * a float column whose values are all integral, below 2**53 in size and none
   -0.0 fills '%d' from int64, which writes the bytes of '%.17g';
-* a float column (B,) with at most half its values distinct (bit for bit)
-  fills '%s', each distinct value through ``format_float`` once;
+* a float column that holds a non-finite value or a -0.0, (B,) or (B, k),
+  and a plain column (B,) with at most half its values distinct (bit for
+  bit), fill '%s', each distinct value through ``format_float`` once;
 * any other float column fills a '%s%d' pair per value, a prefix string and
-  an integer (below); one that holds a non-finite value or a -0.0 fills
-  '%s%s', with that value's ``format_float`` text and "" as its pair;
+  an integer (below);
 * a ragged column fills '%s' with each row's list, written through a
-  template of one '%s%d' pair per entry, or through ``format_float`` when
-  the row's live cells hold a non-finite value or a -0.0;
+  template of one '%s%d' pair per entry, or, when a live cell of the column
+  holds a non-finite value or a -0.0, through ``format_float`` row by row;
 * a string or exponent column fills '%s', each distinct value encoded once;
   a bool column fills '%s' with true and false, an int column '%d'.
 
@@ -194,15 +194,9 @@ def _slice_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prefix, frac
 
 
-def _special(values: np.ndarray) -> np.ndarray:
-    """Where ``values`` holds a non-finite value or a -0.0: what '%.17g' does not write as ``dumps`` does."""
-    return ~np.isfinite(values) | (values == 0.0) & np.signbit(values)
-
-
 def _floats(col: np.ndarray) -> tuple[str, np.ndarray]:
     """A float column's placeholder and the array whose values fill it; the
-    column itself for '%s%d' (all plain) or '%s%s' (some not), whose cells
-    come from ``_digits``."""
+    column itself for '%s%d', whose cells come from ``_digits``."""
     if not col.size:
         return "%s%d", col
     magnitude = np.abs(col)
@@ -213,14 +207,15 @@ def _floats(col: np.ndarray) -> tuple[str, np.ndarray]:
         ints = col.astype(np.int64)
         if not np.count_nonzero(ints != col):
             return "%d", ints
-    if col.ndim == 1 and col.dtype.itemsize == 8:
-        bits = np.sort(col.view(np.int64))  # -0.0 and 0.0, and each nan, apart
-        new = bits[1:] != bits[:-1]
-        if 2 * (np.count_nonzero(new) + 1) <= len(bits):
-            values = bits[np.concatenate(([True], new))]
-            text = np.array(list(map(format_float, values.view(col.dtype).tolist())), dtype=object)
-            return "%s", text[np.searchsorted(values, col.view(np.int64))]
-    return "%s%d" if plain else "%s%s", col
+    if not plain or col.ndim == 1:
+        bits = col.astype(np.float64, copy=False).view(np.int64)
+        ordered = np.sort(bits, axis=None)  # -0.0 and 0.0, and each nan, apart
+        new = ordered[1:] != ordered[:-1]
+        if not plain or 2 * (np.count_nonzero(new) + 1) <= len(ordered):
+            values = ordered[np.concatenate(([True], new))]
+            text = np.array(list(map(format_float, values.view(np.float64).tolist())), dtype=object)
+            return "%s", text[np.searchsorted(values, bits)]
+    return "%s%d", col
 
 
 def _objects(col: np.ndarray) -> list[str]:
@@ -248,12 +243,14 @@ def _flatten(obj: dict, parts: list, cells: list, pending: list) -> None:
             continue
         if isinstance(col, tuple):
             values, lengths = col
-            live = np.arange(values.shape[1]) < lengths[:, None]
-            odd = (_special(values) & live).any(axis=1)
-            live[odd] = False
+            live = values[np.arange(values.shape[1]) < lengths[:, None]]
             parts.append("%s")
-            pending.append((partial(_fill_ragged, cells, len(cells), values, lengths, odd), values[live]))
-            cells.append(None)
+            if np.isfinite(live).all() and not np.signbit(live[live == 0.0]).any():
+                pending.append((partial(_fill_ragged, cells, len(cells), values.shape[1], lengths), live))
+                cells.append(None)
+            else:  # a non-finite value or a -0.0: row by row through format_float
+                cells.append(["[" + ", ".join(map(format_float, row[:m])) + "]"
+                              for row, m in zip(values.tolist(), lengths.tolist())])
             continue
         if not isinstance(col, np.ndarray):
             parts.append(dumps(col).replace("%", "%%"))
@@ -269,10 +266,8 @@ def _flatten(obj: dict, parts: list, cells: list, pending: list) -> None:
             parts.append("%s")
             cells.append(_objects(col))
             continue
-        if slot in ("%s%d", "%s%s"):  # a prefix and an int per float
-            special = _special(col) if slot == "%s%s" else None
-            fill = partial(_fill_floats, cells, len(cells), col, special)
-            pending.append((fill, col.ravel() if special is None else col[~special]))
+        if slot == "%s%d":  # a prefix and an int per float
+            pending.append((partial(_fill_floats, cells, len(cells), col.shape), col.ravel()))
             cells.extend([None] * (2 * col.shape[1] if col.ndim == 2 else 2))
         elif col.ndim == 2:
             cells.extend(col.T)
@@ -282,39 +277,25 @@ def _flatten(obj: dict, parts: list, cells: list, pending: list) -> None:
     parts.append("}")
 
 
-def _fill_floats(cells: list, at: int, col: np.ndarray, special, prefix: np.ndarray, ints: np.ndarray) -> None:
-    """Put the prefix and int cells of float column ``col`` in ``cells[at:]``,
-    a pair per column of a (B, k) one, from the digits of its floats other
-    than the ``special`` ones (None: all of them).  A special float has its
-    ``format_float`` text as the prefix and "" as the int, for '%s%s'."""
-    if special is not None:
-        plain = ~special
-        digits, texts = (prefix, ints), list(map(format_float, col[special].tolist()))
-        prefix, ints = np.empty(col.shape, dtype=object), np.empty(col.shape, dtype=object)
-        prefix[plain], ints[plain] = digits
-        prefix[special], ints[special] = texts, ""
-    prefix, ints = prefix.reshape(col.shape), ints.reshape(col.shape)
-    if col.ndim == 2:
-        cells[at:at + 2 * col.shape[1]] = [c for pair in zip(prefix.T, ints.T) for c in pair]
+def _fill_floats(cells: list, at: int, shape: tuple, prefix: np.ndarray, ints: np.ndarray) -> None:
+    """Put the prefix and int cells of a float column of ``shape`` in
+    ``cells[at:]``, a pair per column of a (B, k) one, from the digits of its floats."""
+    prefix, ints = prefix.reshape(shape), ints.reshape(shape)
+    if len(shape) == 2:
+        cells[at:at + 2 * shape[1]] = [c for pair in zip(prefix.T, ints.T) for c in pair]
     else:
         cells[at:at + 2] = prefix, ints
 
 
-def _fill_ragged(cells: list, at: int, values: np.ndarray, lengths: np.ndarray, odd: np.ndarray,
-                 prefix: np.ndarray, ints: np.ndarray) -> None:
-    """Put the JSON list ``values[i, :lengths[i]]`` of each row i in
-    ``cells[at]``: from the digits of its live cells, or, on a row ``odd``
-    marks (a live non-finite or -0.0), through ``format_float``."""
-    counts = np.where(odd, 0, lengths)
+def _fill_ragged(cells: list, at: int, width: int, lengths: np.ndarray, prefix: np.ndarray, ints: np.ndarray) -> None:
+    """Put the JSON list of the first ``lengths[i]`` floats of each row i (at
+    most ``width``) in ``cells[at]``, from the digits of the rows' floats laid end to end."""
     flat = np.empty(2 * len(ints), dtype=object)
     flat[0::2], flat[1::2] = prefix, ints
     flat = flat.tolist()
-    templates = ["[" + ", ".join(["%s%d"] * m) + "]" for m in range(values.shape[1] + 1)]
-    ends = np.cumsum(2 * counts).tolist()
-    out = [templates[m] % tuple(flat[end - 2 * m:end]) for m, end in zip(counts.tolist(), ends)]
-    for i in np.flatnonzero(odd).tolist():
-        out[i] = "[" + ", ".join(map(format_float, values[i, :lengths[i]].tolist())) + "]"
-    cells[at] = out
+    templates = ["[" + ", ".join(["%s%d"] * m) + "]" for m in range(width + 1)]
+    ends = np.cumsum(2 * lengths).tolist()
+    cells[at] = [templates[m] % tuple(flat[end - 2 * m:end]) for m, end in zip(lengths.tolist(), ends)]
 
 
 def lay_out(blocks: list[dict]) -> list[tuple[str, list]]:

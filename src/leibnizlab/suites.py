@@ -208,8 +208,7 @@ def _check(name: str, trials, n_max) -> None:
         raise ValueError(f"n_max must lie in [{low}, {high}] for suite {name}, got {n_max}")
 
 
-def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int,
-         theorem_backed: bool = True) -> SuiteOutcome:
+def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int) -> SuiteOutcome:
     """The trial loop of every suite, on trials and n_max that ``_check`` accepts.
 
     Trial t reads its ``width`` uniforms (``kernels.trial_words``); n is the
@@ -239,11 +238,11 @@ def _run(name: str, width: int, evaluate, trials: int, n_max: int, seed: int,
                         b.columns["seed"] = lo + part
                     blocks.append(b)
         chunks.append((blocks, np.argsort(np.concatenate([b.columns["seed"] for b in blocks]), kind="stable")))
-    return SuiteOutcome(name, chunks, theorem_backed, time.perf_counter() - start)
+    return SuiteOutcome(name, chunks, elapsed=time.perf_counter() - start)
 
 
 def _measure(name: str, statement: verify.Statement, trials: int, n_max: int, seed: int, tol: float,
-             exponents: int, pick, phi=(False, False), theorem_backed: bool = True) -> SuiteOutcome:
+             exponents: int, pick, phi=(False, False)) -> SuiteOutcome:
     """The trial loop of a suite of a statement on a measure: after n, the
     statement's instance at width n_max (``verify.Statement.draw``, phi from
     16 uniforms, monotone and signed as ``phi`` asks), then ``exponents``
@@ -251,7 +250,7 @@ def _measure(name: str, statement: verify.Statement, trials: int, n_max: int, se
     def evaluate(n, u, t):
         fields, at = statement.draw(u, n, n_max, MASS_FLOOR, 16, *phi, at=1)
         return [statement.reports(Block(**fields), pick(u[:, at:at + exponents]), tol)]
-    return _run(name, 1 + statement.columns(n_max, 16) + exponents, evaluate, trials, n_max, seed, theorem_backed)
+    return _run(name, 1 + statement.columns(n_max, 16) + exponents, evaluate, trials, n_max, seed)
 
 
 def _grid_exponent(u: np.ndarray) -> tuple:
@@ -412,8 +411,8 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     """
     _check("strong-leibniz", trials, n_max)
     p = check_exponent(p)
-    outcome = _measure("strong-leibniz", STATEMENTS["strong_leibniz"], trials, n_max, seed, tol, 0, lambda u: (p,),
-                       theorem_backed=False)
+    outcome = _measure("strong-leibniz", STATEMENTS["strong_leibniz"], trials, n_max, seed, tol, 0, lambda u: (p,))
+    outcome.theorem_backed = False
     witness = witness_report("strong_leibniz_reciprocal_witness", tol)
     block = ReportBlock.from_values(witness.name, np.array([witness.lhs]), np.array([witness.rhs]), tol,
                                     {**witness.instance, "expected_failure": True})

@@ -67,11 +67,16 @@ class RationalProbVector:
 
 
 def check_holder_theta(x, y, triple: HolderTriple, tol: float = INEQUALITY_TOL) -> VerificationReport:
-    """||Theta_x (y - Ey)||_r <= ||x||_p ||y - Ey||_q under the uniform measure."""
+    """||Theta_x (y - Ey)||_r <= ||x||_p ||y - Ey||_q under the uniform measure;
+    ValueError if Theta_x (y - Ey) overflows."""
     xv, yv = as_pair(x, y)
     mu = ProbVector.uniform(xv.size)
     yc = center(yv, mu)
-    lhs = lp_norm(theta_matrix(xv) @ yc, mu, triple.r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = theta_matrix(xv) @ yc
+    if not np.isfinite(image).all():
+        raise ValueError("Theta_x (y - Ey) overflows the float range")
+    lhs = lp_norm(image, mu, triple.r)
     rhs = lp_norm(xv, mu, triple.p) * lp_norm(yc, mu, triple.q)
     instance = {
         "x": xv.tolist(),
@@ -186,15 +191,18 @@ STATEMENTS = {
 
 
 def decomposition_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) -> ReportBlock:
+    tolerance = kernels.rounding_tolerance(tol, f.shape[1], kernels.product_scale(f, g))
     return ReportBlock.from_values("centered_product_decomposition", np.maximum(*kernels.decomposition(f, g)),
-                                   0.0, tol, {"f": f, "g": g})
+                                   0.0, tolerance, {"f": f, "g": g})
 
 
 def check_decomposition(f, g, tol: float = IDENTITY_TOL) -> VerificationReport:
     """fg - E(fg) = -Theta_f (g - Eg) - Theta_g (f - Ef) under the uniform measure.
 
     Also checks the uncentered form -Theta_f g - Theta_g f; reports the larger
-    of the two maximal deviations.
+    of the two maximal deviations, within the tolerance
+    ``kernels.rounding_tolerance(tol, n, kernels.product_scale(f, g))``, which
+    the report echoes.
     """
     fv, gv = as_pair(f, g)
     return decomposition_reports(fv[None, :], gv[None, :], tol).reports()[0]

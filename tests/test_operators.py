@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from leibnizlab import kernels
-from leibnizlab.core import DimensionMismatchError
+from leibnizlab.core import IDENTITY_TOL, STRUCT_TOL, DimensionMismatchError
 from leibnizlab.knorms import k_norm_evaluator, lp_evaluator
 from leibnizlab.operators import (
     DegenerateInputError,
@@ -23,6 +23,7 @@ from leibnizlab.operators import (
     validate_laplacian,
 )
 from leibnizlab.kernels import uniform_laplacian
+from leibnizlab.verify import check_decomposition
 
 
 # -- piecewise-linear functions ------------------------------------------------
@@ -332,3 +333,78 @@ def test_derivation_checks_random():
         rep = derivation_checks(rng.normal(size=n), rng.normal(size=n))
         assert rep.passed, rep.instance["deviations"]
         assert rep.lhs <= 1e-10
+
+
+# -- identity tolerances that scale with the inputs ----------------------------------
+
+def _large_identity_draws(scale, count=200):
+    """``count`` seeded (f, g, kinked phi) of magnitude ``scale``, n from 2 to 8."""
+    rng = np.random.default_rng(int(math.log10(scale)))
+    for _ in range(count):
+        n, k = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        f, g = scale * rng.uniform(-1, 1, n), scale * rng.uniform(-1, 1, n)
+        phi = PiecewiseLinearFn(np.sort(scale * rng.uniform(-1, 1, k)), rng.uniform(-2, 2, k + 1),
+                                scale * rng.uniform(-1, 1))
+        yield f, g, phi
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+def test_exact_identities_at_large_magnitudes_read_pass(scale):
+    # with an absolute 1e-10 bound most of these read FAIL on rounding alone
+    for f, g, phi in _large_identity_draws(scale):
+        for rep in (check_decomposition(f, g), derivation_checks(f, g), centering_identity_check(f, phi)):
+            assert rep.passed and rep.lhs <= rep.tolerance, rep.summary()
+            assert rep.tolerance >= IDENTITY_TOL
+
+
+def test_identity_reports_echo_the_tolerance_they_applied():
+    f, g = [1e4, -2e4, 3.3e4], [1e4, 5e3, -1.1e4]
+    for rep in (check_decomposition(f, g), derivation_checks(f, g)):
+        assert rep.passed and rep.lhs > IDENTITY_TOL
+        assert rep.tolerance == 3 * np.finfo(float).eps * 3.3e4 * 1.1e4
+    # a negative tolerance asks for a margin: it gets no rounding allowance
+    assert check_decomposition(f, g, tol=-1e-3).tolerance == -1e-3
+    assert not derivation_checks(f, g, tol=-1e-3).passed
+    # inputs of size 1 keep the absolute bound
+    assert check_decomposition([0.5, -1.0], [0.25, 1.0]).tolerance == IDENTITY_TOL
+    assert centering_identity_check([0.1, 0.5], PiecewiseLinearFn.identity()).tolerance == IDENTITY_TOL
+
+
+def test_an_overflowing_identity_never_passes():
+    # T (x - mean x) overflows to inf: the scale is held at the largest float, so the inf deviation fails
+    x = [-8.207567947528017e+99, 6.904907696465438e+99, 6.9074646631996e+99, 7.519014750972648e+99,
+         5.083614108176886e+99]
+    phi = PiecewiseLinearFn([-6.310733980949947e+149, 9.995129411619687e+149],
+                            [9.030178537635618e+99, -8.151588777217391e+99, 6.813484285289242e+99],
+                            5.132422744519863e+307)
+    with np.errstate(all="ignore"):
+        rep = centering_identity_check(x, phi)
+    assert rep.lhs == math.inf and math.isfinite(rep.tolerance) and not rep.passed
+
+
+def test_laplacian_bound_accepts_large_centered_vectors():
+    # |sum x| of a centered x rounds with sum |x|; an absolute 1e-10 refused 244 of these 400
+    rng = np.random.default_rng(5)
+    L = uniform_laplacian(5)
+    for scale in (1e6, 1e7):
+        for _ in range(200):
+            x = scale * rng.uniform(-1, 1, 5)
+            rep = laplacian_norm_bound_check(L, x - x.mean(), lp_evaluator(2.0))
+            assert rep.instance["x"] == (x - x.mean()).tolist()
+    with pytest.raises(ValueError, match=r"^x must have zero coordinate sum \(center it first\)$"):
+        laplacian_norm_bound_check(uniform_laplacian(3), [1.0, 1.0, -1.0], lp_evaluator(2.0))
+
+
+def test_validate_laplacians_and_the_identities_share_one_rounding_rule(monkeypatch):
+    calls = []
+    rule = kernels.rounding_tolerance
+    monkeypatch.setattr(kernels, "rounding_tolerance", lambda *a: calls.append(a[0]) or rule(*a))
+    validate_laplacian(uniform_laplacian(3))
+    check_decomposition([1.0, 2.0], [3.0, 4.0])
+    derivation_checks([1.0, 2.0], [3.0, 4.0])
+    centering_identity_check([0.1, 0.5], PiecewiseLinearFn.identity())
+    laplacian_norm_bound_check(uniform_laplacian(2), [1.0, -1.0], lp_evaluator(2.0))
+    # the sums, the eigenvalue and the n leading minors of each Laplacian, then one call per identity and the sum of x
+    laplacian = [STRUCT_TOL, kernels.PSD_TOL, kernels.PSD_TOL]
+    assert calls == (laplacian + [kernels.PSD_TOL] * 2 + [IDENTITY_TOL] * 3
+                     + laplacian + [kernels.PSD_TOL] + [1e-10])

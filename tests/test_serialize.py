@@ -311,3 +311,33 @@ def test_block_lines_of_mixed_magnitudes_match_dumps():
         columns = {"lhs": floats(rows), "x": floats((rows, int(rng.integers(0, 4)))),
                    "r": (floats((rows, width)), rng.integers(0, width + 1, rows)), "tolerance": 1e-9}
         assert block_lines(columns, rows) == [dumps(dict(zip(columns, row))) for row in block_rows(columns, rows)]
+
+
+def test_a_float_column_with_a_non_finite_value_or_a_negative_zero_takes_the_text_path(monkeypatch):
+    # (B,) and (B, k) alike: one '%s' per value, each distinct value through format_float once
+    rows = 40
+    lhs = np.tile([0.1, 2.5, 1e-300, math.nan], rows // 4)
+    x = np.tile([[0.25, -0.0, math.inf], [3.0, 0.5, 0.75]], (rows // 2, 1))
+    columns = {"lhs": lhs, "x": x, "plain": np.arange(rows) * 0.1 + 0.01}
+    seen = []
+    monkeypatch.setattr(serialize, "format_float", lambda v: seen.append(v) or format_float(v))
+    template, _ = serialize.lay_out([columns])[0]
+    monkeypatch.undo()
+    assert template == '{"lhs": %s, "x": [%s, %s, %s], "plain": %s%d}'
+    assert sorted(map(repr, seen)) == sorted(map(repr, [0.1, 2.5, 1e-300, math.nan, 0.25, -0.0, math.inf,
+                                                        3.0, 0.5, 0.75]))
+    assert block_lines(columns, rows) == [dumps(dict(zip(columns, row))) for row in block_rows(columns, rows)]
+
+
+def test_a_ragged_column_with_a_live_non_finite_value_is_written_row_by_row(monkeypatch):
+    values = np.array([[1.5, 0.25, math.inf], [-0.0, 2.0, 0.5], [0.1, 0.2, 0.3]])
+    live, padded = (values, np.array([2, 3, 1])), (values, np.array([2, 0, 3]))
+    calls = []
+    digits = serialize._digits
+    monkeypatch.setattr(serialize, "_digits", lambda v: calls.append(v.tolist()) or digits(v))
+    # the -0.0 in row 1 is live: no digits are taken for the column
+    assert block_lines({"r": live}, 3) == ['{"r": [1.5, 0.25]}', '{"r": [-0.0, 2, 0.5]}', '{"r": [0.10000000000000001]}']
+    assert calls == []
+    # the inf and the -0.0 are padding: the live cells take the digit path
+    assert block_lines({"r": padded}, 3) == [dumps({"r": row[:m]}) for row, m in zip(values.tolist(), [2, 0, 3])]
+    assert calls == [[1.5, 0.25, 0.1, 0.2, 0.3]]

@@ -2,6 +2,7 @@
 the suites' size limits, and the strong-Leibniz open-region note."""
 
 import functools
+import inspect
 import itertools
 import re
 import weakref
@@ -555,3 +556,10 @@ def test_divided_differences_refuse_close_points_in_any_row():
         kernels.divided_differences(points, functools.partial(kernels.phi, block))
     assert str(got.value) == str(want.value)
     assert kernels.divided_differences(points[[0, 2]], lambda x: x).shape == (2, 3, 3)
+
+
+def test_only_the_strong_leibniz_sweep_is_evidence():
+    for name, suite in suites.SUITES.items():
+        assert suite(trials=3, seed=1).theorem_backed == (name != "strong-leibniz")
+    for fn in (suites._run, suites._measure):
+        assert "theorem_backed" not in inspect.signature(fn).parameters

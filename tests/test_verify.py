@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +228,14 @@ def test_markov_refuses_a_lipschitz_square_beyond_the_float_range():
     phi = PiecewiseLinearFn([0.0], [1e200, -1e200], 0.0)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^Lip\(phi\)\^2 overflows the float range$"):
         check_markov_variance(ProbVector([0.5, 0.5]), [0.1, 0.2], phi)
+
+
+def test_holder_theta_names_an_overflow_of_theta_and_warns_nothing():
+    # the inputs are finite: Theta_x (y - Ey) overflows inside the checker
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^Theta_x \(y - Ey\) overflows the float range$"):
+            check_holder_theta([1e308, 1e308], [1.0, -1.0], HolderTriple(2.0, 4.0, 4.0))
 
 
 # -- square-function bound ---------------------------------------------------------------
