@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from leibnizlab import Instance, SearchConfig, refine, search
-from leibnizlab.search import VSHAPE_WITNESS, replay, violation, vshape_function
+from leibnizlab import Instance, PiecewiseLinearFn, SearchConfig, refine, search
+from leibnizlab.search import VSHAPE_WITNESS, replay, violation
 
 TRIALS = 20_000
 
@@ -36,7 +36,7 @@ print("  slopes:", np.round(res.witness["phi"]["slopes"], 4))
 print(f"  violation {res.best_violation:.6f}, replay {-rep.slack:.6f}")
 
 # refinement alone turns the fixed v-shape witness into a stronger one
-inst = Instance.one(VSHAPE_WITNESS["mu"], VSHAPE_WITNESS["f"], phi=vshape_function())
+inst = Instance.one(VSHAPE_WITNESS["mu"], VSHAPE_WITNESS["f"], phi=PiecewiseLinearFn.from_dict(VSHAPE_WITNESS["phi"]))
 v0 = violation(inst, "chain_rule", 1.0)
 tuned, v1 = refine(inst, "chain_rule", 15, 1.0)
 print(f"\nrefining the fixed v-shape witness: {v0:.6f} -> {v1:.6f}")

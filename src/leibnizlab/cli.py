@@ -34,7 +34,7 @@ from .operators import PiecewiseLinearFn, deflated_theta, divided_difference_mat
 from .search import WITNESSES, SearchConfig, search as run_search, witness_report
 from .serialize import dumps, write_jsonl
 from .suites import N_MAX_BOUNDS, SUITES
-from .core import as_vector, check_exponent, exponent_tag
+from .core import as_vector, check_exponent
 from .kernels import check_seed
 
 SUITE_CHOICES = tuple(SUITES) + ("all",)
@@ -216,8 +216,8 @@ def cmd_search(args) -> int:
     payload = {
         "config": config.to_dict(),
         "best_violation": result.best_violation,
-        "best_p": exponent_tag(result.best_p),
-        "per_p": {("inf" if math.isinf(p) else repr(p)): v for p, v in result.per_p.items()},
+        "best_p": result.best_p,
+        "per_p": result.per_p,
         "witness": result.witness,
         "verdict": result.verdict(),
     }

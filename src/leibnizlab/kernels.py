@@ -353,14 +353,32 @@ def rounding_tolerance(floor, n: int, scale):
     return np.maximum(floor, n * np.finfo(float).eps * scale)
 
 
+def _held(scale):
+    """``scale`` held at the largest float, so that a deviation or a side that
+    overflows is never within the tolerance taken at it."""
+    return np.minimum(scale, sys.float_info.max)
+
+
+#: The rounding errors an inequality's two sides may carry, in eps times the
+#: larger side: ulps per power, root and sum, times the terms.  It clears the
+#: worst slack measured on a theorem-backed suite, -26.4 eps max(|lhs|, |rhs|)
+#: (the chain rule), by a factor of 2.4.
+INEQUALITY_ERRORS = 64
+
+
+def inequality_tolerance(floor, lhs, rhs):
+    """The tolerance of lhs <= rhs: ``rounding_tolerance`` of INEQUALITY_ERRORS
+    terms at scale max(|lhs|, |rhs|), ``_held``, so a lhs that overflows fails
+    against a finite rhs, and a nan side fails as nan does."""
+    return rounding_tolerance(floor, INEQUALITY_ERRORS, _held(np.maximum(np.abs(lhs), np.abs(rhs))))
+
+
 def product_scale(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The largest of max |f|, max |g| and their product in each row: the
-    scale of the terms of an identity in f, g and their products.  An
-    identity's scale is held at the largest float, so that a deviation that
-    overflows is never within its tolerance."""
+    scale of the terms of an identity in f, g and their products, ``_held``."""
     a, b = np.abs(f).max(axis=1, initial=0.0), np.abs(g).max(axis=1, initial=0.0)
     with np.errstate(over="ignore"):
-        return np.minimum(np.maximum(np.maximum(a, b), a * b), sys.float_info.max)
+        return _held(np.maximum(np.maximum(a, b), a * b))
 
 
 def validate_laplacians(L: np.ndarray) -> None:
@@ -400,12 +418,6 @@ def validate_laplacians(L: np.ndarray) -> None:
                 raise ValueError(f"leading principal minor {m} of -L is negative")
 
 
-def _norm(x: np.ndarray, name: str) -> np.ndarray:
-    if name[0] == "k":  # knorms.k_norm: the k largest of |x|
-        return np.sort(np.abs(x), axis=1)[:, ::-1][:, :int(name[1:])].sum(axis=1)
-    return lp(x, None, float(name[1:]))  # knorms.lp_evaluator
-
-
 def norms(x: np.ndarray, names) -> np.ndarray:
     """The symmetric norm of each row named in ``names``: "l<p>" (p a number or
     "inf") as ``knorms.lp_evaluator(p)``, "k<k>" as ``knorms.k_norm(., k)``.
@@ -420,9 +432,9 @@ def norms(x: np.ndarray, names) -> np.ndarray:
     if lrows.any():
         out[lrows] = lp(x[lrows], None, p[lrows])
     for name in distinct:
-        if name[0] == "k":
+        if name[0] == "k":  # the k largest of |x|
             rows = names == name
-            out[rows] = _norm(x[rows], name)
+            out[rows] = np.sort(np.abs(x[rows]), axis=1)[:, ::-1][:, :int(name[1:])].sum(axis=1)
     return out
 
 
@@ -446,14 +458,14 @@ def centering_identity(x: np.ndarray, phi) -> np.ndarray:
     """-(1/n) T (x - mean x) against phi(x) - mean phi(x), where T holds the
     divided differences of ``phi`` (as ``divided_differences`` takes it) at
     each row of points x; the largest deviation of each row, and its scale
-    (``rounding_tolerance``): the larger of max |T| max |x| and max |phi(x)|."""
+    (``rounding_tolerance``): the larger of max |T| max |x| and max |phi(x)|, ``_held``."""
     n = x.shape[1]
     T = divided_differences(x, phi)
     left = -matvec(T, x - x.mean(axis=1)[:, None]) / n
     values = phi(x)
-    with np.errstate(over="ignore"):  # held at the largest float, as in ``product_scale``
-        scale = np.minimum(np.maximum(np.abs(T).max(axis=(1, 2), initial=0.0) * np.abs(x).max(axis=1, initial=0.0),
-                                      np.abs(values).max(axis=1, initial=0.0)), sys.float_info.max)
+    with np.errstate(over="ignore"):
+        scale = _held(np.maximum(np.abs(T).max(axis=(1, 2), initial=0.0) * np.abs(x).max(axis=1, initial=0.0),
+                                 np.abs(values).max(axis=1, initial=0.0)))
     return np.abs(left - (values - values.mean(axis=1)[:, None])).max(axis=1, initial=0.0), scale
 
 

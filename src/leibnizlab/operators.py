@@ -213,7 +213,8 @@ def laplacian_bound_reports(L: np.ndarray, x: np.ndarray, norm, tol: float = INE
     if np.any(np.abs(x.sum(axis=1)) > kernels.rounding_tolerance(1e-10, n, np.abs(x).sum(axis=1))):
         raise ValueError("x must have zero coordinate sum (center it first)")
     lhs, rhs, top, size = kernels.laplacian_norm_bound(L, x, norm)
-    return ReportBlock.from_values("laplacian_norm_bound", lhs, rhs, tol, {"n": n, "max_offdiag": top, "x": x}), size
+    return ReportBlock.from_values("laplacian_norm_bound", lhs, rhs, kernels.inequality_tolerance(tol, lhs, rhs),
+                                   {"n": n, "max_offdiag": top, "x": x}), size
 
 
 def centering_identity_check(x, phi, tol: float = IDENTITY_TOL) -> VerificationReport:

@@ -6,11 +6,13 @@ violation is a counterexample witness; for targets that are theorems the
 search is a negative control and must come back empty.
 
 Where the non-monotone chain rule and the inverse bound stand: both fail at
-p = 1 (the fixed witnesses in ``WITNESSES``) and both hold at p = 2 and
-p = inf, so a violation at p = 2 or inf is a bug in the kernel, not a
-discovery.  The open exponents are (1, 2) and (2, inf); there a search
-result is evidence, never a proof, and is labeled "no violation found
-(budget N)".  With X' an independent copy of X = f, and L = Lip(phi), or
+p = 1 (the fixed witnesses in ``WITNESSES``), the chain rule fails at every
+p in [1, 2) (the tent, below), and both hold at p = 2 and p = inf, so a
+violation at p = 2 or inf is a bug in the kernel, not a discovery.  The open
+exponents are (2, inf) for the chain rule, and (1, 2) and (2, inf) for the
+inverse bound; there a search result is evidence, never a proof, and is
+labeled "no violation found (budget N)".  With X' an independent copy of
+X = f, and L = Lip(phi), or
 L = ||f^-1||_inf^2 for phi(x) = 1/x, because |1/a - 1/b| <= ||f^-1||_inf^2
 |a - b| for values a, b of f:
 
@@ -21,6 +23,18 @@ L = ||f^-1||_inf^2 for phi(x) = 1/x, because |1/a - 1/b| <= ||f^-1||_inf^2
 * p = inf: |phi(x_i) - E phi(f)| <= L E|x_i - X|.  The right side is convex
   in x_i, so over the range of f it is largest at min f or max f, where it
   equals L |x_i - Ef| <= L ||f - Ef||_inf.
+* p in [1, 2), the tent: for t in (0, 1) take mu = (t/2, 1 - t, t/2),
+  f = (-1, 0, 1) and phi(x) = -|x| (Lip 1, not monotone).  Ef = 0 and
+  ||f - Ef||_p^p = t; phi(f) - E phi(f) is t - 1 on the outer atoms and t
+  on the middle one, so (lhs / rhs)^p = (1 - t)^p + (1 - t) t^(p-1).
+  Bernoulli's (1 - t)^p >= 1 - pt bounds it below by
+  1 - pt + (1 - t) t^(p-1), which exceeds 1 iff (1 - t) t^(p-2) > p: true
+  for every small t, as t^(p-2) grows without bound when p < 2.  At
+  p = a/b the condition reads (1 - t)^b b^b > a^b t^(2b-a), which
+  ``Fraction`` decides; the tests certify it at p = 1, 5/4, 3/2, 7/4,
+  19/10, 39/20 and 199/100.  At p = 1 the ratio is 2(1 - t), which tends
+  to 2.  Near p = 2 the violation shrinks below float64's reach: at
+  p = 199/100, t = 2^-100, both sides round to the same float.
 
 An ``Instance`` holds search instances as the rows of arrays, one row per
 instance; ``violation``, ``refine``, ``replay`` and the witness codec take
@@ -145,7 +159,7 @@ class SearchResult:
     history: list[float] = field(default_factory=list)
 
     def verdict(self) -> str:
-        if self.best_violation > 1e-9:
+        if self.best_violation > INEQUALITY_TOL:
             return f"violation found: {self.best_violation:.6g} at p={self.best_p}"
         return f"no violation found (budget {self.config.trials} trials x {len(self.config.p_grid)} exponents)"
 
@@ -612,10 +626,6 @@ WITNESSES = {
 }
 
 
-def vshape_function() -> PiecewiseLinearFn:
-    return PiecewiseLinearFn.from_dict(VSHAPE_WITNESS["phi"])
-
-
 def witness_report(name: str, tol: float = INEQUALITY_TOL) -> VerificationReport:
     """The report of the fixed witness ``name`` at p = 1, as its checker gives it."""
     witness = WITNESSES[name]
@@ -624,11 +634,6 @@ def witness_report(name: str, tol: float = INEQUALITY_TOL) -> VerificationReport
     rep = getattr(verify, "check_" + witness["target"])(inst["mu"], inst["f"], *phi, 1.0, tol)
     rep.name = name
     return rep
-
-
-def reciprocal_witness_report(tol: float = INEQUALITY_TOL) -> VerificationReport:
-    """The inverse bound at p = 1 on the reciprocal witness."""
-    return witness_report("strong_leibniz_reciprocal_witness", tol)
 
 
 def reproduce_known_counterexamples(tol: float = INEQUALITY_TOL) -> list[VerificationReport]:

@@ -354,13 +354,15 @@ def suite_laplacian(trials: int = 1000, n_max: int = 8, seed: int = 0,
             L, x, functools.partial(kernels.norms, names=names), tol)
         bound.columns["instance"]["norm"] = names
         # corollary form: n * Lip(phi) dominates n * max off-diagonal
+        lhs, rhs = bound.columns["lhs"][monotone], n * b.lipschitz * size[monotone]
         corollary = ReportBlock.from_values(
-            "monotone_divided_difference_bound", bound.columns["lhs"][monotone], n * b.lipschitz * size[monotone],
-            tol, {"n": n, "lipschitz": b.lipschitz, "norm": names[monotone], "x": x[monotone],
-                  "points": b.f, "phi": operators.phi_echo(b)[0]}, seed=t[monotone])
+            "monotone_divided_difference_bound", lhs, rhs, kernels.inequality_tolerance(tol, lhs, rhs),
+            {"n": n, "lipschitz": b.lipschitz, "norm": names[monotone], "x": x[monotone],
+             "points": b.f, "phi": operators.phi_echo(b)[0]}, seed=t[monotone])
         col, row = kernels.hat_bounds(L)
-        return [bound, corollary, ReportBlock.from_values("hat_matrix_operator_bounds", np.maximum(col, row),
-                                                          n * bound.columns["instance"]["max_offdiag"], 1e-10,
+        lhs, rhs = np.maximum(col, row), n * bound.columns["instance"]["max_offdiag"]
+        return [bound, corollary, ReportBlock.from_values("hat_matrix_operator_bounds", lhs, rhs,
+                                                          kernels.inequality_tolerance(1e-10, lhs, rhs),
                                                           {"n": n, "col": col, "row": row})]
     return _run("laplacian", width, evaluate, trials, n_max, seed)
 
@@ -414,7 +416,7 @@ def suite_strong_leibniz(trials: int = 2000, n_max: int = 8, seed: int = 0,
     outcome = _measure("strong-leibniz", STATEMENTS["strong_leibniz"], trials, n_max, seed, tol, 0, lambda u: (p,))
     outcome.theorem_backed = False
     witness = witness_report("strong_leibniz_reciprocal_witness", tol)
-    block = ReportBlock.from_values(witness.name, np.array([witness.lhs]), np.array([witness.rhs]), tol,
+    block = ReportBlock.from_values(witness.name, np.array([witness.lhs]), np.array([witness.rhs]), witness.tolerance,
                                     {**witness.instance, "expected_failure": True})
     outcome.chunks.insert(0, ([block], None))
     hits = outcome.failed

@@ -2,8 +2,9 @@
 
 Every checker returns a VerificationReport with the full instance echoed, so
 a failing report is replayable from its JSON serialization alone.  Inequality
-checks default to an absolute slack tolerance of 1e-9; exact linear-algebra
-identities use 1e-10.
+checks pass within ``kernels.inequality_tolerance``, max(tol, 64 eps
+max(|lhs|, |rhs|)), tol 1e-9 by default; exact linear-algebra identities
+within ``kernels.rounding_tolerance`` at the floor 1e-10.
 
 The replication map turns a rational-weight measure (r_1/m, ..., r_n/m) into
 the uniform measure on m points by repeating the i-th coordinate r_i times;
@@ -83,7 +84,8 @@ def check_holder_theta(x, y, triple: HolderTriple, tol: float = INEQUALITY_TOL) 
         "y": yv.tolist(),
         "exponents": {"r": exponent_tag(triple.r), "p": exponent_tag(triple.p), "q": exponent_tag(triple.q)},
     }
-    return VerificationReport.from_values("holder_theta_bound", lhs, rhs, tol, instance)
+    return VerificationReport.from_values("holder_theta_bound", lhs, rhs, kernels.inequality_tolerance(tol, lhs, rhs),
+                                          instance)
 
 
 # -- one report per row of a block; the checkers below are their one-row case --
@@ -167,7 +169,7 @@ class Statement:
             instance["rhs_terms"] = np.stack(terms, axis=1)
         if self.phi:
             instance["lipschitz"], instance["monotone"] = b.lipschitz, monotone
-        return ReportBlock.from_values(self.name, lhs, rhs, tol, instance)
+        return ReportBlock.from_values(self.name, lhs, rhs, kernels.inequality_tolerance(tol, lhs, rhs), instance)
 
     def check(self, mu, f, g=None, phi=None, exponents=(), tol: float = INEQUALITY_TOL) -> VerificationReport:
         """The report of one instance, as ``check_<name>`` reads it: f and g by

@@ -20,6 +20,7 @@ from scalar_reference import Trial
 
 import leibnizlab.kernels as kernels
 import leibnizlab.suites as suites
+from leibnizlab.knorms import k_norm
 from leibnizlab.operators import PiecewiseLinearFn
 from leibnizlab.sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, distinct_points, sample_holder_triple_pair
 from leibnizlab.search import SearchConfig, random_instance
@@ -329,9 +330,9 @@ def test_lp_per_row_exponents_are_one_call_per_row(weighted):
 def test_norms_take_each_row_as_its_name_alone():
     x, _ = _lp_rows()
     names = np.random.default_rng(12).choice(list(suites.NORM_FAMILY) + ["l1.25", "l8", "k1", "k3", "k5"], len(x))
-    want = [kernels._norm(x[[i]], name)[0] for i, name in enumerate(names.tolist())]
+    want = [kernels.norms(x[[i]], [name])[0] for i, name in enumerate(names.tolist())]
     assert _hex([kernels.norms(x, names)]) == _hex([want])
-    assert _hex([kernels.norms(x, ["k2"] * len(x))]) == _hex([kernels._norm(x, "k2")])
+    assert _hex([kernels.norms(x, ["k2"] * len(x))]) == _hex([[k_norm(row, 2) for row in x]])
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["counting", "weights"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from leibnizlab import kernels
-from leibnizlab.core import IDENTITY_TOL, STRUCT_TOL, DimensionMismatchError
+from leibnizlab.core import IDENTITY_TOL, INEQUALITY_TOL, STRUCT_TOL, DimensionMismatchError
 from leibnizlab.knorms import k_norm_evaluator, lp_evaluator
 from leibnizlab.operators import (
     DegenerateInputError,
@@ -23,6 +23,7 @@ from leibnizlab.operators import (
     validate_laplacian,
 )
 from leibnizlab.kernels import uniform_laplacian
+from leibnizlab.reports import ReportBlock
 from leibnizlab.verify import check_decomposition
 
 
@@ -395,6 +396,36 @@ def test_laplacian_bound_accepts_large_centered_vectors():
         laplacian_norm_bound_check(uniform_laplacian(3), [1.0, 1.0, -1.0], lp_evaluator(2.0))
 
 
+def test_exact_laplacian_bounds_at_large_magnitudes_read_pass():
+    # the uniform Laplacian meets the bound with equality; an absolute 1e-9 read 49 of these 400 as FAIL
+    L = uniform_laplacian(5)
+    for scale in (1e6, 1e7):
+        for seed in range(200):
+            x = np.random.default_rng(seed).uniform(-1, 1, 5) * scale
+            rep = laplacian_norm_bound_check(L, x - x.mean(), lp_evaluator(2.0))
+            assert rep.passed and rep.tolerance > INEQUALITY_TOL, rep.summary()
+
+
+def test_an_overflowing_inequality_never_passes():
+    # a lhs of inf against a finite rhs: the scale is held at the largest float, so the tolerance is finite
+    lhs, rhs = np.array([math.inf, math.nan, 1.0]), np.array([1.0, 1.0, 1.0])
+    tolerance = kernels.inequality_tolerance(INEQUALITY_TOL, lhs, rhs)
+    assert math.isfinite(tolerance[0]) and tolerance[2] == INEQUALITY_TOL
+    assert ReportBlock.from_values("bound", lhs, rhs, tolerance, {}).columns["pass"].tolist() == [False, False, True]
+
+
+def test_validate_laplacian_refuses_unequal_column_sums():
+    # symmetric within STRUCT_TOL with zero row sums, but column 0 sums to 1.8e-12
+    L = np.ones((3, 3)) - 3 * np.eye(3)
+    L[1:, 0] += 0.9e-12
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
+    assert np.abs(L - L.T).max() <= STRUCT_TOL and np.abs(L.sum(axis=1)).max() <= STRUCT_TOL
+    assert L.sum(axis=0)[0] == pytest.approx(1.8e-12, rel=1e-3)
+    with pytest.raises(ValueError, match="^column sums are not zero$"):
+        validate_laplacian(L)
+
+
 def test_validate_laplacians_and_the_identities_share_one_rounding_rule(monkeypatch):
     calls = []
     rule = kernels.rounding_tolerance
@@ -404,7 +435,8 @@ def test_validate_laplacians_and_the_identities_share_one_rounding_rule(monkeypa
     derivation_checks([1.0, 2.0], [3.0, 4.0])
     centering_identity_check([0.1, 0.5], PiecewiseLinearFn.identity())
     laplacian_norm_bound_check(uniform_laplacian(2), [1.0, -1.0], lp_evaluator(2.0))
-    # the sums, the eigenvalue and the n leading minors of each Laplacian, then one call per identity and the sum of x
+    # the sums, the eigenvalue and the n leading minors of each Laplacian, then one call per identity, the sum of x
+    # and the bound
     laplacian = [STRUCT_TOL, kernels.PSD_TOL, kernels.PSD_TOL]
     assert calls == (laplacian + [kernels.PSD_TOL] * 2 + [IDENTITY_TOL] * 3
-                     + laplacian + [kernels.PSD_TOL] + [1e-10])
+                     + laplacian + [kernels.PSD_TOL] + [1e-10, INEQUALITY_TOL])

@@ -17,13 +17,11 @@ from leibnizlab.search import (
     Instance,
     SearchConfig,
     random_instance,
-    reciprocal_witness_report,
     refine,
     replay,
     reproduce_known_counterexamples,
     search,
     violation,
-    vshape_function,
     witness_report,
 )
 from leibnizlab.serialize import dumps
@@ -134,7 +132,8 @@ def test_refine_never_decreases_violation():
 
 
 def test_refine_from_vshape_witness_exceeds_published_gap():
-    inst = Instance.one(VSHAPE_WITNESS["mu"], VSHAPE_WITNESS["f"], phi=vshape_function())
+    phi = PiecewiseLinearFn.from_dict(VSHAPE_WITNESS["phi"])
+    inst = Instance.one(VSHAPE_WITNESS["mu"], VSHAPE_WITNESS["f"], phi=phi)
     assert violation(inst, "chain_rule", 1.0) == pytest.approx(0.26 - 11 / 45, abs=1e-12)
     tuned, v = refine(inst, "chain_rule", 10, 1.0)
     assert v == violation(tuned, "chain_rule", 1.0)
@@ -300,7 +299,7 @@ def test_singular_f_reads_minus_inf_and_is_not_replayed():
 
 @pytest.mark.parametrize("target", ["markov_variance", "nonsense"])
 def test_unknown_target_is_refused(target):
-    inst = Instance.one([0.25, 0.75], [0.5, -0.5], phi=vshape_function())
+    inst = Instance.one([0.25, 0.75], [0.5, -0.5], phi=PiecewiseLinearFn.from_dict(VSHAPE_WITNESS["phi"]))
     for call in (violation, replay):
         with pytest.raises(ValueError, match="unknown target"):
             call(inst, target, 1.5)
@@ -451,7 +450,6 @@ def test_witness_report_is_its_checkers_report(name):
 
 def test_witness_table_feeds_the_named_reports():
     assert list(WITNESSES)[:2] == [r.name for r in reproduce_known_counterexamples()]
-    assert dumps(reciprocal_witness_report().to_dict()) == dumps(witness_report(list(WITNESSES)[0]).to_dict())
     adjusted = witness_report("strong_leibniz_reciprocal_witness_adjusted")
     assert adjusted.instance["f"] == [-0.36, 0.28, 0.38]
     reference = WITNESSES[adjusted.name]["reference"]
@@ -474,12 +472,49 @@ def test_reciprocal_witness_exact_fractions():
     lhs = spread(inv)
     rhs = max(abs(v) for v in inv) ** 2 * spread(f)
     assert (lhs, rhs) == (Fraction(5755, 9576), Fraction(4225, 7938))
-    rep = reciprocal_witness_report()
+    rep = witness_report("strong_leibniz_reciprocal_witness")
     assert abs(rep.lhs - float(lhs)) <= 1e-15 * float(lhs)
     assert abs(rep.rhs - float(rhs)) <= 1e-15 * float(rhs)
 
 
+#: (p, t) of the tent: t = 2**-k is the largest power of two where the certificate holds at p = a/b.
+TENT_CERTIFICATES = [(Fraction(1), Fraction(1, 4)), (Fraction(5, 4), Fraction(1, 4)), (Fraction(3, 2), Fraction(1, 8)),
+                     (Fraction(7, 4), Fraction(1, 16)), (Fraction(19, 10), Fraction(1, 2 ** 10)),
+                     (Fraction(39, 20), Fraction(1, 2 ** 20)), (Fraction(199, 100), Fraction(1, 2 ** 100))]
+
+
+@pytest.mark.parametrize("p, t", TENT_CERTIFICATES, ids=[str(p) for p, _ in TENT_CERTIFICATES])
+def test_the_tent_breaks_the_non_monotone_chain_rule_below_2(p, t):
+    # mu = (t/2, 1 - t, t/2), f = (-1, 0, 1), phi = -|x|: (lhs / rhs)^p = (1 - t)^p + (1 - t) t^(p-1), and
+    # Bernoulli's (1 - t)^p >= 1 - p t puts it above 1 - p t + (1 - t) t^(p-1), which exceeds 1 iff
+    # (1 - t) t^(p-2) > p, that is (1 - t)^b b^b > a^b t^(2b-a) at p = a/b
+    mu, f = (t / 2, 1 - t, t / 2), (-1, 0, 1)
+    assert sum(m * v for m, v in zip(mu, f)) == 0 and sum(m * abs(v) for m, v in zip(mu, f)) == t  # |f| is 0 or 1
+    values = [-abs(v) for v in f]
+    mean = sum(m * v for m, v in zip(mu, values))
+    assert [v - mean for v in values] == [t - 1, t, t - 1]
+    a, b = p.numerator, p.denominator
+
+    def certified(t):
+        return (1 - t) ** b * b ** b > a ** b * t ** (2 * b - a)
+    assert certified(t) and not certified(2 * t)
+    if p <= Fraction(39, 20):  # 1 - t is exact in float, and the replay sees the violation
+        phi = PiecewiseLinearFn([0.0], [1.0, -1.0], 0.0)
+        assert phi(np.array([float(v) for v in f])).tolist() == values
+        rep = check_chain_rule(ProbVector(np.array([float(m) for m in mu])), [float(v) for v in f], phi, float(p),
+                               tol=0.0)
+        assert not rep.passed, rep.summary()
+
+
+def test_the_tent_at_39_20_passes_the_default_floor():
+    # the slack, -2.0e-11, is far above the scale's rounding but within the absolute 1e-9 floor
+    t = 2.0 ** -20
+    rep = check_chain_rule(ProbVector(np.array([t / 2, 1 - t, t / 2])), [-1.0, 0.0, 1.0],
+                           PiecewiseLinearFn([0.0], [1.0, -1.0], 0.0), 39 / 20)
+    assert rep.passed and -1e-10 < rep.slack < -1e-11, rep.summary()
+
+
 def test_vshape_function_has_exact_unit_lipschitz():
-    phi = vshape_function()
+    phi = PiecewiseLinearFn.from_dict(VSHAPE_WITNESS["phi"])
     assert phi.lipschitz == 1.0
     assert np.array_equal(phi.slopes, [-1.0, 0.6])

@@ -40,7 +40,7 @@ from leibnizlab.knorms import k_norm_evaluator, lp_evaluator
 from leibnizlab.operators import DegenerateInputError, PiecewiseLinearFn, deflated_theta
 from leibnizlab.reports import ReportBlock, VerificationReport
 from leibnizlab.sampling import EXPONENT_GRID, MASS_FLOOR, MAX_ATOMS, sample_holder_triple_pair
-from leibnizlab.search import reciprocal_witness_report
+from leibnizlab.search import witness_report
 from leibnizlab.serialize import dumps
 
 
@@ -334,7 +334,7 @@ def _scalar_measure_suite(name, trials, n_max, seed, tol, p=2.0):
         rep.seed = t
         reports.append(rep)
     if name == "strong-leibniz":
-        witness = reciprocal_witness_report(tol)
+        witness = witness_report("strong_leibniz_reciprocal_witness", tol)
         witness.instance["expected_failure"] = True
         reports.insert(0, witness)
     return reports
