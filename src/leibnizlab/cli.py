@@ -227,7 +227,7 @@ def cmd_search(args) -> int:
         outputs = [_write(args.out, "search_result.json", dumps(payload) + "\n"),
                    _write(args.out, "per_p.csv", "p,best_violation\n" + per_p)]
         if args.history_csv:
-            history = "".join(f"{i},{v:.17g}\n" for i, v in enumerate(result.history))
+            history = "".join(f"{i},{v:.17g}\n" for i, v in enumerate(result.history.tolist()))
             outputs.append(_write(args.out, "history.csv", "trial,best_violation\n" + history))
         _write_manifest(args.out, "search", config.to_dict(), config.seed, started, outputs)
 

@@ -171,17 +171,13 @@ def lp(x: np.ndarray, w: np.ndarray | None, p) -> np.ndarray:
     """
     a = np.abs(x)
     m = row_maxima(a, 0.0)
+    ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
     if np.shape(p) == m.shape and m.size and (p == p[0]).all():
         p = float(p[0])
     if np.ndim(p) == 0 or np.shape(p)[-1:] != m.shape:  # every row takes each exponent
-        ratios = None
-
         def norm(e):  # the norms of every row at e
-            nonlocal ratios
             if math.isinf(e):
                 return m
-            if ratios is None:
-                ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
             powers = ratios if e == 1.0 else ratios ** e
             total = powers.sum(axis=1) if w is None else rowdot(w, powers)
             return m * (total if e == 1.0 else pypow(total, 1.0 / e))
@@ -189,7 +185,6 @@ def lp(x: np.ndarray, w: np.ndarray | None, p) -> np.ndarray:
             return norm(p)
         return np.array([norm(e) for e in np.ravel(p).tolist()]).reshape(np.broadcast_shapes(np.shape(p), m.shape))
     p = np.asarray(p, dtype=float)
-    ratios = a / np.where(m == 0.0, 1.0, m)[:, None]
     e = p[..., None]
     powers = ratios ** e
     np.copyto(powers, np.square(ratios), where=e == 2.0)

@@ -31,10 +31,11 @@ L = ||f^-1||_inf^2 for phi(x) = 1/x, because |1/a - 1/b| <= ||f^-1||_inf^2
   1 - pt + (1 - t) t^(p-1), which exceeds 1 iff (1 - t) t^(p-2) > p: true
   for every small t, as t^(p-2) grows without bound when p < 2.  At
   p = a/b the condition reads (1 - t)^b b^b > a^b t^(2b-a), which
-  ``Fraction`` decides; the tests certify it at p = 1, 5/4, 3/2, 7/4,
-  19/10, 39/20 and 199/100.  At p = 1 the ratio is 2(1 - t), which tends
-  to 2.  Near p = 2 the violation shrinks below float64's reach: at
-  p = 199/100, t = 2^-100, both sides round to the same float.
+  ``Fraction`` decides (``tent_witness``); the tests certify it at p = 1,
+  5/4, 3/2, 7/4, 19/10, 39/20 and 199/100.  At p = 1 the ratio is
+  2(1 - t), which tends to 2.  Near p = 2 the violation shrinks below
+  float64's reach: at p = 199/100, t = 2^-100, both sides round to the
+  same float.
 
 An ``Instance`` holds search instances as the rows of arrays, one row per
 instance; ``violation``, ``refine``, ``replay`` and the witness codec take
@@ -65,6 +66,7 @@ import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -156,7 +158,13 @@ class SearchResult:
     best_p: float
     witness: dict
     per_p: dict[float, float]
-    history: list[float] = field(default_factory=list)
+    history: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def __eq__(self, other) -> bool:
+        """Field by field, as a dataclass compares, ``history`` by its list of values."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return {**vars(self), "history": self.history.tolist()} == {**vars(other), "history": other.history.tolist()}
 
     def verdict(self) -> str:
         if self.best_violation > INEQUALITY_TOL:
@@ -341,19 +349,20 @@ def _moves(layout, counts: np.ndarray) -> tuple:
 
 
 def _neighbours(state: np.ndarray, source: np.ndarray, at: np.ndarray, delta: np.ndarray, runs: list,
-                spans: dict, target: str, monotone: bool, floor: float):
-    """The feasible single-coordinate perturbations of rows of the flat
-    ``state`` (``_layout``; phi padded with +inf) as flat rows, each kind of
-    move in one run of rows (``runs``, as ``_moves`` gives them): neighbour
-    i is row ``source[i]`` with ``delta[i]`` added at flat index ``at[i]``
-    of the gathered rows.  A new phi is renormalised to unit Lipschitz
-    constant; one with breakpoints closer than 1e-9 or flat slopes is
-    infeasible.  One gather, one scatter of the moved values (a moved f, g
-    or breakpoint clipped on the way), and each kind's projection on its
-    run.  Returns the feasible rows, and which they are (None if all are).
+                spans: dict, monotone: bool, floor: float):
+    """The single-coordinate perturbations of rows of the flat ``state``
+    (``_layout``; phi padded with +inf) as flat rows, each kind of move in
+    one run of rows (``runs``, as ``_moves`` gives them): neighbour i is row
+    ``source[i]`` with ``delta[i]`` added at flat index ``at[i]`` of the
+    gathered rows.  A new phi is renormalised to unit Lipschitz constant;
+    one with breakpoints closer than 1e-9 or flat slopes is infeasible.  One
+    gather, one scatter of the moved values (a moved f, g or breakpoint
+    clipped on the way), and each kind's projection on its run.  Returns the
+    rows, and which are feasible; the statement's own domain is left to
+    ``_violations``.
     """
     out = state[source]
-    keep = np.ones(len(source), dtype=bool)
+    feasible = np.ones(len(source), dtype=bool)
 
     def run(first, last=None):  # the rows of the moves of kinds first to last
         return slice(runs[first], runs[(first if last is None else last) + 1])
@@ -365,8 +374,6 @@ def _neighbours(state: np.ndarray, source: np.ndarray, at: np.ndarray, delta: np
     np.put(out, at, moved)
     mu = spans["mu"]
     out[run(_MU), mu] = _floored_simplex(out[run(_MU), mu], floor)
-    if STATEMENTS[target].invertible:  # a move of f may leave the statement's domain
-        keep[run(_F)] = ~STATEMENTS[target].outside(out[run(_F), spans["f"]])
     if "bp" in spans:
         slopes, bp = spans["slopes"], spans["bp"]
         r = run(_SLOPES)
@@ -378,9 +385,9 @@ def _neighbours(state: np.ndarray, source: np.ndarray, at: np.ndarray, delta: np
         peak = row_maxima(np.abs(out[r, slopes]))
         gaps = out[r, bp]
         with np.errstate(invalid="ignore", divide="ignore"):  # inf - inf in the padding
-            keep[r] = ~np.any(gaps[:, 1:] - gaps[:, :-1] <= 1e-9, axis=1) & (peak >= 1e-12)
+            feasible[r] = ~np.any(gaps[:, 1:] - gaps[:, :-1] <= 1e-9, axis=1) & (peak >= 1e-12)
             out[r, slopes] /= peak[:, None]
-    return (out, None) if keep.all() else (out[keep], keep)
+    return out, feasible
 
 
 def _climb(b: Instance, target: str, steps: int, p: np.ndarray, values,
@@ -406,17 +413,14 @@ def _climb(b: Instance, target: str, steps: int, p: np.ndarray, values,
             owner, move, runs, col = _moves(layout, counts[active])
             source, slot, base = active[owner], owner * width + move, np.arange(active.size) * width
             at, sign = np.arange(len(owner)) * state.shape[1] + col, signs[move]
-            exponents = p[source]
+            exponents, index = p[source], np.empty(active.size * width, dtype=np.intp)
+            index[slot] = np.arange(len(slot))  # each slot's neighbour
             rebuild, delta = False, None
         if delta is None:  # an epoch has ended
             delta = sign * np.take(STEP_EPOCHS, epoch)[owner]
-        cands, keep = _neighbours(state, source, at, delta, runs, spans, target, monotone, floor)
-        where, e = slot, exponents
-        if keep is not None:  # some neighbours are infeasible
-            where, e = slot[keep], exponents[keep]
-        scores, index = np.full((active.size, width), -np.inf), np.empty(active.size * width, dtype=np.intp)
-        np.put(scores, where, _violations(_fields(cands, spans), target, e))
-        index[where] = np.arange(len(where))
+        cands, feasible = _neighbours(state, source, at, delta, runs, spans, monotone, floor)
+        scores = np.full((active.size, width), -np.inf)
+        np.put(scores, slot, np.where(feasible, _violations(_fields(cands, spans), target, exponents), -np.inf))
         k = base + np.argmax(scores, axis=1)  # each row's first maximum (a nan, if any), flat
         top = scores.take(k)
         up = top > best[active]
@@ -444,7 +448,8 @@ def refine(inst: Instance, target: str, steps: int, p: float,
     sweep scores all neighbours of its starting point and moves to the first
     one of maximal violation if that beats the current one, else ends the
     epoch.  The feasible region (simplex with mass floor, coordinate boxes,
-    breakpoint ordering, unit Lipschitz constant) is kept by construction.
+    breakpoint ordering, unit Lipschitz constant) is kept by construction; a
+    neighbour outside it, or outside the statement's domain, scores -inf.
     ``search`` runs this climb on all its leaders in lockstep, each with its
     own epoch and sweep count, so each takes the path it takes here.  The
     input is scored once on entry, and returned itself if no move improves it.
@@ -520,12 +525,13 @@ class _Ranking:
 
     Each exponent keeps a pool, its best row so far and its first k by
     reach, and meets each block's rows with it (``_first``), so memory holds
-    a pool per exponent, not a column per exponent; ``history`` is the
-    running maximum of each trial's largest score.
+    a pool per exponent, not a column per exponent; ``history``, one float
+    per trial of the ``trials``, is the running maximum of each trial's
+    largest score, filled a block at a time.
     """
 
-    def __init__(self, exponents: int, k: int):
-        self.k, self.history = k, []
+    def __init__(self, exponents: int, k: int, trials: int):
+        self.k, self.history, self.ranked = k, np.empty(trials), 0
         empty = np.empty(0)
         self.pools = [(empty.astype(np.intp), empty, empty)] * exponents
 
@@ -537,10 +543,11 @@ class _Ranking:
 
     def add(self, scores: np.ndarray, reach: np.ndarray) -> None:
         """Meet the next block's (rows, exponents) scores and reach."""
-        trials = np.arange(len(self.history), len(self.history) + len(scores))
+        start, self.ranked = self.ranked, self.ranked + len(scores)
+        trials = np.arange(start, self.ranked)
         # the running maximum goes on from the last trial's; -inf leaves the first trial's as it is
-        top = np.maximum.accumulate(np.concatenate([self.history[-1:] or [-np.inf], row_maxima(scores)]))
-        self.history += top[1:].tolist()
+        last = self.history[start - 1:start] if start else [-np.inf]
+        self.history[start:self.ranked] = np.maximum.accumulate(np.concatenate([last, row_maxima(scores)]))[1:]
         for j, (t, s, r) in enumerate(self.pools):
             t, s, r = np.concatenate([t, trials]), np.concatenate([s, scores[:, j]]), np.concatenate([r, reach[:, j]])
             keep = np.zeros(len(t), dtype=bool)
@@ -568,8 +575,8 @@ def search(config: SearchConfig) -> SearchResult:
     (``kernels.lp``; none at p = 1), and the chain rule's reach (``_reach``,
     not taken at p = 2 or inf) reuses the block's phi(f).  Each block then
     meets each exponent's pool of ``max(refine_top, 1) + 1`` rows at most
-    (``_Ranking``), and extends the returned ``history``, the running
-    maximum of each trial's largest score, about 32 bytes per trial.  All
+    (``_Ranking``), and fills its stretch of the returned ``history``, the
+    running maximum of each trial's largest score, 8 bytes per trial.  All
     leaders are re-drawn and climb together (``_climb``, 0 steps when
     ``refine_top`` is 0), each at its own exponent; an exponent's result is
     its first leader of largest climbed violation, the witness read from the
@@ -577,7 +584,7 @@ def search(config: SearchConfig) -> SearchResult:
     """
     grid, target, k = config.p_grid, config.target, min(max(config.refine_top, 1), config.trials)
     column = np.array(grid)[:, None]
-    ranking = _Ranking(len(grid), k)
+    ranking = _Ranking(len(grid), k, config.trials)
     for start in range(0, config.trials, BLOCK):
         ranking.add(*_scored(config, range(start, min(start + BLOCK, config.trials)), column))
 
@@ -624,6 +631,25 @@ WITNESSES = {
         "target": "strong_leibniz", "instance": {**RECIPROCAL_WITNESS, "f": (-0.36, 0.28, 0.38)},
         "reference": {"lhs": 0.57783, "rhs": 0.5417, "tol": 5e-4}},
 }
+
+
+def tent_witness(p) -> dict:
+    """The tent of the module docstring at p = a/b, read exactly by
+    ``Fraction`` (1 <= p < 2, b <= 100; a float such as 1.9 has b = 2^51),
+    in ``WITNESSES``' instance form, with its exact t under "t": t halves
+    from 1/2 until the certificate (1 - t)^b b^b > a^b t^(2b-a) holds.  The
+    floats are exact while t >= 2^-53.  ValueError for any other p."""
+    try:
+        q = Fraction(p)
+    except (TypeError, ValueError, OverflowError):
+        q = None
+    if isinstance(p, bool) or q is None or not 1 <= q < 2 or q.denominator > 100:
+        raise ValueError(f"the tent takes p = a/b in [1, 2) with b <= 100, got {p!r}")
+    a, b, t = q.numerator, q.denominator, Fraction(1, 2)
+    while (1 - t) ** b * b ** b <= a ** b * t ** (2 * b - a):
+        t /= 2
+    return {"mu": (float(t / 2), float(1 - t), float(t / 2)), "f": (-1.0, 0.0, 1.0),
+            "phi": {"breakpoints": [0.0], "slopes": [1.0, -1.0], "anchor": 0.0}, "t": t}
 
 
 def witness_report(name: str, tol: float = INEQUALITY_TOL) -> VerificationReport:

@@ -22,10 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels, sampling
-from .core import (IDENTITY_TOL, INEQUALITY_TOL, HolderTriple, ProbVector, _integer, as_pair, center, check_exponent,
-                   exponent_tag, exponent_tags, lp_norm, paired)
+from .core import (IDENTITY_TOL, INEQUALITY_TOL, HolderTriple, ProbVector, _integer, as_pair, check_exponent,
+                   exponent_tags, paired)
 from .kernels import Block
-from .operators import PiecewiseLinearFn, phi_echo, theta_matrix
+from .operators import PiecewiseLinearFn, phi_echo
 from .reports import ReportBlock, VerificationReport
 
 #: Largest admissible common denominator for replication.
@@ -68,24 +68,20 @@ class RationalProbVector:
 
 
 def check_holder_theta(x, y, triple: HolderTriple, tol: float = INEQUALITY_TOL) -> VerificationReport:
-    """||Theta_x (y - Ey)||_r <= ||x||_p ||y - Ey||_q under the uniform measure;
-    ValueError if Theta_x (y - Ey) overflows."""
-    xv, yv = as_pair(x, y)
-    mu = ProbVector.uniform(xv.size)
-    yc = center(yv, mu)
-    with np.errstate(over="ignore", invalid="ignore"):
-        image = theta_matrix(xv) @ yc
+    """||Theta_x (y - Ey)||_r <= ||x||_p ||y - Ey||_q under the uniform measure,
+    a one-row block; ValueError if Theta_x (y - Ey) overflows."""
+    xv, yv = (v[None, :] for v in as_pair(x, y))
+    mu = np.full(xv.shape, 1.0 / xv.shape[1])
+    yc = kernels.center(yv, mu)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing image is refused below; rhs may be inf
+        image = kernels.matvec(kernels.theta(xv), yc)
+        rhs = kernels.lp(xv, mu, triple.p) * kernels.lp(yc, mu, triple.q)
     if not np.isfinite(image).all():
         raise ValueError("Theta_x (y - Ey) overflows the float range")
-    lhs = lp_norm(image, mu, triple.r)
-    rhs = lp_norm(xv, mu, triple.p) * lp_norm(yc, mu, triple.q)
-    instance = {
-        "x": xv.tolist(),
-        "y": yv.tolist(),
-        "exponents": {"r": exponent_tag(triple.r), "p": exponent_tag(triple.p), "q": exponent_tag(triple.q)},
-    }
-    return VerificationReport.from_values("holder_theta_bound", lhs, rhs, kernels.inequality_tolerance(tol, lhs, rhs),
-                                          instance)
+    lhs = kernels.lp(image, mu, triple.r)
+    exponents = {name: exponent_tags(np.array([getattr(triple, name)])) for name in ("r", "p", "q")}
+    return ReportBlock.from_values("holder_theta_bound", lhs, rhs, kernels.inequality_tolerance(tol, lhs, rhs),
+                                   {"x": xv, "y": yv, "exponents": exponents}).reports()[0]
 
 
 # -- one report per row of a block; the checkers below are their one-row case --

@@ -84,6 +84,28 @@ def test_one_stream_path():
     assert found == [], f"a second stream path: {found}"
 
 
+#: The scalar references: ``core``'s norms and moments and ``knorms.lp_evaluator``
+#: stay for the tests (``tests/scalar_reference.py`` builds its reports with
+#: them).  Every command computes on the block kernels, so no module but
+#: ``core`` and ``__init__`` imports them or reads them off their module.
+SCALAR_REFERENCES = {"core": ("lp_norm", "center", "variance", "expectation", "sup_norm"), "knorms": ("lp_evaluator",)}
+
+
+def test_no_command_runs_a_scalar_reference():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("core.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in SCALAR_REFERENCES.get(node.module, ())]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.attr in SCALAR_REFERENCES.get(node.value.id, ()):
+                    found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert found == [], f"a scalar reference outside the tests: {found}"
+
+
 #: The samplers of a statement's instance on a measure.  Only
 #: ``verify.Statement.draw`` calls them, so the suites and the search lay out
 #: each instance one way; a call anywhere else would be a second layout.

@@ -21,11 +21,13 @@ from leibnizlab.search import (
     replay,
     reproduce_known_counterexamples,
     search,
+    tent_witness,
     violation,
     witness_report,
 )
 from leibnizlab.serialize import dumps
-from leibnizlab.verify import check_chain_rule, check_leibniz, check_square_bound, check_strong_leibniz
+from leibnizlab.verify import (INVERTIBILITY_FLOOR, check_chain_rule, check_leibniz, check_square_bound,
+                              check_strong_leibniz)
 
 
 def test_config_validation():
@@ -140,13 +142,28 @@ def test_refine_from_vshape_witness_exceeds_published_gap():
     assert violation(tuned, "chain_rule", 1.0) >= 0.016
 
 
+def test_the_climb_never_takes_an_infeasible_neighbour():
+    # the strong-leibniz climb's first f move lands on 0.0, outside the domain, and the
+    # chain-rule climb meets 12 phi neighbours whose breakpoints close up; both results
+    # were recorded while the climb dropped such neighbours instead of scoring them -inf
+    tuned, v = refine(Instance.one((0.2, 0.3, 0.5), (0.1, 0.5, -0.7)), "strong_leibniz", 6, 1.0)
+    assert (v, tuned.to_dict()["f"]) == (0.0, [0.5, 0.5, -0.5])
+    assert np.all(np.abs(tuned.f) >= INVERTIBILITY_FLOOR) and violation(tuned, "strong_leibniz", 1.0) == v
+    phi = PiecewiseLinearFn([0.0, 0.001], [1.0, -1.0, 0.5], 0.0)
+    tuned, v = refine(Instance.one((0.25, 0.25, 0.5), (-0.5, 0.0005, 0.6), None, phi), "chain_rule", 6, 1.0)
+    assert v == -0.0004281259882241706
+    assert tuned.to_dict()["phi"] == {"breakpoints": [0.0, 0.001], "slopes": [1.0, -1.0, 0.9999999999999999],
+                                      "anchor": 0.0}
+    assert np.all(np.diff(tuned.bp[0]) > 1e-9) and violation(tuned, "chain_rule", 1.0) == v
+
+
 def test_search_refine_top_zero_is_no_refinement():
     # refine_top 0 keeps only each exponent's best trial, and refines nothing
     cfg = SearchConfig(target="chain_rule", n=3, p_grid=(1.0, 2.0), trials=1500,
                        refine_steps=5, refine_top=0, seed=9)
     a, b = search(cfg), search(dataclasses.replace(cfg, refine_steps=0))
-    assert (a.best_violation, a.best_p, a.witness, a.per_p, a.history) == \
-        (b.best_violation, b.best_p, b.witness, b.per_p, b.history)
+    assert (a.best_violation, a.best_p, a.witness, a.per_p, a.history.tolist()) == \
+        (b.best_violation, b.best_p, b.witness, b.per_p, b.history.tolist())
 
 
 def test_search_deterministic():
@@ -155,7 +172,7 @@ def test_search_deterministic():
     a, b = search(cfg), search(cfg)
     assert a.best_violation == b.best_violation
     assert a.witness == b.witness
-    assert a.history == b.history
+    assert a.history.tolist() == b.history.tolist()
     assert a.per_p == b.per_p
 
 
@@ -387,7 +404,7 @@ def test_search_equals_one_at_a_time_reference(target, refine_top):
                        refine_top=refine_top, max_breakpoints=3, seed=23)
     res = search(cfg)
     got = {"per_p": res.per_p, "best_p": res.best_p, "best_violation": res.best_violation,
-           "witness": res.witness, "history": res.history}
+           "witness": res.witness, "history": res.history.tolist()}
     assert got == reference_search(cfg)
 
 
@@ -404,7 +421,7 @@ def test_chain_rule_leaders_follow_reach():
     res = search(cfg)
     assert res.witness["trial"] == 37 and res.best_violation > 0.01
     got = {"per_p": res.per_p, "best_p": res.best_p, "best_violation": res.best_violation,
-           "witness": res.witness, "history": res.history}
+           "witness": res.witness, "history": res.history.tolist()}
     assert got == reference_search(cfg)
 
 
@@ -512,6 +529,25 @@ def test_the_tent_at_39_20_passes_the_default_floor():
     rep = check_chain_rule(ProbVector(np.array([t / 2, 1 - t, t / 2])), [-1.0, 0.0, 1.0],
                            PiecewiseLinearFn([0.0], [1.0, -1.0], 0.0), 39 / 20)
     assert rep.passed and -1e-10 < rep.slack < -1e-11, rep.summary()
+
+
+@pytest.mark.parametrize("p, t", TENT_CERTIFICATES, ids=[str(p) for p, _ in TENT_CERTIFICATES])
+def test_tent_witness_finds_the_certified_t(p, t):
+    witness = tent_witness(p)
+    assert witness["t"] == t
+    inst = Instance.from_dict(witness)
+    assert inst.to_dict() == {"mu": [float(t / 2), float(1 - t), float(t / 2)], "f": [-1.0, 0.0, 1.0],
+                              "phi": {"breakpoints": [0.0], "slopes": [1.0, -1.0], "anchor": 0.0}}
+    if p <= Fraction(39, 20):  # as the certificate test replays it
+        rep = check_chain_rule(witness["mu"], witness["f"], PiecewiseLinearFn.from_dict(witness["phi"]), float(p),
+                               tol=0.0)
+        assert not rep.passed, rep.summary()
+
+
+@pytest.mark.parametrize("p", [2, Fraction(1, 2), Fraction(1.9)], ids=["2", "1/2", "Fraction(1.9)"])
+def test_tent_witness_refuses_p_outside_1_2_or_past_denominator_100(p):
+    with pytest.raises(ValueError, match=r"^the tent takes p = a/b in \[1, 2\) with b <= 100"):
+        tent_witness(p)
 
 
 def test_vshape_function_has_exact_unit_lipschitz():
