@@ -334,8 +334,8 @@ def max_offdiagonal(L: np.ndarray) -> np.ndarray:
     return _offdiagonal(L).max(axis=1)
 
 
-#: Most negative eigenvalue (and leading minor) of -L that ``validate_laplacians``
-#: accepts in a matrix of small entries; the bound grows with the matrix's norm.
+#: Most negative eigenvalue of -L that ``validate_laplacians`` accepts in a
+#: matrix of small entries; the bound grows with the matrix's norm.
 PSD_TOL = 1e-9
 
 
@@ -379,16 +379,15 @@ def product_scale(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def validate_laplacians(L: np.ndarray) -> None:
     """Check the Laplacian contract of each matrix: finite, symmetric, zero row and
     column sums, off-diagonal >= 0, -L positive semi-definite (its smallest
-    eigenvalue, and for n <= 3 also its leading principal minors).
+    eigenvalue, the one certificate).
 
     Symmetry and signs are checked to STRUCT_TOL.  A sum of n entries rounds
     by up to about n eps max |L_ij|, so each matrix's sums are checked to
     max(STRUCT_TOL, n eps max |L_ij|).  The smallest eigenvalue rounds by
-    about eps ||L|| and a leading minor of order m by about eps ||L||**m,
-    ||L|| being at most the largest absolute row sum, so PSD is checked to
-    max(PSD_TOL, n eps ||L||**m), m = 1 for the eigenvalue.  Raises
-    ValueError with ``operators.validate_laplacian``'s message for the first
-    of these checks that some matrix fails.
+    about eps ||L||, ||L|| being at most the largest absolute row sum, so PSD
+    is checked to max(PSD_TOL, n eps ||L||).  Raises ValueError with
+    ``operators.validate_laplacian``'s message for the first of these checks
+    that some matrix fails.
     """
     finite = np.isfinite(L)
     if not finite.all():  # every check below is a comparison, and nan passes each
@@ -404,13 +403,8 @@ def validate_laplacians(L: np.ndarray) -> None:
     if n > 1 and np.any(_offdiagonal(L).min(axis=1) < -STRUCT_TOL):
         raise ValueError("off-diagonal entries must be non-negative")
     norm = np.abs(L).sum(axis=2).max(axis=1, initial=0.0)
-    neg = -L
-    if n > 1 and np.any(np.linalg.eigvalsh(neg)[:, 0] < -rounding_tolerance(PSD_TOL, n, norm)):
+    if n > 1 and np.any(np.linalg.eigvalsh(-L)[:, 0] < -rounding_tolerance(PSD_TOL, n, norm)):
         raise ValueError("-L is not positive semi-definite")
-    if n <= 3:
-        for m in range(1, n + 1):
-            if np.any(np.linalg.det(neg[:, :m, :m]) < -rounding_tolerance(PSD_TOL, n, norm ** m)):
-                raise ValueError(f"leading principal minor {m} of -L is negative")
 
 
 def norms(x: np.ndarray, names) -> np.ndarray:

@@ -6,8 +6,8 @@ Three families of symmetric matrices with vanishing row and column sums:
   turns centered products under the uniform measure into matrix-vector
   products: fg - E(fg) = -Theta_f g - Theta_g f.
 * graph-style Laplacians (non-negative off-diagonal, -L positive
-  semi-definite) with the conditional bound ||Lx|| <= n (max off-diag) ||x||
-  for every symmetric norm and every mean-zero x.
+  semi-definite) with the bound ||Lx|| <= n (max off-diag) ||x - Ex|| for
+  every symmetric norm and every x (zero row sums: L maps x as x - Ex).
 * divided-difference matrices with off-diagonal
   (phi(x_i) - phi(x_j)) / (x_i - x_j), Laplacian whenever phi is monotone
   increasing; they convert centering of phi(x) into centering of x.
@@ -138,8 +138,7 @@ def theta_matrix(x) -> np.ndarray:
 def deflated_theta(x) -> np.ndarray:
     """theta_matrix(x) - (1/n) * outer(ones, x); kills the constant shift of x."""
     xv = as_vector(x)
-    n = xv.size
-    return theta_matrix(xv) - np.outer(np.ones(n), xv) / n
+    return theta_matrix(xv) - xv / xv.size
 
 
 def divided_difference_matrix(x, phi) -> np.ndarray:
@@ -166,9 +165,8 @@ def max_offdiagonal(L) -> float:
 def validate_laplacian(L) -> np.ndarray:
     """Check the Laplacian contract: symmetric, zero sums, off-diag >= 0, -L PSD.
 
-    The PSD certificate is the smallest eigenvalue of -L; for n <= 3 the
-    leading principal minors of -L are cross-checked as a second certificate.
-    The tolerances are those of ``kernels.validate_laplacians``.
+    The one PSD certificate is the smallest eigenvalue of -L.  The tolerances
+    are those of ``kernels.validate_laplacians``.
     """
     M = np.asarray(L, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -203,16 +201,14 @@ def derivation_reports(f: np.ndarray, g: np.ndarray, tol: float = IDENTITY_TOL) 
 
 def laplacian_bound_reports(L: np.ndarray, x: np.ndarray, norm, tol: float = INEQUALITY_TOL):
     """The laplacian_norm_bound reports of the rows of validated Laplacians L
-    (B, n, n) and mean-zero x (B, n), as one block; ``norm`` maps rows to
-    their norms.  A row whose |sum x| exceeds ``kernels.rounding_tolerance``
-    (1e-10 at scale sum |x|, the bound on the rounding of a float sum) is
-    refused.  Returns the block and each row's ||x||."""
+    (B, n, n) and any x (B, n), as one block; ``norm`` maps rows to their
+    norms.  Each row is checked at x - Ex, which L maps as it maps x, and
+    echoes x as given, so that its report replays bit for bit.  Returns the
+    block and each row's ||x - Ex||."""
     n = L.shape[1]
     if x.shape[1] != n:
         raise DimensionMismatchError(f"matrix is {n}x{n}, vector has {x.shape[1]} entries")
-    if np.any(np.abs(x.sum(axis=1)) > kernels.rounding_tolerance(1e-10, n, np.abs(x).sum(axis=1))):
-        raise ValueError("x must have zero coordinate sum (center it first)")
-    lhs, rhs, top, size = kernels.laplacian_norm_bound(L, x, norm)
+    lhs, rhs, top, size = kernels.laplacian_norm_bound(L, x - x.mean(axis=1)[:, None], norm)
     return ReportBlock.from_values("laplacian_norm_bound", lhs, rhs, kernels.inequality_tolerance(tol, lhs, rhs),
                                    {"n": n, "max_offdiag": top, "x": x}), size
 
@@ -224,7 +220,7 @@ def centering_identity_check(x, phi, tol: float = IDENTITY_TOL) -> VerificationR
 
 
 def laplacian_norm_bound_check(L, x, norm, tol: float = INEQUALITY_TOL) -> VerificationReport:
-    """Check ||Lx|| <= n (max off-diag) ||x|| for a mean-zero x and symmetric norm."""
+    """Check ||Lx|| <= n (max off-diag) ||x - Ex|| for any x and symmetric norm."""
     M = validate_laplacian(L)
     reports, _ = laplacian_bound_reports(M[None], as_vector(x)[None, :], _on_rows(norm), tol)
     return reports.reports()[0]

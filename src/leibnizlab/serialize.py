@@ -8,7 +8,7 @@ emitted as the string "inf" to stay inside strict JSON.  -0.0 is written
 so it reads back as a float with its sign.
 
 Strings escape '"', '\\' and every character below U+0020 as ``json.dumps``
-does; other characters are written as they are.
+does (``json.encoder.encode_basestring``); other characters are kept as is.
 
 ``dumps`` encodes any value, each part on its own; it is the reference.  Suite
 report lines are formatted a block at a time from columns (``block_lines``):
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
+from json.encoder import encode_basestring as _encode_str
 
 import numpy as np
 
@@ -62,14 +63,6 @@ def format_float(x: float) -> str:
     if math.isnan(x):
         return '"nan"'
     return '"inf"' if x > 0 else '"-inf"'
-
-
-#: The escape of each character a JSON string cannot hold as it is, as ``json.dumps`` writes it.
-_ESCAPES = {c: "\\u%04x" % c for c in range(0x20)} | {ord(c): "\\" + e for c, e in zip('\\"\b\f\n\r\t', '\\"bfnrt')}
-
-
-def _encode_str(s: str) -> str:
-    return '"' + s.translate(_ESCAPES) + '"'
 
 
 # Keyed by the key string; a bool or int key is looked up as str(key).

@@ -193,6 +193,17 @@ def test_verify_laplacian_at_n_1000(capsys):
     assert "suite laplacian" in capsys.readouterr().out
 
 
+def test_verify_laplacian_hat_rows_honour_tol(capsys, tmp_path):
+    # a negative --tol fails every hat-matrix row, as it fails the other inequalities
+    out = tmp_path / "reports"
+    assert run_cli("verify", "--suite", "laplacian", "--trials", "20", "--tol", "-1", "--seed", "7",
+                   "--out", str(out)) == 1
+    capsys.readouterr()
+    rows = [json.loads(line) for line in (out / "suite_laplacian.jsonl").read_text().splitlines()]
+    hat = [r for r in rows if r["name"] == "hat_matrix_operator_bounds"]
+    assert len(hat) == 20 and all(r["tolerance"] == -1 and not r["pass"] for r in hat)
+
+
 def test_verify_p_inf_accepted(capsys):
     code = run_cli("verify", "--suite", "strong-leibniz", "--trials", "5", "--p", "inf")
     assert code == 0

@@ -232,9 +232,19 @@ def test_laplacian_bound_zero_matrix():
     assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
 
 
-def test_laplacian_bound_requires_mean_zero():
-    with pytest.raises(ValueError):
-        laplacian_norm_bound_check(np.zeros((2, 2)), np.array([1.0, 1.0]), lp_evaluator(1.0))
+def test_laplacian_bound_takes_any_x_at_x_minus_its_mean():
+    # L maps x and x - Ex alike; dyadic x keeps x - mean(x) exact, and its mean exactly 0
+    rng = np.random.default_rng(3)
+    for n in (2, 4, 8):
+        for _ in range(20):
+            W = np.triu(rng.uniform(0, 1, (n, n)), 1)
+            L = W + W.T
+            np.fill_diagonal(L, -L.sum(axis=1))
+            x = rng.integers(-16, 16, n) / 4 + rng.integers(1, 9)
+            norm = lp_evaluator(float(rng.choice([1.0, 2.0, 3.0, math.inf])))
+            got, want = (laplacian_norm_bound_check(L, v, norm).to_dict() for v in (x, x - x.mean()))
+            assert got["instance"].pop("x") == x.tolist() and want["instance"].pop("x") == (x - x.mean()).tolist()
+            assert got == want and x.mean() != 0.0
 
 
 def test_laplacian_bound_random_suite():
@@ -384,16 +394,15 @@ def test_an_overflowing_identity_never_passes():
 
 
 def test_laplacian_bound_accepts_large_centered_vectors():
-    # |sum x| of a centered x rounds with sum |x|; an absolute 1e-10 refused 244 of these 400
+    # |sum x| of a centered x rounds with the uncentered x; a zero-sum test at
+    # max(1e-10, n eps sum |x|) refused 696 of the 10 000 2-vectors at 1e7
     rng = np.random.default_rng(5)
-    L = uniform_laplacian(5)
-    for scale in (1e6, 1e7):
-        for _ in range(200):
-            x = scale * rng.uniform(-1, 1, 5)
+    for n, scale, count in ((5, 1e6, 200), (5, 1e7, 200), (2, 1e7, 10_000)):
+        L = uniform_laplacian(n)
+        for _ in range(count):
+            x = scale * rng.uniform(-1, 1, n)
             rep = laplacian_norm_bound_check(L, x - x.mean(), lp_evaluator(2.0))
-            assert rep.instance["x"] == (x - x.mean()).tolist()
-    with pytest.raises(ValueError, match=r"^x must have zero coordinate sum \(center it first\)$"):
-        laplacian_norm_bound_check(uniform_laplacian(3), [1.0, 1.0, -1.0], lp_evaluator(2.0))
+            assert rep.passed and rep.instance["x"] == (x - x.mean()).tolist()
 
 
 def test_exact_laplacian_bounds_at_large_magnitudes_read_pass():
@@ -426,6 +435,19 @@ def test_validate_laplacian_refuses_unequal_column_sums():
         validate_laplacian(L)
 
 
+def test_validate_laplacian_takes_the_eigenvalue_as_its_one_certificate():
+    # 9e-13 on L[0, 0] is within the sums' tolerance and moves lambda_min(-L)
+    # to -3.0e-13, within PSD_TOL; a second certificate, leading minor 3 of -L,
+    # read -3.0e-9 against a tolerance of -1.8e-9 and refused it
+    W = np.array([[0.0, 40.0, 30.0], [40.0, 0.0, 30.0], [30.0, 30.0, 0.0]])
+    exact = W - np.diag(W.sum(axis=1))
+    L = exact.copy()
+    L[0, 0] += 9e-13
+    assert -kernels.PSD_TOL < np.linalg.eigvalsh(-L)[0] < 0.0
+    validate_laplacian(L)
+    kernels.validate_laplacians(np.array([L, exact]))
+
+
 def test_validate_laplacians_and_the_identities_share_one_rounding_rule(monkeypatch):
     calls = []
     rule = kernels.rounding_tolerance
@@ -435,8 +457,6 @@ def test_validate_laplacians_and_the_identities_share_one_rounding_rule(monkeypa
     derivation_checks([1.0, 2.0], [3.0, 4.0])
     centering_identity_check([0.1, 0.5], PiecewiseLinearFn.identity())
     laplacian_norm_bound_check(uniform_laplacian(2), [1.0, -1.0], lp_evaluator(2.0))
-    # the sums, the eigenvalue and the n leading minors of each Laplacian, then one call per identity, the sum of x
-    # and the bound
-    laplacian = [STRUCT_TOL, kernels.PSD_TOL, kernels.PSD_TOL]
-    assert calls == (laplacian + [kernels.PSD_TOL] * 2 + [IDENTITY_TOL] * 3
-                     + laplacian + [kernels.PSD_TOL] + [1e-10, INEQUALITY_TOL])
+    # the sums and the eigenvalue of each Laplacian, then one call per identity, and the bound
+    laplacian = [STRUCT_TOL, kernels.PSD_TOL]
+    assert calls == laplacian + [IDENTITY_TOL] * 3 + laplacian + [INEQUALITY_TOL]

@@ -408,6 +408,12 @@ def test_search_equals_one_at_a_time_reference(target, refine_top):
     assert got == reference_search(cfg)
 
 
+def test_a_search_result_is_unequal_to_a_non_result():
+    res = search(SearchConfig(target="chain_rule", n=3, p_grid=(1.0,), trials=4, refine_steps=1, seed=3))
+    assert res == dataclasses.replace(res, history=res.history.copy())
+    assert res.__eq__(vars(res)) is NotImplemented and res != vars(res) and res != 0
+
+
 def test_chain_rule_leaders_follow_reach():
     # trial 37 alone has a phi that turns where a turn can violate at p = 1;
     # it scores below the five best, leads by its reach and climbs to a
@@ -544,7 +550,8 @@ def test_tent_witness_finds_the_certified_t(p, t):
         assert not rep.passed, rep.summary()
 
 
-@pytest.mark.parametrize("p", [2, Fraction(1, 2), Fraction(1.9)], ids=["2", "1/2", "Fraction(1.9)"])
+@pytest.mark.parametrize("p", [2, Fraction(1, 2), Fraction(1.9), math.inf, math.nan, None, "abc"],
+                         ids=["2", "1/2", "Fraction(1.9)", "inf", "nan", "None", "abc"])
 def test_tent_witness_refuses_p_outside_1_2_or_past_denominator_100(p):
     with pytest.raises(ValueError, match=r"^the tent takes p = a/b in \[1, 2\) with b <= 100"):
         tent_witness(p)

@@ -426,7 +426,6 @@ def _scalar_matrix_trial(name, trial, n, N, t, tol):
     # weights' strict upper triangle, row by row (even t), from one column
     norm_name, norm = _trial_norm(trial, 1, n)
     x = trial.vector(4, n)
-    x = x - x.mean()
     if t % 2:
         points = trial.distinct_points(4 + N, 4 + 2 * N, n)
         phi = trial.phi(4 + 3 * N, 4, monotone=True, signed=True)
